@@ -12,7 +12,9 @@ Sign convention: a crossing is positive when the over strand enters at slot 3
 
 from __future__ import annotations
 
-from ..errors import InvalidInput, NotAlternating, NotReduced
+from array import array
+
+from ..errors import InconsistentDiagram, InvalidInput, NotAlternating, NotReduced
 
 __all__ = [
     "PlanarDiagram",
@@ -44,7 +46,7 @@ class _DSU:
 
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops", "provenance",
-                 "_components", "_positions")
+                 "_components", "_positions", "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0, provenance=None):
         crossings = tuple(tuple(int(a) for a in c) for c in crossings)
@@ -63,6 +65,7 @@ class PlanarDiagram:
         self.provenance = provenance
         self._components = None
         self._positions = None
+        self._key = None
         self._validate()
 
     # -- structural invariants ------------------------------------------------
@@ -109,7 +112,7 @@ class PlanarDiagram:
         for ci, s in self.positions()[arc]:
             if self._is_head(ci, s):
                 return ci, s
-        raise AssertionError
+        raise InconsistentDiagram(f"arc {arc} has no head")
 
     def sign(self, ci):
         return 1 if self.over_entry[ci] == 3 else -1
@@ -429,7 +432,8 @@ class PlanarDiagram:
             if {u, o} == {ka, kb} and u != o:
                 total += self.sign(ci)
         if total % 2:
-            raise AssertionError("odd inter-component crossing sum")
+            raise InconsistentDiagram(
+                f"odd inter-component crossing sum {total} between components {ka} and {kb}")
         return total // 2
 
     def component_diagram(self, k):
@@ -473,31 +477,58 @@ class PlanarDiagram:
         return PlanarDiagram(cross, self.over_entry, self.free_loops, self.provenance)
 
     def canonical_key(self):
-        """A relabeling-invariant memo key (minimized over traversal starts)."""
-        if self.n == 0:
-            return f"loops={self.free_loops}"
-        best = None
-        for start in self.arcs():
+        """A relabeling-invariant memo key, computed once per diagram.
+
+        Soundness contract: equal keys imply isomorphic diagrams, i.e. the
+        same crossings and free loops up to a bijection of arc ids and an
+        order of crossings.  The key lists the crossings as sorted rows
+        (four arc labels, over_entry) after relabeling the arcs in traversal
+        order from a start arc, followed by the free-loop count; it takes
+        the least row list over all start arcs.  For a knot every start's
+        labeling is label-free, so the converse holds as well: isomorphic
+        knot diagrams get equal keys.  The rows are packed as fixed-width
+        unsigned integers, 2 bytes each below 32768 crossings and 4 or more
+        beyond, so the byte lengths of the two widths never meet.
+        """
+        if self._key is None:
+            self._key = self._least_rows_key()
+        return self._key
+
+    def _least_rows_key(self):
+        cross = list(zip(self.crossings, self.over_entry))
+        nxt = {}
+        for c, o in cross:
+            nxt[c[0]] = c[2]
+            nxt[c[o]] = c[4 - o]
+        arcs = sorted(nxt)
+
+        def labels(start):
             relabel = {}
-            a = start
-            while a not in relabel:
-                relabel[a] = len(relabel)
-                a = self.next_arc(a)
-            for a in self.arcs():
-                if a not in relabel:
-                    # other components: deterministic but label-dependent order
-                    b = a
-                    while b not in relabel:
-                        relabel[b] = len(relabel)
-                        b = self.next_arc(b)
-            rows = sorted(
-                (tuple(relabel[x] for x in c), self.over_entry[i])
-                for i, c in enumerate(self.crossings)
-            )
-            key = repr((rows, self.free_loops))
-            if best is None or key < best:
-                best = key
-        return best
+            for first in (start, *arcs):
+                # other components: deterministic but label-dependent order
+                a = first
+                while a not in relabel:
+                    relabel[a] = len(relabel)
+                    a = nxt[a]
+            return relabel
+
+        def rows(lab):
+            return sorted((lab[c[0]], lab[c[1]], lab[c[2]], lab[c[3]], o) for c, o in cross)
+
+        # Label 0 opens a row only at the crossing its start arc enters under
+        # (slot 0 is a head, and an arc has one head), so that row is the
+        # least one; a start that enters no crossing under has no row opening
+        # with 0.  The least row list thus comes from a start that enters a
+        # crossing under and, among those, has the least such first row.
+        firsts = {}
+        for c, o in cross:
+            lab = labels(c[0])
+            firsts.setdefault((0, lab[c[1]], lab[c[2]], lab[c[3]], o), []).append(c[0])
+        starts = firsts[min(firsts)] if firsts else []
+        best = min((rows(labels(s)) for s in starts), default=[])
+        flat = [x for row in best for x in row]
+        flat.append(self.free_loops)
+        return array("H" if self.n < 0x8000 else "L", flat).tobytes()
 
 
 # -- module-level forms matching the operation contracts ----------------------

@@ -48,6 +48,11 @@ class NotAlternating(KnotctError):
     pass
 
 
+class InconsistentDiagram(KnotctError):
+    """A diagram breaks an internal invariant (an arc without a head, an odd
+    inter-component crossing sum); signals an upstream bug."""
+
+
 class NotReduced(KnotctError):
     """Diagram has a nugatory crossing."""
 

@@ -23,10 +23,10 @@ the backbone of the test suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .budget import crossing_budget
 from .diagram import PlanarDiagram
 from .errors import BudgetExceeded, InvalidInput, NoFormula
 
@@ -44,11 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_SKEIN_BUDGET = 24
-
-
-def _skein_budget():
-    v = os.environ.get("KNOTCT_CROSSING_BUDGET")
-    return int(v) if v else DEFAULT_SKEIN_BUDGET
 
 
 # =============================================================================
@@ -403,7 +398,7 @@ def _w3(d):
 def _check_input(d):
     if d.component_count() != 1:
         raise InvalidInput(f"skein engine needs a knot, got {d.component_count()} components")
-    budget = _skein_budget()
+    budget = crossing_budget(DEFAULT_SKEIN_BUDGET)
     if d.n > budget:
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget {budget}")
 

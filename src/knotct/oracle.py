@@ -20,10 +20,10 @@ over the walks of the outer disc it is attached to.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .budget import crossing_budget
 from .diagram.core import PlanarDiagram
 from .errors import (
     BudgetExceeded,
@@ -58,11 +58,6 @@ LEFT_DART = 1  # face traversal direction whose face lies left of the arc
 _DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
 
-def _jones_budget():
-    v = os.environ.get("KNOTCT_CROSSING_BUDGET")
-    return int(v) if v else DEFAULT_JONES_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # Kauffman bracket / Jones
 
@@ -92,8 +87,9 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
     """
     if d.component_count() != 1:
         raise NotAKnot(f"{d.component_count()} components")
-    if d.n > _jones_budget():
-        raise BudgetExceeded(f"{d.n} crossings exceeds Jones budget {_jones_budget()}")
+    budget = crossing_budget(DEFAULT_JONES_BUDGET)
+    if d.n > budget:
+        raise BudgetExceeded(f"{d.n} crossings exceeds Jones budget {budget}")
     if d.n == 0:
         return LaurentPoly.one()
 

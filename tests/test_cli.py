@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import knotct
 from knotct.cli import main
 
 
@@ -57,6 +61,17 @@ def test_parse_error_exit_code(capsys):
 def test_validation_error_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "--family", "nope", "--bound", "1")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "0", "-3"])
+def test_bad_crossing_budget_exit_code(budget):
+    src = os.path.dirname(list(knotct.__path__)[0])
+    env = dict(os.environ, KNOTCT_CROSSING_BUDGET=budget, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-m", "knotct.cli", "invariants", "P(3,5,7)"],
+                       capture_output=True, text=True, env=env)
+    assert p.returncode == 2
+    assert "KNOTCT_CROSSING_BUDGET" in p.stderr
+    assert "Traceback" not in p.stderr
 
 
 def test_enumerate_text(capsys):

@@ -1,7 +1,15 @@
 """Planar diagram combinatorics and the twist-box construction templates."""
 
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
+import knotct
+from knotct import invariants
 from knotct.diagram import (
     PlanarDiagram,
     double_twist_diagram,
@@ -14,7 +22,8 @@ from knotct.diagram import (
     signature_alternating,
     twist_number,
 )
-from knotct.errors import MissingProvenance
+from knotct.errors import InconsistentDiagram, KnotctError, MissingProvenance
+from knotct.montesinos import FamilySpec
 
 
 def trefoil():
@@ -51,6 +60,110 @@ def test_canonical_key_relabeling_invariant():
     assert d.relabeled(perm).canonical_key() == d.canonical_key()
 
 
+def template_knots():
+    """One knot from every template builder family."""
+    return [
+        pretzel_diagram([3, -2, 5]),
+        double_twist_diagram(2, 4),
+        montesinos_diagram([Fraction(1, 2), Fraction(2, 5), Fraction(-1, 3)], 1),
+        fig1_left_diagram(1, -1, 2, 1, 0, 1),
+        fig1_right_diagram(1, 1, -1, 1, 2, 1),
+    ]
+
+
+def test_canonical_key_random_relabeling_and_crossing_order():
+    rng = random.Random(20240814)
+    for d in template_knots():
+        assert d.component_count() == 1
+        key = d.canonical_key()
+        arcs = d.arcs()
+        for _ in range(5):
+            ids = rng.sample(range(10 * len(arcs)), len(arcs))
+            e = d.relabeled(dict(zip(arcs, ids)))
+            order = rng.sample(range(e.n), e.n)
+            e = PlanarDiagram([e.crossings[i] for i in order], [e.over_entry[i] for i in order])
+            assert e.canonical_key() == key
+
+
+def test_canonical_key_tells_mirror_images_apart():
+    d = trefoil()
+    assert d.mirror().canonical_key() != d.canonical_key()
+    assert d.mirror().mirror().canonical_key() == d.canonical_key()
+
+
+def test_canonical_key_past_128_crossings():
+    d = pretzel_diagram([43, 43, 45])
+    assert d.n == 131 and d.component_count() == 1
+    key = d.canonical_key()
+    assert isinstance(key, bytes) and len(key) == 2 * (5 * d.n + 1)
+    arcs = d.arcs()
+    assert d.relabeled(dict(zip(arcs, reversed(arcs)))).canonical_key() == key
+    assert pretzel_diagram([43, 45, 43]).canonical_key() == key  # a rotation of the strands
+    assert pretzel_diagram([45, 43, 45]).canonical_key() != key
+
+
+def seed_key(d):
+    """The skein memo key of the initial release: the least repr string over
+    all start arcs, rebuilt by head_of walks at every step."""
+    if d.n == 0:
+        return f"loops={d.free_loops}"
+    best = None
+    for start in d.arcs():
+        relabel = {}
+        a = start
+        while a not in relabel:
+            relabel[a] = len(relabel)
+            a = d.next_arc(a)
+        for a in d.arcs():
+            if a not in relabel:
+                b = a
+                while b not in relabel:
+                    relabel[b] = len(relabel)
+                    b = d.next_arc(b)
+        rows = sorted(
+            (tuple(relabel[x] for x in c), d.over_entry[i])
+            for i, c in enumerate(d.crossings)
+        )
+        key = repr((rows, d.free_loops))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def test_canonical_key_equality_matches_the_seed_key(monkeypatch):
+    visited = []
+    key = PlanarDiagram.canonical_key
+
+    def recording_key(d):
+        visited.append(d)
+        return key(d)
+
+    monkeypatch.setattr(invariants, "_A2_MEMO", {})
+    monkeypatch.setattr(invariants, "_W3_MEMO", {})
+    monkeypatch.setattr(PlanarDiagram, "canonical_key", recording_key)
+    rng = random.Random(7)
+    specs = [FamilySpec("o1", dict(a=1, b=1, c=1, d=1, e=1)),
+             FamilySpec("o1", dict(a=2, b=-1, c=1, d=-2, e=1))]
+    for fam in ("fig1_left", "fig1_right") * 6:
+        specs.append(FamilySpec(fam, {k: rng.randint(-2, 2) for k in "abcdef"}))
+    for f in specs:
+        d = f.diagram()
+        if d.component_count() != 1 or d.n > 22:
+            continue
+        invariants.skein_a2(d)
+        invariants.skein_w3(d)
+    monkeypatch.undo()
+    assert len(visited) > 300
+    new_to_old, old_to_new = {}, {}
+    for d in visited:
+        old, new = seed_key(d), d.canonical_key()
+        new_to_old.setdefault(new, set()).add(old)
+        old_to_new.setdefault(old, set()).add(new)
+    assert all(len(v) == 1 for v in new_to_old.values())
+    assert all(len(v) == 1 for v in old_to_new.values())
+    assert len(new_to_old) > 50
+
+
 def test_simplify_removes_kinks():
     d = pretzel_diagram([1, 1, -1])  # reducible: opposite strands cancel
     s = d.simplify()
@@ -62,6 +175,58 @@ def test_switch_and_smooth_counts():
     assert d.switch(0).n == d.n
     assert d.smooth(0).n == d.n - 1
     assert d.smooth(0).component_count() == 2
+
+
+# The two diagrams below are corrupted after construction, which would reject
+# them, to reach the internal consistency checks.
+
+
+def headless_arc_diagram():
+    """A trefoil whose first over strand no longer enters where its arc ends."""
+    d = trefoil()
+    arc = d.crossings[0][d.over_entry[0]]
+    d.over_entry = (4 - d.over_entry[0],) + d.over_entry[1:]
+    return d, arc
+
+
+def odd_link_diagram():
+    """A two-component link missing one of its inter-component crossings."""
+    d = trefoil().smooth(0)
+    comp = d.component_of()
+    mixed = next(i for i, c in enumerate(d.crossings)
+                 if comp[c[0]] != comp[c[d.over_entry[i]]])
+    keep = [i for i in range(d.n) if i != mixed]
+    d.crossings = tuple(d.crossings[i] for i in keep)
+    d.over_entry = tuple(d.over_entry[i] for i in keep)
+    return d
+
+
+def test_inconsistent_diagrams_raise_typed_errors():
+    assert issubclass(InconsistentDiagram, KnotctError)
+    d, arc = headless_arc_diagram()
+    with pytest.raises(InconsistentDiagram):
+        d.head_of(arc)
+    with pytest.raises(InconsistentDiagram):
+        odd_link_diagram().linking_number(0, 1)
+
+
+def test_inconsistent_diagram_errors_survive_optimized_mode():
+    src = os.path.dirname(list(knotct.__path__)[0])
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import headless_arc_diagram, odd_link_diagram\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "d, arc = headless_arc_diagram()\n"
+        "for call in (lambda: d.head_of(arc), lambda: odd_link_diagram().linking_number(0, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InconsistentDiagram:\n"
+        "        print('raised')\n"
+    )
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == ["raised", "raised"]
 
 
 def test_linking_number_hopf():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotct.errors import BudgetExceeded, InvalidInput, NoFormula
+from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, ValidationError
 from knotct.invariants import (
     InvariantReport,
     a2_dt,
@@ -92,6 +92,16 @@ def test_skein_budget(monkeypatch):
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
     with pytest.raises(BudgetExceeded):
         skein_a2(parse_spec("P(3,3,3)").diagram())
+
+
+@pytest.mark.parametrize("budget", ["abc", "2.5", "0", "-1"])
+def test_bad_budget_is_a_validation_error(monkeypatch, budget):
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", budget)
+    d = parse_spec("P(1,1,1)").diagram()
+    with pytest.raises(ValidationError):
+        skein_a2(d)
+    with pytest.raises(ValidationError):
+        jones_via_kauffman(d)
 
 
 def test_skein_rejects_links():
