@@ -13,8 +13,13 @@ consumed by the genus formulas:
   |a_j| = 1 the pair must satisfy a_j * b_j < 0), and
 * even form    [2c1, 2c2, ..., 2cm]     (every entry even).
 
-Neither normal form is unique; correctness is defined by round-trip
-evaluation plus the structural invariants, never by entry-list equality.
+Both are computed in closed form by greedy expansion: each entry is the
+integer nearest to the tail value it stands for, among the even integers
+in the even form and at the odd positions of the strict form, among all
+integers at the strict form's even positions; a tie goes to the entry of
+smaller absolute value.  Neither normal form is unique.  A result is checked
+by the structural invariants of `StrictCF`/`EvenCF` and by round-trip
+evaluation, and a failed check raises `InvalidInput`.
 """
 
 from __future__ import annotations
@@ -190,136 +195,70 @@ def rewrite_identity(cf: ContinuedFraction, rule: str, position: int):
 
 
 # ---------------------------------------------------------------------------
-# normal forms via bounded backtracking expansion
-#
-# Greedy nearest-entry expansion terminates (each step keeps |entry - target|
-# <= 1 so the fraction height never grows and usually shrinks), but parity and
-# the strictness sign condition occasionally rule the nearest choice out, so a
-# small DFS over the 2-3 closest admissible entries is used instead.
+# normal forms by greedy nearest-entry expansion
 
 
-def _expansion_candidates(target: Fraction, parity):
-    """Admissible next entries near `target`, closest first.
+def _greedy_entries(x: Fraction, steps):
+    """Entries of a subtractive CF of x, each the nearest multiple of its step.
 
-    parity: "even" or "any".  Entries of value 0 are never admissible.
+    Entry j stands for the tail value E_j (E_1 = 1/x, E_j = c_j - 1/E_{j+1})
+    and is the multiple of steps[j % len(steps)] nearest to E_j; a tie goes
+    to the entry of smaller absolute value.  The expansion stops when an
+    entry equals its tail exactly.  Since |c_j - E_j| <= 1, the next tail
+    1/(c_j - E_j) has a denominator no larger than E_j's, smaller except at a
+    tie on an integer tail, so the expansion terminates.
     """
+    p, q = x.denominator, x.numerator  # E_1 = p/q with q > 0
+    if q < 0:
+        p, q = -p, -q
     out = []
-    if parity == "even":
-        base = 2 * (target / 2).__floor__()
-        cand = [base, base + 2, base - 2, base + 4]
-    else:
-        base = target.__floor__()
-        cand = [base, base + 1, base - 1, base + 2]
-    for v in cand:
-        if v != 0 and v not in out:
-            out.append(v)
-    out.sort(key=lambda v: (abs(Fraction(v) - target), abs(v)))
-    return out[:3]
-
-
-def _expand(target, parity_cycle, phase, prefix, out, depth, max_depth=40):
-    """DFS for an entry list with the requested parity pattern.
-
-    target is E_j (the value the remaining tail must represent, as
-    c_j - 1/E_{j+1}); termination requires hitting an exact integer at an
-    allowed phase.  Appends the first full solution to `out`.
-    """
-    if out or depth > max_depth:
-        return
-    parity, may_end = parity_cycle[phase]
-    for e in _expansion_candidates(target, parity):
-        if e == target:
-            if may_end:
-                sol = prefix + [e]
-                out.append(sol)
-                return
-            continue
-        nxt = 1 / (e - target)
-        # keep expansions contracting: the classical height argument needs
-        # |e - target| <= 1; allow a little slack for the backtracker
-        if abs(e - Fraction(target)) > 2:
-            continue
-        _expand(nxt, parity_cycle, 1 - phase if len(parity_cycle) == 2 else 0, prefix + [e], out, depth + 1, max_depth)
-        if out:
-            return
+    while True:
+        m = steps[len(out) % len(steps)]
+        lo = m * (p // (m * q))  # largest multiple of m at most E_j
+        side = 2 * p - (2 * lo + m) * q  # sign of E_j minus the midpoint of lo, lo + m
+        c = lo if side < 0 or (side == 0 and abs(lo) < abs(lo + m)) else lo + m
+        out.append(c)
+        p, q = q, c * q - p  # E_{j+1} = 1/(c_j - E_j)
+        if q == 0:
+            return out
+        if q < 0:
+            p, q = -p, -q
 
 
 def to_strict_cf(x) -> StrictCF:
     """Strict continued fraction of x = beta/alpha (alpha odd, |x| < 1/2).
 
-    The strict form's leading entry is a nonzero even integer, which forces
-    |value| < 1/2; fractions in (1/2, 1) have no strict expansion (exhaustively
-    checked), so callers must first absorb a unit into the surrounding twist
-    count gamma to reach the half-range representative.
+    Entries alternate the nearest even integer and the nearest integer to
+    the tail they stand for.  The strict form's leading entry is a nonzero
+    even integer, which forces |value| < 1/2; fractions in (1/2, 1) have no
+    strict expansion, so callers must first absorb a unit into the
+    surrounding twist count gamma to reach the half-range representative.
     """
     x = Fraction(x)
     alpha, beta = x.denominator, x.numerator
     if alpha <= 1 or alpha % 2 == 0 or beta == 0 or 2 * abs(beta) >= alpha:
         raise InvalidInput(f"{x} is not a half-range odd-denominator tangle fraction")
-    target = 1 / x  # E_1
-    out = []
-    # positions alternate: even entry (no stop), then free entry (may stop)
-    _expand(target, (("even", False), ("any", True)), 0, [], out, 0, max_depth=2 * alpha + 4)
-    sols = []
-    if out:
-        entries = out[0]
-        pairs = list(zip(entries[0::2], entries[1::2]))
-        try:
-            sols.append(StrictCF(pairs))
-        except InvalidInput:
-            pass
-    if not sols:
-        # wider search: explore all candidate branches, not just the first hit
-        sols = _strict_search(target)
-    for s in sols:
-        if s.value() == x:
-            return s
-    raise InvalidInput(f"no strict continued fraction found for {x}")
-
-
-def _strict_search(target):
-    """Exhaustive bounded search used when the greedy DFS output violates
-    the strictness sign condition."""
-    results = []
-
-    def rec(t, phase, prefix):
-        if len(prefix) > 16 or results:
-            return
-        parity = "even" if phase == 0 else "any"
-        for e in _expansion_candidates(t, parity):
-            if phase == 0 and abs(e) == 2:
-                pass  # allowed; sign condition checked on the finished list
-            if e == t:
-                if phase == 1:
-                    entries = prefix + [e]
-                    try:
-                        results.append(StrictCF(list(zip(entries[0::2], entries[1::2]))))
-                        return
-                    except InvalidInput:
-                        continue
-                continue
-            if abs(Fraction(e) - t) > 2:
-                continue
-            rec(1 / (e - t), 1 - phase, prefix + [e])
-
-    rec(target, 0, [])
-    return results
+    entries = _greedy_entries(x, (2, 1))
+    cf = StrictCF(zip(entries[0::2], entries[1::2]))
+    if len(entries) % 2 or cf.value() != x:
+        raise InvalidInput(f"greedy strict expansion {entries} does not represent {x}")
+    return cf
 
 
 def to_even_cf(x) -> EvenCF:
-    """Even continued fraction of x = beta/alpha (exactly one of them even)."""
+    """Even continued fraction of x = beta/alpha (exactly one of them even).
+
+    Every entry is the even integer nearest to the tail it stands for.
+    """
     x = Fraction(x)
     alpha, beta = x.denominator, x.numerator
     if alpha <= 1 or not (-alpha < beta < alpha) or beta == 0:
         raise InvalidInput(f"{x} is not a normalized tangle fraction")
     if (alpha + beta) % 2 == 0:
         raise InvalidInput(f"{x}: exactly one of numerator/denominator must be even")
-    out = []
-    _expand(1 / x, (("even", True),), 0, [], out, 0, max_depth=2 * alpha + 4)
-    if not out:
-        raise InvalidInput(f"no even continued fraction found for {x}")
-    cf = EvenCF(out[0])
-    assert cf.value() == x
+    cf = EvenCF(_greedy_entries(x, (2,)))
+    if cf.value() != x:
+        raise InvalidInput(f"greedy even expansion {list(cf.entries)} does not represent {x}")
     return cf
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import InvalidInput, NotAKnot
+from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
 from .core import PlanarDiagram
 
 __all__ = [
@@ -38,6 +38,8 @@ H_POS_A_OVER = False
 V_POS_A_OVER = False
 # handedness flip of the double-twist template's vertical box
 DT_V_SIGN = -1
+
+_EMIT = "construction: emit"  # InconsistentDiagram.stage of the emission checks
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ class Builder:
                 wire_at[ports[0]] = ports[1]
                 wire_at[ports[1]] = ports[0]
             else:
-                raise AssertionError(f"net with {len(ports)} ports")
+                raise InconsistentDiagram(f"net with {len(ports)} ports", _EMIT)
         # orient: walk each component, marking entry/exit ports
         entry = {}
         arc_of_port = {}
@@ -224,7 +226,8 @@ class Builder:
             g_over = opair[0] if entry[(ci, opair[0])] else opair[1]
             crossings.append(tuple(arc_of_port[(ci, (g_start + k) % 4)] for k in range(4)))
             oe = (g_over - g_start) % 4
-            assert oe in (1, 3)
+            if oe not in (1, 3):
+                raise InconsistentDiagram(f"crossing {ci}: strands enter {oe} slots apart", _EMIT)
             over_entry.append(oe)
         layout = TwistLayout(tuple(self._region(r, entry) for r in self.regions))
         return PlanarDiagram(crossings, over_entry, free, layout)

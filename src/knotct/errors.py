@@ -49,8 +49,18 @@ class NotAlternating(KnotctError):
 
 
 class InconsistentDiagram(KnotctError):
-    """A diagram breaks an internal invariant (an arc without a head, an odd
-    inter-component crossing sum); signals an upstream bug."""
+    """A diagram, or a computation on one, breaks an internal invariant (an
+    arc without a head, an odd inter-component crossing sum, a Seifert
+    matrix with det(V - V^T) != 1); signals an upstream bug.
+
+    `stage` names the construction or oracle step whose check failed and
+    prefixes the message.  These checks are raised, not asserted, so they
+    survive `python -O`.
+    """
+
+    def __init__(self, message, stage=None):
+        self.stage = stage
+        super().__init__(message if stage is None else f"{stage}: {message}")
 
 
 class NotReduced(KnotctError):

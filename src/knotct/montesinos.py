@@ -42,7 +42,6 @@ __all__ = [
     "family_to_montesinos",
     "genus",
     "enumerate_family",
-    "is_alternating_presentation",
     "FAMILY_NAMES",
 ]
 
@@ -57,8 +56,10 @@ class MontesinosSpec:
 
     Construction normalizes each input fraction into (-1, 1) by truncating
     toward zero, adds the integer parts to gamma, drops zero tangles, and
-    verifies that the result is a knot (one component) by building its
-    diagram.
+    checks by arithmetic, without building a diagram, that the result is a
+    knot (one component): with one even-denominator tangle it always is,
+    with none exactly when sum(beta_i) + gamma is odd, and two or more
+    even denominators give a link (Burde-Zieschang, *Knots*, ch. 12).
     """
 
     tangles: tuple
@@ -79,11 +80,10 @@ class MontesinosSpec:
         evens = sum(1 for f in norm if f.denominator % 2 == 0)
         if evens > 1:
             raise NotAKnot(f"{evens} even-denominator tangles force extra components")
+        if evens == 0 and (sum(f.numerator for f in norm) + g) % 2 == 0:
+            raise NotAKnot("2 components")
         object.__setattr__(self, "tangles", tuple(norm))
         object.__setattr__(self, "gamma", g)
-        d = montesinos_diagram(self.tangles, self.gamma, expect_knot=False)
-        if d.component_count() != 1:
-            raise NotAKnot(f"{d.component_count()} components")
 
     @property
     def r(self):
@@ -444,16 +444,6 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
             p = min(runs)
             return GenusBreakdown((1 + sum(ms)) // 2 - (p + 1), "even_caseIII", ms, p)
     return GenusBreakdown((sum(ms) - 1) // 2, "even_caseII", ms)
-
-
-def is_alternating_presentation(m: MontesinosSpec) -> bool:
-    """True when every tangle fraction shares one sign and gamma is zero or
-    of that sign — exactly the specs whose template diagram is alternating,
-    gating the use of the alternating-diagram signature count."""
-    s = 1 if m.tangles[0] > 0 else -1
-    if any((1 if f > 0 else -1) != s for f in m.tangles):
-        return False
-    return m.gamma == 0 or (1 if m.gamma > 0 else -1) == s
 
 
 # =============================================================================

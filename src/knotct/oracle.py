@@ -28,6 +28,7 @@ from .diagram.core import PlanarDiagram
 from .errors import (
     BudgetExceeded,
     GenusMismatch,
+    InconsistentDiagram,
     InvalidInput,
     NonIntegralA2,
     NotAKnot,
@@ -57,6 +58,12 @@ LEFT_DART = 1  # face traversal direction whose face lies left of the arc
 
 _DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
+# stages named by the internal consistency checks (InconsistentDiagram.stage)
+_KAUFFMAN = "oracle: Kauffman bracket"
+_SURFACE = "oracle: Seifert surface"
+_MATRIX = "oracle: Seifert matrix"
+_CONWAY = "oracle: Conway polynomial"
+
 
 # ---------------------------------------------------------------------------
 # Kauffman bracket / Jones
@@ -71,7 +78,7 @@ def _div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         e = max(p.coeffs)
         c = p.coeffs[e]
         if c % dc:
-            raise AssertionError("inexact division")
+            raise InconsistentDiagram("inexact division", _KAUFFMAN)
         t = LaurentPoly.term(c // dc, e - de)
         q = q + t
         p = p - t * d
@@ -178,9 +185,10 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
                     ends = [u for u in comp if isinstance(u[0], str)]
                     if not ends:
                         loops += 1
-                    else:
-                        assert len(ends) == 2, ends
+                    elif len(ends) == 2:
                         new_pairs.append(frozenset((ends[0][1], ends[1][1])))
+                    else:
+                        raise InconsistentDiagram(f"frontier strand with ends {ends}", _KAUFFMAN)
                 kept = [pr for pr in key if not (set(pr) & set(slots))]
                 nkey = frozenset(kept) | frozenset(new_pairs)
                 nval = val * w * _DELTA ** loops
@@ -193,7 +201,9 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
 
     total = LaurentPoly.zero()
     for key, val in states.items():
-        assert not key
+        if key:
+            raise InconsistentDiagram(
+                f"{len(key)} open frontier pairs after the last crossing", _KAUFFMAN)
         total = total + val
     total = total * _DELTA ** d.free_loops
     bracket = _div_exact(total, _DELTA)
@@ -205,7 +215,7 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
     coeffs = {}
     for e, c in f.coeffs.items():
         if e % 4:
-            raise AssertionError(f"bracket exponent {e} not divisible by 4")
+            raise InconsistentDiagram(f"bracket exponent {e} not divisible by 4", _KAUFFMAN)
         coeffs[-e // 4] = coeffs.get(-e // 4, 0) + c
     return LaurentPoly(coeffs)
 
@@ -258,7 +268,9 @@ class _Surface:
                 face_of_dart[dart] = fi
                 ci, s = endpoint(dart)
                 corner_face[(ci, s)] = fi
-        assert len(corner_face) == 4 * d.n
+        if len(corner_face) != 4 * d.n:
+            raise InconsistentDiagram(
+                f"{len(corner_face)} face corners at {d.n} crossings", _SURFACE)
 
         # regions: faces glued through the gap of each smoothed crossing
         parent = list(range(len(faces)))
@@ -291,8 +303,8 @@ class _Surface:
                 fr = find(face_of_dart[(a, -LEFT_DART)])
                 if rl is None:
                     rl, rr = fl, fr
-                else:
-                    assert (rl, rr) == (fl, fr), "circle side regions not constant"
+                elif (rl, rr) != (fl, fr):
+                    raise InconsistentDiagram("circle side regions not constant", _SURFACE)
             region_side[c] = (rl, rr)
 
         # region tree -> depths, then per-circle inner region and orientation
@@ -311,7 +323,8 @@ class _Surface:
         self.eta = {}
         self.depth_c = {}
         for c, (rl, rr) in region_side.items():
-            assert abs(depth[rl] - depth[rr]) == 1, "circle sides not nested by 1"
+            if abs(depth[rl] - depth[rr]) != 1:
+                raise InconsistentDiagram("circle sides not nested by 1", _SURFACE)
             inner = rl if depth[rl] > depth[rr] else rr
             self.eta[c] = 1 if inner == rl else -1
             self.depth_c[c] = depth[inner]
@@ -333,7 +346,9 @@ class _Surface:
                 seq.append(ci)
                 if a == a0:
                     break
-            assert len(seq) == len(arcs_of[c])
+            if len(seq) != len(arcs_of[c]):
+                raise InconsistentDiagram(
+                    f"circle {c}: {len(seq)} feet for {len(arcs_of[c])} arcs", _SURFACE)
             self.feet[c] = seq
 
         # band endpoints: circle1 carries the under-in arc, circle2 the over-in
@@ -342,7 +357,8 @@ class _Surface:
             o = d.over_entry[ci]
             c1 = self.circle_of[d.crossings[ci][0]]
             c2 = self.circle_of[d.crossings[ci][o]]
-            assert c1 != c2, "band endpoints must be distinct circles"
+            if c1 == c2:
+                raise InconsistentDiagram(f"band {ci} has both ends on circle {c1}", _SURFACE)
             self.band[ci] = (c1, c2)
 
     # -- homology basis -----------------------------------------------------
@@ -381,7 +397,8 @@ class _Surface:
             common = set(p1) & set(p2)
             i1 = next(i for i, c in enumerate(p1) if c in common)
             i2 = next(i for i, c in enumerate(p2) if c in common)
-            assert p1[i1] == p2[i2]
+            if p1[i1] != p2[i2]:
+                raise InconsistentDiagram(f"tree paths of band {ci} meet at two apexes", _SURFACE)
             # traversal: band ci from c1 to c2, then tree path c2 -> apex -> c1
             bands = [(ci, c1, c2)]
             c = c2
@@ -419,7 +436,9 @@ class _Surface:
             for j in range(k):
                 ci, cf, ct = bands[j]
                 cj, nf, nt = bands[(j + 1) % k]
-                assert ct == nf
+                if ct != nf:
+                    raise InconsistentDiagram(
+                        f"cycle {idx} jumps from circle {ct} to {nf}", _MATRIX)
                 w.append((ct, ci, cj))
             walks.append(w)
 
@@ -499,7 +518,8 @@ class _Surface:
         for i in range(m):
             row = []
             for j in range(m):
-                assert W[i][j] % 2 == 0, f"odd crossing count at ({i},{j})"
+                if W[i][j] % 2:
+                    raise InconsistentDiagram(f"odd crossing count at ({i},{j})", _MATRIX)
                 row.append(W[i][j] // 2)
             V.append(tuple(row))
         return tuple(V)
@@ -512,9 +532,12 @@ def seifert_pipeline(d: PlanarDiagram) -> SeifertData:
         return SeifertData(0, (), 1)
     circles = d.seifert_circles()
     m = d.n - circles + 1
-    assert m >= 0 and m % 2 == 0, (d.n, circles)
+    if m < 0 or m % 2:
+        raise InconsistentDiagram(
+            f"first Betti number {m} from {d.n} crossings, {circles} circles", _SURFACE)
     matrix = _Surface(d).seifert_matrix() if m else ()
-    assert len(matrix) == m
+    if len(matrix) != m:
+        raise InconsistentDiagram(f"{len(matrix)} homology cycles, expected {m}", _MATRIX)
     return SeifertData(m // 2, matrix, circles)
 
 
@@ -567,11 +590,14 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
     while det:
         e = max(det.coeffs)
         c = det.coeffs[e]
-        assert e >= 0
+        if e < 0:
+            raise InconsistentDiagram(f"negative power z^{e} in det(sV - V^T/s)", _CONWAY)
         out[e] = c
         det = det - c * z ** e
     nabla = LaurentPoly(out)
-    assert nabla.coefficient(0) == 1, nabla  # knots: det(V - V^T) = 1
+    if nabla.coefficient(0) != 1:  # knots: det(V - V^T) = 1
+        raise InconsistentDiagram(
+            f"constant term {nabla.coefficient(0)} of {nabla}, not 1", _CONWAY)
     return nabla
 
 

@@ -180,10 +180,21 @@ def _note(exc, stage):
 
 
 def obstruct(spec) -> ObstructionVerdict:
-    """Run the obstruction rules in order; first firing rule wins."""
+    """Run the obstruction rules in order; first firing rule wins.
+
+    The spec's diagram is built at most once per call, on first use, and
+    dropped with the call.
+    """
     method = {}
     a2 = w3 = sigma = tau = g = None
     is_fig1 = isinstance(spec, FamilySpec) and spec.family in ("fig1_left", "fig1_right")
+    m = spec_diagram = None
+
+    def diagram():
+        nonlocal spec_diagram
+        if spec_diagram is None:
+            spec_diagram = spec.diagram()
+        return spec_diagram
 
     def report():
         return InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
@@ -195,7 +206,7 @@ def obstruct(spec) -> ObstructionVerdict:
     # -- genus gate
     try:
         if is_fig1:
-            d = spec.diagram()
+            d = diagram()
             if d.is_alternating() and d.is_reduced():
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
@@ -208,7 +219,7 @@ def obstruct(spec) -> ObstructionVerdict:
                 # every tangle fraction is an integer, so the spec reduces to
                 # a closed chain of half-twists: a (2, k) torus knot, whose
                 # simplified diagram is reduced alternating (or empty)
-                d = spec.diagram().simplify()
+                d = diagram().simplify()
                 if d.n == 0:
                     g = 0
                     method["genus"] = "closed_form"
@@ -233,7 +244,7 @@ def obstruct(spec) -> ObstructionVerdict:
             w3 = rep.w3
             method.update(rep.method)
         if a2 is None:
-            a2 = skein_a2(spec.diagram())
+            a2 = skein_a2(diagram())
             method["a2"] = "skein_engine"
     except KnotctError as exc:
         raise _note(exc, "a2")
@@ -241,7 +252,7 @@ def obstruct(spec) -> ObstructionVerdict:
         return ObstructionVerdict("no_pcs", "a2_nonzero", report())
     try:
         if w3 is None:
-            w3 = skein_w3(spec.diagram())
+            w3 = skein_w3(diagram())
             method["w3"] = "skein_engine"
     except KnotctError as exc:
         raise _note(exc, "w3")
@@ -252,18 +263,16 @@ def obstruct(spec) -> ObstructionVerdict:
     try:
         alt_d = None
         certified = False
-        d = spec.diagram()
+        d = diagram()
         if d.is_alternating() and d.is_reduced():
             alt_d, certified = d, True
-        elif not is_fig1:
-            m = _to_montesinos(spec)
-            if m is not None and is_alternating_knot(m):
-                certified = True
-                built = alternating_build(m)
-                if built is not None:
-                    bd = built.diagram()
-                    if bd.is_alternating() and bd.is_reduced():
-                        alt_d = bd
+        elif m is not None and is_alternating_knot(m):
+            certified = True
+            alt = alternating_build(m)
+            if alt is not None:
+                bd = alt.diagram()
+                if bd.is_alternating() and bd.is_reduced():
+                    alt_d = bd
         if certified:
             if alt_d is not None:
                 sigma = signature_alternating(alt_d)

@@ -101,6 +101,32 @@ def test_even_cf_rejects_odd_odd():
         to_even_cf(Fraction(3, 5))
 
 
+def test_greedy_forms_valid_up_to_denominator_101():
+    strict = even = 0
+    for q in range(2, 102):
+        for p in range(-q + 1, q):
+            x = Fraction(p, q)
+            if p == 0 or x.denominator != q:
+                continue
+            if q % 2 and 2 * abs(p) < q:
+                s = to_strict_cf(x)
+                assert StrictCF(s.pairs) == s and evaluate(s.entries) == x, x
+                strict += 1
+            if (p + q) % 2:
+                e = to_even_cf(x)
+                assert EvenCF(e.entries) == e and evaluate(e.entries) == x, x
+                even += 1
+    assert (strict, even) == (2106, 4180)
+
+
+def test_greedy_forms_known_entries():
+    # nearest even entry, then nearest integer; ties go to the smaller |entry|
+    assert to_strict_cf(Fraction(1, 3)).entries == (2, -1)
+    assert to_strict_cf(Fraction(-1, 3)).entries == (-2, 1)
+    assert to_even_cf(Fraction(2, 5)).entries == (2, -2)
+    assert to_even_cf(Fraction(1, 2)).entries == (2,)
+
+
 def test_leading_run_and_b_total():
     e = EvenCF([2, 2, -4])
     assert e.leading_run(2) == 2

@@ -11,6 +11,7 @@ import pytest
 import knotct
 from knotct import invariants
 from knotct.diagram import (
+    Builder,
     PlanarDiagram,
     double_twist_diagram,
     fig1_left_diagram,
@@ -227,6 +228,14 @@ def test_inconsistent_diagram_errors_survive_optimized_mode():
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
     assert p.stdout.split() == ["raised", "raised"]
+
+
+def test_construction_check_raises_typed_error():
+    b = Builder()
+    b.new_crossing(a_over=False)  # four ports, none soldered to another
+    with pytest.raises(InconsistentDiagram) as info:
+        b.emit()
+    assert info.value.stage == "construction: emit"
 
 
 def test_linking_number_hopf():

@@ -1,9 +1,12 @@
 """Montesinos normal forms, family specs, parsing, and genus formulas."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from knotct.diagram import montesinos_diagram
 from knotct.errors import InvalidInput, NotAKnot, ParseError, ValidationError
 from knotct.montesinos import (
     FAMILY_NAMES,
@@ -12,7 +15,6 @@ from knotct.montesinos import (
     enumerate_family,
     family_to_montesinos,
     genus,
-    is_alternating_presentation,
     parse_spec,
 )
 
@@ -43,13 +45,72 @@ def test_two_even_denominators_rejected():
         MontesinosSpec([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)], 0)
 
 
-def test_alternating_presentation():
-    assert is_alternating_presentation(
-        MontesinosSpec([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)], 0)
-    )
-    assert not is_alternating_presentation(
-        MontesinosSpec([Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3)], 0)
-    )
+def test_two_component_parity_rejected():
+    # no even denominator and sum(beta) + gamma even: a two-component link
+    with pytest.raises(NotAKnot):
+        MontesinosSpec([Fraction(1, 3), Fraction(1, 3)])
+    MontesinosSpec([Fraction(1, 3), Fraction(1, 3)], 1)
+
+
+def _builder_says_knot(fracs, gamma):
+    """Whether the template diagram of the raw spec has one component: the
+    builder takes the fractions after the same integer-part shift as the
+    spec, done here independently."""
+    norm = []
+    for f in fracs:
+        n = int(f)
+        gamma += n
+        if f != n:
+            norm.append(f - n)
+    return montesinos_diagram(norm, gamma, expect_knot=False).component_count() == 1
+
+
+def _spec_says_knot(fracs, gamma):
+    try:
+        MontesinosSpec(fracs, gamma)
+    except NotAKnot:
+        return False
+    return True
+
+
+def test_knot_rule_matches_builder_on_random_specs():
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(2500):
+        fracs = []
+        for _ in range(rng.randint(1, 5)):
+            alpha = rng.randint(2, 15)
+            fracs.append(Fraction(rng.randint(-3 * alpha, 3 * alpha), alpha))
+        gamma = rng.randint(-4, 4)
+        if all(f.denominator == 1 for f in fracs):
+            continue  # no nontrivial tangle: InvalidInput, not a knot question
+        checked += 1
+        assert _spec_says_knot(fracs, gamma) == _builder_says_knot(fracs, gamma), (fracs, gamma)
+    assert checked > 2000
+
+
+def test_knot_rule_matches_builder_on_families():
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 2):
+            fracs, gamma = f.fraction_form()
+            if f.mirror:
+                fracs, gamma = [-x for x in fracs], -gamma
+            assert _spec_says_knot(fracs, gamma) == _builder_says_knot(fracs, gamma), str(f)
+
+
+def test_genus_breakdowns_pinned():
+    # sha256 over every bound-3 family spec's breakdown, in enumeration
+    # order, recorded with the search-based normal forms and the
+    # diagram-built knot test that the closed forms replaced
+    h = hashlib.sha256()
+    n = 0
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 3):
+            b = genus(family_to_montesinos(f))
+            h.update(f"{f}:{b.genus}:{b.type}:{b.per_tangle}:{b.p}\n".encode())
+            n += 1
+    assert n == 25468
+    assert h.hexdigest() == "c2a05a9e1127fde1a339bda27eae38d938c5c1452d1252a74c6bb53770a461c7"
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)

@@ -1,14 +1,19 @@
 """Diagram-level oracles: Jones via Kauffman bracket, Seifert pipeline."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import knotct
 from knotct.diagram import double_twist_diagram, pretzel_diagram
-from knotct.errors import BudgetExceeded
+from knotct.errors import BudgetExceeded, InconsistentDiagram
 from knotct.exactmath import LaurentPoly
 from knotct.montesinos import parse_spec
 from knotct.oracle import (
+    SeifertData,
     a2_w3_from_jones,
     alternating_genus,
     conway_polynomial,
@@ -90,3 +95,33 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "40")
     v = jones_via_kauffman(pretzel_diagram([9, 9, 9]))
     assert v.evaluate(Fraction(1)) == 1  # V(1) = 1 for any knot
+
+
+# A zero Seifert matrix has det(V - V^T) = 0, which no knot has, so the
+# Conway polynomial's consistency check must reject it.
+LINK_LIKE_SEIFERT = SeifertData(1, ((0, 0), (0, 0)), 1)
+
+
+def test_oracle_check_raises_typed_error():
+    with pytest.raises(InconsistentDiagram) as info:
+        conway_polynomial(LINK_LIKE_SEIFERT)
+    assert info.value.stage == "oracle: Conway polynomial"
+    assert str(info.value).startswith("oracle: Conway polynomial: ")
+
+
+def test_oracle_check_survives_optimized_mode():
+    src = os.path.dirname(list(knotct.__path__)[0])
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_oracle import LINK_LIKE_SEIFERT\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "from knotct.oracle import conway_polynomial\n"
+        "try:\n"
+        "    conway_polynomial(LINK_LIKE_SEIFERT)\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print('raised', exc.stage)\n"
+    )
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "raised oracle: Conway polynomial"
