@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import re
 
 from .errors import DivisionByZero, InvalidInput, PatternMismatch
 
@@ -38,8 +37,6 @@ __all__ = [
     "rewrite_identity",
     "to_strict_cf",
     "to_even_cf",
-    "cf_to_text",
-    "parse_cf_text",
 ]
 
 
@@ -66,9 +63,6 @@ class ContinuedFraction:
         entries = tuple(int(c) for c in entries)
         _evaluate_entries(entries)  # validates at construction
         object.__setattr__(self, "entries", entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     def value(self):
         return _evaluate_entries(self.entries)
@@ -260,24 +254,3 @@ def to_even_cf(x) -> EvenCF:
     if cf.value() != x:
         raise InvalidInput(f"greedy even expansion {list(cf.entries)} does not represent {x}")
     return cf
-
-
-# ---------------------------------------------------------------------------
-# text form: "[c1,...,cn]" with optional additive prefix, e.g. "1+[-3,2]"
-
-_CF_RE = re.compile(r"^\s*(?:(-?\d+)\s*\+\s*)?\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\]\s*$")
-
-
-def cf_to_text(cf, offset=0):
-    body = "[" + ",".join(str(c) for c in cf.entries) + "]"
-    return body if offset == 0 else f"{offset}+{body}"
-
-
-def parse_cf_text(text):
-    """-> (offset, ContinuedFraction)."""
-    m = _CF_RE.match(text)
-    if m is None:
-        raise InvalidInput(f"not a continued-fraction literal: {text!r}")
-    offset = int(m.group(1)) if m.group(1) else 0
-    entries = [int(t) for t in m.group(2).split(",")]
-    return offset, ContinuedFraction(entries)

@@ -244,15 +244,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except KnotctError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        for note in getattr(exc, "__notes__", ()):
+            print(note, file=sys.stderr)
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
 
 
 if __name__ == "__main__":

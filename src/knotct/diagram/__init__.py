@@ -1,19 +1,10 @@
 """Planar diagrams: PD representation, invariant-ready queries, and
 template-based construction of the knot families the package handles."""
 
-from .core import (
-    PlanarDiagram,
-    a_state_loops,
-    crossing_signs,
-    is_alternating,
-    parse_pd,
-    serialize_pd,
-    signature_alternating,
-)
+from .core import _DSU, PlanarDiagram, signature_alternating
 from .construct import (
     Builder,
     TwistLayout,
-    TwistRegion,
     additive_cf,
     double_twist_diagram,
     fig1_left_diagram,
@@ -27,14 +18,8 @@ from ..errors import MissingProvenance
 
 __all__ = [
     "PlanarDiagram",
-    "crossing_signs",
-    "a_state_loops",
-    "is_alternating",
     "signature_alternating",
-    "serialize_pd",
-    "parse_pd",
     "Builder",
-    "TwistRegion",
     "TwistLayout",
     "rational_tangle",
     "montesinos_diagram",
@@ -58,14 +43,7 @@ def twist_number(d: PlanarDiagram) -> int:
     """
     if not isinstance(d.provenance, TwistLayout):
         raise MissingProvenance("diagram was not built from twist-box templates")
-    parent = list(range(d.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    dsu = _DSU(range(d.n))
     pos = d.positions()
     for face in d.faces():
         if len(face) != 2:
@@ -77,7 +55,5 @@ def twist_number(d: PlanarDiagram) -> int:
         cs = {ci for ci, _ in pos[a]} & {ci for ci, _ in pos[b]}
         cs = sorted(cs)
         for other in cs[1:]:
-            ra, rb = find(cs[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(d.n)})
+            dsu.union(cs[0], other)
+    return len({dsu.find(i) for i in range(d.n)})

@@ -14,14 +14,12 @@ folklore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
 from .core import PlanarDiagram
 
 __all__ = [
-    "TwistRegion",
     "TwistLayout",
     "Builder",
     "rational_tangle",
@@ -42,20 +40,9 @@ DT_V_SIGN = -1
 _EMIT = "construction: emit"  # InconsistentDiagram.stage of the emission checks
 
 
-@dataclass(frozen=True)
-class TwistRegion:
-    count: int  # signed number of half twists = number of crossings
-    strand_type: str  # "parallel" | "anti-parallel"
-    axis: str  # "h" | "v"
-    crossings: tuple
-
-
-@dataclass(frozen=True)
 class TwistLayout:
-    regions: tuple
-
-    def total_crossings(self):
-        return sum(abs(r.count) for r in self.regions)
+    """Provenance of a diagram emitted by `Builder`: its crossings sit in
+    twist boxes, the framing `twist_number` needs."""
 
 
 class Builder:
@@ -64,7 +51,6 @@ class Builder:
     def __init__(self):
         self.a_over = []
         self.parent = {}
-        self.regions = []  # dicts: axis, signed count, crossing list
         self._j = 0
 
     # -- net plumbing ---------------------------------------------------------
@@ -108,52 +94,33 @@ class Builder:
         left, right = self.junction(), self.junction()
         return {"NW": left, "SW": left, "NE": right, "SE": right}
 
-    def htwist(self, t, sign, region):
+    def htwist(self, t, sign):
         """One half twist added on the right side of the tangle."""
         ci = self.new_crossing(H_POS_A_OVER if sign > 0 else not H_POS_A_OVER)
         self.solder(t["NE"], self.port(ci, 2))
         self.solder(t["SE"], self.port(ci, 3))
         t["NE"] = self.port(ci, 1)
         t["SE"] = self.port(ci, 0)
-        region.append(ci)
-        return t
 
-    def vtwist(self, t, sign, region):
+    def vtwist(self, t, sign):
         """One half twist added at the bottom of the tangle."""
         ci = self.new_crossing(V_POS_A_OVER if sign > 0 else not V_POS_A_OVER)
         self.solder(t["SW"], self.port(ci, 2))
         self.solder(t["SE"], self.port(ci, 1))
         t["SW"] = self.port(ci, 3)
         t["SE"] = self.port(ci, 0)
-        region.append(ci)
-        return t
 
-    def hbox(self, m, flip=False):
+    def hbox(self, m):
         """Horizontal twist box with m signed half twists (0 = trivial)."""
         t = self.zero_tangle()
-        region = []
-        s = 1 if m > 0 else -1
         for _ in range(abs(m)):
-            ci = self.new_crossing(
-                (H_POS_A_OVER if s > 0 else not H_POS_A_OVER) ^ flip
-            )
-            self.solder(t["NE"], self.port(ci, 2))
-            self.solder(t["SE"], self.port(ci, 3))
-            t["NE"] = self.port(ci, 1)
-            t["SE"] = self.port(ci, 0)
-            region.append(ci)
-        if region:
-            self.regions.append({"axis": "h", "count": m, "crossings": region})
+            self.htwist(t, m)
         return t
 
     def vbox(self, m):
         t = self.inf_tangle()
-        region = []
-        s = 1 if m > 0 else -1
         for _ in range(abs(m)):
-            self.vtwist(t, s, region)
-        if region:
-            self.regions.append({"axis": "v", "count": m, "crossings": region})
+            self.vtwist(t, m)
         return t
 
     # -- tangle composition ---------------------------------------------------
@@ -229,21 +196,7 @@ class Builder:
             if oe not in (1, 3):
                 raise InconsistentDiagram(f"crossing {ci}: strands enter {oe} slots apart", _EMIT)
             over_entry.append(oe)
-        layout = TwistLayout(tuple(self._region(r, entry) for r in self.regions))
-        return PlanarDiagram(crossings, over_entry, free, layout)
-
-    def _region(self, r, entry):
-        ci = r["crossings"][0]
-        # strand direction components at the region's first crossing
-        dxa, dya = (-1, 1) if entry[(ci, 0)] else (1, -1)
-        dxb, dyb = (-1, -1) if entry[(ci, 1)] else (1, 1)
-        same = (dxa == dxb) if r["axis"] == "h" else (dya == dyb)
-        return TwistRegion(
-            count=r["count"],
-            strand_type="parallel" if same else "anti-parallel",
-            axis=r["axis"],
-            crossings=tuple(r["crossings"]),
-        )
+        return PlanarDiagram(crossings, over_entry, free, TwistLayout())
 
 
 # -- additive continued fractions for tangle layout ---------------------------
@@ -281,16 +234,9 @@ def rational_tangle(b: Builder, frac):
     t = b.inf_tangle() if k % 2 == 1 else b.zero_tangle()
     for j in range(k, 0, -1):
         m = entries[j - 1]
-        region = []
-        s = 1 if m > 0 else -1
+        twist = b.vtwist if j % 2 == 1 else b.htwist
         for _ in range(abs(m)):
-            if j % 2 == 1:
-                b.vtwist(t, s, region)
-            else:
-                b.htwist(t, s, region)
-        b.regions.append(
-            {"axis": "v" if j % 2 == 1 else "h", "count": m, "crossings": region}
-        )
+            twist(t, m)
     return t
 
 
@@ -332,12 +278,8 @@ def double_twist_diagram(m_h, m_v, expect_knot=True):
     m_h, m_v = -m_h, -m_v  # chirality pinned by the w3(DT(2,2)) = 1/2 anchor
     b = Builder()
     t = b.vbox(DT_V_SIGN * m_v)
-    region = []
-    s = 1 if m_h > 0 else -1
     for _ in range(abs(m_h)):
-        b.htwist(t, s, region)
-    if region:
-        b.regions.append({"axis": "h", "count": m_h, "crossings": region})
+        b.htwist(t, m_h)
     b.numerator_close(t)
     return _finish(b, expect_knot)
 

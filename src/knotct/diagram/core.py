@@ -18,12 +18,7 @@ from ..errors import InconsistentDiagram, InvalidInput, NotAlternating, NotReduc
 
 __all__ = [
     "PlanarDiagram",
-    "crossing_signs",
-    "a_state_loops",
     "signature_alternating",
-    "is_alternating",
-    "serialize_pd",
-    "parse_pd",
 ]
 
 
@@ -211,25 +206,6 @@ class PlanarDiagram:
     def is_reduced(self):
         return not self.nugatory_crossings()
 
-    def is_connected(self):
-        if self.free_loops:
-            return self.n == 0 and self.free_loops == 1
-        if self.n == 0:
-            return False
-        adj = {v: set() for v in range(self.n)}
-        for a, occ in self.positions().items():
-            u, v = occ[0][0], occ[1][0]
-            adj[u].add(v)
-            adj[v].add(u)
-        stack, seen = [0], {0}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     # -- state smoothings -----------------------------------------------------
 
     def a_state_loops(self):
@@ -249,15 +225,9 @@ class PlanarDiagram:
 
     def seifert_circles(self):
         """Loop count of the orientation-preserving smoothing everywhere."""
-        arcs = self.arcs()
-        if not arcs:
+        if not self.crossings:
             return max(self.free_loops, 0) or 1
-        dsu = _DSU(arcs)
-        for ci, c in enumerate(self.crossings):
-            o = self.over_entry[ci]
-            dsu.union(c[0], c[4 - o])
-            dsu.union(c[o], c[2])
-        return len({dsu.find(a) for a in arcs}) + self.free_loops
+        return len(set(self.seifert_circle_of().values())) + self.free_loops
 
     def seifert_circle_of(self):
         """arc -> representative id of its Seifert circle."""
@@ -531,21 +501,6 @@ class PlanarDiagram:
         return array("H" if self.n < 0x8000 else "L", flat).tobytes()
 
 
-# -- module-level forms matching the operation contracts ----------------------
-
-
-def crossing_signs(d: PlanarDiagram):
-    return d.signs()
-
-
-def a_state_loops(d: PlanarDiagram) -> int:
-    return d.a_state_loops()
-
-
-def is_alternating(d: PlanarDiagram) -> bool:
-    return d.is_alternating()
-
-
 def signature_alternating(d: PlanarDiagram) -> int:
     """sigma = o(D) - y(D) - 1 on a reduced alternating diagram."""
     if not d.is_alternating():
@@ -554,40 +509,3 @@ def signature_alternating(d: PlanarDiagram) -> int:
     if bad:
         raise NotReduced(f"nugatory crossings at {bad}")
     return d.a_state_loops() - d.positive_count() - 1
-
-
-# -- PD-code serialization ----------------------------------------------------
-
-
-def serialize_pd(d: PlanarDiagram) -> str:
-    lines = [f"components={d.component_count()} crossings={d.n}"]
-    for i, c in enumerate(d.crossings):
-        lines.append(f"X({c[0]},{c[1]},{c[2]},{c[3]},{'+' if d.sign(i) > 0 else '-'})")
-    return "\n".join(lines) + "\n"
-
-
-def parse_pd(text: str) -> PlanarDiagram:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("components="):
-        raise InvalidInput("missing PD header")
-    try:
-        comp_part, cross_part = lines[0].split()
-        n_comp = int(comp_part.split("=")[1])
-        n_cross = int(cross_part.split("=")[1])
-    except (ValueError, IndexError):
-        raise InvalidInput(f"bad PD header: {lines[0]!r}") from None
-    cross, over = [], []
-    for ln in lines[1:]:
-        if not (ln.startswith("X(") and ln.endswith(")")):
-            raise InvalidInput(f"bad PD line: {ln!r}")
-        parts = ln[2:-1].split(",")
-        if len(parts) != 5:
-            raise InvalidInput(f"bad PD line: {ln!r}")
-        cross.append(tuple(int(p) for p in parts[:4]))
-        over.append(3 if parts[4] == "+" else 1)
-    if len(cross) != n_cross:
-        raise InvalidInput("crossing count does not match header")
-    d = PlanarDiagram(cross, over, free_loops=n_comp if n_cross == 0 else 0)
-    if d.component_count() != n_comp:
-        raise InvalidInput("component count does not match header")
-    return d

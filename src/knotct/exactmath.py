@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: rationals, integer Laurent polynomials, and
-signatures of integer symmetric matrices.
+"""Exact arithmetic substrate: integer Laurent polynomials and signatures of
+integer symmetric matrices.
 
 Everything here is exact — no floating point anywhere.  Rationals are
 `fractions.Fraction`; a Laurent polynomial is kept as a sparse map from
@@ -11,14 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "LaurentPoly",
     "laurent_derivative_at_one",
-    "IntSymMatrix",
     "signature_of_sym",
 ]
-
-Rational = Fraction
 
 
 class LaurentPoly:
@@ -114,10 +110,6 @@ class LaurentPoly:
         """x -> 1/x."""
         return LaurentPoly({-e: v for e, v in self.coeffs.items()})
 
-    def substitute_power(self, k):
-        """x -> x^k (k nonzero integer)."""
-        return LaurentPoly({e * k: v for e, v in self.coeffs.items()})
-
     def coefficient(self, e):
         return self.coeffs.get(e, 0)
 
@@ -157,40 +149,15 @@ def laurent_derivative_at_one(p: LaurentPoly, order: int) -> Fraction:
     return Fraction(total)
 
 
-class IntSymMatrix:
-    """Immutable integer symmetric matrix."""
-
-    __slots__ = ("dimension", "entries")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        self.dimension = n
-        self.entries = rows
-
-    def __repr__(self):
-        return f"IntSymMatrix({list(map(list, self.entries))})"
-
-
-def signature_of_sym(m) -> int:
-    """Signature (#positive - #negative eigenvalues) of a symmetric matrix.
+def signature_of_sym(rows) -> int:
+    """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
+    given as a list of integer rows.
 
     Exact congruence diagonalization over the rationals: pick a nonzero
     diagonal pivot and clear its row/column; if the diagonal is all zero but
     some a_ij != 0, the substitution e_i <- e_i + e_j makes the (i,i) entry
     2*a_ij != 0 first.  Zero rows contribute nothing.
     """
-    if isinstance(m, IntSymMatrix):
-        rows = m.entries
-    else:
-        rows = m
     a = [[Fraction(v) for v in r] for r in rows]
     n = len(a)
     sig = 0

@@ -10,9 +10,9 @@ by n adds n to gamma — calibrated against the diagram builder), and a +-1
 Besides the raw fraction form, the module knows the eleven one-to-five
 parameter families (o1, o1', o2, o3, o3', o4, o4', o5, e1, e2, e3) whose
 members are precisely the non-pretzel, non-two-bridge Montesinos knots of
-genus two, in both bracket (continued-fraction) and fraction form, and can
-enumerate them, convert them to fraction form, and compute genus from the
-strict/even continued-fraction normal forms.
+genus two, each stated by its tangle fractions, and can enumerate them,
+convert them to `MontesinosSpec`s, and compute genus from the strict/even
+continued-fraction normal forms.
 """
 
 from __future__ import annotations
@@ -197,35 +197,6 @@ class FamilySpec:
     def param_values(self):
         return tuple(v for _, v in self.params)
 
-    def bracket_form(self):
-        """Tangle entry lists plus gamma, before any mirroring."""
-        p = dict(self.params)
-        s = self.sign_variant or 1
-        a, b, c, d, e = (p.get(k) for k in "abcde")
-        if self.family == "o1":
-            return [[2 * a + 1, 2 * b], [2 * c + 1], [2 * d + 1], [2 * e + 1]], 0
-        if self.family == "o1p":
-            return [[2 * a + 1, 2 * b], [2 * c + 1], [2 * d + 1]], s
-        if self.family == "o2":
-            return [[2 * a + 1, 2 * b], [2 * c + 1, 2 * d], [2 * e + 1]], 0
-        if self.family == "o3":
-            return [[2 * a, 3 * s], [2 * b + 1], [2 * c + 1]], 0
-        if self.family == "o3p":
-            return [[2 * s, -3 * s], [2 * b + 1], [2 * c + 1]], 0
-        if self.family == "o4":
-            return [[2 * a, 2 * s, 2 * b + 1], [2 * c + 1], [2 * d + 1]], 0
-        if self.family == "o4p":
-            return [[2 * s, -2 * s, 2 * b + 1], [2 * c + 1], [2 * d + 1]], 0
-        if self.family == "o5":
-            return [[2 * a + 1, 2 * b, 2 * c], [2 * d + 1], [2 * e + 1]], 0
-        if self.family == "e1":
-            return [[2 * a], [2 * b, 2 * c], [2 * d, 2 * e]], 0
-        if self.family == "e2":
-            return [[2], [-2, 2 * a], [2, 2 * b], [-2, 2 * c]], 0
-        if self.family == "e3":
-            return [[3, 2 * a + 1], [-3], [3], [-3]], 0
-        raise InvalidInput(f"{self.family} has no bracket form")
-
     def fraction_form(self):
         """Tangle fractions plus gamma, before any mirroring."""
         p = dict(self.params)
@@ -347,7 +318,7 @@ def enumerate_family(family, bound):
     if family not in FAMILY_NAMES:
         raise InvalidInput(f"not an enumerable genus-2 family: {family!r}")
     if bound < 1:
-        raise InvalidInput("bound must be >= 1")
+        raise ValidationError("bound must be >= 1")
     names = _PARAMS[family]
     signs = (1, -1) if family in _SIGN_FAMILIES else (None,)
     mirrors = (False, True) if family in _MIRROR_FAMILIES else (False,)

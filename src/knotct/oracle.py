@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import crossing_budget
-from .diagram.core import PlanarDiagram
+from .diagram.core import _DSU, PlanarDiagram
 from .errors import (
     BudgetExceeded,
     GenusMismatch,
     InconsistentDiagram,
-    InvalidInput,
     NonIntegralA2,
     NotAKnot,
     NotAlternating,
@@ -273,21 +272,12 @@ class _Surface:
                 f"{len(corner_face)} face corners at {d.n} crossings", _SURFACE)
 
         # regions: faces glued through the gap of each smoothed crossing
-        parent = list(range(len(faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        regions = _DSU(range(len(faces)))
         for ci in range(d.n):
             gaps = (1, 3) if d.over_entry[ci] == 3 else (0, 2)
-            ra, rb = find(corner_face[(ci, gaps[0])]), find(corner_face[(ci, gaps[1])])
-            if ra != rb:
-                parent[ra] = rb
+            regions.union(corner_face[(ci, gaps[0])], corner_face[(ci, gaps[1])])
         outer_face = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
-        self.outer_region = find(outer_face)
+        self.outer_region = regions.find(outer_face)
 
         # left/right regions per circle (constant along the circle)
         circles = sorted(set(self.circle_of.values()))
@@ -299,8 +289,8 @@ class _Surface:
         for c in circles:
             rl = rr = None
             for a in arcs_of[c]:
-                fl = find(face_of_dart[(a, LEFT_DART)])
-                fr = find(face_of_dart[(a, -LEFT_DART)])
+                fl = regions.find(face_of_dart[(a, LEFT_DART)])
+                fr = regions.find(face_of_dart[(a, -LEFT_DART)])
                 if rl is None:
                     rl, rr = fl, fr
                 elif (rl, rr) != (fl, fr):

@@ -31,6 +31,7 @@ from .errors import (
     NotAlternating,
     NotReduced,
     PatternMismatch,
+    ValidationError,
 )
 from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
 from .montesinos import (
@@ -137,7 +138,7 @@ def alternating_build(m: MontesinosSpec):
     Shifts every fraction to the sign that admits an alternating template
     diagram; the caller gets a spec whose diagram() is alternating.
     """
-    if m.r <= 2 or is_alternating_knot(m):
+    if is_alternating_knot(m):
         pos = sum(1 for f in m.tangles if f > 0)
         neg = m.r - pos
         if m.gamma - neg >= 0:
@@ -148,6 +149,19 @@ def alternating_build(m: MontesinosSpec):
             return MontesinosSpec(
                 [f if f < 0 else f - 1 for f in m.tangles], m.gamma + pos
             )
+    return None
+
+
+def _reduced_alternating_diagram(d, m):
+    """A reduced alternating diagram of the knot, or None: `d` itself when it
+    is one, else the diagram of `alternating_build(m)` when that is one."""
+    if d.is_alternating() and d.is_reduced():
+        return d
+    alt = alternating_build(m) if m is not None else None
+    if alt is not None:
+        bd = alt.diagram()
+        if bd.is_alternating() and bd.is_reduced():
+            return bd
     return None
 
 
@@ -261,25 +275,15 @@ def obstruct(spec) -> ObstructionVerdict:
 
     # -- signature gate, alternating knots only (tau = -sigma/2 there)
     try:
-        alt_d = None
-        certified = False
         d = diagram()
-        if d.is_alternating() and d.is_reduced():
-            alt_d, certified = d, True
+        alt_d = _reduced_alternating_diagram(d, m)
+        if alt_d is not None:
+            sigma = signature_alternating(alt_d)
+            method["sigma"] = "closed_form"
         elif m is not None and is_alternating_knot(m):
-            certified = True
-            alt = alternating_build(m)
-            if alt is not None:
-                bd = alt.diagram()
-                if bd.is_alternating() and bd.is_reduced():
-                    alt_d = bd
-        if certified:
-            if alt_d is not None:
-                sigma = signature_alternating(alt_d)
-                method["sigma"] = "closed_form"
-            else:
-                sigma = oracle_signature(seifert_pipeline(d))
-                method["sigma"] = "oracle"
+            sigma = oracle_signature(seifert_pipeline(d))
+            method["sigma"] = "oracle"
+        if sigma is not None:
             tau = Fraction(-sigma, 2)
             method["tau"] = method["sigma"]
     except KnotctError as exc:
@@ -417,7 +421,7 @@ def _scope_specs(scope, bound):
 def classify_genus2(bound, scope="alternating_montesinos") -> ClassificationRun:
     """Sweep a scope, obstruct every spec, and validate the survivors."""
     if bound < 1:
-        raise InvalidInput("bound must be >= 1")
+        raise ValidationError("bound must be >= 1")
     survivors, eliminated = [], {}
     for f in _scope_specs(scope, bound):
         v = obstruct(f)
@@ -637,15 +641,8 @@ def _suite_signatures(bound, checks):
             f = FamilySpec(fam, p, sign)
             d = f.diagram()
             s_or = oracle_signature(seifert_pipeline(d))
-            s_alt = None
-            if d.is_alternating() and d.is_reduced():
-                s_alt = signature_alternating(d)
-            else:
-                built = alternating_build(family_to_montesinos(f))
-                if built is not None:
-                    bd = built.diagram()
-                    if bd.is_alternating() and bd.is_reduced():
-                        s_alt = signature_alternating(bd)
+            alt_d = _reduced_alternating_diagram(d, family_to_montesinos(f))
+            s_alt = None if alt_d is None else signature_alternating(alt_d)
             if expected == ">0":
                 ok = s_or > 0 and (s_alt is None or s_alt == s_or)
             else:
@@ -709,6 +706,8 @@ def verify_suite(suite, bound=2):
     """Run one named cross-validation suite; returns a report dict."""
     if suite not in _SUITES:
         raise InvalidInput(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
+    if bound < 1:
+        raise ValidationError("bound must be >= 1")
     checks = []
     _SUITES[suite](bound, checks)
     return {

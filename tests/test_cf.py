@@ -8,9 +8,7 @@ from knotct.cf_calculus import (
     ContinuedFraction,
     EvenCF,
     StrictCF,
-    cf_to_text,
     evaluate,
-    parse_cf_text,
     rewrite_identity,
     to_even_cf,
     to_strict_cf,
@@ -132,11 +130,3 @@ def test_leading_run_and_b_total():
     assert e.leading_run(2) == 2
     s = to_strict_cf(Fraction(2, 5))
     assert s.b_total() == sum(abs(b) for _, b in s.pairs)
-
-
-def test_text_round_trip():
-    c = ContinuedFraction([3, -2, 5])
-    off, back = parse_cf_text(cf_to_text(c))
-    assert off == 0 and back.entries == c.entries
-    off, back = parse_cf_text(cf_to_text(c, offset=-2))
-    assert off == -2 and back.entries == c.entries

@@ -63,14 +63,38 @@ def test_validation_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+def _cli(argv, **env):
+    src = os.path.dirname(list(knotct.__path__)[0])
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, "-m", "knotct.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("budget", ["abc", "0", "-3"])
 def test_bad_crossing_budget_exit_code(budget):
-    src = os.path.dirname(list(knotct.__path__)[0])
-    env = dict(os.environ, KNOTCT_CROSSING_BUDGET=budget, PYTHONPATH=src)
-    p = subprocess.run([sys.executable, "-m", "knotct.cli", "invariants", "P(3,5,7)"],
-                       capture_output=True, text=True, env=env)
+    p = _cli(["invariants", "P(3,5,7)"], KNOTCT_CROSSING_BUDGET=budget)
     assert p.returncode == 2
     assert "KNOTCT_CROSSING_BUDGET" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_computation_error_prints_stage_note():
+    p = _cli(["obstruct", "M(1/3,2/5,-1/3,1/5)"], KNOTCT_CROSSING_BUDGET="3")
+    assert p.returncode == 1
+    assert "exceeds the skein budget 3" in p.stderr
+    assert "obstruction stage: a2" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "o1", "--bound", "0"],
+    ["classify-genus2", "--scope", "fig1", "--bound", "0"],
+    ["verify", "--suite", "genus", "--bound", "0"],
+])
+def test_bound_zero_is_a_validation_error(argv):
+    p = _cli(argv)
+    assert p.returncode == 2
+    assert "bound must be >= 1" in p.stderr
     assert "Traceback" not in p.stderr
 
 

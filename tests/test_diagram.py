@@ -17,9 +17,7 @@ from knotct.diagram import (
     fig1_left_diagram,
     fig1_right_diagram,
     montesinos_diagram,
-    parse_pd,
     pretzel_diagram,
-    serialize_pd,
     signature_alternating,
     twist_number,
 )
@@ -35,7 +33,6 @@ def test_trefoil_basics():
     d = trefoil()
     assert d.n == 3
     assert d.component_count() == 1
-    assert d.is_connected()
     assert d.is_alternating()
     assert d.is_reduced()
     assert abs(d.writhe()) == 3
@@ -249,12 +246,6 @@ def test_signature_alternating_trefoil():
     d = trefoil()
     assert abs(signature_alternating(d)) == 2
     assert signature_alternating(d.mirror()) == -signature_alternating(d)
-
-
-def test_pd_text_round_trip():
-    d = pretzel_diagram([3, 5, -2])
-    back = parse_pd(serialize_pd(d))
-    assert back.canonical_key() == d.canonical_key()
 
 
 def test_twist_number_of_templates():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from knotct.exactmath import (
-    IntSymMatrix,
     LaurentPoly,
     laurent_derivative_at_one,
     signature_of_sym,
@@ -40,12 +39,6 @@ def test_invert_variable():
     assert q.invert_variable() == p
 
 
-def test_substitute_power():
-    p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
-    q = p.substitute_power(2)
-    assert q.coefficient(-4) == 1 and q.coefficient(2) == 3
-
-
 def test_evaluate_exact():
     p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
     assert p.evaluate(Fraction(2)) == Fraction(1, 4) + 6
@@ -72,9 +65,4 @@ def test_derivative_at_one():
     ],
 )
 def test_signature_of_sym(rows, sig):
-    assert signature_of_sym(IntSymMatrix(rows)) == sig
-
-
-def test_int_sym_matrix_rejects_asymmetric():
-    with pytest.raises(Exception):
-        IntSymMatrix([[1, 2], [3, 4]])
+    assert signature_of_sym(rows) == sig
