@@ -8,6 +8,7 @@ error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -54,7 +55,8 @@ def invariant_report(spec, method="all") -> InvariantReport:
                 if method == "closed":
                     raise
         elif method == "closed":
-            raise InvalidInput("closed forms exist only for named families")
+            raise ValidationError(
+                "--method closed needs a family spec (P, DT, F1L, F1R or FAM:), not M(...)")
     d = spec.diagram()
     if method in ("skein", "all"):
         routes["skein"] = (skein_a2(d), skein_w3(d))
@@ -159,9 +161,14 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
-    run = classify_genus2(args.bound, args.scope)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # open the CSV before the sweep, so a bad path fails at once
+    try:
+        fh = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.csv}: {exc.strerror}") from exc
+    with fh:
+        run = classify_genus2(args.bound, args.scope)
+        if args.csv:
             w = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
             w.writeheader()
             for f in run.survivors:

@@ -3,10 +3,17 @@
 Two independent pipelines:
 
 * Kauffman-bracket state sum -> Jones polynomial V(t), from which a2 and w3
-  follow by exact derivative evaluation at t = 1.
-* Seifert's algorithm on the diagram itself -> Seifert matrix of the
+  follow by exact derivative evaluation at t = 1.  Crossings are contracted
+  one at a time into a frontier of open arcs (Bar-Natan's tangle-by-tangle
+  contraction, restricted to the bracket).  A state is the tuple of partner
+  indices pairing the frontier arcs; its value is a map of plain ints keyed
+  by (A-exponent, closed loops), and the bracket is assembled once at the
+  end by Horner in the loop value.
+* Seifert's algorithm on the diagram itself -> Seifert matrix V of the
   disc-and-band surface -> Conway polynomial, signature, and (on reduced
-  alternating diagrams) the genus.
+  alternating diagrams) the genus.  The Conway polynomial comes from
+  p(u) = det(uV - V^T), evaluated at u = 0..dim V by integer Bareiss
+  determinants and interpolated exactly.
 
 The Seifert matrix is computed combinatorially.  Discs are stacked by the
 nesting depth of their Seifert circles; homology cycles are fundamental
@@ -55,8 +62,6 @@ DEFAULT_JONES_BUDGET = 26
 SEIFERT_TWIST_SIGN = -1  # sign of the in-band crossing of two cores, per crossing sign
 LEFT_DART = 1  # face traversal direction whose face lies left of the arc
 
-_DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
-
 # stages named by the internal consistency checks (InconsistentDiagram.stage)
 _KAUFFMAN = "oracle: Kauffman bracket"
 _SURFACE = "oracle: Seifert surface"
@@ -67,145 +72,162 @@ _CONWAY = "oracle: Conway polynomial"
 # ---------------------------------------------------------------------------
 # Kauffman bracket / Jones
 
+# the two smoothings of a crossing: the slot each slot is joined to, and the
+# A-exponent of the smoothing
+_SMOOTHINGS = (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1))
 
-def _div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division (leading coefficient of d must be a unit)."""
-    de = max(d.coeffs)
-    dc = d.coeffs[de]
-    q = LaurentPoly.zero()
-    while p:
-        e = max(p.coeffs)
-        c = p.coeffs[e]
-        if c % dc:
-            raise InconsistentDiagram("inexact division", _KAUFFMAN)
-        t = LaurentPoly.term(c // dc, e - de)
-        q = q + t
-        p = p - t * d
-    return q
+
+def _crossing_order(n, other):
+    """Greedy processing order: crossing 0 first, then always the crossing
+    with the most slots whose arc ends at a processed crossing or at itself
+    (ties to the least index).  `other[ci][s]` is the far end of slot s."""
+    done_ends = [sum(1 for c2, _ in other[ci] if c2 == ci) for ci in range(n)]
+    order = []
+    remaining = list(range(n))
+    best = 0
+    while True:
+        order.append(best)
+        remaining.remove(best)
+        for c2, _ in other[best]:
+            if c2 != best:
+                done_ends[c2] += 1
+        if not remaining:
+            return order
+        best = max(remaining, key=lambda ci: (done_ends[ci], -ci))
+
+
+def _trace(outside, join):
+    """(loops, frontier pairs) of one smoothing of a crossing.
+
+    `outside[s]` is where slot s leads away from the crossing: a new frontier
+    index (>= 0), or another slot t encoded as -1 - t; `join[s]` is the slot
+    the smoothing joins s to.
+    """
+    seen = [False] * 4
+    pairs = []
+    for s in range(4):
+        if seen[s] or outside[s] < 0:
+            continue
+        t = join[s]
+        seen[s] = seen[t] = True
+        while outside[t] < 0:
+            u = -1 - outside[t]
+            t = join[u]
+            seen[u] = seen[t] = True
+        pairs.append((outside[s], outside[t]))
+    loops = 0
+    for s in range(4):
+        if seen[s]:
+            continue
+        loops += 1
+        t = s
+        while not seen[t]:
+            u = join[t]
+            seen[t] = seen[u] = True
+            t = -1 - outside[u]
+    return loops, pairs
 
 
 def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial V(t) of a knot diagram via the Kauffman bracket.
 
-    The bracket is summed crossing by crossing; a state is the planar
-    pairing of the open arc-ends on the frontier, so the number of live
-    states stays small on tangle-shaped diagrams.
+    The bracket is summed crossing by crossing.  The frontier is the ordered
+    list of open arcs (one end at a processed crossing); a state is the tuple
+    of partner indices into that list, i.e. the planar pairing of the open
+    arcs by the smoothed strands behind them.  Each crossing gets one plan:
+    which slots close a frontier arc, which form a kink and which open a new
+    arc, with the old-to-new index remap.  A state's value maps the packed
+    key loops * width + A-exponent to a plain int; the bracket is assembled
+    once at the end, by Horner in the loop value delta = -A^2 - A^-2.
     """
     if d.component_count() != 1:
         raise NotAKnot(f"{d.component_count()} components")
     budget = crossing_budget(DEFAULT_JONES_BUDGET)
-    if d.n > budget:
-        raise BudgetExceeded(f"{d.n} crossings exceeds Jones budget {budget}")
-    if d.n == 0:
+    n = d.n
+    if n > budget:
+        raise BudgetExceeded(f"{n} crossings exceeds Jones budget {budget}")
+    if n == 0:
         return LaurentPoly.one()
 
     pos = d.positions()
+    other = [[None] * 4 for _ in range(n)]
+    for o1, o2 in pos.values():
+        other[o1[0]][o1[1]] = o2
+        other[o2[0]][o2[1]] = o1
 
-    def occ_other(ci, s):
-        a = d.crossings[ci][s]
-        o1, o2 = pos[a]
-        return o2 if o1 == (ci, s) else o1
+    width = 2 * n + 1  # |A-exponent| <= n, so loops * width + exponent packs both
+    frontier = []  # open arcs
+    done = [False] * n
+    states = {(): {0: 1}}
+    for ci in _crossing_order(n, other):
+        row = d.crossings[ci]
+        index = {a: i for i, a in enumerate(frontier)}
+        remap = [None] * len(frontier)  # kept: new index; closed by slot t: -1 - t
+        template = [0] * 4  # outside[s] for kink and opening slots
+        closing, opening = [], []  # (slot, old index) and slots
+        for s, (c2, s2) in enumerate(other[ci]):
+            if c2 == ci:
+                template[s] = -1 - s2
+            elif done[c2]:
+                i = index[row[s]]
+                closing.append((s, i))
+                remap[i] = -1 - s
+            else:
+                opening.append(s)
+        kept = [i for i, r in enumerate(remap) if r is None]
+        for k, i in enumerate(kept):
+            remap[i] = k
+        for k, s in enumerate(opening):
+            template[s] = len(kept) + k
+        frontier = [frontier[i] for i in kept] + [row[s] for s in opening]
+        fresh = [0] * len(opening)
+        done[ci] = True
 
-    # greedy processing order: prefer crossings with many half-done arcs
-    order = []
-    processed = set()
-    remaining = set(range(d.n))
-    while remaining:
-        if not order:
-            best = min(remaining)
-        else:
-            best = max(
-                remaining,
-                key=lambda ci: (
-                    sum(1 for s in range(4) if occ_other(ci, s)[0] in processed or occ_other(ci, s)[0] == ci),
-                    -ci,
-                ),
-            )
-        order.append(best)
-        processed.add(best)
-        remaining.discard(best)
-
-    states = {frozenset(): LaurentPoly.one()}
-    processed = set()
-    for ci in order:
-        slots = [(ci, s) for s in range(4)]
         new_states = {}
-        for key, val in states.items():
-            pairing = {}
-            for pr in key:
-                p, q = tuple(pr)
-                pairing[p] = q
-                pairing[q] = p
-            for joins, w in ((((0, 1), (2, 3)), LaurentPoly.term(1, 1)),
-                             (((1, 2), (3, 0)), LaurentPoly.term(1, -1))):
-                adj = {}
-
-                def add_edge(u, v):
-                    adj.setdefault(u, []).append(v)
-                    adj.setdefault(v, []).append(u)
-
-                seen_arc = set()
-                for s in range(4):
-                    p = (ci, s)
-                    o = occ_other(ci, s)
-                    if o[0] == ci:
-                        a = d.crossings[ci][s]
-                        if a not in seen_arc:
-                            seen_arc.add(a)
-                            add_edge(p, o)
-                    elif p in pairing:
-                        q = pairing[p]
-                        if q in slots:
-                            a = (p, q) if p < q else (q, p)
-                            if a not in seen_arc:
-                                seen_arc.add(a)
-                                add_edge(p, q)
-                        else:
-                            add_edge(p, ("ext", q))
-                    else:
-                        add_edge(p, ("ext", o))
-                for s, t in joins:
-                    add_edge((ci, s), (ci, t))
-                # trace components of the local degree<=2 graph
-                nodes = set(adj)
-                loops = 0
-                new_pairs = []
-                while nodes:
-                    start = next(iter(nodes))
-                    comp = {start}
-                    stack = [start]
-                    while stack:
-                        u = stack.pop()
-                        for v in adj[u]:
-                            if v not in comp:
-                                comp.add(v)
-                                stack.append(v)
-                    nodes -= comp
-                    ends = [u for u in comp if isinstance(u[0], str)]
-                    if not ends:
-                        loops += 1
-                    elif len(ends) == 2:
-                        new_pairs.append(frozenset((ends[0][1], ends[1][1])))
-                    else:
-                        raise InconsistentDiagram(f"frontier strand with ends {ends}", _KAUFFMAN)
-                kept = [pr for pr in key if not (set(pr) & set(slots))]
-                nkey = frozenset(kept) | frozenset(new_pairs)
-                nval = val * w * _DELTA ** loops
-                if nkey in new_states:
-                    new_states[nkey] = new_states[nkey] + nval
+        for state, val in states.items():
+            outside = list(template)
+            for s, i in closing:
+                outside[s] = remap[state[i]]
+            nxt = [remap[state[i]] for i in kept] + fresh
+            # both smoothings pair up the same frontier indices, so each
+            # overwrites every entry the other one wrote
+            for join, a_exp in _SMOOTHINGS:
+                loops, pairs = _trace(outside, join)
+                shift = loops * width + a_exp
+                for x, y in pairs:
+                    nxt[x] = y
+                    nxt[y] = x
+                nkey = tuple(nxt)
+                target = new_states.get(nkey)
+                if target is None:
+                    new_states[nkey] = {k + shift: c for k, c in val.items()}
                 else:
-                    new_states[nkey] = nval
+                    for k, c in val.items():
+                        k += shift
+                        target[k] = target.get(k, 0) + c
         states = new_states
-        processed.add(ci)
 
-    total = LaurentPoly.zero()
-    for key, val in states.items():
-        if key:
+    by_loops = {}
+    for state, val in states.items():
+        if state:
             raise InconsistentDiagram(
-                f"{len(key)} open frontier pairs after the last crossing", _KAUFFMAN)
-        total = total + val
-    total = total * _DELTA ** d.free_loops
-    bracket = _div_exact(total, _DELTA)
+                f"{len(state) // 2} open frontier pairs after the last crossing", _KAUFFMAN)
+        for k, c in val.items():
+            loops, e = divmod(k + n, width)
+            e -= n
+            if loops < 1:
+                raise InconsistentDiagram("a state closed no loop", _KAUFFMAN)
+            p = by_loops.setdefault(loops, {})
+            p[e] = p.get(e, 0) + c
+    # bracket = sum over loops l of P_l * delta^(l - 1)
+    acc = {}
+    for loops in range(max(by_loops), 0, -1):
+        nxt = dict(by_loops.get(loops, ()))
+        for e, c in acc.items():
+            nxt[e + 2] = nxt.get(e + 2, 0) - c
+            nxt[e - 2] = nxt.get(e - 2, 0) - c
+        acc = nxt
+    bracket = LaurentPoly(acc)
     w = d.writhe()
     f = bracket.shift(-3 * w)
     if w % 2:
@@ -538,43 +560,66 @@ def oracle_signature(sd: SeifertData) -> int:
     return signature_of_sym(sym)
 
 
-def _laurent_det(rows):
-    """Determinant of a matrix of LaurentPoly, by minor expansion with a
-    memo on column subsets."""
-    n = len(rows)
-    memo = {}
-
-    def minor(r, cols):
-        if r == n:
-            return LaurentPoly.one()
-        key = cols
-        if key in memo:
-            return memo[key]
-        total = LaurentPoly.zero()
-        sign = 1
-        for k, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry:
-                sub = minor(r + 1, cols[:k] + cols[k + 1 :])
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); every division is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        memo[key] = total
-        return total
+        p = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            ri, rk = a[i], a[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - aik * rk[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
 
-    return minor(0, tuple(range(n)))
+
+def _interpolate(values) -> list:
+    """Integer coefficients, lowest first, of the polynomial of degree below
+    len(values) through the points (u, values[u]), u = 0, 1, ...  A
+    non-integral coefficient raises InconsistentDiagram."""
+    n = len(values)
+    # Newton form p(u) = sum_k D^k p(0) * u(u-1)...(u-k+1) / k!
+    coeffs = [Fraction(0)] * n
+    falling = [1]  # coefficients of u(u-1)...(u-k+1)
+    row, fact = list(values), 1
+    for k in range(n):
+        if k:
+            fact *= k
+            falling = [(falling[i - 1] if i else 0) - (k - 1) * (falling[i] if i < k else 0)
+                       for i in range(k + 1)]
+        for i, c in enumerate(falling):
+            coeffs[i] += Fraction(row[0] * c, fact)
+        row = [b - a for a, b in zip(row, row[1:])]
+    for i, c in enumerate(coeffs):
+        if c.denominator != 1:
+            raise InconsistentDiagram(f"interpolated coefficient {c} of u^{i}", _CONWAY)
+    return [int(c) for c in coeffs]
 
 
 def conway_polynomial(sd: SeifertData) -> LaurentPoly:
-    """Conway polynomial in z, as det(sV - s^-1 V^T) rewritten via z = s - 1/s."""
+    """Conway polynomial in z, as det(sV - s^-1 V^T) rewritten via z = s - 1/s.
+
+    p(u) = det(uV - V^T) has degree at most m = dim V; it is evaluated at
+    u = 0..m by integer Bareiss determinants and interpolated exactly, and
+    det(sV - s^-1 V^T) = s^-m p(s^2).
+    """
     v = sd.seifert_matrix
     n = len(v)
     if n == 0:
         return LaurentPoly.one()
-    s = LaurentPoly.term(1, 1)
-    s_inv = LaurentPoly.term(1, -1)
-    rows = [[s * v[i][j] - s_inv * v[j][i] for j in range(n)] for i in range(n)]
-    det = _laurent_det(rows)
+    values = [_bareiss_det([[u * v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
+              for u in range(n + 1)]
+    det = LaurentPoly({2 * k - n: c for k, c in enumerate(_interpolate(values))})
     z = LaurentPoly({1: 1, -1: -1})
     out = {}
     while det:

@@ -41,9 +41,15 @@ def test_invariants_method_choice(capsys):
 
 
 def test_invariants_closed_without_formula_fails(capsys):
-    code, _, err = run(capsys, "invariants", "M(1/2,1/3,1/3)", "--method", "closed")
+    code, _, err = run(capsys, "invariants", "FAM:o3p(b=1,c=1,sign=1)", "--method", "closed")
     assert code == 1
-    assert "error" in err
+    assert "no published closed form" in err
+
+
+def test_invariants_closed_on_montesinos_spec_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "invariants", "M(1/2,1/3,1/3)", "--method", "closed")
+    assert code == 2
+    assert "--method closed needs a family spec" in err
 
 
 def test_obstruct_json(capsys):
@@ -141,3 +147,22 @@ def test_classify_writes_csv(tmp_path, capsys):
     assert len(survivors) == 8
     for r in survivors:
         assert r["a2"] == "0" and r["fired_rule"] == "none"
+
+
+def test_classify_csv_to_unwritable_path_exits_2(tmp_path):
+    target = tmp_path / "missing-dir" / "out.csv"
+    p = _cli(["classify-genus2", "--scope", "montesinos", "--bound", "3", "--csv", str(target)])
+    assert p.returncode == 2
+    assert f"cannot write {target}" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_classify_csv_path_is_opened_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the sweep ran before the CSV path was checked")
+
+    monkeypatch.setattr("knotct.cli.classify_genus2", sweep)
+    target = tmp_path / "missing-dir" / "out.csv"
+    code, _, err = run(capsys, "classify-genus2", "--scope", "fig1", "--bound", "1",
+                       "--csv", str(target))
+    assert code == 2 and "cannot write" in err

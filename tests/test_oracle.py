@@ -1,19 +1,23 @@
 """Diagram-level oracles: Jones via Kauffman bracket, Seifert pipeline."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from braids import closed_braid
+from test_diagram import template_knots
 
 import knotct
 from knotct.diagram import double_twist_diagram, pretzel_diagram
-from knotct.errors import BudgetExceeded, InconsistentDiagram
+from knotct.errors import BudgetExceeded, InconsistentDiagram, NotAKnot
 from knotct.exactmath import LaurentPoly
 from knotct.montesinos import parse_spec
 from knotct.oracle import (
     SeifertData,
+    _interpolate,
     a2_w3_from_jones,
     alternating_genus,
     conway_polynomial,
@@ -125,3 +129,196 @@ def test_oracle_check_survives_optimized_mode():
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "raised oracle: Conway polynomial"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the frozenset-pairing state sum the Kauffman route used before
+# its frontier states became integer-coded, kept as it was except that it
+# has no crossing budget and its checks raise AssertionError, so the new
+# route can be compared with it bit for bit.
+
+DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
+
+
+def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Exact Laurent division (leading coefficient of d must be a unit)."""
+    de = max(d.coeffs)
+    dc = d.coeffs[de]
+    q = LaurentPoly.zero()
+    while p:
+        e = max(p.coeffs)
+        c = p.coeffs[e]
+        if c % dc:
+            raise AssertionError("inexact division")
+        t = LaurentPoly.term(c // dc, e - de)
+        q = q + t
+        p = p - t * d
+    return q
+
+
+def reference_jones(d):
+    """The frozenset-pairing state sum the Kauffman route used before its
+    frontier states became integer-coded (no crossing budget)."""
+    assert d.component_count() == 1
+    if d.n == 0:
+        return LaurentPoly.one()
+
+    pos = d.positions()
+
+    def occ_other(ci, s):
+        a = d.crossings[ci][s]
+        o1, o2 = pos[a]
+        return o2 if o1 == (ci, s) else o1
+
+    # greedy processing order: prefer crossings with many half-done arcs
+    order = []
+    processed = set()
+    remaining = set(range(d.n))
+    while remaining:
+        if not order:
+            best = min(remaining)
+        else:
+            best = max(
+                remaining,
+                key=lambda ci: (
+                    sum(1 for s in range(4) if occ_other(ci, s)[0] in processed or occ_other(ci, s)[0] == ci),
+                    -ci,
+                ),
+            )
+        order.append(best)
+        processed.add(best)
+        remaining.discard(best)
+
+    states = {frozenset(): LaurentPoly.one()}
+    processed = set()
+    for ci in order:
+        slots = [(ci, s) for s in range(4)]
+        new_states = {}
+        for key, val in states.items():
+            pairing = {}
+            for pr in key:
+                p, q = tuple(pr)
+                pairing[p] = q
+                pairing[q] = p
+            for joins, w in ((((0, 1), (2, 3)), LaurentPoly.term(1, 1)),
+                             (((1, 2), (3, 0)), LaurentPoly.term(1, -1))):
+                adj = {}
+
+                def add_edge(u, v):
+                    adj.setdefault(u, []).append(v)
+                    adj.setdefault(v, []).append(u)
+
+                seen_arc = set()
+                for s in range(4):
+                    p = (ci, s)
+                    o = occ_other(ci, s)
+                    if o[0] == ci:
+                        a = d.crossings[ci][s]
+                        if a not in seen_arc:
+                            seen_arc.add(a)
+                            add_edge(p, o)
+                    elif p in pairing:
+                        q = pairing[p]
+                        if q in slots:
+                            a = (p, q) if p < q else (q, p)
+                            if a not in seen_arc:
+                                seen_arc.add(a)
+                                add_edge(p, q)
+                        else:
+                            add_edge(p, ("ext", q))
+                    else:
+                        add_edge(p, ("ext", o))
+                for s, t in joins:
+                    add_edge((ci, s), (ci, t))
+                # trace components of the local degree<=2 graph
+                nodes = set(adj)
+                loops = 0
+                new_pairs = []
+                while nodes:
+                    start = next(iter(nodes))
+                    comp = {start}
+                    stack = [start]
+                    while stack:
+                        u = stack.pop()
+                        for v in adj[u]:
+                            if v not in comp:
+                                comp.add(v)
+                                stack.append(v)
+                    nodes -= comp
+                    ends = [u for u in comp if isinstance(u[0], str)]
+                    if not ends:
+                        loops += 1
+                    elif len(ends) == 2:
+                        new_pairs.append(frozenset((ends[0][1], ends[1][1])))
+                    else:
+                        raise AssertionError(f"frontier strand with ends {ends}")
+                kept = [pr for pr in key if not (set(pr) & set(slots))]
+                nkey = frozenset(kept) | frozenset(new_pairs)
+                nval = val * w * DELTA ** loops
+                if nkey in new_states:
+                    new_states[nkey] = new_states[nkey] + nval
+                else:
+                    new_states[nkey] = nval
+        states = new_states
+        processed.add(ci)
+
+    total = LaurentPoly.zero()
+    for key, val in states.items():
+        if key:
+            raise AssertionError(
+                f"{len(key)} open frontier pairs after the last crossing")
+        total = total + val
+    total = total * DELTA ** d.free_loops
+    bracket = div_exact(total, DELTA)
+    w = d.writhe()
+    f = bracket.shift(-3 * w)
+    if w % 2:
+        f = -f
+    # substitute A = t^(-1/4)
+    coeffs = {}
+    for e, c in f.coeffs.items():
+        if e % 4:
+            raise AssertionError(f"bracket exponent {e} not divisible by 4")
+        coeffs[-e // 4] = coeffs.get(-e // 4, 0) + c
+    return LaurentPoly(coeffs)
+
+
+def braid_knots():
+    """Closures of seeded random 3- and 4-strand braid words that are knots."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < 40:
+        k = rng.choice((3, 4))
+        word = [rng.choice([g for g in range(1 - k, k) if g]) for _ in range(rng.randint(4, 16))]
+        d = closed_braid(word, k)
+        if d.component_count() == 1:
+            out.append(d)
+    return out
+
+
+def zero_family():
+    """The AC2 family F1L(a, a+1, 0, 0, a+1, 0), 10 to 40 crossings."""
+    return [parse_spec(f"F1L({a},{a + 1},0,0,{a + 1},0)").diagram().simplify()
+            for a in range(6)]
+
+
+@pytest.mark.parametrize("diagrams", [template_knots, zero_family, braid_knots])
+def test_state_sum_matches_reference(diagrams, monkeypatch):
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "44")
+    for d in diagrams():
+        for e in (d, d.mirror()):
+            v = jones_via_kauffman(e)
+            assert v.coeffs == reference_jones(e).coeffs
+            assert v.evaluate(1) == 1
+
+
+def test_state_sum_rejects_links():
+    with pytest.raises(NotAKnot):
+        jones_via_kauffman(closed_braid([1, 1], 2))
+
+
+def test_interpolation_rejects_non_integral_coefficients():
+    assert _interpolate([1, 3, 9, 19]) == [1, 0, 2, 0]
+    with pytest.raises(InconsistentDiagram) as info:
+        _interpolate([0, 0, 1])  # u(u - 1)/2
+    assert info.value.stage == "oracle: Conway polynomial"
