@@ -151,13 +151,6 @@ class PlanarDiagram:
     def component_count(self):
         return len(self.components()) + self.free_loops
 
-    def component_of(self):
-        out = {}
-        for k, cyc in enumerate(self.components()):
-            for a in cyc:
-                out[a] = k
-        return out
-
     # -- predicates -----------------------------------------------------------
 
     def is_alternating(self):
@@ -278,31 +271,29 @@ class PlanarDiagram:
 
     # -- crossing surgery -----------------------------------------------------
 
-    def _rebuild(self, keep, joins, dropped_arcs=(), provenance=None, free_extra=0):
+    def _rebuild(self, keep, joins):
         """Keep the crossings in `keep` (ordered), merge arcs per `joins`,
-        discard `dropped_arcs` classes, turn portless leftover classes into
-        free loops."""
+        turn portless leftover classes into free loops."""
         arcs = self.arcs()
         dsu = _DSU(arcs)
         for grp in joins:
             grp = list(grp)
             for x in grp[1:]:
                 dsu.union(grp[0], x)
-        dropped = {dsu.find(a) for a in dropped_arcs}
         kept_cross = [self.crossings[i] for i in keep]
         kept_over = [self.over_entry[i] for i in keep]
         used = set()
         for c in kept_cross:
             used.update(dsu.find(a) for a in c)
-        loops = self.free_loops + free_extra
+        loops = self.free_loops
         for r in {dsu.find(a) for a in arcs}:
-            if r not in used and r not in dropped:
+            if r not in used:
                 loops += 1
         relabel = {}
         for r in sorted(used):
             relabel[r] = len(relabel)
         new_cross = [tuple(relabel[dsu.find(a)] for a in c) for c in kept_cross]
-        return PlanarDiagram(new_cross, kept_over, loops, provenance)
+        return PlanarDiagram(new_cross, kept_over, loops, None)
 
     def switch(self, ci):
         """Reverse over/under at one crossing."""
@@ -384,52 +375,6 @@ class PlanarDiagram:
                 d = d._rebuild(keep, [(xi, e, xj), (yi, f, yj)])
                 continue
             return d
-
-    # -- components and linking ----------------------------------------------
-
-    def strand_components(self, ci):
-        """Component indices of (under strand, over strand) at a crossing."""
-        comp = self.component_of()
-        c = self.crossings[ci]
-        return comp[c[0]], comp[c[self.over_entry[ci]]]
-
-    def linking_number(self, ka, kb):
-        """lk of components ka, kb: half the signed count of inter-component
-        crossings."""
-        total = 0
-        for ci in range(self.n):
-            u, o = self.strand_components(ci)
-            if {u, o} == {ka, kb} and u != o:
-                total += self.sign(ci)
-        if total % 2:
-            raise InconsistentDiagram(
-                f"odd inter-component crossing sum {total} between components {ka} and {kb}")
-        return total // 2
-
-    def component_diagram(self, k):
-        """Sub-diagram of component k alone (other strands deleted)."""
-        comp = self.component_of()
-        keep, joins, dropped = [], [], set()
-        for a, c in comp.items():
-            if c != k:
-                dropped.add(a)
-        for ci in range(self.n):
-            u, o = self.strand_components(ci)
-            c = self.crossings[ci]
-            oe = self.over_entry[ci]
-            if u == k and o == k:
-                keep.append(ci)
-            elif u == k:
-                joins.append((c[0], c[2]))
-            elif o == k:
-                joins.append((c[oe], c[4 - oe]))
-        return self._rebuild(keep, joins, dropped_arcs=dropped)
-
-    def component_diagrams(self):
-        out = [self.component_diagram(k) for k in range(len(self.components()))]
-        for _ in range(self.free_loops):
-            out.append(PlanarDiagram((), (), 1, None))
-        return out
 
     # -- misc -----------------------------------------------------------------
 

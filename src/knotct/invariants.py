@@ -15,7 +15,10 @@ primitive order-three invariant, quarter-integer valued):
                         - (a2(K+) + a2(K-) + lk(K', K'')^2)/4
 
   where K' u K'' is the oriented smoothing, toward a descending (hence
-  trivial) diagram.
+  trivial) diagram.  It works on the knot's signed Gauss word (Polyak-Viro,
+  IMRN 1994), which holds everything the recursion needs: a switch flips
+  two passages, the smoothing splits the word in two, and Reidemeister I/II
+  moves delete passages.
 
 The two routes must agree exactly wherever both apply; that cross-check is
 the backbone of the test suite.
@@ -23,12 +26,13 @@ the backbone of the test suite.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .budget import crossing_budget
 from .diagram import PlanarDiagram
-from .errors import BudgetExceeded, InvalidInput, NoFormula
+from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula
 
 __all__ = [
     "InvariantReport",
@@ -329,70 +333,185 @@ def closed_form(f) -> InvariantReport:
 
 # =============================================================================
 # skein engine
+#
+# The recursion runs on signed Gauss words.  A knot's word lists the
+# passages met on a walk from a base point, each coded as
+# crossing*4 + over*2 + positive; crossing ids are arbitrary labels.  Every
+# move deletes passages and keeps the order of the rest, so a word keeps its
+# base point: along a branch of the recursion the descending prefix of the
+# walk only grows and the crossing count only falls, which ends it.  The
+# memo key forgets the base point (recursing on the key's rotation instead
+# would move it, and the walk would never end).
 
 _A2_MEMO = {}
 _W3_MEMO = {}
+# above the ~21k entries each memo reaches over the formulas suite, so a
+# full sweep loses no hit; a memo that reaches the cap starts over
+_MEMO_CAP = 1 << 16
 
 
-def _first_nondescending(d):
-    """First crossing reached on the under strand before its over strand,
-    walking the knot from its least arc; None when the diagram is
-    descending, hence unknotted."""
-    if d.n == 0:
-        return None
+def _gauss_word(d):
+    """Signed Gauss word of a knot diagram, walked from its least arc."""
+    enters = {}  # arc -> the passage it leads into
+    for ci, (c, o) in enumerate(zip(d.crossings, d.over_entry)):
+        positive = o == 3
+        enters[c[0]] = ci << 2 | positive
+        enters[c[o]] = ci << 2 | 2 | positive
+    return [enters[a] for a in d.components()[0]] if d.n else []
+
+
+def _first_nondescending(w):
+    """First passage that meets its crossing for the first time from below,
+    or None when the word is descending, hence unknotted."""
     seen = set()
-    for a in d.components()[0]:
-        ci, s = d.head_of(a)
-        if ci in seen:
-            continue
-        seen.add(ci)
-        if s == 0:
-            return ci
+    for p in w:
+        c = p >> 2
+        if c not in seen:
+            if not p & 2:
+                return p
+            seen.add(c)
     return None
 
 
-def _smooth_parts(d, ci):
-    """(lk, component diagrams) of the oriented smoothing at ci."""
-    sm = d.smooth(ci)
-    cycles = sm.components()
-    lk = sm.linking_number(0, 1) if len(cycles) == 2 else 0
-    return lk, sm.component_diagrams()
+def _switch(w, c):
+    """Crossing change at c: both passages flip over/under and sign."""
+    return [p ^ 3 if p >> 2 == c else p for p in w]
 
 
-def _a2(d):
-    key = d.canonical_key()
-    if key in _A2_MEMO:
-        return _A2_MEMO[key]
-    ci = _first_nondescending(d)
-    if ci is None:
-        val = 0
-    else:
-        s = d.sign(ci)
-        lk, _ = _smooth_parts(d, ci)
-        val = _a2(d.switch(ci).simplify()) + (lk if s > 0 else -lk)
-    _A2_MEMO[key] = val
+def _split(w, c):
+    """(lk, word, word) of the oriented smoothing at c.
+
+    The two components are the stretches of the walk between c's passages,
+    each without the crossings the two share; lk is half the signed count
+    of those shared crossings.
+    """
+    i, j = (k for k, p in enumerate(w) if p >> 2 == c)
+    inner, outer = w[i + 1:j], w[j + 1:] + w[:i]
+    shared = {p >> 2 for p in inner} & {p >> 2 for p in outer}
+    total = sum(1 if p & 1 else -1 for p in inner if p >> 2 in shared)
+    if total % 2:
+        raise InconsistentDiagram(f"odd inter-component crossing sum {total}",
+                                  stage="skein: oriented smoothing")
+    return (total // 2,
+            [p for p in inner if p >> 2 not in shared],
+            [p for p in outer if p >> 2 not in shared])
+
+
+def _cancelling(w):
+    """Crossings that one Reidemeister move removes, or () when none does.
+
+    R1: a crossing whose passages are cyclically adjacent (a kink).  R2: two
+    crossings adjacent on both strands, with one strand over at both and
+    opposite signs (a clasp that slides apart).  Two segments of a connected
+    diagram that no other strand crosses bound a disc, so both moves are
+    sound on words of classical knot diagrams.
+    """
+    seen = set()
+    prev = w[-1]
+    for p in w:
+        a, b = prev >> 2, p >> 2
+        if a == b:
+            return (a,)
+        # the same over bit and opposite signs; a second such adjacency of
+        # the pair uses the other two passages, since an a-b-a stretch
+        # would put a's over and under passage beside one passage of b
+        if (prev ^ p) & 3 == 1:
+            pair = (a, b) if a < b else (b, a)
+            if pair in seen:
+                return pair
+            seen.add(pair)
+        prev = p
+    return ()
+
+
+def _simplify(w):
+    """Delete kinks and cancelling clasps until none is left."""
+    while w:
+        gone = _cancelling(w)
+        if not gone:
+            break
+        w = [p for p in w if p >> 2 not in gone]
+    return w
+
+
+def _key(w):
+    """The least crossing-relabelled rotation of the word, as bytes.
+
+    Crossings are renumbered in order of first appearance.  Equal keys hold
+    for exactly the words that differ by rotation and relabelling.
+
+    A least rotation opens with crossing 0 from below, so only rotations
+    that start at an under-passage compete; they are narrowed one position
+    at a time, and only the winner is relabelled.  Where two rotations
+    agree so far, their entries at the next position compare like this: a
+    crossing seen before in the rotation sorts below a new one, one first
+    seen further back (so numbered lower) below one seen more recently, and
+    then the over and sign bits decide.  How far back a passage's partner
+    lies is a property of the word position, not of the rotation's start.
+    """
+    m = len(w)
+    back = [0] * m  # cyclic distance back to the other passage
+    first = {}
+    for i, p in enumerate(w):
+        j = first.setdefault(p >> 2, i)
+        if j != i:
+            back[i], back[j] = i - j, m - i + j
+    w2, back2 = w + w, back + back
+    cands = [s for s, p in enumerate(w) if not p & 2]
+    for k in range(m):
+        if len(cands) < 2:
+            break
+        least, keep = None, []
+        for s in cands:
+            d = back2[s + k]
+            v = (m - d if d <= k else m) << 2 | w2[s + k] & 3
+            if least is None or v < least:
+                least, keep = v, [s]
+            elif v == least:
+                keep.append(s)
+        cands = keep
+    labels = {}
+    row = [labels.setdefault(q >> 2, len(labels)) << 2 | q & 3
+           for q in w2[cands[0]:cands[0] + m]] if m else []
+    return array("H" if m < 0x8000 else "L", row).tobytes()
+
+
+def _remember(memo, key, val):
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = val
     return val
 
 
-def _w3(d):
-    key = d.canonical_key()
-    if key in _W3_MEMO:
-        return _W3_MEMO[key]
-    ci = _first_nondescending(d)
-    if ci is None:
-        val = Fraction(0)
-    else:
-        s = d.sign(ci)
-        sw = d.switch(ci).simplify()
-        lk, parts = _smooth_parts(d, ci)
-        a2_here, a2_there = _a2(d), _a2(sw)
-        a2_pos, a2_neg = (a2_here, a2_there) if s > 0 else (a2_there, a2_here)
-        delta = Fraction(sum(_a2(c.simplify()) for c in parts), 2) - Fraction(
-            a2_pos + a2_neg + lk * lk, 4
-        )
-        val = _w3(sw) + (delta if s > 0 else -delta)
-    _W3_MEMO[key] = val
-    return val
+def _a2(w):
+    key = _key(w)
+    val = _A2_MEMO.get(key)
+    if val is not None:
+        return val
+    p = _first_nondescending(w)
+    if p is None:
+        return _remember(_A2_MEMO, key, 0)
+    lk, _, _ = _split(w, p >> 2)
+    return _remember(_A2_MEMO, key,
+                     _a2(_simplify(_switch(w, p >> 2))) + (lk if p & 1 else -lk))
+
+
+def _w3(w):
+    key = _key(w)
+    val = _W3_MEMO.get(key)
+    if val is not None:
+        return val
+    p = _first_nondescending(w)
+    if p is None:
+        return _remember(_W3_MEMO, key, Fraction(0))
+    sw = _simplify(_switch(w, p >> 2))
+    lk, inner, outer = _split(w, p >> 2)
+    a2_here, a2_there = _a2(w), _a2(sw)
+    a2_pos, a2_neg = (a2_here, a2_there) if p & 1 else (a2_there, a2_here)
+    delta = Fraction(_a2(_simplify(inner)) + _a2(_simplify(outer)), 2) - Fraction(
+        a2_pos + a2_neg + lk * lk, 4
+    )
+    return _remember(_W3_MEMO, key, _w3(sw) + (delta if p & 1 else -delta))
 
 
 def _check_input(d):
@@ -406,10 +525,10 @@ def _check_input(d):
 def skein_a2(d: PlanarDiagram) -> int:
     """a2 of a knot diagram by crossing-change recursion."""
     _check_input(d)
-    return _a2(d.simplify())
+    return _a2(_simplify(_gauss_word(d)))
 
 
 def skein_w3(d: PlanarDiagram) -> Fraction:
     """w3 of a knot diagram by crossing-change recursion."""
     _check_input(d)
-    return _w3(d.simplify())
+    return _w3(_simplify(_gauss_word(d)))

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .cf_calculus import ContinuedFraction, evaluate, rewrite_identity, to_even_cf, to_strict_cf
 from .diagram import signature_alternating, twist_number
 from .errors import (
+    BudgetExceeded,
     InvalidInput,
     KnotctError,
     NoFormula,
@@ -258,8 +259,14 @@ def obstruct(spec) -> ObstructionVerdict:
             w3 = rep.w3
             method.update(rep.method)
         if a2 is None:
-            a2 = skein_a2(diagram())
-            method["a2"] = "skein_engine"
+            try:
+                a2 = skein_a2(diagram())
+                method["a2"] = "skein_engine"
+            except BudgetExceeded:
+                # past the crossing budget the polynomial Seifert/Conway
+                # route answers instead; the two routes stay separate
+                a2 = conway_polynomial(seifert_pipeline(diagram())).coefficient(2)
+                method["a2"] = "oracle"
     except KnotctError as exc:
         raise _note(exc, "a2")
     if a2 != 0:

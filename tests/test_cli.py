@@ -85,10 +85,11 @@ def test_bad_crossing_budget_exit_code(budget):
 
 
 def test_computation_error_prints_stage_note():
-    p = _cli(["obstruct", "M(1/3,2/5,-1/3,1/5)"], KNOTCT_CROSSING_BUDGET="3")
+    # a2 = 0 falls through to w3, which has no route past the skein budget
+    p = _cli(["obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)"], KNOTCT_CROSSING_BUDGET="3")
     assert p.returncode == 1
     assert "exceeds the skein budget 3" in p.stderr
-    assert "obstruction stage: a2" in p.stderr
+    assert "obstruction stage: w3" in p.stderr
     assert "Traceback" not in p.stderr
 
 
@@ -147,6 +148,17 @@ def test_classify_writes_csv(tmp_path, capsys):
     assert len(survivors) == 8
     for r in survivors:
         assert r["a2"] == "0" and r["fired_rule"] == "none"
+
+
+def test_classify_alternating_bound_three(capsys):
+    # 48 specs here have no closed form and more than 24 crossings
+    code, out, _ = run(capsys, "classify-genus2", "--scope", "alternating_montesinos",
+                       "--bound", "3")
+    assert code == 0
+    head, *survivors = out.splitlines()
+    assert head == "scope=alternating_montesinos bound=3: 6560 eliminated, 16 survivors"
+    assert len(survivors) == 16
+    assert all(line.startswith("survivor ") and "  ~ " in line for line in survivors)
 
 
 def test_classify_csv_to_unwritable_path_exits_2(tmp_path):

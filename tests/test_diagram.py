@@ -2,6 +2,7 @@
 
 import os
 import random
+from array import array
 import subprocess
 import sys
 from fractions import Fraction
@@ -100,45 +101,27 @@ def test_canonical_key_past_128_crossings():
     assert pretzel_diagram([45, 43, 45]).canonical_key() != key
 
 
-def seed_key(d):
-    """The skein memo key of the initial release: the least repr string over
-    all start arcs, rebuilt by head_of walks at every step."""
-    if d.n == 0:
-        return f"loops={d.free_loops}"
-    best = None
-    for start in d.arcs():
-        relabel = {}
-        a = start
-        while a not in relabel:
-            relabel[a] = len(relabel)
-            a = d.next_arc(a)
-        for a in d.arcs():
-            if a not in relabel:
-                b = a
-                while b not in relabel:
-                    relabel[b] = len(relabel)
-                    b = d.next_arc(b)
-        rows = sorted(
-            (tuple(relabel[x] for x in c), d.over_entry[i])
-            for i, c in enumerate(d.crossings)
-        )
-        key = repr((rows, d.free_loops))
-        if best is None or key < best:
-            best = key
-    return best
+def reference_key(w):
+    """The least relabelled rotation of a Gauss word over all of its starts,
+    with no pruning."""
+    rows = []
+    for s in range(len(w)):
+        labels = {}
+        rows.append([labels.setdefault(p >> 2, len(labels)) << 2 | p & 3 for p in w[s:] + w[:s]])
+    return min(rows, default=[])
 
 
-def test_canonical_key_equality_matches_the_seed_key(monkeypatch):
+def test_word_key_equality_matches_the_unpruned_key(monkeypatch):
     visited = []
-    key = PlanarDiagram.canonical_key
+    key = invariants._key
 
-    def recording_key(d):
-        visited.append(d)
-        return key(d)
+    def recording_key(w):
+        visited.append(list(w))
+        return key(w)
 
     monkeypatch.setattr(invariants, "_A2_MEMO", {})
     monkeypatch.setattr(invariants, "_W3_MEMO", {})
-    monkeypatch.setattr(PlanarDiagram, "canonical_key", recording_key)
+    monkeypatch.setattr(invariants, "_key", recording_key)
     rng = random.Random(7)
     specs = [FamilySpec("o1", dict(a=1, b=1, c=1, d=1, e=1)),
              FamilySpec("o1", dict(a=2, b=-1, c=1, d=-2, e=1))]
@@ -152,14 +135,15 @@ def test_canonical_key_equality_matches_the_seed_key(monkeypatch):
         invariants.skein_w3(d)
     monkeypatch.undo()
     assert len(visited) > 300
-    new_to_old, old_to_new = {}, {}
-    for d in visited:
-        old, new = seed_key(d), d.canonical_key()
-        new_to_old.setdefault(new, set()).add(old)
-        old_to_new.setdefault(old, set()).add(new)
-    assert all(len(v) == 1 for v in new_to_old.values())
-    assert all(len(v) == 1 for v in old_to_new.values())
-    assert len(new_to_old) > 50
+    key_to_ref, ref_to_key = {}, {}
+    for w in visited:
+        new, ref = key(w), tuple(reference_key(w))
+        assert array("H", new).tolist() == list(ref)
+        key_to_ref.setdefault(new, set()).add(ref)
+        ref_to_key.setdefault(ref, set()).add(new)
+    assert all(len(v) == 1 for v in key_to_ref.values())
+    assert all(len(v) == 1 for v in ref_to_key.values())
+    assert len(key_to_ref) > 50
 
 
 def test_simplify_removes_kinks():
@@ -175,8 +159,8 @@ def test_switch_and_smooth_counts():
     assert d.smooth(0).component_count() == 2
 
 
-# The two diagrams below are corrupted after construction, which would reject
-# them, to reach the internal consistency checks.
+# The diagram and the word below are corrupted after construction, which
+# would reject them, to reach the internal consistency checks.
 
 
 def headless_arc_diagram():
@@ -187,16 +171,12 @@ def headless_arc_diagram():
     return d, arc
 
 
-def odd_link_diagram():
-    """A two-component link missing one of its inter-component crossings."""
-    d = trefoil().smooth(0)
-    comp = d.component_of()
-    mixed = next(i for i, c in enumerate(d.crossings)
-                 if comp[c[0]] != comp[c[d.over_entry[i]]])
-    keep = [i for i in range(d.n) if i != mixed]
-    d.crossings = tuple(d.crossings[i] for i in keep)
-    d.over_entry = tuple(d.over_entry[i] for i in keep)
-    return d
+def odd_split_word():
+    """A trefoil's Gauss word with one crossing deleted, and the crossing to
+    smooth: the two crossings left interleave, which no planar diagram
+    allows, so the smoothing shares one crossing between its components."""
+    w = invariants._gauss_word(trefoil())
+    return [p for p in w if p >> 2 != 2], 0
 
 
 def test_inconsistent_diagrams_raise_typed_errors():
@@ -204,18 +184,20 @@ def test_inconsistent_diagrams_raise_typed_errors():
     d, arc = headless_arc_diagram()
     with pytest.raises(InconsistentDiagram):
         d.head_of(arc)
-    with pytest.raises(InconsistentDiagram):
-        odd_link_diagram().linking_number(0, 1)
+    with pytest.raises(InconsistentDiagram) as info:
+        invariants._split(*odd_split_word())
+    assert info.value.stage == "skein: oriented smoothing"
 
 
 def test_inconsistent_diagram_errors_survive_optimized_mode():
     src = os.path.dirname(list(knotct.__path__)[0])
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
-        "from test_diagram import headless_arc_diagram, odd_link_diagram\n"
+        "from test_diagram import headless_arc_diagram, odd_split_word\n"
+        "from knotct import invariants\n"
         "from knotct.errors import InconsistentDiagram\n"
         "d, arc = headless_arc_diagram()\n"
-        "for call in (lambda: d.head_of(arc), lambda: odd_link_diagram().linking_number(0, 1)):\n"
+        "for call in (lambda: d.head_of(arc), lambda: invariants._split(*odd_split_word())):\n"
         "    try:\n"
         "        call()\n"
         "    except InconsistentDiagram:\n"
@@ -235,13 +217,13 @@ def test_construction_check_raises_typed_error():
     assert info.value.stage == "construction: emit"
 
 
-def test_linking_number_hopf():
-    d = double_twist_diagram(2, 0).simplify()
-    # two clasp crossings survive; smoothing one gives a two-component link
-    d2 = pretzel_diagram([1, 1, 1]).smooth(0)
-    assert abs(d2.linking_number(0, 1)) == 1
-
-
+def test_word_split_linking_number():
+    for d in (trefoil(), trefoil().mirror()):
+        w = invariants._gauss_word(d)
+        assert len(w) == 6
+        # smoothing a trefoil crossing leaves a Hopf link of two unknotted parts
+        lk, inner, outer = invariants._split(w, w[0] >> 2)
+        assert lk == d.sign(w[0] >> 2) and inner == outer == []
 def test_signature_alternating_trefoil():
     d = trefoil()
     assert abs(signature_alternating(d)) == 2

@@ -1,12 +1,20 @@
 """Closed-form invariants and the recursive skein engine."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from test_diagram import template_knots, trefoil
+
+from knotct import invariants
 
 from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, ValidationError
 from knotct.invariants import (
     InvariantReport,
+    _cancelling,
+    _gauss_word,
+    _key,
+    _simplify,
     a2_dt,
     a2_pretzel,
     closed_form,
@@ -116,3 +124,61 @@ def test_invariant_report_validation():
     rep = InvariantReport(a2=1, w3=Fraction(-3, 4), sigma=2)
     d = rep.to_dict()
     assert d["w3"] == "-3/4" and d["a2"] == 1 and d["sigma"] == 2
+
+
+def test_word_key_invariant_under_rotation_and_relabelling():
+    rng = random.Random(20240814)
+    for d in template_knots():
+        w = _gauss_word(d)
+        key = _key(w)
+        for _ in range(5):
+            ids = dict(zip({p >> 2 for p in w}, rng.sample(range(1000), d.n)))
+            s = rng.randrange(len(w))
+            e = [ids[p >> 2] << 2 | p & 3 for p in w[s:] + w[:s]]
+            assert _key(e) == key
+
+
+def test_word_key_tells_mirror_images_apart():
+    w, m = _gauss_word(trefoil()), _gauss_word(trefoil().mirror())
+    assert _key(m) != _key(w)
+    assert _key([p ^ 3 for p in m]) == _key(w)  # mirroring switches every crossing
+
+
+def passage(c, over, positive):
+    return c << 2 | over << 1 | positive
+
+
+def test_reidemeister_one_removes_a_kink():
+    w = _gauss_word(trefoil())
+    assert _cancelling(w) == ()
+    kink = [passage(9, 1, 1), passage(9, 0, 1)]
+    assert _cancelling(kink) == (9,)
+    assert _cancelling(w[:1] + kink + w[1:]) == (9,)
+    assert _cancelling(kink[:1] + w + kink[1:]) == (9,)  # across the base point
+    assert _simplify(w[:3] + kink + w[3:]) == w
+
+
+def test_reidemeister_two_needs_one_strand_over_and_opposite_signs():
+    w = _gauss_word(trefoil())
+    for over_a, over_b, sign_a, sign_b, cancels in [
+        (1, 1, 1, 0, True),  # one strand over at both: slides apart
+        (0, 0, 0, 1, True),
+        (1, 1, 1, 1, False),  # same-sign clasp
+        (1, 0, 1, 0, False),  # the strands interlock
+    ]:
+        a, b = passage(7, over_a, sign_a), passage(8, over_b, sign_b)
+        for clasp in (w[:2] + [a, b] + w[2:4] + [a ^ 2, b ^ 2] + w[4:],  # parallel
+                      w[:2] + [a, b] + w[2:4] + [b ^ 2, a ^ 2] + w[4:]):  # antiparallel
+            assert (_cancelling(clasp) == (7, 8)) is cancels
+            assert (_simplify(clasp) == w) is cancels
+
+
+def test_memos_are_capped_without_changing_values(monkeypatch):
+    ds = [d for d in template_knots() if d.n <= 16]
+    expected = [(skein_a2(d), skein_w3(d)) for d in ds]
+    monkeypatch.setattr(invariants, "_MEMO_CAP", 8)
+    monkeypatch.setattr(invariants, "_A2_MEMO", {})
+    monkeypatch.setattr(invariants, "_W3_MEMO", {})
+    for d, want in zip(ds, expected):
+        assert (skein_a2(d), skein_w3(d)) == want
+        assert len(invariants._A2_MEMO) <= 8 and len(invariants._W3_MEMO) <= 8

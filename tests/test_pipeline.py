@@ -42,6 +42,17 @@ def test_survivor_is_inconclusive():
     assert v.evidence.a2 == 0 and v.evidence.w3 == 0
 
 
+def test_a2_past_the_skein_budget_comes_from_conway(monkeypatch):
+    spec = parse_spec("M(1/3,2/5,-1/3,1/5)")  # 15 crossings, no closed form
+    v = obstruct(spec)
+    assert v.evidence.method["a2"] == "skein_engine"
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
+    w = obstruct(spec)
+    assert w.evidence.method["a2"] == "oracle"
+    assert w.evidence.a2 == v.evidence.a2 != 0
+    assert w.fired_rule == v.fired_rule == "a2_nonzero"
+
+
 def test_fired_rule_vocabulary():
     for spec in ("P(1,1,1)", "P(3,5,1)", "FAM:e3(a=1)", "DT(2,4)"):
         assert obstruct(parse_spec(spec)).fired_rule in FIRED_RULES
