@@ -7,7 +7,6 @@ import pytest
 from test_diagram import template_knots, trefoil
 
 from knotct import invariants
-
 from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, ValidationError
 from knotct.invariants import (
     InvariantReport,
