@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput, KnotctError, ParseError, ValidationError
 from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
-from .montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
+from .montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, genus, parse_spec
 from .oracle import (
     a2_w3_from_jones,
     alternating_genus,
@@ -27,7 +27,6 @@ from .oracle import (
 from .pipeline import (
     _to_montesinos,
     classify_genus2,
-    genus,
     is_alternating_knot,
     obstruct,
     twist_gate,

@@ -43,17 +43,12 @@ def twist_number(d: PlanarDiagram) -> int:
     """
     if not isinstance(d.provenance, TwistLayout):
         raise MissingProvenance("diagram was not built from twist-box templates")
+    faces, _, face_of_corner = d.face_table()
     dsu = _DSU(range(d.n))
-    pos = d.positions()
-    for face in d.faces():
-        if len(face) != 2:
-            continue
-        arcs = {arc for arc, _ in face}
-        if len(arcs) != 2:
-            continue  # degenerate bigon from a kink
-        a, b = arcs
-        cs = {ci for ci, _ in pos[a]} & {ci for ci, _ in pos[b]}
-        cs = sorted(cs)
-        for other in cs[1:]:
-            dsu.union(cs[0], other)
+    bigon_crossing = {}  # bigon face -> the first crossing seen at one of its corners
+    for ci, corners in enumerate(face_of_corner):
+        for fi in corners:
+            face = faces[fi]
+            if len(face) == 2 and face[0][0] != face[1][0]:  # not a kink's degenerate bigon
+                dsu.union(bigon_crossing.setdefault(fi, ci), ci)
     return len({dsu.find(i) for i in range(d.n)})

@@ -8,6 +8,13 @@ slots 2 and (4 - over_entry) are arc tails.
 
 Sign convention: a crossing is positive when the over strand enters at slot 3
 (right-hand rule).  All operations are pure; diagrams are immutable.
+
+The diagram owns this convention.  Validation records each arc's head (the
+crossing and slot where it ends), so strand walks are table lookups.  The
+Seifert circles and the face table (the faces as dart orbits, with the face
+of each dart and of each corner) are traced once, on first use, and cached.
+A crossing is nugatory when two of its corners lie in one face: on a
+connected projection those are exactly its cut vertices, kinks included.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ class _DSU:
 
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops", "provenance",
-                 "_components", "_positions", "_key")
+                 "_components", "_positions", "_heads", "_circle_of", "_faces", "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0, provenance=None):
         crossings = tuple(tuple(int(a) for a in c) for c in crossings)
@@ -59,23 +66,28 @@ class PlanarDiagram:
         self.free_loops = int(free_loops)
         self.provenance = provenance
         self._components = None
-        self._positions = None
+        self._circle_of = None
+        self._faces = None
         self._key = None
         self._validate()
 
     # -- structural invariants ------------------------------------------------
 
     def _validate(self):
+        """Check that each arc has two ends, one of them a head, and record
+        the arc -> slots and arc -> head tables."""
         seen = {}
         for ci, c in enumerate(self.crossings):
             for s, a in enumerate(c):
                 seen.setdefault(a, []).append((ci, s))
+        self._heads = {}
         for a, occ in seen.items():
             if len(occ) != 2:
                 raise InvalidInput(f"arc {a} occurs {len(occ)} times, expected 2")
-            heads = sum(1 for ci, s in occ if self._is_head(ci, s))
-            if heads != 1:
-                raise InvalidInput(f"arc {a} has {heads} heads, expected 1")
+            heads = [end for end in occ if self._is_head(*end)]
+            if len(heads) != 1:
+                raise InvalidInput(f"arc {a} has {len(heads)} heads, expected 1")
+            self._heads[a] = heads[0]
         self._positions = seen
 
     def _is_head(self, ci, s):
@@ -88,26 +100,19 @@ class PlanarDiagram:
         return len(self.crossings)
 
     def arcs(self):
-        out = set()
-        for c in self.crossings:
-            out.update(c)
-        return sorted(out)
+        return sorted(self._positions)
 
     def positions(self):
         """arc -> [(crossing, slot), (crossing, slot)]"""
-        if self._positions is None:
-            pos = {}
-            for ci, c in enumerate(self.crossings):
-                for s, a in enumerate(c):
-                    pos.setdefault(a, []).append((ci, s))
-            self._positions = pos
         return self._positions
 
     def head_of(self, arc):
-        for ci, s in self.positions()[arc]:
-            if self._is_head(ci, s):
-                return ci, s
-        raise InconsistentDiagram(f"arc {arc} has no head")
+        """(crossing, slot) where `arc` ends, as recorded by validation; a
+        diagram changed since then may no longer have a head there."""
+        ci, s = self._heads[arc]
+        if not self._is_head(ci, s):
+            raise InconsistentDiagram(f"arc {arc} has no head")
+        return ci, s
 
     def sign(self, ci):
         return 1 if self.over_entry[ci] == 3 else -1
@@ -132,7 +137,7 @@ class PlanarDiagram:
     def components(self):
         """Partition of arcs into oriented cycles, in traversal order."""
         if self._components is None:
-            left = set(self.arcs())
+            left = set(self._heads)
             comps = []
             while left:
                 start = min(left)
@@ -154,47 +159,18 @@ class PlanarDiagram:
     # -- predicates -----------------------------------------------------------
 
     def is_alternating(self):
-        for cyc in self.components():
-            passes = []
-            for a in cyc:
-                _, s = self.head_of(a)
-                passes.append(s == 0)  # True = goes under next
-            k = len(passes)
-            if any(passes[i] == passes[(i + 1) % k] for i in range(k)):
-                return False
-        return True
+        """Passages alternate along every strand: each arc ends in a passage
+        of the other kind (under or over) than the arc after it."""
+        under = {a: s == 0 for a, (_, s) in self._heads.items()}
+        return all(under[a] != under[self.next_arc(a)] for a in under)
 
     def nugatory_crossings(self):
-        """Crossings removable by untwisting: cut vertices of the arc graph,
-        including kinks (an arc with both ends on one crossing)."""
-        out = []
-        pos = self.positions()
-        edges = []  # (crossing, crossing) per arc
-        for a, occ in pos.items():
-            edges.append((occ[0][0], occ[1][0]))
-        for ci in range(self.n):
-            if any(u == v == ci for u, v in edges):
-                out.append(ci)
-                continue
-            rest = [e for e in edges if ci not in e]
-            nodes = set(range(self.n)) - {ci}
-            if not nodes:
-                continue
-            adj = {v: set() for v in nodes}
-            for u, v in rest:
-                adj[u].add(v)
-                adj[v].add(u)
-            stack = [next(iter(nodes))]
-            seen = set(stack)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(nodes):
-                out.append(ci)
-        return out
+        """Crossings removable by untwisting: those with two corners in one
+        face.  On a connected projection (any knot diagram) these are the
+        cut vertices of the arc graph, including kinks (an arc with both ends
+        on one crossing)."""
+        face_of_corner = self.face_table()[2]
+        return [ci for ci, faces in enumerate(face_of_corner) if len(set(faces)) < 4]
 
     def is_reduced(self):
         return not self.nugatory_crossings()
@@ -223,51 +199,56 @@ class PlanarDiagram:
         return len(set(self.seifert_circle_of().values())) + self.free_loops
 
     def seifert_circle_of(self):
-        """arc -> representative id of its Seifert circle."""
-        arcs = self.arcs()
-        dsu = _DSU(arcs)
-        for ci, c in enumerate(self.crossings):
-            o = self.over_entry[ci]
-            dsu.union(c[0], c[4 - o])
-            dsu.union(c[o], c[2])
-        return {a: dsu.find(a) for a in arcs}
+        """arc -> representative id of its Seifert circle, computed once."""
+        if self._circle_of is None:
+            arcs = self.arcs()
+            dsu = _DSU(arcs)
+            for ci, c in enumerate(self.crossings):
+                o = self.over_entry[ci]
+                dsu.union(c[0], c[4 - o])
+                dsu.union(c[o], c[2])
+            self._circle_of = {a: dsu.find(a) for a in arcs}
+        return self._circle_of
 
     # -- faces ----------------------------------------------------------------
 
-    def faces(self):
-        """Faces of the underlying 4-valent map as orbits of directed arc
-        sides.  A dart is (arc, dir) with dir=+1 along the arc's orientation;
-        the successor turns counterclockwise at the crossing it reaches."""
-        pos = self.positions()
+    def face_table(self):
+        """(faces, face_of_dart, face_of_corner) of the underlying 4-valent
+        map, computed once.
 
-        def endpoint(dart):
-            a, d = dart
-            occ = pos[a]
-            if d == 1:
-                return occ[0] if self._is_head(*occ[0]) else occ[1]
-            return occ[0] if not self._is_head(*occ[0]) else occ[1]
-
-        def succ(dart):
-            ci, s = endpoint(dart)
-            s2 = (s + 1) % 4
-            b = self.crossings[ci][s2]
-            return (b, 1) if not self._is_head(ci, s2) else (b, -1)
-
-        darts = [(a, d) for a in self.arcs() for d in (1, -1)]
-        left = set(darts)
-        out = []
-        while left:
-            start = min(left)
-            orbit = []
-            d = start
-            while True:
-                orbit.append(d)
-                left.discard(d)
-                d = succ(d)
-                if d == start:
-                    break
-            out.append(tuple(orbit))
-        return out
+        A dart is (arc, dir) with dir=+1 along the arc's orientation; it
+        reaches the crossing slot at the head (dir=+1) or the tail (dir=-1)
+        of its arc, and its successor turns counterclockwise there.  A face
+        is an orbit of darts, listed from its least dart, and the faces are
+        ordered by their least darts.  `face_of_dart` maps a dart to its face
+        index; `face_of_corner[ci][s]` is the face of the quadrant between
+        slots s and s+1 of crossing ci, the one the dart reaching slot s
+        turns through.
+        """
+        if self._faces is None:
+            reaches = {}  # dart -> the (crossing, slot) it reaches
+            for a, ends in self._positions.items():
+                head = self._heads[a]
+                reaches[(a, 1)] = head
+                reaches[(a, -1)] = ends[1] if ends[0] == head else ends[0]
+            faces, face_of_dart = [], {}
+            face_of_corner = [[None] * 4 for _ in self.crossings]
+            for dart in sorted(reaches):
+                if dart in face_of_dart:
+                    continue
+                fi = len(faces)
+                orbit = []
+                while dart not in face_of_dart:
+                    orbit.append(dart)
+                    face_of_dart[dart] = fi
+                    ci, s = reaches[dart]
+                    face_of_corner[ci][s] = fi
+                    s = (s + 1) % 4
+                    b = self.crossings[ci][s]
+                    dart = (b, -1) if self._heads[b] == (ci, s) else (b, 1)
+                faces.append(tuple(orbit))
+            self._faces = faces, face_of_dart, face_of_corner
+        return self._faces
 
     # -- crossing surgery -----------------------------------------------------
 

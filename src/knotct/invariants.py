@@ -351,13 +351,13 @@ _MEMO_CAP = 1 << 16
 
 
 def _gauss_word(d):
-    """Signed Gauss word of a knot diagram, walked from its least arc."""
-    enters = {}  # arc -> the passage it leads into
-    for ci, (c, o) in enumerate(zip(d.crossings, d.over_entry)):
-        positive = o == 3
-        enters[c[0]] = ci << 2 | positive
-        enters[c[o]] = ci << 2 | 2 | positive
-    return [enters[a] for a in d.components()[0]] if d.n else []
+    """Signed Gauss word of a knot diagram, walked from its least arc: each
+    arc leads into the passage at its head."""
+    word = []
+    for a in d.components()[0] if d.n else ():
+        ci, s = d.head_of(a)
+        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
+    return word
 
 
 def _first_nondescending(w):

@@ -27,6 +27,7 @@ over the walks of the outer disc it is attached to.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -268,36 +269,14 @@ class _Surface:
 
     def __init__(self, d: PlanarDiagram):
         self.d = d
-        pos = d.positions()
         self.circle_of = d.seifert_circle_of()
-
-        def is_head(ci, s):
-            return s == 0 or s == d.over_entry[ci]
-
-        def endpoint(dart):
-            a, direction = dart
-            o1, o2 = pos[a]
-            if direction == 1:
-                return o1 if is_head(*o1) else o2
-            return o1 if not is_head(*o1) else o2
-
-        faces = d.faces()
-        face_of_dart = {}
-        corner_face = {}  # (ci, s) -> face index, quadrant between slots s, s+1
-        for fi, orbit in enumerate(faces):
-            for dart in orbit:
-                face_of_dart[dart] = fi
-                ci, s = endpoint(dart)
-                corner_face[(ci, s)] = fi
-        if len(corner_face) != 4 * d.n:
-            raise InconsistentDiagram(
-                f"{len(corner_face)} face corners at {d.n} crossings", _SURFACE)
+        faces, face_of_dart, face_of_corner = d.face_table()
 
         # regions: faces glued through the gap of each smoothed crossing
         regions = _DSU(range(len(faces)))
         for ci in range(d.n):
             gaps = (1, 3) if d.over_entry[ci] == 3 else (0, 2)
-            regions.union(corner_face[(ci, gaps[0])], corner_face[(ci, gaps[1])])
+            regions.union(face_of_corner[ci][gaps[0]], face_of_corner[ci][gaps[1]])
         outer_face = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
         self.outer_region = regions.find(outer_face)
 
@@ -325,9 +304,9 @@ class _Surface:
             radj.setdefault(rl, []).append((rr, c))
             radj.setdefault(rr, []).append((rl, c))
         depth = {self.outer_region: 0}
-        queue = [self.outer_region]
+        queue = deque([self.outer_region])
         while queue:
-            r = queue.pop(0)
+            r = queue.popleft()
             for r2, _ in radj.get(r, []):
                 if r2 not in depth:
                     depth[r2] = depth[r] + 1
@@ -377,20 +356,19 @@ class _Surface:
 
     def fundamental_cycles(self):
         """Cycles as ordered band traversals [(crossing, from_circle, to_circle)]."""
+        bands_at = {c: [] for c in self.circles}  # circle -> [(crossing, far circle)]
+        for ci, (c1, c2) in self.band.items():
+            bands_at[c1].append((ci, c2))
+            bands_at[c2].append((ci, c1))
         tree_parent = {self.circles[0]: None}  # circle -> (parent circle, crossing)
-        order = [self.circles[0]]
-        queue = [self.circles[0]]
+        queue = deque([self.circles[0]])
         tree_edges = set()
         while queue:
-            u = queue.pop(0)
-            for ci, (c1, c2) in self.band.items():
-                if u not in (c1, c2):
-                    continue
-                v = c2 if u == c1 else c1
+            u = queue.popleft()
+            for ci, v in bands_at[u]:
                 if v not in tree_parent:
                     tree_parent[v] = (u, ci)
                     tree_edges.add(ci)
-                    order.append(v)
                     queue.append(v)
         cycles = []
         for ci in sorted(self.band):

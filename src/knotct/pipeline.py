@@ -307,7 +307,7 @@ def twist_gate(spec) -> TwistGate:
     d = spec.diagram()
     if not d.is_alternating():
         m = _to_montesinos(spec)
-        built = alternating_build(m) if m is not None and is_alternating_knot(m) else None
+        built = alternating_build(m) if m is not None else None
         if built is None:
             raise NotAlternating("twist gate needs an alternating build")
         d = built.diagram()

@@ -7,6 +7,7 @@ import pytest
 from braids import closed_braid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_diagram import reference_nugatory
 
 from knotct.invariants import skein_a2, skein_w3
 from knotct.oracle import a2_w3_from_jones, conway_polynomial, jones_via_kauffman, seifert_pipeline
@@ -21,7 +22,10 @@ def braid_words(draw):
 
 def agreed_a2_w3(d):
     """(a2, w3) after checking that Jones, skein and Conway give the same a2,
-    Jones and skein the same w3, and Jones and Conway the same determinant."""
+    Jones and skein the same w3, and Jones and Conway the same determinant.
+    It also checks the nugatory crossings against the cut-vertex search: a
+    generator used once in a braid word gives one."""
+    assert d.nugatory_crossings() == reference_nugatory(d)
     v = jones_via_kauffman(d)
     nabla = conway_polynomial(seifert_pipeline(d))
     a2, w3 = a2_w3_from_jones(v)

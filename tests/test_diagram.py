@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from braids import closed_braid
 
 import knotct
 from knotct import invariants
@@ -42,7 +43,8 @@ def test_trefoil_basics():
 def test_euler_formula():
     for d in (trefoil(), pretzel_diagram([3, 5, 1]), double_twist_diagram(2, 4)):
         # V - E + F = 2 with V = n, E = 2n
-        assert len(d.faces()) == d.n + 2
+        faces, _, _ = d.face_table()
+        assert len(faces) == d.n + 2
 
 
 def test_mirror_flips_signs():
@@ -144,6 +146,48 @@ def test_word_key_equality_matches_the_unpruned_key(monkeypatch):
     assert all(len(v) == 1 for v in key_to_ref.values())
     assert all(len(v) == 1 for v in ref_to_key.values())
     assert len(key_to_ref) > 50
+
+
+def reference_nugatory(d):
+    """The per-crossing search that found nugatory crossings before the
+    corner criterion: crossings with a kink, and cut vertices of the graph
+    whose edges are the arcs."""
+    out = []
+    edges = [(occ[0][0], occ[1][0]) for occ in d.positions().values()]
+    for ci in range(d.n):
+        if any(u == v == ci for u, v in edges):
+            out.append(ci)
+            continue
+        nodes = set(range(d.n)) - {ci}
+        if not nodes:
+            continue
+        adj = {v: set() for v in nodes}
+        for u, v in edges:
+            if ci not in (u, v):
+                adj[u].add(v)
+                adj[v].add(u)
+        stack = [next(iter(nodes))]
+        seen = set(stack)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(nodes):
+            out.append(ci)
+    return out
+
+
+def test_nugatory_corner_criterion_matches_the_cut_vertex_search():
+    non_reduced = [
+        fig1_right_diagram(-1, -1, -1, -1, -1, -1),  # a three-crossing unknot diagram
+        fig1_right_diagram(-2, -1, -1, -1, -1, -1),
+        closed_braid([1, 1, 1, -2], 3),  # sigma_2 once: a kink
+    ]
+    assert [reference_nugatory(d) for d in non_reduced] == [[0, 1, 2], [3], [3]]
+    # P(-1,1,1) is reducible by a clasp move but has no nugatory crossing
+    for d in template_knots() + [pretzel_diagram([-1, 1, 1])] + non_reduced:
+        assert d.nugatory_crossings() == reference_nugatory(d)
 
 
 def test_simplify_removes_kinks():

@@ -1,5 +1,6 @@
 """Diagram-level oracles: Jones via Kauffman bracket, Seifert pipeline."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -11,10 +12,17 @@ from braids import closed_braid
 from test_diagram import template_knots
 
 import knotct
-from knotct.diagram import double_twist_diagram, pretzel_diagram
-from knotct.errors import BudgetExceeded, InconsistentDiagram, NotAKnot
+from knotct.diagram import double_twist_diagram, pretzel_diagram, signature_alternating
+from knotct.errors import (
+    BudgetExceeded,
+    InconsistentDiagram,
+    KnotctError,
+    NotAKnot,
+    NotAlternating,
+    NotReduced,
+)
 from knotct.exactmath import LaurentPoly
-from knotct.montesinos import parse_spec
+from knotct.montesinos import FAMILY_NAMES, enumerate_family, parse_spec
 from knotct.oracle import (
     SeifertData,
     _interpolate,
@@ -87,6 +95,40 @@ def test_alternating_genus_matches_known():
     assert alternating_genus(d, seifert_pipeline(d)) == 1
     d = pretzel_diagram([3, 5, 1])
     assert alternating_genus(d, seifert_pipeline(d)) == 1
+
+
+def test_alternating_shortcuts_raise_typed_errors():
+    kinked = closed_braid([1, 1, 1, -2], 3)  # an alternating trefoil diagram
+    crossed = pretzel_diagram([3, -2, 5])
+    assert kinked.is_alternating() and kinked.nugatory_crossings() == [3]
+    assert crossed.is_reduced() and not crossed.is_alternating()
+    for d, error in ((kinked, NotReduced), (crossed, NotAlternating)):
+        assert issubclass(error, KnotctError)
+        for shortcut in (signature_alternating, lambda d: alternating_genus(d, seifert_pipeline(d))):
+            with pytest.raises(KnotctError) as info:
+                shortcut(d)
+            assert type(info.value) is error
+
+
+# sha256 of (surface genus, Seifert matrix, circle count) over the knot
+# diagrams of at most 16 crossings in the bound-2 genus-2 families.  The
+# matrix depends on the circle order and the spanning tree of the surface,
+# not only on the knot, so no invariant would notice a changed basis.
+SEIFERT_BASIS_SHA256 = "261e41d067ef73d868e5a67cab560c4ea905355af30b5e69ca76cb48b66f58c2"
+
+
+def test_seifert_basis_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 2):
+            d = f.diagram()
+            if d.component_count() != 1 or d.n > 16:
+                continue
+            count += 1
+            sd = seifert_pipeline(d)
+            digest.update(repr((sd.surface_genus, sd.seifert_matrix, sd.circles)).encode())
+    assert count == 2126
+    assert digest.hexdigest() == SEIFERT_BASIS_SHA256
 
 
 def test_jones_budget_enforced(monkeypatch):
