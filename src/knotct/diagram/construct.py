@@ -3,9 +3,11 @@
 Crossings are created with four geometric ports listed counterclockwise
 SE=0, NE=1, NW=2, SW=3; strand A runs along the SE-NW diagonal (ports 0,2)
 and strand B along NE-SW (ports 1,3).  `a_over` picks which diagonal is the
-over strand.  Tangles carry four named leads (NW, NE, SW, SE); connections
-are soldered through a union-find of "nets", so closed component loops that
-never touch a crossing come out as free loops.
+over strand.  Tangles carry four named leads (NW, NE, SW, SE): ports, the
+ints 4*crossing + port, or junctions of the trivial tangles, negative ints.
+`solder` records each wire at its two ends (a port's mate, a junction's
+leads), and `emit` walks each net once; nets of junctions alone are closed
+loops that never touch a crossing, free loops.
 
 Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
@@ -46,42 +48,35 @@ class TwistLayout:
 
 
 class Builder:
-    """Accumulates crossings and soldered connections, then emits a PD."""
+    """Accumulates crossings and soldered wires, then emits a PD."""
 
     def __init__(self):
         self.a_over = []
-        self.parent = {}
-        self._j = 0
+        self.mate = []  # port -> what it is soldered to (None: not yet)
+        self.leads = []  # junction ~j -> everything soldered to j
+        self.wires = 0
 
-    # -- net plumbing ---------------------------------------------------------
-
-    def _find(self, x):
-        p = self.parent
-        p.setdefault(x, x)
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    # -- wiring ---------------------------------------------------------------
 
     def solder(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        self.wires += 1
+        if a >= 0:
+            self.mate[a] = b
+        else:
+            self.leads[~a].append(b)
+        if b >= 0:
+            self.mate[b] = a
+        else:
+            self.leads[~b].append(a)
 
     def junction(self):
-        self._j += 1
-        return ("J", self._j)
-
-    def port(self, ci, g):
-        tok = ("P", ci, g)
-        self._find(tok)
-        return tok
+        self.leads.append([])
+        return ~(len(self.leads) - 1)
 
     def new_crossing(self, a_over):
         ci = len(self.a_over)
         self.a_over.append(bool(a_over))
-        for g in range(4):
-            self._find(("P", ci, g))
+        self.mate += (None, None, None, None)
         return ci
 
     # -- tangle primitives ----------------------------------------------------
@@ -96,19 +91,19 @@ class Builder:
 
     def htwist(self, t, sign):
         """One half twist added on the right side of the tangle."""
-        ci = self.new_crossing(H_POS_A_OVER if sign > 0 else not H_POS_A_OVER)
-        self.solder(t["NE"], self.port(ci, 2))
-        self.solder(t["SE"], self.port(ci, 3))
-        t["NE"] = self.port(ci, 1)
-        t["SE"] = self.port(ci, 0)
+        p = 4 * self.new_crossing(H_POS_A_OVER if sign > 0 else not H_POS_A_OVER)
+        self.solder(t["NE"], p + 2)
+        self.solder(t["SE"], p + 3)
+        t["NE"] = p + 1
+        t["SE"] = p
 
     def vtwist(self, t, sign):
         """One half twist added at the bottom of the tangle."""
-        ci = self.new_crossing(V_POS_A_OVER if sign > 0 else not V_POS_A_OVER)
-        self.solder(t["SW"], self.port(ci, 2))
-        self.solder(t["SE"], self.port(ci, 1))
-        t["SW"] = self.port(ci, 3)
-        t["SE"] = self.port(ci, 0)
+        p = 4 * self.new_crossing(V_POS_A_OVER if sign > 0 else not V_POS_A_OVER)
+        self.solder(t["SW"], p + 2)
+        self.solder(t["SE"], p + 1)
+        t["SW"] = p + 3
+        t["SE"] = p
 
     def hbox(self, m):
         """Horizontal twist box with m signed half twists (0 = trivial)."""
@@ -146,74 +141,88 @@ class Builder:
     # -- emission -------------------------------------------------------------
 
     def emit(self):
-        n = len(self.a_over)
-        groups = {}
-        for ci in range(n):
-            for g in range(4):
-                groups.setdefault(self._find(("P", ci, g)), []).append((ci, g))
-        free = 0
-        for tok in list(self.parent):
-            r = self._find(tok)
-            if r not in groups:
-                groups[r] = []
-        wire_at = {}
-        for root, ports in groups.items():
-            if len(ports) == 0:
-                free += 1
-            elif len(ports) == 2:
-                wire_at[ports[0]] = ports[1]
-                wire_at[ports[1]] = ports[0]
-            else:
-                raise InconsistentDiagram(f"net with {len(ports)} ports", _EMIT)
-        # orient: walk each component, marking entry/exit ports
-        entry = {}
-        arc_of_port = {}
+        mate, leads = self.mate, self.leads
+        # With every junction in use soldered twice and every port once, each
+        # net is a path between two ports or a loop of junctions alone.
+        for lj in leads:
+            if lj and len(lj) != 2:
+                raise InconsistentDiagram(f"junction with {len(lj)} leads", _EMIT)
+        if None in mate:
+            p = mate.index(None)
+            raise InconsistentDiagram(f"crossing {p >> 2} port {p & 3} is not soldered", _EMIT)
+        # a second wire at a port overwrites its mate but still counts here
+        if 2 * self.wires != len(mate) + sum(map(len, leads)):
+            raise InconsistentDiagram("a port is soldered twice", _EMIT)
+        on_path = [False] * len(leads)
+        # orient: walk each component, entering at p and leaving at p ^ 2;
+        # an arc runs from an exit port through its net to an entry port
+        arc = [-1] * len(mate)
+        entry = [False] * len(mate)
+        starts = []
         next_arc = 0
-        for ci0 in range(n):
-            for g0 in range(4):
-                if (ci0, g0) in entry:
-                    continue
-                p = (ci0, g0)
-                while True:
-                    entry[p] = True
-                    q = (p[0], (p[1] + 2) % 4)
-                    entry[q] = False
-                    r = wire_at[q]
-                    arc_of_port[q] = arc_of_port[r] = next_arc
-                    next_arc += 1
-                    p = r
-                    if p == (ci0, g0):
-                        break
+        for start in range(len(mate)):
+            if arc[start] >= 0:
+                continue
+            starts.append(next_arc)
+            p = start
+            while True:
+                entry[p] = True
+                q = p ^ 2
+                prev, r = q, mate[q]
+                while r < 0:
+                    x, y = leads[~r]
+                    on_path[~r] = True
+                    prev, r = r, y if x == prev else x
+                arc[q] = arc[r] = next_arc
+                next_arc += 1
+                p = r
+                if p == start:
+                    break
+        # nets of junctions alone are closed loops that touch no crossing
+        free = 0
+        for j, lj in enumerate(leads):
+            if on_path[j] or not lj:
+                continue
+            free += 1
+            on_path[j] = True
+            stack = [j]
+            while stack:
+                for x in leads[stack.pop()]:
+                    if not on_path[~x]:
+                        on_path[~x] = True
+                        stack.append(~x)
+        # each crossing starts at the port where its under strand enters
         crossings, over_entry = [], []
-        for ci in range(n):
-            under_is_a = not self.a_over[ci]
-            upair = (0, 2) if under_is_a else (1, 3)
-            g_start = upair[0] if entry[(ci, upair[0])] else upair[1]
-            opair = (1, 3) if under_is_a else (0, 2)
-            g_over = opair[0] if entry[(ci, opair[0])] else opair[1]
-            crossings.append(tuple(arc_of_port[(ci, (g_start + k) % 4)] for k in range(4)))
-            oe = (g_over - g_start) % 4
-            if oe not in (1, 3):
-                raise InconsistentDiagram(f"crossing {ci}: strands enter {oe} slots apart", _EMIT)
-            over_entry.append(oe)
-        return PlanarDiagram(crossings, over_entry, free, TwistLayout())
+        for ci, a_is_over in enumerate(self.a_over):
+            b = 4 * ci
+            u, o = (b + 1, b) if a_is_over else (b, b + 1)
+            s = u if entry[u] else u + 2
+            g = s - b
+            crossings.append((arc[s], arc[b + (g + 1) % 4], arc[b + (g + 2) % 4],
+                              arc[b + (g + 3) % 4]))
+            over_entry.append(((o if entry[o] else o + 2) - s) % 4)
+        d = PlanarDiagram(crossings, over_entry, free, TwistLayout())
+        # the walk above numbered each strand's arcs consecutively, in order
+        starts.append(next_arc)
+        d._components = tuple(tuple(range(a, z)) for a, z in zip(starts, starts[1:]))
+        return d
 
 
 # -- additive continued fractions for tangle layout ---------------------------
 
 
-def additive_cf(x):
-    """All-positive (or all-negative) additive CF of a rational x with |x| >= 1.
+def additive_cf(p, q):
+    """All-positive (or all-negative) additive CF of p/q, for integers p and
+    q > 0 with |p/q| >= 1.
 
-    x = q1 + 1/(q2 + 1/(...)), every q_i of the same sign as x.
+    p/q = q1 + 1/(q2 + 1/(...)), every q_i of the same sign as p.
     """
-    x = Fraction(x)
-    if x == 0:
+    if p == 0:
         raise InvalidInput("additive CF of 0")
-    s = 1 if x > 0 else -1
-    p, q = abs(x.numerator), abs(x.denominator)
+    s = 1 if p > 0 else -1
+    p = abs(p)
     if p < q:
-        raise InvalidInput(f"|{x}| < 1 has no all-positive additive CF")
+        raise InvalidInput(f"|{Fraction(s * p, q)}| < 1 has no all-positive additive CF")
     out = []
     while q:
         a = p // q
@@ -226,10 +235,10 @@ def rational_tangle(b: Builder, frac):
     """Tangle of fraction beta/alpha, built from the additive CF of its
     reciprocal as alternating vertical/horizontal twist boxes, innermost
     entry first."""
-    frac = Fraction(frac)
-    if frac == 0:
+    beta, alpha = frac.numerator, frac.denominator
+    if beta == 0:
         return b.zero_tangle()
-    entries = additive_cf(1 / frac)
+    entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta))
     k = len(entries)
     t = b.inf_tangle() if k % 2 == 1 else b.zero_tangle()
     for j in range(k, 0, -1):

@@ -9,10 +9,11 @@ slots 2 and (4 - over_entry) are arc tails.
 Sign convention: a crossing is positive when the over strand enters at slot 3
 (right-hand rule).  All operations are pure; diagrams are immutable.
 
-The diagram owns this convention.  Validation records each arc's head (the
-crossing and slot where it ends), so strand walks are table lookups.  The
-Seifert circles and the face table (the faces as dart orbits, with the face
-of each dart and of each corner) are traced once, on first use, and cached.
+The diagram owns this convention.  Validation records each arc's head and
+tail (the crossing and slot where it ends and where it starts), so strand
+walks are table lookups.  The slot table of each arc, the Seifert circles and
+the face table (the faces as dart orbits, with the face of each dart and of
+each corner) are traced once, on first use, and cached.
 A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
 """
@@ -48,10 +49,11 @@ class _DSU:
 
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops", "provenance",
-                 "_components", "_positions", "_heads", "_circle_of", "_faces", "_key")
+                 "_components", "_positions", "_heads", "_tails", "_circle_of", "_faces",
+                 "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0, provenance=None):
-        crossings = tuple(tuple(int(a) for a in c) for c in crossings)
+        crossings = tuple([tuple(map(int, c)) for c in crossings])
         over_entry = tuple(int(o) for o in over_entry)
         if len(crossings) != len(over_entry):
             raise InvalidInput("crossings and over_entry length mismatch")
@@ -66,6 +68,7 @@ class PlanarDiagram:
         self.free_loops = int(free_loops)
         self.provenance = provenance
         self._components = None
+        self._positions = None
         self._circle_of = None
         self._faces = None
         self._key = None
@@ -74,21 +77,24 @@ class PlanarDiagram:
     # -- structural invariants ------------------------------------------------
 
     def _validate(self):
-        """Check that each arc has two ends, one of them a head, and record
-        the arc -> slots and arc -> head tables."""
-        seen = {}
-        for ci, c in enumerate(self.crossings):
-            for s, a in enumerate(c):
-                seen.setdefault(a, []).append((ci, s))
-        self._heads = {}
-        for a, occ in seen.items():
-            if len(occ) != 2:
-                raise InvalidInput(f"arc {a} occurs {len(occ)} times, expected 2")
-            heads = [end for end in occ if self._is_head(*end)]
-            if len(heads) != 1:
-                raise InvalidInput(f"arc {a} has {len(heads)} heads, expected 1")
-            self._heads[a] = heads[0]
-        self._positions = seen
+        """Check in one pass that each arc has one head and one tail, and
+        record the arc -> head and arc -> tail tables: the 2n head slots must
+        hold 2n different arcs, and the tail slots the same arcs."""
+        heads, tails = {}, {}
+        for ci, (c, o) in enumerate(zip(self.crossings, self.over_entry)):
+            heads[c[0]] = (ci, 0)
+            heads[c[o]] = (ci, o)
+            tails[c[2]] = (ci, 2)
+            tails[c[4 - o]] = (ci, 4 - o)
+        if len(heads) != 2 * len(self.crossings) or heads.keys() != tails.keys():
+            for a, occ in self.positions().items():
+                if len(occ) != 2:
+                    raise InvalidInput(f"arc {a} occurs {len(occ)} times, expected 2")
+                k = sum(1 for end in occ if self._is_head(*end))
+                if k != 1:
+                    raise InvalidInput(f"arc {a} has {k} heads, expected 1")
+        self._heads = heads
+        self._tails = tails
 
     def _is_head(self, ci, s):
         return s == 0 or s == self.over_entry[ci]
@@ -100,10 +106,17 @@ class PlanarDiagram:
         return len(self.crossings)
 
     def arcs(self):
-        return sorted(self._positions)
+        return sorted(self._heads)
 
     def positions(self):
-        """arc -> [(crossing, slot), (crossing, slot)]"""
+        """arc -> [(crossing, slot), (crossing, slot)], both in slot order and
+        the arcs in order of first occurrence; computed once."""
+        if self._positions is None:
+            seen = {}
+            for ci, c in enumerate(self.crossings):
+                for s, a in enumerate(c):
+                    seen.setdefault(a, []).append((ci, s))
+            self._positions = seen
         return self._positions
 
     def head_of(self, arc):
@@ -227,10 +240,9 @@ class PlanarDiagram:
         """
         if self._faces is None:
             reaches = {}  # dart -> the (crossing, slot) it reaches
-            for a, ends in self._positions.items():
-                head = self._heads[a]
+            for a, head in self._heads.items():
                 reaches[(a, 1)] = head
-                reaches[(a, -1)] = ends[1] if ends[0] == head else ends[0]
+                reaches[(a, -1)] = self._tails[a]
             faces, face_of_dart = [], {}
             face_of_corner = [[None] * 4 for _ in self.crossings]
             for dart in sorted(reaches):

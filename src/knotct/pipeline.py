@@ -188,9 +188,9 @@ def _to_montesinos(spec):
 # obstruction chain
 
 
-def _note(exc, stage):
+def _note(exc, note):
     if hasattr(exc, "add_note"):
-        exc.add_note(f"obstruction stage: {stage}")
+        exc.add_note(note)
     return exc
 
 
@@ -242,7 +242,7 @@ def obstruct(spec) -> ObstructionVerdict:
                     g = alternating_genus(d, seifert_pipeline(d))
                     method["genus"] = "oracle"
     except KnotctError as exc:
-        raise _note(exc, "genus")
+        raise _note(exc, "obstruction stage: genus")
     if g is not None and g != 2:
         return ObstructionVerdict("no_pcs", "genus_ne_2", report())
 
@@ -268,7 +268,7 @@ def obstruct(spec) -> ObstructionVerdict:
                 a2 = conway_polynomial(seifert_pipeline(diagram())).coefficient(2)
                 method["a2"] = "oracle"
     except KnotctError as exc:
-        raise _note(exc, "a2")
+        raise _note(exc, "obstruction stage: a2")
     if a2 != 0:
         return ObstructionVerdict("no_pcs", "a2_nonzero", report())
     try:
@@ -276,7 +276,7 @@ def obstruct(spec) -> ObstructionVerdict:
             w3 = skein_w3(diagram())
             method["w3"] = "skein_engine"
     except KnotctError as exc:
-        raise _note(exc, "w3")
+        raise _note(exc, "obstruction stage: w3")
     if w3 != 0:
         return ObstructionVerdict("no_pcs", "w3_nonzero", report())
 
@@ -294,7 +294,7 @@ def obstruct(spec) -> ObstructionVerdict:
             tau = Fraction(-sigma, 2)
             method["tau"] = method["sigma"]
     except KnotctError as exc:
-        raise _note(exc, "sigma")
+        raise _note(exc, "obstruction stage: sigma")
     if sigma is not None and sigma != 0:
         return ObstructionVerdict("no_pcs", "tau_nonzero_via_sigma", report())
 
@@ -426,12 +426,16 @@ def _scope_specs(scope, bound):
 
 
 def classify_genus2(bound, scope="alternating_montesinos") -> ClassificationRun:
-    """Sweep a scope, obstruct every spec, and validate the survivors."""
+    """Sweep a scope, obstruct every spec, and validate the survivors.  A
+    spec whose obstruction raises stops the sweep; its error names it."""
     if bound < 1:
         raise ValidationError("bound must be >= 1")
     survivors, eliminated = [], {}
     for f in _scope_specs(scope, bound):
-        v = obstruct(f)
+        try:
+            v = obstruct(f)
+        except KnotctError as exc:
+            raise _note(exc, f"spec: {f}")
         if v.verdict == "no_pcs":
             eliminated[str(f)] = v.fired_rule
         else:

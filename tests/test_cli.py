@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import knotct
+from knotct import pipeline
 from knotct.cli import main
+from knotct.errors import BudgetExceeded
 
 
 def run(capsys, *argv):
@@ -91,6 +93,28 @@ def test_computation_error_prints_stage_note():
     assert "exceeds the skein budget 3" in p.stderr
     assert "obstruction stage: w3" in p.stderr
     assert "Traceback" not in p.stderr
+
+
+def test_sweep_failure_names_the_spec(monkeypatch, capsys):
+    obstruct = pipeline.obstruct
+
+    def failing(f):
+        if str(f) == "F1R(0,0,0,0,0,1)":
+            raise pipeline._note(BudgetExceeded("30 crossings exceeds the skein budget 24"),
+                                 "obstruction stage: w3")
+        return obstruct(f)
+
+    monkeypatch.setattr(pipeline, "obstruct", failing)
+    with pytest.raises(BudgetExceeded) as info:
+        pipeline.classify_genus2(1, "fig1")
+    assert info.value.__notes__ == ["obstruction stage: w3", "spec: F1R(0,0,0,0,0,1)"]
+    code, out, err = run(capsys, "classify-genus2", "--scope", "fig1", "--bound", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: 30 crossings exceeds the skein budget 24",
+        "obstruction stage: w3",
+        "spec: F1R(0,0,0,0,0,1)",
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,14 @@
 """Planar diagram combinatorics and the twist-box construction templates."""
 
+import hashlib
+import itertools
 import os
 import random
 from array import array
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from braids import closed_braid
@@ -23,8 +26,8 @@ from knotct.diagram import (
     signature_alternating,
     twist_number,
 )
-from knotct.errors import InconsistentDiagram, KnotctError, MissingProvenance
-from knotct.montesinos import FamilySpec
+from knotct.errors import InconsistentDiagram, InvalidInput, KnotctError, MissingProvenance
+from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family
 
 
 def trefoil():
@@ -190,6 +193,51 @@ def test_nugatory_corner_criterion_matches_the_cut_vertex_search():
         assert d.nugatory_crossings() == reference_nugatory(d)
 
 
+# the trefoil P(1,1,1) as the builder emits it
+TREFOIL_PD = (((5, 2, 0, 3), (1, 4, 2, 5), (3, 0, 4, 1)), (1, 1, 1))
+
+
+def test_malformed_pd_codes_are_rejected():
+    crossings, over_entry = TREFOIL_PD
+    assert (trefoil().crossings, trefoil().over_entry) == TREFOIL_PD
+    cases = [
+        ([(5, 2, 99, 3), *crossings[1:]], over_entry, "arc 99 occurs 1 times, expected 2"),
+        ([(0, 2, 0, 3), *crossings[1:]], over_entry, "arc 0 occurs 3 times, expected 2"),
+        (crossings, (3, 1, 1), "arc 2 has 0 heads, expected 1"),
+    ]
+    for cross, over, message in cases:
+        with pytest.raises(InvalidInput) as info:
+            PlanarDiagram(cross, over)
+        assert str(info.value) == message
+
+
+def closed_builds():
+    """Small closures of trivial and twisted tangles, each with its crossing
+    count, free loops and component count."""
+    out = []
+    for close, t, counts in (
+        ("numerator_close", lambda b: b.zero_tangle(), (0, 2, 2)),  # two circles
+        ("denominator_close", lambda b: b.zero_tangle(), (0, 1, 1)),
+        # a Hopf link with a circle apart
+        ("numerator_close", lambda b: b.stack(b.hbox(2), b.zero_tangle()), (2, 1, 3)),
+        ("denominator_close", lambda b: b.hjoin(b.hbox(2), b.zero_tangle()), (2, 0, 1)),
+    ):
+        b = Builder()
+        getattr(b, close)(t(b))
+        out.append((b.emit(), counts))
+    return out
+
+
+def test_emit_counts_free_loops_and_hands_over_its_components():
+    for d, counts in closed_builds():
+        assert (d.n, d.free_loops, d.component_count()) == counts
+    link = montesinos_diagram([Fraction(1, 2), Fraction(1, 2)], 0, expect_knot=False)
+    for d in [d for d, _ in closed_builds()] + template_knots() + [link]:
+        walked = PlanarDiagram(d.crossings, d.over_entry, d.free_loops).components()
+        assert d.components() == walked
+    assert link.component_count() == 2
+
+
 def test_simplify_removes_kinks():
     d = pretzel_diagram([1, 1, -1])  # reducible: opposite strands cancel
     s = d.simplify()
@@ -259,6 +307,104 @@ def test_construction_check_raises_typed_error():
     with pytest.raises(InconsistentDiagram) as info:
         b.emit()
     assert info.value.stage == "construction: emit"
+
+
+# Port g of crossing ci is the int 4 * ci + g.
+
+
+def miswired_crossing(wires):
+    """One crossing with the given wires between its ports."""
+    b = Builder()
+    p = 4 * b.new_crossing(a_over=False)
+    for x, y in wires:
+        b.solder(p + x, p + y)
+    return b
+
+
+MISWIRED_CROSSINGS = (
+    [(0, 2), (0, 1), (2, 3)],  # ports 0 and 2 soldered twice: the first wire is overwritten
+    [(0, 1), (2, 3), (0, 2)],  # ports 0 and 2 soldered twice: their first mates point back
+    [(0, 1), (0, 2)],  # port 0 soldered twice and port 3 never
+)
+
+
+def three_lead_junction():
+    """Two crossings with every port soldered once: three ports of the first
+    to one junction, its fourth to a junction of its own."""
+    b = Builder()
+    p, q = 4 * b.new_crossing(a_over=False), 4 * b.new_crossing(a_over=True)
+    j, k = b.junction(), b.junction()
+    for g in range(3):
+        b.solder(j, p + g)
+    b.solder(k, p + 3)
+    b.solder(q, q + 1)
+    b.solder(q + 2, q + 3)
+    return b
+
+
+def test_malformed_wiring_raises_typed_errors():
+    for b in [miswired_crossing(w) for w in MISWIRED_CROSSINGS] + [three_lead_junction()]:
+        with pytest.raises(InconsistentDiagram) as info:
+            b.emit()
+        assert info.value.stage == "construction: emit"
+
+
+def test_malformed_wiring_error_survives_optimized_mode():
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import three_lead_junction\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "try:\n"
+        "    three_lead_junction().emit()\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "construction: emit"
+
+
+# sha256 of (crossings, over_entry, free_loops), or of the error type, of the
+# diagrams built from the bound-2 family specs, the AC1 pretzel and double-twist
+# specs, fig1_left/fig1_right over [-1, 1]^6 and the template mirrors, in that
+# order.  The skein memo keys and the Seifert basis depend on the arc ids and
+# the crossing order, so a construction change must keep them bit for bit.
+PD_CODES_SHA256 = "6dc3bf9c7518ae6a722b38fe9a70faabbfe50d922b2e36f7ae515b555434ea35"
+
+
+def spec_diagram(family, params):
+    return FamilySpec(family, params).diagram()
+
+
+def pinned_pd_builds():
+    for fam in FAMILY_NAMES:
+        for f in enumerate_family(fam, 2):
+            yield f.diagram
+    qs = [q for q in range(-2, 3) if q]
+    for q1, q2, q3 in itertools.product(qs, repeat=3):
+        yield partial(spec_diagram, "pretzel", dict(q1=q1, q2=q2, q3=q3))
+    for x, y in itertools.product(qs, repeat=2):
+        yield partial(spec_diagram, "double_twist", dict(x=x, y=y))
+    for make in (fig1_left_diagram, fig1_right_diagram):
+        for vals in itertools.product((-1, 0, 1), repeat=6):
+            yield partial(make, *vals)
+    for d in template_knots():
+        yield d.mirror
+
+
+def test_pd_codes_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for build in pinned_pd_builds():
+        count += 1
+        try:
+            d = build()
+            digest.update(repr((d.crossings, d.over_entry, d.free_loops)).encode())
+        except KnotctError as exc:
+            digest.update(type(exc).__name__.encode())
+    assert count == 4537
+    assert digest.hexdigest() == PD_CODES_SHA256
 
 
 def test_word_split_linking_number():
