@@ -1,25 +1,25 @@
 """Subtractive continued-fraction calculus.
 
-A list [c1, c2, ..., cn] stands for the nested fraction
+A list [c1, c2, ..., cn] of integers stands for the nested fraction
 
     1 / (c1 - 1/(c2 - ... - 1/cn))
 
 All values are exact rationals.  Besides plain evaluation this module
 implements the five rewriting identities used when normalizing tangle
 fractions, and conversion of a reduced fraction into the two normal forms
-consumed by the genus formulas:
+consumed by the genus formulas, each returned as its tuple of entries:
 
-* strict form  [2a1, b1, 2a2, b2, ...]  (odd-position entries even; whenever
+* strict form  (2a1, b1, 2a2, b2, ...)  (odd-position entries even; whenever
   |a_j| = 1 the pair must satisfy a_j * b_j < 0), and
-* even form    [2c1, 2c2, ..., 2cm]     (every entry even).
+* even form    (2c1, 2c2, ..., 2cm)     (every entry even).
 
 Both are computed in closed form by greedy expansion: each entry is the
 integer nearest to the tail value it stands for, among the even integers
 in the even form and at the odd positions of the strict form, among all
 integers at the strict form's even positions; a tie goes to the entry of
-smaller absolute value.  Neither normal form is unique.  A result is checked
-by the structural invariants of `StrictCF`/`EvenCF` and by round-trip
-evaluation, and a failed check raises `InvalidInput`.
+smaller absolute value.  Neither normal form is unique.  Each conversion
+checks its result's structure and evaluates it once to compare with the
+input; a failed check raises `InvalidInput`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .errors import DivisionByZero, InvalidInput, PatternMismatch
 
 __all__ = [
     "ContinuedFraction",
-    "StrictCF",
-    "EvenCF",
     "evaluate",
     "rewrite_identity",
     "to_strict_cf",
@@ -44,15 +42,15 @@ def _evaluate_entries(entries):
     """Exact value of the subtractive CF; raises DivisionByZero(position)."""
     if not entries:
         raise InvalidInput("empty continued fraction")
-    tail = Fraction(entries[-1])
-    # walk inside-out: E_i = c_i - 1/E_{i+1}
+    # walk inside-out on the tail E_i = num/den: E_i = c_i - 1/E_{i+1}
+    num, den = entries[-1], 1
     for pos in range(len(entries) - 2, -1, -1):
-        if tail == 0:
+        if num == 0:
             raise DivisionByZero(pos + 2)
-        tail = Fraction(entries[pos]) - 1 / tail
-    if tail == 0:
+        num, den = entries[pos] * num - den, num
+    if num == 0:
         raise DivisionByZero(1)
-    return 1 / tail
+    return Fraction(den, num)
 
 
 @dataclass(frozen=True)
@@ -64,78 +62,13 @@ class ContinuedFraction:
         _evaluate_entries(entries)  # validates at construction
         object.__setattr__(self, "entries", entries)
 
-    def value(self):
-        return _evaluate_entries(self.entries)
+    def __iter__(self):
+        return iter(self.entries)
 
 
 def evaluate(cf) -> Fraction:
-    if isinstance(cf, (ContinuedFraction, StrictCF, EvenCF)):
-        return _evaluate_entries(tuple(cf.entries))
+    """Value of a ContinuedFraction or of any sequence of integer entries."""
     return _evaluate_entries(tuple(cf))
-
-
-@dataclass(frozen=True)
-class StrictCF:
-    """[2a1, b1, ..., 2aq, bq] with the sign condition on |a_j| = 1."""
-
-    pairs: tuple  # of (2a_j, b_j)
-
-    def __init__(self, pairs):
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
-        if not pairs:
-            raise InvalidInput("empty strict continued fraction")
-        for two_a, b in pairs:
-            if two_a % 2 != 0 or two_a == 0:
-                raise InvalidInput(f"even-position entry {two_a} must be even nonzero")
-            if b == 0:
-                raise InvalidInput("b_j entries must be nonzero")
-            if abs(two_a) == 2 and (two_a // 2) * b > 0:
-                raise InvalidInput(f"strictness violated: a_j={two_a//2}, b_j={b}")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def entries(self):
-        out = []
-        for two_a, b in self.pairs:
-            out.extend((two_a, b))
-        return tuple(out)
-
-    def value(self):
-        return _evaluate_entries(self.entries)
-
-    def b_total(self):
-        """sum of |b_j| — the quantity the odd-type genus formula consumes."""
-        return sum(abs(b) for _, b in self.pairs)
-
-
-@dataclass(frozen=True)
-class EvenCF:
-    entries: tuple
-
-    def __init__(self, entries):
-        entries = tuple(int(c) for c in entries)
-        if not entries:
-            raise InvalidInput("empty even continued fraction")
-        for c in entries:
-            if c % 2 != 0 or c == 0:
-                raise InvalidInput(f"entry {c} must be even and nonzero")
-        _evaluate_entries(entries)
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def value(self):
-        return _evaluate_entries(self.entries)
-
-    def leading_run(self, value):
-        """Length of the initial run of entries equal to `value`."""
-        n = 0
-        for c in self.entries:
-            if c != value:
-                break
-            n += 1
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +152,7 @@ def _greedy_entries(x: Fraction, steps):
             p, q = -p, -q
 
 
-def to_strict_cf(x) -> StrictCF:
+def to_strict_cf(x) -> tuple:
     """Strict continued fraction of x = beta/alpha (alpha odd, |x| < 1/2).
 
     Entries alternate the nearest even integer and the nearest integer to
@@ -232,14 +165,20 @@ def to_strict_cf(x) -> StrictCF:
     alpha, beta = x.denominator, x.numerator
     if alpha <= 1 or alpha % 2 == 0 or beta == 0 or 2 * abs(beta) >= alpha:
         raise InvalidInput(f"{x} is not a half-range odd-denominator tangle fraction")
-    entries = _greedy_entries(x, (2, 1))
-    cf = StrictCF(zip(entries[0::2], entries[1::2]))
-    if len(entries) % 2 or cf.value() != x:
-        raise InvalidInput(f"greedy strict expansion {entries} does not represent {x}")
-    return cf
+    entries = tuple(_greedy_entries(x, (2, 1)))
+    for two_a, b in zip(entries[0::2], entries[1::2]):
+        if two_a % 2 != 0 or two_a == 0:
+            raise InvalidInput(f"even-position entry {two_a} must be even nonzero")
+        if b == 0:
+            raise InvalidInput("b_j entries must be nonzero")
+        if abs(two_a) == 2 and two_a * b > 0:
+            raise InvalidInput(f"strictness violated: a_j={two_a // 2}, b_j={b}")
+    if len(entries) % 2 or _evaluate_entries(entries) != x:
+        raise InvalidInput(f"greedy strict expansion {list(entries)} does not represent {x}")
+    return entries
 
 
-def to_even_cf(x) -> EvenCF:
+def to_even_cf(x) -> tuple:
     """Even continued fraction of x = beta/alpha (exactly one of them even).
 
     Every entry is the even integer nearest to the tail it stands for.
@@ -250,7 +189,10 @@ def to_even_cf(x) -> EvenCF:
         raise InvalidInput(f"{x} is not a normalized tangle fraction")
     if (alpha + beta) % 2 == 0:
         raise InvalidInput(f"{x}: exactly one of numerator/denominator must be even")
-    cf = EvenCF(_greedy_entries(x, (2,)))
-    if cf.value() != x:
-        raise InvalidInput(f"greedy even expansion {list(cf.entries)} does not represent {x}")
-    return cf
+    entries = tuple(_greedy_entries(x, (2,)))
+    for c in entries:
+        if c % 2 != 0 or c == 0:
+            raise InvalidInput(f"entry {c} must be even and nonzero")
+    if _evaluate_entries(entries) != x:
+        raise InvalidInput(f"greedy even expansion {list(entries)} does not represent {x}")
+    return entries

@@ -1,10 +1,10 @@
 """Oriented planar diagrams as PD codes.
 
-A crossing is a 4-tuple of arc ids listed counterclockwise starting from the
-incoming under-strand (slot 0).  The over strand occupies slots 1 and 3;
-`over_entry` records which of the two is its incoming end.  Orientation is
-therefore fully encoded positionally: slots 0 and over_entry are arc heads,
-slots 2 and (4 - over_entry) are arc tails.
+A crossing is a 4-tuple of int arc ids (taken as given) listed
+counterclockwise from the incoming under-strand (slot 0).  The over strand
+occupies slots 1 and 3; `over_entry` records which of the two is its
+incoming end.  Orientation is therefore fully encoded positionally: slots 0
+and over_entry are arc heads, slots 2 and (4 - over_entry) are arc tails.
 
 Sign convention: a crossing is positive when the over strand enters at slot 3
 (right-hand rule).  All operations are pure; diagrams are immutable.
@@ -53,8 +53,8 @@ class PlanarDiagram:
                  "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0, provenance=None):
-        crossings = tuple([tuple(map(int, c)) for c in crossings])
-        over_entry = tuple(int(o) for o in over_entry)
+        crossings = tuple(map(tuple, crossings))
+        over_entry = tuple(over_entry)
         if len(crossings) != len(over_entry):
             raise InvalidInput("crossings and over_entry length mismatch")
         for c in crossings:

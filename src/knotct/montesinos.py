@@ -27,6 +27,7 @@ from .diagram import (
     pretzel_diagram,
 )
 from .errors import (
+    DivisionByZero,
     InvalidInput,
     NotAKnot,
     ParseError,
@@ -94,11 +95,6 @@ class MontesinosSpec:
 
     def mirror(self):
         return MontesinosSpec([-f for f in self.tangles], -self.gamma)
-
-    def rotated(self, k):
-        """Cyclic permutation moving index k to the front."""
-        t = self.tangles
-        return MontesinosSpec(t[k:] + t[:k], self.gamma)
 
     def __str__(self):
         body = ",".join(f"{f.numerator}/{f.denominator}" for f in self.tangles)
@@ -379,7 +375,7 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
         g_acc, per = m.gamma, []
         for f in m.tangles:
             f, g_acc = _half_range(f, g_acc)
-            per.append(to_strict_cf(f).b_total())
+            per.append(sum(abs(b) for b in to_strict_cf(f)[1::2]))
         total = sum(per) + abs(g_acc) - 1
         if total % 2:
             raise UnclassifiableType(f"odd-type genus count {total} is not even")
@@ -388,9 +384,9 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     evens = [i for i, f in enumerate(m.tangles) if f.denominator % 2 == 0]
     if len(evens) != 1:
         raise UnclassifiableType(f"{len(evens)} even-denominator tangles")
-    m = m.rotated(evens[0])
+    k = evens[0]
     g_acc, fr = m.gamma, []
-    for i, f in enumerate(m.tangles):
+    for i, f in enumerate(m.tangles[k:] + m.tangles[:k]):
         if i > 0 and f.numerator % 2 == 1:
             step = 1 if f > 0 else -1
             f -= step
@@ -408,11 +404,12 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     if g_acc != 0:
         return GenusBreakdown((1 + sum(ms)) // 2, "even_gamma_nonzero", ms)
     r = len(cfs)
-    leads = [cf.entries[0] for cf in cfs]
     for s in (1, -1):
-        if r % 2 == 0 and all(leads[i] == 2 * s * (-1) ** i for i in range(r)):
-            runs = [cf.leading_run(2 * s * (-1) ** i) for i, cf in enumerate(cfs)]
-            p = min(runs)
+        leads = [2 * s * (-1) ** i for i in range(r)]
+        if r % 2 == 0 and all(cf[0] == c for cf, c in zip(cfs, leads)):
+            # p is the shortest initial run of entries equal to the lead
+            p = min(next((j for j, e in enumerate(cf) if e != c), len(cf))
+                    for cf, c in zip(cfs, leads))
             return GenusBreakdown((1 + sum(ms)) // 2 - (p + 1), "even_caseIII", ms, p)
     return GenusBreakdown((sum(ms) - 1) // 2, "even_caseII", ms)
 
@@ -481,7 +478,7 @@ class _Parser:
             self.lit("]")
             try:
                 return evaluate(entries)
-            except InvalidInput as exc:
+            except (InvalidInput, DivisionByZero) as exc:
                 raise ValidationError(str(exc)) from exc
         p = self.integer()
         self.lit("/")

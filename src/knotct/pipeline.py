@@ -627,7 +627,7 @@ def _suite_cf_identities(bound, checks):
             if p == 0 or 2 * abs(p) > q or Fraction(p, q).denominator != q:
                 continue
             x = Fraction(p, q)
-            if to_strict_cf(x).value() != x:
+            if evaluate(to_strict_cf(x)) != x:
                 ok, ce = False, str(x)
                 break
     _check(checks, "strict CF round trip, half-range, odd denominators <= 200", ok, ce)
@@ -639,7 +639,7 @@ def _suite_cf_identities(bound, checks):
             x = Fraction(p, q)
             if (p % 2 == 1) == (q % 2 == 1):
                 continue  # even CF needs odd/even or even/odd split
-            if to_even_cf(x).value() != x:
+            if evaluate(to_even_cf(x)) != x:
                 ok, ce = False, str(x)
                 break
     _check(checks, "even CF round trip, denominators <= 200", ok, ce)

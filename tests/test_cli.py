@@ -71,6 +71,21 @@ def test_validation_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("M(1/0)", "zero denominator"),
+        # bracket continued fractions with no value
+        ("M([0])", "zero denominator while evaluating entry 1"),
+        ("M([1,1])", "zero denominator while evaluating entry 1"),
+        ("M([2,1,1])", "zero denominator while evaluating entry 2"),
+    ],
+)
+def test_spec_without_value_exit_code(capsys, spec, message):
+    code, _, err = run(capsys, "obstruct", spec)
+    assert code == 2 and message in err
+
+
 def _cli(argv, **env):
     src = os.path.dirname(list(knotct.__path__)[0])
     env = dict(os.environ, PYTHONPATH=src, **env)

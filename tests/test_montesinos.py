@@ -17,6 +17,7 @@ from knotct.montesinos import (
     genus,
     parse_spec,
 )
+from knotct.oracle import conway_polynomial, seifert_pipeline
 
 
 def test_normalization_truncates_and_shifts():
@@ -149,7 +150,7 @@ def test_parse_spec_forms():
 
 
 def test_parse_spec_rejects_garbage():
-    for bad in ("", "Q(1,2)", "P(1,", "FAM:nope(a=1)", "M(1/0)"):
+    for bad in ("", "Q(1,2)", "P(1,", "FAM:nope(a=1)", "M(1/0)", "M([0])", "M([1,1])"):
         with pytest.raises((ParseError, ValidationError, InvalidInput)):
             parse_spec(bad)
 
@@ -167,6 +168,19 @@ def test_genus_breakdown_fields():
     assert g.genus >= 1
     assert isinstance(g.type, str) and g.type
     assert len(g.per_tangle) == len(m.tangles)
+
+
+def test_even_case_three_reads_the_shortest_leading_run():
+    # even forms (2, 2, -4) and (-2, -2, -2, -2) have leading runs 2 and 4,
+    # so p = 2 is less than every form's length; every bound-3 family spec
+    # has p equal to its shortest form's length, which cannot tell the two
+    m = MontesinosSpec([Fraction(9, 14), Fraction(-4, 5)])
+    b = genus(m)
+    assert (b.genus, b.type, b.per_tangle, b.p) == (1, "even_caseIII", (3, 4), 2)
+    # a two-tangle Montesinos knot is two-bridge, so its genus is half the
+    # Conway degree: 1 + 3z^2
+    conway = conway_polynomial(seifert_pipeline(m.diagram()))
+    assert conway.degree_span() == (0, 2 * b.genus)
 
 
 def test_diagram_matches_spec():

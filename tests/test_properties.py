@@ -51,8 +51,8 @@ def test_strict_cf_round_trip(q, p):
     f = Fraction(p, q)
     if f.denominator % 2 == 0 or 2 * f.numerator >= f.denominator:
         return
-    assert to_strict_cf(f).value() == f
-    assert to_strict_cf(-f).value() == -f
+    assert evaluate(to_strict_cf(f)) == f
+    assert evaluate(to_strict_cf(-f)) == -f
 
 
 @given(st.integers(-199, 199), st.integers(2, 199))
@@ -61,7 +61,7 @@ def test_even_cf_round_trip(p, q):
     f = Fraction(p, q)
     if f == 0 or abs(f) >= 1 or (f.numerator % 2) == (f.denominator % 2):
         return
-    assert to_even_cf(f).value() == f
+    assert evaluate(to_even_cf(f)) == f
 
 
 @given(
