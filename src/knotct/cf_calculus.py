@@ -24,10 +24,10 @@ input; a failed check raises `InvalidInput`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidInput, PatternMismatch
+from .records import Record
 
 __all__ = [
     "ContinuedFraction",
@@ -53,9 +53,8 @@ def _evaluate_entries(entries):
     return Fraction(den, num)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    entries: tuple
+class ContinuedFraction(Record):
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(int(c) for c in entries)

@@ -2,21 +2,28 @@
 
 Subcommands: invariants, obstruct, enumerate, classify-genus2, verify,
 twists.  Exit codes: 0 success, 1 computation error, 2 parse/validation
-error, 3 verification failure.
+error or an output pipe closed by its reader, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .errors import InvalidInput, KnotctError, ParseError, ValidationError
+from .errors import BudgetExceeded, InvalidInput, KnotctError, ParseError, ValidationError
 from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
-from .montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, genus, parse_spec
+from .montesinos import (
+    FAMILY_NAMES,
+    FamilySpec,
+    _to_montesinos,
+    enumerate_family,
+    genus,
+    is_alternating_knot,
+    parse_spec,
+)
 from .oracle import (
     a2_w3_from_jones,
     alternating_genus,
@@ -24,14 +31,10 @@ from .oracle import (
     oracle_signature,
     seifert_pipeline,
 )
-from .pipeline import (
-    _to_montesinos,
-    classify_genus2,
-    is_alternating_knot,
-    obstruct,
-    twist_gate,
-    verify_suite,
-)
+
+# The obstruction chain (`pipeline`), the sweeps and suites (`sweeps`), `csv`
+# and `contextlib` are imported inside the subcommands that use them, so a
+# single-spec query loads only the code it runs.
 
 
 class VerificationFailure(KnotctError):
@@ -42,9 +45,13 @@ def invariant_report(spec, method="all") -> InvariantReport:
     """Compute an InvariantReport by the requested route(s).
 
     "all" computes every applicable route, insists they agree, and merges;
-    disagreement is an error, never silently resolved.
+    disagreement is an error, never silently resolved.  Under "all" a
+    closed form that raises is left out.  A skein or Jones route over its
+    crossing budget is left out too; when no route is left to give a2, the
+    first budget error is raised, so a route requested alone still fails.
     """
     routes = {}
+    budget_error = None
     if method in ("closed", "all"):
         if isinstance(spec, FamilySpec):
             try:
@@ -58,22 +65,30 @@ def invariant_report(spec, method="all") -> InvariantReport:
                 "--method closed needs a family spec (P, DT, F1L, F1R or FAM:), not M(...)")
     d = spec.diagram()
     if method in ("skein", "all"):
-        routes["skein"] = (skein_a2(d), skein_w3(d))
+        try:
+            routes["skein"] = (skein_a2(d), skein_w3(d))
+        except BudgetExceeded as exc:
+            budget_error = exc
     if method in ("oracle", "all"):
-        routes["oracle"] = a2_w3_from_jones(jones_via_kauffman(d))
+        try:
+            routes["oracle"] = a2_w3_from_jones(jones_via_kauffman(d))
+        except BudgetExceeded as exc:
+            budget_error = budget_error or exc
     a2s = {v[0] for v in routes.values() if v[0] is not None}
     w3s = {v[1] for v in routes.values() if v[1] is not None}
+    if not a2s and budget_error is not None:
+        raise budget_error
     if len(a2s) > 1 or len(w3s) > 1:
         raise InvalidInput(f"route disagreement: {routes}")
     a2 = a2s.pop() if a2s else None
     w3 = w3s.pop() if w3s else None
+    # each value is credited to the first route, in this order, that gave it
     tags = {"closed": "closed_form", "skein": "skein_engine", "oracle": "oracle"}
-    src = next(k for k in ("closed", "skein", "oracle") if k in routes)
     meth = {}
     if a2 is not None:
-        meth["a2"] = tags[src]
+        meth["a2"] = tags[next(k for k in tags if k in routes)]
     if w3 is not None:
-        meth["w3"] = tags[src] if routes[src][1] is not None else "skein_engine"
+        meth["w3"] = tags[next(k for k in tags if k in routes and routes[k][1] is not None)]
     sigma = tau = g = None
     if method in ("oracle", "all"):
         sd = seifert_pipeline(d)
@@ -116,6 +131,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_obstruct(args):
+    from .pipeline import obstruct
+
     spec = parse_spec(args.spec)
     v = obstruct(spec)
     if args.json:
@@ -149,6 +166,10 @@ def _cmd_enumerate(args):
         raise ValidationError(f"unknown family {args.family!r}; choose from {FAMILY_NAMES}")
     specs = list(enumerate_family(args.family, args.bound))
     if args.csv:
+        import csv
+
+        from .pipeline import obstruct
+
         w = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS)
         w.writeheader()
         for f in specs:
@@ -160,6 +181,12 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
+    import contextlib
+    import csv
+
+    from .pipeline import obstruct
+    from .sweeps import classify_genus2
+
     # open the CSV before the sweep, so a bad path fails at once
     try:
         fh = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext()
@@ -190,6 +217,8 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
+    from .sweeps import verify_suite
+
     rep = verify_suite(args.suite, args.bound)
     for c in rep["checks"]:
         status = "ok  " if c["passed"] else "FAIL"
@@ -203,6 +232,8 @@ def _cmd_verify(args):
 
 
 def _cmd_twists(args):
+    from .pipeline import twist_gate
+
     spec = parse_spec(args.spec)
     g = twist_gate(spec)
     print(f"{spec}: {g.twists} twist regions; gate {'fires' if g.fires else 'does not fire'}")
@@ -250,6 +281,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull so the
+        # interpreter's final flush stays quiet, and exit as for any fault
+        # of the environment
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

@@ -27,12 +27,12 @@ the backbone of the test suite.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .budget import crossing_budget
 from .diagram import PlanarDiagram
 from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula
+from .records import Record
 
 __all__ = [
     "InvariantReport",
@@ -54,8 +54,7 @@ DEFAULT_SKEIN_BUDGET = 24
 # report
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
     `method` maps field names to one of {"closed_form", "skein_engine",
@@ -64,16 +63,17 @@ class InvariantReport:
     `sigma`, `tau`, `genus` are filled by callers that compute them.
     """
 
-    a2: int | None = None
-    w3: Fraction | None = None
-    sigma: int | None = None
-    tau: Fraction | None = None
-    genus: int | None = None
-    method: dict = field(default_factory=dict)
+    __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
 
-    def __post_init__(self):
-        if self.w3 is not None and 4 % self.w3.denominator != 0:
-            raise InvalidInput(f"w3 denominator {self.w3.denominator} does not divide 4")
+    def __init__(self, a2=None, w3=None, sigma=None, tau=None, genus=None, method=None):
+        if w3 is not None and 4 % w3.denominator != 0:
+            raise InvalidInput(f"w3 denominator {w3.denominator} does not divide 4")
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "w3", w3)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "method", {} if method is None else method)
 
     def to_dict(self):
         def frac(x):

@@ -17,7 +17,6 @@ continued-fraction normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf_calculus import evaluate, to_even_cf, to_strict_cf
@@ -34,6 +33,7 @@ from .errors import (
     UnclassifiableType,
     ValidationError,
 )
+from .records import Record
 
 __all__ = [
     "MontesinosSpec",
@@ -41,6 +41,7 @@ __all__ = [
     "GenusBreakdown",
     "parse_spec",
     "family_to_montesinos",
+    "is_alternating_knot",
     "genus",
     "enumerate_family",
     "FAMILY_NAMES",
@@ -51,8 +52,7 @@ __all__ = [
 # specs
 
 
-@dataclass(frozen=True)
-class MontesinosSpec:
+class MontesinosSpec(Record):
     """Normalized tangle fractions plus the closing half-twist count.
 
     Construction normalizes each input fraction into (-1, 1) by truncating
@@ -63,8 +63,7 @@ class MontesinosSpec:
     even denominators give a link (Burde-Zieschang, *Knots*, ch. 12).
     """
 
-    tangles: tuple
-    gamma: int
+    __slots__ = ("tangles", "gamma")
 
     def __init__(self, tangles, gamma=0):
         g = int(gamma)
@@ -138,18 +137,14 @@ _MIRROR_FAMILIES = {"o3", "o3p", "o4", "o4p", "e2", "e3"}
 _ZERO_OK = {"fig1_left", "fig1_right"}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A knot named by family and integer parameters.
 
     `sign_variant` selects the +/- branch of the families whose bracket form
     carries one (o1', o3, o3', o4, o4'); `mirror` requests the mirror image.
     """
 
-    family: str
-    params: tuple  # sorted (name, value) pairs
-    sign_variant: int | None = None
-    mirror: bool = False
+    __slots__ = ("family", "params", "sign_variant", "mirror")
 
     def __init__(self, family, params, sign_variant=None, mirror=False):
         if family == "pretzel":
@@ -180,6 +175,7 @@ class FamilySpec:
         elif sign_variant is not None:
             raise ValidationError(f"{family} takes no sign_variant")
         object.__setattr__(self, "family", family)
+        # (name, value) pairs in the family's parameter order
         object.__setattr__(self, "params", tuple((k, params[k]) for k in names))
         object.__setattr__(self, "sign_variant", sign_variant)
         object.__setattr__(self, "mirror", bool(mirror))
@@ -301,6 +297,34 @@ def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
     return MontesinosSpec(fracs, g)
 
 
+def _to_montesinos(spec):
+    """Normalized Montesinos form, or None when the spec is the unknot
+    (every tangle fraction an integer)."""
+    if isinstance(spec, MontesinosSpec):
+        return spec
+    try:
+        return family_to_montesinos(spec)
+    except InvalidInput:
+        return None
+
+
+def is_alternating_knot(m: MontesinosSpec) -> bool:
+    """Whether the Montesinos knot (not just this presentation) is
+    alternating.
+
+    Length <= 2 means two-bridge, always alternating.  Otherwise the reduced
+    Montesinos presentations of the knot are exactly the shifts of this one
+    (each fraction replaced by its other in-range representative, moving the
+    unit into gamma), so the knot is alternating iff all fractions can be
+    given one sign with gamma zero or sign-matched.
+    """
+    if m.r <= 2:
+        return True
+    pos = sum(1 for f in m.tangles if f > 0)
+    neg = m.r - pos
+    return m.gamma + pos <= 0 or m.gamma - neg >= 0
+
+
 def enumerate_family(family, bound):
     """All FamilySpecs of one genus-2 family with parameters in [-bound, bound].
 
@@ -340,12 +364,18 @@ def enumerate_family(family, bound):
 # genus
 
 
-@dataclass(frozen=True)
-class GenusBreakdown:
-    genus: int
-    type: str  # odd | even_gamma_nonzero | even_caseII | even_caseIII
-    per_tangle: tuple  # b^(i) (odd type) or m_i (even type)
-    p: int | None = None
+class GenusBreakdown(Record):
+    """A genus with the data it was read from: `type` is odd,
+    even_gamma_nonzero, even_caseII or even_caseIII; `per_tangle` holds
+    b^(i) (odd type) or m_i (even type); `p` is case III's leading run."""
+
+    __slots__ = ("genus", "type", "per_tangle", "p")
+
+    def __init__(self, genus, type, per_tangle, p=None):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "per_tangle", per_tangle)
+        object.__setattr__(self, "p", p)
 
 
 def _half_range(f, gamma):

@@ -28,7 +28,6 @@ over the walks of the outer disc it is attached to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import crossing_budget
@@ -43,6 +42,7 @@ from .errors import (
     NotReduced,
 )
 from .exactmath import LaurentPoly, laurent_derivative_at_one, signature_of_sym
+from .records import Record
 
 __all__ = [
     "SeifertData",
@@ -257,11 +257,13 @@ def a2_w3_from_jones(v: LaurentPoly):
 # Seifert pipeline
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    surface_genus: int
-    seifert_matrix: tuple  # of row tuples
-    circles: int
+class SeifertData(Record):
+    __slots__ = ("surface_genus", "seifert_matrix", "circles")
+
+    def __init__(self, surface_genus, seifert_matrix, circles):
+        object.__setattr__(self, "surface_genus", surface_genus)
+        object.__setattr__(self, "seifert_matrix", seifert_matrix)  # of row tuples
+        object.__setattr__(self, "circles", circles)
 
 
 class _Surface:

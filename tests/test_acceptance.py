@@ -21,13 +21,8 @@ from knotct.oracle import (
     seifert_pipeline,
 )
 from knotct.exactmath import LaurentPoly
-from knotct.pipeline import (
-    classify_genus2,
-    montesinos_length,
-    o2_alternating_a2_w3,
-    twist_gate,
-    verify_suite,
-)
+from knotct.pipeline import montesinos_length, twist_gate
+from knotct.sweeps import classify_genus2, o2_alternating_a2_w3, verify_suite
 
 
 def _report(name, ok):

@@ -10,9 +10,9 @@ import sys
 import pytest
 
 import knotct
-from knotct import pipeline
+from knotct import pipeline, sweeps
 from knotct.cli import main
-from knotct.errors import BudgetExceeded
+from knotct.errors import BudgetExceeded, NonIntegralA2
 
 
 def run(capsys, *argv):
@@ -121,7 +121,7 @@ def test_sweep_failure_names_the_spec(monkeypatch, capsys):
 
     monkeypatch.setattr(pipeline, "obstruct", failing)
     with pytest.raises(BudgetExceeded) as info:
-        pipeline.classify_genus2(1, "fig1")
+        sweeps.classify_genus2(1, "fig1")
     assert info.value.__notes__ == ["obstruction stage: w3", "spec: F1R(0,0,0,0,0,1)"]
     code, out, err = run(capsys, "classify-genus2", "--scope", "fig1", "--bound", "1")
     assert code == 1 and out == ""
@@ -212,8 +212,103 @@ def test_classify_csv_path_is_opened_before_the_sweep(tmp_path, capsys, monkeypa
     def sweep(*args):
         raise AssertionError("the sweep ran before the CSV path was checked")
 
-    monkeypatch.setattr("knotct.cli.classify_genus2", sweep)
+    monkeypatch.setattr("knotct.sweeps.classify_genus2", sweep)
     target = tmp_path / "missing-dir" / "out.csv"
     code, _, err = run(capsys, "classify-genus2", "--scope", "fig1", "--bound", "1",
                        "--csv", str(target))
     assert code == 2 and "cannot write" in err
+
+
+@pytest.mark.parametrize("spec, a2, w3", [
+    ("F1R(1,1,2,2,1,1)", -9, "-19"),  # 25 crossings: over the skein budget
+    ("F1R(2,2,0,1,2,2)", -14, "-47/2"),  # 27 crossings: over the Jones budget too
+])
+def test_invariants_all_leaves_out_routes_past_their_budget(capsys, spec, a2, w3):
+    code, out, _ = run(capsys, "invariants", spec, "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["a2"], d["w3"], d["genus"]) == (a2, w3, 2)
+    assert d["method"]["a2"] == d["method"]["w3"] == "closed_form"
+
+
+@pytest.mark.parametrize("spec, method, message", [
+    ("F1R(1,1,2,2,1,1)", "skein", "25 crossings exceeds the skein budget 24"),
+    ("F1R(2,2,0,1,2,2)", "oracle", "27 crossings exceeds Jones budget 26"),
+])
+def test_invariants_named_route_past_its_budget_fails(capsys, spec, method, message):
+    code, _, err = run(capsys, "invariants", spec, "--method", method)
+    assert code == 1 and message in err
+
+
+def test_invariants_all_without_a2_raises_the_first_budget_error(capsys, monkeypatch):
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
+    code, _, err = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)")  # no closed form
+    assert code == 1
+    assert err.splitlines() == ["error: 15 crossings exceeds the skein budget 5"]
+
+
+def test_invariants_credits_w3_to_the_route_that_gave_it(capsys, monkeypatch):
+    # the e3 closed form gives a2 only, so w3 comes from the next route
+    code, out, _ = run(capsys, "invariants", "FAM:e3(a=1)", "--json")
+    assert code == 0 and json.loads(out)["method"]["w3"] == "skein_engine"
+
+    def over_budget(d):
+        raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget 0")
+
+    monkeypatch.setattr("knotct.cli.skein_a2", over_budget)
+    code, out, _ = run(capsys, "invariants", "FAM:e3(a=1)", "--json")
+    d = json.loads(out)
+    assert code == 0 and (d["a2"], d["w3"]) == (2, "0")
+    assert d["method"]["a2"] == "closed_form" and d["method"]["w3"] == "oracle"
+
+
+@pytest.mark.parametrize("route", ["knotct.cli.skein_a2", "knotct.cli.a2_w3_from_jones"])
+def test_invariants_all_leaves_out_only_budget_errors(capsys, monkeypatch, route):
+    def broken(arg):
+        raise NonIntegralA2("-V''(1)/6 = 1/2 is not an integer")
+
+    monkeypatch.setattr(route, broken)
+    code, _, err = run(capsys, "invariants", "P(3,5,7)")
+    assert code == 1 and "is not an integer" in err
+
+
+def test_closed_output_pipe_exits_2_without_a_traceback():
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.Popen([sys.executable, "-m", "knotct.cli", "enumerate", "--family", "o1",
+                          "--bound", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert p.stdout.readline().startswith("FAM:o1(")
+    p.stdout.close()  # the listing is far larger than the pipe buffer
+    err = p.stderr.read()
+    assert p.wait(timeout=120) == 2
+    assert "Traceback" not in err
+
+
+_COLD_START = """
+import sys
+bare = set(sys.modules)
+import json
+import knotct.cli
+added = {"import": set(sys.modules) - bare}
+knotct.cli.main(["invariants", SPEC, "--json"])
+added["invariants"] = set(sys.modules) - bare
+knotct.cli.main(["obstruct", SPEC, "--json"])
+added["obstruct"] = set(sys.modules) - bare
+print(json.dumps({k: sorted(v) for k, v in added.items()}))
+"""
+
+
+def test_single_spec_queries_load_only_what_they_run():
+    # measured against the modules a bare interpreter already holds, so
+    # whatever a site .pth file imports does not count
+    spec = "FAM:o1(a=1,b=1,c=1,d=1,e=1)"
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-c", _COLD_START.replace("SPEC", repr(spec))],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert p.returncode == 0, p.stderr
+    added = {k: set(v) for k, v in json.loads(p.stdout.splitlines()[-1]).items()}
+    assert "knotct.cli" in added["import"]
+    assert not added["import"] & {"dataclasses", "inspect", "csv", "knotct.sweeps"}
+    assert not added["invariants"] & {"knotct.pipeline", "knotct.sweeps"}
+    assert "knotct.pipeline" in added["obstruct"]
+    assert "knotct.sweeps" not in added["obstruct"]

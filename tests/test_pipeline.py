@@ -6,15 +6,13 @@ from knotct.errors import KnotctError
 from knotct.montesinos import FamilySpec, parse_spec
 from knotct.pipeline import (
     FIRED_RULES,
-    SIGNATURE_CASES,
     alternating_build,
-    classify_genus2,
     is_alternating_knot,
     montesinos_length,
     obstruct,
     twist_gate,
-    verify_suite,
 )
+from knotct.sweeps import SIGNATURE_CASES, classify_genus2, verify_suite
 
 
 def test_unknot_obstruction():
