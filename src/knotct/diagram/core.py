@@ -239,28 +239,82 @@ class PlanarDiagram:
         turns through.
         """
         if self._faces is None:
-            reaches = {}  # dart -> the (crossing, slot) it reaches
-            for a, head in self._heads.items():
-                reaches[(a, 1)] = head
-                reaches[(a, -1)] = self._tails[a]
+            heads, tails = self._heads, self._tails
+            rows, over = self.crossings, self.over_entry
             faces, face_of_dart = [], {}
-            face_of_corner = [[None] * 4 for _ in self.crossings]
-            for dart in sorted(reaches):
-                if dart in face_of_dart:
-                    continue
-                fi = len(faces)
-                orbit = []
-                while dart not in face_of_dart:
-                    orbit.append(dart)
-                    face_of_dart[dart] = fi
-                    ci, s = reaches[dart]
-                    face_of_corner[ci][s] = fi
-                    s = (s + 1) % 4
-                    b = self.crossings[ci][s]
-                    dart = (b, -1) if self._heads[b] == (ci, s) else (b, 1)
-                faces.append(tuple(orbit))
+            face_of_corner = [[None] * 4 for _ in rows]
+            for a in sorted(heads):
+                for dart in ((a, -1), (a, 1)):
+                    if dart in face_of_dart:
+                        continue
+                    fi = len(faces)
+                    orbit = []
+                    while dart not in face_of_dart:
+                        orbit.append(dart)
+                        face_of_dart[dart] = fi
+                        b, di = dart
+                        ci, s = heads[b] if di == 1 else tails[b]
+                        face_of_corner[ci][s] = fi
+                        s = (s + 1) % 4
+                        # leave along the arc at slot s, against its direction if it ends there
+                        dart = (rows[ci][s], -1 if s == 0 or s == over[ci] else 1)
+                    faces.append(tuple(orbit))
             self._faces = faces, face_of_dart, face_of_corner
         return self._faces
+
+    def twist_regions(self):
+        """Twist regions of a knot diagram, each as one chain of crossings.
+
+        Two crossings belong to one region when they are the two corners of
+        a bigon face (not a kink's); regions are the transitive closure of
+        that relation, and an isolated crossing is a region of its own.  No
+        crossing of a knot diagram has bigons at two adjacent corners: they
+        would send the two opposite arcs of one strand to a single other
+        crossing, where they close up into a component of their own.  So a
+        region is a path or a cycle of crossings, and it is returned as one
+        chain; a cycle, such as a (2,k) torus diagram, is cut open at its
+        least crossing.  A chain lists (crossing, left corner) pairs: each
+        crossing meets the one before it in the bigon at its left corner,
+        and the one after it in the bigon at the opposite corner.  It is a
+        4-ended tangle whose ends are the slots of its first crossing's left
+        corner and of its last crossing's right corner (left + 2); a lone
+        crossing's left corner is 0.  Chains are listed by least crossing.
+        """
+        heads, tails = self._heads, self._tails
+        link = [None] * (4 * self.n)  # 4 * crossing + corner -> (crossing, corner) across a bigon
+        for face in self.face_table()[0]:
+            if len(face) != 2 or face[0][0] == face[1][0]:
+                continue  # not a bigon, or a kink's degenerate one
+            (a, da), (b, db) = face  # each dart turns through the corner it reaches
+            x = heads[a] if da == 1 else tails[a]
+            y = heads[b] if db == 1 else tails[b]
+            link[4 * x[0] + x[1]] = y
+            link[4 * y[0] + y[1]] = x
+        placed = [False] * self.n
+
+        def walk(ci, s):
+            """(crossing, corner) pairs along the bigons from corner s of ci,
+            each crossing entered at that corner and left by the opposite one."""
+            out = []
+            while (x := link[4 * ci + s]) and not placed[x[0]]:
+                ci, t = x
+                placed[ci] = True
+                out.append(x)
+                s = (t + 2) % 4
+            return out
+
+        chains = []
+        for c0 in range(self.n):
+            if placed[c0]:
+                continue
+            placed[c0] = True
+            ahead = [x and not placed[x[0]] for x in link[4 * c0:4 * c0 + 4]]
+            right = ahead.index(True) if True in ahead else 2
+            rightwards = walk(c0, right)
+            leftwards = walk(c0, (right + 2) % 4)
+            chains.append((*((ci, (t + 2) % 4) for ci, t in reversed(leftwards)),
+                           (c0, (right + 2) % 4), *rightwards))
+        return tuple(chains)
 
     # -- crossing surgery -----------------------------------------------------
 

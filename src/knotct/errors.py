@@ -36,8 +36,9 @@ class ValidationError(KnotctError):
     """A structurally well-formed spec violates a family constraint."""
 
 
-class NotAKnot(KnotctError):
-    """Diagram has more than one component."""
+class NotAKnot(ValidationError):
+    """A spec or diagram has more than one component.  A link spec is well
+    formed but breaks the knot constraint, so the CLI exits 2 on it."""
 
 
 class UnclassifiableType(KnotctError):

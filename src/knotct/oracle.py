@@ -3,17 +3,14 @@
 Two independent pipelines:
 
 * Kauffman-bracket state sum -> Jones polynomial V(t), from which a2 and w3
-  follow by exact derivative evaluation at t = 1.  Crossings are contracted
-  one at a time into a frontier of open arcs (Bar-Natan's tangle-by-tangle
-  contraction, restricted to the bracket).  A state is the tuple of partner
-  indices pairing the frontier arcs; its value is a map of plain ints keyed
-  by (A-exponent, closed loops), and the bracket is assembled once at the
-  end by Horner in the loop value.
+  follow by exact derivative evaluation at t = 1; it lives in
+  `knotct.kauffman`, and this module re-exports its public names.
 * Seifert's algorithm on the diagram itself -> Seifert matrix V of the
   disc-and-band surface -> Conway polynomial, signature, and (on reduced
   alternating diagrams) the genus.  The Conway polynomial comes from
   p(u) = det(uV - V^T), evaluated at u = 0..dim V by integer Bareiss
-  determinants and interpolated exactly.
+  determinants and interpolated exactly in integers over one factorial
+  denominator; z = s - 1/s powers come from a signed Pascal table.
 
 The Seifert matrix is computed combinatorially.  Discs are stacked by the
 nesting depth of their Seifert circles; homology cycles are fundamental
@@ -30,18 +27,16 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .budget import crossing_budget
 from .diagram.core import _DSU, PlanarDiagram
 from .errors import (
-    BudgetExceeded,
     GenusMismatch,
     InconsistentDiagram,
-    NonIntegralA2,
     NotAKnot,
     NotAlternating,
     NotReduced,
 )
-from .exactmath import LaurentPoly, laurent_derivative_at_one, signature_of_sym
+from .exactmath import LaurentPoly, signature_of_sym
+from .kauffman import DEFAULT_JONES_BUDGET, a2_w3_from_jones, jones_via_kauffman
 from .records import Record
 
 __all__ = [
@@ -55,8 +50,6 @@ __all__ = [
     "DEFAULT_JONES_BUDGET",
 ]
 
-DEFAULT_JONES_BUDGET = 26
-
 # Handedness constants of the Seifert-surface model, pinned by the anchor
 # diagrams (trefoil and figure-eight Conway polynomials and signatures),
 # like the twist-box constants in diagram.construct.
@@ -64,193 +57,9 @@ SEIFERT_TWIST_SIGN = -1  # sign of the in-band crossing of two cores, per crossi
 LEFT_DART = 1  # face traversal direction whose face lies left of the arc
 
 # stages named by the internal consistency checks (InconsistentDiagram.stage)
-_KAUFFMAN = "oracle: Kauffman bracket"
 _SURFACE = "oracle: Seifert surface"
 _MATRIX = "oracle: Seifert matrix"
 _CONWAY = "oracle: Conway polynomial"
-
-
-# ---------------------------------------------------------------------------
-# Kauffman bracket / Jones
-
-# the two smoothings of a crossing: the slot each slot is joined to, and the
-# A-exponent of the smoothing
-_SMOOTHINGS = (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1))
-
-
-def _crossing_order(n, other):
-    """Greedy processing order: crossing 0 first, then always the crossing
-    with the most slots whose arc ends at a processed crossing or at itself
-    (ties to the least index).  `other[ci][s]` is the far end of slot s."""
-    done_ends = [sum(1 for c2, _ in other[ci] if c2 == ci) for ci in range(n)]
-    order = []
-    remaining = list(range(n))
-    best = 0
-    while True:
-        order.append(best)
-        remaining.remove(best)
-        for c2, _ in other[best]:
-            if c2 != best:
-                done_ends[c2] += 1
-        if not remaining:
-            return order
-        best = max(remaining, key=lambda ci: (done_ends[ci], -ci))
-
-
-def _trace(outside, join):
-    """(loops, frontier pairs) of one smoothing of a crossing.
-
-    `outside[s]` is where slot s leads away from the crossing: a new frontier
-    index (>= 0), or another slot t encoded as -1 - t; `join[s]` is the slot
-    the smoothing joins s to.
-    """
-    seen = [False] * 4
-    pairs = []
-    for s in range(4):
-        if seen[s] or outside[s] < 0:
-            continue
-        t = join[s]
-        seen[s] = seen[t] = True
-        while outside[t] < 0:
-            u = -1 - outside[t]
-            t = join[u]
-            seen[u] = seen[t] = True
-        pairs.append((outside[s], outside[t]))
-    loops = 0
-    for s in range(4):
-        if seen[s]:
-            continue
-        loops += 1
-        t = s
-        while not seen[t]:
-            u = join[t]
-            seen[t] = seen[u] = True
-            t = -1 - outside[u]
-    return loops, pairs
-
-
-def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
-    """Jones polynomial V(t) of a knot diagram via the Kauffman bracket.
-
-    The bracket is summed crossing by crossing.  The frontier is the ordered
-    list of open arcs (one end at a processed crossing); a state is the tuple
-    of partner indices into that list, i.e. the planar pairing of the open
-    arcs by the smoothed strands behind them.  Each crossing gets one plan:
-    which slots close a frontier arc, which form a kink and which open a new
-    arc, with the old-to-new index remap.  A state's value maps the packed
-    key loops * width + A-exponent to a plain int; the bracket is assembled
-    once at the end, by Horner in the loop value delta = -A^2 - A^-2.
-    """
-    if d.component_count() != 1:
-        raise NotAKnot(f"{d.component_count()} components")
-    budget = crossing_budget(DEFAULT_JONES_BUDGET)
-    n = d.n
-    if n > budget:
-        raise BudgetExceeded(f"{n} crossings exceeds Jones budget {budget}")
-    if n == 0:
-        return LaurentPoly.one()
-
-    pos = d.positions()
-    other = [[None] * 4 for _ in range(n)]
-    for o1, o2 in pos.values():
-        other[o1[0]][o1[1]] = o2
-        other[o2[0]][o2[1]] = o1
-
-    width = 2 * n + 1  # |A-exponent| <= n, so loops * width + exponent packs both
-    frontier = []  # open arcs
-    done = [False] * n
-    states = {(): {0: 1}}
-    for ci in _crossing_order(n, other):
-        row = d.crossings[ci]
-        index = {a: i for i, a in enumerate(frontier)}
-        remap = [None] * len(frontier)  # kept: new index; closed by slot t: -1 - t
-        template = [0] * 4  # outside[s] for kink and opening slots
-        closing, opening = [], []  # (slot, old index) and slots
-        for s, (c2, s2) in enumerate(other[ci]):
-            if c2 == ci:
-                template[s] = -1 - s2
-            elif done[c2]:
-                i = index[row[s]]
-                closing.append((s, i))
-                remap[i] = -1 - s
-            else:
-                opening.append(s)
-        kept = [i for i, r in enumerate(remap) if r is None]
-        for k, i in enumerate(kept):
-            remap[i] = k
-        for k, s in enumerate(opening):
-            template[s] = len(kept) + k
-        frontier = [frontier[i] for i in kept] + [row[s] for s in opening]
-        fresh = [0] * len(opening)
-        done[ci] = True
-
-        new_states = {}
-        for state, val in states.items():
-            outside = list(template)
-            for s, i in closing:
-                outside[s] = remap[state[i]]
-            nxt = [remap[state[i]] for i in kept] + fresh
-            # both smoothings pair up the same frontier indices, so each
-            # overwrites every entry the other one wrote
-            for join, a_exp in _SMOOTHINGS:
-                loops, pairs = _trace(outside, join)
-                shift = loops * width + a_exp
-                for x, y in pairs:
-                    nxt[x] = y
-                    nxt[y] = x
-                nkey = tuple(nxt)
-                target = new_states.get(nkey)
-                if target is None:
-                    new_states[nkey] = {k + shift: c for k, c in val.items()}
-                else:
-                    for k, c in val.items():
-                        k += shift
-                        target[k] = target.get(k, 0) + c
-        states = new_states
-
-    by_loops = {}
-    for state, val in states.items():
-        if state:
-            raise InconsistentDiagram(
-                f"{len(state) // 2} open frontier pairs after the last crossing", _KAUFFMAN)
-        for k, c in val.items():
-            loops, e = divmod(k + n, width)
-            e -= n
-            if loops < 1:
-                raise InconsistentDiagram("a state closed no loop", _KAUFFMAN)
-            p = by_loops.setdefault(loops, {})
-            p[e] = p.get(e, 0) + c
-    # bracket = sum over loops l of P_l * delta^(l - 1)
-    acc = {}
-    for loops in range(max(by_loops), 0, -1):
-        nxt = dict(by_loops.get(loops, ()))
-        for e, c in acc.items():
-            nxt[e + 2] = nxt.get(e + 2, 0) - c
-            nxt[e - 2] = nxt.get(e - 2, 0) - c
-        acc = nxt
-    bracket = LaurentPoly(acc)
-    w = d.writhe()
-    f = bracket.shift(-3 * w)
-    if w % 2:
-        f = -f
-    # substitute A = t^(-1/4)
-    coeffs = {}
-    for e, c in f.coeffs.items():
-        if e % 4:
-            raise InconsistentDiagram(f"bracket exponent {e} not divisible by 4", _KAUFFMAN)
-        coeffs[-e // 4] = coeffs.get(-e // 4, 0) + c
-    return LaurentPoly(coeffs)
-
-
-def a2_w3_from_jones(v: LaurentPoly):
-    """(a2, w3) from V''(1) = -6 a2 and w3 = V'''(1)/72 + V''(1)/24."""
-    d2 = laurent_derivative_at_one(v, 2)
-    d3 = laurent_derivative_at_one(v, 3)
-    a2 = Fraction(-d2, 6)
-    if a2.denominator != 1:
-        raise NonIntegralA2(f"-V''(1)/6 = {a2} is not an integer")
-    w3 = Fraction(d3, 72) + Fraction(d2, 24)
-    return int(a2), w3
 
 
 # ---------------------------------------------------------------------------
@@ -566,24 +375,35 @@ def _bareiss_det(rows) -> int:
 def _interpolate(values) -> list:
     """Integer coefficients, lowest first, of the polynomial of degree below
     len(values) through the points (u, values[u]), u = 0, 1, ...  A
-    non-integral coefficient raises InconsistentDiagram."""
+    non-integral coefficient raises InconsistentDiagram.
+
+    Newton form p(u) = sum_k D^k p(0) * u(u-1)...(u-k+1) / k!, summed in
+    integers over the common denominator (len(values) - 1)!.
+    """
     n = len(values)
-    # Newton form p(u) = sum_k D^k p(0) * u(u-1)...(u-k+1) / k!
-    coeffs = [Fraction(0)] * n
+    denom = 1
+    for k in range(2, n):
+        denom *= k
+    acc = [0] * n
     falling = [1]  # coefficients of u(u-1)...(u-k+1)
-    row, fact = list(values), 1
+    row, scale = list(values), denom  # scale = denom / k!
     for k in range(n):
         if k:
-            fact *= k
+            scale //= k
             falling = [(falling[i - 1] if i else 0) - (k - 1) * (falling[i] if i < k else 0)
                        for i in range(k + 1)]
+        lead = row[0] * scale
         for i, c in enumerate(falling):
-            coeffs[i] += Fraction(row[0] * c, fact)
+            acc[i] += lead * c
         row = [b - a for a, b in zip(row, row[1:])]
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise InconsistentDiagram(f"interpolated coefficient {c} of u^{i}", _CONWAY)
-    return [int(c) for c in coeffs]
+    coeffs = []
+    for i, c in enumerate(acc):
+        q, r = divmod(c, denom)
+        if r:
+            raise InconsistentDiagram(
+                f"interpolated coefficient {Fraction(c, denom)} of u^{i}", _CONWAY)
+        coeffs.append(q)
+    return coeffs
 
 
 def conway_polynomial(sd: SeifertData) -> LaurentPoly:
@@ -591,7 +411,9 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
 
     p(u) = det(uV - V^T) has degree at most m = dim V; it is evaluated at
     u = 0..m by integer Bareiss determinants and interpolated exactly, and
-    det(sV - s^-1 V^T) = s^-m p(s^2).
+    det(sV - s^-1 V^T) = s^-m p(s^2).  The powers of z are peeled off from
+    the top, z^e = sum_j (-1)^j C(e, j) s^(e - 2j) read from a signed Pascal
+    table.
     """
     v = sd.seifert_matrix
     n = len(v)
@@ -599,16 +421,22 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
         return LaurentPoly.one()
     values = [_bareiss_det([[u * v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
               for u in range(n + 1)]
-    det = LaurentPoly({2 * k - n: c for k, c in enumerate(_interpolate(values))})
-    z = LaurentPoly({1: 1, -1: -1})
+    det = _interpolate(values)  # det[k]: coefficient of s^(2k - n)
+    z_powers = [[1]]  # z^e, coefficients of s^e, s^(e-2), ..., s^-e
+    for _ in range(n):
+        z = z_powers[-1]
+        z_powers.append([a - b for a, b in zip(z + [0], [0] + z)])
     out = {}
-    while det:
-        e = max(det.coeffs)
-        c = det.coeffs[e]
+    for k in range(n, -1, -1):
+        c = det[k]
+        if not c:
+            continue
+        e = 2 * k - n
         if e < 0:
             raise InconsistentDiagram(f"negative power z^{e} in det(sV - V^T/s)", _CONWAY)
         out[e] = c
-        det = det - c * z ** e
+        for j, b in enumerate(z_powers[e]):
+            det[k - j] -= c * b
     nabla = LaurentPoly(out)
     if nabla.coefficient(0) != 1:  # knots: det(V - V^T) = 1
         raise InconsistentDiagram(

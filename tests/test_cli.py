@@ -101,6 +101,21 @@ def test_bad_crossing_budget_exit_code(budget):
     assert "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["obstruct", "P(2,2,1)"], "2 even-denominator tangles force extra components"),
+        (["invariants", "P(2,2)"], "2 components"),
+        (["obstruct", "M(1/2,1/2,1/3)"], "2 even-denominator tangles force extra components"),
+    ],
+)
+def test_link_spec_exits_2(argv, message):
+    p = _cli(argv)
+    assert p.returncode == 2
+    assert p.stderr.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in p.stderr
+
+
 def test_computation_error_prints_stage_note():
     # a2 = 0 falls through to w3, which has no route past the skein budget
     p = _cli(["obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)"], KNOTCT_CROSSING_BUDGET="3")

@@ -429,6 +429,41 @@ def test_twist_number_of_templates():
         twist_number(PlanarDiagram(crossings, over, provenance=None))
 
 
+def bigon_region_count(d):
+    """Reference: crossings joined through the two corners of every bigon
+    face that is not a kink's, counted as connected components."""
+    faces, _, face_of_corner = d.face_table()
+    parent = list(range(d.n))
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    corner_of = {}
+    for ci, row in enumerate(face_of_corner):
+        for fi in row:
+            if len(faces[fi]) == 2 and faces[fi][0][0] != faces[fi][1][0]:
+                parent[root(ci)] = root(corner_of.setdefault(fi, ci))
+    return len({root(c) for c in range(d.n)})
+
+
+def test_twist_regions_are_bigon_chains():
+    diagrams = template_knots() + [
+        f.diagram() for family in FAMILY_NAMES
+        for f in itertools.islice(enumerate_family(family, 2), 0, None, 17)]
+    assert len(diagrams) > 100
+    for d in diagrams:
+        chains = d.twist_regions()
+        assert len(chains) == twist_number(d) == bigon_region_count(d)
+        assert sorted(ci for chain in chains for ci, _ in chain) == list(range(d.n))
+        for chain in chains:
+            for (ci, left), (cj, entry) in zip(chain, chain[1:]):
+                # the bigon at ci's right corner is the one at cj's left corner
+                assert d.crossings[ci][(left + 3) % 4] == d.crossings[cj][entry]
+                assert d.crossings[ci][(left + 2) % 4] == d.crossings[cj][(entry + 1) % 4]
+
+
 def test_montesinos_template_alternating():
     from fractions import Fraction
 

@@ -1,6 +1,7 @@
 """Diagram-level oracles: Jones via Kauffman bracket, Seifert pipeline."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from knotct.errors import (
     NotReduced,
 )
 from knotct.exactmath import LaurentPoly
-from knotct.montesinos import FAMILY_NAMES, enumerate_family, parse_spec
+from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
 from knotct.oracle import (
     SeifertData,
     _interpolate,
@@ -174,10 +175,11 @@ def test_oracle_check_survives_optimized_mode():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the frozenset-pairing state sum the Kauffman route used before
-# its frontier states became integer-coded, kept as it was except that it
-# has no crossing budget and its checks raise AssertionError, so the new
-# route can be compared with it bit for bit.
+# Reference: a state sum that contracts one crossing at a time into
+# frozenset pairings of the frontier and keeps Laurent polynomials, with no
+# crossing budget and checks that raise AssertionError.  The Kauffman route,
+# which contracts whole twist regions into packed integer state counts, must
+# match it bit for bit.
 
 DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
@@ -199,8 +201,8 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 
 def reference_jones(d):
-    """The frozenset-pairing state sum the Kauffman route used before its
-    frontier states became integer-coded (no crossing budget)."""
+    """Jones polynomial by the crossing-at-a-time frozenset-pairing state
+    sum (no crossing budget)."""
     assert d.component_count() == 1
     if d.n == 0:
         return LaurentPoly.one()
@@ -344,7 +346,51 @@ def zero_family():
             for a in range(6)]
 
 
-@pytest.mark.parametrize("diagrams", [template_knots, zero_family, braid_knots])
+def torus_knots():
+    """(2,k) torus closures for odd k: one twist region closed into a bigon
+    cycle, which the chain contraction must split into an open chain."""
+    return [closed_braid([sign] * k, 2) for k in (1, 3, 5, 7, 9) for sign in (1, -1)]
+
+
+def mixed_bigon_knots():
+    """Closed braids with bigons between crossings of opposite sign (R2
+    pairs), inside one twist region or next to others."""
+    words = ([1, -1, 1, 1, 1], [1, 1, -1, -1, 1], [-1, 1, -1, -1, -1, 1, -1],
+             [1, -1, 2, -2, 1, 2], [1, -1, 1, 2, -2, 2], [1, -1, 2, -2, 1, 2, -3, 3, 3],
+             [1, -1, 1, 2, -2, 2, 3, -3, 3], [1, -1, -1, 2, 1, -2, 2, -1, 2, 2, 3])
+    return [closed_braid(w, max(map(abs, w)) + 1) for w in words]
+
+
+def unsimplified_template_knots():
+    """Template builds that keep their kinks or R2 pairs."""
+    return [parse_spec(text).diagram() for text in (
+        "F1R(-2,-1,-1,-2,-2,-2)", "F1R(-2,-1,-1,-2,-2,1)", "P(-2,-1,1)", "P(-1,-1,1)",
+        "P(1,-1,3)", "P(-1,1,1)", "P(1,1,-1,-1,1)")]
+
+
+def ac1_sample():
+    """150 knot diagrams of at most 22 crossings, drawn with a fixed seed
+    from the formulas suite's families at bound 2."""
+    specs = [f for family in ("o1", "o2", "o3", "o4", "o5", "e1", "e2", "e3")
+             for f in enumerate_family(family, 2)]
+    specs += [FamilySpec(family, dict(zip("abcdef", vals)))
+              for family in ("fig1_left", "fig1_right")
+              for vals in itertools.product(range(-2, 3), repeat=6)]
+    out = []
+    for f in random.Random(20261018).sample(specs, len(specs)):
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() == 1 and d.n <= 22:
+            out.append(d)
+            if len(out) == 150:
+                return out
+
+
+@pytest.mark.parametrize("diagrams", [template_knots, zero_family, braid_knots, torus_knots,
+                                      mixed_bigon_knots, unsimplified_template_knots,
+                                      ac1_sample])
 def test_state_sum_matches_reference(diagrams, monkeypatch):
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "44")
     for d in diagrams():
