@@ -134,10 +134,6 @@ class Builder:
         self.solder(t["NW"], t["NE"])
         self.solder(t["SW"], t["SE"])
 
-    def denominator_close(self, t):
-        self.solder(t["NW"], t["SW"])
-        self.solder(t["NE"], t["SE"])
-
     # -- emission -------------------------------------------------------------
 
     def emit(self):

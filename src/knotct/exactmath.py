@@ -133,7 +133,7 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-def laurent_derivative_at_one(p: LaurentPoly, order: int) -> Fraction:
+def laurent_derivative_at_one(p: LaurentPoly, order: int) -> int:
     """order-th formal derivative of p, evaluated at 1, exactly.
 
     Each term c*x^e contributes c * e(e-1)...(e-order+1).
@@ -146,7 +146,7 @@ def laurent_derivative_at_one(p: LaurentPoly, order: int) -> Fraction:
         for k in range(order):
             f *= e - k
         total += c * f
-    return Fraction(total)
+    return total
 
 
 def signature_of_sym(rows) -> int:

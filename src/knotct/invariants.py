@@ -40,7 +40,6 @@ __all__ = [
     "w3_dt",
     "a2_pretzel",
     "w3_pretzel",
-    "w3_twist_formula",
     "closed_form",
     "skein_a2",
     "skein_w3",
@@ -121,16 +120,6 @@ def w3_pretzel(x, y, z):
         + 2,
         4,
     )
-
-
-def w3_twist_formula(w3_0, a2_0, lk, n):
-    """w3 after n full twists on two parallel strands of linking number lk.
-
-    w3(K_n) = w3(K_0) + (n/2) a2(K_0) + (n/4) lk (lk - n).  Valid when both
-    components of the two-strand link being twisted are unknots; the caller
-    guarantees that hypothesis.
-    """
-    return Fraction(w3_0) + Fraction(n * a2_0, 2) + Fraction(n * lk * (lk - n), 4)
 
 
 def _closed_a2_w3(f):

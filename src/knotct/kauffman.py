@@ -288,8 +288,7 @@ def a2_w3_from_jones(v: LaurentPoly):
     """(a2, w3) from V''(1) = -6 a2 and w3 = V'''(1)/72 + V''(1)/24."""
     d2 = laurent_derivative_at_one(v, 2)
     d3 = laurent_derivative_at_one(v, 3)
-    a2 = Fraction(-d2, 6)
-    if a2.denominator != 1:
-        raise NonIntegralA2(f"-V''(1)/6 = {a2} is not an integer")
-    w3 = Fraction(d3, 72) + Fraction(d2, 24)
-    return int(a2), w3
+    a2, rest = divmod(-d2, 6)
+    if rest:
+        raise NonIntegralA2(f"-V''(1)/6 = {Fraction(-d2, 6)} is not an integer")
+    return a2, Fraction(d3 + 3 * d2, 72)

@@ -17,11 +17,15 @@ continued-fraction normal forms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product
 
 from .cf_calculus import evaluate, to_even_cf, to_strict_cf
 from .diagram import (
     double_twist_diagram,
+    fig1_left_diagram,
+    fig1_right_diagram,
     montesinos_diagram,
     pretzel_diagram,
 )
@@ -92,9 +96,6 @@ class MontesinosSpec(Record):
     def diagram(self):
         return montesinos_diagram(self.tangles, self.gamma)
 
-    def mirror(self):
-        return MontesinosSpec([-f for f in self.tangles], -self.gamma)
-
     def __str__(self):
         body = ",".join(f"{f.numerator}/{f.denominator}" for f in self.tangles)
         return f"M({body}|{self.gamma})" if self.gamma else f"M({body})"
@@ -135,6 +136,10 @@ _MIRROR_FAMILIES = {"o3", "o3p", "o4", "o4p", "e2", "e3"}
 # families where zero parameter values are meaningful (twist counts, not
 # continued-fraction entries)
 _ZERO_OK = {"fig1_left", "fig1_right"}
+# the positional spec forms, head -> (family, arity or None for any, scale);
+# a form lists its family's parameters times the scale, in order
+_SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
+                "F1L": ("fig1_left", 6, 1), "F1R": ("fig1_right", 6, 1)}
 
 
 class FamilySpec(Record):
@@ -179,12 +184,6 @@ class FamilySpec(Record):
         object.__setattr__(self, "params", tuple((k, params[k]) for k in names))
         object.__setattr__(self, "sign_variant", sign_variant)
         object.__setattr__(self, "mirror", bool(mirror))
-
-    def param(self, name):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
 
     def param_values(self):
         return tuple(v for _, v in self.params)
@@ -256,26 +255,19 @@ class FamilySpec(Record):
     def diagram(self):
         if self.family == "pretzel":
             d = pretzel_diagram(self.param_values())
-            return d.mirror() if self.mirror else d
-        if self.family == "double_twist":
-            d = double_twist_diagram(2 * self.param("x"), 2 * self.param("y"))
-            return d.mirror() if self.mirror else d
-        if self.family in ("fig1_left", "fig1_right"):
-            from .diagram import fig1_left_diagram, fig1_right_diagram
-
+        elif self.family == "double_twist":
+            d = double_twist_diagram(*(2 * v for v in self.param_values()))
+        elif self.family in ("fig1_left", "fig1_right"):
             make = fig1_left_diagram if self.family == "fig1_left" else fig1_right_diagram
             d = make(*self.param_values())
-            return d.mirror() if self.mirror else d
-        return family_to_montesinos(self).diagram()
+        else:
+            return family_to_montesinos(self).diagram()
+        return d.mirror() if self.mirror else d
 
     def __str__(self):
-        if self.family == "pretzel":
-            return "P(" + ",".join(str(v) for v in self.param_values()) + ")"
-        if self.family == "double_twist":
-            return f"DT({2 * self.param('x')},{2 * self.param('y')})"
-        if self.family in ("fig1_left", "fig1_right"):
-            tag = "F1L" if self.family == "fig1_left" else "F1R"
-            return tag + "(" + ",".join(str(v) for v in self.param_values()) + ")"
+        for head, (family, _, scale) in _SHORT_FORMS.items():
+            if family == self.family and not self.mirror:
+                return f"{head}(" + ",".join(str(scale * v) for _, v in self.params) + ")"
         kv = [f"{k}={v}" for k, v in self.params]
         if self.sign_variant is not None:
             kv.append(f"sign={self.sign_variant}")
@@ -289,7 +281,8 @@ def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
     if f.family == "pretzel":
         fracs, g = [Fraction(1, q) for q in f.param_values()], 0
     elif f.family == "double_twist":
-        fracs, g = [Fraction(2 * f.param("x")) - Fraction(1, 2 * f.param("y"))], 0
+        x, y = f.param_values()
+        fracs, g = [Fraction(2 * x) - Fraction(1, 2 * y)], 0
     else:
         fracs, g = f.fraction_form()
     if f.mirror:
@@ -342,22 +335,13 @@ def enumerate_family(family, bound):
     names = _PARAMS[family]
     signs = (1, -1) if family in _SIGN_FAMILIES else (None,)
     mirrors = (False, True) if family in _MIRROR_FAMILIES else (False,)
-
-    def rec(i, acc):
-        if i == len(names):
-            for s in signs:
-                for m in mirrors:
-                    try:
-                        yield FamilySpec(family, dict(acc), s, m)
-                    except ValidationError:
-                        pass
-            return
-        for v in range(-bound, bound + 1):
-            if v == 0:
-                continue
-            yield from rec(i + 1, acc + [(names[i], v)])
-
-    yield from rec(0, [])
+    values = [v for v in range(-bound, bound + 1) if v != 0]
+    for combo in product(values, repeat=len(names)):
+        for s, m in product(signs, mirrors):
+            try:
+                yield FamilySpec(family, dict(zip(names, combo)), s, m)
+            except ValidationError:
+                pass
 
 
 # =============================================================================
@@ -448,138 +432,113 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
 # spec grammar
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
+# a token also takes the whitespace after it, so every position the reader
+# passes on is at the start of the next token
+_SPACE = re.compile(r"\s*")
+_INT = re.compile(r"(-?[0-9]+)\s*")
+_NAME = re.compile(r"((?a:\w+))\s*")
 
-    def _skip(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
 
-    def peek(self):
-        self._skip()
-        return self.text[self.i] if self.i < len(self.text) else ""
+def _expect(text, i, s):
+    if not text.startswith(s, i):
+        raise ParseError(text, i, s)
+    return _SPACE.match(text, i + len(s)).end()
 
-    def lit(self, s):
-        self._skip()
-        if not self.text.startswith(s, self.i):
-            raise ParseError(self.text, self.i, s)
-        self.i += len(s)
 
-    def try_lit(self, s):
-        self._skip()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
+def _int(text, i):
+    m = _INT.match(text, i)
+    if m is None:
+        raise ParseError(text, i, "integer")
+    try:
+        return int(m[1]), m.end()
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ValidationError(f"integer at position {i} has too many digits") from exc
 
-    def integer(self):
-        self._skip()
-        j = self.i
-        if j < len(self.text) and self.text[j] == "-":
-            j += 1
-        k = j
-        while k < len(self.text) and self.text[k].isdigit():
-            k += 1
-        if k == j:
-            raise ParseError(self.text, self.i, "integer")
-        v = int(self.text[self.i : k])
-        self.i = k
-        return v
 
-    def word(self):
-        self._skip()
-        k = self.i
-        while k < len(self.text) and (self.text[k].isalnum() or self.text[k] == "_"):
-            k += 1
-        if k == self.i:
-            raise ParseError(self.text, self.i, "name")
-        w = self.text[self.i : k]
-        self.i = k
-        return w
+def _name(text, i):
+    m = _NAME.match(text, i)
+    if m is None:
+        raise ParseError(text, i, "name")
+    return m[1], m.end()
 
-    def frac(self):
-        if self.peek() == "[":
-            self.lit("[")
-            entries = [self.integer()]
-            while self.try_lit(","):
-                entries.append(self.integer())
-            self.lit("]")
-            try:
-                return evaluate(entries)
-            except (InvalidInput, DivisionByZero) as exc:
-                raise ValidationError(str(exc)) from exc
-        p = self.integer()
-        self.lit("/")
-        q = self.integer()
-        if q == 0:
-            raise ValidationError("zero denominator")
-        return Fraction(p, q)
 
-    def int_list(self, count=None):
-        out = [self.integer()]
-        while self.try_lit(","):
-            out.append(self.integer())
-        if count is not None and len(out) != count:
-            raise ValidationError(f"expected {count} integers, got {len(out)}")
-        return out
+def _fraction(text, i):
+    if text.startswith("[", i):
+        entries, i = _list(text, _expect(text, i, "["), _int)
+        i = _expect(text, i, "]")
+        try:
+            return evaluate(entries), i
+        except (InvalidInput, DivisionByZero) as exc:
+            raise ValidationError(str(exc)) from exc
+    p, i = _int(text, i)
+    q, i = _int(text, _expect(text, i, "/"))
+    if q == 0:
+        raise ValidationError("zero denominator")
+    return Fraction(p, q), i
 
-    def end(self):
-        self._skip()
-        if self.i != len(self.text):
-            raise ParseError(self.text, self.i, "end of input")
+
+def _list(text, i, read):
+    item, i = read(text, i)
+    items = [item]
+    while text.startswith(",", i):
+        item, i = read(text, _SPACE.match(text, i + 1).end())
+        items.append(item)
+    return items, i
+
+
+def _close(text, i):
+    i = _expect(text, i, ")")
+    if i != len(text):
+        raise ParseError(text, i, "end of input")
 
 
 def parse_spec(text: str):
-    """Parse a knot spec literal.
+    """Parse a knot spec.  Whitespace may separate tokens, not split a head:
 
-    `M(f1,...,fr|g)` with fractions `p/q` or bracket continued fractions
-    gives a MontesinosSpec; `P(q1,...,qn)`, `DT(m,n)`, `F1L(a,b,c,d,e,f)`,
-    `F1R(...)`, and `FAM:name(k=v,...)` give FamilySpecs.
+        spec = "M(" frac {"," frac} ["|" int] ")"
+             | ("P(" | "DT(" | "F1L(" | "F1R(") int {"," int} ")"
+             | "FAM:" name "(" name "=" int {"," name "=" int} ")"
+        frac = int "/" int | "[" int {"," int} "]"
+        int  = ["-"] ASCII digits;  name = ASCII letters, digits and "_"
+
+    `M` gives a MontesinosSpec (a bracket is a subtractive continued
+    fraction, `|g` adds g half twists), the rest FamilySpecs.  `P` needs two
+    or more integers, `DT` two even ones, `F1L`/`F1R` six; a `FAM:` key may
+    not repeat, and `sign`/`mirror` set the sign variant and mirror image.
+    `str` of a spec parses back to it; a mirrored short form prints as `FAM:`.
     """
-    p = _Parser(text)
-    if p.try_lit("M("):
-        fracs = [p.frac()]
-        while p.try_lit(","):
-            fracs.append(p.frac())
-        gamma = p.integer() if p.try_lit("|") else 0
-        p.lit(")")
-        p.end()
-        return MontesinosSpec(fracs, gamma)
-    if p.try_lit("P("):
-        qs = p.int_list()
-        p.lit(")")
-        p.end()
-        if len(qs) < 2:
-            raise ValidationError("pretzel needs at least two strand counts")
-        return FamilySpec("pretzel", {f"q{i + 1}": q for i, q in enumerate(qs)})
-    if p.try_lit("DT("):
-        x, y = p.int_list(2)
-        p.lit(")")
-        p.end()
-        if x % 2 or y % 2:
-            raise ValidationError("double-twist counts must be even")
-        return FamilySpec("double_twist", {"x": x // 2, "y": y // 2})
-    for tag, fam in (("F1L(", "fig1_left"), ("F1R(", "fig1_right")):
-        if p.try_lit(tag):
-            vals = p.int_list(6)
-            p.lit(")")
-            p.end()
-            return FamilySpec(fam, dict(zip("abcdef", vals)))
-    if p.try_lit("FAM:"):
-        name = p.word()
-        p.lit("(")
+    m = _NAME.match(text, _SPACE.match(text).end())
+    head, i = (m[1], m.end(1)) if m else (None, 0)
+    if head == "FAM" and text.startswith(":", i):
+        family, i = _name(text, _SPACE.match(text, i + 1).end())
+        i = _expect(text, i, "(")
         kv = {}
         while True:
-            k = p.word()
-            p.lit("=")
-            kv[k] = p.integer()
-            if not p.try_lit(","):
+            key, i = _name(text, i)
+            value, i = _int(text, _expect(text, i, "="))
+            if key in kv:
+                raise ValidationError(f"{family}: parameter {key} is given twice")
+            kv[key] = value
+            if not text.startswith(",", i):
                 break
-        p.lit(")")
-        p.end()
+            i = _SPACE.match(text, i + 1).end()
+        _close(text, i)
         sign = kv.pop("sign", None)
-        mirror = bool(kv.pop("mirror", 0))
-        return FamilySpec(name, kv, sign, mirror)
-    raise ParseError(text, 0, "M(, P(, DT(, F1L(, F1R(, or FAM:")
+        return FamilySpec(family, kv, sign, bool(kv.pop("mirror", 0)))
+    if not text.startswith("(", i) or (head != "M" and head not in _SHORT_FORMS):
+        raise ParseError(text, 0, "M(, P(, DT(, F1L(, F1R(, or FAM:")
+    i = _SPACE.match(text, i + 1).end()
+    if head == "M":
+        fracs, i = _list(text, i, _fraction)
+        gamma, i = _int(text, _expect(text, i, "|")) if text.startswith("|", i) else (0, i)
+        _close(text, i)
+        return MontesinosSpec(fracs, gamma)
+    family, arity, scale = _SHORT_FORMS[head]
+    values, i = _list(text, i, _int)
+    if arity is not None and len(values) != arity:
+        raise ValidationError(f"expected {arity} integers, got {len(values)}")
+    _close(text, i)
+    if any(v % scale for v in values):  # DT, the one form with scale 2
+        raise ValidationError("double-twist counts must be even")
+    names = _PARAMS.get(family) or [f"q{k}" for k in range(1, len(values) + 1)]
+    return FamilySpec(family, {k: v // scale for k, v in zip(names, values)})

@@ -116,6 +116,20 @@ def test_link_spec_exits_2(argv, message):
     assert "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("P(\u00b2,3,5)", "parse error at position 2: expected 'integer'"),
+        ("FAM:o1(a=1,a=2,b=1,c=1,d=1,e=1)", "o1: parameter a is given twice"),
+    ],
+)
+def test_malformed_spec_exits_2(spec, message):
+    p = _cli(["invariants", spec])
+    assert p.returncode == 2
+    assert message in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_computation_error_prints_stage_note():
     # a2 = 0 falls through to w3, which has no route past the skein budget
     p = _cli(["obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)"], KNOTCT_CROSSING_BUDGET="3")

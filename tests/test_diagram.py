@@ -211,19 +211,24 @@ def test_malformed_pd_codes_are_rejected():
         assert str(info.value) == message
 
 
+def denominator_close(b, t):
+    b.solder(t["NW"], t["SW"])
+    b.solder(t["NE"], t["SE"])
+
+
 def closed_builds():
     """Small closures of trivial and twisted tangles, each with its crossing
     count, free loops and component count."""
     out = []
     for close, t, counts in (
-        ("numerator_close", lambda b: b.zero_tangle(), (0, 2, 2)),  # two circles
-        ("denominator_close", lambda b: b.zero_tangle(), (0, 1, 1)),
+        (Builder.numerator_close, lambda b: b.zero_tangle(), (0, 2, 2)),  # two circles
+        (denominator_close, lambda b: b.zero_tangle(), (0, 1, 1)),
         # a Hopf link with a circle apart
-        ("numerator_close", lambda b: b.stack(b.hbox(2), b.zero_tangle()), (2, 1, 3)),
-        ("denominator_close", lambda b: b.hjoin(b.hbox(2), b.zero_tangle()), (2, 0, 1)),
+        (Builder.numerator_close, lambda b: b.stack(b.hbox(2), b.zero_tangle()), (2, 1, 3)),
+        (denominator_close, lambda b: b.hjoin(b.hbox(2), b.zero_tangle()), (2, 0, 1)),
     ):
         b = Builder()
-        getattr(b, close)(t(b))
+        close(b, t(b))
         out.append((b.emit(), counts))
     return out
 

@@ -1,13 +1,18 @@
 """Montesinos normal forms, family specs, parsing, and genus formulas."""
 
 import hashlib
+import operator
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knotct.diagram import montesinos_diagram
-from knotct.errors import InvalidInput, NotAKnot, ParseError, ValidationError
+from knotct.errors import InvalidInput, KnotctError, NotAKnot, ParseError, ValidationError
 from knotct.montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -160,6 +165,140 @@ def test_spec_string_round_trip():
         f = parse_spec(text)
         again = parse_spec(str(f))
         assert str(again) == str(f)
+
+
+_SHORT_FAMILY_PARAMS = {"double_twist": "xy", "fig1_left": "abcdef", "fig1_right": "abcdef"}
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(
+        (None, "pretzel", *_SHORT_FAMILY_PARAMS, *FAMILY_NAMES)))
+    if family is None:
+        fracs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(2, 9)),
+                              min_size=1, max_size=5))
+        try:
+            return MontesinosSpec(fracs, draw(st.integers(-3, 3)))
+        except (InvalidInput, NotAKnot):
+            assume(False)
+    if family == "pretzel":
+        names = [f"q{k}" for k in range(1, draw(st.integers(2, 5)) + 1)]
+    elif family in _SHORT_FAMILY_PARAMS:
+        names = _SHORT_FAMILY_PARAMS[family]
+    else:
+        names = [k for k, _ in next(enumerate_family(family, 2)).params]
+    # genus-2 parameters avoid 0, +-1; the short forms take any count
+    value = (st.integers(-5, 5) if family in _SHORT_FAMILY_PARAMS or family == "pretzel"
+             else st.sampled_from((-5, -4, -3, -2, 2, 3, 4, 5)))
+    params = {k: draw(value) for k in names}
+    try:
+        return FamilySpec(family, params, draw(st.sampled_from((None, 1, -1))),
+                          draw(st.booleans()))
+    except ValidationError:
+        assume(False)
+
+
+@given(specs())
+@settings(max_examples=400, deadline=None)
+def test_spec_strings_parse_back_to_the_spec(spec):
+    assert parse_spec(str(spec)) == spec
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("P(3,5,7)", "FAM:pretzel(q1=3,q2=5,q3=7,mirror=1)"),
+    ("DT(2,-4)", "FAM:double_twist(x=1,y=-2,mirror=1)"),
+    ("F1L(1,0,2,0,1,1)", "FAM:fig1_left(a=1,b=0,c=2,d=0,e=1,f=1,mirror=1)"),
+    ("F1R(0,1,0,1,0,1)", "FAM:fig1_right(a=0,b=1,c=0,d=1,e=0,f=1,mirror=1)"),
+])
+def test_mirrored_short_forms_print_in_the_family_form(text, shown):
+    f = parse_spec(text)
+    mirrored = FamilySpec(f.family, f.params, f.sign_variant, mirror=True)
+    assert str(mirrored) == shown
+    assert parse_spec(shown) == mirrored != f
+
+
+@given(st.one_of(st.text(), st.builds(
+    operator.add, st.sampled_from(("M(", "P(", "DT(", "F1L(", "F1R(", "FAM:o1(")), st.text())))
+@settings(max_examples=2000, deadline=None)
+def test_parse_spec_raises_only_package_errors(text):
+    try:
+        parse_spec(text)
+    except KnotctError:
+        pass
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("FAM:o1(a=1,a=2,b=1,c=1,d=1,e=1)", ValidationError, "o1: parameter a is given twice"),
+    ("FAM:o3(a=2,b=1,c=1,sign=1,sign=-1)", ValidationError, "o3: parameter sign is given twice"),
+    ("P(\u00b2,3,5)", ParseError, "parse error at position 2: expected 'integer'"),
+    ("M(1/\u0663)", ParseError, "parse error at position 4: expected 'integer'"),
+    ("FAM:\u00e91(a=1)", ParseError, "parse error at position 4: expected 'name'"),
+])
+def test_parse_spec_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_spec(text)
+    assert type(info.value) is error and str(info.value).startswith(message)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_overlong_integer_is_a_validation_error():
+    text = "P(" + "1" * (sys.get_int_max_str_digits() + 1) + ",3)"
+    with pytest.raises(ValidationError, match="integer at position 2 has too many digits"):
+        parse_spec(text)
+
+
+_CORPUS_SEEDS = (
+    "P(3,5,-2)", "P( 3 , 5 ,7 )", "DT(2,-4)", "F1L(1,0,2,0,1,1)", "F1R(0,1,0,1,0,1)",
+    "M(1/2,1/3,-1/3|2)", " M( [2, -2] , 2/5 | -1 ) ", "M(-3/7,[4,2],1/5)",
+    "FAM:pretzel(q1=3,q2=5,q3=7,mirror=1)", "FAM:double_twist(x=1,y=-2)",
+    "FAM: o3 ( a = 2 , b = 1 , c = 1 , sign = -1 )", "FAM:fig1_left(a=1,b=0,c=2,d=0,e=1,f=1)",
+)
+# ASCII plus two non-ASCII spaces, so no mutant holds a non-ASCII digit or letter
+_CORPUS_ALPHABET = "0123456789" * 4 + "--,,/|()[]=: \t\u00a0\u2003MPDTFLRAabcdefqxysignmro_"
+_KEYS = re.compile(r"(\w+)\s*=")
+
+
+def spec_corpus(size=100_000, seed=1211):
+    """Every bound-2 family string, then `size` seeded mutants of those and
+    of `_CORPUS_SEEDS` (one or two character edits or a cut), leaving out
+    mutants that repeat a `key=`."""
+    family = [str(f) for name in FAMILY_NAMES for f in enumerate_family(name, 2)]
+    rng = random.Random(seed)
+    corpus = list(family)
+    while len(corpus) < len(family) + size:
+        s = list(rng.choice(_CORPUS_SEEDS if rng.randrange(2) else family))
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(s) + 1)
+            op = rng.randrange(6)  # insert, cut, delete, or (half the time) replace
+            if op == 0:
+                s.insert(k, rng.choice(_CORPUS_ALPHABET))
+            elif op == 1:
+                s = s[:k]
+            elif k < len(s):
+                if op == 2:
+                    del s[k]
+                else:
+                    s[k] = rng.choice(_CORPUS_ALPHABET)
+        text = "".join(s)
+        keys = _KEYS.findall(text)
+        if len(keys) == len(set(keys)):
+            corpus.append(text)
+    return corpus
+
+
+def test_parse_outcomes_over_a_mutated_corpus_are_pinned():
+    # the digest was recorded with the scanner-class parser that preceded the
+    # form table: every spec's repr, and every error's type, message and
+    # position, is unchanged
+    outcomes = []
+    for text in spec_corpus():
+        try:
+            outcomes.append(repr(parse_spec(text)))
+        except KnotctError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 102_994
+    assert digest == "30fb919cd5ed177407be6433be84568ce163c5d1c2e2ad92ba17aa340c404247"
 
 
 def test_genus_breakdown_fields():
