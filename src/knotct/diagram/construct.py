@@ -248,14 +248,14 @@ def rational_tangle(b: Builder, frac):
 # -- knot templates -----------------------------------------------------------
 
 
-def _finish(b: Builder, expect_knot=True):
+def _finish(b: Builder):
     d = b.emit()
-    if expect_knot and d.component_count() != 1:
+    if d.component_count() != 1:
         raise NotAKnot(f"{d.component_count()} components")
     return d
 
 
-def montesinos_diagram(fractions, gamma=0, expect_knot=True):
+def montesinos_diagram(fractions, gamma=0):
     """Cyclic chain of rational tangles, plus gamma extra half twists."""
     b = Builder()
     tangles = [rational_tangle(b, f) for f in fractions]
@@ -265,14 +265,14 @@ def montesinos_diagram(fractions, gamma=0, expect_knot=True):
         t, u = tangles[i], tangles[(i + 1) % len(tangles)]
         b.solder(t["NE"], u["NW"])
         b.solder(t["SE"], u["SW"])
-    return _finish(b, expect_knot)
+    return _finish(b)
 
 
-def pretzel_diagram(qs, expect_knot=True):
-    return montesinos_diagram([Fraction(1, q) for q in qs], 0, expect_knot)
+def pretzel_diagram(qs):
+    return montesinos_diagram([Fraction(1, q) for q in qs])
 
 
-def double_twist_diagram(m_h, m_v, expect_knot=True):
+def double_twist_diagram(m_h, m_v):
     """Closure of a vertical box of m_v half twists with m_h horizontal half
     twists added outside; DT(2x,2y) has m_h = 2x, m_v = 2y.  The vertical box
     is built with flipped handedness so that the tangle fraction becomes
@@ -286,10 +286,10 @@ def double_twist_diagram(m_h, m_v, expect_knot=True):
     for _ in range(abs(m_h)):
         b.htwist(t, m_h)
     b.numerator_close(t)
-    return _finish(b, expect_knot)
+    return _finish(b)
 
 
-def fig1_left_diagram(a, b, c, d, e, f, expect_knot=True):
+def fig1_left_diagram(a, b, c, d, e, f):
     """Six-twist-box knot family extending a 6-crossing genus-2 template.
 
     Non-negative parameters keep the diagram alternating with sigma = 0;
@@ -311,7 +311,7 @@ def fig1_left_diagram(a, b, c, d, e, f, expect_knot=True):
         box = bl.hbox(m) if axis == "h" else bl.vbox(m)
         t = bl.hjoin(t, box) if attach == "r" else bl.stack(t, box)
     bl.numerator_close(t)
-    return _finish(bl, expect_knot)
+    return _finish(bl)
 
 
 # octahedral wiring of the nine-crossing template: vertices 0-2 are the inner
@@ -326,7 +326,7 @@ for _k in range(3):
 _OCTA_LEADS = ("NE", "NW", "SW", "SE")  # counterclockwise around a box
 
 
-def fig1_right_diagram(a, b, c, d, e, f, expect_knot=True):
+def fig1_right_diagram(a, b, c, d, e, f):
     """Six-twist-box knot family extending a 9-crossing genus-2 template.
 
     The underlying 4-valent graph is the octahedron (not a tangle tree), so
@@ -348,4 +348,4 @@ def fig1_right_diagram(a, b, c, d, e, f, expect_knot=True):
             lb = tangles[nb][_OCTA_LEADS[(offsets[nb] + _OCTA_ROT[nb].index(i)) % 4]]
             bl.solder(la, lb)
             done.add((i, nb))
-    return _finish(bl, expect_knot)
+    return _finish(bl)

@@ -190,21 +190,6 @@ class PlanarDiagram:
 
     # -- state smoothings -----------------------------------------------------
 
-    def a_state_loops(self):
-        """o(D): loop count after the A-smoothing at every crossing.
-
-        The A-smoothing joins the arcs at slots (0,1) and (2,3); this depends
-        only on over/under, not on orientation.
-        """
-        arcs = self.arcs()
-        if not arcs:
-            return max(self.free_loops, 0) or 1
-        dsu = _DSU(arcs)
-        for c in self.crossings:
-            dsu.union(c[0], c[1])
-            dsu.union(c[2], c[3])
-        return len({dsu.find(a) for a in arcs}) + self.free_loops
-
     def seifert_circles(self):
         """Loop count of the orientation-preserving smoothing everywhere."""
         if not self.crossings:
@@ -494,10 +479,19 @@ class PlanarDiagram:
 
 
 def signature_alternating(d: PlanarDiagram) -> int:
-    """sigma = o(D) - y(D) - 1 on a reduced alternating diagram."""
+    """sigma = o(D) - y(D) - 1 on a reduced alternating diagram (Traczyk,
+    Fund. Math. 184, 2004).  The A-smoothing joins slots (0,1) and (2,3), and
+    every face of an alternating diagram has corners of one kind, so the
+    A-loops bound the faces at corners 0 and 2: o(D) counts them in the face
+    table the nugatory check has built, plus the free loops.
+    """
     if not d.is_alternating():
         raise NotAlternating("diagram is not alternating")
     bad = d.nugatory_crossings()
     if bad:
         raise NotReduced(f"nugatory crossings at {bad}")
-    return d.a_state_loops() - d.positive_count() - 1
+    if d.n:
+        loops = len({f for corners in d.face_table()[2] for f in corners[::2]}) + d.free_loops
+    else:  # no crossings, so no faces
+        loops = max(d.free_loops, 0) or 1
+    return loops - d.positive_count() - 1

@@ -1,9 +1,9 @@
-"""Exact arithmetic substrate: integer Laurent polynomials and signatures of
-integer symmetric matrices.
+"""Exact arithmetic substrate: integer Laurent polynomials.
 
-Everything here is exact — no floating point anywhere.  Rationals are
-`fractions.Fraction`; a Laurent polynomial is kept as a sparse map from
-integer exponent to integer coefficient.
+Everything here is exact — no floating point anywhere.  A Laurent polynomial
+is kept as a sparse map from integer exponent to integer coefficient, and is
+evaluated at rational points as `fractions.Fraction`.  Integer determinants,
+interpolation and signatures live with their one caller, `knotct.oracle`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from fractions import Fraction
 __all__ = [
     "LaurentPoly",
     "laurent_derivative_at_one",
-    "signature_of_sym",
 ]
 
 
@@ -147,54 +146,3 @@ def laurent_derivative_at_one(p: LaurentPoly, order: int) -> int:
             f *= e - k
         total += c * f
     return total
-
-
-def signature_of_sym(rows) -> int:
-    """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
-    given as a list of integer rows.
-
-    Exact congruence diagonalization over the rationals: pick a nonzero
-    diagonal pivot and clear its row/column; if the diagonal is all zero but
-    some a_ij != 0, the substitution e_i <- e_i + e_j makes the (i,i) entry
-    2*a_ij != 0 first.  Zero rows contribute nothing.
-    """
-    a = [[Fraction(v) for v in r] for r in rows]
-    n = len(a)
-    sig = 0
-    live = list(range(n))
-    while live:
-        # find a nonzero diagonal entry among live indices
-        piv = None
-        for i in live:
-            if a[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            off = None
-            for i in live:
-                for j in live:
-                    if i != j and a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                break  # all-zero block
-            i, j = off
-            # e_i <- e_i + e_j : row/col update keeps symmetry
-            for k in range(n):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(n):
-                a[k][i] = a[k][i] + a[k][j]
-            piv = i
-        d = a[piv][piv]
-        sig += 1 if d > 0 else -1
-        live.remove(piv)
-        for i in live:
-            if a[i][piv] != 0:
-                f = a[i][piv] / d
-                for k in range(n):
-                    a[i][k] = a[i][k] - f * a[piv][k]
-                for k in range(n):
-                    a[k][i] = a[k][i] - f * a[k][piv]
-    return sig

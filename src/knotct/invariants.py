@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .budget import crossing_budget
 from .diagram import PlanarDiagram
-from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula
+from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula, NotAKnot
 from .records import Record
 
 __all__ = [
@@ -505,7 +505,7 @@ def _w3(w):
 
 def _check_input(d):
     if d.component_count() != 1:
-        raise InvalidInput(f"skein engine needs a knot, got {d.component_count()} components")
+        raise NotAKnot(f"skein engine needs a knot, got {d.component_count()} components")
     budget = crossing_budget(DEFAULT_SKEIN_BUDGET)
     if d.n > budget:
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget {budget}")

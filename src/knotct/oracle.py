@@ -10,7 +10,9 @@ Two independent pipelines:
   alternating diagrams) the genus.  The Conway polynomial comes from
   p(u) = det(uV - V^T), evaluated at u = 0..dim V by integer Bareiss
   determinants and interpolated exactly in integers over one factorial
-  denominator; z = s - 1/s powers come from a signed Pascal table.
+  denominator; z = s - 1/s powers come from a signed Pascal table.  The same
+  kernel gives the characteristic polynomial of V + V^T, whose sign changes
+  count its positive eigenvalues (Descartes; all its roots are real).
 
 The Seifert matrix is computed combinatorially.  Discs are stacked by the
 nesting depth of their Seifert circles; homology cycles are fundamental
@@ -35,7 +37,7 @@ from .errors import (
     NotAlternating,
     NotReduced,
 )
-from .exactmath import LaurentPoly, signature_of_sym
+from .exactmath import LaurentPoly
 from .kauffman import DEFAULT_JONES_BUDGET, a2_w3_from_jones, jones_via_kauffman
 from .records import Record
 
@@ -343,10 +345,10 @@ def seifert_pipeline(d: PlanarDiagram) -> SeifertData:
 
 
 def oracle_signature(sd: SeifertData) -> int:
+    """Signature of V + V^T, for the Seifert matrix V."""
     v = sd.seifert_matrix
     n = len(v)
-    sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
-    return signature_of_sym(sym)
+    return _signature([[v[i][j] + v[j][i] for j in range(n)] for i in range(n)])
 
 
 def _bareiss_det(rows) -> int:
@@ -375,7 +377,9 @@ def _bareiss_det(rows) -> int:
 def _interpolate(values) -> list:
     """Integer coefficients, lowest first, of the polynomial of degree below
     len(values) through the points (u, values[u]), u = 0, 1, ...  A
-    non-integral coefficient raises InconsistentDiagram.
+    non-integral coefficient raises InconsistentDiagram at the Conway stage;
+    it cannot arise for a characteristic polynomial, which is monic with
+    integer coefficients.
 
     Newton form p(u) = sum_k D^k p(0) * u(u-1)...(u-k+1) / k!, summed in
     integers over the common denominator (len(values) - 1)!.
@@ -404,6 +408,24 @@ def _interpolate(values) -> list:
                 f"interpolated coefficient {Fraction(c, denom)} of u^{i}", _CONWAY)
         coeffs.append(q)
     return coeffs
+
+
+def _signature(rows) -> int:
+    """Signature (#positive - #negative eigenvalues) of a symmetric integer
+    matrix S, given as rows.  p(u) = det(uI - S), interpolated from Bareiss
+    determinants at u = 0..n as for Conway, has only real roots, so by
+    Descartes' rule the sign changes of its coefficients count the positive
+    eigenvalues exactly; the rank is n less the multiplicity of the root 0.
+    """
+    n = len(rows)
+    if n == 0:
+        return 0
+    p = _interpolate([_bareiss_det([[(u if i == j else 0) - rows[i][j] for j in range(n)]
+                                    for i in range(n)]) for u in range(n + 1)])
+    signs = [c > 0 for c in p if c]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    rank = n - next(k for k, c in enumerate(p) if c)
+    return 2 * positive - rank
 
 
 def conway_polynomial(sd: SeifertData) -> LaurentPoly:

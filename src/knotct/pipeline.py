@@ -141,8 +141,7 @@ def montesinos_length(spec) -> int:
 
 
 def _note(exc, note):
-    if hasattr(exc, "add_note"):
-        exc.add_note(note)
+    exc.add_note(note)
     return exc
 
 

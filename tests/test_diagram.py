@@ -23,6 +23,7 @@ from knotct.diagram import (
     fig1_right_diagram,
     montesinos_diagram,
     pretzel_diagram,
+    rational_tangle,
     signature_alternating,
     twist_number,
 )
@@ -236,7 +237,12 @@ def closed_builds():
 def test_emit_counts_free_loops_and_hands_over_its_components():
     for d, counts in closed_builds():
         assert (d.n, d.free_loops, d.component_count()) == counts
-    link = montesinos_diagram([Fraction(1, 2), Fraction(1, 2)], 0, expect_knot=False)
+    b = Builder()  # M(1/2, 1/2), a two-component link the templates refuse
+    t, u = rational_tangle(b, Fraction(1, 2)), rational_tangle(b, Fraction(1, 2))
+    for x, y in ((t, u), (u, t)):
+        b.solder(x["NE"], y["NW"])
+        b.solder(x["SE"], y["SW"])
+    link = b.emit()
     for d in [d for d, _ in closed_builds()] + template_knots() + [link]:
         walked = PlanarDiagram(d.crossings, d.over_entry, d.free_loops).components()
         assert d.components() == walked

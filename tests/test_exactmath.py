@@ -1,14 +1,16 @@
-"""Exact arithmetic layer: Laurent polynomials and symmetric integer matrices."""
+"""Exact arithmetic layer: Laurent polynomials and symmetric integer matrices.
 
+The signature of a symmetric integer matrix is computed beside the integer
+determinant kernel in `knotct.oracle`; its cases are kept here.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
 
-from knotct.exactmath import (
-    LaurentPoly,
-    laurent_derivative_at_one,
-    signature_of_sym,
-)
+from knotct.exactmath import LaurentPoly, laurent_derivative_at_one
+from knotct.oracle import _signature
 
 
 def test_term_and_coefficient():
@@ -62,7 +64,25 @@ def test_derivative_at_one():
         ([[2, 1], [1, 2]], 2),
         ([[2, 3], [3, 2]], 0),
         ([[1, 0, 0], [0, -1, 0], [0, 0, 5]], 1),
+        ([], 0),
     ],
 )
 def test_signature_of_sym(rows, sig):
-    assert signature_of_sym(rows) == sig
+    assert _signature(rows) == sig
+
+
+def test_signature_is_sylvester_inertia():
+    """S = P^T D P for unimodular integer P has the inertia of the diagonal D."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        diag = [rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(n)]
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n if n > 1 else 0):  # row additions keep det P = 1
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+        s = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        expected = sum(d > 0 for d in diag) - sum(d < 0 for d in diag)
+        assert _signature(s) == expected, (diag, p)

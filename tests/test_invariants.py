@@ -7,7 +7,7 @@ import pytest
 from test_diagram import template_knots, trefoil
 
 from knotct import invariants
-from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, ValidationError
+from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, NotAKnot, ValidationError
 from knotct.invariants import (
     InvariantReport,
     _cancelling,
@@ -113,8 +113,9 @@ def test_bad_budget_is_a_validation_error(monkeypatch, budget):
 
 def test_skein_rejects_links():
     d = parse_spec("P(1,1,1)").diagram().smooth(0)  # two components
-    with pytest.raises(Exception):
-        skein_a2(d)
+    for route in (skein_a2, skein_w3):
+        with pytest.raises(NotAKnot):
+            route(d)
 
 
 def test_invariant_report_validation():

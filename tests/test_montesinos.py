@@ -68,7 +68,11 @@ def _builder_says_knot(fracs, gamma):
         gamma += n
         if f != n:
             norm.append(f - n)
-    return montesinos_diagram(norm, gamma, expect_knot=False).component_count() == 1
+    try:
+        montesinos_diagram(norm, gamma)
+    except NotAKnot:
+        return False
+    return True
 
 
 def _spec_says_knot(fracs, gamma):

@@ -23,7 +23,13 @@ from knotct.errors import (
     NotReduced,
 )
 from knotct.exactmath import LaurentPoly
-from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
+from knotct.montesinos import (
+    FAMILY_NAMES,
+    FamilySpec,
+    enumerate_family,
+    family_to_montesinos,
+    parse_spec,
+)
 from knotct.oracle import (
     SeifertData,
     _interpolate,
@@ -34,6 +40,7 @@ from knotct.oracle import (
     oracle_signature,
     seifert_pipeline,
 )
+from knotct.pipeline import alternating_build
 
 
 def test_unknot_jones_is_one():
@@ -130,6 +137,30 @@ def test_seifert_basis_is_pinned():
             digest.update(repr((sd.surface_genus, sd.seifert_matrix, sd.circles)).encode())
     assert count == 2126
     assert digest.hexdigest() == SEIFERT_BASIS_SHA256
+
+
+# sha256 of (spec, kind, Seifert sigma, alternating sigma or None) over every
+# bound-2 genus-2 family build, its mirror and its alternating_build diagram,
+# recorded with the congruence-diagonalization signature and the union-find
+# A-state loop count that both routes replaced.
+SIGNATURES_SHA256 = "56b22124b1673fa96c710643b7d4f612ce187f3f024642b30ec96d405dcd6fa2"
+
+
+def test_signatures_are_pinned():
+    digest, count, alternating = hashlib.sha256(), 0, 0
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 2):
+            d = f.diagram()
+            alt = alternating_build(family_to_montesinos(f))
+            for kind, e in (("build", d), ("mirror", d.mirror()), ("alt", alt and alt.diagram())):
+                if e is None:
+                    continue
+                s_alt = signature_alternating(e) if e.is_alternating() and e.is_reduced() else None
+                count += 1
+                alternating += s_alt is not None
+                digest.update(repr((str(f), kind, (oracle_signature(seifert_pipeline(e)), s_alt))).encode())
+    assert (count, alternating) == (6828, 2376)
+    assert digest.hexdigest() == SIGNATURES_SHA256
 
 
 def test_jones_budget_enforced(monkeypatch):

@@ -1,7 +1,10 @@
-"""Package surface: every module's exports exist."""
+"""Package surface: every module's exports exist, and no module asserts."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,13 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_no_assert_statements():
+    """Internal checks raise typed errors, which survive `python -O`."""
+    found = []
+    for name in MODULES:
+        path = importlib.util.find_spec(name).origin
+        tree = ast.parse(Path(path).read_text(), path)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
