@@ -24,17 +24,11 @@ from .montesinos import (
     is_alternating_knot,
     parse_spec,
 )
-from .oracle import (
-    a2_w3_from_jones,
-    alternating_genus,
-    jones_via_kauffman,
-    oracle_signature,
-    seifert_pipeline,
-)
 
-# The obstruction chain (`pipeline`), the sweeps and suites (`sweeps`), `csv`
-# and `contextlib` are imported inside the subcommands that use them, so a
-# single-spec query loads only the code it runs.
+# The obstruction chain (`pipeline`), the sweeps and suites (`sweeps`), the
+# Jones and Seifert oracle, `csv` and `contextlib` are imported inside the
+# subcommands and branches that use them, so a single-spec query loads only
+# the code it runs.
 
 
 class VerificationFailure(KnotctError):
@@ -70,6 +64,8 @@ def invariant_report(spec, method="all") -> InvariantReport:
         except BudgetExceeded as exc:
             budget_error = exc
     if method in ("oracle", "all"):
+        from .oracle import a2_w3_from_jones, jones_via_kauffman
+
         try:
             routes["oracle"] = a2_w3_from_jones(jones_via_kauffman(d))
         except BudgetExceeded as exc:
@@ -91,6 +87,8 @@ def invariant_report(spec, method="all") -> InvariantReport:
         meth["w3"] = tags[next(k for k in tags if k in routes and routes[k][1] is not None)]
     sigma = tau = g = None
     if method in ("oracle", "all"):
+        from .oracle import alternating_genus, oracle_signature, seifert_pipeline
+
         sd = seifert_pipeline(d)
         sigma = oracle_signature(sd)
         meth["sigma"] = "oracle"

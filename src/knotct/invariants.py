@@ -21,7 +21,9 @@ primitive order-three invariant, quarter-integer valued):
   moves delete passages.
 
 The two routes must agree exactly wherever both apply; that cross-check is
-the backbone of the test suite.
+the backbone of the test suite.  `knotct.gauss` walks the Gauss word for
+both this engine and a third route, which reads a2 and w3 off the word by
+counting sub-diagrams, with no recursion.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
     `method` maps field names to one of {"closed_form", "skein_engine",
-    "oracle"}.  Any field may be None when no route produced it (the e2/e3
-    closed forms cover a2 only; a verdict that fires early stops computing);
-    `sigma`, `tau`, `genus` are filled by callers that compute them.
+    "gauss_diagram", "oracle"}.  Any field may be None when no route produced
+    it (the e2/e3 closed forms cover a2 only; a verdict that fires early stops
+    computing); `sigma`, `tau`, `genus` are filled by callers that compute
+    them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
@@ -323,8 +326,8 @@ def closed_form(f) -> InvariantReport:
 # =============================================================================
 # skein engine
 #
-# The recursion runs on signed Gauss words.  A knot's word lists the
-# passages met on a walk from a base point, each coded as
+# The recursion runs on signed Gauss words (`gauss._gauss_word`).  A knot's
+# word lists the passages met on a walk from a base point, each coded as
 # crossing*4 + over*2 + positive; crossing ids are arbitrary labels.  Every
 # move deletes passages and keeps the order of the rest, so a word keeps its
 # base point: along a branch of the recursion the descending prefix of the
@@ -337,16 +340,6 @@ _W3_MEMO = {}
 # above the ~21k entries each memo reaches over the formulas suite, so a
 # full sweep loses no hit; a memo that reaches the cap starts over
 _MEMO_CAP = 1 << 16
-
-
-def _gauss_word(d):
-    """Signed Gauss word of a knot diagram, walked from its least arc: each
-    arc leads into the passage at its head."""
-    word = []
-    for a in d.components()[0] if d.n else ():
-        ci, s = d.head_of(a)
-        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
-    return word
 
 
 def _first_nondescending(w):
@@ -503,21 +496,25 @@ def _w3(w):
     return _remember(_W3_MEMO, key, _w3(sw) + (delta if p & 1 else -delta))
 
 
-def _check_input(d):
+def _knot_word(d):
+    """The simplified signed Gauss word of a knot diagram within the skein
+    budget."""
+    # imported here, so a query that closed forms settle does not load it
+    from .gauss import _gauss_word
+
     if d.component_count() != 1:
         raise NotAKnot(f"skein engine needs a knot, got {d.component_count()} components")
     budget = crossing_budget(DEFAULT_SKEIN_BUDGET)
     if d.n > budget:
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget {budget}")
+    return _simplify(_gauss_word(d))
 
 
 def skein_a2(d: PlanarDiagram) -> int:
     """a2 of a knot diagram by crossing-change recursion."""
-    _check_input(d)
-    return _a2(_simplify(_gauss_word(d)))
+    return _a2(_knot_word(d))
 
 
 def skein_w3(d: PlanarDiagram) -> Fraction:
     """w3 of a knot diagram by crossing-change recursion."""
-    _check_input(d)
-    return _w3(_simplify(_gauss_word(d)))
+    return _w3(_knot_word(d))

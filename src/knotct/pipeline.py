@@ -18,15 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagram import signature_alternating, twist_number
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    KnotctError,
-    NoFormula,
-    NotAlternating,
-    NotReduced,
-)
-from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
+from .errors import InvalidInput, KnotctError, NoFormula, NotAlternating, NotReduced
+from .invariants import InvariantReport, closed_form
 from .montesinos import (
     FamilySpec,
     MontesinosSpec,
@@ -34,13 +27,11 @@ from .montesinos import (
     genus,
     is_alternating_knot,
 )
-from .oracle import (
-    alternating_genus,
-    conway_polynomial,
-    oracle_signature,
-    seifert_pipeline,
-)
 from .records import Record
+
+# The Seifert-surface oracle (and with it the Kauffman state sum) and the
+# Gauss diagram formulas are imported in the branches that call them, so a
+# spec that closed forms settle loads neither.
 
 __all__ = [
     "ObstructionVerdict",
@@ -174,6 +165,8 @@ def obstruct(spec) -> ObstructionVerdict:
         if is_fig1:
             d = diagram()
             if d.is_alternating() and d.is_reduced():
+                from .oracle import alternating_genus, seifert_pipeline
+
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
         else:
@@ -190,6 +183,8 @@ def obstruct(spec) -> ObstructionVerdict:
                     g = 0
                     method["genus"] = "closed_form"
                 else:
+                    from .oracle import alternating_genus, seifert_pipeline
+
                     g = alternating_genus(d, seifert_pipeline(d))
                     method["genus"] = "oracle"
     except KnotctError as exc:
@@ -197,35 +192,32 @@ def obstruct(spec) -> ObstructionVerdict:
     if g is not None and g != 2:
         return ObstructionVerdict("no_pcs", "genus_ne_2", report())
 
-    # -- a2 / w3
+    # -- a2 / w3: the family's closed form where it has one, else the Gauss
+    # diagram formulas, which need no crossing budget
     try:
-        rep = None
         if isinstance(spec, FamilySpec):
             try:
                 rep = closed_form(spec)
             except NoFormula:
-                rep = None
-        if rep is not None:
-            a2 = rep.a2
-            w3 = rep.w3
-            method.update(rep.method)
+                pass
+            else:
+                a2, w3 = rep.a2, rep.w3
+                method.update(rep.method)
         if a2 is None:
-            try:
-                a2 = skein_a2(diagram())
-                method["a2"] = "skein_engine"
-            except BudgetExceeded:
-                # past the crossing budget the polynomial Seifert/Conway
-                # route answers instead; the two routes stay separate
-                a2 = conway_polynomial(seifert_pipeline(diagram())).coefficient(2)
-                method["a2"] = "oracle"
+            from .gauss import gauss_a2
+
+            a2 = gauss_a2(diagram())
+            method["a2"] = "gauss_diagram"
     except KnotctError as exc:
         raise _note(exc, "obstruction stage: a2")
     if a2 != 0:
         return ObstructionVerdict("no_pcs", "a2_nonzero", report())
     try:
         if w3 is None:
-            w3 = skein_w3(diagram())
-            method["w3"] = "skein_engine"
+            from .gauss import gauss_w3
+
+            w3 = gauss_w3(diagram())
+            method["w3"] = "gauss_diagram"
     except KnotctError as exc:
         raise _note(exc, "obstruction stage: w3")
     if w3 != 0:
@@ -239,6 +231,8 @@ def obstruct(spec) -> ObstructionVerdict:
             sigma = signature_alternating(alt_d)
             method["sigma"] = "closed_form"
         elif m is not None and is_alternating_knot(m):
+            from .oracle import oracle_signature, seifert_pipeline
+
             sigma = oracle_signature(seifert_pipeline(d))
             method["sigma"] = "oracle"
         if sigma is not None:

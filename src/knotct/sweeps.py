@@ -22,6 +22,7 @@ from . import pipeline
 from .cf_calculus import ContinuedFraction, evaluate, rewrite_identity, to_even_cf, to_strict_cf
 from .diagram import signature_alternating
 from .errors import InvalidInput, KnotctError, NoFormula, PatternMismatch, ValidationError
+from .gauss import gauss_a2, gauss_w3
 from .invariants import closed_form, skein_a2, skein_w3
 from .montesinos import (
     FAMILY_NAMES,
@@ -317,8 +318,8 @@ def _suite_formulas(bound, checks):
         ja2, jw3 = a2_w3_from_jones(jones_via_kauffman(d))
         sa2, sw3 = skein_a2(d), skein_w3(d)
         ca2 = conway_polynomial(seifert_pipeline(d)).coefficient(2)
-        vals = {ja2, sa2, ca2}
-        wvals = {jw3, sw3}
+        vals = {ja2, sa2, ca2, gauss_a2(d)}
+        wvals = {jw3, sw3, gauss_w3(d)}
         try:
             rep = closed_form(f)
             vals.add(rep.a2)
@@ -328,7 +329,8 @@ def _suite_formulas(bound, checks):
             pass
         if len(vals) != 1 or len(wvals) != 1:
             bad.append(str(f))
-    _check(checks, f"a2/w3 four-way agreement on {n} diagrams", not bad, bad[:5] or None)
+    _check(checks, f"a2 five-way / w3 four-way agreement on {n} diagrams", not bad,
+           bad[:5] or None)
 
 
 def _suite_cf_identities(bound, checks):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_diagram import reference_nugatory
 
+from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import skein_a2, skein_w3
 from knotct.oracle import a2_w3_from_jones, conway_polynomial, jones_via_kauffman, seifert_pipeline
 
@@ -21,16 +22,17 @@ def braid_words(draw):
 
 
 def agreed_a2_w3(d):
-    """(a2, w3) after checking that Jones, skein and Conway give the same a2,
-    Jones and skein the same w3, and Jones and Conway the same determinant.
+    """(a2, w3) after checking that Jones, skein, Gauss diagram and Conway
+    give the same a2, Jones, skein and Gauss diagram the same w3, and Jones
+    and Conway the same determinant.
     It also checks the nugatory crossings against the cut-vertex search: a
     generator used once in a braid word gives one."""
     assert d.nugatory_crossings() == reference_nugatory(d)
     v = jones_via_kauffman(d)
     nabla = conway_polynomial(seifert_pipeline(d))
     a2, w3 = a2_w3_from_jones(v)
-    assert a2 == skein_a2(d) == nabla.coefficient(2)
-    assert w3 == skein_w3(d)
+    assert a2 == skein_a2(d) == gauss_a2(d) == nabla.coefficient(2)
+    assert w3 == skein_w3(d) == gauss_w3(d)
     # |V(-1)| = |nabla(2i)|, which involves every Conway coefficient
     assert abs(v.evaluate(-1)) == abs(sum(c * (-4) ** (e // 2) for e, c in nabla.coeffs.items()))
     return a2, w3

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import knotct
 from knotct import pipeline, sweeps
 from knotct.cli import main
-from knotct.errors import BudgetExceeded, NonIntegralA2
+from knotct.errors import BudgetExceeded, InconsistentDiagram, NonIntegralA2
 
 
 def run(capsys, *argv):
@@ -130,13 +131,16 @@ def test_malformed_spec_exits_2(spec, message):
     assert "Traceback" not in p.stderr
 
 
-def test_computation_error_prints_stage_note():
-    # a2 = 0 falls through to w3, which has no route past the skein budget
-    p = _cli(["obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)"], KNOTCT_CROSSING_BUDGET="3")
-    assert p.returncode == 1
-    assert "exceeds the skein budget 3" in p.stderr
-    assert "obstruction stage: w3" in p.stderr
-    assert "Traceback" not in p.stderr
+def test_computation_error_prints_stage_note(capsys, monkeypatch):
+    # a2 = 0 and o1p has no closed form, so w3 comes from the Gauss diagram
+    def inconsistent(d):
+        raise InconsistentDiagram("chord without an end", stage="gauss w3")
+
+    monkeypatch.setattr("knotct.gauss.gauss_w3", inconsistent)
+    code, _, err = run(capsys, "obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)")
+    assert code == 1
+    assert "obstruction stage: w3" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_failure_names_the_spec(monkeypatch, capsys):
@@ -229,6 +233,25 @@ def test_classify_alternating_bound_three(capsys):
     assert all(line.startswith("survivor ") and "  ~ " in line for line in survivors)
 
 
+# sha256 of the `classify-genus2 --bound 3 --csv` file: the survivors' rows
+# (values, verdict, rule) and every eliminated spec with the rule that fired.
+# Recorded before obstruct took a2/w3 from the Gauss diagram formulas instead
+# of the skein engine and Conway; the CSV has no method column.
+VERDICT_MAP_SHA256 = {
+    "montesinos": "273e3fa776a12b5359b835cc0ec23e1211854528a4e1ad0e68be7bca7ebfb15e",
+    "alternating_montesinos": "ed3f866f591b92017fec0f214e6639c9f7a5cb55feb4c32e2414f006fc089d1e",
+}
+
+
+@pytest.mark.parametrize("scope", sorted(VERDICT_MAP_SHA256))
+def test_classify_bound_three_verdict_map_is_pinned(capsys, tmp_path, scope):
+    target = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "classify-genus2", "--scope", scope, "--bound", "3",
+                     "--csv", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == VERDICT_MAP_SHA256[scope]
+
+
 def test_classify_csv_to_unwritable_path_exits_2(tmp_path):
     target = tmp_path / "missing-dir" / "out.csv"
     p = _cli(["classify-genus2", "--scope", "montesinos", "--bound", "3", "--csv", str(target)])
@@ -291,7 +314,7 @@ def test_invariants_credits_w3_to_the_route_that_gave_it(capsys, monkeypatch):
     assert d["method"]["a2"] == "closed_form" and d["method"]["w3"] == "oracle"
 
 
-@pytest.mark.parametrize("route", ["knotct.cli.skein_a2", "knotct.cli.a2_w3_from_jones"])
+@pytest.mark.parametrize("route", ["knotct.cli.skein_a2", "knotct.oracle.a2_w3_from_jones"])
 def test_invariants_all_leaves_out_only_budget_errors(capsys, monkeypatch, route):
     def broken(arg):
         raise NonIntegralA2("-V''(1)/6 = 1/2 is not an integer")
@@ -341,3 +364,17 @@ def test_single_spec_queries_load_only_what_they_run():
     assert not added["invariants"] & {"knotct.pipeline", "knotct.sweeps"}
     assert "knotct.pipeline" in added["obstruct"]
     assert "knotct.sweeps" not in added["obstruct"]
+
+
+def test_obstruct_on_a_closed_form_spec_loads_no_oracle():
+    src = os.path.dirname(list(knotct.__path__)[0])
+    script = ("import json, sys, knotct.cli\n"
+              "knotct.cli.main(['obstruct', 'P(3,5,7)', '--json'])\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert p.returncode == 0, p.stderr
+    assert '"fired_rule": "genus_ne_2"' in p.stdout
+    loaded = set(json.loads(p.stdout.splitlines()[-1]))
+    assert "knotct.pipeline" in loaded
+    assert not loaded & {"knotct.oracle", "knotct.kauffman", "knotct.gauss"}

@@ -14,7 +14,7 @@ import pytest
 from braids import closed_braid
 
 import knotct
-from knotct import invariants
+from knotct import gauss, invariants
 from knotct.diagram import (
     Builder,
     PlanarDiagram,
@@ -278,7 +278,7 @@ def odd_split_word():
     """A trefoil's Gauss word with one crossing deleted, and the crossing to
     smooth: the two crossings left interleave, which no planar diagram
     allows, so the smoothing shares one crossing between its components."""
-    w = invariants._gauss_word(trefoil())
+    w = gauss._gauss_word(trefoil())
     return [p for p in w if p >> 2 != 2], 0
 
 
@@ -420,7 +420,7 @@ def test_pd_codes_are_pinned():
 
 def test_word_split_linking_number():
     for d in (trefoil(), trefoil().mirror()):
-        w = invariants._gauss_word(d)
+        w = gauss._gauss_word(d)
         assert len(w) == 6
         # smoothing a trefoil crossing leaves a Hopf link of two unknotted parts
         lk, inner, outer = invariants._split(w, w[0] >> 2)

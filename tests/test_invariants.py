@@ -8,10 +8,10 @@ from test_diagram import template_knots, trefoil
 
 from knotct import invariants
 from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, NotAKnot, ValidationError
+from knotct.gauss import _gauss_word
 from knotct.invariants import (
     InvariantReport,
     _cancelling,
-    _gauss_word,
     _key,
     _simplify,
     a2_dt,

@@ -3,7 +3,9 @@
 import pytest
 
 from knotct.errors import KnotctError
+from knotct.invariants import skein_a2
 from knotct.montesinos import FamilySpec, parse_spec
+from knotct.oracle import conway_polynomial, seifert_pipeline
 from knotct.pipeline import (
     FIRED_RULES,
     alternating_build,
@@ -40,13 +42,16 @@ def test_survivor_is_inconclusive():
     assert v.evidence.a2 == 0 and v.evidence.w3 == 0
 
 
-def test_a2_past_the_skein_budget_comes_from_conway(monkeypatch):
+def test_a2_without_a_closed_form_comes_from_the_gauss_diagram(monkeypatch):
     spec = parse_spec("M(1/3,2/5,-1/3,1/5)")  # 15 crossings, no closed form
+    d = spec.diagram()
     v = obstruct(spec)
-    assert v.evidence.method["a2"] == "skein_engine"
+    assert v.evidence.method["a2"] == "gauss_diagram"
+    assert v.evidence.a2 == skein_a2(d) == conway_polynomial(seifert_pipeline(d)).coefficient(2)
+    # the Gauss diagram route has no crossing budget
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
     w = obstruct(spec)
-    assert w.evidence.method["a2"] == "oracle"
+    assert w.evidence.method["a2"] == "gauss_diagram"
     assert w.evidence.a2 == v.evidence.a2 != 0
     assert w.fired_rule == v.fired_rule == "a2_nonzero"
 
