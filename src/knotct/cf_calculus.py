@@ -4,10 +4,12 @@ A list [c1, c2, ..., cn] of integers stands for the nested fraction
 
     1 / (c1 - 1/(c2 - ... - 1/cn))
 
-All values are exact rationals.  Besides plain evaluation this module
-implements the five rewriting identities used when normalizing tangle
-fractions, and conversion of a reduced fraction into the two normal forms
-consumed by the genus formulas, each returned as its tuple of entries:
+All values are exact rationals, computed on integer (numerator,
+denominator) pairs; `evaluate` builds a `Fraction` for its return value.
+Besides plain evaluation this module implements the five rewriting
+identities used when normalizing tangle fractions, and conversion of a
+reduced fraction into the two normal forms consumed by the genus formulas,
+each returned as its tuple of entries:
 
 * strict form  (2a1, b1, 2a2, b2, ...)  (odd-position entries even; whenever
   |a_j| = 1 the pair must satisfy a_j * b_j < 0), and
@@ -19,12 +21,16 @@ in the even form and at the odd positions of the strict form, among all
 integers at the strict form's even positions; a tie goes to the entry of
 smaller absolute value.  Neither normal form is unique.  Each conversion
 checks its result's structure and evaluates it once to compare with the
-input; a failed check raises `InvalidInput`.
+input, cross-multiplied in integers; a failed check raises `InvalidInput`.
+A conversion takes its input as anything `Fraction()` takes, or as a pair
+(p, q) standing for `Fraction(p, q)`, which it reads without building a
+`Fraction` when p and q are ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, InvalidInput, PatternMismatch
 from .records import Record
@@ -38,8 +44,9 @@ __all__ = [
 ]
 
 
-def _evaluate_entries(entries):
-    """Exact value of the subtractive CF; raises DivisionByZero(position)."""
+def _tail(entries):
+    """(num, den) with the subtractive CF's value den/num, num != 0;
+    raises DivisionByZero(position)."""
     if not entries:
         raise InvalidInput("empty continued fraction")
     # walk inside-out on the tail E_i = num/den: E_i = c_i - 1/E_{i+1}
@@ -50,7 +57,40 @@ def _evaluate_entries(entries):
         num, den = entries[pos] * num - den, num
     if num == 0:
         raise DivisionByZero(1)
-    return Fraction(den, num)
+    return num, den
+
+
+def _lowest_terms(x):
+    """(beta, alpha) of x in lowest terms with alpha > 0.
+
+    x is anything `Fraction()` takes, or a pair (p, q) standing for
+    `Fraction(p, q)`; ints and pairs of ints are reduced without building
+    a `Fraction`, anything else raises what `Fraction()` raises.
+    """
+    if type(x) is tuple:
+        p, q = x
+        if type(p) is int and type(q) is int and q:
+            d = gcd(p, q)
+            if q < 0:
+                d = -d
+            return p // d, q // d
+        x = Fraction(p, q)
+    elif type(x) is int:
+        return x, 1
+    elif not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _show(beta, alpha):
+    """beta/alpha as `str(Fraction(beta, alpha))` prints it."""
+    return f"{beta}/{alpha}" if alpha != 1 else str(beta)
+
+
+def _represents(entries, beta, alpha):
+    """Whether the CF evaluates to beta/alpha (alpha > 0), in integers."""
+    num, den = _tail(entries)
+    return den * alpha == num * beta
 
 
 class ContinuedFraction(Record):
@@ -58,7 +98,7 @@ class ContinuedFraction(Record):
 
     def __init__(self, entries):
         entries = tuple(int(c) for c in entries)
-        _evaluate_entries(entries)  # validates at construction
+        _tail(entries)  # validates at construction
         object.__setattr__(self, "entries", entries)
 
     def __iter__(self):
@@ -67,7 +107,8 @@ class ContinuedFraction(Record):
 
 def evaluate(cf) -> Fraction:
     """Value of a ContinuedFraction or of any sequence of integer entries."""
-    return _evaluate_entries(tuple(cf))
+    num, den = _tail(tuple(cf))
+    return Fraction(den, num)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +165,9 @@ def rewrite_identity(cf: ContinuedFraction, rule: str, position: int):
 # normal forms by greedy nearest-entry expansion
 
 
-def _greedy_entries(x: Fraction, steps):
-    """Entries of a subtractive CF of x, each the nearest multiple of its step.
+def _greedy_entries(x, steps):
+    """Entries of a subtractive CF of x = beta/alpha, given as the pair
+    (beta, alpha) with alpha > 0, each the nearest multiple of its step.
 
     Entry j stands for the tail value E_j (E_1 = 1/x, E_j = c_j - 1/E_{j+1})
     and is the multiple of steps[j % len(steps)] nearest to E_j; a tie goes
@@ -134,7 +176,7 @@ def _greedy_entries(x: Fraction, steps):
     1/(c_j - E_j) has a denominator no larger than E_j's, smaller except at a
     tie on an integer tail, so the expansion terminates.
     """
-    p, q = x.denominator, x.numerator  # E_1 = p/q with q > 0
+    q, p = x  # E_1 = p/q
     if q < 0:
         p, q = -p, -q
     out = []
@@ -160,11 +202,11 @@ def to_strict_cf(x) -> tuple:
     strict expansion, so callers must first absorb a unit into the
     surrounding twist count gamma to reach the half-range representative.
     """
-    x = Fraction(x)
-    alpha, beta = x.denominator, x.numerator
+    beta, alpha = _lowest_terms(x)
     if alpha <= 1 or alpha % 2 == 0 or beta == 0 or 2 * abs(beta) >= alpha:
-        raise InvalidInput(f"{x} is not a half-range odd-denominator tangle fraction")
-    entries = tuple(_greedy_entries(x, (2, 1)))
+        raise InvalidInput(
+            f"{_show(beta, alpha)} is not a half-range odd-denominator tangle fraction")
+    entries = tuple(_greedy_entries((beta, alpha), (2, 1)))
     for two_a, b in zip(entries[0::2], entries[1::2]):
         if two_a % 2 != 0 or two_a == 0:
             raise InvalidInput(f"even-position entry {two_a} must be even nonzero")
@@ -172,8 +214,9 @@ def to_strict_cf(x) -> tuple:
             raise InvalidInput("b_j entries must be nonzero")
         if abs(two_a) == 2 and two_a * b > 0:
             raise InvalidInput(f"strictness violated: a_j={two_a // 2}, b_j={b}")
-    if len(entries) % 2 or _evaluate_entries(entries) != x:
-        raise InvalidInput(f"greedy strict expansion {list(entries)} does not represent {x}")
+    if len(entries) % 2 or not _represents(entries, beta, alpha):
+        raise InvalidInput(f"greedy strict expansion {list(entries)} "
+                           f"does not represent {_show(beta, alpha)}")
     return entries
 
 
@@ -182,16 +225,17 @@ def to_even_cf(x) -> tuple:
 
     Every entry is the even integer nearest to the tail it stands for.
     """
-    x = Fraction(x)
-    alpha, beta = x.denominator, x.numerator
+    beta, alpha = _lowest_terms(x)
     if alpha <= 1 or not (-alpha < beta < alpha) or beta == 0:
-        raise InvalidInput(f"{x} is not a normalized tangle fraction")
+        raise InvalidInput(f"{_show(beta, alpha)} is not a normalized tangle fraction")
     if (alpha + beta) % 2 == 0:
-        raise InvalidInput(f"{x}: exactly one of numerator/denominator must be even")
-    entries = tuple(_greedy_entries(x, (2,)))
+        raise InvalidInput(
+            f"{_show(beta, alpha)}: exactly one of numerator/denominator must be even")
+    entries = tuple(_greedy_entries((beta, alpha), (2,)))
     for c in entries:
         if c % 2 != 0 or c == 0:
             raise InvalidInput(f"entry {c} must be even and nonzero")
-    if _evaluate_entries(entries) != x:
-        raise InvalidInput(f"greedy even expansion {list(entries)} does not represent {x}")
+    if not _represents(entries, beta, alpha):
+        raise InvalidInput(f"greedy even expansion {list(entries)} "
+                           f"does not represent {_show(beta, alpha)}")
     return entries

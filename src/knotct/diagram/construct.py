@@ -227,11 +227,10 @@ def additive_cf(p, q):
     return out
 
 
-def rational_tangle(b: Builder, frac):
-    """Tangle of fraction beta/alpha, built from the additive CF of its
-    reciprocal as alternating vertical/horizontal twist boxes, innermost
-    entry first."""
-    beta, alpha = frac.numerator, frac.denominator
+def rational_tangle(b: Builder, beta, alpha):
+    """Tangle of fraction beta/alpha (coprime integers, alpha > 0), built
+    from the additive CF of its reciprocal as alternating vertical/horizontal
+    twist boxes, innermost entry first."""
     if beta == 0:
         return b.zero_tangle()
     entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta))
@@ -256,9 +255,10 @@ def _finish(b: Builder):
 
 
 def montesinos_diagram(fractions, gamma=0):
-    """Cyclic chain of rational tangles, plus gamma extra half twists."""
+    """Cyclic chain of rational tangles, plus gamma extra half twists; each
+    tangle fraction is a (beta, alpha) pair of coprime integers, alpha > 0."""
     b = Builder()
-    tangles = [rational_tangle(b, f) for f in fractions]
+    tangles = [rational_tangle(b, beta, alpha) for beta, alpha in fractions]
     if gamma:
         tangles.append(b.hbox(gamma))
     for i in range(len(tangles)):
@@ -269,7 +269,7 @@ def montesinos_diagram(fractions, gamma=0):
 
 
 def pretzel_diagram(qs):
-    return montesinos_diagram([Fraction(1, q) for q in qs])
+    return montesinos_diagram([(1, q) if q > 0 else (-1, -q) for q in qs])
 
 
 def double_twist_diagram(m_h, m_v):

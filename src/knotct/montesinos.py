@@ -13,6 +13,12 @@ members are precisely the non-pretzel, non-two-bridge Montesinos knots of
 genus two, each stated by its tangle fractions, and can enumerate them,
 convert them to `MontesinosSpec`s, and compute genus from the strict/even
 continued-fraction normal forms.
+
+The spec layer runs in integer arithmetic: a family's tangles are (beta,
+alpha) pairs, normalization, the knot-parity check and the genus cases
+shift numerators by whole denominators, and the normal forms take the
+pairs as they are.  A `Fraction` is built only for each tangle of a
+`MontesinosSpec` record.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from .cf_calculus import evaluate, to_even_cf, to_strict_cf
+from .cf_calculus import _lowest_terms, evaluate, to_even_cf, to_strict_cf
 from .diagram import (
     double_twist_diagram,
     fig1_left_diagram,
@@ -65,28 +71,15 @@ class MontesinosSpec(Record):
     knot (one component): with one even-denominator tangle it always is,
     with none exactly when sum(beta_i) + gamma is odd, and two or more
     even denominators give a link (Burde-Zieschang, *Knots*, ch. 12).
+    Each input tangle is anything `Fraction()` takes, or a pair (p, q)
+    standing for `Fraction(p, q)`.
     """
 
     __slots__ = ("tangles", "gamma")
 
     def __init__(self, tangles, gamma=0):
-        g = int(gamma)
-        norm = []
-        for f in tangles:
-            f = Fraction(f)
-            n = int(f)  # truncation keeps the remainder's sign
-            f -= n
-            g += n
-            if f != 0:
-                norm.append(f)
-        if not norm:
-            raise InvalidInput("no nontrivial tangles after normalization")
-        evens = sum(1 for f in norm if f.denominator % 2 == 0)
-        if evens > 1:
-            raise NotAKnot(f"{evens} even-denominator tangles force extra components")
-        if evens == 0 and (sum(f.numerator for f in norm) + g) % 2 == 0:
-            raise NotAKnot("2 components")
-        object.__setattr__(self, "tangles", tuple(norm))
+        norm, g = _normalize(tangles, gamma)
+        object.__setattr__(self, "tangles", tuple(Fraction(p, q) for p, q in norm))
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -94,11 +87,38 @@ class MontesinosSpec(Record):
         return len(self.tangles)
 
     def diagram(self):
-        return montesinos_diagram(self.tangles, self.gamma)
+        return montesinos_diagram([(f.numerator, f.denominator) for f in self.tangles],
+                                  self.gamma)
 
     def __str__(self):
         body = ",".join(f"{f.numerator}/{f.denominator}" for f in self.tangles)
         return f"M({body}|{self.gamma})" if self.gamma else f"M({body})"
+
+
+def _normalize(tangles, gamma):
+    """`MontesinosSpec`'s normalization in integers: the tangles as (beta,
+    alpha) pairs in lowest terms, each in (-1, 1) with alpha > 1, and gamma.
+
+    A tangle is anything `Fraction()` takes, or a pair (p, q) standing for
+    `Fraction(p, q)`.
+    """
+    g = int(gamma)
+    norm = []
+    for f in tangles:
+        p, q = _lowest_terms(f)
+        n = p // q if p >= 0 else -(-p // q)  # truncation keeps the remainder's sign
+        p -= n * q
+        g += n
+        if p:
+            norm.append((p, q))
+    if not norm:
+        raise InvalidInput("no nontrivial tangles after normalization")
+    evens = sum(1 for _, q in norm if q % 2 == 0)
+    if evens > 1:
+        raise NotAKnot(f"{evens} even-denominator tangles force extra components")
+    if evens == 0 and (sum(p for p, _ in norm) + g) % 2 == 0:
+        raise NotAKnot("2 components")
+    return norm, g
 
 
 FAMILY_NAMES = ("o1", "o1p", "o2", "o3", "o3p", "o4", "o4p", "o5", "e1", "e2", "e3")
@@ -189,67 +209,67 @@ class FamilySpec(Record):
         return tuple(v for _, v in self.params)
 
     def fraction_form(self):
-        """Tangle fractions plus gamma, before any mirroring."""
+        """Tangle fractions as (beta, alpha) integer pairs, not necessarily
+        in lowest terms, plus gamma, before any mirroring."""
         p = dict(self.params)
         s = self.sign_variant or 1
         a, b, c, d, e = (p.get(k) for k in "abcde")
-        F = Fraction
         if self.family == "o1":
             return [
-                F(2 * b, 4 * a * b + 2 * b - 1),
-                F(1, 2 * c + 1),
-                F(1, 2 * d + 1),
-                F(1, 2 * e + 1),
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
+                (1, 2 * e + 1),
             ], 0
         if self.family == "o1p":
             return [
-                F(2 * b, 4 * a * b + 2 * b - 1),
-                F(1, 2 * c + 1),
-                F(1, 2 * d + 1),
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
             ], s
         if self.family == "o2":
             return [
-                F(2 * b, 4 * a * b + 2 * b - 1),
-                F(2 * d, 4 * c * d + 2 * d - 1),
-                F(1, 2 * e + 1),
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (2 * d, 4 * c * d + 2 * d - 1),
+                (1, 2 * e + 1),
             ], 0
         if self.family == "o3":
-            return [F(3, 6 * a - s), F(1, 2 * b + 1), F(1, 2 * c + 1)], 0
+            return [(3, 6 * a - s), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o3p":
-            return [F(3 * s, 7), F(1, 2 * b + 1), F(1, 2 * c + 1)], 0
+            return [(3 * s, 7), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o4":
             return [
-                F(4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
-                F(1, 2 * c + 1),
-                F(1, 2 * d + 1),
+                (4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
             ], 0
         if self.family == "o4p":
             return [
-                F(s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s),
-                F(1, 2 * c + 1),
-                F(1, 2 * d + 1),
+                (s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
             ], 0
         if self.family == "o5":
             return [
-                F(4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
-                F(1, 2 * d + 1),
-                F(1, 2 * e + 1),
+                (4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
+                (1, 2 * d + 1),
+                (1, 2 * e + 1),
             ], 0
         if self.family == "e1":
             return [
-                F(1, 2 * a),
-                F(2 * c, 4 * b * c - 1),
-                F(2 * e, 4 * d * e - 1),
+                (1, 2 * a),
+                (2 * c, 4 * b * c - 1),
+                (2 * e, 4 * d * e - 1),
             ], 0
         if self.family == "e2":
             return [
-                F(1, 2),
-                F(-2 * a, 4 * a + 1),
-                F(2 * b, 4 * b - 1),
-                F(-2 * c, 4 * c + 1),
+                (1, 2),
+                (-2 * a, 4 * a + 1),
+                (2 * b, 4 * b - 1),
+                (-2 * c, 4 * c + 1),
             ], 0
         if self.family == "e3":
-            return [F(2 * a + 1, 6 * a + 2), F(-1, 3), F(1, 3), F(-1, 3)], 0
+            return [(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0
         raise InvalidInput(f"{self.family} has no Montesinos fraction form")
 
     def diagram(self):
@@ -261,7 +281,8 @@ class FamilySpec(Record):
             make = fig1_left_diagram if self.family == "fig1_left" else fig1_right_diagram
             d = make(*self.param_values())
         else:
-            return family_to_montesinos(self).diagram()
+            # the normalizer's pairs, without a MontesinosSpec record
+            return montesinos_diagram(*_normalize(*_family_form(self)))
         return d.mirror() if self.mirror else d
 
     def __str__(self):
@@ -276,18 +297,24 @@ class FamilySpec(Record):
         return f"FAM:{self.family}(" + ",".join(kv) + ")"
 
 
-def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
-    """Fraction-form MontesinosSpec of a named-family knot."""
+def _family_form(f: FamilySpec):
+    """Tangle (beta, alpha) pairs and gamma of a family spec, mirrored when
+    the spec asks for it."""
     if f.family == "pretzel":
-        fracs, g = [Fraction(1, q) for q in f.param_values()], 0
+        pairs, g = [(1, q) for q in f.param_values()], 0
     elif f.family == "double_twist":
         x, y = f.param_values()
-        fracs, g = [Fraction(2 * x) - Fraction(1, 2 * y)], 0
+        pairs, g = [(4 * x * y - 1, 2 * y)], 0  # 2x - 1/(2y)
     else:
-        fracs, g = f.fraction_form()
+        pairs, g = f.fraction_form()
     if f.mirror:
-        fracs, g = [-x for x in fracs], -g
-    return MontesinosSpec(fracs, g)
+        pairs, g = [(-p, q) for p, q in pairs], -g
+    return pairs, g
+
+
+def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
+    """Fraction-form MontesinosSpec of a named-family knot."""
+    return MontesinosSpec(*_family_form(f))
 
 
 def _to_montesinos(spec):
@@ -362,12 +389,13 @@ class GenusBreakdown(Record):
         object.__setattr__(self, "p", p)
 
 
-def _half_range(f, gamma):
-    """Absorb one unit so that |f| < 1/2 (f has odd denominator)."""
-    if 2 * abs(f.numerator) > f.denominator:
-        step = 1 if f > 0 else -1
-        return f - step, gamma + step
-    return f, gamma
+def _half_range(beta, alpha, gamma):
+    """Absorb one unit so that |beta/alpha| < 1/2 (alpha odd); the new beta
+    and gamma."""
+    if 2 * abs(beta) > alpha:
+        step = 1 if beta > 0 else -1
+        return beta - step * alpha, gamma + step
+    return beta, gamma
 
 
 def genus(m: MontesinosSpec) -> GenusBreakdown:
@@ -385,35 +413,37 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     +-(2, -2, ..., 2, -2), where g = (1 + sum m_i)/2 - (p + 1) with p the
     minimal leading run length.
     """
-    if all(f.denominator % 2 == 1 for f in m.tangles):
+    pairs = [(f.numerator, f.denominator) for f in m.tangles]
+    if all(q % 2 == 1 for _, q in pairs):
         g_acc, per = m.gamma, []
-        for f in m.tangles:
-            f, g_acc = _half_range(f, g_acc)
-            per.append(sum(abs(b) for b in to_strict_cf(f)[1::2]))
+        for p, q in pairs:
+            p, g_acc = _half_range(p, q, g_acc)
+            per.append(sum(abs(b) for b in to_strict_cf((p, q))[1::2]))
         total = sum(per) + abs(g_acc) - 1
         if total % 2:
             raise UnclassifiableType(f"odd-type genus count {total} is not even")
         return GenusBreakdown(total // 2, "odd", tuple(per))
 
-    evens = [i for i, f in enumerate(m.tangles) if f.denominator % 2 == 0]
+    evens = [i for i, (_, q) in enumerate(pairs) if q % 2 == 0]
     if len(evens) != 1:
         raise UnclassifiableType(f"{len(evens)} even-denominator tangles")
     k = evens[0]
     g_acc, fr = m.gamma, []
-    for i, f in enumerate(m.tangles[k:] + m.tangles[:k]):
-        if i > 0 and f.numerator % 2 == 1:
-            step = 1 if f > 0 else -1
-            f -= step
+    for i, (p, q) in enumerate(pairs[k:] + pairs[:k]):
+        if i > 0 and p % 2 == 1:
+            step = 1 if p > 0 else -1
+            p -= step * q
             g_acc += step
-        fr.append(f)
+        fr.append((p, q))
     if g_acc != 0:
         # shifting the even tangle to its other representative moves gamma
         # by sign(f1); use it when that cancels gamma
-        step = 1 if fr[0] > 0 else -1
+        p, q = fr[0]
+        step = 1 if p > 0 else -1
         if g_acc + step == 0:
-            fr[0] -= step
+            fr[0] = (p - step * q, q)
             g_acc = 0
-    cfs = [to_even_cf(f) for f in fr]
+    cfs = [to_even_cf(x) for x in fr]
     ms = tuple(len(cf) for cf in cfs)
     if g_acc != 0:
         return GenusBreakdown((1 + sum(ms)) // 2, "even_gamma_nonzero", ms)

@@ -176,7 +176,8 @@ def _scope_specs(scope, bound):
 
 def classify_genus2(bound, scope="alternating_montesinos") -> ClassificationRun:
     """Sweep a scope, obstruct every spec, and validate the survivors.  A
-    spec whose obstruction raises stops the sweep; its error names it."""
+    spec whose obstruction or survivor check raises stops the sweep; its
+    error names it."""
     if bound < 1:
         raise ValidationError("bound must be >= 1")
     survivors, eliminated = [], {}
@@ -194,7 +195,10 @@ def classify_genus2(bound, scope="alternating_montesinos") -> ClassificationRun:
     matches, failures = {}, []
     if scope == "alternating_montesinos":
         for f in survivors:
-            cand, mirrored = _survivor_match(f)
+            try:
+                cand, mirrored = _survivor_match(f)
+            except KnotctError as exc:
+                raise _note(_note(exc, "survivor check: Jones"), f"spec: {f}")
             if cand is None:
                 failures.append(f"{f}: no Jones-verified six-box match")
             else:

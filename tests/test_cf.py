@@ -169,6 +169,20 @@ def test_normal_form_entries_are_pinned():
     assert h.hexdigest() == "266128dd859480da9e34440c3f405efd9696117c5f3f22bfdf79056f0e8dbba3"
 
 
+def test_integer_pairs_convert_as_their_fractions():
+    # a pair (p, q) stands for Fraction(p, q): unreduced, negative-denominator
+    # and out-of-range pairs give the same entries or the same error
+    for q in range(-30, 31):
+        for p in range(-2 * abs(q) - 1, 2 * abs(q) + 2):
+            if q == 0:
+                continue
+            x = Fraction(p, q)
+            for convert in (to_strict_cf, to_even_cf):
+                assert _outcome(convert, (p, q)) == _outcome(convert, x), (convert, p, q)
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+        to_strict_cf((1, 0))
+
+
 @pytest.mark.parametrize(
     "entries, position", [([1, 1], 1), ([0], 1), ([2, 1, 1], 2), ([4, 2, 1, 1], 3)]
 )

@@ -165,6 +165,18 @@ def test_sweep_failure_names_the_spec(monkeypatch, capsys):
     ]
 
 
+def test_survivor_check_failure_names_its_stage_and_spec():
+    # the first survivor's Jones check is over a budget of 8 crossings
+    p = _cli(["classify-genus2", "--scope", "alternating_montesinos", "--bound", "2"],
+             KNOTCT_CROSSING_BUDGET="8")
+    assert p.returncode == 1 and p.stdout == ""
+    assert p.stderr.splitlines() == [
+        "error: 13 crossings exceeds Jones budget 8",
+        "survivor check: Jones",
+        "spec: FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "o1", "--bound", "0"],
     ["classify-genus2", "--scope", "fig1", "--bound", "0"],

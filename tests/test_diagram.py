@@ -7,7 +7,6 @@ import random
 from array import array
 import subprocess
 import sys
-from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -70,7 +69,7 @@ def template_knots():
     return [
         pretzel_diagram([3, -2, 5]),
         double_twist_diagram(2, 4),
-        montesinos_diagram([Fraction(1, 2), Fraction(2, 5), Fraction(-1, 3)], 1),
+        montesinos_diagram([(1, 2), (2, 5), (-1, 3)], 1),
         fig1_left_diagram(1, -1, 2, 1, 0, 1),
         fig1_right_diagram(1, 1, -1, 1, 2, 1),
     ]
@@ -238,7 +237,7 @@ def test_emit_counts_free_loops_and_hands_over_its_components():
     for d, counts in closed_builds():
         assert (d.n, d.free_loops, d.component_count()) == counts
     b = Builder()  # M(1/2, 1/2), a two-component link the templates refuse
-    t, u = rational_tangle(b, Fraction(1, 2)), rational_tangle(b, Fraction(1, 2))
+    t, u = rational_tangle(b, 1, 2), rational_tangle(b, 1, 2)
     for x, y in ((t, u), (u, t)):
         b.solder(x["NE"], y["NW"])
         b.solder(x["SE"], y["SW"])
@@ -476,9 +475,7 @@ def test_twist_regions_are_bigon_chains():
 
 
 def test_montesinos_template_alternating():
-    from fractions import Fraction
-
-    d = montesinos_diagram([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)], 0)
+    d = montesinos_diagram([(1, 2), (1, 3), (1, 3)], 0)
     assert d.component_count() == 1
     assert d.is_alternating()
 

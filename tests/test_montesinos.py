@@ -1,6 +1,7 @@
 """Montesinos normal forms, family specs, parsing, and genus formulas."""
 
 import hashlib
+import itertools
 import operator
 import random
 import re
@@ -58,6 +59,77 @@ def test_two_component_parity_rejected():
     MontesinosSpec([Fraction(1, 3), Fraction(1, 3)], 1)
 
 
+def _reference_normalization(tangles, gamma):
+    """`MontesinosSpec`'s normalization as it was written in `Fraction`
+    arithmetic, kept as the reference for the integer one."""
+    g = int(gamma)
+    norm = []
+    for f in tangles:
+        f = Fraction(f)
+        n = int(f)  # truncation keeps the remainder's sign
+        f -= n
+        g += n
+        if f != 0:
+            norm.append(f)
+    if not norm:
+        raise InvalidInput("no nontrivial tangles after normalization")
+    evens = sum(1 for f in norm if f.denominator % 2 == 0)
+    if evens > 1:
+        raise NotAKnot(f"{evens} even-denominator tangles force extra components")
+    if evens == 0 and (sum(f.numerator for f in norm) + g) % 2 == 0:
+        raise NotAKnot("2 components")
+    return tuple(norm), g
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except Exception as exc:  # the error's type and message are the outcome
+        return type(exc), str(exc)
+
+
+_tangle_inputs = st.one_of(
+    st.integers(-40, 40),
+    st.integers(),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-60, 60), st.integers(-12, 12)),
+)
+
+
+@given(st.lists(_tangle_inputs, max_size=6), st.one_of(st.integers(), st.integers(-4, 4)))
+@settings(max_examples=1500, deadline=None)
+def test_normalization_matches_the_fraction_reference(tangles, gamma):
+    # ints, proper and improper fractions of both signs, zero tangles, an
+    # empty list, strings (a zero denominator among them) and any gamma
+    def spec(tangles, gamma):
+        m = MontesinosSpec(tangles, gamma)
+        return m.tangles, m.gamma
+
+    assert _outcome(spec, tangles, gamma) == _outcome(_reference_normalization, tangles, gamma)
+
+
+def test_init_runs_once_per_family_spec_and_its_diagram(monkeypatch):
+    # family_to_montesinos builds the record; FamilySpec.diagram builds from
+    # the same normalizer's pairs without a second record
+    calls = []
+    init = MontesinosSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MontesinosSpec, "__init__", counted)
+    for family in FAMILY_NAMES:
+        specs = list(enumerate_family(family, 2))
+        for f in specs[:: max(1, len(specs) // 12)]:
+            calls.clear()
+            m = family_to_montesinos(f)
+            d = f.diagram()
+            assert len(calls) == 1, str(f)
+            assert d.crossings == m.diagram().crossings
+
+
 def _builder_says_knot(fracs, gamma):
     """Whether the template diagram of the raw spec has one component: the
     builder takes the fractions after the same integer-part shift as the
@@ -69,7 +141,7 @@ def _builder_says_knot(fracs, gamma):
         if f != n:
             norm.append(f - n)
     try:
-        montesinos_diagram(norm, gamma)
+        montesinos_diagram([(f.numerator, f.denominator) for f in norm], gamma)
     except NotAKnot:
         return False
     return True
@@ -102,7 +174,8 @@ def test_knot_rule_matches_builder_on_random_specs():
 def test_knot_rule_matches_builder_on_families():
     for family in FAMILY_NAMES:
         for f in enumerate_family(family, 2):
-            fracs, gamma = f.fraction_form()
+            pairs, gamma = f.fraction_form()
+            fracs = [Fraction(p, q) for p, q in pairs]
             if f.mirror:
                 fracs, gamma = [-x for x in fracs], -gamma
             assert _spec_says_knot(fracs, gamma) == _builder_says_knot(fracs, gamma), str(f)
@@ -121,6 +194,40 @@ def test_genus_breakdowns_pinned():
             n += 1
     assert n == 25468
     assert h.hexdigest() == "c2a05a9e1127fde1a339bda27eae38d938c5c1452d1252a74c6bb53770a461c7"
+
+
+def _conversion_specs():
+    """The bound-3 family specs, then the formulas suite's bound-2 list
+    (pretzels, double twists and six-box templates included), with every
+    pretzel and double twist also mirrored."""
+    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
+    for family in ("o1", "o2", "o3", "o4", "o5", "e1", "e2", "e3"):
+        specs.extend(enumerate_family(family, 2))
+    values = (-2, -1, 1, 2)
+    for mirror in (False, True):
+        for qs in itertools.product(values, repeat=3):
+            specs.append(FamilySpec("pretzel", dict(zip(("q1", "q2", "q3"), qs)), None, mirror))
+        for x, y in itertools.product(values, repeat=2):
+            specs.append(FamilySpec("double_twist", dict(x=x, y=y), None, mirror))
+    for family in ("fig1_left", "fig1_right"):
+        for vals in itertools.product(range(-2, 3), repeat=6):
+            specs.append(FamilySpec(family, dict(zip("abcdef", vals))))
+    return specs
+
+
+def test_family_conversions_are_pinned():
+    # sha256 over the converted record, or the error's type and message, of
+    # every spec above; recorded with the Fraction-arithmetic conversion that
+    # the integer one replaced
+    outcomes = []
+    for f in _conversion_specs():
+        try:
+            outcomes.append(repr(family_to_montesinos(f)))
+        except KnotctError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 59_512
+    assert digest == "3fb502eba04f266222a7629bb34bb519694466685c7c5ef6e86b12777e881ee4"
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
