@@ -119,6 +119,11 @@ class PlanarDiagram:
             self._positions = seen
         return self._positions
 
+    def ends(self):
+        """(heads, tails): arc -> (crossing, slot) where it ends and where it
+        starts, the tables validation recorded."""
+        return self._heads, self._tails
+
     def head_of(self, arc):
         """(crossing, slot) where `arc` ends, as recorded by validation; a
         diagram changed since then may no longer have a head there."""
@@ -172,10 +177,10 @@ class PlanarDiagram:
     # -- predicates -----------------------------------------------------------
 
     def is_alternating(self):
-        """Passages alternate along every strand: each arc ends in a passage
-        of the other kind (under or over) than the arc after it."""
-        under = {a: s == 0 for a, (_, s) in self._heads.items()}
-        return all(under[a] != under[self.next_arc(a)] for a in under)
+        """Passages alternate along every strand: each arc starts and ends
+        in passages of different kinds, under at slots 0 (head) and 2 (tail)."""
+        tails = self._tails
+        return all((s == 0) != (tails[a][1] == 2) for a, (_, s) in self._heads.items())
 
     def nugatory_crossings(self):
         """Crossings removable by untwisting: those with two corners in one
@@ -197,7 +202,8 @@ class PlanarDiagram:
         return len(set(self.seifert_circle_of().values())) + self.free_loops
 
     def seifert_circle_of(self):
-        """arc -> representative id of its Seifert circle, computed once."""
+        """arc -> representative id of its Seifert circle, in arc order,
+        computed once."""
         if self._circle_of is None:
             arcs = self.arcs()
             dsu = _DSU(arcs)

@@ -22,14 +22,27 @@ count of mutual projection crossings, which come in exactly three local
 shapes: two cores through the same half-twisted band, a dive of a deeper
 walk through a shallower walk on the same disc, and a band core climbing
 over the walks of the outer disc it is attached to.
+
+Each surface datum is read from a table the diagram has cached:
+
+* circles: the representatives of `seifert_circle_of`; the least one roots
+  the spanning tree;
+* feet, in order along each circle, and the two circles of each band: one
+  walk per circle from its least arc through the head and tail tables of
+  `ends`;
+* regions (the complement of the circles): the faces of `face_table`,
+  glued through each smoothed crossing's gap by a union-find over face
+  indices; a circle's two sides are the regions at the corners
+  (`face_of_corner`) where its arcs end and start, and the outer region is
+  the largest face's;
+* band twists: the crossing signs of `over_entry`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
-from .diagram.core import _DSU, PlanarDiagram
+from .diagram.core import PlanarDiagram
 from .errors import (
     GenusMismatch,
     InconsistentDiagram,
@@ -81,140 +94,131 @@ class _Surface:
     """Combinatorial disc-and-band Seifert surface of a knot diagram."""
 
     def __init__(self, d: PlanarDiagram):
-        self.d = d
-        self.circle_of = d.seifert_circle_of()
-        faces, face_of_dart, face_of_corner = d.face_table()
+        circle_of = d.seifert_circle_of()
+        faces, _, face_of_corner = d.face_table()
+        heads, tails = d.ends()
+        rows, over = d.crossings, d.over_entry
+        self.over = over
 
         # regions: faces glued through the gap of each smoothed crossing
-        regions = _DSU(range(len(faces)))
-        for ci in range(d.n):
-            gaps = (1, 3) if d.over_entry[ci] == 3 else (0, 2)
-            regions.union(face_of_corner[ci][gaps[0]], face_of_corner[ci][gaps[1]])
-        outer_face = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
-        self.outer_region = regions.find(outer_face)
+        glued = list(range(len(faces)))
 
-        # left/right regions per circle (constant along the circle)
-        circles = sorted(set(self.circle_of.values()))
-        self.circles = circles
-        arcs_of = {c: [] for c in circles}
-        for a, c in self.circle_of.items():
-            arcs_of[c].append(a)
-        region_side = {}
-        for c in circles:
-            rl = rr = None
-            for a in arcs_of[c]:
-                fl = regions.find(face_of_dart[(a, LEFT_DART)])
-                fr = regions.find(face_of_dart[(a, -LEFT_DART)])
-                if rl is None:
-                    rl, rr = fl, fr
-                elif (rl, rr) != (fl, fr):
+        def find(f):
+            while glued[f] != f:
+                glued[f] = f = glued[glued[f]]
+            return f
+
+        for ci, corners in enumerate(face_of_corner):
+            gap = 1 if over[ci] == 3 else 0
+            glued[find(corners[gap])] = find(corners[gap + 2])
+        region = [find(f) for f in range(len(faces))]
+        sizes = [len(face) for face in faces]
+        outer = region[sizes.index(max(sizes))]  # the largest face, the first on ties
+
+        # circles, each walked once from its least arc (circle_of is in arc
+        # order): the walk numbers the feet and checks that the regions at
+        # the head and tail corners of its arcs stay the same
+        first, size = {}, {}
+        for a, c in circle_of.items():
+            if c in size:
+                size[c] += 1
+            else:
+                first[c], size[c] = a, 1
+        # per band end 2 * crossing + e, e = 0 for the under-in arc and 1 for
+        # the over-in arc: the circle of that arc and the foot's index on it
+        self.circle_at = circle_at = [None] * (2 * len(rows))
+        self.foot_at = foot_at = [0] * (2 * len(rows))
+        sides = {}
+        for c, a0 in first.items():
+            ci, s = heads[a0]
+            head_side = region[face_of_corner[ci][s]]
+            ci, s = tails[a0]
+            tail_side = behind = region[face_of_corner[ci][s]]  # behind: at a's tail
+            a, k = a0, 0
+            while True:
+                ci, s = heads[a]
+                corners = face_of_corner[ci]
+                if region[corners[s]] != head_side or behind != tail_side:
                     raise InconsistentDiagram("circle side regions not constant", _SURFACE)
-            region_side[c] = (rl, rr)
+                end = 2 * ci + (s > 0)
+                circle_at[end], foot_at[end] = c, k
+                k += 1
+                t = 2 if s else 4 - over[ci]  # the smoothing turns under-in to over-out
+                behind = region[corners[t]]
+                a = rows[ci][t]
+                if a == a0:
+                    break
+            if k != size[c]:
+                raise InconsistentDiagram(f"circle {c}: {k} feet for {size[c]} arcs", _SURFACE)
+            sides[c] = head_side, tail_side
+        self.circles = list(sides)
 
         # region tree -> depths, then per-circle inner region and orientation
         radj = {}
-        for c, (rl, rr) in region_side.items():
-            radj.setdefault(rl, []).append((rr, c))
-            radj.setdefault(rr, []).append((rl, c))
-        depth = {self.outer_region: 0}
-        queue = deque([self.outer_region])
-        while queue:
-            r = queue.popleft()
-            for r2, _ in radj.get(r, []):
+        for r1, r2 in sides.values():
+            radj.setdefault(r1, []).append(r2)
+            radj.setdefault(r2, []).append(r1)
+        depth = {outer: 0}
+        order = [outer]
+        for r in order:
+            for r2 in radj.get(r, ()):
                 if r2 not in depth:
                     depth[r2] = depth[r] + 1
-                    queue.append(r2)
-        self.eta = {}
-        self.depth_c = {}
-        for c, (rl, rr) in region_side.items():
-            if abs(depth[rl] - depth[rr]) != 1:
+                    order.append(r2)
+        self.eta, self.depth = {}, {}
+        for c, (head_side, tail_side) in sides.items():
+            dh, dt = depth[head_side], depth[tail_side]
+            if abs(dh - dt) != 1:
                 raise InconsistentDiagram("circle sides not nested by 1", _SURFACE)
-            inner = rl if depth[rl] > depth[rr] else rr
-            self.eta[c] = 1 if inner == rl else -1
-            self.depth_c[c] = depth[inner]
-
-        # feet: crossings in order along each circle (knot orientation)
-        def next_seifert(a):
-            ci, s = d.head_of(a)
-            o = d.over_entry[ci]
-            nxt = d.crossings[ci][4 - o] if s == 0 else d.crossings[ci][2]
-            return ci, nxt
-
-        self.feet = {}
-        for c in circles:
-            a0 = min(arcs_of[c])
-            seq = []
-            a = a0
-            while True:
-                ci, a = next_seifert(a)
-                seq.append(ci)
-                if a == a0:
-                    break
-            if len(seq) != len(arcs_of[c]):
-                raise InconsistentDiagram(
-                    f"circle {c}: {len(seq)} feet for {len(arcs_of[c])} arcs", _SURFACE)
-            self.feet[c] = seq
-
-        # band endpoints: circle1 carries the under-in arc, circle2 the over-in
-        self.band = {}
-        for ci in range(d.n):
-            o = d.over_entry[ci]
-            c1 = self.circle_of[d.crossings[ci][0]]
-            c2 = self.circle_of[d.crossings[ci][o]]
-            if c1 == c2:
-                raise InconsistentDiagram(f"band {ci} has both ends on circle {c1}", _SURFACE)
-            self.band[ci] = (c1, c2)
+            # the face at an arc's head corner is the face of its dart (arc, +1)
+            self.eta[c] = LEFT_DART if dh > dt else -LEFT_DART
+            self.depth[c] = max(dh, dt)
 
     # -- homology basis -----------------------------------------------------
 
     def fundamental_cycles(self):
-        """Cycles as ordered band traversals [(crossing, from_circle, to_circle)]."""
+        """Cycles as ordered band traversals [(crossing, from_circle, to_circle)]:
+        each band off a breadth-first spanning tree of the Seifert graph,
+        rooted at the least circle representative, closed up by the tree
+        path through the apex of its two ends."""
+        circle_at = self.circle_at
+        n = len(circle_at) // 2
         bands_at = {c: [] for c in self.circles}  # circle -> [(crossing, far circle)]
-        for ci, (c1, c2) in self.band.items():
+        for ci in range(n):
+            c1, c2 = circle_at[2 * ci], circle_at[2 * ci + 1]
+            if c1 == c2:
+                raise InconsistentDiagram(f"band {ci} has both ends on circle {c1}", _SURFACE)
             bands_at[c1].append((ci, c2))
             bands_at[c2].append((ci, c1))
-        tree_parent = {self.circles[0]: None}  # circle -> (parent circle, crossing)
-        queue = deque([self.circles[0]])
-        tree_edges = set()
-        while queue:
-            u = queue.popleft()
+        root = min(bands_at)
+        up, level = {root: None}, {root: 0}  # circle -> (parent circle, crossing), depth
+        tree = [False] * n
+        order = [root]
+        for u in order:
             for ci, v in bands_at[u]:
-                if v not in tree_parent:
-                    tree_parent[v] = (u, ci)
-                    tree_edges.add(ci)
-                    queue.append(v)
+                if v not in up:
+                    up[v], level[v], tree[ci] = (u, ci), level[u] + 1, True
+                    order.append(v)
         cycles = []
-        for ci in sorted(self.band):
-            if ci in tree_edges:
+        for ci in range(n):
+            if tree[ci]:
                 continue
-            c1, c2 = self.band[ci]
-
-            def path_to_root(c):
-                out = [c]
-                while tree_parent[c] is not None:
-                    c = tree_parent[c][0]
-                    out.append(c)
-                return out
-
-            p1, p2 = path_to_root(c1), path_to_root(c2)
-            common = set(p1) & set(p2)
-            i1 = next(i for i, c in enumerate(p1) if c in common)
-            i2 = next(i for i, c in enumerate(p2) if c in common)
-            if p1[i1] != p2[i2]:
-                raise InconsistentDiagram(f"tree paths of band {ci} meet at two apexes", _SURFACE)
-            # traversal: band ci from c1 to c2, then tree path c2 -> apex -> c1
-            bands = [(ci, c1, c2)]
-            c = c2
-            for k in range(i2):
-                par, e = tree_parent[c]
-                bands.append((e, c, par))
-                c = par
-            down = []
-            c = c1
-            for k in range(i1):
-                par, e = tree_parent[c]
-                down.append((e, par, c))
-                c = par
+            # traversal: band ci from c1 to c2, then the tree path c2 -> apex -> c1,
+            # found by climbing from the deeper end until the two ends meet
+            u, v = circle_at[2 * ci], circle_at[2 * ci + 1]
+            bands, down = [(ci, u, v)], []
+            while u != v:
+                if level[u] > level[v]:
+                    par, e = up[u]
+                    down.append((e, par, u))
+                    u = par
+                elif up[v] is None:  # both ends climbed to the root's level apart
+                    raise InconsistentDiagram(
+                        f"tree paths of band {ci} do not meet below the root", _SURFACE)
+                else:
+                    par, e = up[v]
+                    bands.append((e, v, par))
+                    v = par
             bands.extend(reversed(down))
             cycles.append(bands)
         return cycles
@@ -222,110 +226,88 @@ class _Surface:
     # -- Seifert matrix -----------------------------------------------------
 
     def seifert_matrix(self):
-        d = self.d
+        circle_at, foot_at, over = self.circle_at, self.foot_at, self.over
         cycles = self.fundamental_cycles()
         m = len(cycles)
-        if m == 0:
-            return ()
-        # per-cycle structure
-        uses = {}  # crossing -> list of (cycle index, direction)
-        walks = []  # per cycle: list of (circle, entry crossing, exit crossing)
+        # each band's uses [cycle, direction, from key, to key] in cycle order;
+        # a cycle crosses a band at most once
+        uses = [[] for _ in over]
+        cycle_uses = []
         for idx, bands in enumerate(cycles):
-            for ci, cf, ct in bands:
-                c1, _ = self.band[ci]
-                uses.setdefault(ci, []).append((idx, 1 if cf == c1 else -1))
-            w = []
+            row = []
+            for ci, cf, _ in bands:
+                use = [idx, 1 if cf == circle_at[2 * ci] else -1]
+                uses[ci].append(use)
+                row.append(use)
+            cycle_uses.append(row)
+        # a use's key at a band end: foot index * m + its rank among the
+        # band's uses, counted from the under-in end's side and reversed on
+        # the other; it orders positions on a circle as the pairs would
+        for ci, lst in enumerate(uses):
+            last = len(lst) - 1
+            for r, use in enumerate(lst):
+                k0 = foot_at[2 * ci] * m + r
+                k1 = foot_at[2 * ci + 1] * m + last - r
+                use += (k0, k1) if use[1] == 1 else (k1, k0)
+
+        # walks: per circle, (cycle, entry key, exit key) in cycle order
+        on_circle = {c: [] for c in self.circles}
+        for idx, (bands, row) in enumerate(zip(cycles, cycle_uses)):
             k = len(bands)
             for j in range(k):
-                ci, cf, ct = bands[j]
-                cj, nf, nt = bands[(j + 1) % k]
+                ct, nf = bands[j][2], bands[(j + 1) % k][1]
                 if ct != nf:
                     raise InconsistentDiagram(
                         f"cycle {idx} jumps from circle {ct} to {nf}", _MATRIX)
-                w.append((ct, ci, cj))
-            walks.append(w)
-
-        # refined foot positions: (foot index on circle, tie-break rank)
-        footpos = {c: {ci: i for i, ci in enumerate(self.feet[c])} for c in self.circles}
-
-        def refined(circle, crossing, cyc):
-            group = sorted(i for i, _ in uses.get(crossing, ()))
-            rank = group.index(cyc)
-            if self.band[crossing][0] != circle:
-                rank = len(group) - 1 - rank
-            return (footpos[circle][crossing], rank)
-
-        intervals = {}  # cycle -> list of (circle, lo refined, hi refined)
-        for idx, w in enumerate(walks):
-            intervals[idx] = [
-                (circle, refined(circle, centry, idx), refined(circle, cexit, idx))
-                for circle, centry, cexit in w
-            ]
-
-        def inside(p, lo, hi):
-            """p strictly inside the forward cyclic interval (lo, hi)."""
-            if lo < hi:
-                return lo < p < hi
-            return p > lo or p < hi
+                on_circle[ct].append((idx, row[j][3], row[(j + 1) % k][2]))
 
         W = [[0] * m for _ in range(m)]
 
         # (T1) shared half-twisted bands
-        for ci, lst in uses.items():
-            eps = d.sign(ci)
-            for x in range(len(lst)):
-                i, di = lst[x]
-                for y in range(x, len(lst)):
-                    j, dj = lst[y]
-                    contrib = SEIFERT_TWIST_SIGN * eps * di * dj
-                    if i == j:
-                        W[i][i] += contrib
-                    else:
-                        W[i][j] += contrib
-                        W[j][i] += contrib
+        for ci, lst in enumerate(uses):
+            eps = SEIFERT_TWIST_SIGN * (1 if over[ci] == 3 else -1)
+            for x, (i, di, _, _) in enumerate(lst):
+                W[i][i] += eps
+                for j, dj, _, _ in lst[x + 1:]:
+                    W[i][j] += eps * di * dj
+                    W[j][i] += eps * di * dj
 
         # (T2) dives of the deeper-ranked walk through the shallower one
-        for a in range(m):
-            for b in range(a + 1, m):  # b hugs deeper than a
-                for circle_b, lo_b, hi_b in intervals[b]:
-                    for circle_a, lo_a, hi_a in intervals[a]:
-                        if circle_a != circle_b:
-                            continue
-                        if inside(lo_b, lo_a, hi_a):
-                            W[a][b] += 1
-                            W[b][a] -= 1
-                        if inside(hi_b, lo_a, hi_a):
-                            W[a][b] -= 1
-                            W[b][a] += 1
+        for walks in on_circle.values():
+            for x, (a, lo, hi) in enumerate(walks):
+                for b, lo_b, hi_b in walks[x + 1:]:  # b hugs deeper than a
+                    dive = _inside(lo_b, lo, hi) - _inside(hi_b, lo, hi)
+                    W[a][b] += dive
+                    W[b][a] -= dive
 
         # (T3) band cores climbing over walks of the outer disc
-        for ci, lst in uses.items():
-            c1, c2 = self.band[ci]
-            d1, d2 = self.depth_c[c1], self.depth_c[c2]
-            if d1 == d2:
+        depth, eta = self.depth, self.eta
+        for ci, lst in enumerate(uses):
+            c1, c2 = circle_at[2 * ci], circle_at[2 * ci + 1]
+            if depth[c1] == depth[c2]:
                 continue  # sibling band: core routed clear of every walk
-            outer = c1 if d1 < d2 else c2
-            for i, di in lst:
-                leaving = next(cf for e, cf, ct in cycles[i] if e == ci) == outer
-                s_ev = -self.eta[outer] * (1 if leaving else -1)
-                p = refined(outer, ci, i)
-                for j in range(m):
-                    if j == i:
-                        continue
-                    for circle_j, lo_j, hi_j in intervals[j]:
-                        if circle_j == outer and inside(p, lo_j, hi_j):
-                            W[i][j] += s_ev
-                            W[j][i] += s_ev
+            outer = c1 if depth[c1] < depth[c2] else c2
+            for i, di, key_from, key_to in lst:
+                leaving = (c1 if di == 1 else c2) == outer
+                s_ev = -eta[outer] if leaving else eta[outer]
+                p = key_from if leaving else key_to
+                for j, lo, hi in on_circle[outer]:
+                    if j != i and _inside(p, lo, hi):
+                        W[i][j] += s_ev
+                        W[j][i] += s_ev
 
-        V = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if W[i][j] % 2:
+        for i, row in enumerate(W):
+            for j, w in enumerate(row):
+                if w % 2:
                     raise InconsistentDiagram(f"odd crossing count at ({i},{j})", _MATRIX)
-                row.append(W[i][j] // 2)
-            V.append(tuple(row))
-        return tuple(V)
+        return tuple(tuple(w // 2 for w in row) for row in W)
+
+
+def _inside(p, lo, hi):
+    """p strictly inside the forward cyclic interval (lo, hi)."""
+    if lo < hi:
+        return lo < p < hi
+    return p > lo or p < hi
 
 
 def seifert_pipeline(d: PlanarDiagram) -> SeifertData:

@@ -18,7 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagram import signature_alternating, twist_number
-from .errors import InvalidInput, KnotctError, NoFormula, NotAlternating, NotReduced
+from .errors import (
+    InvalidInput,
+    KnotctError,
+    NoFormula,
+    NotAlternating,
+    NotReduced,
+    ValidationError,
+)
 from .invariants import InvariantReport, closed_form
 from .montesinos import (
     FamilySpec,
@@ -136,6 +143,13 @@ def _note(exc, note):
     return exc
 
 
+def _stage_note(exc, stage):
+    """exc, noted with the obstruction stage it was raised in, unless it is
+    a ValidationError: that is a fault of the input, such as a link spec,
+    not of the stage that met it."""
+    return exc if isinstance(exc, ValidationError) else _note(exc, f"obstruction stage: {stage}")
+
+
 def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
@@ -188,7 +202,7 @@ def obstruct(spec) -> ObstructionVerdict:
                     g = alternating_genus(d, seifert_pipeline(d))
                     method["genus"] = "oracle"
     except KnotctError as exc:
-        raise _note(exc, "obstruction stage: genus")
+        raise _stage_note(exc, "genus")
     if g is not None and g != 2:
         return ObstructionVerdict("no_pcs", "genus_ne_2", report())
 
@@ -209,7 +223,7 @@ def obstruct(spec) -> ObstructionVerdict:
             a2 = gauss_a2(diagram())
             method["a2"] = "gauss_diagram"
     except KnotctError as exc:
-        raise _note(exc, "obstruction stage: a2")
+        raise _stage_note(exc, "a2")
     if a2 != 0:
         return ObstructionVerdict("no_pcs", "a2_nonzero", report())
     try:
@@ -219,7 +233,7 @@ def obstruct(spec) -> ObstructionVerdict:
             w3 = gauss_w3(diagram())
             method["w3"] = "gauss_diagram"
     except KnotctError as exc:
-        raise _note(exc, "obstruction stage: w3")
+        raise _stage_note(exc, "w3")
     if w3 != 0:
         return ObstructionVerdict("no_pcs", "w3_nonzero", report())
 
@@ -239,7 +253,7 @@ def obstruct(spec) -> ObstructionVerdict:
             tau = Fraction(-sigma, 2)
             method["tau"] = method["sigma"]
     except KnotctError as exc:
-        raise _note(exc, "obstruction stage: sigma")
+        raise _stage_note(exc, "sigma")
     if sigma is not None and sigma != 0:
         return ObstructionVerdict("no_pcs", "tau_nonzero_via_sigma", report())
 

@@ -117,6 +117,13 @@ def test_link_spec_exits_2(argv, message):
     assert "Traceback" not in p.stderr
 
 
+def test_link_spec_error_has_no_stage_note():
+    # a link spec is an input error, not a fault of the genus stage that meets it
+    p = _cli(["obstruct", "P(2,-2,1)"])
+    assert p.returncode == 2
+    assert p.stderr.splitlines() == ["error: 2 even-denominator tangles force extra components"]
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from braids import closed_braid
+from hypothesis import assume, given, settings
+from test_braids import braid_words
 from test_diagram import template_knots
 
 import knotct
@@ -441,3 +444,310 @@ def test_interpolation_rejects_non_integral_coefficients():
     with pytest.raises(InconsistentDiagram) as info:
         _interpolate([0, 0, 1])  # u(u - 1)/2
     assert info.value.stage == "oracle: Conway polynomial"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Seifert surface as first written, with dict union-finds over
+# arcs and faces, a set intersection of root paths per non-tree band and a
+# sorted rank per foot, and checks that raise AssertionError.  The surface
+# in knotct.oracle, which reads each datum from the diagram's cached tables,
+# must give the same SeifertData: the same circles, spanning tree, cycle
+# basis and matrix entries.
+
+REF_TWIST_SIGN = -1  # SEIFERT_TWIST_SIGN
+REF_LEFT_DART = 1  # LEFT_DART
+
+
+class _ReferenceDSU:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _reference_circle_of(d):
+    arcs = d.arcs()
+    dsu = _ReferenceDSU(arcs)
+    for ci, c in enumerate(d.crossings):
+        o = d.over_entry[ci]
+        dsu.union(c[0], c[4 - o])
+        dsu.union(c[o], c[2])
+    return {a: dsu.find(a) for a in arcs}
+
+
+class _ReferenceSurface:
+    def __init__(self, d):
+        self.d = d
+        self.circle_of = _reference_circle_of(d)
+        faces, face_of_dart, face_of_corner = d.face_table()
+
+        regions = _ReferenceDSU(range(len(faces)))
+        for ci in range(d.n):
+            gaps = (1, 3) if d.over_entry[ci] == 3 else (0, 2)
+            regions.union(face_of_corner[ci][gaps[0]], face_of_corner[ci][gaps[1]])
+        outer_face = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
+        self.outer_region = regions.find(outer_face)
+
+        circles = sorted(set(self.circle_of.values()))
+        self.circles = circles
+        arcs_of = {c: [] for c in circles}
+        for a, c in self.circle_of.items():
+            arcs_of[c].append(a)
+        region_side = {}
+        for c in circles:
+            rl = rr = None
+            for a in arcs_of[c]:
+                fl = regions.find(face_of_dart[(a, REF_LEFT_DART)])
+                fr = regions.find(face_of_dart[(a, -REF_LEFT_DART)])
+                if rl is None:
+                    rl, rr = fl, fr
+                elif (rl, rr) != (fl, fr):
+                    raise AssertionError("circle side regions not constant")
+            region_side[c] = (rl, rr)
+
+        radj = {}
+        for c, (rl, rr) in region_side.items():
+            radj.setdefault(rl, []).append((rr, c))
+            radj.setdefault(rr, []).append((rl, c))
+        depth = {self.outer_region: 0}
+        queue = deque([self.outer_region])
+        while queue:
+            r = queue.popleft()
+            for r2, _ in radj.get(r, []):
+                if r2 not in depth:
+                    depth[r2] = depth[r] + 1
+                    queue.append(r2)
+        self.eta = {}
+        self.depth_c = {}
+        for c, (rl, rr) in region_side.items():
+            if abs(depth[rl] - depth[rr]) != 1:
+                raise AssertionError("circle sides not nested by 1")
+            inner = rl if depth[rl] > depth[rr] else rr
+            self.eta[c] = 1 if inner == rl else -1
+            self.depth_c[c] = depth[inner]
+
+        def next_seifert(a):
+            ci, s = d.head_of(a)
+            o = d.over_entry[ci]
+            nxt = d.crossings[ci][4 - o] if s == 0 else d.crossings[ci][2]
+            return ci, nxt
+
+        self.feet = {}
+        for c in circles:
+            a0 = min(arcs_of[c])
+            seq = []
+            a = a0
+            while True:
+                ci, a = next_seifert(a)
+                seq.append(ci)
+                if a == a0:
+                    break
+            if len(seq) != len(arcs_of[c]):
+                raise AssertionError(f"circle {c}: {len(seq)} feet for {len(arcs_of[c])} arcs")
+            self.feet[c] = seq
+
+        self.band = {}
+        for ci in range(d.n):
+            o = d.over_entry[ci]
+            c1 = self.circle_of[d.crossings[ci][0]]
+            c2 = self.circle_of[d.crossings[ci][o]]
+            if c1 == c2:
+                raise AssertionError(f"band {ci} has both ends on circle {c1}")
+            self.band[ci] = (c1, c2)
+
+    def fundamental_cycles(self):
+        bands_at = {c: [] for c in self.circles}
+        for ci, (c1, c2) in self.band.items():
+            bands_at[c1].append((ci, c2))
+            bands_at[c2].append((ci, c1))
+        tree_parent = {self.circles[0]: None}
+        queue = deque([self.circles[0]])
+        tree_edges = set()
+        while queue:
+            u = queue.popleft()
+            for ci, v in bands_at[u]:
+                if v not in tree_parent:
+                    tree_parent[v] = (u, ci)
+                    tree_edges.add(ci)
+                    queue.append(v)
+        cycles = []
+        for ci in sorted(self.band):
+            if ci in tree_edges:
+                continue
+            c1, c2 = self.band[ci]
+
+            def path_to_root(c):
+                out = [c]
+                while tree_parent[c] is not None:
+                    c = tree_parent[c][0]
+                    out.append(c)
+                return out
+
+            p1, p2 = path_to_root(c1), path_to_root(c2)
+            common = set(p1) & set(p2)
+            i1 = next(i for i, c in enumerate(p1) if c in common)
+            i2 = next(i for i, c in enumerate(p2) if c in common)
+            if p1[i1] != p2[i2]:
+                raise AssertionError(f"tree paths of band {ci} meet at two apexes")
+            bands = [(ci, c1, c2)]
+            c = c2
+            for k in range(i2):
+                par, e = tree_parent[c]
+                bands.append((e, c, par))
+                c = par
+            down = []
+            c = c1
+            for k in range(i1):
+                par, e = tree_parent[c]
+                down.append((e, par, c))
+                c = par
+            bands.extend(reversed(down))
+            cycles.append(bands)
+        return cycles
+
+    def seifert_matrix(self):
+        d = self.d
+        cycles = self.fundamental_cycles()
+        m = len(cycles)
+        if m == 0:
+            return ()
+        uses = {}
+        walks = []
+        for idx, bands in enumerate(cycles):
+            for ci, cf, ct in bands:
+                c1, _ = self.band[ci]
+                uses.setdefault(ci, []).append((idx, 1 if cf == c1 else -1))
+            w = []
+            k = len(bands)
+            for j in range(k):
+                ci, cf, ct = bands[j]
+                cj, nf, nt = bands[(j + 1) % k]
+                if ct != nf:
+                    raise AssertionError(f"cycle {idx} jumps from circle {ct} to {nf}")
+                w.append((ct, ci, cj))
+            walks.append(w)
+
+        footpos = {c: {ci: i for i, ci in enumerate(self.feet[c])} for c in self.circles}
+
+        def refined(circle, crossing, cyc):
+            group = sorted(i for i, _ in uses.get(crossing, ()))
+            rank = group.index(cyc)
+            if self.band[crossing][0] != circle:
+                rank = len(group) - 1 - rank
+            return (footpos[circle][crossing], rank)
+
+        intervals = {}
+        for idx, w in enumerate(walks):
+            intervals[idx] = [
+                (circle, refined(circle, centry, idx), refined(circle, cexit, idx))
+                for circle, centry, cexit in w
+            ]
+
+        def inside(p, lo, hi):
+            if lo < hi:
+                return lo < p < hi
+            return p > lo or p < hi
+
+        W = [[0] * m for _ in range(m)]
+
+        for ci, lst in uses.items():
+            eps = d.sign(ci)
+            for x in range(len(lst)):
+                i, di = lst[x]
+                for y in range(x, len(lst)):
+                    j, dj = lst[y]
+                    contrib = REF_TWIST_SIGN * eps * di * dj
+                    if i == j:
+                        W[i][i] += contrib
+                    else:
+                        W[i][j] += contrib
+                        W[j][i] += contrib
+
+        for a in range(m):
+            for b in range(a + 1, m):
+                for circle_b, lo_b, hi_b in intervals[b]:
+                    for circle_a, lo_a, hi_a in intervals[a]:
+                        if circle_a != circle_b:
+                            continue
+                        if inside(lo_b, lo_a, hi_a):
+                            W[a][b] += 1
+                            W[b][a] -= 1
+                        if inside(hi_b, lo_a, hi_a):
+                            W[a][b] -= 1
+                            W[b][a] += 1
+
+        for ci, lst in uses.items():
+            c1, c2 = self.band[ci]
+            d1, d2 = self.depth_c[c1], self.depth_c[c2]
+            if d1 == d2:
+                continue
+            outer = c1 if d1 < d2 else c2
+            for i, di in lst:
+                leaving = next(cf for e, cf, ct in cycles[i] if e == ci) == outer
+                s_ev = -self.eta[outer] * (1 if leaving else -1)
+                p = refined(outer, ci, i)
+                for j in range(m):
+                    if j == i:
+                        continue
+                    for circle_j, lo_j, hi_j in intervals[j]:
+                        if circle_j == outer and inside(p, lo_j, hi_j):
+                            W[i][j] += s_ev
+                            W[j][i] += s_ev
+
+        V = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                if W[i][j] % 2:
+                    raise AssertionError(f"odd crossing count at ({i},{j})")
+                row.append(W[i][j] // 2)
+            V.append(tuple(row))
+        return tuple(V)
+
+
+def reference_seifert(d):
+    """seifert_pipeline's SeifertData, from the reference surface."""
+    if d.n == 0:
+        return SeifertData(0, (), 1)
+    circles = len(set(_reference_circle_of(d).values())) + d.free_loops
+    m = d.n - circles + 1
+    matrix = _ReferenceSurface(d).seifert_matrix() if m else ()
+    assert len(matrix) == m
+    return SeifertData(m // 2, matrix, circles)
+
+
+@given(braid_words())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_seifert_surface_matches_reference_on_braids(braid):
+    d = closed_braid(*braid)
+    assume(d.component_count() == 1)
+    assert seifert_pipeline(d) == reference_seifert(d)
+
+
+def test_seifert_surface_matches_reference_on_bound_three_builds():
+    """A seeded sample of 1,500 bound-3 family knot builds of at most 22
+    crossings, the range of the genus sweep's oracle."""
+    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
+    count = 0
+    for f in random.Random(20261018).sample(specs, len(specs)):
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() != 1 or d.n > 22:
+            continue
+        assert seifert_pipeline(d) == reference_seifert(d), str(f)
+        count += 1
+        if count == 1500:
+            break
+    assert count == 1500
