@@ -102,7 +102,11 @@ def a2_dt(x, y):
 
 def w3_dt(x, y):
     """w3 of the double twist knot DT(2x,2y)."""
-    return Fraction(x * y * (x + y), 4)
+    return Fraction(_w3x4_dt(x, y), 4)
+
+
+def _w3x4_dt(x, y):
+    return x * y * (x + y)
 
 
 def a2_pretzel(x, y, z):
@@ -112,7 +116,11 @@ def a2_pretzel(x, y, z):
 
 def w3_pretzel(x, y, z):
     """w3 of the odd pretzel knot P(2x+1,2y+1,2z+1)."""
-    return Fraction(
+    return Fraction(_w3x4_pretzel(x, y, z), 4)
+
+
+def _w3x4_pretzel(x, y, z):
+    return (
         x * y * (x + y)
         + y * z * (y + z)
         + z * x * (z + x)
@@ -120,85 +128,80 @@ def w3_pretzel(x, y, z):
         + (x + y + z) ** 2
         + 2 * (x * y + y * z + z * x)
         + 3 * (x + y + z)
-        + 2,
-        4,
+        + 2
     )
 
 
-def _closed_a2_w3(f):
-    """(a2, w3-or-None) for the unmirrored spec, or raise NoFormula."""
+def _closed_a2_w3x4(f):
+    """(a2, 4*w3 or None) for the unmirrored spec, both ints, or raise
+    NoFormula."""
     p = dict(f.params)
     s = f.sign_variant
     a, b, c, d, e = (p.get(k) for k in "abcde")
-    F = Fraction
     fam = f.family
     if fam == "pretzel":
         qs = f.param_values()
         if len(qs) != 3 or any(q % 2 == 0 for q in qs):
             raise NoFormula("closed forms cover only three-strand odd pretzels")
         x, y, z = ((q - 1) // 2 for q in qs)
-        return a2_pretzel(x, y, z), w3_pretzel(x, y, z)
+        return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
     if fam == "double_twist":
         x, y = p["x"], p["y"]
-        return a2_dt(x, y), w3_dt(x, y)
+        return a2_dt(x, y), _w3x4_dt(x, y)
     if fam == "o1":
         a2 = (c + 1) * (d + 1) * (e + 1) - c * d * e + b * (a + c + d + e + 2)
-        w3 = (
-            w3_pretzel(c, d, e)
-            + F(b, 2) * ((c + 1) * (d + 1) * (e + 1) - c * d * e)
-            + F(b, 4) * (a + c + d + e + 2) * (a + b + c + d + e + 2)
+        w3x4 = (
+            _w3x4_pretzel(c, d, e)
+            + 2 * b * ((c + 1) * (d + 1) * (e + 1) - c * d * e)
+            + b * (a + c + d + e + 2) * (a + b + c + d + e + 2)
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "o2":
         a2 = d * (c + e + 1) + b * (a + d + e + 1)
-        w3 = F(
+        w3x4 = (
             d * (c + e + 1) * (c + d + e + 1)
             + 2 * b * d * (1 + c + e)
-            + b * (a + d + e + 1) * (a + b + d + e + 1),
-            4,
+            + b * (a + d + e + 1) * (a + b + d + e + 1)
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "o3":
         if s != 1:
             raise NoFormula("no closed form for the minus branch of o3")
         # only a2 here: the published w3 line for this family fails the
         # diagram-level cross-check (skein engine and Jones derivatives
-        # agree against it), so w3 goes through the skein engine
+        # agree against it), so w3 comes from a diagram route
         return a * b + b * c + c * a + a - b - c, None
     if fam == "o4":
         if s != 1:
             raise NoFormula("no closed form for the minus branch of o4")
         a2 = a + a * c + a * d + c * d + b * c + b * d
-        w3 = F(
+        w3x4 = (
             c * d * (c + d)
             + a * a * (1 + c + d)
             + a * (c * c + 1 + 2 * d + d * d + 2 * c + 4 * c * d)
             + 2 * b * (a + a * c + a * d + c * d)
-            + b * (c + d) * (b + c + d),
-            4,
+            + b * (c + d) * (b + c + d)
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "o5":
         a2 = (a + 1) * (d + 1) * (e + 1) - a * d * e + c * (b + d + e + 1)
-        w3 = F(
+        w3x4 = (
             a * a * (1 + d + e)
             + (1 + d) * (1 + e) * (2 + d + e)
             + a * (3 + 4 * d + d * d + 4 * e + e * e + 4 * d * e)
             + 2 * c * ((a + 1) * (d + 1) * (e + 1) - a * d * e)
-            + c * (b + d + e + 1) * (b + c + d + e + 1),
-            4,
+            + c * (b + d + e + 1) * (b + c + d + e + 1)
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "e1":
         a2 = b * c + d * e + a * c + a * e
-        w3 = F(
+        w3x4 = (
             b * c * (b + c)
             + d * e * (d + e)
             + 2 * a * (b * c + d * e)
-            + a * (c + e) * (a + c + e),
-            4,
+            + a * (c + e) * (a + c + e)
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "e2":
         # bracket form [2],[−2,2a],[2,2b],[−2,2c]; the published −2b is for
         # the opposite sign of the third tangle's even entry
@@ -217,7 +220,7 @@ def _closed_a2_w3(f):
             + e * fv
             - c * (e + fv)
         )
-        w3 = F(
+        w3x4 = (
             2 * c
             + a * a * (1 + b + c)
             - d
@@ -249,10 +252,9 @@ def _closed_a2_w3(f):
                 + fv * fv
                 - 4 * c * (e + fv)
                 + 2 * d * (1 + e + fv)
-            ),
-            4,
+            )
         )
-        return a2, w3
+        return a2, w3x4
     if fam == "fig1_right":
         fv = p["f"]
         a2 = (
@@ -261,7 +263,7 @@ def _closed_a2_w3(f):
             + b * (1 + c - d - e)
             - 2 * (d + e + fv)
         )
-        w3 = F(
+        w3x4 = (
             -2
             + c
             + c * c
@@ -299,10 +301,9 @@ def _closed_a2_w3(f):
                 - 4 * fv
                 + (d + e) ** 2
                 - 2 * c * (-2 + d + 2 * e + fv)
-            ),
-            4,
+            )
         )
-        return a2, w3
+        return a2, w3x4
     raise NoFormula(f"no published closed form for family {fam!r}")
 
 
@@ -314,11 +315,11 @@ def closed_form(f) -> InvariantReport:
     everything else raises NoFormula.  A mirrored spec keeps a2 and negates
     w3 (even/odd order behavior under mirroring).
     """
-    a2, w3 = _closed_a2_w3(f)
-    if f.mirror and w3 is not None:
-        w3 = -w3
+    a2, w3x4 = _closed_a2_w3x4(f)
     method = {"a2": "closed_form"}
-    if w3 is not None:
+    w3 = None
+    if w3x4 is not None:
+        w3 = Fraction(-w3x4 if f.mirror else w3x4, 4)
         method["w3"] = "closed_form"
     return InvariantReport(a2=a2, w3=w3, method=method)
 

@@ -87,8 +87,7 @@ class MontesinosSpec(Record):
         return len(self.tangles)
 
     def diagram(self):
-        return montesinos_diagram([(f.numerator, f.denominator) for f in self.tangles],
-                                  self.gamma)
+        return montesinos_diagram(*_normal_pairs(self))
 
     def __str__(self):
         body = ",".join(f"{f.numerator}/{f.denominator}" for f in self.tangles)
@@ -123,39 +122,31 @@ def _normalize(tangles, gamma):
 
 FAMILY_NAMES = ("o1", "o1p", "o2", "o3", "o3p", "o4", "o4p", "o5", "e1", "e2", "e3")
 
-_PARAMS = {
-    "o1": ("a", "b", "c", "d", "e"),
-    "o1p": ("a", "b", "c", "d"),
-    "o2": ("a", "b", "c", "d", "e"),
-    "o3": ("a", "b", "c"),
-    "o3p": ("b", "c"),
-    "o4": ("a", "b", "c", "d"),
-    "o4p": ("b", "c", "d"),
-    "o5": ("a", "b", "c", "d", "e"),
-    "e1": ("a", "b", "c", "d", "e"),
-    "e2": ("a", "b", "c"),
-    "e3": ("a",),
-    "double_twist": ("x", "y"),
-    "fig1_left": ("a", "b", "c", "d", "e", "f"),
-    "fig1_right": ("a", "b", "c", "d", "e", "f"),
+
+def _rule(names, not_minus_one="", zero_ok=False, a_min=False, signed=False):
+    names = tuple(names)
+    return names, frozenset(names), zero_ok, tuple(map(names.index, not_minus_one)), a_min, signed
+
+
+# family -> (names, their set, zero allowed (six-box twist counts), positions
+# that must not be -1, |a| >= 2 required, takes a sign variant)
+_RULES = {
+    "o1": _rule("abcde", "acde"),
+    "o1p": _rule("abcd", "acd", signed=True),
+    "o2": _rule("abcde", "ace"),
+    "o3": _rule("abc", "bc", a_min=True, signed=True),
+    "o3p": _rule("bc", "bc", signed=True),
+    "o4": _rule("abcd", "bcd", a_min=True, signed=True),
+    "o4p": _rule("bcd", "bcd", signed=True),
+    "o5": _rule("abcde", "ade"),
+    "e1": _rule("abcde"),
+    "e2": _rule("abc"),
+    "e3": _rule("a", "a"),
+    "double_twist": _rule("xy"),
+    "fig1_left": _rule("abcdef", zero_ok=True),
+    "fig1_right": _rule("abcdef", zero_ok=True),
 }
-# params that must differ from -1 (all named params are nonzero by default)
-_NOT_MINUS_ONE = {
-    "o1": ("a", "c", "d", "e"),
-    "o1p": ("a", "c", "d"),
-    "o2": ("a", "c", "e"),
-    "o3": ("b", "c"),
-    "o3p": ("b", "c"),
-    "o4": ("b", "c", "d"),
-    "o4p": ("b", "c", "d"),
-    "o5": ("a", "d", "e"),
-    "e3": ("a",),
-}
-_SIGN_FAMILIES = {"o1p", "o3", "o3p", "o4", "o4p"}
 _MIRROR_FAMILIES = {"o3", "o3p", "o4", "o4p", "e2", "e3"}
-# families where zero parameter values are meaningful (twist counts, not
-# continued-fraction entries)
-_ZERO_OK = {"fig1_left", "fig1_right"}
 # the positional spec forms, head -> (family, arity or None for any, scale);
 # a form lists its family's parameters times the scale, in order
 _SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
@@ -172,36 +163,39 @@ class FamilySpec(Record):
     __slots__ = ("family", "params", "sign_variant", "mirror")
 
     def __init__(self, family, params, sign_variant=None, mirror=False):
-        if family == "pretzel":
-            names = tuple(f"q{i + 1}" for i in range(len(params)))
+        rule = _RULES.get(family)
+        if rule is None:
+            if family != "pretzel":
+                raise ValidationError(f"unknown family {family!r}")
             if len(params) < 2:
                 raise ValidationError("pretzel needs at least two strand counts")
-        elif family in _PARAMS:
-            names = _PARAMS[family]
-        else:
-            raise ValidationError(f"unknown family {family!r}")
-        params = dict(params) if not isinstance(params, dict) else dict(params)
-        if set(params) != set(names):
+            rule = _rule(f"q{i + 1}" for i in range(len(params)))
+        names, keys, zero_ok, not_minus_one, a_min, signed = rule
+        if not isinstance(params, dict):
+            params = dict(params)
+        if params.keys() != keys:
             raise ValidationError(
                 f"{family} needs parameters {names}, got {tuple(sorted(params))}"
             )
+        values = []
         for k in names:
-            params[k] = int(params[k])
-            if params[k] == 0 and family not in _ZERO_OK:
+            v = int(params[k])
+            if v == 0 and not zero_ok:
                 raise ValidationError(f"{family}: parameter {k} must be nonzero")
-        for k in _NOT_MINUS_ONE.get(family, ()):
-            if params[k] == -1:
-                raise ValidationError(f"{family}: parameter {k} must not be -1")
-        if family in ("o3", "o4") and abs(params["a"]) < 2:
+            values.append(v)
+        for i in not_minus_one:
+            if values[i] == -1:
+                raise ValidationError(f"{family}: parameter {names[i]} must not be -1")
+        if a_min and abs(values[0]) < 2:
             raise ValidationError(f"{family}: |a| >= 2 required")
-        if family in _SIGN_FAMILIES:
+        if signed:
             if sign_variant not in (1, -1):
                 raise ValidationError(f"{family} needs sign_variant +-1")
         elif sign_variant is not None:
             raise ValidationError(f"{family} takes no sign_variant")
         object.__setattr__(self, "family", family)
         # (name, value) pairs in the family's parameter order
-        object.__setattr__(self, "params", tuple((k, params[k]) for k in names))
+        object.__setattr__(self, "params", tuple(zip(names, values)))
         object.__setattr__(self, "sign_variant", sign_variant)
         object.__setattr__(self, "mirror", bool(mirror))
 
@@ -215,59 +209,30 @@ class FamilySpec(Record):
         s = self.sign_variant or 1
         a, b, c, d, e = (p.get(k) for k in "abcde")
         if self.family == "o1":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-                (1, 2 * e + 1),
-            ], 0
+            return [(2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1),
+                    (1, 2 * e + 1)], 0
         if self.family == "o1p":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], s
+            return [(2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1)], s
         if self.family == "o2":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (2 * d, 4 * c * d + 2 * d - 1),
-                (1, 2 * e + 1),
-            ], 0
+            return [(2 * b, 4 * a * b + 2 * b - 1), (2 * d, 4 * c * d + 2 * d - 1),
+                    (1, 2 * e + 1)], 0
         if self.family == "o3":
             return [(3, 6 * a - s), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o3p":
             return [(3 * s, 7), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o4":
-            return [
-                (4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], 0
+            return [(4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
+                    (1, 2 * c + 1), (1, 2 * d + 1)], 0
         if self.family == "o4p":
-            return [
-                (s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], 0
+            return [(s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s), (1, 2 * c + 1),
+                    (1, 2 * d + 1)], 0
         if self.family == "o5":
-            return [
-                (4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
-                (1, 2 * d + 1),
-                (1, 2 * e + 1),
-            ], 0
+            return [(4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
+                    (1, 2 * d + 1), (1, 2 * e + 1)], 0
         if self.family == "e1":
-            return [
-                (1, 2 * a),
-                (2 * c, 4 * b * c - 1),
-                (2 * e, 4 * d * e - 1),
-            ], 0
+            return [(1, 2 * a), (2 * c, 4 * b * c - 1), (2 * e, 4 * d * e - 1)], 0
         if self.family == "e2":
-            return [
-                (1, 2),
-                (-2 * a, 4 * a + 1),
-                (2 * b, 4 * b - 1),
-                (-2 * c, 4 * c + 1),
-            ], 0
+            return [(1, 2), (-2 * a, 4 * a + 1), (2 * b, 4 * b - 1), (-2 * c, 4 * c + 1)], 0
         if self.family == "e3":
             return [(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0
         raise InvalidInput(f"{self.family} has no Montesinos fraction form")
@@ -317,9 +282,19 @@ def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
     return MontesinosSpec(*_family_form(f))
 
 
+def _normal_pairs(spec):
+    """`_normalize`'s pairs and gamma for a spec, with no record built, or
+    None when the spec is the unknot (every tangle fraction an integer)."""
+    if isinstance(spec, MontesinosSpec):
+        return [f.as_integer_ratio() for f in spec.tangles], spec.gamma
+    try:
+        return _normalize(*_family_form(spec))
+    except InvalidInput:
+        return None
+
+
 def _to_montesinos(spec):
-    """Normalized Montesinos form, or None when the spec is the unknot
-    (every tangle fraction an integer)."""
+    """Normalized Montesinos form, or None when the spec is the unknot."""
     if isinstance(spec, MontesinosSpec):
         return spec
     try:
@@ -353,22 +328,23 @@ def enumerate_family(family, bound):
     the two even families stated with an explicit mirror); sign variants for
     the families whose bracket form carries a +/- branch.  Deterministic:
     parameters ascend lexicographically, then sign +1 before -1, then plain
-    before mirror.
+    before mirror.  The arguments are checked on the call, not on the
+    first `next()`.
     """
     if family not in FAMILY_NAMES:
         raise InvalidInput(f"not an enumerable genus-2 family: {family!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
-    names = _PARAMS[family]
-    signs = (1, -1) if family in _SIGN_FAMILIES else (None,)
-    mirrors = (False, True) if family in _MIRROR_FAMILIES else (False,)
-    values = [v for v in range(-bound, bound + 1) if v != 0]
-    for combo in product(values, repeat=len(names)):
-        for s, m in product(signs, mirrors):
-            try:
-                yield FamilySpec(family, dict(zip(names, combo)), s, m)
-            except ValidationError:
-                pass
+    # each parameter ranges over the values FamilySpec admits for it alone,
+    # so every combination is a spec and none is built to be dropped
+    names, _, _, not_minus_one, a_min, signed = _RULES[family]
+    axes = [[v for v in range(-bound, bound + 1)
+             if v and not (v == -1 and i in not_minus_one or i == 0 and a_min and abs(v) < 2)]
+            for i in range(len(names))]
+    variants = list(product((1, -1) if signed else (None,),
+                            (False, True) if family in _MIRROR_FAMILIES else (False,)))
+    return (FamilySpec(family, dict(zip(names, combo)), s, m)
+            for combo in product(*axes) for s, m in variants)
 
 
 # =============================================================================
@@ -389,15 +365,6 @@ class GenusBreakdown(Record):
         object.__setattr__(self, "p", p)
 
 
-def _half_range(beta, alpha, gamma):
-    """Absorb one unit so that |beta/alpha| < 1/2 (alpha odd); the new beta
-    and gamma."""
-    if 2 * abs(beta) > alpha:
-        step = 1 if beta > 0 else -1
-        return beta - step * alpha, gamma + step
-    return beta, gamma
-
-
 def genus(m: MontesinosSpec) -> GenusBreakdown:
     """Genus from continued-fraction normal forms.
 
@@ -413,11 +380,17 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     +-(2, -2, ..., 2, -2), where g = (1 + sum m_i)/2 - (p + 1) with p the
     minimal leading run length.
     """
-    pairs = [(f.numerator, f.denominator) for f in m.tangles]
+    return _genus(*_normal_pairs(m))
+
+
+def _genus(pairs, gamma):
+    """`genus` on the (beta, alpha) pairs and gamma that `_normalize` gives."""
     if all(q % 2 == 1 for _, q in pairs):
-        g_acc, per = m.gamma, []
+        g_acc, per = gamma, []
         for p, q in pairs:
-            p, g_acc = _half_range(p, q, g_acc)
+            if 2 * abs(p) > q:  # absorb one unit so that |p/q| < 1/2
+                step = 1 if p > 0 else -1
+                p, g_acc = p - step * q, g_acc + step
             per.append(sum(abs(b) for b in to_strict_cf((p, q))[1::2]))
         total = sum(per) + abs(g_acc) - 1
         if total % 2:
@@ -428,7 +401,7 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     if len(evens) != 1:
         raise UnclassifiableType(f"{len(evens)} even-denominator tangles")
     k = evens[0]
-    g_acc, fr = m.gamma, []
+    g_acc, fr = gamma, []
     for i, (p, q) in enumerate(pairs[k:] + pairs[:k]):
         if i > 0 and p % 2 == 1:
             step = 1 if p > 0 else -1
@@ -467,6 +440,8 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
 _SPACE = re.compile(r"\s*")
 _INT = re.compile(r"(-?[0-9]+)\s*")
 _NAME = re.compile(r"((?a:\w+))\s*")
+# one `key=value` of a FAM: list with the comma after it, in the tokens above
+_PAIR = re.compile(r"((?a:\w+))\s*=\s*(-?[0-9]+)\s*(,\s*)?")
 
 
 def _expect(text, i, s):
@@ -479,8 +454,12 @@ def _int(text, i):
     m = _INT.match(text, i)
     if m is None:
         raise ParseError(text, i, "integer")
+    return _digits(m[1], i), m.end()
+
+
+def _digits(s, i):
     try:
-        return int(m[1]), m.end()
+        return int(s)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise ValidationError(f"integer at position {i} has too many digits") from exc
 
@@ -542,16 +521,16 @@ def parse_spec(text: str):
     if head == "FAM" and text.startswith(":", i):
         family, i = _name(text, _SPACE.match(text, i + 1).end())
         i = _expect(text, i, "(")
-        kv = {}
-        while True:
-            key, i = _name(text, i)
-            value, i = _int(text, _expect(text, i, "="))
+        kv, more = {}, True
+        while more:
+            m = _PAIR.match(text, i)
+            if m is None:  # _PAIR is their tokens in a row, so the step-wise
+                # readers fail here too, and raise the error at its position
+                _int(text, _expect(text, _name(text, i)[1], "="))
+            key, value, i, more = m[1], _digits(m[2], m.start(2)), m.end(), m[3]
             if key in kv:
                 raise ValidationError(f"{family}: parameter {key} is given twice")
             kv[key] = value
-            if not text.startswith(",", i):
-                break
-            i = _SPACE.match(text, i + 1).end()
         _close(text, i)
         sign = kv.pop("sign", None)
         return FamilySpec(family, kv, sign, bool(kv.pop("mirror", 0)))
@@ -570,5 +549,5 @@ def parse_spec(text: str):
     _close(text, i)
     if any(v % scale for v in values):  # DT, the one form with scale 2
         raise ValidationError("double-twist counts must be even")
-    names = _PARAMS.get(family) or [f"q{k}" for k in range(1, len(values) + 1)]
+    names = _RULES[family][0] if family in _RULES else [f"q{k}" for k in range(1, len(values) + 1)]
     return FamilySpec(family, {k: v // scale for k, v in zip(names, values)})

@@ -30,8 +30,9 @@ from .invariants import InvariantReport, closed_form
 from .montesinos import (
     FamilySpec,
     MontesinosSpec,
+    _genus,
+    _normal_pairs,
     _to_montesinos,
-    genus,
     is_alternating_knot,
 )
 from .records import Record
@@ -130,8 +131,8 @@ def _reduced_alternating_diagram(d, m):
 def montesinos_length(spec) -> int:
     """r of the normalized Montesinos presentation (0 when every tangle
     fraction is an integer, i.e. the spec reduces to a (2, k) torus knot)."""
-    m = _to_montesinos(spec)
-    return 0 if m is None else m.r
+    pairs = _normal_pairs(spec)
+    return 0 if pairs is None else len(pairs[0])
 
 
 # =============================================================================
@@ -154,12 +155,13 @@ def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
     The spec's diagram is built at most once per call, on first use, and
-    dropped with the call.
+    dropped with the call.  The genus gate reads the normalized integer
+    pairs; a `MontesinosSpec` record is built only for the signature gate.
     """
     method = {}
     a2 = w3 = sigma = tau = g = None
     is_fig1 = isinstance(spec, FamilySpec) and spec.family in ("fig1_left", "fig1_right")
-    m = spec_diagram = None
+    spec_diagram = None
 
     def diagram():
         nonlocal spec_diagram
@@ -184,9 +186,9 @@ def obstruct(spec) -> ObstructionVerdict:
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
         else:
-            m = _to_montesinos(spec)
-            if m is not None:
-                g = genus(m).genus
+            pairs = _normal_pairs(spec)
+            if pairs is not None:
+                g = _genus(*pairs).genus
                 method["genus"] = "closed_form"
             else:
                 # every tangle fraction is an integer, so the spec reduces to
@@ -240,6 +242,7 @@ def obstruct(spec) -> ObstructionVerdict:
     # -- signature gate, alternating knots only (tau = -sigma/2 there)
     try:
         d = diagram()
+        m = None if is_fig1 else _to_montesinos(spec)
         alt_d = _reduced_alternating_diagram(d, m)
         if alt_d is not None:
             sigma = signature_alternating(alt_d)

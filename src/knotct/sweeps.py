@@ -291,8 +291,11 @@ def _check(checks, name, ok, counterexample=None):
     checks.append({"name": name, "passed": bool(ok), "counterexample": counterexample})
 
 
-def _suite_formulas(bound, checks):
-    crossing_cap = 22
+_FORMULAS_CROSSING_CAP = 22  # the formulas suite skips diagrams above this
+
+
+def _formulas_specs(bound):
+    """The formulas suite's spec list at `bound`, in its sweep order."""
     specs = []
     for fam in ("o1", "o2", "o3", "o4", "o5", "e1", "e2", "e3"):
         specs.extend(enumerate_family(fam, bound))
@@ -310,13 +313,17 @@ def _suite_formulas(bound, checks):
     for fam in ("fig1_left", "fig1_right"):
         for vals in itertools.product(range(-bound, bound + 1), repeat=6):
             specs.append(FamilySpec(fam, dict(zip("abcdef", vals))))
+    return specs
+
+
+def _suite_formulas(bound, checks):
     bad, n = [], 0
-    for f in specs:
+    for f in _formulas_specs(bound):
         try:
             d = f.diagram()
         except KnotctError:
             continue
-        if d.component_count() != 1 or d.n > crossing_cap:
+        if d.component_count() != 1 or d.n > _FORMULAS_CROSSING_CAP:
             continue
         n += 1
         ja2, jw3 = a2_w3_from_jones(jones_via_kauffman(d))

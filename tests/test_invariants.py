@@ -1,13 +1,22 @@
 """Closed-form invariants and the recursive skein engine."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from test_diagram import template_knots, trefoil
+from test_montesinos import _conversion_specs
 
 from knotct import invariants
-from knotct.errors import BudgetExceeded, InvalidInput, NoFormula, NotAKnot, ValidationError
+from knotct.errors import (
+    BudgetExceeded,
+    InvalidInput,
+    KnotctError,
+    NoFormula,
+    NotAKnot,
+    ValidationError,
+)
 from knotct.gauss import _gauss_word
 from knotct.invariants import (
     InvariantReport,
@@ -182,3 +191,38 @@ def test_memos_are_capped_without_changing_values(monkeypatch):
     for d, want in zip(ds, expected):
         assert (skein_a2(d), skein_w3(d)) == want
         assert len(invariants._A2_MEMO) <= 8 and len(invariants._W3_MEMO) <= 8
+
+
+def test_closed_forms_are_pinned():
+    # sha256 over the closed-form report, or the error's type and message,
+    # of every bound-3 family spec and formulas-suite spec (mirrored pretzels
+    # and double twists included); recorded with the closed forms written in
+    # `Fraction` arithmetic
+    outcomes = []
+    for f in _conversion_specs():
+        try:
+            outcomes.append(repr(closed_form(f)))
+        except KnotctError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 59_512
+    assert digest == "dfb062409ea10639f2dbc1605bffb13d752314e4f6d3c2824c46ec8c32b00cb0"
+
+
+def test_closed_form_builds_one_fraction_per_w3(monkeypatch):
+    # a2 and 4*w3 are computed in integers; the one Fraction is the w3 value
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(invariants, "Fraction", Counted)
+    for f in _conversion_specs()[::7]:
+        made.clear()
+        try:
+            rep = closed_form(f)
+        except NoFormula:
+            continue
+        assert len(made) == (rep.w3 is not None), str(f)

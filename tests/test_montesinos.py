@@ -254,6 +254,107 @@ def test_family_constraints():
         FamilySpec("e2", dict(a=0, b=1, c=1))
 
 
+def test_enumeration_is_pinned():
+    # sha256 over str(f) of every spec of every family at bounds 1..4, in
+    # enumeration order, with each (bound, family) count; recorded with the
+    # enumeration that built every parameter combination and dropped the
+    # ones FamilySpec rejected
+    h = hashlib.sha256()
+    counts = []
+    for bound in range(1, 5):
+        for family in FAMILY_NAMES:
+            n = 0
+            for f in enumerate_family(family, bound):
+                h.update(f"{f}\n".encode())
+                n += 1
+            counts.append(n)
+    assert counts == [
+        2, 4, 4, 0, 4, 0, 4, 4, 32, 16, 2,
+        324, 216, 432, 72, 36, 216, 108, 432, 1024, 128, 6,
+        3750, 1500, 4500, 400, 100, 2000, 500, 4500, 7776, 432, 10,
+        19208, 5488, 21952, 1176, 196, 8232, 1372, 21952, 32768, 1024, 14,
+    ]
+    assert h.hexdigest() == "c7ba8a2de8907bd2950b0b532bad087ad4c165647f2414d93c7275ac4e6c564e"
+
+
+def _family_spec_inputs():
+    """(family, params, sign_variant, mirror) arguments for FamilySpec, valid
+    and not: value grids with zeros, -1 and |a| < 2, every sign variant and
+    mirror flag on one valid parameter set, missing, extra and renamed keys,
+    pairs in place of a dict, values that are not ints, pretzels of zero to
+    four strands and unknown families."""
+    names = {family: [k for k, _ in next(enumerate_family(family, 2)).params]
+             for family in FAMILY_NAMES}
+    names.update({"double_twist": "xy", "fig1_left": "abcdef", "fig1_right": "abcdef",
+                  "pretzel": ("q1", "q2", "q3")})
+    signed = {"o1p", "o3", "o3p", "o4", "o4p"}
+    for family, keys in names.items():
+        values = (-2, -1, 0, 1, 2) if len(keys) <= 3 else (-2, -1, 0, 2)
+        for n, combo in enumerate(itertools.product(values, repeat=len(keys))):
+            sign = (1, -1)[n % 2] if family in signed else None
+            yield family, dict(zip(keys, combo)), sign, n % 3 == 0
+        good = dict.fromkeys(keys, 2)
+        for sign in (None, 1, -1, 0, 2, True, 1.0, "1"):
+            for mirror in (False, True, 0, 1, "", "no"):
+                yield family, good, sign, mirror
+        sign = 1 if family in signed else None
+        yield family, dict(list(good.items())[:-1]), sign, False
+        yield family, {**good, "z": 1}, sign, False
+        yield family, {**dict(list(good.items())[1:]), "z": 2}, sign, False
+        yield family, tuple(good.items()), sign, True
+        yield family, list(good.items()), sign, False
+        for bad in ("2", "-1", "x", 2.5, -1.0, True, Fraction(5, 2), None):
+            first, *rest = keys
+            yield family, {first: bad, **dict.fromkeys(rest, 2)}, sign, False
+            yield family, {first: 0, **dict.fromkeys(rest, bad)}, sign, False
+            yield family, {**dict.fromkeys(keys[:-1], 2), keys[-1]: bad}, sign, False
+    for n in range(5):
+        for q in (-3, 0, 3):
+            yield "pretzel", {f"q{i + 1}": q for i in range(n)}, None, False
+    yield "pretzel", {"q1": 3, "q3": 5}, None, False
+    for family in ("nope", "", "O1", "pretzel2"):
+        yield family, {"a": 2}, None, False
+
+
+def test_family_spec_outcomes_are_pinned():
+    # sha256 over the repr, or the error's type and message, of FamilySpec on
+    # every input above; recorded with the validation that rebuilt its key
+    # sets per call
+    outcomes = []
+    for args in _family_spec_inputs():
+        try:
+            outcomes.append(repr(FamilySpec(*args)))
+        except Exception as exc:  # the error's type and message are the outcome
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 14_530
+    assert digest == "b2350f83634168fb51549e831bcfcc3279484a9fe230d9399e34bc19c56d9581"
+
+
+def test_enumeration_builds_only_the_specs_it_yields(monkeypatch):
+    calls = []
+    init = FamilySpec.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FamilySpec, "__init__", counted)
+    for family in FAMILY_NAMES:
+        calls.clear()
+        specs = list(enumerate_family(family, 3))
+        assert len(calls) == len(specs), family
+
+
+@pytest.mark.parametrize("family, bound, error", [
+    ("x", 2, InvalidInput), ("pretzel", 2, InvalidInput), ("o1", 0, ValidationError),
+    ("e3", -1, ValidationError),
+])
+def test_enumerate_family_checks_its_arguments_when_called(family, bound, error):
+    with pytest.raises(error):
+        enumerate_family(family, bound)
+
+
 def test_parse_spec_forms():
     assert parse_spec("P(3,5,-2)").family == "pretzel"
     assert parse_spec("DT(2,4)").family == "double_twist"
