@@ -209,30 +209,59 @@ class FamilySpec(Record):
         s = self.sign_variant or 1
         a, b, c, d, e = (p.get(k) for k in "abcde")
         if self.family == "o1":
-            return [(2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1),
-                    (1, 2 * e + 1)], 0
+            return [
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
+                (1, 2 * e + 1),
+            ], 0
         if self.family == "o1p":
-            return [(2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1)], s
+            return [
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
+            ], s
         if self.family == "o2":
-            return [(2 * b, 4 * a * b + 2 * b - 1), (2 * d, 4 * c * d + 2 * d - 1),
-                    (1, 2 * e + 1)], 0
+            return [
+                (2 * b, 4 * a * b + 2 * b - 1),
+                (2 * d, 4 * c * d + 2 * d - 1),
+                (1, 2 * e + 1),
+            ], 0
         if self.family == "o3":
             return [(3, 6 * a - s), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o3p":
             return [(3 * s, 7), (1, 2 * b + 1), (1, 2 * c + 1)], 0
         if self.family == "o4":
-            return [(4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
-                    (1, 2 * c + 1), (1, 2 * d + 1)], 0
+            return [
+                (4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
+            ], 0
         if self.family == "o4p":
-            return [(s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s), (1, 2 * c + 1),
-                    (1, 2 * d + 1)], 0
+            return [
+                (s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s),
+                (1, 2 * c + 1),
+                (1, 2 * d + 1),
+            ], 0
         if self.family == "o5":
-            return [(4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
-                    (1, 2 * d + 1), (1, 2 * e + 1)], 0
+            return [
+                (4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
+                (1, 2 * d + 1),
+                (1, 2 * e + 1),
+            ], 0
         if self.family == "e1":
-            return [(1, 2 * a), (2 * c, 4 * b * c - 1), (2 * e, 4 * d * e - 1)], 0
+            return [
+                (1, 2 * a),
+                (2 * c, 4 * b * c - 1),
+                (2 * e, 4 * d * e - 1),
+            ], 0
         if self.family == "e2":
-            return [(1, 2), (-2 * a, 4 * a + 1), (2 * b, 4 * b - 1), (-2 * c, 4 * c + 1)], 0
+            return [
+                (1, 2),
+                (-2 * a, 4 * a + 1),
+                (2 * b, 4 * b - 1),
+                (-2 * c, 4 * c + 1),
+            ], 0
         if self.family == "e3":
             return [(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0
         raise InvalidInput(f"{self.family} has no Montesinos fraction form")
@@ -294,7 +323,8 @@ def _normal_pairs(spec):
 
 
 def _to_montesinos(spec):
-    """Normalized Montesinos form, or None when the spec is the unknot."""
+    """Normalized Montesinos form, or None when the spec is the unknot
+    (every tangle fraction an integer)."""
     if isinstance(spec, MontesinosSpec):
         return spec
     try:
@@ -365,8 +395,9 @@ class GenusBreakdown(Record):
         object.__setattr__(self, "p", p)
 
 
-def genus(m: MontesinosSpec) -> GenusBreakdown:
-    """Genus from continued-fraction normal forms.
+def genus(m) -> GenusBreakdown:
+    """Genus from continued-fraction normal forms, of a MontesinosSpec or of
+    the normalized (pairs, gamma) that `_normal_pairs` gives.
 
     Odd type (all denominators odd): each tangle is brought to |f| < 1/2
     (units move into gamma), its strict continued fraction contributes
@@ -380,11 +411,7 @@ def genus(m: MontesinosSpec) -> GenusBreakdown:
     +-(2, -2, ..., 2, -2), where g = (1 + sum m_i)/2 - (p + 1) with p the
     minimal leading run length.
     """
-    return _genus(*_normal_pairs(m))
-
-
-def _genus(pairs, gamma):
-    """`genus` on the (beta, alpha) pairs and gamma that `_normalize` gives."""
+    pairs, gamma = _normal_pairs(m) if isinstance(m, MontesinosSpec) else m
     if all(q % 2 == 1 for _, q in pairs):
         g_acc, per = gamma, []
         for p, q in pairs:

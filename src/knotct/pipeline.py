@@ -30,9 +30,9 @@ from .invariants import InvariantReport, closed_form
 from .montesinos import (
     FamilySpec,
     MontesinosSpec,
-    _genus,
     _normal_pairs,
     _to_montesinos,
+    genus,
     is_alternating_knot,
 )
 from .records import Record
@@ -188,7 +188,7 @@ def obstruct(spec) -> ObstructionVerdict:
         else:
             pairs = _normal_pairs(spec)
             if pairs is not None:
-                g = _genus(*pairs).genus
+                g = genus(pairs).genus
                 method["genus"] = "closed_form"
             else:
                 # every tangle fraction is an integer, so the spec reduces to

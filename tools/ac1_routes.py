@@ -1,10 +1,10 @@
 """Per-route CPU time over the formulas suite (AC1), in one process.
 
-    PYTHONPATH=src python3 tools/ac1_routes.py [--bound 2] [--stride 1]
+    PYTHONPATH=src python3 tools/ac1_routes.py
 
-Builds the formulas suite's spec list, keeps the knot diagrams of at most
-22 crossings as the suite does, and runs every route on each diagram,
-charging `time.process_time()` to the route that ran:
+Builds the formulas suite's bound-2 spec list, keeps the knot diagrams of
+at most 22 crossings as the suite does, and runs every route on each
+diagram, charging `time.process_time()` to the route that ran:
 
 - diagram build: `f.diagram()` and the component and crossing-cap checks
   (specs that build no knot diagram are charged here too);
@@ -15,15 +15,12 @@ charging `time.process_time()` to the route that ran:
 - Conway determinant: `conway_polynomial(...).coefficient(2)`;
 - `a2_w3_from_jones`, closed forms: the Jones derivatives and `closed_form`.
 
-It prints a Markdown table of seconds and shares, largest first, and checks
-that the routes agree as the suite does; a disagreement exits 1.
-`--stride K` times every K-th spec only, for a quick run.
+It prints a Markdown table of seconds and shares, largest first.  The
+routes' agreement is checked by `knotct verify --suite formulas`, not here.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from knotct.errors import KnotctError, NoFormula
@@ -49,11 +46,10 @@ ROUTES = (
 
 
 def route_times(specs):
-    """(seconds per route, crossing counts of the diagrams timed, specs
-    whose routes disagree)."""
+    """(seconds per route, crossing counts of the diagrams timed)."""
     clock = time.process_time
     spent = dict.fromkeys(ROUTES, 0.0)
-    crossings, bad = [], []
+    crossings = []
     for f in specs:
         t0 = clock()
         try:
@@ -68,42 +64,29 @@ def route_times(specs):
         crossings.append(d.n)
         jones = jones_via_kauffman(d)
         t2 = clock()
-        sa2, sw3 = skein_a2(d), skein_w3(d)
+        skein_a2(d), skein_w3(d)
         t3 = clock()
-        ga2, gw3 = gauss_a2(d), gauss_w3(d)
+        gauss_a2(d), gauss_w3(d)
         t4 = clock()
         surface = seifert_pipeline(d)
         t5 = clock()
-        ca2 = conway_polynomial(surface).coefficient(2)
+        conway_polynomial(surface).coefficient(2)
         t6 = clock()
-        ja2, jw3 = a2_w3_from_jones(jones)
+        a2_w3_from_jones(jones)
         try:
-            rep = closed_form(f)
+            closed_form(f)
         except NoFormula:
-            rep = None
+            pass
         t7 = clock()
         marks = (t1, t2, t3, t4, t5, t6, t7)
         for route, start, end in zip(ROUTES[1:], marks, marks[1:]):
             spent[route] += end - start
-        a2s, w3s = {ja2, sa2, ga2, ca2}, {jw3, sw3, gw3}
-        if rep is not None:
-            a2s.add(rep.a2)
-            if rep.w3 is not None:
-                w3s.add(rep.w3)
-        if len(a2s) != 1 or len(w3s) != 1:
-            bad.append(str(f))
-    return spent, crossings, bad
+    return spent, crossings
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--bound", type=int, default=2, help="the suite's parameter bound")
-    ap.add_argument("--stride", type=int, default=1, help="time every STRIDE-th spec only")
-    args = ap.parse_args(argv)
-    if args.bound < 1 or args.stride < 1:
-        ap.error("--bound and --stride must be at least 1")
-    specs = _formulas_specs(args.bound)[:: args.stride]
-    spent, crossings, bad = route_times(specs)
+def main():
+    specs = _formulas_specs(2)
+    spent, crossings = route_times(specs)
     total = sum(spent.values())
     n = len(crossings)
     mean = sum(crossings) / n if n else 0.0
@@ -115,10 +98,7 @@ def main(argv=None):
     for route in sorted(ROUTES, key=spent.get, reverse=True):
         share = spent[route] / total if total else 0.0
         print(f"| {route} | {spent[route]:.1f} s | {share:.0%} |")
-    for text in bad[:5]:
-        print(f"routes disagree on {text}", file=sys.stderr)
-    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
