@@ -18,7 +18,7 @@ from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
-    _to_montesinos,
+    _normal_pairs,
     enumerate_family,
     genus,
     is_alternating_knot,
@@ -92,9 +92,9 @@ def invariant_report(spec, method="all") -> InvariantReport:
         sd = seifert_pipeline(d)
         sigma = oracle_signature(sd)
         meth["sigma"] = "oracle"
-        m = None if isinstance(spec, FamilySpec) and spec.family.startswith("fig1") else _to_montesinos(spec)
-        if m is not None:
-            g = genus(m).genus
+        norm = _normal_pairs(spec)  # None for a six-box template too
+        if norm is not None:
+            g = genus(norm).genus
             meth["genus"] = "closed_form"
         else:
             ds = d.simplify()
@@ -104,7 +104,7 @@ def invariant_report(spec, method="all") -> InvariantReport:
             elif ds.is_alternating() and ds.is_reduced():
                 g = alternating_genus(ds, seifert_pipeline(ds))
                 meth["genus"] = "oracle"
-        alternating = d.is_alternating() or (m is not None and is_alternating_knot(m))
+        alternating = d.is_alternating() or (norm is not None and is_alternating_knot(norm))
         if alternating:
             tau = Fraction(-sigma, 2)
             meth["tau"] = "oracle"

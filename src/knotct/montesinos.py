@@ -15,10 +15,11 @@ convert them to `MontesinosSpec`s, and compute genus from the strict/even
 continued-fraction normal forms.
 
 The spec layer runs in integer arithmetic: a family's tangles are (beta,
-alpha) pairs, normalization, the knot-parity check and the genus cases
-shift numerators by whole denominators, and the normal forms take the
-pairs as they are.  A `Fraction` is built only for each tangle of a
-`MontesinosSpec` record.
+alpha) pairs, normalization, the knot-parity check, the genus cases and
+the alternating shift move numerators by whole denominators, and the
+normal forms take the pairs as they are.  A `Fraction` is built only for
+each tangle of a `MontesinosSpec` record; `genus`, `is_alternating_knot`
+and `alternating_build` take such a record or the normalized pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "parse_spec",
     "family_to_montesinos",
     "is_alternating_knot",
+    "alternating_build",
     "genus",
     "enumerate_family",
     "FAMILY_NAMES",
@@ -322,32 +324,38 @@ def _normal_pairs(spec):
         return None
 
 
-def _to_montesinos(spec):
-    """Normalized Montesinos form, or None when the spec is the unknot
-    (every tangle fraction an integer)."""
-    if isinstance(spec, MontesinosSpec):
-        return spec
-    try:
-        return family_to_montesinos(spec)
-    except InvalidInput:
-        return None
+def _pairs(m):
+    """A MontesinosSpec's normalized (pairs, gamma), or `m` itself."""
+    return _normal_pairs(m) if isinstance(m, MontesinosSpec) else m
 
 
-def is_alternating_knot(m: MontesinosSpec) -> bool:
+def alternating_build(m):
+    """The alternating presentation of a MontesinosSpec or its normalized
+    (pairs, gamma), as (pairs, gamma), or None: every negative tangle p/q
+    shifted to (p + q)/q, or every positive one to (p - q)/q, with the
+    units moved into gamma, when that leaves gamma zero or of their sign.
+    """
+    pairs, gamma = _pairs(m)
+    neg = sum(1 for p, _ in pairs if p < 0)
+    if gamma >= neg:
+        return [(p + q if p < 0 else p, q) for p, q in pairs], gamma - neg
+    pos = len(pairs) - neg
+    if gamma + pos <= 0:
+        return [(p - q if p > 0 else p, q) for p, q in pairs], gamma + pos
+    return None
+
+
+def is_alternating_knot(m) -> bool:
     """Whether the Montesinos knot (not just this presentation) is
-    alternating.
+    alternating, for a MontesinosSpec or normalized (pairs, gamma).
 
     Length <= 2 means two-bridge, always alternating.  Otherwise the reduced
     Montesinos presentations of the knot are exactly the shifts of this one
-    (each fraction replaced by its other in-range representative, moving the
-    unit into gamma), so the knot is alternating iff all fractions can be
-    given one sign with gamma zero or sign-matched.
+    (Lickorish-Thistlethwaite), so the knot is alternating iff
+    `alternating_build` finds one with every fraction of one sign.
     """
-    if m.r <= 2:
-        return True
-    pos = sum(1 for f in m.tangles if f > 0)
-    neg = m.r - pos
-    return m.gamma + pos <= 0 or m.gamma - neg >= 0
+    norm = _pairs(m)
+    return len(norm[0]) <= 2 or alternating_build(norm) is not None
 
 
 def enumerate_family(family, bound):
@@ -411,7 +419,7 @@ def genus(m) -> GenusBreakdown:
     +-(2, -2, ..., 2, -2), where g = (1 + sum m_i)/2 - (p + 1) with p the
     minimal leading run length.
     """
-    pairs, gamma = _normal_pairs(m) if isinstance(m, MontesinosSpec) else m
+    pairs, gamma = _pairs(m)
     if all(q % 2 == 1 for _, q in pairs):
         g_acc, per = gamma, []
         for p, q in pairs:

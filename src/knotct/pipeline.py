@@ -8,6 +8,11 @@ knot admits no purely cosmetic surgeries; the honest fall-through is
 "inconclusive", never a claim that cosmetic surgeries exist.  `twist_gate`
 is the alternating-diagram twist-number gate.
 
+Whether a Montesinos knot is alternating, and its alternating presentation,
+are decided in `knotct.montesinos` (`is_alternating_knot`,
+`alternating_build`, re-exported here) on the spec's normalized integer
+pairs; no caller below the parser builds a `MontesinosSpec` to ask.
+
 The sweeps that run this chain over whole family scopes (`classify_genus2`)
 and the cross-validation suites live in `knotct.sweeps`, which a single-spec
 query never loads.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import signature_alternating, twist_number
+from .diagram import montesinos_diagram, signature_alternating, twist_number
 from .errors import (
     InvalidInput,
     KnotctError,
@@ -29,9 +34,8 @@ from .errors import (
 from .invariants import InvariantReport, closed_form
 from .montesinos import (
     FamilySpec,
-    MontesinosSpec,
     _normal_pairs,
-    _to_montesinos,
+    alternating_build,
     genus,
     is_alternating_knot,
 )
@@ -95,34 +99,15 @@ class TwistGate(Record):
 # alternating-knot certification
 
 
-def alternating_build(m: MontesinosSpec):
-    """An alternating presentation of the knot, or None.
-
-    Shifts every fraction to the sign that admits an alternating template
-    diagram; the caller gets a spec whose diagram() is alternating.
-    """
-    if is_alternating_knot(m):
-        pos = sum(1 for f in m.tangles if f > 0)
-        neg = m.r - pos
-        if m.gamma - neg >= 0:
-            return MontesinosSpec(
-                [f if f > 0 else f + 1 for f in m.tangles], m.gamma - neg
-            )
-        if m.gamma + pos <= 0:
-            return MontesinosSpec(
-                [f if f < 0 else f - 1 for f in m.tangles], m.gamma + pos
-            )
-    return None
-
-
-def _reduced_alternating_diagram(d, m):
+def _reduced_alternating_diagram(d, norm):
     """A reduced alternating diagram of the knot, or None: `d` itself when it
-    is one, else the diagram of `alternating_build(m)` when that is one."""
+    is one, else the diagram of `alternating_build(norm)` when that is one;
+    `norm` is the spec's `_normal_pairs`."""
     if d.is_alternating() and d.is_reduced():
         return d
-    alt = alternating_build(m) if m is not None else None
+    alt = alternating_build(norm) if norm is not None else None
     if alt is not None:
-        bd = alt.diagram()
+        bd = montesinos_diagram(*alt)
         if bd.is_alternating() and bd.is_reduced():
             return bd
     return None
@@ -155,11 +140,11 @@ def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
     The spec's diagram is built at most once per call, on first use, and
-    dropped with the call.  The genus gate reads the normalized integer
-    pairs; a `MontesinosSpec` record is built only for the signature gate.
+    dropped with the call.  The genus and signature gates share the spec's
+    normalized integer pairs, computed once; no `MontesinosSpec` is built.
     """
     method = {}
-    a2 = w3 = sigma = tau = g = None
+    a2 = w3 = sigma = tau = g = norm = None
     is_fig1 = isinstance(spec, FamilySpec) and spec.family in ("fig1_left", "fig1_right")
     spec_diagram = None
 
@@ -186,9 +171,9 @@ def obstruct(spec) -> ObstructionVerdict:
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
         else:
-            pairs = _normal_pairs(spec)
-            if pairs is not None:
-                g = genus(pairs).genus
+            norm = _normal_pairs(spec)
+            if norm is not None:
+                g = genus(norm).genus
                 method["genus"] = "closed_form"
             else:
                 # every tangle fraction is an integer, so the spec reduces to
@@ -242,12 +227,11 @@ def obstruct(spec) -> ObstructionVerdict:
     # -- signature gate, alternating knots only (tau = -sigma/2 there)
     try:
         d = diagram()
-        m = None if is_fig1 else _to_montesinos(spec)
-        alt_d = _reduced_alternating_diagram(d, m)
+        alt_d = _reduced_alternating_diagram(d, norm)
         if alt_d is not None:
             sigma = signature_alternating(alt_d)
             method["sigma"] = "closed_form"
-        elif m is not None and is_alternating_knot(m):
+        elif norm is not None and is_alternating_knot(norm):
             from .oracle import oracle_signature, seifert_pipeline
 
             sigma = oracle_signature(seifert_pipeline(d))
@@ -268,11 +252,11 @@ def twist_gate(spec) -> TwistGate:
     purely cosmetic surgeries."""
     d = spec.diagram()
     if not d.is_alternating():
-        m = _to_montesinos(spec)
-        built = alternating_build(m) if m is not None else None
+        norm = _normal_pairs(spec)
+        built = alternating_build(norm) if norm is not None else None
         if built is None:
             raise NotAlternating("twist gate needs an alternating build")
-        d = built.diagram()
+        d = montesinos_diagram(*built)
     if not d.is_reduced():
         raise NotReduced("twist gate needs a reduced build")
     t = twist_number(d)

@@ -27,8 +27,8 @@ from .invariants import closed_form, skein_a2, skein_w3
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
+    _normal_pairs,
     enumerate_family,
-    family_to_montesinos,
     genus,
     is_alternating_knot,
 )
@@ -161,9 +161,7 @@ def _scope_specs(scope, bound):
     if scope in ("montesinos", "alternating_montesinos"):
         for fam in FAMILY_NAMES:
             for f in enumerate_family(fam, bound):
-                if scope == "alternating_montesinos" and not is_alternating_knot(
-                    family_to_montesinos(f)
-                ):
+                if scope == "alternating_montesinos" and not is_alternating_knot(_normal_pairs(f)):
                     continue
                 yield f
     elif scope == "fig1":
@@ -415,7 +413,7 @@ def _suite_signatures(bound, checks):
             f = FamilySpec(fam, p, sign)
             d = f.diagram()
             s_or = oracle_signature(seifert_pipeline(d))
-            alt_d = _reduced_alternating_diagram(d, family_to_montesinos(f))
+            alt_d = _reduced_alternating_diagram(d, _normal_pairs(f))
             s_alt = None if alt_d is None else signature_alternating(alt_d)
             if expected == ">0":
                 ok = s_or > 0 and (s_alt is None or s_alt == s_or)
@@ -430,7 +428,7 @@ def _suite_genus(bound, checks):
     bad, n, bad_alt, n_alt = [], 0, [], 0
     for fam in FAMILY_NAMES:
         for f in enumerate_family(fam, bound):
-            g = genus(family_to_montesinos(f)).genus
+            g = genus(_normal_pairs(f)).genus
             n += 1
             if g != 2:
                 bad.append(str(f))

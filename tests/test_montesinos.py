@@ -18,9 +18,12 @@ from knotct.montesinos import (
     FAMILY_NAMES,
     FamilySpec,
     MontesinosSpec,
+    _normal_pairs,
+    alternating_build,
     enumerate_family,
     family_to_montesinos,
     genus,
+    is_alternating_knot,
     parse_spec,
 )
 from knotct.oracle import conway_polynomial, seifert_pipeline
@@ -228,6 +231,28 @@ def test_family_conversions_are_pinned():
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert len(outcomes) == 59_512
     assert digest == "3fb502eba04f266222a7629bb34bb519694466685c7c5ef6e86b12777e881ee4"
+
+
+def test_alternating_presentations_are_pinned():
+    # sha256 over is_alternating_knot and the alternating presentation as its
+    # M(...) string, or the conversion error's type and message, of every
+    # spec above; recorded with the test and shift that compared the
+    # record's Fractions, which the integer ones replaced
+    outcomes = []
+    for f in _conversion_specs():
+        try:
+            m = family_to_montesinos(f)
+        except KnotctError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        alt = alternating_build(m)
+        norm = _normal_pairs(f)
+        assert (is_alternating_knot(norm), alternating_build(norm)) == (is_alternating_knot(m), alt)
+        outcomes.append(f"{is_alternating_knot(m)} {alt and MontesinosSpec(*alt)}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 59_512
+    assert sum(o.startswith("True") for o in outcomes) == 7_348
+    assert digest == "7ef8a2c55500150382f6311225bd5d796e39e3381c95959ab853d43b567f471c"
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)

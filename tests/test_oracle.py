@@ -16,7 +16,12 @@ from test_braids import braid_words
 from test_diagram import template_knots
 
 import knotct
-from knotct.diagram import double_twist_diagram, pretzel_diagram, signature_alternating
+from knotct.diagram import (
+    double_twist_diagram,
+    montesinos_diagram,
+    pretzel_diagram,
+    signature_alternating,
+)
 from knotct.errors import (
     BudgetExceeded,
     InconsistentDiagram,
@@ -155,7 +160,7 @@ def test_signatures_are_pinned():
         for f in enumerate_family(family, 2):
             d = f.diagram()
             alt = alternating_build(family_to_montesinos(f))
-            for kind, e in (("build", d), ("mirror", d.mirror()), ("alt", alt and alt.diagram())):
+            for kind, e in (("build", d), ("mirror", d.mirror()), ("alt", alt and montesinos_diagram(*alt))):
                 if e is None:
                     continue
                 s_alt = signature_alternating(e) if e.is_alternating() and e.is_reduced() else None

@@ -2,9 +2,10 @@
 
 import pytest
 
+from knotct.diagram import montesinos_diagram
 from knotct.errors import KnotctError
 from knotct.invariants import skein_a2
-from knotct.montesinos import FamilySpec, parse_spec
+from knotct.montesinos import parse_spec
 from knotct.oracle import conway_polynomial, seifert_pipeline
 from knotct.pipeline import (
     FIRED_RULES,
@@ -70,20 +71,23 @@ def test_verdict_consistency():
 def test_alternating_certification():
     two_bridge = parse_spec("M(1/2,1/3)")
     assert is_alternating_knot(two_bridge)
+    # two-bridge knots are alternating even when no sign-coherent shift exists
+    mixed = parse_spec("M(1/3,-2/5)")
+    assert is_alternating_knot(mixed) and alternating_build(mixed) is None
     all_pos = parse_spec("M(1/2,1/3,1/3)")
     assert is_alternating_knot(all_pos)
     b = alternating_build(all_pos)
-    assert b is not None and b.diagram().is_alternating()
+    assert b is not None and montesinos_diagram(*b).is_alternating()
 
 
 def test_alternating_build_for_mixed_signs():
-    f = FamilySpec("o1p", dict(a=-2, b=-1, c=2, d=1), sign_variant=-1)
-    from knotct.pipeline import _to_montesinos
-
-    m = _to_montesinos(f)
-    if is_alternating_knot(m):
-        b = alternating_build(m)
-        assert b is not None and b.diagram().is_alternating()
+    m = parse_spec("M(1/3,-2/5,1/3|1)")
+    assert is_alternating_knot(m)
+    assert not m.diagram().is_alternating()
+    alt = alternating_build(m)
+    assert alt == ([(1, 3), (3, 5), (1, 3)], 0)  # M(1/3,3/5,1/3)
+    b = montesinos_diagram(*alt)
+    assert b.is_alternating() and b.is_reduced()
 
 
 def test_montesinos_length():
