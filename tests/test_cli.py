@@ -87,6 +87,15 @@ def test_spec_without_value_exit_code(capsys, spec, message):
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("argv", [["obstruct", "M(2/1)"], ["invariants", "M(1/1,1/1,1/1)"]])
+def test_spec_of_integer_tangles_exits_2(capsys, argv):
+    # every tangle is an integer, so the input names the unknot: an input
+    # error with no stage note
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines() == ["error: no nontrivial tangles after normalization"]
+
+
 def _cli(argv, **env):
     src = os.path.dirname(list(knotct.__path__)[0])
     env = dict(os.environ, PYTHONPATH=src, **env)
@@ -269,6 +278,17 @@ def test_classify_bound_three_verdict_map_is_pinned(capsys, tmp_path, scope):
                      "--csv", str(target))
     assert code == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == VERDICT_MAP_SHA256[scope]
+
+
+def test_classify_montesinos_bound_four_verdict_map_is_pinned(capsys, tmp_path):
+    # recorded before genus and the twist-box layouts were memoized
+    target = tmp_path / "out.csv"
+    code, out, _ = run(capsys, "classify-genus2", "--scope", "montesinos", "--bound", "4",
+                       "--csv", str(target))
+    assert code == 0
+    assert out.splitlines()[0] == "scope=montesinos bound=4: 112848 eliminated, 534 survivors"
+    assert (hashlib.sha256(target.read_bytes()).hexdigest()
+            == "4c42141b3f702fe652bacb464598841d8e2e84e5d2b63137b8df3610956477af")
 
 
 def test_classify_csv_to_unwritable_path_exits_2(tmp_path):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotct.diagram import montesinos_diagram
+from knotct import montesinos
+from knotct.cf_calculus import to_even_cf, to_strict_cf
+from knotct.diagram import additive_cf, construct, montesinos_diagram
 from knotct.errors import InvalidInput, KnotctError, NotAKnot, ParseError, ValidationError
 from knotct.montesinos import (
     FAMILY_NAMES,
@@ -184,19 +186,86 @@ def test_knot_rule_matches_builder_on_families():
             assert _spec_says_knot(fracs, gamma) == _builder_says_knot(fracs, gamma), str(f)
 
 
-def test_genus_breakdowns_pinned():
-    # sha256 over every bound-3 family spec's breakdown, in enumeration
-    # order, recorded with the search-based normal forms and the
-    # diagram-built knot test that the closed forms replaced
+def _breakdown_digest(bound):
+    """Spec count and sha256 over every family spec's genus breakdown at
+    `bound`, in enumeration order."""
     h = hashlib.sha256()
     n = 0
     for family in FAMILY_NAMES:
-        for f in enumerate_family(family, 3):
+        for f in enumerate_family(family, bound):
             b = genus(family_to_montesinos(f))
             h.update(f"{f}:{b.genus}:{b.type}:{b.per_tangle}:{b.p}\n".encode())
             n += 1
-    assert n == 25468
-    assert h.hexdigest() == "c2a05a9e1127fde1a339bda27eae38d938c5c1452d1252a74c6bb53770a461c7"
+    return n, h.hexdigest()
+
+
+def test_genus_breakdowns_pinned():
+    # recorded with the search-based normal forms and the diagram-built knot
+    # test that the closed forms replaced
+    assert _breakdown_digest(3) == (
+        25468, "c2a05a9e1127fde1a339bda27eae38d938c5c1452d1252a74c6bb53770a461c7")
+
+
+def test_genus_breakdowns_pinned_at_bound_four():
+    # recorded before genus memoized its per-tangle normal forms
+    assert _breakdown_digest(4) == (
+        113382, "98bd1575676234ca2cb9972ea1bdc533fdb88349d1150c92a7ad7a255d931842")
+
+
+def test_memos_convert_each_distinct_pair_once(monkeypatch):
+    # a cold bound-4 genus pass converts each distinct shifted pair once and
+    # keeps one entry per pair: none is evicted and none is kept per spec
+    converted = {to_strict_cf: [], to_even_cf: []}
+
+    def recording(convert):
+        def wrapper(x):
+            converted[convert].append(x)
+            return convert(x)
+        return wrapper
+
+    monkeypatch.setattr(montesinos, "to_strict_cf", recording(to_strict_cf))
+    monkeypatch.setattr(montesinos, "to_even_cf", recording(to_even_cf))
+    strict, even = montesinos._strict_weight, montesinos._even_form
+    strict.cache_clear()
+    even.cache_clear()
+    tangles = set()
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 4):
+            pairs, gamma = _normal_pairs(f)
+            genus((pairs, gamma))
+            tangles.update(pairs)
+    strict_pairs, even_pairs = converted[to_strict_cf], converted[to_even_cf]
+    assert len(set(strict_pairs)) == len(strict_pairs) == strict.cache_info().currsize == 534
+    assert len(set(even_pairs)) == len(even_pairs) == even.cache_info().currsize == 86
+    for x in strict_pairs:
+        assert strict(*x) == sum(abs(b) for b in to_strict_cf(x)[1::2])
+    for x in even_pairs:
+        assert even(*x) == to_even_cf(x)
+    assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
+
+    # the twist-box layouts of the same tangles, built one tangle at a time
+    construct._layout.cache_clear()
+    keys = {(q if p > 0 else -q, abs(p)) for p, q in tangles}
+    for p, q in tangles:
+        construct.rational_tangle(construct.Builder(), p, q)
+    info = construct._layout.cache_info()
+    assert info.currsize == len(keys) == 607 and info.maxsize == construct._LAYOUT_MEMO_SIZE
+    for key in keys:
+        assert construct._layout(*key) == tuple(additive_cf(*key))
+
+
+@pytest.mark.parametrize("memo, args", [
+    (montesinos._strict_weight, (2, 3)),  # not in the half range
+    (montesinos._even_form, (1, 3)),  # both odd
+    (construct._layout, (1, 2)),  # |p/q| < 1
+])
+def test_memos_do_not_keep_errors(memo, args):
+    before = memo.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            memo(*args)
+    after = memo.cache_info()
+    assert after.misses == before.misses + 2 and after.currsize == before.currsize
 
 
 def _conversion_specs():
@@ -470,6 +539,7 @@ def test_parse_spec_raises_only_package_errors(text):
     ("P(\u00b2,3,5)", ParseError, "parse error at position 2: expected 'integer'"),
     ("M(1/\u0663)", ParseError, "parse error at position 4: expected 'integer'"),
     ("FAM:\u00e91(a=1)", ParseError, "parse error at position 4: expected 'name'"),
+    ("M(2/1)", ValidationError, "no nontrivial tangles after normalization"),
 ])
 def test_parse_spec_error_messages(text, error, message):
     with pytest.raises(error) as info:
