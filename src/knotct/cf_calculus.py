@@ -115,12 +115,23 @@ def evaluate(cf) -> Fraction:
 # rewrite identities
 
 
+def _offset_cf(cf, entries):
+    """ContinuedFraction(entries), the rest of rule 3.4 or 3.5 after its
+    offset of +-1; when cf's value is that offset the rest would be 0,
+    which no continued fraction has, so the rule does not apply."""
+    try:
+        return ContinuedFraction(entries)
+    except DivisionByZero as exc:
+        raise PatternMismatch(f"rules 3.4/3.5 need a value other than +-1, got {list(cf)}") from exc
+
+
 def rewrite_identity(cf: ContinuedFraction, rule: str, position: int):
     """Apply one of the five rewrite rules at a 1-based position.
 
     Rules "3.1"-"3.3" return a ContinuedFraction; "3.4"/"3.5" return
     (offset, ContinuedFraction) since they produce an additive constant.
-    Raises PatternMismatch when the rule's pattern is absent.
+    Raises PatternMismatch when the rule's pattern is absent, or when
+    "3.4"/"3.5" meet the value +1/-1, which would leave 0 after the offset.
     """
     c = list(cf.entries)
     n = len(c)
@@ -148,7 +159,7 @@ def rewrite_identity(cf: ContinuedFraction, rule: str, position: int):
             raise PatternMismatch("rule 3.4 needs a leading run of 2's of length k")
         rest = c[k:]
         if rest:
-            return 1, ContinuedFraction([-(k + 1), rest[0] - 1] + rest[1:])
+            return 1, _offset_cf(cf, [-(k + 1), rest[0] - 1] + rest[1:])
         return 1, ContinuedFraction([-(k + 1)])
     if rule == "3.5":
         k = position
@@ -156,7 +167,7 @@ def rewrite_identity(cf: ContinuedFraction, rule: str, position: int):
             raise PatternMismatch("rule 3.5 needs a leading run of -2's of length k")
         rest = c[k:]
         if rest:
-            return -1, ContinuedFraction([k + 1, rest[0] + 1] + rest[1:])
+            return -1, _offset_cf(cf, [k + 1, rest[0] + 1] + rest[1:])
         return -1, ContinuedFraction([k + 1])
     raise ValueError(f"unknown rule {rule!r}")
 

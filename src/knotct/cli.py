@@ -41,8 +41,8 @@ def invariant_report(spec, method="all") -> InvariantReport:
     "all" computes every applicable route, insists they agree, and merges;
     disagreement is an error, never silently resolved.  Under "all" a
     closed form that raises is left out.  A skein or Jones route over its
-    crossing budget is left out too; when no route is left to give a2, the
-    first budget error is raised, so a route requested alone still fails.
+    crossing budget is left out too; when no route is left, the first
+    budget error is raised, so a route requested alone still fails.
     """
     routes = {}
     budget_error = None
@@ -70,21 +70,16 @@ def invariant_report(spec, method="all") -> InvariantReport:
             routes["oracle"] = a2_w3_from_jones(jones_via_kauffman(d))
         except BudgetExceeded as exc:
             budget_error = budget_error or exc
-    a2s = {v[0] for v in routes.values() if v[0] is not None}
-    w3s = {v[1] for v in routes.values() if v[1] is not None}
-    if not a2s and budget_error is not None:
+    if not routes:
         raise budget_error
-    if len(a2s) > 1 or len(w3s) > 1:
+    if len(set(routes.values())) > 1:
         raise InvalidInput(f"route disagreement: {routes}")
-    a2 = a2s.pop() if a2s else None
-    w3 = w3s.pop() if w3s else None
-    # each value is credited to the first route, in this order, that gave it
-    tags = {"closed": "closed_form", "skein": "skein_engine", "oracle": "oracle"}
-    meth = {}
-    if a2 is not None:
-        meth["a2"] = tags[next(k for k in tags if k in routes)]
-    if w3 is not None:
-        meth["w3"] = tags[next(k for k in tags if k in routes and routes[k][1] is not None)]
+    # every route gives both values; they are credited to the first route,
+    # in the order closed, skein, oracle, that ran
+    first = next(iter(routes))
+    a2, w3 = routes[first]
+    tag = {"closed": "closed_form", "skein": "skein_engine", "oracle": "oracle"}[first]
+    meth = {"a2": tag, "w3": tag}
     sigma = tau = g = None
     if method in ("oracle", "all"):
         from .oracle import alternating_genus, oracle_signature, seifert_pipeline

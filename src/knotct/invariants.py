@@ -4,9 +4,9 @@ Two independent routes to a2 (the Conway z^2 coefficient) and w3 (the
 primitive order-three invariant, quarter-integer valued):
 
 * closed forms per named family — polynomial formulas in the family
-  parameters for the genus-two Montesinos families that have one, the odd
-  three-strand pretzels, the double twist knots, and the two six-box
-  genus-two families;
+  parameters for every sign branch of the eleven genus-two Montesinos
+  families, the odd three-strand pretzels, the double twist knots, and the
+  two six-box genus-two families, each giving both a2 and w3;
 * a skein-recursion engine on arbitrary knot diagrams, resolving via the
   crossing-change relations
 
@@ -60,9 +60,8 @@ class InvariantReport(Record):
 
     `method` maps field names to one of {"closed_form", "skein_engine",
     "gauss_diagram", "oracle"}.  Any field may be None when no route produced
-    it (the e2/e3 closed forms cover a2 only; a verdict that fires early stops
-    computing); `sigma`, `tau`, `genus` are filled by callers that compute
-    them.
+    it (a verdict that fires early stops computing); `sigma`, `tau`, `genus`
+    are filled by callers that compute them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
@@ -133,18 +132,31 @@ def _w3x4_pretzel(x, y, z):
 
 
 def _closed_a2_w3x4(f):
-    """(a2, 4*w3 or None) for the unmirrored spec, both ints, or raise
-    NoFormula."""
+    """(a2, 4*w3) for the unmirrored spec, both ints, or raise NoFormula.
+
+    The o1', o3, o3', o4 and o4' branches below, and the w3 of o3 (plus
+    branch), e2 and e3, were derived from the Gauss diagram formulas by exact
+    interpolation: an order-n invariant is a polynomial of degree <= n in
+    twist counts (Trapp, "Twist sequences and Vassiliev invariants", JKTR
+    3, 1994).  `tools/closed_forms.py` reruns that derivation.
+    """
     p = dict(f.params)
     s = f.sign_variant
-    a, b, c, d, e = (p.get(k) for k in "abcde")
+    a, b, c, d, e = map(p.get, "abcde")
     fam = f.family
-    if fam == "pretzel":
-        qs = f.param_values()
-        if len(qs) != 3 or any(q % 2 == 0 for q in qs):
-            raise NoFormula("closed forms cover only three-strand odd pretzels")
-        x, y, z = ((q - 1) // 2 for q in qs)
-        return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
+    # branches whose knots are those of another branch: o1'(s) is o1 with
+    # e = (s - 1)/2, whose tangle 1/(2e + 1) is then the half twist s, and
+    # o3'(s), o4'(s) are o3, o4 with a = s and the opposite sign
+    if fam == "o1p":
+        fam, e = "o1", (s - 1) // 2
+    elif fam in ("o3p", "o4p"):
+        fam, a, s = fam[:2], s, -s
+    # the minus branch of o3 and o4 is the mirror image of the plus branch
+    # at a -> -a and every other parameter x -> -x - 1, so its w3 is negated
+    if fam in ("o3", "o4") and s == -1:
+        a, b, c = -a, -b - 1, -c - 1
+        if fam == "o4":
+            d = -d - 1
     if fam == "double_twist":
         x, y = p["x"], p["y"]
         return a2_dt(x, y), _w3x4_dt(x, y)
@@ -165,15 +177,19 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     if fam == "o3":
-        if s != 1:
-            raise NoFormula("no closed form for the minus branch of o3")
-        # only a2 here: the published w3 line for this family fails the
+        a2 = a * b + b * c + c * a + a - b - c
+        # derived: the published w3 line for this family fails the
         # diagram-level cross-check (skein engine and Jones derivatives
-        # agree against it), so w3 comes from a diagram route
-        return a * b + b * c + c * a + a - b - c, None
+        # agree against it)
+        w3x4 = (
+            _w3x4_pretzel(a, b, c)
+            - 2 * (b + c) * (b + c + 2 * a + 1)
+            - 4 * b * c
+            - 4 * a
+            - 2
+        )
+        return a2, s * w3x4
     if fam == "o4":
-        if s != 1:
-            raise NoFormula("no closed form for the minus branch of o4")
         a2 = a + a * c + a * d + c * d + b * c + b * d
         w3x4 = (
             c * d * (c + d)
@@ -182,7 +198,7 @@ def _closed_a2_w3x4(f):
             + 2 * b * (a + a * c + a * d + c * d)
             + b * (c + d) * (b + c + d)
         )
-        return a2, w3x4
+        return a2, s * w3x4
     if fam == "o5":
         a2 = (a + 1) * (d + 1) * (e + 1) - a * d * e + c * (b + d + e + 1)
         w3x4 = (
@@ -204,10 +220,10 @@ def _closed_a2_w3x4(f):
         return a2, w3x4
     if fam == "e2":
         # bracket form [2],[−2,2a],[2,2b],[−2,2c]; the published −2b is for
-        # the opposite sign of the third tangle's even entry
-        return 2 * b, None
+        # the opposite sign of the third tangle's even entry; w3 derived
+        return 2 * b, 2 * b * (a + b + c + 2) + 2 * a * c
     if fam == "e3":
-        return 2, None
+        return 2, 4 * (a - 1)  # w3 derived
     if fam == "fig1_left":
         fv = p["f"]
         a2 = (
@@ -304,24 +320,25 @@ def _closed_a2_w3x4(f):
             )
         )
         return a2, w3x4
-    raise NoFormula(f"no published closed form for family {fam!r}")
+    # a pretzel, the one family left
+    qs = f.param_values()
+    if len(qs) != 3 or any(q % 2 == 0 for q in qs):
+        raise NoFormula("closed forms cover only three-strand odd pretzels")
+    x, y, z = ((q - 1) // 2 for q in qs)
+    return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
 
 
 def closed_form(f) -> InvariantReport:
-    """InvariantReport from the family's published formula.
+    """InvariantReport of a2 and w3 from the family's closed form.
 
-    Covers o1, o2, o3/o4 (plus branch), o5, e1, e2/e3 (a2 only), odd
-    three-strand pretzels, double twists, and the two six-box families;
-    everything else raises NoFormula.  A mirrored spec keeps a2 and negates
-    w3 (even/odd order behavior under mirroring).
+    Covers every branch of the eleven genus-two families, odd three-strand
+    pretzels, double twists, and the two six-box families; any other
+    pretzel raises NoFormula.  A mirrored spec keeps a2 and negates w3
+    (even/odd order behavior under mirroring).
     """
     a2, w3x4 = _closed_a2_w3x4(f)
-    method = {"a2": "closed_form"}
-    w3 = None
-    if w3x4 is not None:
-        w3 = Fraction(-w3x4 if f.mirror else w3x4, 4)
-        method["w3"] = "closed_form"
-    return InvariantReport(a2=a2, w3=w3, method=method)
+    return InvariantReport(a2=a2, w3=Fraction(-w3x4 if f.mirror else w3x4, 4),
+                           method={"a2": "closed_form", "w3": "closed_form"})
 
 
 # =============================================================================

@@ -218,7 +218,7 @@ class FamilySpec(Record):
         in lowest terms, plus gamma, before any mirroring."""
         p = dict(self.params)
         s = self.sign_variant or 1
-        a, b, c, d, e = (p.get(k) for k in "abcde")
+        a, b, c, d, e = map(p.get, "abcde")
         if self.family == "o1":
             return [
                 (2 * b, 4 * a * b + 2 * b - 1),

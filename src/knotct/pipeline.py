@@ -33,6 +33,7 @@ from .errors import (
 )
 from .invariants import InvariantReport, closed_form
 from .montesinos import (
+    FAMILY_NAMES,
     FamilySpec,
     _normal_pairs,
     alternating_build,
@@ -141,17 +142,25 @@ def obstruct(spec) -> ObstructionVerdict:
 
     The spec's diagram is built at most once per call, on first use, and
     dropped with the call.  The genus and signature gates share the spec's
-    normalized integer pairs, computed once; no `MontesinosSpec` is built.
+    normalized integer pairs, computed once, and so does the diagram build
+    of an M(...) or genus-two family spec; no `MontesinosSpec` is built.
     """
     method = {}
     a2 = w3 = sigma = tau = g = norm = None
-    is_fig1 = isinstance(spec, FamilySpec) and spec.family in ("fig1_left", "fig1_right")
+    is_family = isinstance(spec, FamilySpec)
+    is_fig1 = is_family and spec.family in ("fig1_left", "fig1_right")
     spec_diagram = None
 
     def diagram():
         nonlocal spec_diagram
         if spec_diagram is None:
-            spec_diagram = spec.diagram()
+            # an M(...) or genus-two family spec is built from the normalized
+            # pairs the genus gate holds; pretzels, double twists and six-box
+            # specs keep their templates
+            if norm is not None and (not is_family or spec.family in FAMILY_NAMES):
+                spec_diagram = montesinos_diagram(*norm)
+            else:
+                spec_diagram = spec.diagram()
         return spec_diagram
 
     def report():
@@ -193,10 +202,11 @@ def obstruct(spec) -> ObstructionVerdict:
     if g is not None and g != 2:
         return ObstructionVerdict("no_pcs", "genus_ne_2", report())
 
-    # -- a2 / w3: the family's closed form where it has one, else the Gauss
+    # -- a2 / w3: the family's closed form where it has one, else (an M(...)
+    # spec or a pretzel other than the odd three-strand ones) the Gauss
     # diagram formulas, which need no crossing budget
     try:
-        if isinstance(spec, FamilySpec):
+        if is_family:
             try:
                 rep = closed_form(spec)
             except NoFormula:

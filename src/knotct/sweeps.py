@@ -332,8 +332,7 @@ def _suite_formulas(bound, checks):
         try:
             rep = closed_form(f)
             vals.add(rep.a2)
-            if rep.w3 is not None:
-                wvals.add(rep.w3)
+            wvals.add(rep.w3)
         except NoFormula:
             pass
         if len(vals) != 1 or len(wvals) != 1:

@@ -44,9 +44,9 @@ def test_invariants_method_choice(capsys):
 
 
 def test_invariants_closed_without_formula_fails(capsys):
-    code, _, err = run(capsys, "invariants", "FAM:o3p(b=1,c=1,sign=1)", "--method", "closed")
+    code, _, err = run(capsys, "invariants", "P(-2,3,7)", "--method", "closed")
     assert code == 1
-    assert "no published closed form" in err
+    assert "closed forms cover only three-strand odd pretzels" in err
 
 
 def test_invariants_closed_on_montesinos_spec_is_a_usage_error(capsys):
@@ -148,12 +148,13 @@ def test_malformed_spec_exits_2(spec, message):
 
 
 def test_computation_error_prints_stage_note(capsys, monkeypatch):
-    # a2 = 0 and o1p has no closed form, so w3 comes from the Gauss diagram
+    # a2 = 0 and an M(...) spec has no closed form, so w3 comes from the
+    # Gauss diagram; the spec is FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)
     def inconsistent(d):
         raise InconsistentDiagram("chord without an end", stage="gauss w3")
 
     monkeypatch.setattr("knotct.gauss.gauss_w3", inconsistent)
-    code, _, err = run(capsys, "obstruct", "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)")
+    code, _, err = run(capsys, "obstruct", "M(-4/11,1/3,1/3|1)")
     assert code == 1
     assert "obstruction stage: w3" in err
     assert "Traceback" not in err
@@ -251,7 +252,8 @@ def test_classify_writes_csv(tmp_path, capsys):
 
 
 def test_classify_alternating_bound_three(capsys):
-    # 48 specs here have no closed form and more than 24 crossings
+    # 908 specs here have more than 24 crossings, the skein's budget;
+    # obstruct takes their a2 and w3 from closed forms
     code, out, _ = run(capsys, "classify-genus2", "--scope", "alternating_montesinos",
                        "--bound", "3")
     assert code == 0
@@ -339,18 +341,19 @@ def test_invariants_all_without_a2_raises_the_first_budget_error(capsys, monkeyp
 
 
 def test_invariants_credits_w3_to_the_route_that_gave_it(capsys, monkeypatch):
-    # the e3 closed form gives a2 only, so w3 comes from the next route
-    code, out, _ = run(capsys, "invariants", "FAM:e3(a=1)", "--json")
-    assert code == 0 and json.loads(out)["method"]["w3"] == "skein_engine"
+    # an M(...) spec has no closed form, so w3 comes from the next route
+    code, out, _ = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--json")
+    d = json.loads(out)
+    assert code == 0 and d["method"]["a2"] == d["method"]["w3"] == "skein_engine"
 
     def over_budget(d):
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget 0")
 
     monkeypatch.setattr("knotct.cli.skein_a2", over_budget)
-    code, out, _ = run(capsys, "invariants", "FAM:e3(a=1)", "--json")
-    d = json.loads(out)
-    assert code == 0 and (d["a2"], d["w3"]) == (2, "0")
-    assert d["method"]["a2"] == "closed_form" and d["method"]["w3"] == "oracle"
+    code, out, _ = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--json")
+    e = json.loads(out)
+    assert code == 0 and (e["a2"], e["w3"]) == (d["a2"], d["w3"])
+    assert e["method"]["a2"] == e["method"]["w3"] == "oracle"
 
 
 @pytest.mark.parametrize("route", ["knotct.cli.skein_a2", "knotct.oracle.a2_w3_from_jones"])

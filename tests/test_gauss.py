@@ -65,8 +65,8 @@ def test_prefix_table_count_matches_the_triple_scan():
 
 
 def large_family_diagrams():
-    """Bound-4 knots of 25-30 crossings from the families and branches with
-    no closed-form w3, one in every ten in enumeration order."""
+    """Bound-4 knots of 25-30 crossings from the sign-branch families o1',
+    o3 and o4' and from e2, one in every ten in enumeration order."""
     out = []
     for fam in ("o1p", "o3", "o4p", "e2"):
         for f in enumerate_family(fam, 4):

@@ -17,7 +17,7 @@ from knotct.errors import (
     NotAKnot,
     ValidationError,
 )
-from knotct.gauss import _gauss_word
+from knotct.gauss import _gauss_word, gauss_a2, gauss_w3
 from knotct.invariants import (
     InvariantReport,
     _cancelling,
@@ -91,17 +91,57 @@ def test_mirror_negates_w3_keeps_a2():
 
 
 def test_no_formula_families():
-    with pytest.raises(NoFormula):
-        closed_form(FamilySpec("o3", dict(a=2, b=1, c=1), sign_variant=-1))
-    with pytest.raises(NoFormula):
-        closed_form(FamilySpec("o1p", dict(a=1, b=1, c=1, d=1), sign_variant=1))
+    # the pretzels other than the odd three-strand ones are the only family
+    # specs without a closed form
+    for text in ("P(-2,3,7)", "P(3,5,7,9,11)", "P(3,5)"):
+        with pytest.raises(NoFormula):
+            closed_form(parse_spec(text))
 
 
-def test_partial_formulas_return_none_w3():
-    rep = closed_form(FamilySpec("e2", dict(a=1, b=1, c=1)))
-    assert rep.a2 == 2 and rep.w3 is None
-    rep = closed_form(FamilySpec("o3", dict(a=2, b=1, c=1), sign_variant=1))
-    assert rep.w3 is None
+def test_closed_forms_give_both_values():
+    # e2, e3 and the plus branch of o3 gave a2 alone before their w3 was derived
+    for f in (FamilySpec("e2", dict(a=1, b=1, c=1)), FamilySpec("e3", dict(a=2)),
+              FamilySpec("o3", dict(a=2, b=1, c=1), sign_variant=1),
+              FamilySpec("o4p", dict(b=1, c=1, d=1), sign_variant=-1)):
+        rep, d = closed_form(f), f.diagram()
+        assert (rep.a2, rep.w3) == (gauss_a2(d), gauss_w3(d)), str(f)
+        assert rep.method == {"a2": "closed_form", "w3": "closed_form"}
+
+
+# the sign branches whose a2 and w3 forms were derived from the Gauss diagram
+# formulas by interpolation, and those where only w3 was
+DERIVED = {("o1p", 1), ("o1p", -1), ("o3", -1), ("o3p", 1), ("o3p", -1),
+           ("o4", -1), ("o4p", 1), ("o4p", -1)}
+DERIVED_W3 = {("o3", 1), ("e2", None), ("e3", None)}
+
+
+def _derived_specs(bound):
+    """Every spec of the derived branches within the bound, mirrors included."""
+    branches = DERIVED | DERIVED_W3
+    return [f for family in sorted({family for family, _ in branches})
+            for f in enumerate_family(family, bound)
+            if (f.family, f.sign_variant) in branches]
+
+
+def test_derived_forms_match_the_gauss_diagram():
+    specs = _derived_specs(3)
+    assert len(specs) == 3_942
+    bad = []
+    for f in specs:
+        d, rep = f.diagram(), closed_form(f)
+        if (rep.a2, rep.w3) != (gauss_a2(d), gauss_w3(d)):
+            bad.append(str(f))
+    assert not bad, bad[:5]
+
+
+def test_derived_forms_match_jones_on_a_sample(monkeypatch):
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "40")
+    bad = []
+    for f in random.Random(20261019).sample(_derived_specs(3), 48):
+        rep = closed_form(f)
+        if (rep.a2, rep.w3) != a2_w3_from_jones(jones_via_kauffman(f.diagram())):
+            bad.append(str(f))
+    assert not bad, bad
 
 
 def test_skein_budget(monkeypatch):
@@ -196,8 +236,7 @@ def test_memos_are_capped_without_changing_values(monkeypatch):
 def test_closed_forms_are_pinned():
     # sha256 over the closed-form report, or the error's type and message,
     # of every bound-3 family spec and formulas-suite spec (mirrored pretzels
-    # and double twists included); recorded with the closed forms written in
-    # `Fraction` arithmetic
+    # and double twists included); recorded with the derived forms in place
     outcomes = []
     for f in _conversion_specs():
         try:
@@ -206,7 +245,26 @@ def test_closed_forms_are_pinned():
             outcomes.append(f"{type(exc).__name__}: {exc}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert len(outcomes) == 59_512
-    assert digest == "dfb062409ea10639f2dbc1605bffb13d752314e4f6d3c2824c46ec8c32b00cb0"
+    assert digest == "8a970713a0e2646587f333d4d5663982a8e067f9ea12091d48f1f3103f6d72ef"
+
+
+def test_values_that_predate_the_derived_forms_are_unchanged():
+    # sha256 over every a2 and w3 that a closed form gave, over the specs
+    # above, before the derived forms were added ("-" for a w3 it did not
+    # give); recorded on the code before them
+    lines = []
+    for f in _conversion_specs():
+        branch = (f.family, f.sign_variant)
+        if branch in DERIVED:
+            continue
+        try:
+            rep = closed_form(f)
+        except NoFormula:
+            continue
+        lines.append(f"{f} {rep.a2} {'-' if branch in DERIVED_W3 else rep.w3}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 55_956
+    assert digest == "5c3835153418d000393ce73977e0b8e2826876475d3d219a716b791b1b21c88d"
 
 
 def test_closed_form_builds_one_fraction_per_w3(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from knotct.diagram import montesinos_diagram
 from knotct.errors import KnotctError
 from knotct.invariants import skein_a2
-from knotct.montesinos import parse_spec
+from knotct.montesinos import FAMILY_NAMES, FamilySpec, _normal_pairs, enumerate_family, parse_spec
 from knotct.oracle import conway_polynomial, seifert_pipeline
 from knotct.pipeline import (
     FIRED_RULES,
@@ -55,6 +55,21 @@ def test_a2_without_a_closed_form_comes_from_the_gauss_diagram(monkeypatch):
     assert w.evidence.method["a2"] == "gauss_diagram"
     assert w.evidence.a2 == v.evidence.a2 != 0
     assert w.fired_rule == v.fired_rule == "a2_nonzero"
+
+
+def test_obstruct_builds_from_the_genus_gate_pairs(monkeypatch):
+    # a genus-two family or M(...) spec's own diagram() is the build of its
+    # normalized pairs, so obstruct builds from the pairs its genus gate holds
+    specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 2)]
+    specs += [parse_spec(t) for t in ("M(1/3,2/5,-1/3,1/5)", "M(-4/11,1/3,1/3|1)")]
+    for f in specs:
+        d, e = f.diagram(), montesinos_diagram(*_normal_pairs(f))
+        assert (d.crossings, d.over_entry) == (e.crossings, e.over_entry), str(f)
+    # a2 = w3 = 0 from the closed form, so the signature gate builds the diagram
+    survivor = parse_spec("FAM:o1p(a=1,b=2,c=-2,d=-2,sign=-1)")
+    want = obstruct(survivor)
+    monkeypatch.setattr(FamilySpec, "diagram", None)
+    assert obstruct(survivor) == want and want.evidence.sigma == 0
 
 
 def test_fired_rule_vocabulary():

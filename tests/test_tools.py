@@ -19,3 +19,26 @@ def test_ac1_routes_times_every_route():
     assert list(spent) == list(ac1_routes.ROUTES)
     assert len(crossings) == 85
     assert all(t >= 0 for t in spent.values())
+
+
+def test_closed_forms_derivation_reproduces_the_published_polynomials():
+    closed_forms = _load("closed_forms")
+    grid = closed_forms.branches(3)
+    for label, a2 in [
+        ("o1", "1 + 2b + c + d + e + ab + bc + bd + be + cd + ce + de"),
+        ("o1p(sign=1)", "1 + 2b + c + d + ab + bc + bd + cd"),
+        ("o3p(sign=-1)", "-1 - 2b - 2c + bc"),
+        ("e3", "2"),
+    ]:
+        names, cases = grid[label]
+        derived_a2, derived_w3x4, closed_a2, closed_w3x4 = closed_forms.derive(cases)
+        assert closed_forms.show(derived_a2, names) == a2
+        assert (derived_a2, derived_w3x4) == (closed_a2, closed_w3x4)
+    assert closed_forms.show(closed_forms.derive(grid["e3"][1])[1], "a") == "-4 + 4a"
+
+
+def test_closed_forms_fit_rejects_values_of_higher_degree():
+    closed_forms = _load("closed_forms")
+    cube = {(x, y): x**3 + y for x in range(-3, 4) for y in range(-3, 4)}
+    assert closed_forms.fit(cube, 2) is None
+    assert closed_forms.show(closed_forms.fit(cube, 3), "xy") == "y + x^3"
