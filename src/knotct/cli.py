@@ -136,19 +136,17 @@ def _cmd_obstruct(args):
 
 
 def _row(f, verdict):
+    """A spec's CSV row, in `_CSV_COLUMNS` order."""
     e = verdict.evidence.to_dict()
-    return {
-        "family": f.family,
-        "params": ";".join(f"{k}={v}" for k, v in f.params)
+    return [
+        f.family,
+        ";".join(f"{k}={v}" for k, v in f.params)
         + (f";sign={f.sign_variant}" if f.sign_variant is not None else "")
         + (";mirror=1" if f.mirror else ""),
-        "a2": "" if e["a2"] is None else e["a2"],
-        "w3": "" if e["w3"] is None else e["w3"],
-        "sigma": "" if e["sigma"] is None else e["sigma"],
-        "genus": "" if e["genus"] is None else e["genus"],
-        "verdict": verdict.verdict,
-        "fired_rule": verdict.fired_rule,
-    }
+        *("" if e[k] is None else e[k] for k in ("a2", "w3", "sigma", "genus")),
+        verdict.verdict,
+        verdict.fired_rule,
+    ]
 
 
 _CSV_COLUMNS = ["family", "params", "a2", "w3", "sigma", "genus", "verdict", "fired_rule"]
@@ -163,8 +161,8 @@ def _cmd_enumerate(args):
 
         from .pipeline import obstruct
 
-        w = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS)
-        w.writeheader()
+        w = csv.writer(sys.stdout)
+        w.writerow(_CSV_COLUMNS)
         for f in specs:
             w.writerow(_row(f, obstruct(f)))
     else:
@@ -188,15 +186,12 @@ def _cmd_classify(args):
     with fh:
         run = classify_genus2(args.bound, args.scope)
         if args.csv:
-            w = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-            w.writeheader()
-            for f in run.survivors:
-                w.writerow(_row(f, obstruct(f)))
-            for spec_str, rule in sorted(run.eliminated.items()):
-                w.writerow(
-                    dict.fromkeys(_CSV_COLUMNS, "")
-                    | {"family": spec_str, "verdict": "no_pcs", "fired_rule": rule}
-                )
+            w = csv.writer(fh)
+            w.writerow(_CSV_COLUMNS)
+            w.writerows(_row(f, obstruct(f)) for f in run.survivors)
+            # an eliminated spec's row names it in the family column
+            w.writerows([spec_str, "", "", "", "", "", "no_pcs", rule]
+                        for spec_str, rule in sorted(run.eliminated.items()))
     print(f"scope={run.scope} bound={run.bound}: "
           f"{len(run.eliminated)} eliminated, {len(run.survivors)} survivors")
     for f in run.survivors:

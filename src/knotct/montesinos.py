@@ -21,6 +21,17 @@ normal forms take the pairs as they are.  A `Fraction` is built only for
 each tangle of a `MontesinosSpec` record; `genus`, `is_alternating_knot`
 and `alternating_build` take such a record or the normalized pairs.
 
+Which paths check a family spec and which trust it: user input (the
+`parse_spec` grammar, and with it every CLI spec argument) and the public
+`FamilySpec(...)` constructor check every rule of `_RULES` and raise
+`ValidationError` on a breach.  `enumerate_family` trusts its draw: each
+parameter ranges only over the (name, value) pairs its rule admits, so it
+sets each record's slots directly (`_drawn_specs`), with no `__init__` and
+no check, and its records equal, hash and print like the checked ones.  No
+assert carries any of this, so `python -O` changes nothing.  `parse_spec`
+reads a well-formed `FAM:` spec with one match of `_FAM_SPEC` and leaves
+every error to the token readers, which name its position.
+
 `genus` reads each tangle's normal form from a memo keyed on the tangle's
 (beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
 `_even_form` (even type), each an LRU cache of `_CF_MEMO_SIZE` entries.
@@ -291,6 +302,9 @@ class FamilySpec(Record):
         return d.mirror() if self.mirror else d
 
     def __str__(self):
+        fmt = _FAM_FORMATS.get((self.family, self.sign_variant, self.mirror))
+        if fmt is not None:
+            return fmt % tuple([v for _, v in self.params])
         for head, (family, _, scale) in _SHORT_FORMS.items():
             if family == self.family and not self.mirror:
                 return f"{head}(" + ",".join(str(scale * v) for _, v in self.params) + ")"
@@ -300,6 +314,21 @@ class FamilySpec(Record):
         if self.mirror:
             kv.append("mirror=1")
         return f"FAM:{self.family}(" + ",".join(kv) + ")"
+
+
+# the slots' own setters, in __slots__ order, for records whose values need
+# no check (`_drawn_specs`)
+_SLOT_SETTERS = tuple(FamilySpec.__dict__[k].__set__ for k in FamilySpec.__slots__)
+# (family, sign_variant, mirror) -> the `FAM:` string of a genus-2 family
+# spec with %d for each parameter value, as the general `__str__` prints it
+_FAM_FORMATS = {
+    (family, s, m): f"FAM:{family}(" + ",".join(f"{k}=%d" for k in names)
+    + ("" if s is None else f",sign={s}") + (",mirror=1" if m else "") + ")"
+    for family in FAMILY_NAMES
+    for names, *_, signed in [_RULES[family]]
+    for s in ((1, -1) if signed else (None,))
+    for m in (False, True)
+}
 
 
 def _family_form(f: FamilySpec):
@@ -382,16 +411,31 @@ def enumerate_family(family, bound):
         raise InvalidInput(f"not an enumerable genus-2 family: {family!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
-    # each parameter ranges over the values FamilySpec admits for it alone,
-    # so every combination is a spec and none is built to be dropped
+    # each parameter ranges over the (name, value) pairs FamilySpec admits
+    # for it alone, so every combination is a spec's `params` as it stands
     names, _, _, not_minus_one, a_min, signed = _RULES[family]
-    axes = [[v for v in range(-bound, bound + 1)
+    axes = [[(k, v) for v in range(-bound, bound + 1)
              if v and not (v == -1 and i in not_minus_one or i == 0 and a_min and abs(v) < 2)]
-            for i in range(len(names))]
+            for i, k in enumerate(names)]
     variants = list(product((1, -1) if signed else (None,),
                             (False, True) if family in _MIRROR_FAMILIES else (False,)))
-    return (FamilySpec(family, dict(zip(names, combo)), s, m)
-            for combo in product(*axes) for s, m in variants)
+    return _drawn_specs(family, product(*axes), variants)
+
+
+def _drawn_specs(family, combos, variants):
+    """FamilySpec records set slot by slot, without `__init__`'s checks,
+    which `enumerate_family`'s draw already meets: the records equal,
+    hash and print like the checked constructions."""
+    new = object.__new__
+    set_family, set_params, set_sign, set_mirror = _SLOT_SETTERS
+    for params in combos:
+        for s, m in variants:
+            f = new(FamilySpec)
+            set_family(f, family)
+            set_params(f, params)
+            set_sign(f, s)
+            set_mirror(f, m)
+            yield f
 
 
 # =============================================================================
@@ -439,9 +483,21 @@ def genus(m) -> GenusBreakdown:
     odd numerator absorbs a unit into gamma; the even-denominator tangle has
     two in-range representatives, which cancels a leftover gamma = +-1.  With
     gamma != 0 the genus is (1 + sum m_i)/2; with gamma = 0 it is
-    (sum m_i - 1)/2 unless the leading entries alternate as
-    +-(2, -2, ..., 2, -2), where g = (1 + sum m_i)/2 - (p + 1) with p the
-    minimal leading run length.
+    (sum m_i - 1)/2 (case II) unless r is even and the leading entries,
+    sorted, are r/2 entries -2 followed by r/2 entries +2 (case III), where
+    g = (1 + sum m_i)/2 - (p + 1) with p the shortest initial run of entries
+    equal to their form's leading entry.
+
+    Case III is a condition on the multiset of leading entries, not on their
+    order: permuting the tangles is a sequence of mutations, which keep the
+    genus, and the candidate surfaces of Hatcher and Oertel ("Boundary slopes
+    for Montesinos knots", Topology 28, 1989) are symmetric in the tangles.
+    The even-type cases follow the genus computation of Hirasawa and
+    Murasugi ("Genera and fibredness of Montesinos knots", Pacific J. Math.
+    225, 2006); this statement of case III has not been checked against
+    that paper's text.  It replaced a positional test, the leads
+    +-(2, -2, ..., 2, -2) in the order after the rotation, under which
+    reordering the tangles could change the genus.
     """
     pairs, gamma = _pairs(m)
     if all(q % 2 == 1 for _, q in pairs):
@@ -479,14 +535,11 @@ def genus(m) -> GenusBreakdown:
     ms = tuple(len(cf) for cf in cfs)
     if g_acc != 0:
         return GenusBreakdown((1 + sum(ms)) // 2, "even_gamma_nonzero", ms)
-    r = len(cfs)
-    for s in (1, -1):
-        leads = [2 * s * (-1) ** i for i in range(r)]
-        if r % 2 == 0 and all(cf[0] == c for cf, c in zip(cfs, leads)):
-            # p is the shortest initial run of entries equal to the lead
-            p = min(next((j for j, e in enumerate(cf) if e != c), len(cf))
-                    for cf, c in zip(cfs, leads))
-            return GenusBreakdown((1 + sum(ms)) // 2 - (p + 1), "even_caseIII", ms, p)
+    half, odd = divmod(len(cfs), 2)
+    if not odd and sorted(cf[0] for cf in cfs) == [-2] * half + [2] * half:
+        # p is the shortest initial run of entries equal to the lead
+        p = min(next((j for j, e in enumerate(cf) if e != cf[0]), len(cf)) for cf in cfs)
+        return GenusBreakdown((1 + sum(ms)) // 2 - (p + 1), "even_caseIII", ms, p)
     return GenusBreakdown((sum(ms) - 1) // 2, "even_caseII", ms)
 
 
@@ -501,6 +554,12 @@ _INT = re.compile(r"(-?[0-9]+)\s*")
 _NAME = re.compile(r"((?a:\w+))\s*")
 # one `key=value` of a FAM: list with the comma after it, in the tokens above
 _PAIR = re.compile(r"((?a:\w+))\s*=\s*(-?[0-9]+)\s*(,\s*)?")
+# a whole FAM: spec, with its family and its `key=value` list, in the same
+# tokens in the order the step-wise readers take them, so it matches exactly
+# the strings they read to the end; `\s` is what `str.strip` strips
+_FAM_SPEC = re.compile(
+    r"\s*FAM:\s*((?a:\w+))\s*\(\s*"
+    r"((?a:\w+)\s*=\s*-?[0-9]+\s*(?:,\s*(?a:\w+)\s*=\s*-?[0-9]+\s*)*)\)\s*")
 
 
 def _expect(text, i, s):
@@ -560,6 +619,39 @@ def _close(text, i):
         raise ParseError(text, i, "end of input")
 
 
+def _fam_params(body):
+    """The `key=value` list that `_FAM_SPEC` matched, as a dict, or None
+    when a key repeats or a value has too many digits: the step-wise
+    reader then raises the error at its position."""
+    kv = {}
+    for item in body.split(","):
+        key, _, value = item.partition("=")
+        try:
+            kv[key.strip()] = int(value.strip())
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return None
+    return kv if len(kv) == body.count(",") + 1 else None
+
+
+def _fam_stepwise(text, i):
+    """Family and `key=value` dict of the FAM: spec whose name starts after
+    position i, read token by token; every error names its position."""
+    family, i = _name(text, _SPACE.match(text, i).end())
+    i = _expect(text, i, "(")
+    kv, more = {}, True
+    while more:
+        m = _PAIR.match(text, i)
+        if m is None:  # _PAIR is their tokens in a row, so the step-wise
+            # readers fail here too, and raise the error at its position
+            _int(text, _expect(text, _name(text, i)[1], "="))
+        key, value, i, more = m[1], _digits(m[2], m.start(2)), m.end(), m[3]
+        if key in kv:
+            raise ValidationError(f"{family}: parameter {key} is given twice")
+        kv[key] = value
+    _close(text, i)
+    return family, kv
+
+
 def parse_spec(text: str):
     """Parse a knot spec.  Whitespace may separate tokens, not split a head:
 
@@ -575,22 +667,16 @@ def parse_spec(text: str):
     not repeat, and `sign`/`mirror` set the sign variant and mirror image.
     `str` of a spec parses back to it; a mirrored short form prints as `FAM:`.
     """
-    m = _NAME.match(text, _SPACE.match(text).end())
-    head, i = (m[1], m.end(1)) if m else (None, 0)
-    if head == "FAM" and text.startswith(":", i):
-        family, i = _name(text, _SPACE.match(text, i + 1).end())
-        i = _expect(text, i, "(")
-        kv, more = {}, True
-        while more:
-            m = _PAIR.match(text, i)
-            if m is None:  # _PAIR is their tokens in a row, so the step-wise
-                # readers fail here too, and raise the error at its position
-                _int(text, _expect(text, _name(text, i)[1], "="))
-            key, value, i, more = m[1], _digits(m[2], m.start(2)), m.end(), m[3]
-            if key in kv:
-                raise ValidationError(f"{family}: parameter {key} is given twice")
-            kv[key] = value
-        _close(text, i)
+    m = _FAM_SPEC.fullmatch(text)
+    kv = _fam_params(m[2]) if m else None
+    if kv is not None:
+        family = m[1]
+    else:
+        m = _NAME.match(text, _SPACE.match(text).end())
+        head, i = (m[1], m.end(1)) if m else (None, 0)
+        if head == "FAM" and text.startswith(":", i):
+            family, kv = _fam_stepwise(text, i + 1)
+    if kv is not None:
         sign = kv.pop("sign", None)
         return FamilySpec(family, kv, sign, bool(kv.pop("mirror", 0)))
     if not text.startswith("(", i) or (head != "M" and head not in _SHORT_FORMS):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import operator
 import random
 import re
@@ -29,6 +30,7 @@ from knotct.montesinos import (
     parse_spec,
 )
 from knotct.oracle import conway_polynomial, seifert_pipeline
+from knotct.sweeps import _formulas_specs
 
 
 def test_normalization_truncates_and_shifts():
@@ -425,19 +427,28 @@ def test_family_spec_outcomes_are_pinned():
     assert digest == "b2350f83634168fb51549e831bcfcc3279484a9fe230d9399e34bc19c56d9581"
 
 
-def test_enumeration_builds_only_the_specs_it_yields(monkeypatch):
-    calls = []
-    init = FamilySpec.__init__
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FamilySpec, "__init__", counted)
+def test_enumerated_specs_are_the_checked_constructions():
+    # enumerate_family sets its records' slots without FamilySpec's checks;
+    # each one must be the record the checked constructor builds from its
+    # fields, and each family's yield must be every checked construction
+    # over the full value grid, in order, with the ones that raise left out
     for family in FAMILY_NAMES:
-        calls.clear()
         specs = list(enumerate_family(family, 3))
-        assert len(calls) == len(specs), family
+        for f in specs:
+            checked = FamilySpec(f.family, dict(f.params), f.sign_variant, f.mirror)
+            assert f == checked and hash(f) == hash(checked)
+            assert repr(f) == repr(checked) and str(f) == str(checked)
+        names = [k for k, _ in specs[0].params]
+        mirrors = (False, True) if family in montesinos._MIRROR_FAMILIES else (False,)
+        grid = []
+        for values in itertools.product(range(-3, 4), repeat=len(names)):
+            for sign in (1, -1, None):
+                for mirror in mirrors:
+                    try:
+                        grid.append(FamilySpec(family, dict(zip(names, values)), sign, mirror))
+                    except ValidationError:
+                        pass
+        assert specs == grid, family
 
 
 @pytest.mark.parametrize("family, bound, error", [
@@ -554,6 +565,146 @@ def test_overlong_integer_is_a_validation_error():
         parse_spec(text)
 
 
+def test_family_space_and_ac1_spec_strings_parse_back_to_the_spec():
+    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
+    specs += _formulas_specs(2)
+    assert len(specs) == 25_468 + 33_964
+    for f in specs:
+        assert parse_spec(str(f)) == f
+
+
+# FAM: strings with their outcome recorded from the token-by-token reader
+# alone, before a whole spec was read by one match: the spec's repr, or the
+# error's type and message (which holds the position)
+_FAM_OUTCOMES = (
+    ('FAM:o1(a=1 0,b=1,c=1,d=1,e=1)',
+     "ParseError: parse error at position 11: expected ')' in 'FAM:o1(a=1 0,b=1,c=1,d=1,e=1)'"),
+    ('FAM:o 1(a=1)',
+     "ParseError: parse error at position 6: expected '(' in 'FAM:o 1(a=1)'"),
+    ('FAM:o1(a b=1)',
+     "ParseError: parse error at position 9: expected '=' in 'FAM:o1(a b=1)'"),
+    ('FAM:o1(a=- 1,b=1,c=1,d=1,e=1)',
+     "ParseError: parse error at position 9: expected 'integer' in 'FAM:o1(a=- 1,b=1,c=1,d=1,e=1)'"),
+    ('FA M:o1(a=1)',
+     "ParseError: parse error at position 0: expected 'M(, P(, DT(, F1L(, F1R(, or FAM:' in 'FA M:o1(a=1)'"),
+    ('FAM :o1(a=1)',
+     "ParseError: parse error at position 0: expected 'M(, P(, DT(, F1L(, F1R(, or FAM:' in 'FAM :o1(a=1)'"),
+    ('FAM:o1(a=1,b=1,a=1,c=1,d=1,e=1)',
+     'ValidationError: o1: parameter a is given twice'),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1,e=2)',
+     'ValidationError: o1: parameter e is given twice'),
+    ('FAM:e3(a=2,mirror=1,mirror=0)',
+     'ValidationError: e3: parameter mirror is given twice'),
+    ('FAM:o1(a=1,a=1',
+     'ValidationError: o1: parameter a is given twice'),
+    ('FAM:e3(a=123456789012345678901234567890)',
+     "FamilySpec(family='e3', params=(('a', 123456789012345678901234567890),), sign_variant=None, mirror=False)"),
+    ('FAM:e3(a=-123456789012345678901234567890',
+     "ParseError: parse error at position 40: expected ')' in 'FAM:e3(a=-123456789012345678901234567890'"),
+    ('FAM:o1(a=123456789012345678901234567890,b=1,c=1,d=1,e=1)',
+     "FamilySpec(family='o1', params=(('a', 123456789012345678901234567890), ('b', 1), ('c', 1), ('d', 1), ('e', 1)), sign_variant=None, mirror=False)"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1,sign=1)',
+     'ValidationError: o1 takes no sign_variant'),
+    ('FAM:o3(a=2,b=1,c=1)',
+     'ValidationError: o3 needs sign_variant +-1'),
+    ('FAM:o3(a=2,b=1,c=1,sign=2)',
+     'ValidationError: o3 needs sign_variant +-1'),
+    ('FAM:o3(a=2,b=1,c=1,sign=+1)',
+     "ParseError: parse error at position 24: expected 'integer' in 'FAM:o3(a=2,b=1,c=1,sign=+1)'"),
+    ('FAM:e3(a=1,mirror=2)',
+     "FamilySpec(family='e3', params=(('a', 1),), sign_variant=None, mirror=True)"),
+    ('FAM:e3(a=1,mirror=0)',
+     "FamilySpec(family='e3', params=(('a', 1),), sign_variant=None, mirror=False)"),
+    ('FAM:e3(a=1,mirror=-1)',
+     "FamilySpec(family='e3', params=(('a', 1),), sign_variant=None, mirror=True)"),
+    ('FAM:o3(sign=-1,a=2,b=1,c=1)',
+     "FamilySpec(family='o3', params=(('a', 2), ('b', 1), ('c', 1)), sign_variant=-1, mirror=False)"),
+    ('FAM:e3(mirror=1,a=1)',
+     "FamilySpec(family='e3', params=(('a', 1),), sign_variant=None, mirror=True)"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1',
+     "ParseError: parse error at position 26: expected ')' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1'"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1,',
+     "ParseError: parse error at position 27: expected 'name' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1,'"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1 ',
+     "ParseError: parse error at position 27: expected ')' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1 '"),
+    ('FAM:o1 a=1)',
+     "ParseError: parse error at position 7: expected '(' in 'FAM:o1 a=1)'"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1))',
+     "ParseError: parse error at position 27: expected 'end of input' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1))'"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1) x',
+     "ParseError: parse error at position 28: expected 'end of input' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1) x'"),
+    ('FAM:o1()',
+     "ParseError: parse error at position 7: expected 'name' in 'FAM:o1()'"),
+    ('FAM:(a=1)',
+     "ParseError: parse error at position 4: expected 'name' in 'FAM:(a=1)'"),
+    ('FAM:o1(a=1,)',
+     "ParseError: parse error at position 11: expected 'name' in 'FAM:o1(a=1,)'"),
+    ('FAM:o1(=1)',
+     "ParseError: parse error at position 7: expected 'name' in 'FAM:o1(=1)'"),
+    ('FAM:o1(a=)',
+     "ParseError: parse error at position 9: expected 'integer' in 'FAM:o1(a=)'"),
+    ('FAM:o1(a==1)',
+     "ParseError: parse error at position 9: expected 'integer' in 'FAM:o1(a==1)'"),
+    ('FAM:o1(a=1;b=2)',
+     "ParseError: parse error at position 10: expected ')' in 'FAM:o1(a=1;b=2)'"),
+    ('FAM:o1(a=1,,b=1)',
+     "ParseError: parse error at position 11: expected 'name' in 'FAM:o1(a=1,,b=1)'"),
+    ('FAM:o1(a=1,b=1,c=1,d=1,e=1_0)',
+     "ParseError: parse error at position 26: expected ')' in 'FAM:o1(a=1,b=1,c=1,d=1,e=1_0)'"),
+    ('FAM:e3(a=٢)',
+     "ParseError: parse error at position 9: expected 'integer' in 'FAM:e3(a=٢)'"),
+    ('FAM:e3(é=1)',
+     "ParseError: parse error at position 7: expected 'name' in 'FAM:e3(é=1)'"),
+    ('FAM:\u2003e3\x1c(\x1fa\xa0=\u3000-2\x1d)\x1e',
+     "FamilySpec(family='e3', params=(('a', -2),), sign_variant=None, mirror=False)"),
+    (' FAM:e3(a=2) ',
+     "FamilySpec(family='e3', params=(('a', 2),), sign_variant=None, mirror=False)"),
+    ('\tFAM:e3 ( a = 2 , mirror = 1 )\n',
+     "FamilySpec(family='e3', params=(('a', 2),), sign_variant=None, mirror=True)"),
+    ('FAM:nope(a=1)',
+     "ValidationError: unknown family 'nope'"),
+    ('FAM:pretzel(q1=3,q2=5,q3=7,q4=9,q5=11,q6=13,q7=15,q8=17,q9=19)',
+     "FamilySpec(family='pretzel', params=(('q1', 3), ('q2', 5), ('q3', 7), ('q4', 9), ('q5', 11), ('q6', 13), ('q7', 15), ('q8', 17), ('q9', 19)), sign_variant=None, mirror=False)"),
+    ('FAM:e3(A=1)',
+     "ValidationError: e3 needs parameters ('a',), got ('A',)"),
+    ('FAM:E3(a=1)',
+     "ValidationError: unknown family 'E3'"),
+    ('FAM:e3(a=0)',
+     'ValidationError: e3: parameter a must be nonzero'),
+    ('FAM:e3(a=-1)',
+     'ValidationError: e3: parameter a must not be -1'),
+    ('FAM:e3(a=1,mirror=1',
+     "ParseError: parse error at position 19: expected ')' in 'FAM:e3(a=1,mirror=1'"),
+    ('FAM:e3(a=1 mirror=1)',
+     "ParseError: parse error at position 11: expected ')' in 'FAM:e3(a=1 mirror=1)'"),
+    ('FAM:e3(a=1,\nmirror=1)',
+     "FamilySpec(family='e3', params=(('a', 1),), sign_variant=None, mirror=True)"),
+
+)
+
+
+def test_fam_specs_read_as_the_token_readers_read_them():
+    # inner spaces, repeated keys, 30-digit values, sign and mirror keys,
+    # a missing or extra `)`, and Unicode whitespace between tokens
+    for text, outcome in _FAM_OUTCOMES:
+        try:
+            got = repr(parse_spec(text))
+        except KnotctError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == outcome, text
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("head, tail, position", [
+    ("FAM:e3(a=", ")", 9), ("FAM:e3(a=1,q=", ")", 13), ("FAM:o1(a=1,b=", ",a=1", 13),
+])
+def test_overlong_fam_value_is_reported_at_its_position(head, tail, position):
+    # a value int() refuses sends a matched spec back to the token readers
+    text = head + "1" * (sys.get_int_max_str_digits() + 1) + tail
+    with pytest.raises(ValidationError, match=f"integer at position {position} has too many"):
+        parse_spec(text)
+
+
 _CORPUS_SEEDS = (
     "P(3,5,-2)", "P( 3 , 5 ,7 )", "DT(2,-4)", "F1L(1,0,2,0,1,1)", "F1R(0,1,0,1,0,1)",
     "M(1/2,1/3,-1/3|2)", " M( [2, -2] , 2/5 | -1 ) ", "M(-3/7,[4,2],1/5)",
@@ -627,6 +778,32 @@ def test_even_case_three_reads_the_shortest_leading_run():
     # Conway degree: 1 + 3z^2
     conway = conway_polynomial(seifert_pipeline(m.diagram()))
     assert conway.degree_span() == (0, 2 * b.genus)
+
+
+def test_genus_does_not_depend_on_tangle_order():
+    # the same four tangles in two orders; the positional case-III test gave
+    # the first order genus 4 (case II) and the second genus 2
+    for text in ("M(-1/3,-1/3,-2/3,-3/4|2)", "M(-1/3,-2/3,-1/3,-3/4|2)"):
+        b = genus(parse_spec(text))
+        assert (b.genus, b.type, b.p) == (2, "even_caseIII", 2), text
+
+
+def test_genus_is_invariant_under_permuting_the_tangles():
+    # every length-4 knot M(p1/q1,...,p4/q4|gamma) with 2 <= q <= 5 and
+    # |gamma| <= 2, up to tangle order, gets one genus in every order
+    tangles = [(p, q) for q in range(2, 6) for p in range(1 - q, q) if math.gcd(p, q) == 1]
+    knots = 0
+    for combo in itertools.combinations_with_replacement(tangles, 4):
+        for gamma in range(-2, 3):
+            try:
+                MontesinosSpec(combo, gamma)
+            except NotAKnot:
+                continue
+            knots += 1
+            genera = {genus((list(order), gamma)).genus
+                      for order in set(itertools.permutations(combo))}
+            assert len(genera) == 1, (combo, gamma, genera)
+    assert knots == 14_322
 
 
 def test_diagram_matches_spec():

@@ -4,7 +4,7 @@ import pytest
 
 from knotct.diagram import montesinos_diagram
 from knotct.errors import KnotctError
-from knotct.invariants import skein_a2
+from knotct.invariants import closed_form, skein_a2
 from knotct.montesinos import FAMILY_NAMES, FamilySpec, _normal_pairs, enumerate_family, parse_spec
 from knotct.oracle import conway_polynomial, seifert_pipeline
 from knotct.pipeline import (
@@ -70,6 +70,18 @@ def test_obstruct_builds_from_the_genus_gate_pairs(monkeypatch):
     want = obstruct(survivor)
     monkeypatch.setattr(FamilySpec, "diagram", None)
     assert obstruct(survivor) == want and want.evidence.sigma == 0
+
+
+def test_obstruct_reads_the_closed_forms_and_takes_a_sweeps_pairs():
+    # obstruct reads a family spec's a2 and w3 as closed_form gives them,
+    # and gives the same verdict when a sweep hands in the spec's pairs
+    specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 2)]
+    for f in specs:
+        v = obstruct(f)
+        assert obstruct(f, _normal_pairs(f)) == v, str(f)
+        rep = closed_form(f)
+        assert (v.evidence.a2, v.evidence.w3) == (rep.a2, rep.w3), str(f)
+        assert v.evidence.method["a2"] == v.evidence.method["w3"] == "closed_form"
 
 
 def test_fired_rule_vocabulary():
