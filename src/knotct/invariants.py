@@ -43,6 +43,7 @@ __all__ = [
     "a2_pretzel",
     "w3_pretzel",
     "closed_form",
+    "closed_a2_w3",
     "skein_a2",
     "skein_w3",
     "DEFAULT_SKEIN_BUDGET",
@@ -336,9 +337,15 @@ def closed_form(f) -> InvariantReport:
     pretzel raises NoFormula.  A mirrored spec keeps a2 and negates w3
     (even/odd order behavior under mirroring).
     """
+    a2, w3 = closed_a2_w3(f)
+    return InvariantReport(a2=a2, w3=w3, method={"a2": "closed_form", "w3": "closed_form"})
+
+
+def closed_a2_w3(f):
+    """(a2, w3) of `closed_form`, without its report: the one place that
+    applies the mirror (a2 kept, w3 negated).  Raises NoFormula as it does."""
     a2, w3x4 = _closed_a2_w3x4(f)
-    return InvariantReport(a2=a2, w3=Fraction(-w3x4 if f.mirror else w3x4, 4),
-                           method={"a2": "closed_form", "w3": "closed_form"})
+    return a2, Fraction(-w3x4 if f.mirror else w3x4, 4)
 
 
 # =============================================================================

@@ -28,9 +28,7 @@ Which paths check a family spec and which trust it: user input (the
 parameter ranges only over the (name, value) pairs its rule admits, so it
 sets each record's slots directly (`_drawn_specs`), with no `__init__` and
 no check, and its records equal, hash and print like the checked ones.  No
-assert carries any of this, so `python -O` changes nothing.  `parse_spec`
-reads a well-formed `FAM:` spec with one match of `_FAM_SPEC` and leaves
-every error to the token readers, which name its position.
+assert carries any of this, so `python -O` changes nothing.
 
 `genus` reads each tangle's normal form from a memo keyed on the tangle's
 (beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
@@ -489,9 +487,9 @@ def genus(m) -> GenusBreakdown:
     equal to their form's leading entry.
 
     Case III is a condition on the multiset of leading entries, not on their
-    order: permuting the tangles is a sequence of mutations, which keep the
-    genus, and the candidate surfaces of Hatcher and Oertel ("Boundary slopes
-    for Montesinos knots", Topology 28, 1989) are symmetric in the tangles.
+    order: permuting the tangles is a sequence of mutations, and mutation
+    keeps the genus (Gabai, "Genera of the arborescent links", Mem. Amer.
+    Math. Soc. 339, 1986).
     The even-type cases follow the genus computation of Hirasawa and
     Murasugi ("Genera and fibredness of Montesinos knots", Pacific J. Math.
     225, 2006); this statement of case III has not been checked against
@@ -554,12 +552,6 @@ _INT = re.compile(r"(-?[0-9]+)\s*")
 _NAME = re.compile(r"((?a:\w+))\s*")
 # one `key=value` of a FAM: list with the comma after it, in the tokens above
 _PAIR = re.compile(r"((?a:\w+))\s*=\s*(-?[0-9]+)\s*(,\s*)?")
-# a whole FAM: spec, with its family and its `key=value` list, in the same
-# tokens in the order the step-wise readers take them, so it matches exactly
-# the strings they read to the end; `\s` is what `str.strip` strips
-_FAM_SPEC = re.compile(
-    r"\s*FAM:\s*((?a:\w+))\s*\(\s*"
-    r"((?a:\w+)\s*=\s*-?[0-9]+\s*(?:,\s*(?a:\w+)\s*=\s*-?[0-9]+\s*)*)\)\s*")
 
 
 def _expect(text, i, s):
@@ -619,39 +611,6 @@ def _close(text, i):
         raise ParseError(text, i, "end of input")
 
 
-def _fam_params(body):
-    """The `key=value` list that `_FAM_SPEC` matched, as a dict, or None
-    when a key repeats or a value has too many digits: the step-wise
-    reader then raises the error at its position."""
-    kv = {}
-    for item in body.split(","):
-        key, _, value = item.partition("=")
-        try:
-            kv[key.strip()] = int(value.strip())
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            return None
-    return kv if len(kv) == body.count(",") + 1 else None
-
-
-def _fam_stepwise(text, i):
-    """Family and `key=value` dict of the FAM: spec whose name starts after
-    position i, read token by token; every error names its position."""
-    family, i = _name(text, _SPACE.match(text, i).end())
-    i = _expect(text, i, "(")
-    kv, more = {}, True
-    while more:
-        m = _PAIR.match(text, i)
-        if m is None:  # _PAIR is their tokens in a row, so the step-wise
-            # readers fail here too, and raise the error at its position
-            _int(text, _expect(text, _name(text, i)[1], "="))
-        key, value, i, more = m[1], _digits(m[2], m.start(2)), m.end(), m[3]
-        if key in kv:
-            raise ValidationError(f"{family}: parameter {key} is given twice")
-        kv[key] = value
-    _close(text, i)
-    return family, kv
-
-
 def parse_spec(text: str):
     """Parse a knot spec.  Whitespace may separate tokens, not split a head:
 
@@ -667,16 +626,22 @@ def parse_spec(text: str):
     not repeat, and `sign`/`mirror` set the sign variant and mirror image.
     `str` of a spec parses back to it; a mirrored short form prints as `FAM:`.
     """
-    m = _FAM_SPEC.fullmatch(text)
-    kv = _fam_params(m[2]) if m else None
-    if kv is not None:
-        family = m[1]
-    else:
-        m = _NAME.match(text, _SPACE.match(text).end())
-        head, i = (m[1], m.end(1)) if m else (None, 0)
-        if head == "FAM" and text.startswith(":", i):
-            family, kv = _fam_stepwise(text, i + 1)
-    if kv is not None:
+    m = _NAME.match(text, _SPACE.match(text).end())
+    head, i = (m[1], m.end(1)) if m else (None, 0)
+    if head == "FAM" and text.startswith(":", i):
+        family, i = _name(text, _SPACE.match(text, i + 1).end())
+        i = _expect(text, i, "(")
+        kv, more = {}, True
+        while more:
+            m = _PAIR.match(text, i)
+            if m is None:  # _PAIR is their tokens in a row, so the step-wise
+                # readers fail here too, and raise the error at its position
+                _int(text, _expect(text, _name(text, i)[1], "="))
+            key, value, i, more = m[1], _digits(m[2], m.start(2)), m.end(), m[3]
+            if key in kv:
+                raise ValidationError(f"{family}: parameter {key} is given twice")
+            kv[key] = value
+        _close(text, i)
         sign = kv.pop("sign", None)
         return FamilySpec(family, kv, sign, bool(kv.pop("mirror", 0)))
     if not text.startswith("(", i) or (head != "M" and head not in _SHORT_FORMS):

@@ -31,7 +31,7 @@ from .errors import (
     NotReduced,
     ValidationError,
 )
-from .invariants import InvariantReport, _closed_a2_w3x4
+from .invariants import InvariantReport, closed_a2_w3
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -137,19 +137,17 @@ def _stage_note(exc, stage):
     return exc if isinstance(exc, ValidationError) else _note(exc, f"obstruction stage: {stage}")
 
 
-def obstruct(spec, norm=None) -> ObstructionVerdict:
+def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
     The spec's diagram is built at most once per call, on first use, and
     dropped with the call.  The genus and signature gates share the spec's
     normalized integer pairs, computed once, and so does the diagram build
     of an M(...) or genus-two family spec; no `MontesinosSpec` is built.
-    `norm` may hand in those pairs, `_normal_pairs(spec)`, when the caller
-    already holds them (a sweep that filtered on them); None computes them.
     The verdict's evidence is the one `InvariantReport` built per call.
     """
     method = {}
-    a2 = w3 = sigma = tau = g = None
+    a2 = w3 = sigma = tau = g = norm = None
     is_family = isinstance(spec, FamilySpec)
     is_fig1 = is_family and spec.family in ("fig1_left", "fig1_right")
     spec_diagram = None
@@ -183,8 +181,7 @@ def obstruct(spec, norm=None) -> ObstructionVerdict:
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
         else:
-            if norm is None:
-                norm = _normal_pairs(spec)
+            norm = _normal_pairs(spec)
             if norm is not None:
                 g = genus(norm).genus
                 method["genus"] = "closed_form"
@@ -212,11 +209,10 @@ def obstruct(spec, norm=None) -> ObstructionVerdict:
     try:
         if is_family:
             try:
-                a2, w3x4 = _closed_a2_w3x4(spec)
+                a2, w3 = closed_a2_w3(spec)
             except NoFormula:
                 pass
-            else:  # as `closed_form` gives them, without its report
-                w3 = Fraction(-w3x4 if spec.mirror else w3x4, 4)
+            else:
                 method["a2"] = method["w3"] = "closed_form"
         if a2 is None:
             from .gauss import gauss_a2

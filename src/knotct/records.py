@@ -7,6 +7,12 @@ attribute assignment or deletion once built.  Each subclass lists its
 fields in `__slots__` and sets them in its own `__init__` through
 `object.__setattr__`; a record class is not subclassed further.
 
+`FamilySpec` has a second, trusted way in: `montesinos._drawn_specs` sets
+the slots of records `enumerate_family` has drawn through the slot
+descriptors, with no `__init__` call.  Any per-record state a later change
+adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
+field) must be set there too.
+
 The package defines its records this way rather than with `dataclasses`,
 whose import (it loads `inspect`, `ast`, `dis` and `tokenize`) and generated
 class bodies cost a fresh `knotct` process about 20 ms of its start-up.

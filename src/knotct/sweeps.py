@@ -158,22 +158,16 @@ def _survivor_match(f):
 
 
 def _scope_specs(scope, bound):
-    """(spec, its `_normal_pairs` or None) for each spec of the scope; the
-    pairs are given when the scope's filter computed them."""
-    if scope == "montesinos":
+    if scope in ("montesinos", "alternating_montesinos"):
         for fam in FAMILY_NAMES:
             for f in enumerate_family(fam, bound):
-                yield f, None
-    elif scope == "alternating_montesinos":
-        for fam in FAMILY_NAMES:
-            for f in enumerate_family(fam, bound):
-                norm = _normal_pairs(f)
-                if is_alternating_knot(norm):
-                    yield f, norm
+                if scope == "alternating_montesinos" and not is_alternating_knot(_normal_pairs(f)):
+                    continue
+                yield f
     elif scope == "fig1":
         for fam in ("fig1_left", "fig1_right"):
             for vals in itertools.product(range(0, bound + 1), repeat=6):
-                yield FamilySpec(fam, dict(zip("abcdef", vals))), None
+                yield FamilySpec(fam, dict(zip("abcdef", vals)))
     else:
         raise InvalidInput(f"unknown scope {scope!r}")
 
@@ -185,12 +179,11 @@ def classify_genus2(bound, scope="alternating_montesinos") -> ClassificationRun:
     if bound < 1:
         raise ValidationError("bound must be >= 1")
     survivors, eliminated = [], {}
-    for f, norm in _scope_specs(scope, bound):
+    for f in _scope_specs(scope, bound):
         try:
             # looked up on the module at each call, so a tracer or a test
-            # that rebinds pipeline.obstruct reaches the sweep too; the
-            # filter's pairs are handed on rather than computed again
-            v = pipeline.obstruct(f) if norm is None else pipeline.obstruct(f, norm)
+            # that rebinds pipeline.obstruct reaches the sweep too
+            v = pipeline.obstruct(f)
         except KnotctError as exc:
             raise _note(exc, f"spec: {f}")
         if v.verdict == "no_pcs":

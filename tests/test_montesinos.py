@@ -782,10 +782,16 @@ def test_even_case_three_reads_the_shortest_leading_run():
 
 def test_genus_does_not_depend_on_tangle_order():
     # the same four tangles in two orders; the positional case-III test gave
-    # the first order genus 4 (case II) and the second genus 2
+    # the first order genus 4 (case II) and the second genus 2.  The Conway
+    # polynomial's degree, at most twice the genus, is 4 in both orders, so
+    # 2 is the least genus either can have: a case-III value that came out
+    # too low would fail here, not only a case-II value too high
     for text in ("M(-1/3,-1/3,-2/3,-3/4|2)", "M(-1/3,-2/3,-1/3,-3/4|2)"):
-        b = genus(parse_spec(text))
+        spec = parse_spec(text)
+        b = genus(spec)
         assert (b.genus, b.type, b.p) == (2, "even_caseIII", 2), text
+        conway = conway_polynomial(seifert_pipeline(spec.diagram()))
+        assert conway.degree_span()[1] == 4 <= 2 * b.genus, text
 
 
 def test_genus_is_invariant_under_permuting_the_tangles():
