@@ -489,13 +489,10 @@ def genus(m) -> GenusBreakdown:
     Case III is a condition on the multiset of leading entries, not on their
     order: permuting the tangles is a sequence of mutations, and mutation
     keeps the genus (Gabai, "Genera of the arborescent links", Mem. Amer.
-    Math. Soc. 339, 1986).
-    The even-type cases follow the genus computation of Hirasawa and
-    Murasugi ("Genera and fibredness of Montesinos knots", Pacific J. Math.
-    225, 2006); this statement of case III has not been checked against
-    that paper's text.  It replaced a positional test, the leads
-    +-(2, -2, ..., 2, -2) in the order after the rotation, under which
-    reordering the tangles could change the genus.
+    Math. Soc. 339, 1986).  The even-type cases follow the genus
+    computation of Hirasawa and Murasugi ("Genera and fibredness of
+    Montesinos knots", Pacific J. Math. 225, 2006); this statement of case
+    III has not been checked against that paper's text.
     """
     pairs, gamma = _pairs(m)
     if all(q % 2 == 1 for _, q in pairs):

@@ -573,9 +573,9 @@ def test_family_space_and_ac1_spec_strings_parse_back_to_the_spec():
         assert parse_spec(str(f)) == f
 
 
-# FAM: strings with their outcome recorded from the token-by-token reader
-# alone, before a whole spec was read by one match: the spec's repr, or the
-# error's type and message (which holds the position)
+# FAM: strings with their outcome as the token readers give it: the spec's
+# repr, or the error's type and message (which holds the position); a
+# faster way of reading a `FAM:` spec must keep every one
 _FAM_OUTCOMES = (
     ('FAM:o1(a=1 0,b=1,c=1,d=1,e=1)',
      "ParseError: parse error at position 11: expected ')' in 'FAM:o1(a=1 0,b=1,c=1,d=1,e=1)'"),
@@ -699,7 +699,7 @@ def test_fam_specs_read_as_the_token_readers_read_them():
     ("FAM:e3(a=", ")", 9), ("FAM:e3(a=1,q=", ")", 13), ("FAM:o1(a=1,b=", ",a=1", 13),
 ])
 def test_overlong_fam_value_is_reported_at_its_position(head, tail, position):
-    # a value int() refuses sends a matched spec back to the token readers
+    # a value int() refuses is reported at the position of its digits
     text = head + "1" * (sys.get_int_max_str_digits() + 1) + tail
     with pytest.raises(ValidationError, match=f"integer at position {position} has too many"):
         parse_spec(text)
