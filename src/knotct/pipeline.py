@@ -11,7 +11,12 @@ is the alternating-diagram twist-number gate.
 Whether a Montesinos knot is alternating, and its alternating presentation,
 are decided in `knotct.montesinos` (`is_alternating_knot`,
 `alternating_build`, re-exported here) on the spec's normalized integer
-pairs; no caller below the parser builds a `MontesinosSpec` to ask.
+pairs; no caller below the parser builds a `MontesinosSpec` to ask.  The
+signature gate reads those pairs before it builds anything: the reduced
+Montesinos presentations of a knot are exactly the shifts of one
+(Lickorish-Thistlethwaite), so a knot of length >= 3 with no sign-coherent
+shift has no alternating diagram, and one with such a shift has a reduced
+alternating diagram in its alternating build.
 
 The sweeps that run this chain over whole family scopes (`classify_genus2`)
 and the cross-validation suites live in `knotct.sweeps`, which a single-spec
@@ -100,11 +105,19 @@ class TwistGate(Record):
 # alternating-knot certification
 
 
-def _reduced_alternating_diagram(d, norm):
-    """A reduced alternating diagram of the knot, or None: `d` itself when it
-    is one, else the diagram of `alternating_build(norm)` when that is one;
-    `norm` is the spec's `_normal_pairs`."""
-    if d.is_alternating() and d.is_reduced():
+def _reduced_alternating_diagram(norm, d=None):
+    """A reduced alternating diagram of the knot, or None.
+
+    `norm` is the spec's `_normal_pairs`, and `d` a diagram of the spec
+    already at hand, or None; a spec without pairs (a six-box template, or
+    every tangle fraction an integer) must pass its own diagram.  `d` is
+    returned when it is reduced alternating, else the diagram of
+    `alternating_build(norm)` when that is one, and nothing else is tried:
+    the reduced Montesinos presentations of a knot are exactly the shifts
+    of one (Lickorish-Thistlethwaite), so a spec whose pairs have no
+    sign-coherent shift has no alternating Montesinos diagram to build.
+    """
+    if d is not None and d.is_alternating() and d.is_reduced():
         return d
     alt = alternating_build(norm) if norm is not None else None
     if alt is not None:
@@ -141,10 +154,16 @@ def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
     The spec's diagram is built at most once per call, on first use, and
-    dropped with the call.  The genus and signature gates share the spec's
-    normalized integer pairs, computed once, and so does the diagram build
-    of an M(...) or genus-two family spec; no `MontesinosSpec` is built.
-    The verdict's evidence is the one `InvariantReport` built per call.
+    dropped with the call; a diagram is built only when a gate reads one.
+    The genus and signature gates share the spec's normalized integer pairs,
+    computed once, and so does the diagram build of an M(...) or genus-two
+    family spec; no `MontesinosSpec` is built.  The signature gate of a spec
+    with pairs builds nothing for a non-alternating knot, and at most its
+    alternating presentation for an alternating one, unless a diagram read
+    by an earlier gate already is reduced alternating; the spec's own
+    diagram is built there only for the Seifert fallback, or for a spec
+    without pairs.  The verdict's evidence is the one `InvariantReport`
+    built per call.
     """
     method = {}
     a2 = w3 = sigma = tau = g = norm = None
@@ -234,18 +253,20 @@ def obstruct(spec) -> ObstructionVerdict:
     if w3 != 0:
         return ObstructionVerdict("no_pcs", "w3_nonzero", report())
 
-    # -- signature gate, alternating knots only (tau = -sigma/2 there)
+    # -- signature gate, alternating knots only (tau = -sigma/2 there); the
+    # Seifert fallback covers an alternating build that is not reduced
+    # alternating, or a two-bridge spec with mixed signs that has none
     try:
-        d = diagram()
-        alt_d = _reduced_alternating_diagram(d, norm)
-        if alt_d is not None:
-            sigma = signature_alternating(alt_d)
-            method["sigma"] = "closed_form"
-        elif norm is not None and is_alternating_knot(norm):
-            from .oracle import oracle_signature, seifert_pipeline
+        if norm is None or is_alternating_knot(norm):
+            alt_d = _reduced_alternating_diagram(norm, diagram() if norm is None else spec_diagram)
+            if alt_d is not None:
+                sigma = signature_alternating(alt_d)
+                method["sigma"] = "closed_form"
+            elif norm is not None:
+                from .oracle import oracle_signature, seifert_pipeline
 
-            sigma = oracle_signature(seifert_pipeline(d))
-            method["sigma"] = "oracle"
+                sigma = oracle_signature(seifert_pipeline(diagram()))
+                method["sigma"] = "oracle"
         if sigma is not None:
             tau = Fraction(-sigma, 2)
             method["tau"] = method["sigma"]

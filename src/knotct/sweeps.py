@@ -412,7 +412,7 @@ def _suite_signatures(bound, checks):
             f = FamilySpec(fam, p, sign)
             d = f.diagram()
             s_or = oracle_signature(seifert_pipeline(d))
-            alt_d = _reduced_alternating_diagram(d, _normal_pairs(f))
+            alt_d = _reduced_alternating_diagram(_normal_pairs(f), d)
             s_alt = None if alt_d is None else signature_alternating(alt_d)
             if expected == ">0":
                 ok = s_or > 0 and (s_alt is None or s_alt == s_or)

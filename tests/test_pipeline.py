@@ -1,12 +1,16 @@
 """Obstruction pipeline, classification sweeps, and verification suites."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from knotct.diagram import montesinos_diagram
+import knotct.pipeline
+from knotct.diagram import montesinos_diagram, signature_alternating
 from knotct.errors import KnotctError
 from knotct.invariants import closed_form, skein_a2
 from knotct.montesinos import FAMILY_NAMES, FamilySpec, _normal_pairs, enumerate_family, parse_spec
-from knotct.oracle import conway_polynomial, seifert_pipeline
+from knotct.oracle import conway_polynomial, oracle_signature, seifert_pipeline
 from knotct.pipeline import (
     FIRED_RULES,
     alternating_build,
@@ -82,6 +86,96 @@ def test_obstruct_reads_the_closed_forms():
         rep = closed_form(f)
         assert (v.evidence.a2, v.evidence.w3) == (rep.a2, rep.w3), str(f)
         assert v.evidence.method["a2"] == v.evidence.method["w3"] == "closed_form"
+
+
+def reference_sigma_gate(spec):
+    """(sigma, method) of the signature gate as it was before it was decided
+    on the normalized pairs: the spec's standard diagram `d`, then `d` itself
+    when it is reduced alternating, else the alternating build when that is
+    reduced alternating, else the Seifert surface of `d` when the knot is
+    alternating, else (None, None)."""
+    fig1 = isinstance(spec, FamilySpec) and spec.family in ("fig1_left", "fig1_right")
+    norm = None if fig1 else _normal_pairs(spec)
+    if norm is not None and (not isinstance(spec, FamilySpec) or spec.family in FAMILY_NAMES):
+        d = montesinos_diagram(*norm)
+    else:
+        d = spec.diagram()
+    if d.is_alternating() and d.is_reduced():
+        return signature_alternating(d), "closed_form"
+    alt = alternating_build(norm) if norm is not None else None
+    if alt is not None:
+        bd = montesinos_diagram(*alt)
+        if bd.is_alternating() and bd.is_reduced():
+            return signature_alternating(bd), "closed_form"
+    if norm is not None and is_alternating_knot(norm):
+        return oracle_signature(seifert_pipeline(d)), "oracle"
+    return None, None
+
+
+def _montesinos_grid():
+    """Every M(...) knot of length 3 or 4 with denominators <= 5 and
+    |gamma| <= 2, up to the order of its tangles (17,572 knots)."""
+    fractions = [Fraction(p, q) for q in range(2, 6) for p in range(1 - q, q)
+                 if p and Fraction(p, q).denominator == q]
+    out = []
+    for r in (3, 4):
+        for combo in itertools.combinations_with_replacement(fractions, r):
+            for gamma in range(-2, 3):
+                text = ",".join(map(str, combo)) + (f"|{gamma}" if gamma else "")
+                try:
+                    out.append(parse_spec(f"M({text})"))
+                except KnotctError:
+                    pass  # a two-component link
+    return out
+
+
+def test_signature_gate_equals_the_reference():
+    # the bound-3 family space, the AC1 pretzels and double twists, two
+    # two-bridge specs and the M(...) grid: every verdict that reaches the signature gate reads the
+    # sigma, tau and methods the standard-diagram-first gate read
+    specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 3)]
+    nonzero = [q for q in range(-2, 3) if q]
+    for qs in itertools.product(nonzero, repeat=3):
+        if sum(q % 2 == 0 for q in qs) <= 1:  # two even strands make a link
+            specs.append(FamilySpec("pretzel", {f"q{i}": q for i, q in enumerate(qs, 1)}))
+    specs += [FamilySpec("double_twist", dict(x=x, y=y)) for x in nonzero for y in nonzero]
+    # two-bridge with mixed signs and no alternating build: the Seifert fallback
+    specs += [parse_spec(t) for t in ("M(1/3,-18/23)", "M(2/5,-3/7)")]
+    grid = _montesinos_grid()
+    assert len(grid) == 17572
+    seen = {}
+    for f in specs + grid:
+        ev = obstruct(f).evidence
+        if ev.a2 != 0 or ev.w3 != 0:
+            continue
+        sigma, how = reference_sigma_gate(f)
+        assert (ev.sigma, ev.method.get("sigma"), ev.method.get("tau")) == (sigma, how, how), str(f)
+        assert ev.tau == (None if sigma is None else Fraction(-sigma, 2)), str(f)
+        seen[how] = seen.get(how, 0) + 1
+    # each branch of the gate is exercised: closed form, Seifert fallback, none
+    assert set(seen) == {"closed_form", "oracle", None}, seen
+
+
+@pytest.mark.parametrize("text, rule, sigma, builds", [
+    ("FAM:o1p(a=-2,b=-2,c=-2,d=1,sign=1)", "none", None, 0),  # not alternating
+    ("FAM:o1p(a=1,b=1,c=-2,d=1,sign=1)", "tau_nonzero_via_sigma", 2, 1),  # mixed signs
+    ("FAM:o2(a=1,b=-1,c=2,d=1,e=1)", "tau_nonzero_via_sigma", 2, 1),  # alternating as given
+])
+def test_signature_gate_builds_at_most_one_diagram(monkeypatch, text, rule, sigma, builds):
+    spec = parse_spec(text)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(knotct.pipeline, "montesinos_diagram", counted(montesinos_diagram))
+    monkeypatch.setattr(FamilySpec, "diagram", counted(FamilySpec.diagram))
+    v = obstruct(spec)
+    assert (v.fired_rule, v.evidence.sigma) == (rule, sigma)
+    assert len(calls) == builds, calls
 
 
 def test_fired_rule_vocabulary():
