@@ -113,9 +113,10 @@ def _reduced_alternating_diagram(norm, d=None):
     every tangle fraction an integer) must pass its own diagram.  `d` is
     returned when it is reduced alternating, else the diagram of
     `alternating_build(norm)` when that is one, and nothing else is tried:
-    the reduced Montesinos presentations of a knot are exactly the shifts
-    of one (Lickorish-Thistlethwaite), so a spec whose pairs have no
-    sign-coherent shift has no alternating Montesinos diagram to build.
+    the reduced Montesinos presentations of a knot of length >= 3 are
+    exactly the shifts of one (Lickorish-Thistlethwaite), so when its pairs
+    have no sign-coherent shift the knot has no alternating diagram at all.
+    A two-bridge spec with mixed signs is alternating but gets None here.
     """
     if d is not None and d.is_alternating() and d.is_reduced():
         return d

@@ -1,15 +1,23 @@
 """Obstruction pipeline, classification sweeps, and verification suites."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import knotct.pipeline
 from knotct.diagram import montesinos_diagram, signature_alternating
-from knotct.errors import KnotctError
+from knotct.errors import KnotctError, NotAKnot
 from knotct.invariants import closed_form, skein_a2
-from knotct.montesinos import FAMILY_NAMES, FamilySpec, _normal_pairs, enumerate_family, parse_spec
+from knotct.montesinos import (
+    FAMILY_NAMES,
+    FamilySpec,
+    MontesinosSpec,
+    _normal_pairs,
+    enumerate_family,
+    parse_spec,
+)
 from knotct.oracle import conway_polynomial, oracle_signature, seifert_pipeline
 from knotct.pipeline import (
     FIRED_RULES,
@@ -115,24 +123,22 @@ def reference_sigma_gate(spec):
 def _montesinos_grid():
     """Every M(...) knot of length 3 or 4 with denominators <= 5 and
     |gamma| <= 2, up to the order of its tangles (17,572 knots)."""
-    fractions = [Fraction(p, q) for q in range(2, 6) for p in range(1 - q, q)
-                 if p and Fraction(p, q).denominator == q]
+    tangles = [(p, q) for q in range(2, 6) for p in range(1 - q, q) if math.gcd(p, q) == 1]
     out = []
     for r in (3, 4):
-        for combo in itertools.combinations_with_replacement(fractions, r):
+        for combo in itertools.combinations_with_replacement(tangles, r):
             for gamma in range(-2, 3):
-                text = ",".join(map(str, combo)) + (f"|{gamma}" if gamma else "")
                 try:
-                    out.append(parse_spec(f"M({text})"))
-                except KnotctError:
-                    pass  # a two-component link
+                    out.append(MontesinosSpec(combo, gamma))
+                except NotAKnot:
+                    pass
     return out
 
 
 def test_signature_gate_equals_the_reference():
     # the bound-3 family space, the AC1 pretzels and double twists, two
-    # two-bridge specs and the M(...) grid: every verdict that reaches the signature gate reads the
-    # sigma, tau and methods the standard-diagram-first gate read
+    # two-bridge specs and the M(...) grid: every verdict that reaches the
+    # signature gate reads the sigma, tau and methods the reference reads
     specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 3)]
     nonzero = [q for q in range(-2, 3) if q]
     for qs in itertools.product(nonzero, repeat=3):
@@ -160,6 +166,7 @@ def test_signature_gate_equals_the_reference():
     ("FAM:o1p(a=-2,b=-2,c=-2,d=1,sign=1)", "none", None, 0),  # not alternating
     ("FAM:o1p(a=1,b=1,c=-2,d=1,sign=1)", "tau_nonzero_via_sigma", 2, 1),  # mixed signs
     ("FAM:o2(a=1,b=-1,c=2,d=1,e=1)", "tau_nonzero_via_sigma", 2, 1),  # alternating as given
+    ("M(1/3,2/3,2/5)", "tau_nonzero_via_sigma", 2, 1),  # the a2 gate's Gauss build is reused
 ])
 def test_signature_gate_builds_at_most_one_diagram(monkeypatch, text, rule, sigma, builds):
     spec = parse_spec(text)
