@@ -38,7 +38,6 @@ from .errors import (
 )
 from .invariants import InvariantReport, closed_a2_w3
 from .montesinos import (
-    FAMILY_NAMES,
     FamilySpec,
     _normal_pairs,
     alternating_build,
@@ -154,79 +153,61 @@ def _stage_note(exc, stage):
 def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
-    The spec's diagram is built at most once per call, on first use, and
-    dropped with the call; a diagram is built only when a gate reads one.
-    The genus and signature gates share the spec's normalized integer pairs,
-    computed once, and so does the diagram build of an M(...) or genus-two
-    family spec; no `MontesinosSpec` is built.  The signature gate of a spec
-    with pairs builds nothing for a non-alternating knot, and at most its
-    alternating presentation for an alternating one, unless a diagram read
-    by an earlier gate already is reduced alternating; the spec's own
-    diagram is built there only for the Seifert fallback, or for a spec
-    without pairs.  The verdict's evidence is the one `InvariantReport`
-    built per call.
+    One pass: `stage` names the running gate, and a `KnotctError` from any
+    gate leaves noted with it.  `diagram()` builds `spec.diagram()` at most
+    once per call, only when a gate reads it; `verdict(rule)` builds the
+    call's one `InvariantReport`, with tau = -sigma/2 when sigma is known.
+    The genus and signature gates share the spec's normalized pairs.  A
+    spec without pairs (a six-box template, read as built, or an
+    all-integer pretzel, read simplified: a (2, k) torus knot) has genus 0
+    with no crossings left, the alternating genus of a reduced alternating
+    diagram, and none otherwise.  The signature gate builds nothing for a
+    non-alternating knot with pairs, and for an alternating one at most its
+    alternating build, unless a diagram already read is reduced alternating.
     """
     method = {}
-    a2 = w3 = sigma = tau = g = norm = None
+    a2 = w3 = sigma = g = norm = built = None
     is_family = isinstance(spec, FamilySpec)
-    is_fig1 = is_family and spec.family in ("fig1_left", "fig1_right")
-    spec_diagram = None
+    six_box = is_family and spec.family in ("fig1_left", "fig1_right")
 
     def diagram():
-        nonlocal spec_diagram
-        if spec_diagram is None:
-            # an M(...) or genus-two family spec is built from the normalized
-            # pairs the genus gate holds; pretzels, double twists and six-box
-            # specs keep their templates
-            if norm is not None and (not is_family or spec.family in FAMILY_NAMES):
-                spec_diagram = montesinos_diagram(*norm)
-            else:
-                spec_diagram = spec.diagram()
-        return spec_diagram
+        nonlocal built
+        if built is None:
+            built = spec.diagram()
+        return built
 
-    def report():
-        return InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
+    def verdict(rule):
+        tau = None if sigma is None else Fraction(-sigma, 2)
+        report = InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
+        return ObstructionVerdict("inconclusive" if rule == "none" else "no_pcs", rule, report)
 
     # -- composite gate: all constructible specs are prime (Montesinos with
     # every alpha_i > 1, two-bridge, or the prime six-box templates), so
     # this rule never fires; it anchors the rule enum.
-
-    # -- genus gate
+    stage = "genus"
     try:
-        if is_fig1:
-            d = diagram()
-            if d.is_alternating() and d.is_reduced():
+        if not six_box:
+            norm = _normal_pairs(spec)
+        if norm is not None:
+            g = genus(norm).genus
+            method["genus"] = "closed_form"
+        else:
+            d = diagram() if six_box else diagram().simplify()
+            if d.n == 0:
+                g = 0
+                method["genus"] = "closed_form"
+            elif d.is_alternating() and d.is_reduced():
                 from .oracle import alternating_genus, seifert_pipeline
 
                 g = alternating_genus(d, seifert_pipeline(d))
                 method["genus"] = "oracle"
-        else:
-            norm = _normal_pairs(spec)
-            if norm is not None:
-                g = genus(norm).genus
-                method["genus"] = "closed_form"
-            else:
-                # every tangle fraction is an integer, so the spec reduces to
-                # a closed chain of half-twists: a (2, k) torus knot, whose
-                # simplified diagram is reduced alternating (or empty)
-                d = diagram().simplify()
-                if d.n == 0:
-                    g = 0
-                    method["genus"] = "closed_form"
-                else:
-                    from .oracle import alternating_genus, seifert_pipeline
+        if g is not None and g != 2:
+            return verdict("genus_ne_2")
 
-                    g = alternating_genus(d, seifert_pipeline(d))
-                    method["genus"] = "oracle"
-    except KnotctError as exc:
-        raise _stage_note(exc, "genus")
-    if g is not None and g != 2:
-        return ObstructionVerdict("no_pcs", "genus_ne_2", report())
-
-    # -- a2 / w3: the family's closed form where it has one, else (an M(...)
-    # spec or a pretzel other than the odd three-strand ones) the Gauss
-    # diagram formulas, which need no crossing budget
-    try:
+        # -- a2 / w3: the family's closed form where it has one, else (an
+        # M(...) spec or a pretzel other than the odd three-strand ones) the
+        # Gauss diagram formulas, which need no crossing budget
+        stage = "a2"
         if is_family:
             try:
                 a2, w3 = closed_a2_w3(spec)
@@ -239,44 +220,35 @@ def obstruct(spec) -> ObstructionVerdict:
 
             a2 = gauss_a2(diagram())
             method["a2"] = "gauss_diagram"
-    except KnotctError as exc:
-        raise _stage_note(exc, "a2")
-    if a2 != 0:
-        return ObstructionVerdict("no_pcs", "a2_nonzero", report())
-    try:
+        if a2 != 0:
+            return verdict("a2_nonzero")
+        stage = "w3"
         if w3 is None:
             from .gauss import gauss_w3
 
             w3 = gauss_w3(diagram())
             method["w3"] = "gauss_diagram"
-    except KnotctError as exc:
-        raise _stage_note(exc, "w3")
-    if w3 != 0:
-        return ObstructionVerdict("no_pcs", "w3_nonzero", report())
+        if w3 != 0:
+            return verdict("w3_nonzero")
 
-    # -- signature gate, alternating knots only (tau = -sigma/2 there); the
-    # Seifert fallback covers an alternating build that is not reduced
-    # alternating, or a two-bridge spec with mixed signs that has none
-    try:
+        # -- signature gate, alternating knots only (tau = -sigma/2 there);
+        # the Seifert fallback covers an alternating build that is not
+        # reduced alternating, or a two-bridge spec with mixed signs that
+        # has none
+        stage = "sigma"
         if norm is None or is_alternating_knot(norm):
-            alt_d = _reduced_alternating_diagram(norm, diagram() if norm is None else spec_diagram)
+            alt_d = _reduced_alternating_diagram(norm, diagram() if norm is None else built)
             if alt_d is not None:
                 sigma = signature_alternating(alt_d)
-                method["sigma"] = "closed_form"
+                method["sigma"] = method["tau"] = "closed_form"
             elif norm is not None:
                 from .oracle import oracle_signature, seifert_pipeline
 
                 sigma = oracle_signature(seifert_pipeline(diagram()))
-                method["sigma"] = "oracle"
-        if sigma is not None:
-            tau = Fraction(-sigma, 2)
-            method["tau"] = method["sigma"]
+                method["sigma"] = method["tau"] = "oracle"
+        return verdict("tau_nonzero_via_sigma" if sigma else "none")
     except KnotctError as exc:
-        raise _stage_note(exc, "sigma")
-    if sigma is not None and sigma != 0:
-        return ObstructionVerdict("no_pcs", "tau_nonzero_via_sigma", report())
-
-    return ObstructionVerdict("inconclusive", "none", report())
+        raise _stage_note(exc, stage)
 
 
 def twist_gate(spec) -> TwistGate:

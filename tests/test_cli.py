@@ -147,16 +147,27 @@ def test_malformed_spec_exits_2(spec, message):
     assert "Traceback" not in p.stderr
 
 
-def test_computation_error_prints_stage_note(capsys, monkeypatch):
-    # a2 = 0 and an M(...) spec has no closed form, so w3 comes from the
-    # Gauss diagram; the spec is FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)
-    def inconsistent(d):
-        raise InconsistentDiagram("chord without an end", stage="gauss w3")
+# the function each obstruction stage calls, replaced by one that fails
+STAGE_CALLS = {
+    "genus": "knotct.pipeline.genus",
+    "a2": "knotct.gauss.gauss_a2",
+    "w3": "knotct.gauss.gauss_w3",
+    "sigma": "knotct.pipeline.signature_alternating",
+}
 
-    monkeypatch.setattr("knotct.gauss.gauss_w3", inconsistent)
+
+@pytest.mark.parametrize("stage", STAGE_CALLS)
+def test_computation_error_prints_stage_note(capsys, monkeypatch, stage):
+    # genus 2, and an M(...) spec has no closed form, so a2 = 0 and w3 = 0
+    # come from the Gauss diagram and sigma = 0 from its alternating
+    # diagram; the spec is FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)
+    def inconsistent(*args):
+        raise InconsistentDiagram("chord without an end", stage=stage)
+
+    monkeypatch.setattr(STAGE_CALLS[stage], inconsistent)
     code, _, err = run(capsys, "obstruct", "M(-4/11,1/3,1/3|1)")
     assert code == 1
-    assert "obstruction stage: w3" in err
+    assert err.splitlines()[-1] == f"obstruction stage: {stage}"
     assert "Traceback" not in err
 
 

@@ -180,6 +180,7 @@ def test_signature_gate_builds_at_most_one_diagram(monkeypatch, text, rule, sigm
 
     monkeypatch.setattr(knotct.pipeline, "montesinos_diagram", counted(montesinos_diagram))
     monkeypatch.setattr(FamilySpec, "diagram", counted(FamilySpec.diagram))
+    monkeypatch.setattr(MontesinosSpec, "diagram", counted(MontesinosSpec.diagram))
     v = obstruct(spec)
     assert (v.fired_rule, v.evidence.sigma) == (rule, sigma)
     assert len(calls) == builds, calls
