@@ -479,7 +479,8 @@ def genus(m) -> GenusBreakdown:
 
     Even type (one even denominator, rotated first): every other tangle with
     odd numerator absorbs a unit into gamma; the even-denominator tangle has
-    two in-range representatives, which cancels a leftover gamma = +-1.  With
+    two in-range representatives, whose gammas differ by one, and the one
+    that leaves gamma even is taken (a leftover gamma = +-1 cancels).  With
     gamma != 0 the genus is (1 + sum m_i)/2; with gamma = 0 it is
     (sum m_i - 1)/2 (case II) unless r is even and the leading entries,
     sorted, are r/2 entries -2 followed by r/2 entries +2 (case III), where
@@ -492,7 +493,13 @@ def genus(m) -> GenusBreakdown:
     Math. Soc. 339, 1986).  The even-type cases follow the genus
     computation of Hirasawa and Murasugi ("Genera and fibredness of
     Montesinos knots", Pacific J. Math. 225, 2006); this statement of case
-    III has not been checked against that paper's text.
+    III and the parity rule have not been checked against that paper's text.
+    The evidence for them is a sandwich: half the Conway degree <= genus <=
+    the genus of the standard diagram's Seifert surface holds on every
+    M(...) knot of length 1 to 5 with denominators <= 5 and |gamma| <= 2, up
+    to tangle order (70,054 knots; the test suite checks the 3,250 of
+    length 3).  Reading the even tangle as it stands unless a shift cancels
+    gamma broke it on 2,848 of the 17,572 knots of length 3 and 4.
     """
     pairs, gamma = _pairs(m)
     if all(q % 2 == 1 for _, q in pairs):
@@ -518,14 +525,13 @@ def genus(m) -> GenusBreakdown:
             p -= step * q
             g_acc += step
         fr.append((p, q))
-    if g_acc != 0:
+    if g_acc % 2:
         # shifting the even tangle to its other representative moves gamma
-        # by sign(f1); use it when that cancels gamma
+        # by sign(f1); use it when that leaves gamma even
         p, q = fr[0]
         step = 1 if p > 0 else -1
-        if g_acc + step == 0:
-            fr[0] = (p - step * q, q)
-            g_acc = 0
+        fr[0] = (p - step * q, q)
+        g_acc += step
     cfs = [_even_form(p, q) for p, q in fr]
     ms = tuple(len(cf) for cf in cfs)
     if g_acc != 0:

@@ -14,6 +14,8 @@ import knotct
 from knotct import pipeline, sweeps
 from knotct.cli import main
 from knotct.errors import BudgetExceeded, InconsistentDiagram, NonIntegralA2
+from knotct.montesinos import parse_spec
+from knotct.oracle import conway_polynomial, seifert_pipeline
 
 
 def run(capsys, *argv):
@@ -33,8 +35,12 @@ def test_invariants_json(capsys):
     code, out, _ = run(capsys, "invariants", "DT(2,4)", "--json")
     assert code == 0
     d = json.loads(out)
-    assert d["a2"] == 2 and d["genus"] == 2
+    assert d["a2"] == 2 and d["genus"] == 1
     assert d["method"]["a2"] == "closed_form"
+    # the Seifert route agrees: half the Conway degree and the genus of the
+    # diagram's own Seifert surface are both 1
+    sd = seifert_pipeline(parse_spec("DT(2,4)").diagram())
+    assert conway_polynomial(sd).degree_span()[1] // 2 == sd.surface_genus == 1
 
 
 def test_invariants_method_choice(capsys):

@@ -812,6 +812,35 @@ def test_genus_is_invariant_under_permuting_the_tangles():
     assert knots == 14_322
 
 
+def test_genus_lies_between_the_conway_degree_and_the_surface_genus():
+    # every length-3 knot M(p1/q1,p2/q2,p3/q3|gamma) with 2 <= q <= 5 and
+    # |gamma| <= 2, up to tangle order: half the Conway degree bounds the
+    # genus from below, the standard diagram's Seifert surface from above.
+    # Reading the even tangle as it stands unless a shift cancelled gamma
+    # broke this on 480 of them
+    tangles = [(p, q) for q in range(2, 6) for p in range(1 - q, q) if math.gcd(p, q) == 1]
+    knots = 0
+    for combo in itertools.combinations_with_replacement(tangles, 3):
+        for gamma in range(-2, 3):
+            try:
+                spec = MontesinosSpec(combo, gamma)
+            except NotAKnot:
+                continue
+            knots += 1
+            sd = seifert_pipeline(spec.diagram())
+            low = conway_polynomial(sd).degree_span()[1] // 2
+            assert low <= genus(spec).genus <= sd.surface_genus, str(spec)
+    assert knots == 3_250
+
+
+def test_double_twist_knots_have_genus_one():
+    # DT(2x,2y) is a genus-1 knot: its Conway polynomial is 1 + xy z^2
+    for x, y in itertools.product([v for v in range(-6, 7) if v], repeat=2):
+        spec = FamilySpec("double_twist", dict(x=x, y=y))
+        conway = conway_polynomial(seifert_pipeline(spec.diagram()))
+        assert genus(_normal_pairs(spec)).genus == 1 == conway.degree_span()[1] // 2, str(spec)
+
+
 def test_diagram_matches_spec():
     d = parse_spec("M(1/2,1/3,1/3)").diagram()
     assert d.component_count() == 1

@@ -1,7 +1,10 @@
 """Obstruction pipeline, classification sweeps, and verification suites."""
 
+import hashlib
 import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from knotct.pipeline import (
     obstruct,
     twist_gate,
 )
-from knotct.sweeps import SIGNATURE_CASES, classify_genus2, verify_suite
+from knotct.sweeps import SIGNATURE_CASES, _formulas_specs, classify_genus2, verify_suite
 
 
 def test_unknot_obstruction():
@@ -70,14 +73,15 @@ def test_a2_without_a_closed_form_comes_from_the_gauss_diagram(monkeypatch):
 
 
 def test_obstruct_builds_from_the_genus_gate_pairs(monkeypatch):
-    # a genus-two family or M(...) spec's own diagram() is the build of its
-    # normalized pairs, so obstruct builds from the pairs its genus gate holds
+    # a genus-two family or M(...) spec's own diagram() is the build of the
+    # normalized pairs that obstruct's genus gate holds
     specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 2)]
     specs += [parse_spec(t) for t in ("M(1/3,2/5,-1/3,1/5)", "M(-4/11,1/3,1/3|1)")]
     for f in specs:
         d, e = f.diagram(), montesinos_diagram(*_normal_pairs(f))
         assert (d.crossings, d.over_entry) == (e.crossings, e.over_entry), str(f)
-    # a2 = w3 = 0 from the closed form, so the signature gate builds the diagram
+    # a2 = w3 = 0 from the closed form, and the signature gate reads the
+    # alternating build of the pairs, not the spec's own diagram
     survivor = parse_spec("FAM:o1p(a=1,b=2,c=-2,d=-2,sign=-1)")
     want = obstruct(survivor)
     monkeypatch.setattr(FamilySpec, "diagram", None)
@@ -94,6 +98,27 @@ def test_obstruct_reads_the_closed_forms():
         rep = closed_form(f)
         assert (v.evidence.a2, v.evidence.w3) == (rep.a2, rep.w3), str(f)
         assert v.evidence.method["a2"] == v.evidence.method["w3"] == "closed_form"
+
+
+def test_obstruct_over_the_formulas_specs_is_pinned():
+    # every verdict, and every error's type, message and notes, over the
+    # formulas suite's spec list at bound 2: its six-box, pretzel and double
+    # twist specs take paths that no family sweep pin reaches.  Recorded
+    # after the even-type genus took the even tangle's representative that
+    # leaves gamma even, which moved DT(-4,-4), DT(-2,-4), DT(2,4) and
+    # DT(4,4) from a2_nonzero (genus 2) to genus_ne_2 (genus 1)
+    h, rules = hashlib.sha256(), Counter()
+    for f in _formulas_specs(2):
+        try:
+            out = obstruct(f).to_dict()
+            rules[out["fired_rule"]] += 1
+        except KnotctError as exc:
+            out = [type(exc).__name__, str(exc), getattr(exc, "__notes__", [])]
+            rules[out[0]] += 1
+        h.update(json.dumps(out, sort_keys=True).encode())
+    assert rules == {"a2_nonzero": 30_836, "w3_nonzero": 1_079, "none": 1_965,
+                     "genus_ne_2": 48, "NotAKnot": 32, "tau_nonzero_via_sigma": 4}
+    assert h.hexdigest() == "3590301f0658f08b5fff8a8a63df6e01d2cf84e32e759d8bd54b269ffc313b4b"
 
 
 def reference_sigma_gate(spec):
