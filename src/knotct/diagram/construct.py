@@ -13,11 +13,13 @@ Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
 folklore.
 
-A rational tangle's twist-box layout, the additive CF of its reciprocal,
-comes from `_layout`, an LRU cache of `_LAYOUT_MEMO_SIZE` entries keyed on
-the (p, q) pair that `additive_cf` takes.  A bound-4 sweep of the genus-2
-families meets 607 distinct pairs, so the bound, 4,096, evicts nothing in a
-sweep and caps the memo under 1 MB.  The cached layouts are tuples of
+A rational tangle is built once per (beta, alpha) by a fresh `Builder` and
+kept as its wiring (`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`
+entries); `rational_tangle` splices that wiring into the builder at hand,
+shifting its ports past the builder's crossings and its junctions past the
+builder's junctions.  A bound-4 sweep of the genus-2 families meets 607
+distinct tangles, so the bound, 1,024, evicts nothing in a sweep, and a
+full memo stays under 1 MB.  The templates hold ints, bytes and arrays of
 ints, a failed expansion is not cached, and each process starts with the
 memo empty.
 """
@@ -25,6 +27,7 @@ memo empty.
 from __future__ import annotations
 
 import functools
+from array import array
 from fractions import Fraction
 
 from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
@@ -236,30 +239,51 @@ def additive_cf(p, q):
     return out
 
 
-_LAYOUT_MEMO_SIZE = 1 << 12
+_TEMPLATE_MEMO_SIZE = 1 << 10
 
 
-@functools.lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
-def _layout(p, q):
-    """`additive_cf(p, q)` as a tuple."""
-    return tuple(additive_cf(p, q))
+@functools.lru_cache(maxsize=_TEMPLATE_MEMO_SIZE)
+def _template(beta, alpha):
+    """Tangle beta/alpha as a fresh `Builder` wires it, from the additive CF
+    of its reciprocal as alternating vertical/horizontal twist boxes,
+    innermost entry first.  Kept compactly: the a_over flags as bytes, the
+    port mates as an array of ints (-1 where the splice sets them: at lead
+    ports and at ports soldered to a junction), the leads of its two
+    junctions, its wire count and its NW, NE, SW and SE leads."""
+    b = Builder()
+    entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if beta else ()
+    t = b.inf_tangle() if len(entries) % 2 else b.zero_tangle()
+    for j in range(len(entries), 0, -1):
+        twist = b.vtwist if j % 2 else b.htwist
+        for _ in range(abs(entries[j - 1])):
+            twist(t, entries[j - 1])
+    first, second = b.leads
+    mates = array("i", [-1 if m is None or m < 0 else m for m in b.mate])
+    return (bytes(b.a_over), mates, tuple(first), tuple(second), b.wires,
+            t["NW"], t["NE"], t["SW"], t["SE"])
 
 
 def rational_tangle(b: Builder, beta, alpha):
-    """Tangle of fraction beta/alpha (coprime integers, alpha > 0), built
-    from the additive CF of its reciprocal as alternating vertical/horizontal
-    twist boxes, innermost entry first."""
-    if beta == 0:
-        return b.zero_tangle()
-    entries = _layout(alpha if beta > 0 else -alpha, abs(beta))
-    k = len(entries)
-    t = b.inf_tangle() if k % 2 == 1 else b.zero_tangle()
-    for j in range(k, 0, -1):
-        m = entries[j - 1]
-        twist = b.vtwist if j % 2 == 1 else b.htwist
-        for _ in range(abs(m)):
-            twist(t, m)
-    return t
+    """Tangle of fraction beta/alpha (coprime integers, alpha > 0): its
+    `_template` spliced into `b`, the ports shifted past b's crossings and
+    the junctions past b's junctions."""
+    flags, mates, first, second, wires, nw, ne, sw, se = _template(beta, alpha)
+    p, j = 4 * len(b.a_over), ~len(b.leads)  # j: the first junction, j - 1 the second
+    mate = b.mate
+    b.a_over += map(bool, flags)
+    mate += map(p.__add__, mates)
+    first, second = list(map(p.__add__, first)), list(map(p.__add__, second))
+    for x in first:
+        mate[x] = j
+    for x in second:
+        mate[x] = j - 1
+    b.leads += (first, second)
+    b.wires += wires
+    for x in (nw, ne, sw, se):
+        if x >= 0:
+            mate[p + x] = None  # a lead port stays unsoldered
+    return {"NW": nw + p if nw >= 0 else j - ~nw, "NE": ne + p if ne >= 0 else j - ~ne,
+            "SW": sw + p if sw >= 0 else j - ~sw, "SE": se + p if se >= 0 else j - ~se}
 
 
 # -- knot templates -----------------------------------------------------------

@@ -12,8 +12,8 @@ Sign convention: a crossing is positive when the over strand enters at slot 3
 The diagram owns this convention.  Validation records each arc's head and
 tail (the crossing and slot where it ends and where it starts), so strand
 walks are table lookups.  The slot table of each arc, the Seifert circles and
-the face table (the faces as dart orbits, with the face of each dart and of
-each corner) are traced once, on first use, and cached.
+the face table (the faces as orbits of a flat corner-successor table, with
+the face of each corner) are traced once, on first use, and cached.
 A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
 """
@@ -187,7 +187,7 @@ class PlanarDiagram:
         face.  On a connected projection (any knot diagram) these are the
         cut vertices of the arc graph, including kinks (an arc with both ends
         on one crossing)."""
-        face_of_corner = self.face_table()[2]
+        face_of_corner = self.face_table()[1]
         return [ci for ci, faces in enumerate(face_of_corner) if len(set(faces)) < 4]
 
     def is_reduced(self):
@@ -217,48 +217,43 @@ class PlanarDiagram:
     # -- faces ----------------------------------------------------------------
 
     def face_table(self):
-        """(faces, face_of_dart, face_of_corner) of the underlying 4-valent
-        map, computed once.
-
-        A dart is (arc, dir) with dir=+1 along the arc's orientation; it
-        reaches the crossing slot at the head (dir=+1) or the tail (dir=-1)
-        of its arc, and its successor turns counterclockwise there.  A face
-        is an orbit of darts, listed from its least dart, and the faces are
-        ordered by their least darts.  `face_of_dart` maps a dart to its face
-        index; `face_of_corner[ci][s]` is the face of the quadrant between
-        slots s and s+1 of crossing ci, the one the dart reaching slot s
-        turns through.
+        """(faces, face_of_corner) of the underlying 4-valent map, computed
+        once.  Corner 4 * ci + s is the quadrant between slots s and s + 1 of
+        crossing ci.  The next corner of its face is at the far end of the
+        arc at slot s + 1: that arc's tail if it ends at slot s + 1, else its
+        head.  A face is an orbit of corners; the orbits are walked from the
+        tail corner, then the head corner, of each arc in order.
+        `face_of_corner[ci][s]` is the index of the face at corner 4 * ci + s.
         """
         if self._faces is None:
             heads, tails = self._heads, self._tails
-            rows, over = self.crossings, self.over_entry
-            faces, face_of_dart = [], {}
-            face_of_corner = [[None] * 4 for _ in rows]
+            succ = []
+            for (a, b, c, d), o in zip(self.crossings, self.over_entry):
+                at1, at3 = (tails, heads) if o == 1 else (heads, tails)  # slots 0, o are heads
+                succ += (at1[b], heads[c], at3[d], tails[a])
+            succ = [4 * ci + s for ci, s in succ]
+            face_of = [-1] * len(succ)
+            faces = []
             for a in sorted(heads):
-                for dart in ((a, -1), (a, 1)):
-                    if dart in face_of_dart:
+                for ci, s in (tails[a], heads[a]):
+                    x = 4 * ci + s
+                    if face_of[x] >= 0:
                         continue
-                    fi = len(faces)
-                    orbit = []
-                    while dart not in face_of_dart:
-                        orbit.append(dart)
-                        face_of_dart[dart] = fi
-                        b, di = dart
-                        ci, s = heads[b] if di == 1 else tails[b]
-                        face_of_corner[ci][s] = fi
-                        s = (s + 1) % 4
-                        # leave along the arc at slot s, against its direction if it ends there
-                        dart = (rows[ci][s], -1 if s == 0 or s == over[ci] else 1)
+                    fi, orbit = len(faces), []
+                    while face_of[x] < 0:
+                        face_of[x] = fi
+                        orbit.append(x)
+                        x = succ[x]
                     faces.append(tuple(orbit))
-            self._faces = faces, face_of_dart, face_of_corner
+            self._faces = faces, [face_of[i:i + 4] for i in range(0, len(face_of), 4)]
         return self._faces
 
     def twist_regions(self):
         """Twist regions of a knot diagram, each as one chain of crossings.
 
         Two crossings belong to one region when they are the two corners of
-        a bigon face (not a kink's); regions are the transitive closure of
-        that relation, and an isolated crossing is a region of its own.  No
+        a bigon face; regions are the transitive closure of that relation,
+        and an isolated crossing is a region of its own.  No
         crossing of a knot diagram has bigons at two adjacent corners: they
         would send the two opposite arcs of one strand to a single other
         crossing, where they close up into a component of their own.  So a
@@ -271,26 +266,21 @@ class PlanarDiagram:
         corner and of its last crossing's right corner (left + 2); a lone
         crossing's left corner is 0.  Chains are listed by least crossing.
         """
-        heads, tails = self._heads, self._tails
-        link = [None] * (4 * self.n)  # 4 * crossing + corner -> (crossing, corner) across a bigon
+        link = [None] * (4 * self.n)  # corner -> the corner across its bigon
         for face in self.face_table()[0]:
-            if len(face) != 2 or face[0][0] == face[1][0]:
-                continue  # not a bigon, or a kink's degenerate one
-            (a, da), (b, db) = face  # each dart turns through the corner it reaches
-            x = heads[a] if da == 1 else tails[a]
-            y = heads[b] if db == 1 else tails[b]
-            link[4 * x[0] + x[1]] = y
-            link[4 * y[0] + y[1]] = x
+            if len(face) == 2:  # a two-kink crossing's bigon links it to itself: inert
+                x, y = face
+                link[x], link[y] = y, x
         placed = [False] * self.n
 
         def walk(ci, s):
             """(crossing, corner) pairs along the bigons from corner s of ci,
             each crossing entered at that corner and left by the opposite one."""
             out = []
-            while (x := link[4 * ci + s]) and not placed[x[0]]:
-                ci, t = x
+            while (x := link[4 * ci + s]) is not None and not placed[x >> 2]:
+                ci, t = x >> 2, x & 3
                 placed[ci] = True
-                out.append(x)
+                out.append((ci, t))
                 s = (t + 2) % 4
             return out
 
@@ -299,7 +289,7 @@ class PlanarDiagram:
             if placed[c0]:
                 continue
             placed[c0] = True
-            ahead = [x and not placed[x[0]] for x in link[4 * c0:4 * c0 + 4]]
+            ahead = [x is not None and not placed[x >> 2] for x in link[4 * c0:4 * c0 + 4]]
             right = ahead.index(True) if True in ahead else 2
             rightwards = walk(c0, right)
             leftwards = walk(c0, (right + 2) % 4)
@@ -497,7 +487,7 @@ def signature_alternating(d: PlanarDiagram) -> int:
     if bad:
         raise NotReduced(f"nugatory crossings at {bad}")
     if d.n:
-        loops = len({f for corners in d.face_table()[2] for f in corners[::2]}) + d.free_loops
+        loops = len({f for corners in d.face_table()[1] for f in corners[::2]}) + d.free_loops
     else:  # no crossings, so no faces
         loops = max(d.free_loops, 0) or 1
     return loops - d.positive_count() - 1

@@ -8,11 +8,12 @@ Two independent pipelines:
 * Seifert's algorithm on the diagram itself -> Seifert matrix V of the
   disc-and-band surface -> Conway polynomial, signature, and (on reduced
   alternating diagrams) the genus.  The Conway polynomial comes from
-  p(u) = det(uV - V^T), evaluated at u = 0..dim V by integer Bareiss
-  determinants and interpolated exactly in integers over one factorial
-  denominator; z = s - 1/s powers come from a signed Pascal table.  The same
-  kernel gives the characteristic polynomial of V + V^T, whose sign changes
-  count its positive eigenvalues (Descartes; all its roots are real).
+  p(u) = det(uV - V^T), evaluated once at u = 2^B by an integer Bareiss
+  determinant whose signed base-2^B digits are the coefficients (B from a
+  bound on their absolute sum: the Kronecker substitution); z = s - 1/s
+  powers come from a signed Pascal table.  The same kernel gives the
+  characteristic polynomial of V + V^T, whose sign changes count its
+  positive eigenvalues (Descartes; all its roots are real).
 
 The Seifert matrix is computed combinatorially.  Discs are stacked by the
 nesting depth of their Seifert circles; homology cycles are fundamental
@@ -39,8 +40,6 @@ Each surface datum is read from a table the diagram has cached:
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .diagram.core import PlanarDiagram
 from .errors import (
@@ -95,7 +94,7 @@ class _Surface:
 
     def __init__(self, d: PlanarDiagram):
         circle_of = d.seifert_circle_of()
-        faces, _, face_of_corner = d.face_table()
+        faces, face_of_corner = d.face_table()
         heads, tails = d.ends()
         rows, over = d.crossings, d.over_entry
         self.over = over
@@ -170,7 +169,7 @@ class _Surface:
             dh, dt = depth[head_side], depth[tail_side]
             if abs(dh - dt) != 1:
                 raise InconsistentDiagram("circle sides not nested by 1", _SURFACE)
-            # the face at an arc's head corner is the face of its dart (arc, +1)
+            # the face at an arc's head corner is the one walked along the arc (+1)
             self.eta[c] = LEFT_DART if dh > dt else -LEFT_DART
             self.depth[c] = max(dh, dt)
 
@@ -356,54 +355,40 @@ def _bareiss_det(rows) -> int:
     return sign * a[-1][-1]
 
 
-def _interpolate(values) -> list:
-    """Integer coefficients, lowest first, of the polynomial of degree below
-    len(values) through the points (u, values[u]), u = 0, 1, ...  A
-    non-integral coefficient raises InconsistentDiagram at the Conway stage;
-    it cannot arise for a characteristic polynomial, which is monic with
-    integer coefficients.
-
-    Newton form p(u) = sum_k D^k p(0) * u(u-1)...(u-k+1) / k!, summed in
-    integers over the common denominator (len(values) - 1)!.
-    """
-    n = len(values)
-    denom = 1
-    for k in range(2, n):
-        denom *= k
-    acc = [0] * n
-    falling = [1]  # coefficients of u(u-1)...(u-k+1)
-    row, scale = list(values), denom  # scale = denom / k!
-    for k in range(n):
-        if k:
-            scale //= k
-            falling = [(falling[i - 1] if i else 0) - (k - 1) * (falling[i] if i < k else 0)
-                       for i in range(k + 1)]
-        lead = row[0] * scale
-        for i, c in enumerate(falling):
-            acc[i] += lead * c
-        row = [b - a for a, b in zip(row, row[1:])]
-    coeffs = []
-    for i, c in enumerate(acc):
-        q, r = divmod(c, denom)
-        if r:
-            raise InconsistentDiagram(
-                f"interpolated coefficient {Fraction(c, denom)} of u^{i}", _CONWAY)
-        coeffs.append(q)
-    return coeffs
+def _det_polynomial(a, c) -> list:
+    """Integer coefficients, lowest first, of p(u) = det(uA - C) for square
+    integer matrices A and C, read from one Bareiss determinant at u = 2^B
+    (Kronecker substitution).  The sum of their absolute values is at most
+    the permanent of |A| + |C|, so at most the product of its row sums; with
+    B one bit beyond that bound they are the signed base-2^B digits of
+    p(2^B).  A digit left over above u^n, n = dim A, raises
+    InconsistentDiagram at the Conway stage."""
+    bound = 1
+    for ra, rc in zip(a, c):
+        bound *= sum(map(abs, ra)) + sum(map(abs, rc))
+    bits = bound.bit_length() + 1
+    u, half = 1 << bits, 1 << (bits - 1)
+    value = _bareiss_det([[u * x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
+    out = []
+    for _ in range(len(a) + 1):
+        out.append(((value + half) & (u - 1)) - half)  # the digit in [-half, half)
+        value = (value - out[-1]) >> bits
+    if value:
+        raise InconsistentDiagram(f"digit {value} left over above u^{len(a)}", _CONWAY)
+    return out
 
 
 def _signature(rows) -> int:
     """Signature (#positive - #negative eigenvalues) of a symmetric integer
-    matrix S, given as rows.  p(u) = det(uI - S), interpolated from Bareiss
-    determinants at u = 0..n as for Conway, has only real roots, so by
-    Descartes' rule the sign changes of its coefficients count the positive
-    eigenvalues exactly; the rank is n less the multiplicity of the root 0.
+    matrix S, given as rows.  p(u) = det(uI - S), read from one packed
+    determinant as for Conway, has only real roots, so by Descartes' rule
+    the sign changes of its coefficients count the positive eigenvalues
+    exactly; the rank is n less the multiplicity of the root 0.
     """
     n = len(rows)
     if n == 0:
         return 0
-    p = _interpolate([_bareiss_det([[(u if i == j else 0) - rows[i][j] for j in range(n)]
-                                    for i in range(n)]) for u in range(n + 1)])
+    p = _det_polynomial([[int(i == j) for j in range(n)] for i in range(n)], rows)
     signs = [c > 0 for c in p if c]
     positive = sum(a != b for a, b in zip(signs, signs[1:]))
     rank = n - next(k for k, c in enumerate(p) if c)
@@ -413,8 +398,8 @@ def _signature(rows) -> int:
 def conway_polynomial(sd: SeifertData) -> LaurentPoly:
     """Conway polynomial in z, as det(sV - s^-1 V^T) rewritten via z = s - 1/s.
 
-    p(u) = det(uV - V^T) has degree at most m = dim V; it is evaluated at
-    u = 0..m by integer Bareiss determinants and interpolated exactly, and
+    p(u) = det(uV - V^T) has degree at most m = dim V; its coefficients are
+    the digits of one Bareiss determinant at u = 2^B (`_det_polynomial`), and
     det(sV - s^-1 V^T) = s^-m p(s^2).  The powers of z are peeled off from
     the top, z^e = sum_j (-1)^j C(e, j) s^(e - 2j) read from a signed Pascal
     table.
@@ -423,9 +408,7 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
     n = len(v)
     if n == 0:
         return LaurentPoly.one()
-    values = [_bareiss_det([[u * v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
-              for u in range(n + 1)]
-    det = _interpolate(values)  # det[k]: coefficient of s^(2k - n)
+    det = _det_polynomial(v, list(zip(*v)))  # det[k]: coefficient of s^(2k - n)
     z_powers = [[1]]  # z^e, coefficients of s^e, s^(e-2), ..., s^-e
     for _ in range(n):
         z = z_powers[-1]

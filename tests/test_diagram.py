@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import random
 from array import array
@@ -22,12 +23,25 @@ from knotct.diagram import (
     fig1_right_diagram,
     montesinos_diagram,
     pretzel_diagram,
+    additive_cf,
     rational_tangle,
     signature_alternating,
     twist_number,
 )
-from knotct.errors import InconsistentDiagram, InvalidInput, KnotctError, MissingProvenance
-from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family
+from knotct.errors import (
+    InconsistentDiagram,
+    InvalidInput,
+    KnotctError,
+    MissingProvenance,
+    NotAKnot,
+)
+from knotct.montesinos import (
+    FAMILY_NAMES,
+    FamilySpec,
+    MontesinosSpec,
+    _normal_pairs,
+    enumerate_family,
+)
 
 
 def trefoil():
@@ -46,7 +60,7 @@ def test_trefoil_basics():
 def test_euler_formula():
     for d in (trefoil(), pretzel_diagram([3, 5, 1]), double_twist_diagram(2, 4)):
         # V - E + F = 2 with V = n, E = 2n
-        faces, _, _ = d.face_table()
+        faces, _ = d.face_table()
         assert len(faces) == d.n + 2
 
 
@@ -441,8 +455,9 @@ def test_twist_number_of_templates():
 
 def bigon_region_count(d):
     """Reference: crossings joined through the two corners of every bigon
-    face that is not a kink's, counted as connected components."""
-    faces, _, face_of_corner = d.face_table()
+    face that is not a kink's (one whose two corners are reached along two
+    different arcs), counted as connected components."""
+    faces, face_of_corner = d.face_table()
     parent = list(range(d.n))
 
     def root(c):
@@ -450,12 +465,116 @@ def bigon_region_count(d):
             c = parent[c]
         return c
 
+    def arc_into(corner):
+        return d.crossings[corner >> 2][corner & 3]
+
     corner_of = {}
     for ci, row in enumerate(face_of_corner):
         for fi in row:
-            if len(faces[fi]) == 2 and faces[fi][0][0] != faces[fi][1][0]:
+            if len(faces[fi]) == 2 and arc_into(faces[fi][0]) != arc_into(faces[fi][1]):
                 parent[root(ci)] = root(corner_of.setdefault(fi, ci))
     return len({root(c) for c in range(d.n)})
+
+
+# ---------------------------------------------------------------------------
+# Reference: the face table as first written, faces as orbits of darts.  A
+# dart is (arc, dir) with dir = +1 along the arc; it reaches the slot at its
+# arc's head (dir = +1) or tail (dir = -1) and turns counterclockwise there.
+# Faces are listed from their least dart and ordered by it.
+
+
+def reference_face_table(d):
+    """(faces as dart orbits, face_of_corner)."""
+    heads, tails = d.ends()
+    rows, over = d.crossings, d.over_entry
+    faces, dart_face = [], {}
+    face_of_corner = [[None] * 4 for _ in rows]
+    for a in sorted(heads):
+        for dart in ((a, -1), (a, 1)):
+            if dart in dart_face:
+                continue
+            orbit = []
+            while dart not in dart_face:
+                orbit.append(dart)
+                dart_face[dart] = len(faces)
+                b, di = dart
+                ci, s = heads[b] if di == 1 else tails[b]
+                face_of_corner[ci][s] = len(faces)
+                s = (s + 1) % 4
+                dart = (rows[ci][s], -1 if s == 0 or s == over[ci] else 1)
+            faces.append(tuple(orbit))
+    return faces, face_of_corner
+
+
+def reference_twist_regions(d):
+    """twist_regions as first written, on the dart-orbit faces."""
+    heads, tails = d.ends()
+    link = [None] * (4 * d.n)
+    for face in reference_face_table(d)[0]:
+        if len(face) != 2 or face[0][0] == face[1][0]:
+            continue
+        (a, da), (b, db) = face
+        x = heads[a] if da == 1 else tails[a]
+        y = heads[b] if db == 1 else tails[b]
+        link[4 * x[0] + x[1]] = y
+        link[4 * y[0] + y[1]] = x
+    placed = [False] * d.n
+
+    def walk(ci, s):
+        out = []
+        while (x := link[4 * ci + s]) and not placed[x[0]]:
+            ci, t = x
+            placed[ci] = True
+            out.append(x)
+            s = (t + 2) % 4
+        return out
+
+    chains = []
+    for c0 in range(d.n):
+        if placed[c0]:
+            continue
+        placed[c0] = True
+        ahead = [x and not placed[x[0]] for x in link[4 * c0:4 * c0 + 4]]
+        right = ahead.index(True) if True in ahead else 2
+        rightwards = walk(c0, right)
+        leftwards = walk(c0, (right + 2) % 4)
+        chains.append((*((ci, (t + 2) % 4) for ci, t in reversed(leftwards)),
+                       (c0, (right + 2) % 4), *rightwards))
+    return tuple(chains)
+
+
+def assert_faces_match_the_dart_orbits(d):
+    """face_table and twist_regions equal the dart-orbit reference: each
+    dart orbit, read as the corners its darts reach, is the corner orbit."""
+    heads, tails = d.ends()
+    faces, face_of_corner = reference_face_table(d)
+    corners = [tuple(4 * ci + s for ci, s in (heads[a] if di == 1 else tails[a]
+                                              for a, di in face)) for face in faces]
+    assert d.face_table() == (corners, face_of_corner)
+    assert d.twist_regions() == reference_twist_regions(d)
+
+
+def kinked_diagrams():
+    """Knot diagrams with nugatory crossings, kinks among them."""
+    return [
+        closed_braid([1], 2),  # one crossing, two kinks at it
+        closed_braid([1, 2], 3),  # each generator once
+        closed_braid([1, 1, 1, -2], 3),
+        closed_braid([1, -2, 1, -2, 3], 4),
+        fig1_right_diagram(-1, -1, -1, -1, -1, -1),
+        fig1_right_diagram(-2, -1, -1, -1, -1, -1),
+        pretzel_diagram([1, 1, -1]),
+        pretzel_diagram([3, -1, 1]).mirror(),
+    ]
+
+
+def test_faces_match_the_dart_orbits_on_templates_and_kinked_diagrams():
+    diagrams = template_knots() + kinked_diagrams() + [
+        f.diagram() for family in FAMILY_NAMES
+        for f in itertools.islice(enumerate_family(family, 2), 0, None, 17)]
+    assert any(not d.is_reduced() for d in diagrams)
+    for d in diagrams:
+        assert_faces_match_the_dart_orbits(d)
 
 
 def test_twist_regions_are_bigon_chains():
@@ -472,6 +591,69 @@ def test_twist_regions_are_bigon_chains():
                 # the bigon at ci's right corner is the one at cj's left corner
                 assert d.crossings[ci][(left + 3) % 4] == d.crossings[cj][entry]
                 assert d.crossings[ci][(left + 2) % 4] == d.crossings[cj][(entry + 1) % 4]
+
+
+# ---------------------------------------------------------------------------
+# Reference: a rational tangle built twist by twist in the builder at hand,
+# as before its wiring was built once per tangle and spliced.
+
+
+def reference_rational_tangle(b, beta, alpha):
+    if beta == 0:
+        return b.zero_tangle()
+    entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta))
+    t = b.inf_tangle() if len(entries) % 2 == 1 else b.zero_tangle()
+    for j in range(len(entries), 0, -1):
+        m = entries[j - 1]
+        for _ in range(abs(m)):
+            (b.vtwist if j % 2 == 1 else b.htwist)(t, m)
+    return t
+
+
+def reference_montesinos_build(fractions, gamma=0):
+    """(crossings, over_entry, free_loops, components) of the emitted chain."""
+    b = Builder()
+    tangles = [reference_rational_tangle(b, beta, alpha) for beta, alpha in fractions]
+    if gamma:
+        tangles.append(b.hbox(gamma))
+    for t, u in zip(tangles, tangles[1:] + tangles[:1]):
+        b.solder(t["NE"], u["NW"])
+        b.solder(t["SE"], u["SW"])
+    d = b.emit()
+    return d.crossings, d.over_entry, d.free_loops, d.components()
+
+
+def montesinos_grid_pairs():
+    """The normalized pairs of every M(...) knot of length 3 or 4 with
+    denominators <= 5 and |gamma| <= 2, up to the order of its tangles."""
+    tangles = [(p, q) for q in range(2, 6) for p in range(1 - q, q) if math.gcd(p, q) == 1]
+    for r in (3, 4):
+        for combo in itertools.combinations_with_replacement(tangles, r):
+            for gamma in range(-2, 3):
+                try:
+                    yield _normal_pairs(MontesinosSpec(combo, gamma))
+                except NotAKnot:
+                    pass
+
+
+def test_spliced_tangles_build_what_the_builder_builds():
+    family = [_normal_pairs(f) for name in FAMILY_NAMES for f in enumerate_family(name, 3)]
+    grid = list(montesinos_grid_pairs())
+    qs = [q for q in range(-2, 3) if q]
+    pretzels = [([(1, q) if q > 0 else (-1, -q) for q in qs3], 0)
+                for qs3 in itertools.product(qs, repeat=3)]
+    assert (len(family), len(grid), len(pretzels)) == (25_468, 17_572, 64)
+    built = 0
+    for pairs, gamma in family + grid + pretzels:
+        try:
+            d = montesinos_diagram(pairs, gamma)
+        except NotAKnot:
+            assert len(reference_montesinos_build(pairs, gamma)[3]) != 1
+            continue
+        built += 1
+        assert (d.crossings, d.over_entry, d.free_loops, d.components()) \
+            == reference_montesinos_build(pairs, gamma), (pairs, gamma)
+    assert built > 40_000
 
 
 def test_montesinos_template_alternating():

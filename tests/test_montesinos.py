@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -245,21 +246,45 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
         assert even(*x) == to_even_cf(x)
     assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
 
-    # the twist-box layouts of the same tangles, built one tangle at a time
-    construct._layout.cache_clear()
-    keys = {(q if p > 0 else -q, abs(p)) for p, q in tangles}
+    # the wirings of the same tangles, built one tangle at a time: one
+    # template per tangle, each what a fresh builder holds after the tangle
+    construct._template.cache_clear()
     for p, q in tangles:
         construct.rational_tangle(construct.Builder(), p, q)
-    info = construct._layout.cache_info()
-    assert info.currsize == len(keys) == 607 and info.maxsize == construct._LAYOUT_MEMO_SIZE
-    for key in keys:
-        assert construct._layout(*key) == tuple(additive_cf(*key))
+    info = construct._template.cache_info()
+    assert info.currsize == len(tangles) == 607 and info.maxsize == construct._TEMPLATE_MEMO_SIZE
+    assert info.maxsize >= 607 and info.misses == 607
+    for p, q in tangles:
+        b = construct.Builder()
+        t = construct.rational_tangle(b, p, q)
+        # four loose ends: unsoldered ports and free junction slots
+        assert b.mate.count(None) + sum(2 - len(lj) for lj in b.leads) == 4
+        assert len(b.a_over) == sum(map(abs, additive_cf(q if p > 0 else -q, abs(p))))
+        assert (sorted(x for x in t.values() if x >= 0)
+                == [i for i, m in enumerate(b.mate) if m is None])
+
+
+def test_a_full_template_memo_stays_under_one_megabyte():
+    # the first 1,024 tangles p/q by denominator fill the memo to its bound
+    construct._template.cache_clear()
+    keys = [(p, q) for q in range(2, 64) for p in range(1 - q, q) if math.gcd(p, q) == 1]
+    keys = keys[:construct._TEMPLATE_MEMO_SIZE]
+    tracemalloc.start()
+    try:
+        for p, q in keys:
+            construct._template(p, q)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        construct._template.cache_clear()
+    assert len(keys) == construct._TEMPLATE_MEMO_SIZE
+    assert size <= 1_000_000, size
 
 
 @pytest.mark.parametrize("memo, args", [
     (montesinos._strict_weight, (2, 3)),  # not in the half range
     (montesinos._even_form, (1, 3)),  # both odd
-    (construct._layout, (1, 2)),  # |p/q| < 1
+    (construct._template, (2, 1)),  # tangle 2/1: |1/2| < 1 has no additive CF
 ])
 def test_memos_do_not_keep_errors(memo, args):
     before = memo.cache_info()

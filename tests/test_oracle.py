@@ -40,7 +40,8 @@ from knotct.montesinos import (
 )
 from knotct.oracle import (
     SeifertData,
-    _interpolate,
+    _det_polynomial,
+    _signature,
     a2_w3_from_jones,
     alternating_genus,
     conway_polynomial,
@@ -49,6 +50,7 @@ from knotct.oracle import (
     seifert_pipeline,
 )
 from knotct.pipeline import alternating_build
+from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 
 
 def test_unknot_jones_is_one():
@@ -444,11 +446,126 @@ def test_state_sum_rejects_links():
         jones_via_kauffman(closed_braid([1, 1], 2))
 
 
-def test_interpolation_rejects_non_integral_coefficients():
-    assert _interpolate([1, 3, 9, 19]) == [1, 0, 2, 0]
+# ---------------------------------------------------------------------------
+# Reference: the determinant kernel as first written, which evaluated
+# p(u) = det(uA - C) at u = 0..n by Bareiss determinants and interpolated it
+# by Newton differences over the common denominator n!.  The packed kernel
+# reads the same coefficients from one determinant at u = 2^B.
+
+
+def _reference_det(rows):
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _reference_interpolate(values):
+    n = len(values)
+    denom = 1
+    for k in range(2, n):
+        denom *= k
+    acc = [0] * n
+    falling = [1]
+    row, scale = list(values), denom
+    for k in range(n):
+        if k:
+            scale //= k
+            falling = [(falling[i - 1] if i else 0) - (k - 1) * (falling[i] if i < k else 0)
+                       for i in range(k + 1)]
+        for i, c in enumerate(falling):
+            acc[i] += row[0] * scale * c
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert all(c % denom == 0 for c in acc)
+    return [c // denom for c in acc]
+
+
+def reference_det_polynomial(a, c):
+    n = len(a)
+    return _reference_interpolate([
+        _reference_det([[u * a[i][j] - c[i][j] for j in range(n)] for i in range(n)])
+        for u in range(n + 1)])
+
+
+def reference_signature(rows):
+    n = len(rows)
+    if n == 0:
+        return 0
+    p = reference_det_polynomial([[int(i == j) for j in range(n)] for i in range(n)], rows)
+    signs = [c > 0 for c in p if c]
+    rank = n - next(k for k, c in enumerate(p) if c)
+    return 2 * sum(x != y for x, y in zip(signs, signs[1:])) - rank
+
+
+def _ac1_and_bound_three_alternating_matrices():
+    """Every distinct Seifert matrix of the formulas suite's bound-2 knot
+    diagrams (the AC1 list) and of the bound-3 family builds that are
+    reduced alternating, as the genus suite's oracle takes them."""
+    seen = set()
+    for f in _formulas_specs(2):
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP:
+            seen.add(seifert_pipeline(d).seifert_matrix)
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 3):
+            d = f.diagram()
+            if d.n <= 22 and d.is_alternating() and d.is_reduced():
+                seen.add(seifert_pipeline(d).seifert_matrix)
+    seen.discard(())  # an unknot's: no determinant to take
+    return seen
+
+
+def test_packed_determinants_equal_the_interpolated_ones():
+    matrices = _ac1_and_bound_three_alternating_matrices()
+    assert len(matrices) > 1000
+    for v in matrices:
+        n = len(v)
+        vt = [[v[j][i] for j in range(n)] for i in range(n)]
+        assert _det_polynomial(v, vt) == reference_det_polynomial(v, vt), v
+        sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
+        assert oracle_signature(SeifertData(n // 2, v, 0)) == _signature(sym) \
+            == reference_signature(sym), v
+
+
+def test_packed_determinant_rejects_a_leftover_digit(monkeypatch):
+    # det(u * [[1]] - [[0]]) = u is read with 2-bit digits: a determinant
+    # with a digit above u^1 cannot be a polynomial of degree 1
+    assert _det_polynomial([[1]], [[0]]) == [0, 1]
+    monkeypatch.setattr(knotct.oracle, "_bareiss_det", lambda rows: 1 << 4)
     with pytest.raises(InconsistentDiagram) as info:
-        _interpolate([0, 0, 1])  # u(u - 1)/2
+        _det_polynomial([[1]], [[0]])
     assert info.value.stage == "oracle: Conway polynomial"
+
+
+def test_packed_determinant_check_survives_optimized_mode():
+    code = (
+        "import knotct.oracle as o\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "o._bareiss_det = lambda rows: 1 << 4\n"
+        "try:\n"
+        "    o._det_polynomial([[1]], [[0]])\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "oracle: Conway polynomial"
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +611,13 @@ class _ReferenceSurface:
     def __init__(self, d):
         self.d = d
         self.circle_of = _reference_circle_of(d)
-        faces, face_of_dart, face_of_corner = d.face_table()
+        faces, face_of_corner = d.face_table()
+        heads, tails = d.ends()
+
+        def dart_face(a, di):
+            """The face left of dart (a, di): at the corner its arc reaches."""
+            ci, s = heads[a] if di == 1 else tails[a]
+            return face_of_corner[ci][s]
 
         regions = _ReferenceDSU(range(len(faces)))
         for ci in range(d.n):
@@ -512,8 +635,8 @@ class _ReferenceSurface:
         for c in circles:
             rl = rr = None
             for a in arcs_of[c]:
-                fl = regions.find(face_of_dart[(a, REF_LEFT_DART)])
-                fr = regions.find(face_of_dart[(a, -REF_LEFT_DART)])
+                fl = regions.find(dart_face(a, REF_LEFT_DART))
+                fr = regions.find(dart_face(a, -REF_LEFT_DART))
                 if rl is None:
                     rl, rr = fl, fr
                 elif (rl, rr) != (fl, fr):
