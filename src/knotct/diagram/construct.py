@@ -169,6 +169,8 @@ class Builder:
         starts = []
         next_arc = 0
         for start in range(len(mate)):
+            if 2 * next_arc == len(mate):
+                break  # each arc numbers two ports: every port is numbered
             if arc[start] >= 0:
                 continue
             starts.append(next_arc)
