@@ -207,9 +207,7 @@ class Builder:
             b = 4 * ci
             u, o = (b + 1, b) if a_is_over else (b, b + 1)
             s = u if entry[u] else u + 2
-            g = s - b
-            crossings.append((arc[s], arc[b + (g + 1) % 4], arc[b + (g + 2) % 4],
-                              arc[b + (g + 3) % 4]))
+            crossings.append((arc[s], arc[b | (s + 1) & 3], arc[s ^ 2], arc[b | (s + 3) & 3]))
             over_entry.append(((o if entry[o] else o + 2) - s) % 4)
         d = PlanarDiagram(crossings, over_entry, free, TwistLayout())
         # the walk above numbered each strand's arcs consecutively, in order

@@ -81,11 +81,12 @@ class PlanarDiagram:
         record the arc -> head and arc -> tail tables: the 2n head slots must
         hold 2n different arcs, and the tail slots the same arcs."""
         heads, tails = {}, {}
-        for ci, (c, o) in enumerate(zip(self.crossings, self.over_entry)):
-            heads[c[0]] = (ci, 0)
-            heads[c[o]] = (ci, o)
-            tails[c[2]] = (ci, 2)
-            tails[c[4 - o]] = (ci, 4 - o)
+        for ci, ((a, b, c, d), o) in enumerate(zip(self.crossings, self.over_entry)):
+            heads[a], tails[c] = (ci, 0), (ci, 2)
+            if o == 1:
+                heads[b], tails[d] = (ci, 1), (ci, 3)
+            else:
+                heads[d], tails[b] = (ci, 3), (ci, 1)
         if len(heads) != 2 * len(self.crossings) or heads.keys() != tails.keys():
             for a, occ in self.positions().items():
                 if len(occ) != 2:
