@@ -33,9 +33,11 @@ def agreed_a2_w3(d):
     """(a2, w3) after checking that Jones, skein, Gauss diagram and Conway
     give the same a2, Jones, skein and Gauss diagram the same w3, and Jones
     and Conway the same determinant.
-    It also checks the nugatory crossings against the cut-vertex search: a
-    generator used once in a braid word gives one."""
+    It also checks the nugatory crossings against the cut-vertex search (a
+    generator used once in a braid word gives one), and the face table and
+    twist regions against the dart-orbit reference."""
     assert d.nugatory_crossings() == reference_nugatory(d)
+    assert_faces_match_the_dart_orbits(d)
     v = jones_via_kauffman(d)
     nabla = conway_polynomial(seifert_pipeline(d))
     a2, w3 = a2_w3_from_jones(v)
@@ -52,14 +54,6 @@ def test_braid_closures_agree_across_routes(braid):
     d = closed_braid(*braid)
     assume(d.component_count() == 1)
     agreed_a2_w3(d)
-
-
-@given(braid_words())
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_face_table_matches_the_dart_orbits_on_braids(braid):
-    d = closed_braid(*braid)
-    assume(d.component_count() == 1)
-    assert_faces_match_the_dart_orbits(d)
 
 
 @pytest.mark.parametrize("word, strands, a2, w3", [
