@@ -163,7 +163,9 @@ class Builder:
             raise InconsistentDiagram("a port is soldered twice", _EMIT)
         on_path = [False] * len(leads)
         # orient: walk each component, entering at p and leaving at p ^ 2;
-        # an arc runs from an exit port through its net to an entry port
+        # an arc runs from an exit port through its net to an entry port; a
+        # miswired walk that would never end meets a junction that does not
+        # lead back, or a port numbered before, and raises there
         arc = [-1] * len(mate)
         entry = [False] * len(mate)
         starts = []
@@ -180,9 +182,13 @@ class Builder:
                 q = p ^ 2
                 prev, r = q, mate[q]
                 while r < 0:
-                    x, y = leads[~r]
+                    lj = leads[~r]
+                    if prev not in lj:
+                        raise InconsistentDiagram(f"junction {~r} does not lead back", _EMIT)
                     on_path[~r] = True
-                    prev, r = r, y if x == prev else x
+                    prev, r = r, lj[lj[0] == prev]
+                if arc[r] >= 0:
+                    raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", _EMIT)
                 arc[q] = arc[r] = next_arc
                 next_arc += 1
                 p = r

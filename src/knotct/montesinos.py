@@ -351,7 +351,8 @@ def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
 
 def _normal_pairs(spec):
     """`_normalize`'s pairs and gamma for a spec, with no record built, or
-    None when the spec is the unknot (every tangle fraction an integer)."""
+    None for a spec without pairs: a six-box template, or a pretzel whose
+    every strand is +-1, a (2, k) torus knot (`P(1,1,1)` is the trefoil)."""
     if isinstance(spec, MontesinosSpec):
         return [f.as_integer_ratio() for f in spec.tangles], spec.gamma
     try:

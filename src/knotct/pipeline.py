@@ -104,27 +104,15 @@ class TwistGate(Record):
 # alternating-knot certification
 
 
-def _reduced_alternating_diagram(norm, d=None):
-    """A reduced alternating diagram of the knot, or None.
-
-    `norm` is the spec's `_normal_pairs`, and `d` a diagram of the spec
-    already at hand, or None; a spec without pairs (a six-box template, or
-    every tangle fraction an integer) must pass its own diagram.  `d` is
-    returned when it is reduced alternating, else the diagram of
-    `alternating_build(norm)` when that is one, and nothing else is tried:
-    the reduced Montesinos presentations of a knot of length >= 3 are
-    exactly the shifts of one (Lickorish-Thistlethwaite), so when its pairs
-    have no sign-coherent shift the knot has no alternating diagram at all.
-    A two-bridge spec with mixed signs is alternating but gets None here.
-    """
-    if d is not None and d.is_alternating() and d.is_reduced():
-        return d
-    alt = alternating_build(norm) if norm is not None else None
-    if alt is not None:
-        bd = montesinos_diagram(*alt)
-        if bd.is_alternating() and bd.is_reduced():
-            return bd
-    return None
+def _gate_diagram(spec, norm):
+    """The one diagram of `spec` that every gate reading a diagram reads:
+    for normalized pairs `norm`, the build of their `alternating_build`,
+    else of the pairs as they stand (a knot of length >= 3 that is not
+    alternating, or a two-bridge spec with mixed signs); for a spec without
+    pairs (a six-box template or an all-integer pretzel), its own diagram."""
+    if norm is None:
+        return spec.diagram()
+    return montesinos_diagram(*(alternating_build(norm) or norm))
 
 
 def montesinos_length(spec) -> int:
@@ -154,16 +142,17 @@ def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
     One pass: `stage` names the running gate, and a `KnotctError` from any
-    gate leaves noted with it.  `diagram()` builds `spec.diagram()` at most
-    once per call, only when a gate reads it; `verdict(rule)` builds the
-    call's one `InvariantReport`, with tau = -sigma/2 when sigma is known.
-    The genus and signature gates share the spec's normalized pairs.  A
-    spec without pairs (a six-box template, read as built, or an
-    all-integer pretzel, read simplified: a (2, k) torus knot) has genus 0
-    with no crossings left, the alternating genus of a reduced alternating
-    diagram, and none otherwise.  The signature gate builds nothing for a
-    non-alternating knot with pairs, and for an alternating one at most its
-    alternating build, unless a diagram already read is reduced alternating.
+    gate leaves noted with it.  `diagram()` builds `_gate_diagram` at most
+    once per call, only when a gate reads it, so the Gauss a2/w3 and sigma
+    gates read one diagram; `verdict(rule)` builds the call's one
+    `InvariantReport`, with tau = -sigma/2 when sigma is known.  The genus
+    and signature gates share the spec's normalized pairs.  A spec without
+    pairs (a six-box template, read as built, or an all-integer pretzel,
+    read simplified: a (2, k) torus knot) has genus 0 with no crossings
+    left, the alternating genus of a reduced alternating diagram, and none
+    otherwise.  The signature gate builds nothing for a non-alternating
+    knot with pairs; else sigma is the closed form when the gate diagram is
+    reduced alternating, and the Seifert surface's otherwise.
     """
     method = {}
     a2 = w3 = sigma = g = norm = built = None
@@ -173,7 +162,7 @@ def obstruct(spec) -> ObstructionVerdict:
     def diagram():
         nonlocal built
         if built is None:
-            built = spec.diagram()
+            built = _gate_diagram(spec, norm)
         return built
 
     def verdict(rule):
@@ -237,14 +226,14 @@ def obstruct(spec) -> ObstructionVerdict:
         # has none
         stage = "sigma"
         if norm is None or is_alternating_knot(norm):
-            alt_d = _reduced_alternating_diagram(norm, diagram() if norm is None else built)
-            if alt_d is not None:
-                sigma = signature_alternating(alt_d)
+            d = diagram()
+            if d.is_alternating() and d.is_reduced():
+                sigma = signature_alternating(d)
                 method["sigma"] = method["tau"] = "closed_form"
             elif norm is not None:
                 from .oracle import oracle_signature, seifert_pipeline
 
-                sigma = oracle_signature(seifert_pipeline(diagram()))
+                sigma = oracle_signature(seifert_pipeline(d))
                 method["sigma"] = method["tau"] = "oracle"
         return verdict("tau_nonzero_via_sigma" if sigma else "none")
     except KnotctError as exc:
@@ -253,14 +242,15 @@ def obstruct(spec) -> ObstructionVerdict:
 
 def twist_gate(spec) -> TwistGate:
     """Alternating-diagram twist-number gate: >= 7 twist regions certify no
-    purely cosmetic surgeries."""
-    d = spec.diagram()
+    purely cosmetic surgeries.  It counts the twist regions of the diagram
+    `obstruct` reads, `_gate_diagram`, so a pretzel with unit strands and
+    its `M(...)` form get one count, and raises `NotAlternating` or
+    `NotReduced` when that diagram is not reduced alternating.  The twist
+    number is an invariant only of twist-reduced diagrams (Lackenby, Proc.
+    LMS 88, 2004); whether the gate diagram is one is not checked yet."""
+    d = _gate_diagram(spec, _normal_pairs(spec))
     if not d.is_alternating():
-        norm = _normal_pairs(spec)
-        built = alternating_build(norm) if norm is not None else None
-        if built is None:
-            raise NotAlternating("twist gate needs an alternating build")
-        d = montesinos_diagram(*built)
+        raise NotAlternating("twist gate needs an alternating build")
     if not d.is_reduced():
         raise NotReduced("twist gate needs a reduced build")
     t = twist_number(d)

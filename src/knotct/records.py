@@ -14,8 +14,8 @@ adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
 field) must be set there too.
 
 The package defines its records this way rather than with `dataclasses`,
-whose import (it loads `inspect`, `ast`, `dis` and `tokenize`) and generated
-class bodies cost a fresh `knotct` process about 20 ms of its start-up.
+whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a
+fresh `knotct` process about 9 ms (`python -X importtime`, CPython 3.11).
 """
 
 from __future__ import annotations

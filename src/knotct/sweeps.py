@@ -40,7 +40,7 @@ from .oracle import (
     oracle_signature,
     seifert_pipeline,
 )
-from .pipeline import _note, _reduced_alternating_diagram
+from .pipeline import _gate_diagram, _note
 from .records import Record
 
 __all__ = [
@@ -289,7 +289,7 @@ def _check(checks, name, ok, counterexample=None):
     checks.append({"name": name, "passed": bool(ok), "counterexample": counterexample})
 
 
-_FORMULAS_CROSSING_CAP = 22  # the formulas suite skips diagrams above this
+_FORMULAS_CROSSING_CAP = 22  # the formulas suite and the genus Seifert check skip larger diagrams
 
 
 def _formulas_specs(bound):
@@ -412,8 +412,9 @@ def _suite_signatures(bound, checks):
             f = FamilySpec(fam, p, sign)
             d = f.diagram()
             s_or = oracle_signature(seifert_pipeline(d))
-            alt_d = _reduced_alternating_diagram(_normal_pairs(f), d)
-            s_alt = None if alt_d is None else signature_alternating(alt_d)
+            alt_d, s_alt = _gate_diagram(f, _normal_pairs(f)), None
+            if alt_d.is_alternating() and alt_d.is_reduced():
+                s_alt = signature_alternating(alt_d)
             if expected == ">0":
                 ok = s_or > 0 and (s_alt is None or s_alt == s_or)
             else:
@@ -432,7 +433,7 @@ def _suite_genus(bound, checks):
             if g != 2:
                 bad.append(str(f))
             d = f.diagram()
-            if d.n <= 22 and d.is_alternating() and d.is_reduced():
+            if d.n <= _FORMULAS_CROSSING_CAP and d.is_alternating() and d.is_reduced():
                 n_alt += 1
                 if alternating_genus(d, seifert_pipeline(d)) != 2:
                     bad_alt.append(str(f))

@@ -390,6 +390,44 @@ def test_malformed_wiring_error_survives_optimized_mode():
     assert p.stdout.strip() == "construction: emit"
 
 
+def miswired_splice():
+    """M(2/5,1/3,1/3|1) wired as `montesinos_diagram` wires it, except that
+    the ports of the first tangle's second junction carry the first
+    junction's id, as a splice that wrote j for j - 1 would leave them.  An
+    unchecked strand walk reaching one of them goes round forever."""
+    b = Builder()
+    tangles = [rational_tangle(b, 2, 5)]
+    for x in b.leads[1]:
+        b.mate[x] = ~0
+    tangles += [rational_tangle(b, 1, 3), rational_tangle(b, 1, 3), b.hbox(1)]
+    for t, u in zip(tangles, tangles[1:] + tangles[:1]):
+        b.solder(t["NE"], u["NW"])
+        b.solder(t["SE"], u["SW"])
+    return b
+
+
+def test_a_miswired_splice_raises_instead_of_looping():
+    # optimized mode in a subprocess first: its timeout bounds a walk that
+    # never ends, which in-process would hang the suite
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import miswired_splice\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "try:\n"
+        "    miswired_splice().emit()\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True, timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "construction: emit"
+    with pytest.raises(InconsistentDiagram) as info:
+        miswired_splice().emit()
+    assert info.value.stage == "construction: emit"
+
+
 # sha256 of (crossings, over_entry, free_loops), or of the error type, of the
 # diagrams built from the bound-2 family specs, the AC1 pretzel and double-twist
 # specs, fig1_left/fig1_right over [-1, 1]^6 and the template mirrors, in that

@@ -1,8 +1,8 @@
-"""Package surface: every module's exports exist, and no module asserts."""
+"""Package surface: every module's exports exist, and no module asserts
+or reads `__debug__`."""
 
 import ast
 import importlib
-import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -25,10 +25,14 @@ def test_all_names_resolve(name):
 
 
 def test_no_assert_statements():
-    """Internal checks raise typed errors, which survive `python -O`."""
+    """Internal checks raise typed errors, and no code reads `__debug__`, so
+    `python -O` changes no output on any path."""
+    paths = sorted(p for root in knotct.__path__ for p in Path(root).rglob("*.py"))
+    assert len(paths) >= len(MODULES)
     found = []
-    for name in MODULES:
-        path = importlib.util.find_spec(name).origin
-        tree = ast.parse(Path(path).read_text(), path)
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert not found

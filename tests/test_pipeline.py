@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import knotct.pipeline
-from knotct.diagram import montesinos_diagram, signature_alternating
+from knotct.diagram import Builder, montesinos_diagram, signature_alternating
 from knotct.errors import KnotctError, NotAKnot
 from knotct.invariants import closed_form, skein_a2
 from knotct.montesinos import (
@@ -209,6 +209,45 @@ def test_signature_gate_builds_at_most_one_diagram(monkeypatch, text, rule, sigm
     v = obstruct(spec)
     assert (v.fired_rule, v.evidence.sigma) == (rule, sigma)
     assert len(calls) == builds, calls
+
+
+def test_obstruct_emits_at_most_one_diagram(monkeypatch):
+    # the a2/w3 and sigma gates read one build: for M(-2/3,-1/3,2/5|2),
+    # whose own diagram is not alternating, its alternating build alone
+    emits = []
+    emit = Builder.emit
+    monkeypatch.setattr(Builder, "emit", lambda b: emits.append(1) or emit(b))
+    specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 3)] + _montesinos_grid()
+    assert len(specs) == 43_040
+    over = []
+    for f in specs:
+        emits.clear()
+        obstruct(f)
+        if len(emits) > 1:
+            over.append(str(f))
+    assert not over, over[:5]
+
+
+def _twists(text):
+    try:
+        return twist_gate(parse_spec(text)).twists
+    except KnotctError as exc:
+        return type(exc).__name__
+
+
+def test_a_pretzel_and_its_montesinos_form_get_one_twist_count():
+    # flypes carry the unit crossings together, so the pretzel's own
+    # diagram, with 7 twist regions, is not twist-reduced; the gate counts
+    # the alternating build of the normalized pairs
+    assert _twists("P(3,1,5,1,7,1,9)") == _twists("M(1/3,1/5,1/7,1/9|3)") == 5
+    n = 0
+    for r in (3, 4, 5):
+        for qs in itertools.product((-3, -1, 1, 3, 5), repeat=r):
+            if any(abs(q) != 1 for q in qs):
+                n += 1
+                pretzel = "P(" + ",".join(map(str, qs)) + ")"
+                assert _twists(pretzel) == _twists("M(" + ",".join(f"1/{q}" for q in qs) + ")"), pretzel
+    assert n == 3_819
 
 
 def test_fired_rule_vocabulary():
