@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, KnotctError, ParseError, ValidationError
-from .invariants import InvariantReport, closed_form, skein_a2, skein_w3
+from .invariants import InvariantReport, closed_form, diagram_genus, skein_a2, skein_w3
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -82,7 +82,7 @@ def invariant_report(spec, method="all") -> InvariantReport:
     meth = {"a2": tag, "w3": tag}
     sigma = tau = g = None
     if method in ("oracle", "all"):
-        from .oracle import alternating_genus, oracle_signature, seifert_pipeline
+        from .oracle import oracle_signature, seifert_pipeline
 
         sd = seifert_pipeline(d)
         sigma = oracle_signature(sd)
@@ -92,13 +92,9 @@ def invariant_report(spec, method="all") -> InvariantReport:
             g = genus(norm).genus
             meth["genus"] = "closed_form"
         else:
-            ds = d.simplify()
-            if ds.n == 0:
-                g = 0
-                meth["genus"] = "closed_form"
-            elif ds.is_alternating() and ds.is_reduced():
-                g = alternating_genus(ds, seifert_pipeline(ds))
-                meth["genus"] = "oracle"
+            g, route = diagram_genus(d.simplify())
+            if g is not None:
+                meth["genus"] = route
         alternating = d.is_alternating() or (norm is not None and is_alternating_knot(norm))
         if alternating:
             tau = Fraction(-sigma, 2)

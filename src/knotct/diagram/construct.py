@@ -34,7 +34,6 @@ from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
 from .core import PlanarDiagram
 
 __all__ = [
-    "TwistLayout",
     "Builder",
     "rational_tangle",
     "montesinos_diagram",
@@ -52,11 +51,6 @@ V_POS_A_OVER = False
 DT_V_SIGN = -1
 
 _EMIT = "construction: emit"  # InconsistentDiagram.stage of the emission checks
-
-
-class TwistLayout:
-    """Provenance of a diagram emitted by `Builder`: its crossings sit in
-    twist boxes, the framing `twist_number` needs."""
 
 
 class Builder:
@@ -215,7 +209,7 @@ class Builder:
             s = u if entry[u] else u + 2
             crossings.append((arc[s], arc[b | (s + 1) & 3], arc[s ^ 2], arc[b | (s + 3) & 3]))
             over_entry.append(((o if entry[o] else o + 2) - s) % 4)
-        d = PlanarDiagram(crossings, over_entry, free, TwistLayout())
+        d = PlanarDiagram(crossings, over_entry, free)
         # the walk above numbered each strand's arcs consecutively, in order
         starts.append(next_arc)
         d._components = tuple(tuple(range(a, z)) for a, z in zip(starts, starts[1:]))

@@ -11,18 +11,23 @@ Sign convention: a crossing is positive when the over strand enters at slot 3
 
 The diagram owns this convention.  Validation records each arc's head and
 tail (the crossing and slot where it ends and where it starts), so strand
-walks are table lookups.  The slot table of each arc, the Seifert circles and
-the face table (the faces as orbits of a flat corner-successor table, with
-the face of each corner) are traced once, on first use, and cached.
+walks are table lookups.  The Seifert circles and the face table (the
+faces as orbits of a flat corner-successor table, with the face of each
+corner) are traced once, on first use, and cached.
 A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
+
+A knot's signed Gauss word (`_gauss_word`) lists its passages along the
+strand.  One finder, `_cancelling`, reads off the word the crossings that a
+Reidemeister I or II move removes: `simplify` removes them from the
+diagram, and the skein engine of `knotct.invariants` from its words.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from ..errors import InconsistentDiagram, InvalidInput, NotAlternating, NotReduced
+from ..errors import InconsistentDiagram, InvalidInput, NotAKnot, NotAlternating, NotReduced
 
 __all__ = [
     "PlanarDiagram",
@@ -47,12 +52,63 @@ class _DSU:
             self.parent[ra] = rb
 
 
+# -- signed Gauss words --------------------------------------------------
+
+
+def _gauss_word(d):
+    """Signed Gauss word of a knot diagram, walked from its least arc: each
+    arc leads into the passage at its head, coded as
+    crossing*4 + over*2 + positive."""
+    word = []
+    for a in d.components()[0] if d.n else ():
+        ci, s = d.head_of(a)
+        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
+    return word
+
+
+def _cancelling(w):
+    """Crossings that one Reidemeister move removes, or () when none does.
+
+    R1: a crossing whose passages are cyclically adjacent (a kink).  R2: two
+    crossings adjacent on both strands, with one strand over at both and
+    opposite signs (a clasp that slides apart).  Two segments of a connected
+    diagram that no other strand crosses bound a disc, so both moves are
+    sound on words of classical knot diagrams.
+
+    On a knot's word these are the PD slot conditions, since two passages
+    in a row are the two ends of one arc.  R1 finds an arc with both ends
+    at one crossing, c[s] == c[s + 1]: ends at opposite slots would close
+    one strand of the crossing into a component of its own.  R2 finds two
+    arcs that join the same two crossings and meet different passages at
+    each, one the over and one the under strand, so they sit at adjacent
+    slots of both; the shared over bit keeps one arc over at both ends.
+    The opposite signs are the finder's own condition: two same-sign
+    crossings joined so are both nugatory, not the corners of a bigon.
+    """
+    seen = set()
+    prev = w[-1]
+    for p in w:
+        a, b = prev >> 2, p >> 2
+        if a == b:
+            return (a,)
+        # the same over bit and opposite signs; a second such adjacency of
+        # the pair uses the other two passages, since an a-b-a stretch
+        # would put a's over and under passage beside one passage of b
+        if (prev ^ p) & 3 == 1:
+            pair = (a, b) if a < b else (b, a)
+            if pair in seen:
+                return pair
+            seen.add(pair)
+        prev = p
+    return ()
+
+
 class PlanarDiagram:
-    __slots__ = ("crossings", "over_entry", "free_loops", "provenance",
-                 "_components", "_positions", "_heads", "_tails", "_circle_of", "_faces",
+    __slots__ = ("crossings", "over_entry", "free_loops",
+                 "_components", "_heads", "_tails", "_circle_of", "_faces",
                  "_key")
 
-    def __init__(self, crossings, over_entry, free_loops=0, provenance=None):
+    def __init__(self, crossings, over_entry, free_loops=0):
         crossings = tuple(map(tuple, crossings))
         over_entry = tuple(over_entry)
         if len(crossings) != len(over_entry):
@@ -66,9 +122,7 @@ class PlanarDiagram:
         self.crossings = crossings
         self.over_entry = over_entry
         self.free_loops = int(free_loops)
-        self.provenance = provenance
         self._components = None
-        self._positions = None
         self._circle_of = None
         self._faces = None
         self._key = None
@@ -111,14 +165,12 @@ class PlanarDiagram:
 
     def positions(self):
         """arc -> [(crossing, slot), (crossing, slot)], both in slot order and
-        the arcs in order of first occurrence; computed once."""
-        if self._positions is None:
-            seen = {}
-            for ci, c in enumerate(self.crossings):
-                for s, a in enumerate(c):
-                    seen.setdefault(a, []).append((ci, s))
-            self._positions = seen
-        return self._positions
+        the arcs in order of first occurrence."""
+        seen = {}
+        for ci, c in enumerate(self.crossings):
+            for s, a in enumerate(c):
+                seen.setdefault(a, []).append((ci, s))
+        return seen
 
     def ends(self):
         """(heads, tails): arc -> (crossing, slot) where it ends and where it
@@ -322,7 +374,7 @@ class PlanarDiagram:
         for r in sorted(used):
             relabel[r] = len(relabel)
         new_cross = [tuple(relabel[dsu.find(a)] for a in c) for c in kept_cross]
-        return PlanarDiagram(new_cross, kept_over, loops, None)
+        return PlanarDiagram(new_cross, kept_over, loops)
 
     def switch(self, ci):
         """Reverse over/under at one crossing."""
@@ -332,7 +384,7 @@ class PlanarDiagram:
         c = cross[ci]
         cross[ci] = tuple(c[(o + k) % 4] for k in range(4))
         over[ci] = 4 - o
-        return PlanarDiagram(cross, over, self.free_loops, None)
+        return PlanarDiagram(cross, over, self.free_loops)
 
     def smooth(self, ci):
         """Oriented smoothing at a crossing (both strands keep direction)."""
@@ -344,66 +396,18 @@ class PlanarDiagram:
 
     # -- Reidemeister I / II cleanup ------------------------------------------
 
-    def _r1_spot(self):
-        for ci, c in enumerate(self.crossings):
-            for s in range(4):
-                if c[s] == c[(s + 1) % 4]:
-                    return ci, s
-        return None
-
-    def _r2_spot(self):
-        pos = self.positions()
-        by_pair = {}
-        for a, occ in pos.items():
-            (ci, si), (cj, sj) = occ
-            if ci == cj:
-                continue
-            key = (min(ci, cj), max(ci, cj))
-            by_pair.setdefault(key, []).append(a)
-        for (ci, cj), shared in by_pair.items():
-            if len(shared) < 2:
-                continue
-            for x in range(len(shared)):
-                for y in range(x + 1, len(shared)):
-                    e, f = shared[x], shared[y]
-                    se_i = next(s for s in range(4) if self.crossings[ci][s] == e)
-                    sf_i = next(s for s in range(4) if self.crossings[ci][s] == f)
-                    se_j = next(s for s in range(4) if self.crossings[cj][s] == e)
-                    sf_j = next(s for s in range(4) if self.crossings[cj][s] == f)
-                    if (se_i - sf_i) % 4 not in (1, 3):
-                        continue
-                    if (se_j - sf_j) % 4 not in (1, 3):
-                        continue
-                    e_over_i = se_i in (1, 3)
-                    e_over_j = se_j in (1, 3)
-                    if e_over_i == e_over_j:  # same strand over at both: cancels
-                        return ci, cj, e, f, se_i, sf_i, se_j, sf_j
-        return None
-
     def simplify(self):
-        """Remove kinks and cancelling clasp pairs until none remain."""
+        """Remove kinks and cancelling clasps, the moves `_cancelling` finds
+        on the knot's Gauss word, one at a time until none is left.  Both
+        strands pass straight through each removed crossing."""
+        if self.component_count() > 1:
+            raise NotAKnot(f"simplify needs a knot, got {self.component_count()} components")
         d = self
-        while True:
-            spot = d._r1_spot()
-            if spot is not None:
-                ci, s = spot
-                c = d.crossings[ci]
-                kink = c[s]
-                keep = [i for i in range(d.n) if i != ci]
-                others = [c[(s + 2) % 4], c[(s + 3) % 4]]
-                d = d._rebuild(keep, [(others[0], others[1], kink)])
-                continue
-            spot = d._r2_spot()
-            if spot is not None:
-                ci, cj, e, f, se_i, sf_i, se_j, sf_j = spot
-                keep = [i for i in range(d.n) if i not in (ci, cj)]
-                xi = d.crossings[ci][(se_i + 2) % 4]
-                xj = d.crossings[cj][(se_j + 2) % 4]
-                yi = d.crossings[ci][(sf_i + 2) % 4]
-                yj = d.crossings[cj][(sf_j + 2) % 4]
-                d = d._rebuild(keep, [(xi, e, xj), (yi, f, yj)])
-                continue
-            return d
+        while d.n and (gone := _cancelling(_gauss_word(d))):
+            rows = [d.crossings[ci] for ci in gone]
+            d = d._rebuild([i for i in range(d.n) if i not in gone],
+                           [j for c in rows for j in ((c[0], c[2]), (c[1], c[3]))])
+        return d
 
     # -- misc -----------------------------------------------------------------
 
@@ -413,12 +417,7 @@ class PlanarDiagram:
             o = self.over_entry[ci]
             cross.append(tuple(c[(o + k) % 4] for k in range(4)))
             over.append(4 - o)
-        return PlanarDiagram(cross, over, self.free_loops, self.provenance)
-
-    def relabeled(self, perm):
-        """Apply an arc-id bijection (dict)."""
-        cross = [tuple(perm[a] for a in c) for c in self.crossings]
-        return PlanarDiagram(cross, self.over_entry, self.free_loops, self.provenance)
+        return PlanarDiagram(cross, over, self.free_loops)
 
     def canonical_key(self):
         """A relabeling-invariant memo key, computed once per diagram.

@@ -68,10 +68,6 @@ class NotReduced(KnotctError):
     """Diagram has a nugatory crossing."""
 
 
-class MissingProvenance(KnotctError):
-    """Operation needs twist-box construction provenance the diagram lacks."""
-
-
 class BudgetExceeded(KnotctError):
     """Crossing/recursion budget exceeded (never silently approximated)."""
 

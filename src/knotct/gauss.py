@@ -43,21 +43,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .diagram import PlanarDiagram
+from .diagram.core import PlanarDiagram, _gauss_word
 from .errors import NotAKnot
 
 __all__ = ["gauss_a2", "gauss_w3"]
-
-
-def _gauss_word(d):
-    """Signed Gauss word of a knot diagram, walked from its least arc: each
-    arc leads into the passage at its head, coded as
-    crossing*4 + over*2 + positive."""
-    word = []
-    for a in d.components()[0] if d.n else ():
-        ci, s = d.head_of(a)
-        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
-    return word
 
 
 def _chords(d):

@@ -21,9 +21,13 @@ primitive order-three invariant, quarter-integer valued):
   moves delete passages.
 
 The two routes must agree exactly wherever both apply; that cross-check is
-the backbone of the test suite.  `knotct.gauss` walks the Gauss word for
-both this engine and a third route, which reads a2 and w3 off the word by
-counting sub-diagrams, with no recursion.
+the backbone of the test suite.  `knotct.diagram.core` walks the Gauss word
+and finds its Reidemeister I/II moves (`_cancelling`), for this engine and
+for `PlanarDiagram.simplify`; `knotct.gauss` reads a2 and w3 off the word
+by counting sub-diagrams, a third route with no recursion.
+
+`diagram_genus` is the genus that `obstruct` and the CLI's report read off
+the diagram of a spec without tangle pairs.
 """
 
 from __future__ import annotations
@@ -32,18 +36,17 @@ from array import array
 from fractions import Fraction
 
 from .budget import crossing_budget
-from .diagram import PlanarDiagram
+from .diagram.core import PlanarDiagram, _cancelling, _gauss_word
 from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula, NotAKnot
 from .records import Record
 
 __all__ = [
     "InvariantReport",
     "a2_dt",
-    "w3_dt",
     "a2_pretzel",
-    "w3_pretzel",
     "closed_form",
     "closed_a2_w3",
+    "diagram_genus",
     "skein_a2",
     "skein_w3",
     "DEFAULT_SKEIN_BUDGET",
@@ -100,11 +103,6 @@ def a2_dt(x, y):
     return x * y
 
 
-def w3_dt(x, y):
-    """w3 of the double twist knot DT(2x,2y)."""
-    return Fraction(_w3x4_dt(x, y), 4)
-
-
 def _w3x4_dt(x, y):
     return x * y * (x + y)
 
@@ -112,11 +110,6 @@ def _w3x4_dt(x, y):
 def a2_pretzel(x, y, z):
     """a2 of the odd pretzel knot P(2x+1,2y+1,2z+1)."""
     return (x + 1) * (y + 1) * (z + 1) - x * y * z
-
-
-def w3_pretzel(x, y, z):
-    """w3 of the odd pretzel knot P(2x+1,2y+1,2z+1)."""
-    return Fraction(_w3x4_pretzel(x, y, z), 4)
 
 
 def _w3x4_pretzel(x, y, z):
@@ -349,11 +342,31 @@ def closed_a2_w3(f):
 
 
 # =============================================================================
+# genus of a diagram
+
+
+def diagram_genus(d):
+    """(genus, route) of a spec without tangle pairs (a six-box template or
+    an all-integer pretzel), read off one of its diagrams: 0 by closed form
+    with no crossings, the oracle's alternating genus on a reduced
+    alternating diagram, else (None, None)."""
+    if d.n == 0:
+        return 0, "closed_form"
+    if d.is_alternating() and d.is_reduced():
+        # imported here, so a query that never builds a Seifert surface does
+        # not load the oracle
+        from .oracle import alternating_genus, seifert_pipeline
+
+        return alternating_genus(d, seifert_pipeline(d)), "oracle"
+    return None, None
+
+
+# =============================================================================
 # skein engine
 #
-# The recursion runs on signed Gauss words (`gauss._gauss_word`).  A knot's
-# word lists the passages met on a walk from a base point, each coded as
-# crossing*4 + over*2 + positive; crossing ids are arbitrary labels.  Every
+# The recursion runs on signed Gauss words (`diagram.core._gauss_word`).  A
+# knot's word lists the passages met on a walk from a base point, each coded
+# as crossing*4 + over*2 + positive; crossing ids are arbitrary labels.  Every
 # move deletes passages and keeps the order of the rest, so a word keeps its
 # base point: along a branch of the recursion the descending prefix of the
 # walk only grows and the crossing count only falls, which ends it.  The
@@ -402,33 +415,6 @@ def _split(w, c):
     return (total // 2,
             [p for p in inner if p >> 2 not in shared],
             [p for p in outer if p >> 2 not in shared])
-
-
-def _cancelling(w):
-    """Crossings that one Reidemeister move removes, or () when none does.
-
-    R1: a crossing whose passages are cyclically adjacent (a kink).  R2: two
-    crossings adjacent on both strands, with one strand over at both and
-    opposite signs (a clasp that slides apart).  Two segments of a connected
-    diagram that no other strand crosses bound a disc, so both moves are
-    sound on words of classical knot diagrams.
-    """
-    seen = set()
-    prev = w[-1]
-    for p in w:
-        a, b = prev >> 2, p >> 2
-        if a == b:
-            return (a,)
-        # the same over bit and opposite signs; a second such adjacency of
-        # the pair uses the other two passages, since an a-b-a stretch
-        # would put a's over and under passage beside one passage of b
-        if (prev ^ p) & 3 == 1:
-            pair = (a, b) if a < b else (b, a)
-            if pair in seen:
-                return pair
-            seen.add(pair)
-        prev = p
-    return ()
 
 
 def _simplify(w):
@@ -524,9 +510,6 @@ def _w3(w):
 def _knot_word(d):
     """The simplified signed Gauss word of a knot diagram within the skein
     budget."""
-    # imported here, so a query that closed forms settle does not load it
-    from .gauss import _gauss_word
-
     if d.component_count() != 1:
         raise NotAKnot(f"skein engine needs a knot, got {d.component_count()} components")
     budget = crossing_budget(DEFAULT_SKEIN_BUDGET)

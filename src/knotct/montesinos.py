@@ -102,10 +102,6 @@ class MontesinosSpec(Record):
         object.__setattr__(self, "tangles", tuple(Fraction(p, q) for p, q in norm))
         object.__setattr__(self, "gamma", g)
 
-    @property
-    def r(self):
-        return len(self.tangles)
-
     def diagram(self):
         return montesinos_diagram(*_normal_pairs(self))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import montesinos_diagram, signature_alternating, twist_number
+from .diagram import montesinos_diagram, signature_alternating
 from .errors import (
     InvalidInput,
     KnotctError,
@@ -36,7 +36,7 @@ from .errors import (
     NotReduced,
     ValidationError,
 )
-from .invariants import InvariantReport, closed_a2_w3
+from .invariants import InvariantReport, closed_a2_w3, diagram_genus
 from .montesinos import (
     FamilySpec,
     _normal_pairs,
@@ -56,7 +56,6 @@ __all__ = [
     "obstruct",
     "twist_gate",
     "alternating_build",
-    "montesinos_length",
 ]
 
 FIRED_RULES = (
@@ -115,13 +114,6 @@ def _gate_diagram(spec, norm):
     return montesinos_diagram(*(alternating_build(norm) or norm))
 
 
-def montesinos_length(spec) -> int:
-    """r of the normalized Montesinos presentation (0 when every tangle
-    fraction is an integer, i.e. the spec reduces to a (2, k) torus knot)."""
-    pairs = _normal_pairs(spec)
-    return 0 if pairs is None else len(pairs[0])
-
-
 # =============================================================================
 # obstruction chain
 
@@ -147,12 +139,11 @@ def obstruct(spec) -> ObstructionVerdict:
     gates read one diagram; `verdict(rule)` builds the call's one
     `InvariantReport`, with tau = -sigma/2 when sigma is known.  The genus
     and signature gates share the spec's normalized pairs.  A spec without
-    pairs (a six-box template, read as built, or an all-integer pretzel,
-    read simplified: a (2, k) torus knot) has genus 0 with no crossings
-    left, the alternating genus of a reduced alternating diagram, and none
-    otherwise.  The signature gate builds nothing for a non-alternating
-    knot with pairs; else sigma is the closed form when the gate diagram is
-    reduced alternating, and the Seifert surface's otherwise.
+    pairs takes `diagram_genus` of a six-box template as built, or of an
+    all-integer pretzel (a (2, k) torus knot) simplified.  The signature
+    gate builds nothing for a non-alternating knot with pairs; else sigma
+    is the closed form when the gate diagram is reduced alternating, and
+    the Seifert surface's otherwise.
     """
     method = {}
     a2 = w3 = sigma = g = norm = built = None
@@ -181,15 +172,9 @@ def obstruct(spec) -> ObstructionVerdict:
             g = genus(norm).genus
             method["genus"] = "closed_form"
         else:
-            d = diagram() if six_box else diagram().simplify()
-            if d.n == 0:
-                g = 0
-                method["genus"] = "closed_form"
-            elif d.is_alternating() and d.is_reduced():
-                from .oracle import alternating_genus, seifert_pipeline
-
-                g = alternating_genus(d, seifert_pipeline(d))
-                method["genus"] = "oracle"
+            g, route = diagram_genus(diagram() if six_box else diagram().simplify())
+            if g is not None:
+                method["genus"] = route
         if g is not None and g != 2:
             return verdict("genus_ne_2")
 
@@ -243,7 +228,7 @@ def obstruct(spec) -> ObstructionVerdict:
 def twist_gate(spec) -> TwistGate:
     """Alternating-diagram twist-number gate: >= 7 twist regions certify no
     purely cosmetic surgeries.  It counts the twist regions of the diagram
-    `obstruct` reads, `_gate_diagram`, so a pretzel with unit strands and
+    `obstruct` reads, `_gate_diagram` (a `Builder` emission), so a pretzel with unit strands and
     its `M(...)` form get one count, and raises `NotAlternating` or
     `NotReduced` when that diagram is not reduced alternating.  The twist
     number is an invariant only of twist-reduced diagrams (Lackenby, Proc.
@@ -253,5 +238,5 @@ def twist_gate(spec) -> TwistGate:
         raise NotAlternating("twist gate needs an alternating build")
     if not d.is_reduced():
         raise NotReduced("twist gate needs a reduced build")
-    t = twist_number(d)
+    t = len(d.twist_regions())
     return TwistGate(twists=t, fires=t >= 7)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from knotct.invariants import closed_form
-from knotct.montesinos import parse_spec
+from knotct.montesinos import _normal_pairs, parse_spec
 from knotct.oracle import (
     a2_w3_from_jones,
     alternating_genus,
@@ -21,7 +21,7 @@ from knotct.oracle import (
     seifert_pipeline,
 )
 from knotct.exactmath import LaurentPoly
-from knotct.pipeline import montesinos_length, twist_gate
+from knotct.pipeline import twist_gate
 from knotct.sweeps import classify_genus2, o2_alternating_a2_w3, verify_suite
 
 
@@ -93,7 +93,7 @@ def test_ac7_classification_reproduction():
     for f in run.survivors:
         ok = ok and str(f) in run.matches
         ok = ok and twist_gate(f).twists <= 6
-        ok = ok and montesinos_length(f) <= 3
+        ok = ok and len(_normal_pairs(f)[0]) <= 3
     _report(
         f"AC7 sweep at bound 2: {len(run.eliminated)} eliminated with recorded "
         f"rules, {len(run.survivors)} survivors in the known families ({elapsed:.0f}s)",

@@ -1,6 +1,7 @@
 """Cross-route agreement on closed braids: non-Montesinos, mostly
 non-alternating diagrams that the twist-box templates never produce."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_diagram import assert_faces_match_the_dart_orbits, reference_nugatory
 
+from knotct.diagram.core import _cancelling, _gauss_word
 from knotct.exactmath import LaurentPoly
 from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import skein_a2, skein_w3
@@ -63,6 +65,24 @@ def test_braid_closures_agree_across_routes(braid):
 ])
 def test_braid_anchors(word, strands, a2, w3):
     assert agreed_a2_w3(closed_braid(word, strands)) == (a2, w3)
+
+
+def test_simplify_keeps_the_jones_polynomial_of_braid_closures():
+    rng = random.Random(7)
+    knots = removed = 0
+    while knots < 1500:
+        strands = rng.choice([2, 3, 4, 5])
+        gens = [g for g in range(1 - strands, strands) if g]
+        d = closed_braid([rng.choice(gens) for _ in range(rng.randint(1, 20))], strands)
+        if d.component_count() != 1:
+            continue
+        knots += 1
+        s = d.simplify()
+        assert s.n <= d.n
+        assert s.n == 0 or _cancelling(_gauss_word(s)) == ()
+        assert jones_via_kauffman(s) == jones_via_kauffman(d)
+        removed += d.n - s.n
+    assert removed > 10000
 
 
 # Markov's theorem: two braids have isotopic closures exactly when a sequence

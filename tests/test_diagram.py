@@ -14,7 +14,7 @@ import pytest
 from braids import closed_braid
 
 import knotct
-from knotct import gauss, invariants
+from knotct import invariants
 from knotct.diagram import (
     Builder,
     PlanarDiagram,
@@ -26,13 +26,12 @@ from knotct.diagram import (
     additive_cf,
     rational_tangle,
     signature_alternating,
-    twist_number,
 )
+from knotct.diagram.core import _gauss_word
 from knotct.errors import (
     InconsistentDiagram,
     InvalidInput,
     KnotctError,
-    MissingProvenance,
     NotAKnot,
 )
 from knotct.montesinos import (
@@ -42,6 +41,7 @@ from knotct.montesinos import (
     _normal_pairs,
     enumerate_family,
 )
+from knotct.sweeps import _formulas_specs
 
 
 def trefoil():
@@ -70,12 +70,18 @@ def test_mirror_flips_signs():
     assert sorted(d.mirror().signs()) == sorted(-s for s in d.signs())
 
 
+def relabeled(d, perm):
+    """d with every arc id a renamed to perm[a]."""
+    return PlanarDiagram([tuple(perm[a] for a in c) for c in d.crossings], d.over_entry,
+                         d.free_loops)
+
+
 def test_canonical_key_relabeling_invariant():
     d = pretzel_diagram([3, 1, 1])
     arcs = sorted(d.arcs())
     rotated = arcs[1:] + arcs[:1]
     perm = dict(zip(arcs, rotated))
-    assert d.relabeled(perm).canonical_key() == d.canonical_key()
+    assert relabeled(d, perm).canonical_key() == d.canonical_key()
 
 
 def template_knots():
@@ -97,7 +103,7 @@ def test_canonical_key_random_relabeling_and_crossing_order():
         arcs = d.arcs()
         for _ in range(5):
             ids = rng.sample(range(10 * len(arcs)), len(arcs))
-            e = d.relabeled(dict(zip(arcs, ids)))
+            e = relabeled(d, dict(zip(arcs, ids)))
             order = rng.sample(range(e.n), e.n)
             e = PlanarDiagram([e.crossings[i] for i in order], [e.over_entry[i] for i in order])
             assert e.canonical_key() == key
@@ -115,7 +121,7 @@ def test_canonical_key_past_128_crossings():
     key = d.canonical_key()
     assert isinstance(key, bytes) and len(key) == 2 * (5 * d.n + 1)
     arcs = d.arcs()
-    assert d.relabeled(dict(zip(arcs, reversed(arcs)))).canonical_key() == key
+    assert relabeled(d, dict(zip(arcs, reversed(arcs)))).canonical_key() == key
     assert pretzel_diagram([43, 45, 43]).canonical_key() == key  # a rotation of the strands
     assert pretzel_diagram([45, 43, 45]).canonical_key() != key
 
@@ -268,6 +274,34 @@ def test_simplify_removes_kinks():
     assert s.n < d.n
 
 
+def test_simplify_refuses_a_link():
+    hopf = closed_braid([1, 1], 2)
+    assert hopf.component_count() == 2
+    with pytest.raises(NotAKnot):
+        hopf.simplify()
+
+
+# sha256 of the canonical keys of the simplified diagrams of every fifth
+# six-box spec of the AC1 list, the 168 pretzel knots P(+-1,...,+-1) of
+# length 3, 5 and 7, and the AC2 zero family F1L(a,a+1,0,0,a+1,0), a in
+# [0, 5], in that order; the slot-scan simplify gave the same.
+SIMPLIFIED_KEYS_SHA256 = "f75b8f1af096597024954458a2e85ef1e145adbba1e2320dec3a0a4117179601"
+
+
+def test_simplified_templates_are_pinned():
+    specs = [f for f in _formulas_specs(2) if f.family in ("fig1_left", "fig1_right")][::5]
+    for n in (3, 5, 7):
+        specs += [FamilySpec("pretzel", {f"q{i + 1}": q for i, q in enumerate(qs)})
+                  for qs in itertools.product((-1, 1), repeat=n)]
+    specs += [FamilySpec("fig1_left", dict(a=a, b=a + 1, c=0, d=0, e=a + 1, f=0))
+              for a in range(6)]
+    digest = hashlib.sha256()
+    for f in specs:
+        digest.update(f.diagram().simplify().canonical_key())
+    assert len(specs) == 6424
+    assert digest.hexdigest() == SIMPLIFIED_KEYS_SHA256
+
+
 def test_switch_and_smooth_counts():
     d = trefoil()
     assert d.switch(0).n == d.n
@@ -291,7 +325,7 @@ def odd_split_word():
     """A trefoil's Gauss word with one crossing deleted, and the crossing to
     smooth: the two crossings left interleave, which no planar diagram
     allows, so the smoothing shares one crossing between its components."""
-    w = gauss._gauss_word(trefoil())
+    w = _gauss_word(trefoil())
     return [p for p in w if p >> 2 != 2], 0
 
 
@@ -471,7 +505,7 @@ def test_pd_codes_are_pinned():
 
 def test_word_split_linking_number():
     for d in (trefoil(), trefoil().mirror()):
-        w = gauss._gauss_word(d)
+        w = _gauss_word(d)
         assert len(w) == 6
         # smoothing a trefoil crossing leaves a Hopf link of two unknotted parts
         lk, inner, outer = invariants._split(w, w[0] >> 2)
@@ -483,12 +517,8 @@ def test_signature_alternating_trefoil():
 
 
 def test_twist_number_of_templates():
-    assert twist_number(pretzel_diagram([3, 5, 7])) == 3
-    assert twist_number(double_twist_diagram(4, 6)) == 2
-    with pytest.raises(MissingProvenance):
-        crossings = pretzel_diagram([1, 1, 1]).crossings
-        over = pretzel_diagram([1, 1, 1]).over_entry
-        twist_number(PlanarDiagram(crossings, over, provenance=None))
+    assert len(pretzel_diagram([3, 5, 7]).twist_regions()) == 3
+    assert len(double_twist_diagram(4, 6).twist_regions()) == 2
 
 
 def bigon_region_count(d):
@@ -622,7 +652,7 @@ def test_twist_regions_are_bigon_chains():
     assert len(diagrams) > 100
     for d in diagrams:
         chains = d.twist_regions()
-        assert len(chains) == twist_number(d) == bigon_region_count(d)
+        assert len(chains) == bigon_region_count(d)
         assert sorted(ci for chain in chains for ci, _ in chain) == list(range(d.n))
         for chain in chains:
             for (ci, left), (cj, entry) in zip(chain, chain[1:]):

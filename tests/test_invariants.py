@@ -17,10 +17,10 @@ from knotct.errors import (
     NotAKnot,
     ValidationError,
 )
-from knotct.gauss import _gauss_word, gauss_a2, gauss_w3
+from knotct.diagram.core import _cancelling, _gauss_word
+from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import (
     InvariantReport,
-    _cancelling,
     _key,
     _simplify,
     a2_dt,
@@ -28,8 +28,6 @@ from knotct.invariants import (
     closed_form,
     skein_a2,
     skein_w3,
-    w3_dt,
-    w3_pretzel,
 )
 from knotct.montesinos import FamilySpec, enumerate_family, parse_spec
 from knotct.oracle import a2_w3_from_jones, jones_via_kauffman
@@ -37,16 +35,18 @@ from knotct.oracle import a2_w3_from_jones, jones_via_kauffman
 
 def test_pretzel_closed_vs_skein():
     for x, y, z in [(0, 0, 0), (1, 1, -1), (2, -1, 1), (1, 2, 0)]:
-        d = parse_spec(f"P({2 * x + 1},{2 * y + 1},{2 * z + 1})").diagram()
+        f = parse_spec(f"P({2 * x + 1},{2 * y + 1},{2 * z + 1})")
+        d = f.diagram()
         assert a2_pretzel(x, y, z) == skein_a2(d)
-        assert w3_pretzel(x, y, z) == skein_w3(d)
+        assert closed_form(f).w3 == skein_w3(d)
 
 
 def test_double_twist_closed_vs_skein():
     for x, y in [(1, 1), (1, -1), (2, 1), (-2, -1)]:
-        d = parse_spec(f"DT({2 * x},{2 * y})").diagram()
+        f = parse_spec(f"DT({2 * x},{2 * y})")
+        d = f.diagram()
         assert a2_dt(x, y) == skein_a2(d)
-        assert w3_dt(x, y) == skein_w3(d)
+        assert closed_form(f).w3 == skein_w3(d)
 
 
 def test_trefoil_values():

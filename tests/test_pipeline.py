@@ -26,7 +26,6 @@ from knotct.pipeline import (
     FIRED_RULES,
     alternating_build,
     is_alternating_knot,
-    montesinos_length,
     obstruct,
     twist_gate,
 )
@@ -284,8 +283,8 @@ def test_alternating_build_for_mixed_signs():
 
 
 def test_montesinos_length():
-    assert montesinos_length(parse_spec("M(1/2,1/3,1/3)")) == 3
-    assert montesinos_length(parse_spec("P(-1,1,1)")) == 0  # unknot
+    assert len(_normal_pairs(parse_spec("M(1/2,1/3,1/3)"))[0]) == 3
+    assert _normal_pairs(parse_spec("P(-1,1,1)")) is None  # unknot: every tangle an integer
 
 
 def test_twist_gate():
