@@ -8,7 +8,7 @@ import random
 from array import array
 import subprocess
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from braids import closed_braid
@@ -136,6 +136,16 @@ def reference_key(w):
     return min(rows, default=[])
 
 
+def fresh_skein_memos(monkeypatch, words=invariants._WORD_MEMO_SIZE):
+    """Empty skein value memos and an empty word LRU of `words` words in front
+    of whatever `invariants._key` is when it misses; returns the LRU."""
+    monkeypatch.setattr(invariants, "_A2_MEMO", {})
+    monkeypatch.setattr(invariants, "_W3_MEMO", {})
+    word_key = lru_cache(maxsize=words)(invariants._word_key.__wrapped__)
+    monkeypatch.setattr(invariants, "_word_key", word_key)
+    return word_key
+
+
 def test_word_key_equality_matches_the_unpruned_key(monkeypatch):
     visited = []
     key = invariants._key
@@ -144,13 +154,12 @@ def test_word_key_equality_matches_the_unpruned_key(monkeypatch):
         visited.append(list(w))
         return key(w)
 
-    monkeypatch.setattr(invariants, "_A2_MEMO", {})
-    monkeypatch.setattr(invariants, "_W3_MEMO", {})
     monkeypatch.setattr(invariants, "_key", recording_key)
+    fresh_skein_memos(monkeypatch)  # every distinct word reaches the recorder
     rng = random.Random(7)
     specs = [FamilySpec("o1", dict(a=1, b=1, c=1, d=1, e=1)),
              FamilySpec("o1", dict(a=2, b=-1, c=1, d=-2, e=1))]
-    for fam in ("fig1_left", "fig1_right") * 6:
+    for fam in ("fig1_left", "fig1_right") * 40:
         specs.append(FamilySpec(fam, {k: rng.randint(-2, 2) for k in "abcdef"}))
     for f in specs:
         d = f.diagram()
@@ -159,7 +168,7 @@ def test_word_key_equality_matches_the_unpruned_key(monkeypatch):
         invariants.skein_a2(d)
         invariants.skein_w3(d)
     monkeypatch.undo()
-    assert len(visited) > 300
+    assert len({tuple(w) for w in visited}) > 300
     key_to_ref, ref_to_key = {}, {}
     for w in visited:
         new, ref = key(w), tuple(reference_key(w))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_diagram import template_knots, trefoil
+from test_diagram import fresh_skein_memos, template_knots, trefoil
 from test_montesinos import _conversion_specs
 
 from knotct import invariants
@@ -31,6 +31,7 @@ from knotct.invariants import (
 )
 from knotct.montesinos import FamilySpec, enumerate_family, parse_spec
 from knotct.oracle import a2_w3_from_jones, jones_via_kauffman
+from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 
 
 def test_pretzel_closed_vs_skein():
@@ -226,11 +227,40 @@ def test_memos_are_capped_without_changing_values(monkeypatch):
     ds = [d for d in template_knots() if d.n <= 16]
     expected = [(skein_a2(d), skein_w3(d)) for d in ds]
     monkeypatch.setattr(invariants, "_MEMO_CAP", 8)
-    monkeypatch.setattr(invariants, "_A2_MEMO", {})
-    monkeypatch.setattr(invariants, "_W3_MEMO", {})
+    word_key = fresh_skein_memos(monkeypatch, words=4)
     for d, want in zip(ds, expected):
         assert (skein_a2(d), skein_w3(d)) == want
         assert len(invariants._A2_MEMO) <= 8 and len(invariants._W3_MEMO) <= 8
+        assert word_key.cache_info().currsize <= 4
+    assert word_key.cache_info().hits > 0
+
+
+def test_each_word_is_keyed_once(monkeypatch):
+    # w3 re-keys the words a2 has just keyed, and neighbouring six-box specs
+    # share sub-words; the word LRU computes each distinct word's key once
+    requests, computed = [], []
+    key = invariants._key
+
+    def counting_key(w):
+        computed.append(w)
+        return key(w)
+
+    monkeypatch.setattr(invariants, "_key", counting_key)
+    word_key = fresh_skein_memos(monkeypatch)
+
+    def requesting(w):
+        requests.append(w)
+        return word_key(w)
+
+    monkeypatch.setattr(invariants, "_word_key", requesting)
+    specs = [f for f in _formulas_specs(2) if f.family.startswith("fig1")]
+    start = random.Random(2028).randrange(len(specs) - 200)
+    for f in specs[start:start + 200]:
+        d = f.diagram()
+        if d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP:
+            skein_a2(d), skein_w3(d)
+    assert len(computed) == len(set(requests)) > 200
+    assert len(requests) > 4 * len(computed)
 
 
 def test_closed_forms_are_pinned():
