@@ -258,7 +258,8 @@ def test_each_word_is_keyed_once(monkeypatch):
     for f in specs[start:start + 200]:
         d = f.diagram()
         if d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP:
-            skein_a2(d), skein_w3(d)
+            skein_a2(d)
+            skein_w3(d)
     assert len(computed) == len(set(requests)) > 200
     assert len(requests) > 4 * len(computed)
 
