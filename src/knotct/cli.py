@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, KnotctError, ParseError, ValidationError
-from .invariants import InvariantReport, closed_form, diagram_genus, skein_a2, skein_w3
+from .invariants import InvariantReport, closed_a2_w3, diagram_genus
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -26,9 +26,9 @@ from .montesinos import (
 )
 
 # The obstruction chain (`pipeline`), the sweeps and suites (`sweeps`), the
-# Jones and Seifert oracle, `csv` and `contextlib` are imported inside the
-# subcommands and branches that use them, so a single-spec query loads only
-# the code it runs.
+# Gauss diagram formulas, the Jones and Seifert oracle, `csv` and
+# `contextlib` are imported inside the subcommands and branches that use
+# them, so a single-spec query loads only the code it runs.
 
 
 class VerificationFailure(KnotctError):
@@ -38,19 +38,18 @@ class VerificationFailure(KnotctError):
 def invariant_report(spec, method="all") -> InvariantReport:
     """Compute an InvariantReport by the requested route(s).
 
-    "all" computes every applicable route, insists they agree, and merges;
-    disagreement is an error, never silently resolved.  Under "all" a
-    closed form that raises is left out.  A skein or Jones route over its
-    crossing budget is left out too; when no route is left, the first
-    budget error is raised, so a route requested alone still fails.
+    "all" runs the closed form, the Gauss diagram formulas and the Jones
+    route, insists they agree, and merges; disagreement is an error, never
+    silently resolved.  Under "all" a closed form that raises is left out,
+    and so is a Jones route over its crossing budget; the Gauss diagram
+    formulas have no budget, so a route always remains.  A route requested
+    alone still fails.
     """
     routes = {}
-    budget_error = None
     if method in ("closed", "all"):
         if isinstance(spec, FamilySpec):
             try:
-                r = closed_form(spec)
-                routes["closed"] = (r.a2, r.w3)
+                routes["closed"] = closed_a2_w3(spec)
             except KnotctError:
                 if method == "closed":
                     raise
@@ -58,27 +57,25 @@ def invariant_report(spec, method="all") -> InvariantReport:
             raise ValidationError(
                 "--method closed needs a family spec (P, DT, F1L, F1R or FAM:), not M(...)")
     d = spec.diagram()
-    if method in ("skein", "all"):
-        try:
-            routes["skein"] = (skein_a2(d), skein_w3(d))
-        except BudgetExceeded as exc:
-            budget_error = exc
+    if method in ("gauss", "all"):
+        from .gauss import gauss_a2, gauss_w3
+
+        routes["gauss"] = (gauss_a2(d), gauss_w3(d))
     if method in ("oracle", "all"):
         from .oracle import a2_w3_from_jones, jones_via_kauffman
 
         try:
             routes["oracle"] = a2_w3_from_jones(jones_via_kauffman(d))
-        except BudgetExceeded as exc:
-            budget_error = budget_error or exc
-    if not routes:
-        raise budget_error
+        except BudgetExceeded:
+            if method == "oracle":
+                raise
     if len(set(routes.values())) > 1:
         raise InvalidInput(f"route disagreement: {routes}")
     # every route gives both values; they are credited to the first route,
-    # in the order closed, skein, oracle, that ran
+    # in the order closed, gauss, oracle, that ran
     first = next(iter(routes))
     a2, w3 = routes[first]
-    tag = {"closed": "closed_form", "skein": "skein_engine", "oracle": "oracle"}[first]
+    tag = {"closed": "closed_form", "gauss": "gauss_diagram", "oracle": "oracle"}[first]
     meth = {"a2": tag, "w3": tag}
     sigma = tau = g = None
     if method in ("oracle", "all"):
@@ -230,7 +227,7 @@ def main(argv=None):
 
     q = sub.add_parser("invariants", help="a2/w3/sigma/tau/genus of one knot spec")
     q.add_argument("spec")
-    q.add_argument("--method", choices=["closed", "skein", "oracle", "all"], default="all")
+    q.add_argument("--method", choices=["closed", "gauss", "oracle", "all"], default="all")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_invariants)
 

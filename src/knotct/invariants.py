@@ -1,7 +1,7 @@
 """Order-two and order-three knot invariants.
 
-Two independent routes to a2 (the Conway z^2 coefficient) and w3 (the
-primitive order-three invariant, quarter-integer valued):
+Two routes to a2 (the Conway z^2 coefficient) and w3 (the primitive
+order-three invariant, quarter-integer valued):
 
 * closed forms per named family — polynomial formulas in the family
   parameters for every sign branch of the eleven genus-two Montesinos
@@ -20,11 +20,12 @@ primitive order-three invariant, quarter-integer valued):
   two passages, the smoothing splits the word in two, and Reidemeister I/II
   moves delete passages.
 
-The two routes must agree exactly wherever both apply; that cross-check is
-the backbone of the test suite.  `knotct.diagram.core` walks the Gauss word
-and finds its Reidemeister I/II moves (`_cancelling`), for this engine and
-for `PlanarDiagram.simplify`; `knotct.gauss` reads a2 and w3 off the word
-by counting sub-diagrams, a third route with no recursion.
+No command runs the skein engine: `obstruct`, `invariants` and the verify
+suites read a diagram's a2 and w3 from `knotct.gauss`, which counts
+sub-diagrams of the same word with no recursion, memo or budget.  The
+engine is the test suite's independent reference for those counts.
+`knotct.diagram.core` walks the Gauss word and finds its Reidemeister I/II
+moves (`_cancelling`), for this engine and for `PlanarDiagram.simplify`.
 
 `diagram_genus` is the genus that `obstruct` and the CLI's report read off
 the diagram of a spec without tangle pairs.
@@ -63,8 +64,8 @@ DEFAULT_SKEIN_BUDGET = 24
 class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
-    `method` maps field names to one of {"closed_form", "skein_engine",
-    "gauss_diagram", "oracle"}.  Any field may be None when no route produced
+    `method` maps field names to one of {"closed_form", "gauss_diagram",
+    "oracle"}.  Any field may be None when no route produced
     it (a verdict that fires early stops computing); `sigma`, `tau`, `genus`
     are filled by callers that compute them.
     """

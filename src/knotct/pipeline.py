@@ -107,10 +107,11 @@ def _gate_diagram(spec, norm):
     """The one diagram of `spec` that every gate reading a diagram reads:
     for normalized pairs `norm`, the build of their `alternating_build`,
     else of the pairs as they stand (a knot of length >= 3 that is not
-    alternating, or a two-bridge spec with mixed signs); for a spec without
-    pairs (a six-box template or an all-integer pretzel), its own diagram."""
+    alternating, or a two-bridge spec with mixed signs); a six-box template
+    as built; an all-unit pretzel, a (2, k) torus knot, simplified."""
     if norm is None:
-        return spec.diagram()
+        d = spec.diagram()
+        return d.simplify() if spec.family == "pretzel" else d
     return montesinos_diagram(*(alternating_build(norm) or norm))
 
 
@@ -139,8 +140,7 @@ def obstruct(spec) -> ObstructionVerdict:
     gates read one diagram; `verdict(rule)` builds the call's one
     `InvariantReport`, with tau = -sigma/2 when sigma is known.  The genus
     and signature gates share the spec's normalized pairs.  A spec without
-    pairs takes `diagram_genus` of a six-box template as built, or of an
-    all-integer pretzel (a (2, k) torus knot) simplified.  The signature
+    pairs takes `diagram_genus` of its gate diagram.  The signature
     gate builds nothing for a non-alternating knot with pairs; else sigma
     is the closed form when the gate diagram is reduced alternating, and
     the Seifert surface's otherwise.
@@ -148,7 +148,6 @@ def obstruct(spec) -> ObstructionVerdict:
     method = {}
     a2 = w3 = sigma = g = norm = built = None
     is_family = isinstance(spec, FamilySpec)
-    six_box = is_family and spec.family in ("fig1_left", "fig1_right")
 
     def diagram():
         nonlocal built
@@ -166,13 +165,12 @@ def obstruct(spec) -> ObstructionVerdict:
     # this rule never fires; it anchors the rule enum.
     stage = "genus"
     try:
-        if not six_box:
-            norm = _normal_pairs(spec)
+        norm = _normal_pairs(spec)  # None for a six-box template too
         if norm is not None:
             g = genus(norm).genus
             method["genus"] = "closed_form"
         else:
-            g, route = diagram_genus(diagram() if six_box else diagram().simplify())
+            g, route = diagram_genus(diagram())
             if g is not None:
                 method["genus"] = route
         if g is not None and g != 2:
@@ -228,8 +226,9 @@ def obstruct(spec) -> ObstructionVerdict:
 def twist_gate(spec) -> TwistGate:
     """Alternating-diagram twist-number gate: >= 7 twist regions certify no
     purely cosmetic surgeries.  It counts the twist regions of the diagram
-    `obstruct` reads, `_gate_diagram` (a `Builder` emission), so a pretzel with unit strands and
-    its `M(...)` form get one count, and raises `NotAlternating` or
+    `obstruct` reads, `_gate_diagram`, so a pretzel with unit strands and
+    its `M(...)` form get one count (an all-unit pretzel counts its
+    simplified (2, k) torus diagram), and raises `NotAlternating` or
     `NotReduced` when that diagram is not reduced alternating.  The twist
     number is an invariant only of twist-reduced diagrams (Lackenby, Proc.
     LMS 88, 2004); whether the gate diagram is one is not checked yet."""

@@ -7,7 +7,9 @@ mirror allowed) a member of the three surviving six-box sub-families, and
 within the six-box scope itself the survivors are exactly the zero set of
 the a2/w3 polynomials on the left template.
 
-`verify_suite` runs one named cross-validation suite and returns its report.
+`verify_suite` runs one named cross-validation suite and returns its report:
+`formulas` compares a2 four ways (Jones, Conway, Gauss diagram, closed form)
+and w3 three ways (no Conway); `claim42` checks its sign map against Gauss.
 
 Only the `classify-genus2` and `verify` commands load this module.
 """
@@ -23,7 +25,7 @@ from .cf_calculus import ContinuedFraction, evaluate, rewrite_identity, to_even_
 from .diagram import signature_alternating
 from .errors import InvalidInput, KnotctError, NoFormula, PatternMismatch, ValidationError
 from .gauss import gauss_a2, gauss_w3
-from .invariants import closed_form, skein_a2, skein_w3
+from .invariants import closed_form
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -325,10 +327,9 @@ def _suite_formulas(bound, checks):
             continue
         n += 1
         ja2, jw3 = a2_w3_from_jones(jones_via_kauffman(d))
-        sa2, sw3 = skein_a2(d), skein_w3(d)
         ca2 = conway_polynomial(seifert_pipeline(d)).coefficient(2)
-        vals = {ja2, sa2, ca2, gauss_a2(d)}
-        wvals = {jw3, sw3, gauss_w3(d)}
+        vals = {ja2, ca2, gauss_a2(d)}
+        wvals = {jw3, gauss_w3(d)}
         try:
             rep = closed_form(f)
             vals.add(rep.a2)
@@ -337,7 +338,7 @@ def _suite_formulas(bound, checks):
             pass
         if len(vals) != 1 or len(wvals) != 1:
             bad.append(str(f))
-    _check(checks, f"a2 five-way / w3 four-way agreement on {n} diagrams", not bad,
+    _check(checks, f"a2 four-way / w3 three-way agreement on {n} diagrams", not bad,
            bad[:5] or None)
 
 
@@ -448,10 +449,10 @@ def _suite_claim42(bound, checks):
     for (a, b, c, d, e) in ((1, 1, 1, 1, 1), (1, 2, 1, 1, 2), (2, 1, 2, 2, 1)):
         f = FamilySpec("o2", dict(a=a, b=-b, c=c, d=-d, e=e))
         dgm = f.diagram()
-        got = (skein_a2(dgm), skein_w3(dgm))
+        got = (gauss_a2(dgm), gauss_w3(dgm))
         if got != o2_alternating_a2_w3(a, b, c, d, e):
             bad_map.append(((a, b, c, d, e), got))
-    _check(checks, "alternating-regime sign mapping vs skein engine",
+    _check(checks, "alternating-regime sign mapping vs Gauss diagram formulas",
            not bad_map, bad_map or None)
     hits = []
     for a in range(0, bound + 1):

@@ -38,7 +38,7 @@ def test_ac1_formula_oracle_agreement():
     for c in rep["checks"]:
         if not c["passed"]:
             print("counterexample:", c["name"], c["counterexample"])
-    _report(f"AC1 five-way a2 / four-way w3 agreement, |param| <= 2 ({elapsed:.0f}s)", ok)
+    _report(f"AC1 four-way a2 / three-way w3 agreement, |param| <= 2 ({elapsed:.0f}s)", ok)
 
 
 def test_ac2_zero_family(monkeypatch):

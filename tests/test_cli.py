@@ -44,9 +44,9 @@ def test_invariants_json(capsys):
 
 
 def test_invariants_method_choice(capsys):
-    code, out, _ = run(capsys, "invariants", "P(1,1,1)", "--method", "skein", "--json")
+    code, out, _ = run(capsys, "invariants", "P(1,1,1)", "--method", "gauss", "--json")
     assert code == 0
-    assert json.loads(out)["method"]["a2"] == "skein_engine"
+    assert json.loads(out)["method"]["a2"] == "gauss_diagram"
 
 
 def test_invariants_closed_without_formula_fails(capsys):
@@ -253,6 +253,13 @@ def test_twists(capsys):
     assert "3 twist regions" in out
 
 
+@pytest.mark.parametrize("spec, twists", [("P(1,1,1,1,1,1,-1)", 1), ("P(-1,1,1)", 0)])
+def test_twists_of_an_all_unit_pretzel(capsys, spec, twists):
+    # the (2, 5) torus knot and the unknot, counted on their simplified diagrams
+    code, out, _ = run(capsys, "twists", spec)
+    assert code == 0 and out == f"{spec}: {twists} twist regions; gate does not fire\n"
+
+
 def test_classify_writes_csv(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run(
@@ -269,8 +276,8 @@ def test_classify_writes_csv(tmp_path, capsys):
 
 
 def test_classify_alternating_bound_three(capsys):
-    # 908 specs here have more than 24 crossings, the skein's budget;
-    # obstruct takes their a2 and w3 from closed forms
+    # 908 specs here have more than 24 crossings; obstruct takes their a2
+    # and w3 from closed forms
     code, out, _ = run(capsys, "classify-genus2", "--scope", "alternating_montesinos",
                        "--bound", "3")
     assert code == 0
@@ -330,8 +337,8 @@ def test_classify_csv_path_is_opened_before_the_sweep(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("spec, a2, w3", [
-    ("F1R(1,1,2,2,1,1)", -9, "-19"),  # 25 crossings: over the skein budget
-    ("F1R(2,2,0,1,2,2)", -14, "-47/2"),  # 27 crossings: over the Jones budget too
+    ("F1R(1,1,2,2,1,1)", -9, "-19"),  # 25 crossings
+    ("F1R(2,2,0,1,2,2)", -14, "-47/2"),  # 27 crossings: over the Jones budget
 ])
 def test_invariants_all_leaves_out_routes_past_their_budget(capsys, spec, a2, w3):
     code, out, _ = run(capsys, "invariants", spec, "--json")
@@ -342,7 +349,6 @@ def test_invariants_all_leaves_out_routes_past_their_budget(capsys, spec, a2, w3
 
 
 @pytest.mark.parametrize("spec, method, message", [
-    ("F1R(1,1,2,2,1,1)", "skein", "25 crossings exceeds the skein budget 24"),
     ("F1R(2,2,0,1,2,2)", "oracle", "27 crossings exceeds Jones budget 26"),
 ])
 def test_invariants_named_route_past_its_budget_fails(capsys, spec, method, message):
@@ -350,30 +356,50 @@ def test_invariants_named_route_past_its_budget_fails(capsys, spec, method, mess
     assert code == 1 and message in err
 
 
-def test_invariants_all_without_a2_raises_the_first_budget_error(capsys, monkeypatch):
+def test_invariants_gauss_route_has_no_crossing_budget(capsys, monkeypatch):
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
-    code, _, err = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)")  # no closed form
-    assert code == 1
-    assert err.splitlines() == ["error: 15 crossings exceeds the skein budget 5"]
+    for spec, a2, w3 in (("F1R(1,1,2,2,1,1)", -9, "-19"), ("F1R(2,2,0,1,2,2)", -14, "-47/2")):
+        code, out, _ = run(capsys, "invariants", spec, "--method", "gauss", "--json")
+        d = json.loads(out)
+        assert code == 0 and (d["a2"], d["w3"]) == (a2, w3)
+        assert d["method"]["a2"] == d["method"]["w3"] == "gauss_diagram"
 
 
-def test_invariants_credits_w3_to_the_route_that_gave_it(capsys, monkeypatch):
+def test_invariants_all_past_the_jones_budget_takes_gauss_values(capsys, monkeypatch):
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
+    code, out, err = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--json")  # no closed form
+    d = json.loads(out)
+    assert code == 0 and err == ""
+    assert (d["a2"], d["w3"]) == (2, "3/2")
+    assert d["method"]["a2"] == d["method"]["w3"] == "gauss_diagram"
+
+
+def test_invariants_credits_w3_to_the_route_that_gave_it(capsys):
     # an M(...) spec has no closed form, so w3 comes from the next route
     code, out, _ = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--json")
     d = json.loads(out)
-    assert code == 0 and d["method"]["a2"] == d["method"]["w3"] == "skein_engine"
-
-    def over_budget(d):
-        raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget 0")
-
-    monkeypatch.setattr("knotct.cli.skein_a2", over_budget)
-    code, out, _ = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--json")
+    assert code == 0 and d["method"]["a2"] == d["method"]["w3"] == "gauss_diagram"
+    code, out, _ = run(capsys, "invariants", "M(1/3,2/5,-1/3,1/5)", "--method", "oracle", "--json")
     e = json.loads(out)
     assert code == 0 and (e["a2"], e["w3"]) == (d["a2"], d["w3"])
     assert e["method"]["a2"] == e["method"]["w3"] == "oracle"
 
 
-@pytest.mark.parametrize("route", ["knotct.cli.skein_a2", "knotct.oracle.a2_w3_from_jones"])
+def test_invariants_past_the_jones_budget_without_a_closed_form(capsys, monkeypatch):
+    # 33 crossings and no closed form: past the Jones budget of 26, so only
+    # the Gauss diagram formulas give a2 and w3, as Jones does at budget 40
+    spec = "M(2/5,3/7,-4/9,5/11,2/7,3/8|1)"
+    code, out, _ = run(capsys, "invariants", spec, "--json")
+    d = json.loads(out)
+    assert code == 0 and (d["a2"], d["w3"]) == (3, "-1")
+    assert d["method"]["a2"] == d["method"]["w3"] == "gauss_diagram"
+    monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "40")
+    code, out, _ = run(capsys, "invariants", spec, "--method", "oracle", "--json")
+    e = json.loads(out)
+    assert code == 0 and (e["a2"], e["w3"]) == (3, "-1")
+
+
+@pytest.mark.parametrize("route", ["knotct.gauss.gauss_a2", "knotct.oracle.a2_w3_from_jones"])
 def test_invariants_all_leaves_out_only_budget_errors(capsys, monkeypatch, route):
     def broken(arg):
         raise NonIntegralA2("-V''(1)/6 = 1/2 is not an integer")

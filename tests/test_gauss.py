@@ -2,17 +2,19 @@
 count of the five w3 patterns."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from braids import closed_braid
 from test_diagram import template_knots, trefoil
 
-from knotct.errors import NotAKnot
+from knotct.errors import KnotctError, NotAKnot
 from knotct.gauss import _chords, gauss_a2, gauss_w3
 from knotct.invariants import skein_a2, skein_w3
 from knotct.montesinos import enumerate_family, parse_spec
 from knotct.oracle import a2_w3_from_jones, conway_polynomial, jones_via_kauffman, seifert_pipeline
+from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 
 W3_PATTERNS = ("U0 U1 O2 O0 U2 O1", "U0 O1 U2 O0 U1 O2", "U0 O1 O2 U1 O0 U2",
                "O0 U1 U0 O2 O1 U2", "O0 U1 O2 U0 O1 U2")
@@ -62,6 +64,22 @@ def test_prefix_table_count_matches_the_triple_scan():
         "FAM:o1p(a=-2,b=-2,c=1,d=1,sign=1)", "M(1/3,2/5,-1/3,1/5)")]
     for d in ds:
         assert gauss_w3(d) == naive_w3(d) == skein_w3(d)
+
+
+def test_skein_engine_is_the_reference_for_both_counts():
+    # no command runs the skein recursion; it checks the Gauss counts on a
+    # seeded sample of the formulas suite's knot diagrams, which that suite
+    # compares only with Jones, Conway and the closed forms
+    n = 0
+    for f in random.Random(20261019).sample(_formulas_specs(2), 5000):
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP:
+            n += 1
+            assert (gauss_a2(d), gauss_w3(d)) == (skein_a2(d), skein_w3(d)), str(f)
+    assert n == 4_728
 
 
 def large_family_diagrams():

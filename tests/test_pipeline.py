@@ -249,6 +249,30 @@ def test_a_pretzel_and_its_montesinos_form_get_one_twist_count():
     assert n == 3_819
 
 
+def test_all_unit_pretzels_read_one_simplified_gate_diagram():
+    # a pretzel whose every strand is +-1 is the (2, k) torus knot, k the
+    # strand sum, and has no tangle pairs: every gate reads its simplified
+    # diagram, reduced alternating with one twist region, none for |k| = 1.
+    # Genus or a2 fires on each, so no sigma gate is reached; the verdicts
+    # were recorded while the a2 gate still read the unsimplified build
+    h, rules, n = hashlib.sha256(), Counter(), 0
+    for r in range(2, 9):
+        for qs in itertools.product((1, -1), repeat=r):
+            f = FamilySpec("pretzel", {f"q{i + 1}": q for i, q in enumerate(qs)})
+            try:
+                f.diagram()
+            except NotAKnot:  # an even number of odd strands: a link
+                continue
+            n += 1
+            assert twist_gate(f).twists == (abs(sum(qs)) > 1), f
+            v = obstruct(f).to_dict()
+            rules[v["fired_rule"]] += 1
+            h.update((json.dumps(v, sort_keys=True) + "\n").encode())
+    assert n == 168
+    assert rules == {"genus_ne_2": 152, "a2_nonzero": 16}
+    assert h.hexdigest() == "9b2d0a93be35a475ca8faade0463e59e8572f384702995678e10ab0f69e0d487"
+
+
 def test_fired_rule_vocabulary():
     for spec in ("P(1,1,1)", "P(3,5,1)", "FAM:e3(a=1)", "DT(2,4)"):
         assert obstruct(parse_spec(spec)).fired_rule in FIRED_RULES

@@ -9,7 +9,6 @@ diagram, charging `time.process_time()` to the route that ran:
 - diagram build: `f.diagram()` and the component and crossing-cap checks
   (specs that build no knot diagram are charged here too);
 - Kauffman/Jones: `jones_via_kauffman`;
-- skein w3 + a2: `skein_a2`, `skein_w3`;
 - Gauss w3 + a2: `gauss_a2`, `gauss_w3`;
 - Seifert surface: `seifert_pipeline`;
 - Conway determinant: `conway_polynomial(...).coefficient(2)`;
@@ -25,7 +24,7 @@ import time
 
 from knotct.errors import KnotctError, NoFormula
 from knotct.gauss import gauss_a2, gauss_w3
-from knotct.invariants import closed_form, skein_a2, skein_w3
+from knotct.invariants import closed_form
 from knotct.oracle import (
     a2_w3_from_jones,
     conway_polynomial,
@@ -37,7 +36,6 @@ from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 ROUTES = (
     "diagram build",
     "Kauffman/Jones",
-    "skein w3 + a2",
     "Gauss w3 + a2",
     "Seifert surface",
     "Conway determinant",
@@ -64,21 +62,19 @@ def route_times(specs):
         crossings.append(d.n)
         jones = jones_via_kauffman(d)
         t2 = clock()
-        skein_a2(d), skein_w3(d)
-        t3 = clock()
         gauss_a2(d), gauss_w3(d)
-        t4 = clock()
+        t3 = clock()
         surface = seifert_pipeline(d)
-        t5 = clock()
+        t4 = clock()
         conway_polynomial(surface).coefficient(2)
-        t6 = clock()
+        t5 = clock()
         a2_w3_from_jones(jones)
         try:
             closed_form(f)
         except NoFormula:
             pass
-        t7 = clock()
-        marks = (t1, t2, t3, t4, t5, t6, t7)
+        t6 = clock()
+        marks = (t1, t2, t3, t4, t5, t6)
         for route, start, end in zip(ROUTES[1:], marks, marks[1:]):
             spent[route] += end - start
     return spent, crossings
