@@ -13,8 +13,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InvalidInput, KnotctError, ParseError, ValidationError
-from .invariants import InvariantReport, closed_a2_w3, diagram_genus
+from .errors import (
+    BudgetExceeded,
+    InvalidInput,
+    KnotctError,
+    NotAKnot,
+    ParseError,
+    ValidationError,
+)
+from .invariants import InvariantReport, closed_a2_w3, closed_form, diagram_genus
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -43,19 +50,25 @@ def invariant_report(spec, method="all") -> InvariantReport:
     silently resolved.  Under "all" a closed form that raises is left out,
     and so is a Jones route over its crossing budget; the Gauss diagram
     formulas have no budget, so a route always remains.  A route requested
-    alone still fails.
+    alone still fails.  "closed" builds no diagram: a link spec is refused
+    from its tangle pairs, or for a pretzel of unit strands, which has
+    none, from its strand count, before the closed form is tried.
     """
-    routes = {}
-    if method in ("closed", "all"):
-        if isinstance(spec, FamilySpec):
-            try:
-                routes["closed"] = closed_a2_w3(spec)
-            except KnotctError:
-                if method == "closed":
-                    raise
-        elif method == "closed":
+    if method == "closed":
+        if not isinstance(spec, FamilySpec):
             raise ValidationError(
                 "--method closed needs a family spec (P, DT, F1L, F1R or FAM:), not M(...)")
+        # _normal_pairs raises NotAKnot for pairs that make a link; unit
+        # strands make the (2, k) torus link of k strands when k is even
+        if _normal_pairs(spec) is None and spec.family == "pretzel" and len(spec.params) % 2 == 0:
+            raise NotAKnot("2 components")
+        return closed_form(spec)
+    routes = {}
+    if method == "all" and isinstance(spec, FamilySpec):
+        try:
+            routes["closed"] = closed_a2_w3(spec)
+        except KnotctError:
+            pass
     d = spec.diagram()
     if method in ("gauss", "all"):
         from .gauss import gauss_a2, gauss_w3

@@ -61,13 +61,52 @@ DEFAULT_SKEIN_BUDGET = 24
 # report
 
 
+class _Provenance(dict):
+    """A read-only field -> route map.  It prints, compares and serializes
+    as the dict of its items and hashes on them; a copy or an unpickled
+    one is made by `_provenance`, so it is the table's map again."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an InvariantReport's method map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _provenance, (dict(self),)
+
+
+# the method maps of reports, keyed by their items in insertion order; a
+# few dozen distinct maps occur, so the bound is never met in a sweep
+_PROVENANCE_TABLE_SIZE = 1 << 8
+_PROVENANCES = {}
+
+
+def _provenance(method):
+    """The shared read-only map with the items of `method`, in its order;
+    the table is cleared first when full."""
+    key = tuple(method.items())
+    shared = _PROVENANCES.get(key)
+    if shared is None:
+        if len(_PROVENANCES) >= _PROVENANCE_TABLE_SIZE:
+            _PROVENANCES.clear()
+        shared = _PROVENANCES[key] = _Provenance(key)
+    return shared
+
+
 class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
     `method` maps field names to one of {"closed_form", "gauss_diagram",
-    "oracle"}.  Any field may be None when no route produced
-    it (a verdict that fires early stops computing); `sigma`, `tau`, `genus`
-    are filled by callers that compute them.
+    "oracle"}; it is read-only, and reports with the same items in the
+    same order share one map (`_provenance`).  Any field may be None when
+    no route produced it (a verdict that fires early stops computing);
+    `sigma`, `tau`, `genus` are filled by callers that compute them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
@@ -80,7 +119,7 @@ class InvariantReport(Record):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "method", {} if method is None else method)
+        object.__setattr__(self, "method", _provenance({} if method is None else method))
 
     def to_dict(self):
         def frac(x):

@@ -27,8 +27,18 @@ Which paths check a family spec and which trust it: user input (the
 `ValidationError` on a breach.  `enumerate_family` trusts its draw: each
 parameter ranges only over the (name, value) pairs its rule admits, so it
 sets each record's slots directly (`_drawn_specs`), with no `__init__` and
-no check, and its records equal, hash and print like the checked ones.  No
-assert carries any of this, so `python -O` changes nothing.
+no check, and its records equal, hash and print like the checked ones; the
+six-box spec lists of `knotct.sweeps` take the same path
+(`_six_box_specs`), since their rule admits every value.  No assert carries
+any of this, so `python -O` changes nothing.
+
+Both paths take each (name, value) pair of a spec's `params` from one
+table, `_PAIRS`, so equal pairs of any number of specs are one tuple, and
+each family name is one string: a parsed bound-3 `FAM:` spec holds 152
+bytes (tracemalloc, CPython 3.11), where fresh pairs and names held 469.
+The table holds at most `_PAIR_TABLE_SIZE` = 4,096 pairs, far more than the
+few hundred of a bound-4 sweep, and is cleared when full; a spec built
+after a clearing is equal to, but shares nothing with, one built before.
 
 `genus` reads each tangle's normal form from a memo keyed on the tangle's
 (beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
@@ -169,6 +179,26 @@ _SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
                 "F1L": ("fig1_left", 6, 1), "F1R": ("fig1_right", 6, 1)}
 
 
+# each family name as one string object, so a parsed spec holds no copy
+_FAMILIES = {name: name for name in (*_RULES, "pretzel")}
+# the (name, value) pairs of specs' `params`: each pair maps to itself, so
+# equal pairs of any number of specs are one tuple; cleared when full
+_PAIR_TABLE_SIZE = 1 << 12
+_PAIRS = {}
+
+
+def _shared_pairs(pairs):
+    """A tuple of `_PAIRS`' own pairs equal to `pairs`, a list of (name,
+    value) pairs; the table is cleared first if they might not fit, and a
+    list too long for the table is returned as a tuple of its own pairs."""
+    if len(_PAIRS) + len(pairs) > _PAIR_TABLE_SIZE:
+        _PAIRS.clear()
+        if len(pairs) > _PAIR_TABLE_SIZE:
+            return tuple(pairs)
+    share = _PAIRS.setdefault
+    return tuple([share(p, p) for p in pairs])
+
+
 class FamilySpec(Record):
     """A knot named by family and integer parameters.
 
@@ -209,9 +239,9 @@ class FamilySpec(Record):
                 raise ValidationError(f"{family} needs sign_variant +-1")
         elif sign_variant is not None:
             raise ValidationError(f"{family} takes no sign_variant")
-        object.__setattr__(self, "family", family)
-        # (name, value) pairs in the family's parameter order
-        object.__setattr__(self, "params", tuple(zip(names, values)))
+        object.__setattr__(self, "family", _FAMILIES[family])
+        # (name, value) pairs in the family's parameter order, from `_PAIRS`
+        object.__setattr__(self, "params", _shared_pairs(list(zip(names, values))))
         object.__setattr__(self, "sign_variant", sign_variant)
         object.__setattr__(self, "mirror", bool(mirror))
 
@@ -406,24 +436,37 @@ def enumerate_family(family, bound):
         raise InvalidInput(f"not an enumerable genus-2 family: {family!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
-    # each parameter ranges over the (name, value) pairs FamilySpec admits
-    # for it alone, so every combination is a spec's `params` as it stands
+    # each parameter ranges over the values FamilySpec admits for it alone,
+    # so every combination is a spec's parameters as they stand
     names, _, _, not_minus_one, a_min, signed = _RULES[family]
-    axes = [[(k, v) for v in range(-bound, bound + 1)
+    axes = [[v for v in range(-bound, bound + 1)
              if v and not (v == -1 and i in not_minus_one or i == 0 and a_min and abs(v) < 2)]
-            for i, k in enumerate(names)]
+            for i in range(len(names))]
     variants = list(product((1, -1) if signed else (None,),
                             (False, True) if family in _MIRROR_FAMILIES else (False,)))
-    return _drawn_specs(family, product(*axes), variants)
+    return _drawn_specs(family, axes, variants)
 
 
-def _drawn_specs(family, combos, variants):
+def _six_box_specs(family, values):
+    """Every spec of the six-box template `family` (fig1_left or
+    fig1_right) whose parameters range over `values`, ascending
+    lexicographically; its rule admits every value, zero too."""
+    return _drawn_specs(family, [values] * 6, [(None, False)])
+
+
+def _drawn_specs(family, axes, variants):
     """FamilySpec records set slot by slot, without `__init__`'s checks,
-    which `enumerate_family`'s draw already meets: the records equal,
-    hash and print like the checked constructions."""
+    for every combination of the family's parameters over `axes`, one list
+    of admitted values per parameter, and every (sign, mirror) of
+    `variants`.  The caller's draw meets the checks, and each parameter's
+    pairs come from `_PAIRS`, so the records equal, hash and print like
+    the checked constructions and share their pairs."""
+    names = _RULES[family][0]
+    pairs = [_shared_pairs([(k, v) for v in axis]) for k, axis in zip(names, axes)]
+    family = _FAMILIES[family]
     new = object.__new__
     set_family, set_params, set_sign, set_mirror = _SLOT_SETTERS
-    for params in combos:
+    for params in product(*pairs):
         for s, m in variants:
             f = new(FamilySpec)
             set_family(f, family)

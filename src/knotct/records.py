@@ -2,16 +2,23 @@
 
 `Record` gives a `__slots__` class the value semantics of a frozen
 dataclass: equality and hashing on the tuple of its fields, taken in
-`__slots__` order; a repr that names the class and every field; and no
+`__slots__` order (so a record that holds a dict, as `ClassificationRun`
+does, cannot be hashed); a repr that names the class and every field; and no
 attribute assignment or deletion once built.  Each subclass lists its
 fields in `__slots__` and sets them in its own `__init__` through
 `object.__setattr__`; a record class is not subclassed further.
 
 `FamilySpec` has a second, trusted way in: `montesinos._drawn_specs` sets
-the slots of records `enumerate_family` has drawn through the slot
-descriptors, with no `__init__` call.  Any per-record state a later change
-adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
-field) must be set there too.
+the slots of records `enumerate_family` (and the six-box lists of the
+sweeps) have drawn through the slot descriptors, with no `__init__` call.
+Any per-record state a later change adds to `Record` or
+`FamilySpec.__init__` (a cached hash, a normalized field) must be set there
+too, as the shared (name, value) pairs of `params` are: both ways take
+them from `montesinos._PAIRS`.
+
+A field a record shares with others must not change under them:
+`InvariantReport.method` is a read-only mapping, one per distinct map of
+items (`invariants._provenance`), that raises `TypeError` on assignment.
 
 The package defines its records this way rather than with `dataclasses`,
 whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a

@@ -7,14 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import knotct
 from knotct import pipeline, sweeps
-from knotct.cli import main
+from knotct.cli import invariant_report, main
 from knotct.errors import BudgetExceeded, InconsistentDiagram, NonIntegralA2
-from knotct.montesinos import parse_spec
+from knotct.montesinos import FamilySpec, parse_spec
 from knotct.oracle import conway_polynomial, seifert_pipeline
 
 
@@ -130,6 +131,30 @@ def test_link_spec_exits_2(argv, message):
     assert p.returncode == 2
     assert p.stderr.splitlines()[0] == f"error: {message}"
     assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("method", ["closed", "gauss", "oracle", "all"])
+@pytest.mark.parametrize("spec", ["P(2,2,1)", "P(1,1,1,1)"])
+def test_link_spec_exits_2_under_every_method(spec, method):
+    # a link from its tangle pairs, and one of unit strands, which has none
+    p = _cli(["invariants", spec, "--method", method])
+    assert p.returncode == 2
+    assert p.stderr.startswith("error: ") and "components" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_closed_method_builds_no_diagram(monkeypatch):
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return diagram(spec)
+
+    diagram = FamilySpec.diagram
+    monkeypatch.setattr(FamilySpec, "diagram", counted)
+    rep = invariant_report(parse_spec("P(3,5,7)"), "closed")
+    assert (rep.a2, rep.w3) == (18, Fraction(75, 2)) and builds == []
+    assert rep.method == {"a2": "closed_form", "w3": "closed_form"}
 
 
 def test_link_spec_error_has_no_stage_note():

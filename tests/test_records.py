@@ -3,6 +3,7 @@ the validations their constructors make."""
 
 import copy
 import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,12 @@ def _evidence():
 
 
 # (class, its fields in order, a function that makes one, the same record with one field
-# changed, hashable?) -- a record holding a dict cannot be hashed
+# changed, hashable?) -- a record holding a plain dict cannot be hashed
 RECORDS = [
     (ContinuedFraction, ("entries",),
      lambda: ContinuedFraction([3, 2]), ContinuedFraction([3, 3]), True),
     (InvariantReport, ("a2", "w3", "sigma", "tau", "genus", "method"),
-     _evidence, InvariantReport(a2=2, w3=Fraction(-3, 4), method={"a2": "closed_form"}), False),
+     _evidence, InvariantReport(a2=2, w3=Fraction(-3, 4), method={"a2": "closed_form"}), True),
     (MontesinosSpec, ("tangles", "gamma"),
      lambda: MontesinosSpec([Fraction(1, 2), Fraction(1, 3)]),
      MontesinosSpec([Fraction(1, 2), Fraction(1, 3)], 1), True),
@@ -41,7 +42,7 @@ RECORDS = [
      lambda: SeifertData(1, ((-1, 1), (0, -1)), 4), SeifertData(1, ((-1, 1), (0, -1)), 3), True),
     (ObstructionVerdict, ("verdict", "fired_rule", "evidence"),
      lambda: ObstructionVerdict("no_pcs", "a2_nonzero", _evidence()),
-     ObstructionVerdict("no_pcs", "w3_nonzero", _evidence()), False),
+     ObstructionVerdict("no_pcs", "w3_nonzero", _evidence()), True),
     (TwistGate, ("twists", "fires"), lambda: TwistGate(3, False), TwistGate(7, True), True),
     (ClassificationRun, ("scope", "bound", "survivors", "eliminated", "matches", "failures"),
      lambda: ClassificationRun("fig1", 1, (), {"F1L(0,0,0,0,0,1)": "genus_ne_2"}),
@@ -79,7 +80,15 @@ def test_record_contract(cls, fields, build, changed, hashable):
 
 def test_record_defaults():
     assert InvariantReport().method == {} and InvariantReport().a2 is None
-    assert InvariantReport().method is not InvariantReport().method
+    # a report's method map is shared with every report of the same items,
+    # so writing into one would rewrite them all; it refuses
+    method = InvariantReport().method
+    for write in (lambda: method.__setitem__("a2", "oracle"), lambda: method.update(a2="oracle"),
+                  lambda: method.setdefault("a2", "oracle"), lambda: method.pop("a2", None),
+                  method.clear, method.popitem):
+        with pytest.raises(TypeError):
+            write()
+    assert method == {} and InvariantReport().method == {}
     assert GenusBreakdown(2, "odd", (1, 2)).p is None
     run = ClassificationRun("fig1", 1, (), {})
     assert run.matches == {} and run.failures == ()
@@ -98,3 +107,19 @@ def test_record_defaults():
 def test_record_validation(build, message):
     with pytest.raises(InvalidInput, match=message):
         build()
+
+
+def test_method_maps_are_shared_and_survive_copy_and_pickle():
+    a = InvariantReport(a2=0, method={"genus": "closed_form", "a2": "gauss_diagram"})
+    b = InvariantReport(a2=1, method=dict(genus="closed_form", a2="gauss_diagram"))
+    assert a.method is b.method
+    assert repr(a.method) == "{'genus': 'closed_form', 'a2': 'gauss_diagram'}"
+    assert a.to_dict()["method"] == {"a2": "gauss_diagram", "genus": "closed_form"}
+    assert type(a.to_dict()["method"]) is dict
+    # equal in any order, as dicts are, so it hashes on its items alone
+    c = InvariantReport(a2=0, method={"a2": "gauss_diagram", "genus": "closed_form"})
+    assert c.method is not a.method and c == a and hash(c) == hash(a)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and repr(twin) == repr(a) and twin.method is a.method
+    with pytest.raises(TypeError):
+        a.method["sigma"] = "oracle"
