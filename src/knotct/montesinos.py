@@ -340,9 +340,6 @@ class FamilySpec(Record):
         return f"FAM:{self.family}(" + ",".join(kv) + ")"
 
 
-# the slots' own setters, in __slots__ order, for records whose values need
-# no check (`_drawn_specs`)
-_SLOT_SETTERS = tuple(FamilySpec.__dict__[k].__set__ for k in FamilySpec.__slots__)
 # (family, sign_variant, mirror) -> the `FAM:` string of a genus-2 family
 # spec with %d for each parameter value, as the general `__str__` prints it
 _FAM_FORMATS = {
@@ -465,7 +462,7 @@ def _drawn_specs(family, axes, variants):
     pairs = [_shared_pairs([(k, v) for v in axis]) for k, axis in zip(names, axes)]
     family = _FAMILIES[family]
     new = object.__new__
-    set_family, set_params, set_sign, set_mirror = _SLOT_SETTERS
+    set_family, set_params, set_sign, set_mirror = FamilySpec._slot_setters
     for params in product(*pairs):
         for s, m in variants:
             f = new(FamilySpec)
