@@ -64,7 +64,7 @@ DEFAULT_SKEIN_BUDGET = 24
 class _Provenance(dict):
     """A read-only field -> route map.  It prints, compares and serializes
     as the dict of its items and hashes on them; a copy or an unpickled
-    one is made by `_provenance`, so it is the table's map again."""
+    one is built from that dict."""
 
     __slots__ = ()
 
@@ -78,35 +78,17 @@ class _Provenance(dict):
         return hash(frozenset(self.items()))
 
     def __reduce__(self):
-        return _provenance, (dict(self),)
-
-
-# the method maps of reports, keyed by their items in insertion order; the
-# bound-3 families and a seventh of the AC1 list make 6 distinct maps
-_PROVENANCE_TABLE_SIZE = 1 << 8
-_PROVENANCES = {}
-
-
-def _provenance(method):
-    """The shared read-only map with the items of `method`, in its order;
-    the table is cleared first when full."""
-    key = tuple(method.items())
-    shared = _PROVENANCES.get(key)
-    if shared is None:
-        if len(_PROVENANCES) >= _PROVENANCE_TABLE_SIZE:
-            _PROVENANCES.clear()
-        shared = _PROVENANCES[key] = _Provenance(key)
-    return shared
+        return _Provenance, (dict(self),)
 
 
 class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
     `method` maps field names to one of {"closed_form", "gauss_diagram",
-    "oracle"}; it is read-only, and reports with the same items in the
-    same order share one map (`_provenance`).  Any field may be None when
-    no route produced it (a verdict that fires early stops computing);
-    `sigma`, `tau`, `genus` are filled by callers that compute them.
+    "oracle"}, in a read-only copy of the map it is given (`_Provenance`).
+    Any field may be None when no route produced it (a verdict that fires
+    early stops computing); `sigma`, `tau`, `genus` are filled by callers
+    that compute them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
@@ -114,13 +96,12 @@ class InvariantReport(Record):
     def __init__(self, a2=None, w3=None, sigma=None, tau=None, genus=None, method=None):
         if w3 is not None and 4 % w3.denominator != 0:
             raise InvalidInput(f"w3 denominator {w3.denominator} does not divide 4")
-        set_a2, set_w3, set_sigma, set_tau, set_genus, set_method = self._slot_setters
-        set_a2(self, a2)
-        set_w3(self, w3)
-        set_sigma(self, sigma)
-        set_tau(self, tau)
-        set_genus(self, genus)
-        set_method(self, _provenance({} if method is None else method))
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "w3", w3)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "method", _Provenance(() if method is None else method))
 
     def to_dict(self):
         def frac(x):

@@ -27,10 +27,8 @@ Which paths check a family spec and which trust it: user input (the
 `ValidationError` on a breach.  `enumerate_family` trusts its draw: each
 parameter ranges only over the (name, value) pairs its rule admits, so it
 sets each record's slots directly (`_drawn_specs`), with no `__init__` and
-no check, and its records equal, hash and print like the checked ones; the
-six-box spec lists of `knotct.sweeps` take the same path
-(`_six_box_specs`), since their rule admits every value.  No assert carries
-any of this, so `python -O` changes nothing.
+no check, and its records equal, hash and print like the checked ones.  No
+assert carries any of this, so `python -O` changes nothing.
 
 Both paths take each (name, value) pair of a spec's `params` from one
 table, `_PAIRS`, so equal pairs of any number of specs are one tuple, and
@@ -340,6 +338,9 @@ class FamilySpec(Record):
         return f"FAM:{self.family}(" + ",".join(kv) + ")"
 
 
+# the slots' own setters, in __slots__ order, for records whose values need
+# no check (`_drawn_specs`)
+_SLOT_SETTERS = tuple(FamilySpec.__dict__[k].__set__ for k in FamilySpec.__slots__)
 # (family, sign_variant, mirror) -> the `FAM:` string of a genus-2 family
 # spec with %d for each parameter value, as the general `__str__` prints it
 _FAM_FORMATS = {
@@ -433,37 +434,26 @@ def enumerate_family(family, bound):
         raise InvalidInput(f"not an enumerable genus-2 family: {family!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
-    # each parameter ranges over the values FamilySpec admits for it alone,
-    # so every combination is a spec's parameters as they stand
+    # each parameter ranges over the (name, value) pairs FamilySpec admits
+    # for it alone, taken from `_PAIRS`, so every combination is a spec's
+    # `params` as it stands
     names, _, _, not_minus_one, a_min, signed = _RULES[family]
-    axes = [[v for v in range(-bound, bound + 1)
-             if v and not (v == -1 and i in not_minus_one or i == 0 and a_min and abs(v) < 2)]
-            for i in range(len(names))]
+    axes = [_shared_pairs([(k, v) for v in range(-bound, bound + 1)
+                           if v and not (v == -1 and i in not_minus_one
+                                         or i == 0 and a_min and abs(v) < 2)])
+            for i, k in enumerate(names)]
     variants = list(product((1, -1) if signed else (None,),
                             (False, True) if family in _MIRROR_FAMILIES else (False,)))
-    return _drawn_specs(family, axes, variants)
+    return _drawn_specs(_FAMILIES[family], product(*axes), variants)
 
 
-def _six_box_specs(family, values):
-    """Every spec of the six-box template `family` (fig1_left or
-    fig1_right) whose parameters range over `values`, ascending
-    lexicographically; its rule admits every value, zero too."""
-    return _drawn_specs(family, [values] * 6, [(None, False)])
-
-
-def _drawn_specs(family, axes, variants):
+def _drawn_specs(family, combos, variants):
     """FamilySpec records set slot by slot, without `__init__`'s checks,
-    for every combination of the family's parameters over `axes`, one list
-    of admitted values per parameter, and every (sign, mirror) of
-    `variants`.  The caller's draw meets the checks, and each parameter's
-    pairs come from `_PAIRS`, so the records equal, hash and print like
-    the checked constructions and share their pairs."""
-    names = _RULES[family][0]
-    pairs = [_shared_pairs([(k, v) for v in axis]) for k, axis in zip(names, axes)]
-    family = _FAMILIES[family]
+    which `enumerate_family`'s draw already meets: the records equal,
+    hash and print like the checked constructions and share their pairs."""
     new = object.__new__
-    set_family, set_params, set_sign, set_mirror = FamilySpec._slot_setters
-    for params in product(*pairs):
+    set_family, set_params, set_sign, set_mirror = _SLOT_SETTERS
+    for params in combos:
         for s, m in variants:
             f = new(FamilySpec)
             set_family(f, family)

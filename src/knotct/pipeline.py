@@ -79,10 +79,9 @@ class ObstructionVerdict(Record):
             raise InvalidInput(f"unknown rule {fired_rule!r}")
         if (verdict == "no_pcs") != (fired_rule != "none"):
             raise InvalidInput("verdict must be no_pcs exactly when a rule fired")
-        set_verdict, set_rule, set_evidence = self._slot_setters
-        set_verdict(self, verdict)
-        set_rule(self, fired_rule)
-        set_evidence(self, evidence)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fired_rule", fired_rule)
+        object.__setattr__(self, "evidence", evidence)
 
     def to_dict(self):
         return {

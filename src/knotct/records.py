@@ -6,21 +6,18 @@ dataclass: equality and hashing on the tuple of its fields, taken in
 does, cannot be hashed); a repr that names the class and every field; and no
 attribute assignment or deletion once built.  Each subclass lists its
 fields in `__slots__` and sets them in its own `__init__` through
-`object.__setattr__`, or, where a sweep builds one per spec, through
-`_slot_setters`, the slot descriptors' own setters in `__slots__` order,
-which take a third of the time; a record class is not subclassed further.
+`object.__setattr__`; a record class is not subclassed further.
 
 `FamilySpec` has a second, trusted way in: `montesinos._drawn_specs` sets
-the slots of records `enumerate_family` (and the six-box lists of the
-sweeps) have drawn through the slot descriptors, with no `__init__` call.
-Any per-record state a later change adds to `Record` or
-`FamilySpec.__init__` (a cached hash, a normalized field) must be set there
-too, as the shared (name, value) pairs of `params` are: both ways take
-them from `montesinos._PAIRS`.
+the slots of records `enumerate_family` has drawn through the slot
+descriptors, with no `__init__` call.  Any per-record state a later change
+adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
+field) must be set there too, as the shared (name, value) pairs of
+`params` are: both ways take them from `montesinos._PAIRS`.
 
-A field a record shares with others must not change under them:
-`InvariantReport.method` is a read-only mapping, one per distinct map of
-items (`invariants._provenance`), that raises `TypeError` on assignment.
+A mutable field would let a frozen record change: `InvariantReport.method`
+is a read-only dict (`invariants._Provenance`) that raises `TypeError` on
+assignment, so a report hashes and is not rewritten through its map.
 
 The package defines its records this way rather than with `dataclasses`,
 whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a
@@ -39,7 +36,6 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._slot_setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         get = attrgetter(*cls.__slots__)
         if len(cls.__slots__) == 1:  # a one-name attrgetter returns the bare value
             cls._fields = lambda self: (get(self),)

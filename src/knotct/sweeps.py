@@ -30,7 +30,6 @@ from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
     _normal_pairs,
-    _six_box_specs,
     enumerate_family,
     genus,
     is_alternating_knot,
@@ -169,7 +168,8 @@ def _scope_specs(scope, bound):
                 yield f
     elif scope == "fig1":
         for fam in ("fig1_left", "fig1_right"):
-            yield from _six_box_specs(fam, range(0, bound + 1))
+            for vals in itertools.product(range(0, bound + 1), repeat=6):
+                yield FamilySpec(fam, dict(zip("abcdef", vals)))
     else:
         raise InvalidInput(f"unknown scope {scope!r}")
 
@@ -311,7 +311,8 @@ def _formulas_specs(bound):
             if x and y:
                 specs.append(FamilySpec("double_twist", dict(x=x, y=y)))
     for fam in ("fig1_left", "fig1_right"):
-        specs.extend(_six_box_specs(fam, range(-bound, bound + 1)))
+        for vals in itertools.product(range(-bound, bound + 1), repeat=6):
+            specs.append(FamilySpec(fam, dict(zip("abcdef", vals))))
     return specs
 
 

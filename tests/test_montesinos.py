@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotct import montesinos, sweeps
+from knotct import montesinos
 from knotct.cf_calculus import to_even_cf, to_strict_cf
 from knotct.diagram import additive_cf, construct, montesinos_diagram
 from knotct.errors import InvalidInput, KnotctError, NotAKnot, ParseError, ValidationError
@@ -474,23 +474,6 @@ def test_enumerated_specs_are_the_checked_constructions():
                     except ValidationError:
                         pass
         assert specs == grid, family
-
-
-def test_formulas_specs_are_the_checked_constructions():
-    # the six-box specs of the formulas suite and of the fig1 scope are set
-    # slot by slot like enumerate_family's; each must be the record the
-    # checked constructor builds, and the lists those it built over the grid
-    specs = _formulas_specs(2)
-    assert len(specs) == 33_964
-    for f in specs:
-        checked = FamilySpec(f.family, dict(f.params), f.sign_variant, f.mirror)
-        assert f == checked and hash(f) == hash(checked)
-        assert repr(f) == repr(checked) and str(f) == str(checked)
-    for got, values in (([f for f in specs if f.family.startswith("fig1")], range(-2, 3)),
-                        (list(sweeps._scope_specs("fig1", 2)), range(3))):
-        assert got == [FamilySpec(family, dict(zip("abcdef", vals)))
-                       for family in ("fig1_left", "fig1_right")
-                       for vals in itertools.product(values, repeat=6)]
 
 
 @pytest.mark.parametrize("family, bound, error", [
