@@ -64,7 +64,7 @@ DEFAULT_SKEIN_BUDGET = 24
 class _Provenance(dict):
     """A read-only field -> route map.  It prints, compares and serializes
     as the dict of its items and hashes on them; a copy or an unpickled
-    one is built from that dict."""
+    one is made by `_provenance`, so it is the table's map again."""
 
     __slots__ = ()
 
@@ -78,17 +78,38 @@ class _Provenance(dict):
         return hash(frozenset(self.items()))
 
     def __reduce__(self):
-        return _Provenance, (dict(self),)
+        return _provenance, (dict(self),)
+
+
+# the method maps of reports, keyed by their keys then their values, in
+# insertion order: a map per report would be one more object for the cyclic
+# collector per report (a dict subclass is always tracked, a dict of strings
+# is not), which lengthens every collection while a caller keeps verdicts;
+# the bound-3 families make 6 distinct maps
+_PROVENANCE_TABLE_SIZE = 1 << 8
+_PROVENANCES = {}
+
+
+def _provenance(method):
+    """The shared read-only map with the items of `method`, in its order;
+    the table is cleared first when full."""
+    key = (*method, *method.values())
+    shared = _PROVENANCES.get(key)
+    if shared is None:
+        if len(_PROVENANCES) >= _PROVENANCE_TABLE_SIZE:
+            _PROVENANCES.clear()
+        shared = _PROVENANCES[key] = _Provenance(method)
+    return shared
 
 
 class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
     `method` maps field names to one of {"closed_form", "gauss_diagram",
-    "oracle"}, in a read-only copy of the map it is given (`_Provenance`).
-    Any field may be None when no route produced it (a verdict that fires
-    early stops computing); `sigma`, `tau`, `genus` are filled by callers
-    that compute them.
+    "oracle"}; it is read-only, and reports with the same items in the
+    same order share one map (`_provenance`).  Any field may be None when
+    no route produced it (a verdict that fires early stops computing);
+    `sigma`, `tau`, `genus` are filled by callers that compute them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
@@ -101,7 +122,7 @@ class InvariantReport(Record):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "method", _Provenance(() if method is None else method))
+        object.__setattr__(self, "method", _provenance({} if method is None else method))
 
     def to_dict(self):
         def frac(x):

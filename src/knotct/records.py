@@ -15,9 +15,9 @@ adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
 field) must be set there too, as the shared (name, value) pairs of
 `params` are: both ways take them from `montesinos._PAIRS`.
 
-A mutable field would let a frozen record change: `InvariantReport.method`
-is a read-only dict (`invariants._Provenance`) that raises `TypeError` on
-assignment, so a report hashes and is not rewritten through its map.
+A field a record shares with others must not change under them:
+`InvariantReport.method` is a read-only mapping, one per distinct map of
+items (`invariants._provenance`), that raises `TypeError` on assignment.
 
 The package defines its records this way rather than with `dataclasses`,
 whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a

@@ -1,10 +1,12 @@
 """What family specs and obstruct verdicts hold, read from tracemalloc:
-family specs share their (name, value) pairs from one bounded table."""
+specs share their (name, value) pairs and reports their method maps,
+each from one bounded table."""
 
 import gc
 import tracemalloc
 
 from knotct import montesinos
+from knotct.invariants import _PROVENANCE_TABLE_SIZE, _PROVENANCES, InvariantReport
 from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
 from knotct.pipeline import obstruct
 from knotct.sweeps import _formulas_specs
@@ -42,13 +44,12 @@ def test_parsed_specs_hold_at_most_200_bytes_each():
     assert len(specs) == N and held <= 200 * N, held / N
 
 
-def test_verdicts_hold_at_most_500_bytes_each():
-    # each holds its report's own read-only method map, as large as the
-    # plain dict it copies
+def test_verdicts_hold_at_most_300_bytes_each():
     specs = [parse_spec(t) for t in _bound3_texts()]
     [obstruct(f) for f in specs]
     verdicts, held = _held(lambda: [obstruct(f) for f in specs])
-    assert len(verdicts) == N and held <= 500 * N, held / N
+    assert len(verdicts) == N and held <= 300 * N, held / N
+    assert len({id(v.evidence.method) for v in verdicts}) <= _PROVENANCE_TABLE_SIZE
 
 
 def test_formulas_spec_list_holds_at_most_6_mb():
@@ -89,3 +90,9 @@ def test_pair_table_stays_bounded():
         assert twin == f and hash(twin) == hash(f)
         assert repr(twin) == repr(f) and str(twin) == str(f)
 
+
+def test_method_table_stays_bounded():
+    names = [f"f{i}" for i in range(2 * _PROVENANCE_TABLE_SIZE)]
+    reports = [InvariantReport(method={name: "oracle"}) for name in names]
+    assert len(_PROVENANCES) <= _PROVENANCE_TABLE_SIZE
+    assert [r.method for r in reports] == [{name: "oracle"} for name in names]

@@ -80,7 +80,8 @@ def test_record_contract(cls, fields, build, changed, hashable):
 
 def test_record_defaults():
     assert InvariantReport().method == {} and InvariantReport().a2 is None
-    # a report is frozen, and so is its method map: writing into it refuses
+    # a report's method map is shared with every report of the same items,
+    # so writing into one would rewrite them all; it refuses
     method = InvariantReport().method
     for write in (lambda: method.__setitem__("a2", "oracle"), lambda: method.update(a2="oracle"),
                   lambda: method.setdefault("a2", "oracle"), lambda: method.pop("a2", None),
@@ -108,18 +109,20 @@ def test_record_validation(build, message):
         build()
 
 
-def test_method_maps_survive_copy_and_pickle():
+def test_method_maps_are_shared_and_survive_copy_and_pickle():
     given = {"genus": "closed_form", "a2": "gauss_diagram"}
     a = InvariantReport(a2=0, method=given)
-    given["a2"] = "oracle"  # the report holds its own copy
+    b = InvariantReport(a2=1, method=dict(genus="closed_form", a2="gauss_diagram"))
+    assert a.method is b.method
+    given["a2"] = "oracle"  # the shared map is not the caller's dict
     assert a.method == {"genus": "closed_form", "a2": "gauss_diagram"}
     assert repr(a.method) == "{'genus': 'closed_form', 'a2': 'gauss_diagram'}"
     assert a.to_dict()["method"] == {"a2": "gauss_diagram", "genus": "closed_form"}
     assert type(a.to_dict()["method"]) is dict
     # equal in any order, as dicts are, so it hashes on its items alone
     c = InvariantReport(a2=0, method={"a2": "gauss_diagram", "genus": "closed_form"})
-    assert c == a and hash(c) == hash(a)
+    assert c.method is not a.method and c == a and hash(c) == hash(a)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert twin == a and repr(twin) == repr(a) and hash(twin) == hash(a)
-        with pytest.raises(TypeError):
-            twin.method["sigma"] = "oracle"
+        assert twin == a and repr(twin) == repr(a) and twin.method is a.method
+    with pytest.raises(TypeError):
+        a.method["sigma"] = "oracle"
