@@ -14,12 +14,12 @@ genus two, each stated by its tangle fractions, and can enumerate them,
 convert them to `MontesinosSpec`s, and compute genus from the strict/even
 continued-fraction normal forms.
 
-The spec layer runs in integer arithmetic: a family's tangles are (beta,
-alpha) pairs, normalization, the knot-parity check, the genus cases and
+The spec layer runs in integer arithmetic: every tangle is a (beta,
+alpha) pair, normalization, the knot-parity check, the genus cases and
 the alternating shift move numerators by whole denominators, and the
-normal forms take the pairs as they are.  A `Fraction` is built only for
-each tangle of a `MontesinosSpec` record; `genus`, `is_alternating_knot`
-and `alternating_build` take such a record or the normalized pairs.
+normal forms take the pairs as they are; a `Fraction` is built only to
+evaluate an `M(...)` bracket.  `genus`, `is_alternating_knot` and
+`alternating_build` take a `MontesinosSpec` record or its normalized pairs.
 
 Which paths check a family spec and which trust it: user input (the
 `parse_spec` grammar, and with it every CLI spec argument) and the public
@@ -34,9 +34,11 @@ Both paths take each (name, value) pair of a spec's `params` from one
 table, `_PAIRS`, so equal pairs of any number of specs are one tuple, and
 each family name is one string: a parsed bound-3 `FAM:` spec holds 152
 bytes (tracemalloc, CPython 3.11), where fresh pairs and names held 469.
-The table holds at most `_PAIR_TABLE_SIZE` = 4,096 pairs, far more than the
-few hundred of a bound-4 sweep, and is cleared when full; a spec built
-after a clearing is equal to, but shares nothing with, one built before.
+`MontesinosSpec.tangles` takes its (beta, alpha) pairs from there too: a
+record of four recurring tangles holds 129 bytes, where `Fraction`s held
+325.  The table holds at most `_PAIR_TABLE_SIZE` = 4,096 pairs, far more
+than the few hundred of a bound-4 sweep, and is cleared when full; a spec
+built after a clearing is equal to, but shares nothing with, one before.
 
 `genus` reads each tangle's normal form from a memo keyed on the tangle's
 (beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 from itertools import product
 
 from .cf_calculus import _lowest_terms, evaluate, to_even_cf, to_strict_cf
@@ -91,7 +92,7 @@ __all__ = [
 
 
 class MontesinosSpec(Record):
-    """Normalized tangle fractions plus the closing half-twist count.
+    """Normalized (beta, alpha) tangle pairs plus the closing half-twist count.
 
     Construction normalizes each input fraction into (-1, 1) by truncating
     toward zero, adds the integer parts to gamma, drops zero tangles, and
@@ -100,21 +101,21 @@ class MontesinosSpec(Record):
     with none exactly when sum(beta_i) + gamma is odd, and two or more
     even denominators give a link (Burde-Zieschang, *Knots*, ch. 12).
     Each input tangle is anything `Fraction()` takes, or a pair (p, q)
-    standing for `Fraction(p, q)`.
+    standing for `Fraction(p, q)`; `tangles` holds them in lowest terms.
     """
 
     __slots__ = ("tangles", "gamma")
 
     def __init__(self, tangles, gamma=0):
         norm, g = _normalize(tangles, gamma)
-        object.__setattr__(self, "tangles", tuple(Fraction(p, q) for p, q in norm))
+        object.__setattr__(self, "tangles", _shared_pairs(norm))
         object.__setattr__(self, "gamma", g)
 
     def diagram(self):
-        return montesinos_diagram(*_normal_pairs(self))
+        return montesinos_diagram(self.tangles, self.gamma)
 
     def __str__(self):
-        body = ",".join(f"{f.numerator}/{f.denominator}" for f in self.tangles)
+        body = ",".join(f"{p}/{q}" for p, q in self.tangles)
         return f"M({body}|{self.gamma})" if self.gamma else f"M({body})"
 
 
@@ -179,16 +180,16 @@ _SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
 
 # each family name as one string object, so a parsed spec holds no copy
 _FAMILIES = {name: name for name in (*_RULES, "pretzel")}
-# the (name, value) pairs of specs' `params`: each pair maps to itself, so
-# equal pairs of any number of specs are one tuple; cleared when full
+# the pairs of `FamilySpec.params` and `MontesinosSpec.tangles`: each pair
+# maps to itself, so equal pairs of any number of specs are one tuple; cleared when full
 _PAIR_TABLE_SIZE = 1 << 12
 _PAIRS = {}
 
 
 def _shared_pairs(pairs):
     """A tuple of `_PAIRS`' own pairs equal to `pairs`, a list of (name,
-    value) pairs; the table is cleared first if they might not fit, and a
-    list too long for the table is returned as a tuple of its own pairs."""
+    value) or (beta, alpha) pairs; the table is cleared first if they might
+    not fit, and a list too long for it is returned as a tuple of its own."""
     if len(_PAIRS) + len(pairs) > _PAIR_TABLE_SIZE:
         _PAIRS.clear()
         if len(pairs) > _PAIR_TABLE_SIZE:
@@ -369,16 +370,17 @@ def _family_form(f: FamilySpec):
 
 
 def family_to_montesinos(f: FamilySpec) -> MontesinosSpec:
-    """Fraction-form MontesinosSpec of a named-family knot."""
+    """The MontesinosSpec record of a named-family knot."""
     return MontesinosSpec(*_family_form(f))
 
 
 def _normal_pairs(spec):
-    """`_normalize`'s pairs and gamma for a spec, with no record built, or
-    None for a spec without pairs: a six-box template, or a pretzel whose
-    every strand is +-1, a (2, k) torus knot (`P(1,1,1)` is the trefoil)."""
+    """`_normalize`'s pairs and gamma: a record's own fields, a family
+    spec's with no record built, or None for a spec without pairs: a
+    six-box template, or a pretzel whose every strand is +-1, a (2, k)
+    torus knot (`P(1,1,1)` is the trefoil)."""
     if isinstance(spec, MontesinosSpec):
-        return [f.as_integer_ratio() for f in spec.tangles], spec.gamma
+        return spec.tangles, spec.gamma
     try:
         return _normalize(*_family_form(spec))
     except InvalidInput:
@@ -623,7 +625,7 @@ def _fraction(text, i):
     q, i = _int(text, _expect(text, i, "/"))
     if q == 0:
         raise ValidationError("zero denominator")
-    return Fraction(p, q), i
+    return (p, q), i
 
 
 def _list(text, i, read):

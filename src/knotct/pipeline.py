@@ -1,12 +1,10 @@
 """Purely-cosmetic-surgery obstruction chain for a single knot spec.
 
-`obstruct` runs the obstruction rules in order: composite gate (never fires
-here — every spec this package builds is prime by construction, the gate
-exists for completeness), genus != 2, a2 != 0, w3 != 0, and, for
-alternating knots, tau = -sigma/2 != 0.  Any firing rule certifies that the
-knot admits no purely cosmetic surgeries; the honest fall-through is
-"inconclusive", never a claim that cosmetic surgeries exist.  `twist_gate`
-is the alternating-diagram twist-number gate.
+`obstruct` runs the obstruction rules in order: genus != 2, a2 != 0,
+w3 != 0, and, for alternating knots, tau = -sigma/2 != 0.  Any firing rule
+certifies that the knot admits no purely cosmetic surgeries; the honest
+fall-through is "inconclusive", never a claim that cosmetic surgeries
+exist.  `twist_gate` is the alternating-diagram twist-number gate.
 
 Whether a Montesinos knot is alternating, and its alternating presentation,
 are decided in `knotct.montesinos` (`is_alternating_knot`,
@@ -59,7 +57,6 @@ __all__ = [
 ]
 
 FIRED_RULES = (
-    "composite",
     "genus_ne_2",
     "a2_nonzero",
     "w3_nonzero",
@@ -160,9 +157,6 @@ def obstruct(spec) -> ObstructionVerdict:
         report = InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
         return ObstructionVerdict("inconclusive" if rule == "none" else "no_pcs", rule, report)
 
-    # -- composite gate: all constructible specs are prime (Montesinos with
-    # every alpha_i > 1, two-bridge, or the prime six-box templates), so
-    # this rule never fires; it anchors the rule enum.
     stage = "genus"
     try:
         norm = _normal_pairs(spec)  # None for a six-box template too

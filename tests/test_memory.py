@@ -1,13 +1,22 @@
-"""What family specs and obstruct verdicts hold, read from tracemalloc:
-specs share their (name, value) pairs and reports their method maps,
-each from one bounded table."""
+"""What family specs, Montesinos records and obstruct verdicts hold, read
+from tracemalloc: specs share their (name, value) or (beta, alpha) pairs
+and reports their method maps, each from one bounded table."""
 
 import gc
+import itertools
+import math
 import tracemalloc
 
 from knotct import montesinos
+from knotct.errors import NotAKnot
 from knotct.invariants import _PROVENANCE_TABLE_SIZE, _PROVENANCES, InvariantReport
-from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
+from knotct.montesinos import (
+    FAMILY_NAMES,
+    FamilySpec,
+    MontesinosSpec,
+    enumerate_family,
+    parse_spec,
+)
 from knotct.pipeline import obstruct
 from knotct.sweeps import _formulas_specs
 
@@ -50,6 +59,40 @@ def test_verdicts_hold_at_most_300_bytes_each():
     verdicts, held = _held(lambda: [obstruct(f) for f in specs])
     assert len(verdicts) == N and held <= 300 * N, held / N
     assert len({id(v.evidence.method) for v in verdicts}) <= _PROVENANCE_TABLE_SIZE
+
+
+def _four_tangle_grid():
+    """Every 7th length-4 multiset of the 34 reduced p/q in (-1, 1) with
+    q <= 7, with gamma 0 and 1, as (pairs, gamma) of the knots among them."""
+    fractions = [(p, q) for q in range(2, 8) for p in range(1 - q, q) if p and math.gcd(p, q) == 1]
+    grid = []
+    for pairs in list(itertools.combinations_with_replacement(fractions, 4))[::7]:
+        for gamma in (0, 1):
+            try:
+                MontesinosSpec(pairs, gamma)
+            except NotAKnot:
+                continue
+            grid.append((pairs, gamma))
+    return grid
+
+
+def test_four_tangle_records_hold_at_most_160_bytes_each():
+    # 129 bytes measured on CPython 3.11, where one Fraction per tangle held 325
+    grid = _four_tangle_grid()
+    montesinos._PAIRS.clear()  # so that no clearing falls in the measured pass
+    [MontesinosSpec(*x) for x in grid]
+    specs, held = _held(lambda: [MontesinosSpec(*x) for x in grid])
+    assert len(specs) == 9_929 and held <= 160 * len(specs), held / len(specs)
+    assert all(type(p) is int and type(q) is int for m in specs for p, q in m.tangles)
+
+
+def test_a_record_built_after_a_clearing_equals_its_twin():
+    m = parse_spec("M(7/3,[3,2],-4/5|2)")
+    montesinos._PAIRS.clear()
+    twin = parse_spec("M(7/3,[3,2],-4/5|2)")
+    assert twin.tangles[0] is not m.tangles[0]
+    assert twin == m and hash(twin) == hash(m)
+    assert repr(twin) == repr(m) and str(twin) == str(m) == "M(1/3,2/5,-4/5|4)"
 
 
 def test_formulas_spec_list_holds_at_most_6_mb():

@@ -37,7 +37,7 @@ from knotct.sweeps import _formulas_specs
 def test_normalization_truncates_and_shifts():
     # 7/3 = 2 + 1/3: the integer part moves into gamma
     m = MontesinosSpec([Fraction(7, 3), Fraction(1, 2), Fraction(1, 3)], 0)
-    assert all(abs(f) < 1 for f in m.tangles)
+    assert all(abs(Fraction(p, q)) < 1 for p, q in m.tangles)
     assert m.gamma == 2
 
 
@@ -46,7 +46,8 @@ def test_gamma_shift_identity():
     # fraction gamma + sum(tangles) is preserved by normalization
     a = MontesinosSpec([Fraction(1, 3) - 1, Fraction(1, 2), Fraction(1, 3)], 1)
     b = MontesinosSpec([Fraction(1, 3), Fraction(1, 2), Fraction(1, 3)], 0)
-    assert a.gamma + sum(a.tangles) == b.gamma + sum(b.tangles)
+    assert (a.gamma + sum(Fraction(p, q) for p, q in a.tangles)
+            == b.gamma + sum(Fraction(p, q) for p, q in b.tangles))
     assert genus(a).genus == genus(b).genus
 
 
@@ -112,7 +113,9 @@ def test_normalization_matches_the_fraction_reference(tangles, gamma):
     # empty list, strings (a zero denominator among them) and any gamma
     def spec(tangles, gamma):
         m = MontesinosSpec(tangles, gamma)
-        return m.tangles, m.gamma
+        fractions = tuple(Fraction(p, q) for p, q in m.tangles)
+        assert tuple(f.as_integer_ratio() for f in fractions) == m.tangles  # lowest terms
+        return fractions, m.gamma
 
     assert _outcome(spec, tangles, gamma) == _outcome(_reference_normalization, tangles, gamma)
 
@@ -314,6 +317,15 @@ def _conversion_specs():
     return specs
 
 
+def _fraction_repr(spec):
+    """repr of a spec, with a MontesinosSpec's tangles shown as the
+    `Fraction`s it held when the pins below were recorded."""
+    if not isinstance(spec, MontesinosSpec):
+        return repr(spec)
+    tangles = tuple(Fraction(p, q) for p, q in spec.tangles)
+    return f"MontesinosSpec(tangles={tangles!r}, gamma={spec.gamma!r})"
+
+
 def test_family_conversions_are_pinned():
     # sha256 over the converted record, or the error's type and message, of
     # every spec above; recorded with the Fraction-arithmetic conversion that
@@ -321,7 +333,7 @@ def test_family_conversions_are_pinned():
     outcomes = []
     for f in _conversion_specs():
         try:
-            outcomes.append(repr(family_to_montesinos(f)))
+            outcomes.append(_fraction_repr(family_to_montesinos(f)))
         except KnotctError as exc:
             outcomes.append(f"{type(exc).__name__}: {exc}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
@@ -776,7 +788,7 @@ def test_parse_outcomes_over_a_mutated_corpus_are_pinned():
     outcomes = []
     for text in spec_corpus():
         try:
-            outcomes.append(repr(parse_spec(text)))
+            outcomes.append(_fraction_repr(parse_spec(text)))
         except KnotctError as exc:
             outcomes.append(f"{type(exc).__name__}: {exc}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
