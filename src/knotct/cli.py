@@ -50,17 +50,18 @@ def invariant_report(spec, method="all") -> InvariantReport:
     silently resolved.  Under "all" a closed form that raises is left out,
     and so is a Jones route over its crossing budget; the Gauss diagram
     formulas have no budget, so a route always remains.  A route requested
-    alone still fails.  "closed" builds no diagram: a link spec is refused
-    from its tangle pairs, or for a pretzel of unit strands, which has
-    none, from its strand count, before the closed form is tried.
+    alone still fails.  Under every method a link spec is refused from its
+    tangle pairs before any diagram is built; a pretzel of unit strands has
+    none, so a diagram build refuses it, except under "closed", which builds
+    no diagram and refuses it from its strand count.
     """
+    norm = _normal_pairs(spec)  # NotAKnot for pairs of a link; None if there are none
     if method == "closed":
         if not isinstance(spec, FamilySpec):
             raise ValidationError(
                 "--method closed needs a family spec (P, DT, F1L, F1R or FAM:), not M(...)")
-        # _normal_pairs raises NotAKnot for pairs that make a link; unit
-        # strands make the (2, k) torus link of k strands when k is even
-        if _normal_pairs(spec) is None and spec.family == "pretzel" and len(spec.params) % 2 == 0:
+        # unit strands make the (2, k) torus link of k strands when k is even
+        if norm is None and spec.family == "pretzel" and len(spec.params) % 2 == 0:
             raise NotAKnot("2 components")
         return closed_form(spec)
     routes = {}
@@ -97,7 +98,6 @@ def invariant_report(spec, method="all") -> InvariantReport:
         sd = seifert_pipeline(d)
         sigma = oracle_signature(sd)
         meth["sigma"] = "oracle"
-        norm = _normal_pairs(spec)  # None for a six-box template too
         if norm is not None:
             g = genus(norm).genus
             meth["genus"] = "closed_form"

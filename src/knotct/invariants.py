@@ -61,60 +61,21 @@ DEFAULT_SKEIN_BUDGET = 24
 # report
 
 
-class _Provenance(dict):
-    """A read-only field -> route map.  It prints, compares and serializes
-    as the dict of its items and hashes on them; a copy or an unpickled
-    one is made by `_provenance`, so it is the table's map again."""
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("an InvariantReport's method map is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def __reduce__(self):
-        return _provenance, (dict(self),)
-
-
-# the method maps of reports, keyed by their keys then their values, in
-# insertion order: a map per report would be one more object for the cyclic
-# collector per report (a dict subclass is always tracked, a dict of strings
-# is not), which lengthens every collection while a caller keeps verdicts;
-# the bound-3 families make 6 distinct maps
-_PROVENANCE_TABLE_SIZE = 1 << 8
-_PROVENANCES = {}
-
-
-def _provenance(method):
-    """The shared read-only map with the items of `method`, in its order;
-    the table is cleared first when full."""
-    key = (*method, *method.values())
-    shared = _PROVENANCES.get(key)
-    if shared is None:
-        if len(_PROVENANCES) >= _PROVENANCE_TABLE_SIZE:
-            _PROVENANCES.clear()
-        shared = _PROVENANCES[key] = _Provenance(method)
-    return shared
-
-
 class InvariantReport(Record):
     """Invariant values plus per-field provenance.
 
-    `method` maps field names to one of {"closed_form", "gauss_diagram",
-    "oracle"}; it is read-only, and reports with the same items in the
-    same order share one map (`_provenance`).  Any field may be None when
-    no route produced it (a verdict that fires early stops computing);
-    `sigma`, `tau`, `genus` are filled by callers that compute them.
+    `method` is a tuple of (field, route) pairs sorted by field name, each
+    route one of {"closed_form", "gauss_diagram", "oracle"}; a tuple is
+    kept as given, and any other mapping (or None) becomes its sorted
+    items, so reports compare and hash alike whatever order the routes
+    were found in.  Any field may be None when no route produced it (a
+    verdict that fires early stops computing); `sigma`, `tau`, `genus` are
+    filled by callers that compute them.
     """
 
     __slots__ = ("a2", "w3", "sigma", "tau", "genus", "method")
 
-    def __init__(self, a2=None, w3=None, sigma=None, tau=None, genus=None, method=None):
+    def __init__(self, a2=None, w3=None, sigma=None, tau=None, genus=None, method=()):
         if w3 is not None and 4 % w3.denominator != 0:
             raise InvalidInput(f"w3 denominator {w3.denominator} does not divide 4")
         object.__setattr__(self, "a2", a2)
@@ -122,7 +83,9 @@ class InvariantReport(Record):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "method", _provenance({} if method is None else method))
+        if not isinstance(method, tuple):
+            method = tuple(sorted(dict(method or ()).items()))
+        object.__setattr__(self, "method", method)
 
     def to_dict(self):
         def frac(x):
@@ -366,6 +329,9 @@ def _closed_a2_w3x4(f):
     return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
 
 
+_CLOSED_METHOD = (("a2", "closed_form"), ("w3", "closed_form"))
+
+
 def closed_form(f) -> InvariantReport:
     """InvariantReport of a2 and w3 from the family's closed form.
 
@@ -375,7 +341,7 @@ def closed_form(f) -> InvariantReport:
     (even/odd order behavior under mirroring).
     """
     a2, w3 = closed_a2_w3(f)
-    return InvariantReport(a2=a2, w3=w3, method={"a2": "closed_form", "w3": "closed_form"})
+    return InvariantReport(a2=a2, w3=w3, method=_CLOSED_METHOD)
 
 
 def closed_a2_w3(f):

@@ -181,21 +181,21 @@ _SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
 # each family name as one string object, so a parsed spec holds no copy
 _FAMILIES = {name: name for name in (*_RULES, "pretzel")}
 # the pairs of `FamilySpec.params` and `MontesinosSpec.tangles`: each pair
-# maps to itself, so equal pairs of any number of specs are one tuple; cleared when full
+# maps to itself, so equal pairs of any number of specs are one tuple;
+# cleared when it has grown past its size
 _PAIR_TABLE_SIZE = 1 << 12
 _PAIRS = {}
 
 
 def _shared_pairs(pairs):
     """A tuple of `_PAIRS`' own pairs equal to `pairs`, a list of (name,
-    value) or (beta, alpha) pairs; the table is cleared first if they might
-    not fit, and a list too long for it is returned as a tuple of its own."""
-    if len(_PAIRS) + len(pairs) > _PAIR_TABLE_SIZE:
-        _PAIRS.clear()
-        if len(pairs) > _PAIR_TABLE_SIZE:
-            return tuple(pairs)
+    value) or (beta, alpha) pairs; the table is cleared after they go in
+    if that took it past `_PAIR_TABLE_SIZE`."""
     share = _PAIRS.setdefault
-    return tuple([share(p, p) for p in pairs])
+    shared = tuple([share(p, p) for p in pairs])
+    if len(_PAIRS) > _PAIR_TABLE_SIZE:
+        _PAIRS.clear()
+    return shared
 
 
 class FamilySpec(Record):

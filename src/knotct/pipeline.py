@@ -23,6 +23,7 @@ query never loads.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .diagram import montesinos_diagram, signature_alternating
@@ -128,6 +129,19 @@ def _stage_note(exc, stage):
     return exc if isinstance(exc, ValidationError) else _note(exc, f"obstruction stage: {stage}")
 
 
+@functools.cache
+def _routes(genus, a2, w3, sigma):
+    """A report's (field, route) pairs for these routes (None for a value
+    no route gave), sorted by field; tau takes sigma's route.  The domain
+    is finite (genus and sigma are None, closed_form or oracle, a2 and w3
+    None, closed_form or gauss_diagram), so there are at most 81 tuples.
+    Every verdict with the same routes shares one, so a caller that keeps
+    verdicts, as the benchmark's `classify` worker does, pays no object per
+    verdict for them, nor the collector's walk over it."""
+    pairs = (("a2", a2), ("genus", genus), ("sigma", sigma), ("tau", sigma), ("w3", w3))
+    return tuple([pair for pair in pairs if pair[1] is not None])
+
+
 def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
@@ -135,15 +149,16 @@ def obstruct(spec) -> ObstructionVerdict:
     gate leaves noted with it.  `diagram()` builds `_gate_diagram` at most
     once per call, only when a gate reads it, so the Gauss a2/w3 and sigma
     gates read one diagram; `verdict(rule)` builds the call's one
-    `InvariantReport`, with tau = -sigma/2 when sigma is known.  The genus
-    and signature gates share the spec's normalized pairs.  A spec without
-    pairs takes `diagram_genus` of its gate diagram.  The signature
-    gate builds nothing for a non-alternating knot with pairs; else sigma
-    is the closed form when the gate diagram is reduced alternating, and
-    the Seifert surface's otherwise.
+    `InvariantReport`, with tau = -sigma/2 when sigma is known and the
+    gates' routes as one `_routes` tuple.  The genus and signature gates
+    share the spec's normalized pairs.  A spec without pairs takes
+    `diagram_genus` of its gate diagram.  The signature gate builds
+    nothing for a non-alternating knot with pairs; else sigma is the
+    closed form when the gate diagram is reduced alternating, and the
+    Seifert surface's otherwise.
     """
-    method = {}
     a2 = w3 = sigma = g = norm = built = None
+    g_route = a2_route = w3_route = sigma_route = None
     is_family = isinstance(spec, FamilySpec)
 
     def diagram():
@@ -154,6 +169,7 @@ def obstruct(spec) -> ObstructionVerdict:
 
     def verdict(rule):
         tau = None if sigma is None else Fraction(-sigma, 2)
+        method = _routes(g_route, a2_route, w3_route, sigma_route)
         report = InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
         return ObstructionVerdict("inconclusive" if rule == "none" else "no_pcs", rule, report)
 
@@ -161,12 +177,9 @@ def obstruct(spec) -> ObstructionVerdict:
     try:
         norm = _normal_pairs(spec)  # None for a six-box template too
         if norm is not None:
-            g = genus(norm).genus
-            method["genus"] = "closed_form"
+            g, g_route = genus(norm).genus, "closed_form"
         else:
-            g, route = diagram_genus(diagram())
-            if g is not None:
-                method["genus"] = route
+            g, g_route = diagram_genus(diagram())
         if g is not None and g != 2:
             return verdict("genus_ne_2")
 
@@ -180,20 +193,18 @@ def obstruct(spec) -> ObstructionVerdict:
             except NoFormula:
                 pass
             else:
-                method["a2"] = method["w3"] = "closed_form"
+                a2_route = w3_route = "closed_form"
         if a2 is None:
             from .gauss import gauss_a2
 
-            a2 = gauss_a2(diagram())
-            method["a2"] = "gauss_diagram"
+            a2, a2_route = gauss_a2(diagram()), "gauss_diagram"
         if a2 != 0:
             return verdict("a2_nonzero")
         stage = "w3"
         if w3 is None:
             from .gauss import gauss_w3
 
-            w3 = gauss_w3(diagram())
-            method["w3"] = "gauss_diagram"
+            w3, w3_route = gauss_w3(diagram()), "gauss_diagram"
         if w3 != 0:
             return verdict("w3_nonzero")
 
@@ -205,13 +216,11 @@ def obstruct(spec) -> ObstructionVerdict:
         if norm is None or is_alternating_knot(norm):
             d = diagram()
             if d.is_alternating() and d.is_reduced():
-                sigma = signature_alternating(d)
-                method["sigma"] = method["tau"] = "closed_form"
+                sigma, sigma_route = signature_alternating(d), "closed_form"
             elif norm is not None:
                 from .oracle import oracle_signature, seifert_pipeline
 
-                sigma = oracle_signature(seifert_pipeline(d))
-                method["sigma"] = method["tau"] = "oracle"
+                sigma, sigma_route = oracle_signature(seifert_pipeline(d)), "oracle"
         return verdict("tau_nonzero_via_sigma" if sigma else "none")
     except KnotctError as exc:
         raise _stage_note(exc, stage)

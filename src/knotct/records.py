@@ -16,9 +16,10 @@ field) must be set there too, as the shared (name, value) pairs of
 `params` are: both ways take them from `montesinos._PAIRS`, as
 `MontesinosSpec.__init__` takes its (beta, alpha) pairs.
 
-A field a record shares with others must not change under them:
-`InvariantReport.method` is a read-only mapping, one per distinct map of
-items (`invariants._provenance`), that raises `TypeError` on assignment.
+A field a record shares with others must not change under them, so a
+shared field is immutable: `InvariantReport.method` is a tuple of (field,
+route) pairs, and `obstruct` takes each verdict's from one cache of at most
+81 tuples (`pipeline._routes`).
 
 The package defines its records this way rather than with `dataclasses`,
 whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a

@@ -1,6 +1,7 @@
 """What family specs, Montesinos records and obstruct verdicts hold, read
 from tracemalloc: specs share their (name, value) or (beta, alpha) pairs
-and reports their method maps, each from one bounded table."""
+through one bounded table, and verdicts their route tuples through a cache
+of at most 81."""
 
 import gc
 import itertools
@@ -8,8 +9,7 @@ import math
 import tracemalloc
 
 from knotct import montesinos
-from knotct.errors import NotAKnot
-from knotct.invariants import _PROVENANCE_TABLE_SIZE, _PROVENANCES, InvariantReport
+from knotct.errors import KnotctError, NotAKnot
 from knotct.montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -17,7 +17,7 @@ from knotct.montesinos import (
     enumerate_family,
     parse_spec,
 )
-from knotct.pipeline import obstruct
+from knotct.pipeline import _routes, obstruct
 from knotct.sweeps import _formulas_specs
 
 N = 4800
@@ -58,7 +58,6 @@ def test_verdicts_hold_at_most_300_bytes_each():
     [obstruct(f) for f in specs]
     verdicts, held = _held(lambda: [obstruct(f) for f in specs])
     assert len(verdicts) == N and held <= 300 * N, held / N
-    assert len({id(v.evidence.method) for v in verdicts}) <= _PROVENANCE_TABLE_SIZE
 
 
 def _four_tangle_grid():
@@ -134,8 +133,29 @@ def test_pair_table_stays_bounded():
         assert repr(twin) == repr(f) and str(twin) == str(f)
 
 
-def test_method_table_stays_bounded():
-    names = [f"f{i}" for i in range(2 * _PROVENANCE_TABLE_SIZE)]
-    reports = [InvariantReport(method={name: "oracle"}) for name in names]
-    assert len(_PROVENANCES) <= _PROVENANCE_TABLE_SIZE
-    assert [r.method for r in reports] == [{name: "oracle"} for name in names]
+def test_a_spec_whose_pairs_are_in_a_near_full_table_clears_nothing():
+    montesinos._PAIRS.clear()
+    m = MontesinosSpec([(1, 3), (2, 5), (-4, 5)], 2)
+    v = 2
+    while len(montesinos._PAIRS) < montesinos._PAIR_TABLE_SIZE - 1:
+        parse_spec(f"FAM:e3(a={v})")
+        v += 1
+    twin = MontesinosSpec([(1, 3), (2, 5), (-4, 5)], 2)
+    assert len(montesinos._PAIRS) == montesinos._PAIR_TABLE_SIZE - 1
+    assert twin.tangles[0] is m.tangles[0] and twin == m
+
+
+def test_verdicts_take_their_routes_from_the_route_cache():
+    # the AC1 spec list and the bound-3 families use 7 of the 81 route tuples
+    specs = _formulas_specs(2) + [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 3)]
+    n = 0
+    for f in specs:
+        try:
+            method = obstruct(f).evidence.method
+        except KnotctError:  # a link spec
+            continue
+        routes = dict(method)
+        assert method is _routes(*map(routes.get, ("genus", "a2", "w3", "sigma"))), str(f)
+        n += 1
+    assert n == 59_400
+    assert _routes.cache_info().currsize <= 81

@@ -61,12 +61,12 @@ def test_a2_without_a_closed_form_comes_from_the_gauss_diagram(monkeypatch):
     spec = parse_spec("M(1/3,2/5,-1/3,1/5)")  # 15 crossings, no closed form
     d = spec.diagram()
     v = obstruct(spec)
-    assert v.evidence.method["a2"] == "gauss_diagram"
+    assert dict(v.evidence.method)["a2"] == "gauss_diagram"
     assert v.evidence.a2 == skein_a2(d) == conway_polynomial(seifert_pipeline(d)).coefficient(2)
     # the Gauss diagram route has no crossing budget
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "5")
     w = obstruct(spec)
-    assert w.evidence.method["a2"] == "gauss_diagram"
+    assert dict(w.evidence.method)["a2"] == "gauss_diagram"
     assert w.evidence.a2 == v.evidence.a2 != 0
     assert w.fired_rule == v.fired_rule == "a2_nonzero"
 
@@ -96,7 +96,8 @@ def test_obstruct_reads_the_closed_forms():
         v = obstruct(f)
         rep = closed_form(f)
         assert (v.evidence.a2, v.evidence.w3) == (rep.a2, rep.w3), str(f)
-        assert v.evidence.method["a2"] == v.evidence.method["w3"] == "closed_form"
+        method = dict(v.evidence.method)
+        assert method["a2"] == method["w3"] == "closed_form"
 
 
 def test_obstruct_over_the_formulas_specs_is_pinned():
@@ -179,7 +180,8 @@ def test_signature_gate_equals_the_reference():
         if ev.a2 != 0 or ev.w3 != 0:
             continue
         sigma, how = reference_sigma_gate(f)
-        assert (ev.sigma, ev.method.get("sigma"), ev.method.get("tau")) == (sigma, how, how), str(f)
+        method = dict(ev.method)
+        assert (ev.sigma, method.get("sigma"), method.get("tau")) == (sigma, how, how), str(f)
         assert ev.tau == (None if sigma is None else Fraction(-sigma, 2)), str(f)
         seen[how] = seen.get(how, 0) + 1
     # each branch of the gate is exercised: closed form, Seifert fallback, none
