@@ -10,14 +10,12 @@ from .construct import (
     fig1_right_diagram,
     montesinos_diagram,
     pretzel_diagram,
-    rational_tangle,
 )
 
 __all__ = [
     "PlanarDiagram",
     "signature_alternating",
     "Builder",
-    "rational_tangle",
     "montesinos_diagram",
     "pretzel_diagram",
     "double_twist_diagram",

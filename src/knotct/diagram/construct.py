@@ -13,19 +13,17 @@ Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
 folklore.
 
-A rational tangle is built once per (beta, alpha) by a fresh `Builder` and
-kept as its wiring (`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`
-entries); `rational_tangle` splices that wiring into the builder at hand,
-shifting its ports past the builder's crossings and its junctions past the
-builder's junctions.  A bound-4 sweep of the genus-2 families meets 607
-distinct tangles, so the bound, 1,024, evicts nothing in a sweep, and a
-full memo stays under 1 MB.  The templates hold ints, bytes and arrays of
-ints, a failed expansion is not cached, and each process starts with the
-memo empty.
+Each rational tangle, and the gamma box, is wired once by a fresh `Builder`
+and kept as a table (`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`,
+1,024, entries: a bound-4 sweep meets 607 distinct tangles, and a full memo
+stays under 1 MB; a failed expansion is not cached).  `montesinos_diagram`
+walks the chain over the tables a strand at a time and fills their rows in,
+which gives the PD code of the chain wired in one builder, bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from array import array
 from fractions import Fraction
@@ -35,7 +33,6 @@ from .core import PlanarDiagram
 
 __all__ = [
     "Builder",
-    "rational_tangle",
     "montesinos_diagram",
     "pretzel_diagram",
     "double_twist_diagram",
@@ -240,50 +237,62 @@ def additive_cf(p, q):
 
 
 _TEMPLATE_MEMO_SIZE = 1 << 10
+_Table = collections.namedtuple("_Table", "n exits len0 len1 lead step slots over")
 
 
 @functools.lru_cache(maxsize=_TEMPLATE_MEMO_SIZE)
 def _template(beta, alpha):
-    """Tangle beta/alpha as a fresh `Builder` wires it, from the additive CF
-    of its reciprocal as alternating vertical/horizontal twist boxes,
-    innermost entry first.  Kept compactly: the a_over flags as bytes, the
-    port mates as an array of ints (-1 where the splice sets them: at lead
-    ports and at ports soldered to a junction), the leads of its two
-    junctions, its wire count and its NW, NE, SW and SE leads."""
+    """Tangle beta/alpha as a `_Table`, from the additive CF of its reciprocal
+    as alternating vertical/horizontal twist boxes, innermost entry first;
+    alpha = 0 keys the gamma box.  Strand 0 runs from lead NW, strand 1 from
+    the lower lead left; entering k ports, a strand passes k + 1 arcs, its
+    slots, strand 0's first.  A table holds the crossing count n, the lead
+    each lead runs to, the ports each strand enters, the lead and step that
+    enter port 0, and `emit`'s rows in slots for each way the strands run
+    (rev0 + 2 * rev1), with over_entry for strands running alike or not."""
     b = Builder()
-    entries = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if beta else ()
+    cf = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if alpha and beta else ()
+    entries = cf if alpha else (0, beta)  # gamma: beta horizontal half twists
     t = b.inf_tangle() if len(entries) % 2 else b.zero_tangle()
     for j in range(len(entries), 0, -1):
-        twist = b.vtwist if j % 2 else b.htwist
         for _ in range(abs(entries[j - 1])):
-            twist(t, entries[j - 1])
-    first, second = b.leads
-    mates = array("i", [-1 if m is None or m < 0 else m for m in b.mate])
-    return (bytes(b.a_over), mates, tuple(first), tuple(second), b.wires,
-            t["NW"], t["NE"], t["SW"], t["SE"])
-
-
-def rational_tangle(b: Builder, beta, alpha):
-    """Tangle of fraction beta/alpha (coprime integers, alpha > 0): its
-    `_template` spliced into `b`, the ports shifted past b's crossings and
-    the junctions past b's junctions."""
-    flags, mates, first, second, wires, nw, ne, sw, se = _template(beta, alpha)
-    p, j = 4 * len(b.a_over), ~len(b.leads)  # j: the first junction, j - 1 the second
-    mate = b.mate
-    b.a_over += map(bool, flags)
-    mate += map(p.__add__, mates)
-    first, second = list(map(p.__add__, first)), list(map(p.__add__, second))
-    for x in first:
-        mate[x] = j
-    for x in second:
-        mate[x] = j - 1
-    b.leads += (first, second)
-    b.wires += wires
-    for x in (nw, ne, sw, se):
-        if x >= 0:
-            mate[p + x] = None  # a lead port stays unsoldered
-    return {"NW": nw + p if nw >= 0 else j - ~nw, "NE": ne + p if ne >= 0 else j - ~ne,
-            "SW": sw + p if sw >= 0 else j - ~sw, "SE": se + p if se >= 0 else j - ~se}
+            (b.vtwist if j % 2 else b.htwist)(t, entries[j - 1])
+    end = 4 * (n := b.new_crossing(False))  # port end + x closes lead x of the table
+    for x, name in enumerate(("NW", "NE", "SW", "SE")):
+        b.solder(t[name], end + x)
+    b.emit()  # the emission checks and walk, on the closed tangle
+    slot, entry, strand, exits = [0] * end, bytearray(end), bytearray(end), bytearray(4)
+    walks, x, i = [], 0, 0
+    for k in (0, 1):
+        ports, prev, r = [], end + x, b.mate[end + x]
+        while True:
+            while r < 0:
+                lj = b.leads[~r]
+                prev, r = r, lj[lj[0] == prev]
+            if r >= end:
+                break
+            slot[r], slot[r ^ 2], entry[r], strand[r], strand[r ^ 2] = i, i + 1, 1, k, k
+            ports.append(r)
+            prev, r, i = r ^ 2, b.mate[r ^ 2], i + 1
+        exits[x], exits[r - end] = r - end, x
+        walks += (x, ports), (r - end, [p ^ 2 for p in reversed(ports)])
+        x, i = 2 if exits[0] == 1 else 1, i + 1
+    if 2 * sum(entry) != end:
+        raise InconsistentDiagram("a closed loop inside a tangle", _EMIT)
+    rows = []
+    for ci, a_is_over in enumerate(b.a_over[:n]):
+        c = 4 * ci
+        u, o = (c + 1, c) if a_is_over else (c, c + 1)
+        s = u if entry[u] else u + 2
+        oe = ((o if entry[o] else o + 2) - s) % 4
+        rows.append((tuple(slot[c | (s + j) & 3] for j in range(4)), strand[s], oe, strand[o]))
+    over = bytes(oe if ku == ko or not mixed else 4 - oe
+                 for mixed in (False, True) for _, ku, oe, ko in rows)
+    slots = [s for rev in ((False, False), (True, False), (False, True), (True, True))
+             for row, k, _, _ in rows for s in (row[2:] + row[:2] if rev[k] else row)]
+    lead, step = next(((x, ports.index(0)) for x, ports in walks if 0 in ports), (0, 0))
+    return _Table(n, bytes(exits), len(walks[0][1]), len(walks[2][1]), lead, step,
+                  bytes(slots) if 2 * n < 255 else array("i", slots), over)
 
 
 # -- knot templates -----------------------------------------------------------
@@ -296,18 +305,52 @@ def _finish(b: Builder):
     return d
 
 
+def _walk(tables, walked, t, x, pos):
+    """Walk the strand entering tangle t by lead x round the chain, giving each
+    tangle strand passed its arcs from pos on, over its slots, and direction."""
+    t0, x0 = t, x
+    while True:
+        tb = tables[t]
+        y = tb.exits[x]
+        k = 1 if x and y else 0
+        if walked[t][k] is not None:  # a strand met twice: raise, never loop
+            raise InconsistentDiagram(f"tangle {t} strand {k} met twice", _EMIT)
+        n = tb.len1 if k else tb.len0
+        walked[t][k] = range(pos + n - 1, pos - 2, -1) if x > y else range(pos - 1, pos + n), x > y
+        pos += n
+        t, x = (t + 1 if y & 1 else t - 1) % len(tables), y ^ 1  # NE, SE: on to NW, SW
+        if t == t0 and x == x0:
+            return
+
+
 def montesinos_diagram(fractions, gamma=0):
     """Cyclic chain of rational tangles, plus gamma extra half twists; each
-    tangle fraction is a (beta, alpha) pair of coprime integers, alpha > 0."""
-    b = Builder()
-    tangles = [rational_tangle(b, beta, alpha) for beta, alpha in fractions]
+    tangle fraction is a (beta, alpha) pair of coprime integers, alpha > 0.
+    The PD code is the one `Builder.emit` gives for the chain in one builder."""
+    tables = [_template(beta, alpha) for beta, alpha in fractions]
     if gamma:
-        tangles.append(b.hbox(gamma))
-    for i in range(len(tangles)):
-        t, u = tangles[i], tangles[(i + 1) % len(tangles)]
-        b.solder(t["NE"], u["NW"])
-        b.solder(t["SE"], u["SW"])
-    return _finish(b)
+        tables.append(_template(gamma, 0))
+    walked = [[None, None] for _ in tables]
+    m = 2 * sum(tb.n for tb in tables)
+    t0 = next((t for t, tb in enumerate(tables) if tb.n), 0)
+    _walk(tables, walked, t0, tables[t0].lead, -tables[t0].step)  # arc 0 leaves port 0
+    if any(None in w for w in walked):
+        components = 1  # and one per strand left: other components, free loops
+        for t, tb in enumerate(tables):
+            for x in range(4):
+                if walked[t][1 if x and tb.exits[x] else 0] is None:
+                    _walk(tables, walked, t, x, 0)
+                    components += 1
+        raise NotAKnot(f"{components} components")
+    rows, over = [], []
+    for t, (tb, ((r0, rev0), (r1, rev1))) in enumerate(zip(tables, walked)):
+        la = [*r0, *r1] if t != t0 else [a % m for a in (*r0, *r1)]  # arcs before port 0 last
+        n, state, mixed = tb.n, rev0 + 2 * rev1, rev0 ^ rev1
+        rows += zip(*[map(la.__getitem__, tb.slots[4 * n * state:4 * n * (state + 1)])] * 4)
+        over += tb.over[n * mixed:n * (mixed + 1)]
+    d = PlanarDiagram(rows, over)
+    d._components = (tuple(range(m)),)
+    return d
 
 
 def pretzel_diagram(qs):

@@ -24,9 +24,9 @@ from knotct.diagram import (
     montesinos_diagram,
     pretzel_diagram,
     additive_cf,
-    rational_tangle,
     signature_alternating,
 )
+from knotct.diagram import construct
 from knotct.diagram.core import _gauss_word
 from knotct.errors import (
     InconsistentDiagram,
@@ -266,7 +266,7 @@ def test_emit_counts_free_loops_and_hands_over_its_components():
     for d, counts in closed_builds():
         assert (d.n, d.free_loops, d.component_count()) == counts
     b = Builder()  # M(1/2, 1/2), a two-component link the templates refuse
-    t, u = rational_tangle(b, 1, 2), rational_tangle(b, 1, 2)
+    t, u = reference_rational_tangle(b, 1, 2), reference_rational_tangle(b, 1, 2)
     for x, y in ((t, u), (u, t)):
         b.solder(x["NE"], y["NW"])
         b.solder(x["SE"], y["SW"])
@@ -434,15 +434,15 @@ def test_malformed_wiring_error_survives_optimized_mode():
 
 
 def miswired_splice():
-    """M(2/5,1/3,1/3|1) wired as `montesinos_diagram` wires it, except that
-    the ports of the first tangle's second junction carry the first
-    junction's id, as a splice that wrote j for j - 1 would leave them.  An
-    unchecked strand walk reaching one of them goes round forever."""
+    """M(2/5,1/3,1/3|1) wired twist by twist in one builder, except that the
+    ports of the first tangle's second junction carry the first junction's
+    id, as a splice that wrote j for j - 1 would leave them.  An unchecked
+    strand walk reaching one of them goes round forever."""
     b = Builder()
-    tangles = [rational_tangle(b, 2, 5)]
+    tangles = [reference_rational_tangle(b, 2, 5)]
     for x in b.leads[1]:
         b.mate[x] = ~0
-    tangles += [rational_tangle(b, 1, 3), rational_tangle(b, 1, 3), b.hbox(1)]
+    tangles += [reference_rational_tangle(b, 1, 3), reference_rational_tangle(b, 1, 3), b.hbox(1)]
     for t, u in zip(tangles, tangles[1:] + tangles[:1]):
         b.solder(t["NE"], u["NW"])
         b.solder(t["SE"], u["SW"])
@@ -468,6 +468,45 @@ def test_a_miswired_splice_raises_instead_of_looping():
     assert p.stdout.strip() == "construction: emit"
     with pytest.raises(InconsistentDiagram) as info:
         miswired_splice().emit()
+    assert info.value.stage == "construction: emit"
+
+
+def ne_bound_tables():
+    """`construct._template` with the table of 1/3 corrupted: each of its
+    strands leaves by lead NE, so a walk of M(2/5,1/3,1/3|1) enters strands
+    it has already numbered.  A walk with no guard goes round forever."""
+    template = construct._template
+
+    def corrupt(beta, alpha):
+        tb = template(beta, alpha)
+        if (beta, alpha) == (1, 3):
+            tb = tb._replace(exits=bytes([1, 1, 1, 1]))
+        return tb
+    return corrupt
+
+
+def test_a_corrupt_table_raises_instead_of_looping(monkeypatch):
+    # optimized mode in a subprocess first, its timeout bounding a walk that
+    # never ends
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import ne_bound_tables\n"
+        "from knotct.diagram import construct\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "construct._template = ne_bound_tables()\n"
+        "try:\n"
+        "    construct.montesinos_diagram([(2, 5), (1, 3), (1, 3)], 1)\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True, timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "construction: emit"
+    monkeypatch.setattr(construct, "_template", ne_bound_tables())
+    with pytest.raises(InconsistentDiagram) as info:
+        construct.montesinos_diagram([(2, 5), (1, 3), (1, 3)], 1)
     assert info.value.stage == "construction: emit"
 
 
@@ -672,7 +711,7 @@ def test_twist_regions_are_bigon_chains():
 
 # ---------------------------------------------------------------------------
 # Reference: a rational tangle built twist by twist in the builder at hand,
-# as before its wiring was built once per tangle and spliced.
+# and the chain wired and emitted in that one builder.
 
 
 def reference_rational_tangle(b, beta, alpha):
@@ -713,7 +752,7 @@ def montesinos_grid_pairs():
                     pass
 
 
-def test_spliced_tangles_build_what_the_builder_builds():
+def test_tangle_tables_build_what_the_builder_builds():
     family = [_normal_pairs(f) for name in FAMILY_NAMES for f in enumerate_family(name, 3)]
     grid = list(montesinos_grid_pairs())
     qs = [q for q in range(-2, 3) if q]
@@ -724,8 +763,10 @@ def test_spliced_tangles_build_what_the_builder_builds():
     for pairs, gamma in family + grid + pretzels:
         try:
             d = montesinos_diagram(pairs, gamma)
-        except NotAKnot:
-            assert len(reference_montesinos_build(pairs, gamma)[3]) != 1
+        except NotAKnot as exc:
+            _, _, free, components = reference_montesinos_build(pairs, gamma)
+            k = len(components) + free
+            assert k != 1 and str(exc) == f"{k} components", (pairs, gamma)
             continue
         built += 1
         assert (d.crossings, d.over_entry, d.free_loops, d.components()) \

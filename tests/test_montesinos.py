@@ -249,22 +249,21 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
         assert even(*x) == to_even_cf(x)
     assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
 
-    # the wirings of the same tangles, built one tangle at a time: one
-    # template per tangle, each what a fresh builder holds after the tangle
+    # the tables of the same tangles: one per tangle, built once
     construct._template.cache_clear()
     for p, q in tangles:
-        construct.rational_tangle(construct.Builder(), p, q)
+        construct._template(p, q)
     info = construct._template.cache_info()
     assert info.currsize == len(tangles) == 607 and info.maxsize == construct._TEMPLATE_MEMO_SIZE
     assert info.maxsize >= 607 and info.misses == 607
     for p, q in tangles:
-        b = construct.Builder()
-        t = construct.rational_tangle(b, p, q)
-        # four loose ends: unsoldered ports and free junction slots
-        assert b.mate.count(None) + sum(2 - len(lj) for lj in b.leads) == 4
-        assert len(b.a_over) == sum(map(abs, additive_cf(q if p > 0 else -q, abs(p))))
-        assert (sorted(x for x in t.values() if x >= 0)
-                == [i for i, m in enumerate(b.mate) if m is None])
+        tb = construct._template(p, q)
+        # four loose ends: the two strands join the four leads in pairs, and
+        # together enter every crossing twice
+        exits = tb.exits
+        assert sorted(exits) == [0, 1, 2, 3] and all(exits[x] != x for x in range(4))
+        assert all(exits[exits[x]] == x for x in range(4)) and tb.len0 + tb.len1 == 2 * tb.n
+        assert tb.n == sum(map(abs, additive_cf(q if p > 0 else -q, abs(p))))
 
 
 def test_a_full_template_memo_stays_under_one_megabyte():
