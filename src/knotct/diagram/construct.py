@@ -335,7 +335,7 @@ def montesinos_diagram(fractions, gamma=0):
     t0 = next((t for t, tb in enumerate(tables) if tb.n), 0)
     _walk(tables, walked, t0, tables[t0].lead, -tables[t0].step)  # arc 0 leaves port 0
     if any(None in w for w in walked):
-        components = 1  # and one per strand left: other components, free loops
+        components = 1  # plus one per walk over the strands left: knots or free loops
         for t, tb in enumerate(tables):
             for x in range(4):
                 if walked[t][1 if x and tb.exits[x] else 0] is None:

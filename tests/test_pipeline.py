@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import knotct.diagram.construct
+import knotct.montesinos
 import knotct.pipeline
-from knotct.diagram import Builder, montesinos_diagram, signature_alternating
+from knotct.diagram import montesinos_diagram, signature_alternating
 from knotct.errors import KnotctError, NotAKnot
 from knotct.invariants import closed_form, skein_a2
 from knotct.montesinos import (
@@ -214,10 +216,15 @@ def test_signature_gate_builds_at_most_one_diagram(monkeypatch, text, rule, sigm
 
 def test_obstruct_emits_at_most_one_diagram(monkeypatch):
     # the a2/w3 and sigma gates read one build: for M(-2/3,-1/3,2/5|2),
-    # whose own diagram is not alternating, its alternating build alone
+    # whose own diagram is not alternating, its alternating build alone.
+    # Every spec here is a Montesinos knot, built by `montesinos_diagram`
+    # under whichever name a module imported it (`Builder.emit` runs once
+    # per memoized tangle table, not once per build)
     emits = []
-    emit = Builder.emit
-    monkeypatch.setattr(Builder, "emit", lambda b: emits.append(1) or emit(b))
+    for module in (knotct.diagram.construct, knotct.montesinos, knotct.pipeline):
+        build = module.montesinos_diagram
+        monkeypatch.setattr(module, "montesinos_diagram",
+                            lambda *args, build=build: emits.append(1) or build(*args))
     specs = [f for fam in FAMILY_NAMES for f in enumerate_family(fam, 3)] + _montesinos_grid()
     assert len(specs) == 43_040
     over = []
