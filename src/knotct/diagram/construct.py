@@ -246,10 +246,10 @@ def _template(beta, alpha):
     as alternating vertical/horizontal twist boxes, innermost entry first;
     alpha = 0 keys the gamma box.  Strand 0 runs from lead NW, strand 1 from
     the lower lead left; entering k ports, a strand passes k + 1 arcs, its
-    slots, strand 0's first.  A table holds the crossing count n, the lead
-    each lead runs to, the ports each strand enters, the lead and step that
-    enter port 0, and `emit`'s rows in slots for each way the strands run
-    (rev0 + 2 * rev1), with over_entry for strands running alike or not."""
+    slots, strand 0's first.  A table holds n; the lead each lead runs to;
+    the ports each strand enters; the lead and step that enter port 0;
+    `emit`'s rows in slots, 4n per way the strands run (block rev0 + 2 *
+    rev1); and the n over_entry flags for strands running alike, then not."""
     b = Builder()
     cf = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if alpha and beta else ()
     entries = cf if alpha else (0, beta)  # gamma: beta horizontal half twists
