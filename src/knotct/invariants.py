@@ -141,27 +141,21 @@ def _closed_a2_w3x4(f):
     twist counts (Trapp, "Twist sequences and Vassiliev invariants", JKTR
     3, 1994).  `tools/closed_forms.py` reruns that derivation.
     """
-    p = dict(f.params)
-    s = f.sign_variant
-    a, b, c, d, e = map(p.get, "abcde")
-    fam = f.family
+    fam, s = f.family, f.sign_variant
+    v = [x for _, x in f.params]  # the values in the family's parameter order
     # branches whose knots are those of another branch: o1'(s) is o1 with
     # e = (s - 1)/2, whose tangle 1/(2e + 1) is then the half twist s, and
-    # o3'(s), o4'(s) are o3, o4 with a = s and the opposite sign
+    # o3'(s), o4'(s), which have no a, are o3, o4 with a = s and the
+    # opposite sign
     if fam == "o1p":
-        fam, e = "o1", (s - 1) // 2
+        fam, v = "o1", v + [(s - 1) // 2]
     elif fam in ("o3p", "o4p"):
-        fam, a, s = fam[:2], s, -s
-    # the minus branch of o3 and o4 is the mirror image of the plus branch
-    # at a -> -a and every other parameter x -> -x - 1, so its w3 is negated
-    if fam in ("o3", "o4") and s == -1:
-        a, b, c = -a, -b - 1, -c - 1
-        if fam == "o4":
-            d = -d - 1
+        fam, v, s = fam[:2], [s] + v, -s
     if fam == "double_twist":
-        x, y = p["x"], p["y"]
+        x, y = v
         return a2_dt(x, y), _w3x4_dt(x, y)
     if fam == "o1":
+        a, b, c, d, e = v
         a2 = (c + 1) * (d + 1) * (e + 1) - c * d * e + b * (a + c + d + e + 2)
         w3x4 = (
             _w3x4_pretzel(c, d, e)
@@ -170,6 +164,7 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     if fam == "o2":
+        a, b, c, d, e = v
         a2 = d * (c + e + 1) + b * (a + d + e + 1)
         w3x4 = (
             d * (c + e + 1) * (c + d + e + 1)
@@ -177,7 +172,12 @@ def _closed_a2_w3x4(f):
             + b * (a + d + e + 1) * (a + b + d + e + 1)
         )
         return a2, w3x4
+    # the minus branch of o3 and o4 is the mirror image of the plus branch
+    # at a -> -a and every other parameter x -> -x - 1, so its w3 is negated
     if fam == "o3":
+        a, b, c = v
+        if s == -1:
+            a, b, c = -a, -b - 1, -c - 1
         a2 = a * b + b * c + c * a + a - b - c
         # derived: the published w3 line for this family fails the
         # diagram-level cross-check (skein engine and Jones derivatives
@@ -191,6 +191,9 @@ def _closed_a2_w3x4(f):
         )
         return a2, s * w3x4
     if fam == "o4":
+        a, b, c, d = v
+        if s == -1:
+            a, b, c, d = -a, -b - 1, -c - 1, -d - 1
         a2 = a + a * c + a * d + c * d + b * c + b * d
         w3x4 = (
             c * d * (c + d)
@@ -201,6 +204,7 @@ def _closed_a2_w3x4(f):
         )
         return a2, s * w3x4
     if fam == "o5":
+        a, b, c, d, e = v
         a2 = (a + 1) * (d + 1) * (e + 1) - a * d * e + c * (b + d + e + 1)
         w3x4 = (
             a * a * (1 + d + e)
@@ -211,6 +215,7 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     if fam == "e1":
+        a, b, c, d, e = v
         a2 = b * c + d * e + a * c + a * e
         w3x4 = (
             b * c * (b + c)
@@ -220,13 +225,15 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     if fam == "e2":
+        a, b, c = v
         # bracket form [2],[−2,2a],[2,2b],[−2,2c]; the published −2b is for
         # the opposite sign of the third tangle's even entry; w3 derived
         return 2 * b, 2 * b * (a + b + c + 2) + 2 * a * c
     if fam == "e3":
+        (a,) = v
         return 2, 4 * (a - 1)  # w3 derived
     if fam == "fig1_left":
-        fv = p["f"]
+        a, b, c, d, e, fv = v
         a2 = (
             1
             + a * (1 + b + c)
@@ -273,7 +280,7 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     if fam == "fig1_right":
-        fv = p["f"]
+        a, b, c, d, e, fv = v
         a2 = (
             c * (1 - e - fv)
             + a * (1 + b + c - d - fv)
@@ -322,10 +329,9 @@ def _closed_a2_w3x4(f):
         )
         return a2, w3x4
     # a pretzel, the one family left
-    qs = f.param_values()
-    if len(qs) != 3 or any(q % 2 == 0 for q in qs):
+    if len(v) != 3 or any(q % 2 == 0 for q in v):
         raise NoFormula("closed forms cover only three-strand odd pretzels")
-    x, y, z = ((q - 1) // 2 for q in qs)
+    x, y, z = ((q - 1) // 2 for q in v)
     return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
 
 
@@ -348,7 +354,18 @@ def closed_a2_w3(f):
     """(a2, w3) of `closed_form`, without its report: the one place that
     applies the mirror (a2 kept, w3 negated).  Raises NoFormula as it does."""
     a2, w3x4 = _closed_a2_w3x4(f)
-    return a2, Fraction(-w3x4 if f.mirror else w3x4, 4)
+    return a2, _quarter(-w3x4 if f.mirror else w3x4)
+
+
+# a bound-4 sweep of the families meets 1,108 distinct values of 4*w3
+_QUARTER_MEMO_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=_QUARTER_MEMO_SIZE)
+def _quarter(n):
+    """Fraction(n, 4), one immutable object per value shared by every
+    report that holds it."""
+    return Fraction(n, 4)
 
 
 # =============================================================================

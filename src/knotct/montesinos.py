@@ -40,13 +40,19 @@ record of four recurring tangles holds 129 bytes, where `Fraction`s held
 than the few hundred of a bound-4 sweep, and is cleared when full; a spec
 built after a clearing is equal to, but shares nothing with, one before.
 
-`genus` reads each tangle's normal form from a memo keyed on the tangle's
-(beta, alpha) pair after its unit shift: `_strict_weight` (odd type) and
-`_even_form` (even type), each an LRU cache of `_CF_MEMO_SIZE` entries.
-A bound-4 sweep of the families converts 534 distinct pairs of the odd
-type and 86 of the even type, so the bound, 4,096, evicts nothing in a
-sweep and caps each memo at about 1 MB.  The cached values are ints and tuples of ints, a failed
-conversion is not cached, and each process starts with both memos empty.
+Each tangle is read from a per-tangle row, an LRU cache bounded at
+`_ROW_MEMO_SIZE` = 2,048 entries, so a sweep reduces, types and weighs each
+distinct tangle once: `_normalize` reads `_pair_row`, keyed on the raw
+(beta, alpha) pair, and `genus` sums `_odd_row` or `_even_row`, keyed on
+the normalized pair.  A bound-4 sweep of the families fills 702, 534 and
+88 rows, so the bound evicts nothing in a sweep, and a full row memo
+retains under 1 MB.  Below the rows, `genus` reads each tangle's normal
+form from a memo keyed on the pair after its unit shift: `_strict_weight`
+(odd type) and `_even_form` (even type), each an LRU cache of
+`_CF_MEMO_SIZE` = 4,096 entries, of which a bound-4 sweep converts 534 and
+86.  The cached values are ints, bools, None and tuples of them, a failed
+reduction or conversion is not cached, and each process starts with every
+memo empty.
 """
 
 from __future__ import annotations
@@ -124,25 +130,43 @@ def _normalize(tangles, gamma):
     alpha) pairs in lowest terms, each in (-1, 1) with alpha > 1, and gamma.
 
     A tangle is anything `Fraction()` takes, or a pair (p, q) standing for
-    `Fraction(p, q)`.
+    `Fraction(p, q)`.  Each is read from its `_pair_row`, and the one loop
+    that collects the pairs counts the even denominators and sums the
+    numerators for the knot check.
     """
     g = int(gamma)
-    norm = []
+    norm, evens, total = [], 0, 0
     for f in tangles:
-        p, q = _lowest_terms(f)
-        n = p // q if p >= 0 else -(-p // q)  # truncation keeps the remainder's sign
-        p -= n * q
+        pair, n, even = _pair_row(*f) if type(f) is tuple else _pair_row(*_lowest_terms(f))
         g += n
-        if p:
-            norm.append((p, q))
+        if pair is not None:
+            norm.append(pair)
+            evens += even
+            total += pair[0]
     if not norm:
         raise InvalidInput("no nontrivial tangles after normalization")
-    evens = sum(1 for _, q in norm if q % 2 == 0)
     if evens > 1:
         raise NotAKnot(f"{evens} even-denominator tangles force extra components")
-    if evens == 0 and (sum(p for p, _ in norm) + g) % 2 == 0:
+    if evens == 0 and (total + g) % 2 == 0:
         raise NotAKnot("2 components")
     return norm, g
+
+
+# the bound of each per-tangle row memo (`_pair_row`, `_odd_row`, `_even_row`)
+_ROW_MEMO_SIZE = 1 << 11
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO_SIZE, typed=True)
+def _pair_row(p, q):
+    """The raw tangle p/q as `_normalize` reads it: (pair, n, even), with
+    pair the remainder in (-1, 1) as a (beta, alpha) pair in lowest terms
+    (None when p/q is an integer), n the integer part truncated toward
+    zero, and even whether alpha is even.  Typed, so that a pair of floats
+    raises as `Fraction()` does even after the equal int pair is cached."""
+    p, q = _lowest_terms((p, q))
+    n = p // q if p >= 0 else -(-p // q)  # truncation keeps the remainder's sign
+    p -= n * q
+    return ((p, q) if p else None), n, q % 2 == 0
 
 
 FAMILY_NAMES = ("o1", "o1p", "o2", "o3", "o3p", "o4", "o4p", "o5", "e1", "e2", "e3")
@@ -250,66 +274,10 @@ class FamilySpec(Record):
     def fraction_form(self):
         """Tangle fractions as (beta, alpha) integer pairs, not necessarily
         in lowest terms, plus gamma, before any mirroring."""
-        p = dict(self.params)
-        s = self.sign_variant or 1
-        a, b, c, d, e = map(p.get, "abcde")
-        if self.family == "o1":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-                (1, 2 * e + 1),
-            ], 0
-        if self.family == "o1p":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], s
-        if self.family == "o2":
-            return [
-                (2 * b, 4 * a * b + 2 * b - 1),
-                (2 * d, 4 * c * d + 2 * d - 1),
-                (1, 2 * e + 1),
-            ], 0
-        if self.family == "o3":
-            return [(3, 6 * a - s), (1, 2 * b + 1), (1, 2 * c + 1)], 0
-        if self.family == "o3p":
-            return [(3 * s, 7), (1, 2 * b + 1), (1, 2 * c + 1)], 0
-        if self.family == "o4":
-            return [
-                (4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], 0
-        if self.family == "o4p":
-            return [
-                (s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s),
-                (1, 2 * c + 1),
-                (1, 2 * d + 1),
-            ], 0
-        if self.family == "o5":
-            return [
-                (4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
-                (1, 2 * d + 1),
-                (1, 2 * e + 1),
-            ], 0
-        if self.family == "e1":
-            return [
-                (1, 2 * a),
-                (2 * c, 4 * b * c - 1),
-                (2 * e, 4 * d * e - 1),
-            ], 0
-        if self.family == "e2":
-            return [
-                (1, 2),
-                (-2 * a, 4 * a + 1),
-                (2 * b, 4 * b - 1),
-                (-2 * c, 4 * c + 1),
-            ], 0
-        if self.family == "e3":
-            return [(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0
-        raise InvalidInput(f"{self.family} has no Montesinos fraction form")
+        form = _FRACTION_FORMS.get(self.family)
+        if form is None:
+            raise InvalidInput(f"{self.family} has no Montesinos fraction form")
+        return form(self.sign_variant or 1, *[v for _, v in self.params])
 
     def diagram(self):
         if self.family == "pretzel":
@@ -338,6 +306,41 @@ class FamilySpec(Record):
             kv.append("mirror=1")
         return f"FAM:{self.family}(" + ",".join(kv) + ")"
 
+
+# genus-2 family -> its `fraction_form`, from the sign variant s (1 for a
+# family without one) and the parameter values in the family's order: o3'
+# and o4' have no a, and e3 has only a
+_FRACTION_FORMS = {
+    "o1": lambda s, a, b, c, d, e: ([
+        (2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1), (1, 2 * e + 1),
+    ], 0),
+    "o1p": lambda s, a, b, c, d: ([
+        (2 * b, 4 * a * b + 2 * b - 1), (1, 2 * c + 1), (1, 2 * d + 1),
+    ], s),
+    "o2": lambda s, a, b, c, d, e: ([
+        (2 * b, 4 * a * b + 2 * b - 1), (2 * d, 4 * c * d + 2 * d - 1), (1, 2 * e + 1),
+    ], 0),
+    "o3": lambda s, a, b, c: ([(3, 6 * a - s), (1, 2 * b + 1), (1, 2 * c + 1)], 0),
+    "o3p": lambda s, b, c: ([(3 * s, 7), (1, 2 * b + 1), (1, 2 * c + 1)], 0),
+    "o4": lambda s, a, b, c, d: ([
+        (4 * b + 2 - s, 8 * a * b + 4 * a - 2 * a * s - 2 * b * s - s),
+        (1, 2 * c + 1), (1, 2 * d + 1),
+    ], 0),
+    "o4p": lambda s, b, c, d: ([
+        (s * (4 * b + 2) + 1, 10 * b + 5 + 2 * s), (1, 2 * c + 1), (1, 2 * d + 1),
+    ], 0),
+    "o5": lambda s, a, b, c, d, e: ([
+        (4 * b * c - 1, 8 * a * b * c + 4 * b * c - 2 * a - 2 * c - 1),
+        (1, 2 * d + 1), (1, 2 * e + 1),
+    ], 0),
+    "e1": lambda s, a, b, c, d, e: ([
+        (1, 2 * a), (2 * c, 4 * b * c - 1), (2 * e, 4 * d * e - 1),
+    ], 0),
+    "e2": lambda s, a, b, c: ([
+        (1, 2), (-2 * a, 4 * a + 1), (2 * b, 4 * b - 1), (-2 * c, 4 * c + 1),
+    ], 0),
+    "e3": lambda s, a: ([(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0),
+}
 
 # the slots' own setters, in __slots__ order, for records whose values need
 # no check (`_drawn_specs`)
@@ -498,9 +501,36 @@ def _even_form(p, q):
     return to_even_cf((p, q))
 
 
+@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _odd_row(p, q):
+    """The odd type's row of a normalized tangle p/q: (b, step), with step
+    the unit (0 or +-1) that moves into gamma to bring p/q to |p/q| < 1/2
+    and b the `_strict_weight` of the pair it leaves."""
+    if 2 * abs(p) > q:
+        step = 1 if p > 0 else -1
+        return _strict_weight(p - step * q, q), step
+    return _strict_weight(p, q), 0
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _even_row(p, q):
+    """The even type's row of a tangle p/q: (step, m, lead, run), with
+    step the unit (0 or +-1) that moves into gamma, and m, lead and run
+    the length, leading entry and initial run of entries equal to the lead
+    of the `_even_form` of the pair it leaves.  Only an odd numerator over
+    an odd denominator absorbs a unit."""
+    step = (1 if p > 0 else -1) if p % 2 and q % 2 else 0
+    cf = _even_form(p - step * q, q)
+    lead = cf[0]
+    return step, len(cf), lead, next((j for j, e in enumerate(cf) if e != lead), len(cf))
+
+
 def genus(m) -> GenusBreakdown:
     """Genus from continued-fraction normal forms, of a MontesinosSpec or of
     the normalized (pairs, gamma) that `_normal_pairs` gives.
+
+    Each tangle's share is one row lookup, `_odd_row` or `_even_row`, so
+    a tangle met before costs no arithmetic.
 
     Odd type (all denominators odd): each tangle is brought to |f| < 1/2
     (units move into gamma), its strict continued fraction contributes
@@ -534,10 +564,9 @@ def genus(m) -> GenusBreakdown:
     if all(q % 2 == 1 for _, q in pairs):
         g_acc, per = gamma, []
         for p, q in pairs:
-            if 2 * abs(p) > q:  # absorb one unit so that |p/q| < 1/2
-                step = 1 if p > 0 else -1
-                p, g_acc = p - step * q, g_acc + step
-            per.append(_strict_weight(p, q))
+            b, step = _odd_row(p, q)
+            per.append(b)
+            g_acc += step
         total = sum(per) + abs(g_acc) - 1
         if total % 2:
             raise UnclassifiableType(f"odd-type genus count {total} is not even")
@@ -547,28 +576,23 @@ def genus(m) -> GenusBreakdown:
     if len(evens) != 1:
         raise UnclassifiableType(f"{len(evens)} even-denominator tangles")
     k = evens[0]
-    g_acc, fr = gamma, []
-    for i, (p, q) in enumerate(pairs[k:] + pairs[:k]):
-        if i > 0 and p % 2 == 1:
-            step = 1 if p > 0 else -1
-            p -= step * q
-            g_acc += step
-        fr.append((p, q))
+    rows = [_even_row(p, q) for p, q in pairs[k + 1:] + pairs[:k]]
+    g_acc = gamma + sum(row[0] for row in rows)
+    p, q = pairs[k]
     if g_acc % 2:
         # shifting the even tangle to its other representative moves gamma
         # by sign(f1); use it when that leaves gamma even
-        p, q = fr[0]
         step = 1 if p > 0 else -1
-        fr[0] = (p - step * q, q)
+        p -= step * q
         g_acc += step
-    cfs = [_even_form(p, q) for p, q in fr]
-    ms = tuple(len(cf) for cf in cfs)
+    rows.insert(0, _even_row(p, q))
+    ms = tuple(row[1] for row in rows)
     if g_acc != 0:
         return GenusBreakdown((1 + sum(ms)) // 2, "even_gamma_nonzero", ms)
-    half, odd = divmod(len(cfs), 2)
-    if not odd and sorted(cf[0] for cf in cfs) == [-2] * half + [2] * half:
+    half, odd = divmod(len(rows), 2)
+    if not odd and sorted(row[2] for row in rows) == [-2] * half + [2] * half:
         # p is the shortest initial run of entries equal to the lead
-        p = min(next((j for j, e in enumerate(cf) if e != cf[0]), len(cf)) for cf in cfs)
+        p = min(row[3] for row in rows)
         return GenusBreakdown((1 + sum(ms)) // 2 - (p + 1), "even_caseIII", ms, p)
     return GenusBreakdown((sum(ms) - 1) // 2, "even_caseII", ms)
 

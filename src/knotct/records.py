@@ -19,7 +19,9 @@ field) must be set there too, as the shared (name, value) pairs of
 A field a record shares with others must not change under them, so a
 shared field is immutable: `InvariantReport.method` is a tuple of (field,
 route) pairs, and `obstruct` takes each verdict's from one cache of at most
-81 tuples (`pipeline._routes`).
+81 tuples (`pipeline._routes`); a closed-form w3 is a `Fraction`, and
+every report with the same w3 holds the one object of the bounded cache
+`invariants._quarter`.
 
 The package defines its records this way rather than with `dataclasses`,
 whose import alone (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a

@@ -306,7 +306,8 @@ def test_values_that_predate_the_derived_forms_are_unchanged():
 
 
 def test_closed_form_builds_one_fraction_per_w3(monkeypatch):
-    # a2 and 4*w3 are computed in integers; the one Fraction is the w3 value
+    # a2 and 4*w3 are computed in integers; the one Fraction is the w3
+    # value, built on the first call for it and shared by every later one
     made = []
 
     class Counted(Fraction):
@@ -316,9 +317,12 @@ def test_closed_form_builds_one_fraction_per_w3(monkeypatch):
 
     monkeypatch.setattr(invariants, "Fraction", Counted)
     for f in _conversion_specs()[::7]:
+        invariants._quarter.cache_clear()
         made.clear()
         try:
             rep = closed_form(f)
         except NoFormula:
             continue
         assert len(made) == (rep.w3 is not None), str(f)
+        made.clear()
+        assert closed_form(f).w3 is rep.w3 and not made, str(f)

@@ -4,17 +4,19 @@ import hashlib
 import itertools
 import math
 import operator
+import os
 import random
 import re
+import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotct import montesinos
+import knotct
+from knotct import invariants, montesinos
 from knotct.cf_calculus import to_even_cf, to_strict_cf
 from knotct.diagram import additive_cf, construct, montesinos_diagram
 from knotct.errors import InvalidInput, KnotctError, NotAKnot, ParseError, ValidationError
@@ -218,29 +220,52 @@ def test_genus_breakdowns_pinned_at_bound_four():
         113382, "98bd1575676234ca2cb9972ea1bdc533fdb88349d1150c92a7ad7a255d931842")
 
 
-def test_memos_convert_each_distinct_pair_once(monkeypatch):
-    # a cold bound-4 genus pass converts each distinct shifted pair once and
-    # keeps one entry per pair: none is evicted and none is kept per spec
-    converted = {to_strict_cf: [], to_even_cf: []}
+# every memo of the spec layer, each a bounded LRU cache that starts empty
+SPEC_MEMOS = (montesinos._pair_row, montesinos._odd_row, montesinos._even_row,
+              montesinos._strict_weight, montesinos._even_form, invariants._quarter)
 
-    def recording(convert):
+
+def clear_spec_memos():
+    for memo in SPEC_MEMOS:
+        memo.cache_clear()
+
+
+def test_memos_convert_each_distinct_pair_once(monkeypatch):
+    # a cold bound-4 genus pass reduces each distinct raw pair once and
+    # converts each distinct shifted pair once, and every memo keeps one
+    # entry per pair: none is evicted and none is kept per spec
+    converted = {"to_strict_cf": [], "to_even_cf": [], "_lowest_terms": []}
+
+    def recording(name):
+        convert = getattr(montesinos, name)
+
         def wrapper(x):
-            converted[convert].append(x)
+            converted[name].append(x)
             return convert(x)
         return wrapper
 
-    monkeypatch.setattr(montesinos, "to_strict_cf", recording(to_strict_cf))
-    monkeypatch.setattr(montesinos, "to_even_cf", recording(to_even_cf))
-    strict, even = montesinos._strict_weight, montesinos._even_form
-    strict.cache_clear()
-    even.cache_clear()
-    tangles = set()
+    for name in converted:
+        monkeypatch.setattr(montesinos, name, recording(name))
+    clear_spec_memos()
+    tangles, raw, odd, even = set(), set(), set(), set()
     for family in FAMILY_NAMES:
         for f in enumerate_family(family, 4):
+            raw.update(montesinos._family_form(f)[0])
             pairs, gamma = _normal_pairs(f)
             genus((pairs, gamma))
             tangles.update(pairs)
-    strict_pairs, even_pairs = converted[to_strict_cf], converted[to_even_cf]
+            (odd if all(q % 2 for _, q in pairs) else even).update(pairs)
+    reduced = converted["_lowest_terms"]
+    rows = montesinos._pair_row.cache_info()
+    assert len(set(reduced)) == len(reduced) == len(raw) == rows.currsize == rows.misses == 702
+    odd_rows, even_rows = montesinos._odd_row.cache_info(), montesinos._even_row.cache_info()
+    assert odd_rows.currsize == odd_rows.misses == len(odd) == 534
+    # an even tangle takes the row of its representative that leaves gamma
+    # even, so the even rows' keys are not exactly the even-type tangles
+    assert even_rows.currsize == even_rows.misses == 88 and len(even) == 88
+    assert max(rows.currsize, odd_rows.currsize, even_rows.currsize) <= montesinos._ROW_MEMO_SIZE
+    strict, even = montesinos._strict_weight, montesinos._even_form
+    strict_pairs, even_pairs = converted["to_strict_cf"], converted["to_even_cf"]
     assert len(set(strict_pairs)) == len(strict_pairs) == strict.cache_info().currsize == 534
     assert len(set(even_pairs)) == len(even_pairs) == even.cache_info().currsize == 86
     for x in strict_pairs:
@@ -248,6 +273,7 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
     for x in even_pairs:
         assert even(*x) == to_even_cf(x)
     assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
+    assert {m.cache_info().maxsize for m in SPEC_MEMOS[:3]} == {montesinos._ROW_MEMO_SIZE}
 
     # the tables of the same tangles: one per tangle, built once
     construct._template.cache_clear()
@@ -266,32 +292,90 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
         assert tb.n == sum(map(abs, additive_cf(q if p > 0 else -q, abs(p))))
 
 
+# Fills one memo to its bound in a fresh process and prints the bytes the
+# memo retains: the traced size with it full minus the traced size after its
+# cache_clear(), each read after a full collection, which also empties
+# CPython's free lists.  The filling generator builds every key afresh, so a
+# key's ints are held by the memo alone, as they are once a sweep's specs
+# are gone; the memos the filled one calls stay full in both readings.
+_RETAINED = """
+import gc, sys, tracemalloc
+from math import gcd
+from knotct import invariants, montesinos
+from knotct.diagram import construct
+
+memo = MEMO
+size = memo.cache_info().maxsize
+tracemalloc.start()
+n = 0
+for key in KEYS:
+    if n == size:
+        break
+    memo(*key)
+    n += 1
+assert memo.cache_info().currsize == n == size, (memo.cache_info(), n)
+gc.collect()
+full = tracemalloc.get_traced_memory()[0]
+memo.cache_clear()
+gc.collect()
+print(full - tracemalloc.get_traced_memory()[0])
+"""
+
+
+def _retained_bytes(memo, keys):
+    """Bytes that `memo` (an expression) retains when `keys` (a generator
+    expression of argument tuples) has filled it to its bound."""
+    src = os.path.dirname(list(knotct.__path__)[0])
+    code = _RETAINED.replace("MEMO", memo).replace("KEYS", keys)
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert p.returncode == 0, p.stderr
+    return int(p.stdout)
+
+
+# tangles p/q in (-1, 1) with denominators from 257 up (odd ones only with
+# step 2), so that every key holds ints of its own, as most pairs of a sweep do
+_TANGLES = "((p, q) for q in range(257, 1 << 12{}) for p in range(1 - q, q) if p and gcd(p, q) == 1)"
+
+
 def test_a_full_template_memo_stays_under_one_megabyte():
     # the first 1,024 tangles p/q by denominator fill the memo to its bound
-    construct._template.cache_clear()
-    keys = [(p, q) for q in range(2, 64) for p in range(1 - q, q) if math.gcd(p, q) == 1]
-    keys = keys[:construct._TEMPLATE_MEMO_SIZE]
-    tracemalloc.start()
-    try:
-        for p, q in keys:
-            construct._template(p, q)
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-        construct._template.cache_clear()
-    assert len(keys) == construct._TEMPLATE_MEMO_SIZE
-    assert size <= 1_000_000, size
+    retained = _retained_bytes(
+        "construct._template",
+        "((p, q) for q in range(2, 64) for p in range(1 - q, q) if gcd(p, q) == 1)")
+    assert retained <= 1_000_000, retained
+
+
+@pytest.mark.parametrize("memo, keys", [
+    # raw pairs out of lowest terms and of range, as a family's fraction form gives them
+    ("montesinos._pair_row", "((5 * q + q // 2 + 1, q) for q in range(1001, 1 << 16))"),
+    ("montesinos._odd_row", _TANGLES.format(", 2")),
+    ("montesinos._even_row", _TANGLES.format("")),
+    ("invariants._quarter", "((n,) for n in range(1001, 1 << 16))"),
+])
+def test_a_full_spec_memo_stays_under_one_megabyte(memo, keys):
+    retained = _retained_bytes(memo, keys)
+    assert retained <= 1_000_000, retained
+
+
+# what a memo whose arguments reach `Fraction()` raises on a bad one
+_MEMO_ERRORS = {montesinos._pair_row: (ZeroDivisionError, TypeError), invariants._quarter: TypeError}
 
 
 @pytest.mark.parametrize("memo, args", [
     (montesinos._strict_weight, (2, 3)),  # not in the half range
     (montesinos._even_form, (1, 3)),  # both odd
     (construct._template, (2, 1)),  # tangle 2/1: |1/2| < 1 has no additive CF
+    (montesinos._pair_row, (1, 0)),  # zero denominator
+    (montesinos._pair_row, (1.0, 2.0)),  # floats, which Fraction() refuses as a pair
+    (montesinos._odd_row, (0, 3)),  # not a tangle
+    (montesinos._even_row, (1, 1)),  # an integer, shifted to 0
+    (invariants._quarter, ("1",)),  # not an integer
 ])
 def test_memos_do_not_keep_errors(memo, args):
     before = memo.cache_info()
     for _ in range(2):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(_MEMO_ERRORS.get(memo, InvalidInput)):
             memo(*args)
     after = memo.cache_info()
     assert after.misses == before.misses + 2 and after.currsize == before.currsize

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from knotct.pipeline import (
     twist_gate,
 )
 from knotct.sweeps import SIGNATURE_CASES, _formulas_specs, classify_genus2, verify_suite
+from test_montesinos import clear_spec_memos
 
 
 def test_unknot_obstruction():
@@ -121,6 +123,34 @@ def test_obstruct_over_the_formulas_specs_is_pinned():
     assert rules == {"a2_nonzero": 30_836, "w3_nonzero": 1_079, "none": 1_965,
                      "genus_ne_2": 48, "NotAKnot": 32, "tau_nonzero_via_sigma": 4}
     assert h.hexdigest() == "3590301f0658f08b5fff8a8a63df6e01d2cf84e32e759d8bd54b269ffc313b4b"
+
+
+def _outcome(text):
+    """obstruct's verdict on the parsed text, or its error's type, message
+    and notes."""
+    try:
+        return obstruct(parse_spec(text)).to_dict()
+    except KnotctError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "__notes__", [])]
+
+
+def test_cold_and_warm_spec_memos_give_the_same_verdicts():
+    # a seeded sample of the AC1 list and of the bound-3 families, and each
+    # family spec's M(...) form as its fraction form gives it, out of lowest
+    # terms: once with every spec-layer memo cleared before each parse, then
+    # warm, on a second pass
+    rng = random.Random(3401)
+    families = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
+    texts = [str(f) for f in rng.sample(_formulas_specs(2), 400) + rng.sample(families, 400)]
+    for f in rng.sample(families, 100):
+        pairs, gamma = knotct.montesinos._family_form(f)
+        texts.append("M(" + ",".join(f"{p}/{q}" for p, q in pairs) + f"|{gamma})")
+    cold = []
+    for text in texts:
+        clear_spec_memos()
+        cold.append(_outcome(text))
+    [_outcome(text) for text in texts]
+    assert [_outcome(text) for text in texts] == cold
 
 
 def reference_sigma_gate(spec):
