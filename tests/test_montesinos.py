@@ -231,9 +231,10 @@ def clear_spec_memos():
 
 
 def test_memos_convert_each_distinct_pair_once(monkeypatch):
-    # a cold bound-4 genus pass reduces each distinct raw pair once and
-    # converts each distinct shifted pair once, and every memo keeps one
-    # entry per pair: none is evicted and none is kept per spec
+    # a cold bound-4 pass of genus and the closed forms reduces each
+    # distinct raw pair once, converts each distinct shifted pair once and
+    # builds each distinct w3 once, and every memo keeps one entry per
+    # pair or value: none is evicted and none is kept per spec
     converted = {"to_strict_cf": [], "to_even_cf": [], "_lowest_terms": []}
 
     def recording(name):
@@ -247,23 +248,26 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
     for name in converted:
         monkeypatch.setattr(montesinos, name, recording(name))
     clear_spec_memos()
-    tangles, raw, odd, even = set(), set(), set(), set()
+    tangles, raw, odd_type, even_type = set(), set(), set(), set()
     for family in FAMILY_NAMES:
         for f in enumerate_family(family, 4):
             raw.update(montesinos._family_form(f)[0])
             pairs, gamma = _normal_pairs(f)
             genus((pairs, gamma))
+            invariants.closed_a2_w3(f)
             tangles.update(pairs)
-            (odd if all(q % 2 for _, q in pairs) else even).update(pairs)
+            (odd_type if all(q % 2 for _, q in pairs) else even_type).update(pairs)
     reduced = converted["_lowest_terms"]
     rows = montesinos._pair_row.cache_info()
     assert len(set(reduced)) == len(reduced) == len(raw) == rows.currsize == rows.misses == 702
     odd_rows, even_rows = montesinos._odd_row.cache_info(), montesinos._even_row.cache_info()
-    assert odd_rows.currsize == odd_rows.misses == len(odd) == 534
+    assert odd_rows.currsize == odd_rows.misses == len(odd_type) == 534
     # an even tangle takes the row of its representative that leaves gamma
     # even, so the even rows' keys are not exactly the even-type tangles
-    assert even_rows.currsize == even_rows.misses == 88 and len(even) == 88
-    assert max(rows.currsize, odd_rows.currsize, even_rows.currsize) <= montesinos._ROW_MEMO_SIZE
+    assert even_rows.currsize == even_rows.misses == 88 and len(even_type) == 88
+    quarters = invariants._quarter.cache_info()
+    assert quarters.currsize == quarters.misses == 1108
+    assert quarters.maxsize == invariants._QUARTER_MEMO_SIZE
     strict, even = montesinos._strict_weight, montesinos._even_form
     strict_pairs, even_pairs = converted["to_strict_cf"], converted["to_even_cf"]
     assert len(set(strict_pairs)) == len(strict_pairs) == strict.cache_info().currsize == 534
@@ -273,7 +277,7 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
     for x in even_pairs:
         assert even(*x) == to_even_cf(x)
     assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
-    assert {m.cache_info().maxsize for m in SPEC_MEMOS[:3]} == {montesinos._ROW_MEMO_SIZE}
+    assert rows.maxsize == odd_rows.maxsize == even_rows.maxsize == montesinos._ROW_MEMO_SIZE
 
     # the tables of the same tangles: one per tangle, built once
     construct._template.cache_clear()
@@ -352,14 +356,14 @@ def test_a_full_template_memo_stays_under_one_megabyte():
     ("montesinos._odd_row", _TANGLES.format(", 2")),
     ("montesinos._even_row", _TANGLES.format("")),
     ("invariants._quarter", "((n,) for n in range(1001, 1 << 16))"),
-])
+], ids=["_pair_row", "_odd_row", "_even_row", "_quarter"])
 def test_a_full_spec_memo_stays_under_one_megabyte(memo, keys):
     retained = _retained_bytes(memo, keys)
     assert retained <= 1_000_000, retained
 
 
 # what a memo whose arguments reach `Fraction()` raises on a bad one
-_MEMO_ERRORS = {montesinos._pair_row: (ZeroDivisionError, TypeError), invariants._quarter: TypeError}
+_MEMO_ERRORS = {montesinos._pair_row: ZeroDivisionError, invariants._quarter: TypeError}
 
 
 @pytest.mark.parametrize("memo, args", [
@@ -367,7 +371,6 @@ _MEMO_ERRORS = {montesinos._pair_row: (ZeroDivisionError, TypeError), invariants
     (montesinos._even_form, (1, 3)),  # both odd
     (construct._template, (2, 1)),  # tangle 2/1: |1/2| < 1 has no additive CF
     (montesinos._pair_row, (1, 0)),  # zero denominator
-    (montesinos._pair_row, (1.0, 2.0)),  # floats, which Fraction() refuses as a pair
     (montesinos._odd_row, (0, 3)),  # not a tangle
     (montesinos._even_row, (1, 1)),  # an integer, shifted to 0
     (invariants._quarter, ("1",)),  # not an integer
@@ -379,6 +382,14 @@ def test_memos_do_not_keep_errors(memo, args):
             memo(*args)
     after = memo.cache_info()
     assert after.misses == before.misses + 2 and after.currsize == before.currsize
+
+
+def test_a_float_pair_is_refused_after_its_int_twin():
+    # the raw-pair rows are typed: the cached row of (1, 2) does not answer
+    # for (1.0, 2.0), which Fraction() refuses as a pair
+    MontesinosSpec([(1, 2), (1, 3)])
+    with pytest.raises(TypeError):
+        MontesinosSpec([(1.0, 2.0), (1, 3)])
 
 
 def _conversion_specs():
