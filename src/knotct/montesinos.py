@@ -34,25 +34,23 @@ Both paths take each (name, value) pair of a spec's `params` from one
 table, `_PAIRS`, so equal pairs of any number of specs are one tuple, and
 each family name is one string: a parsed bound-3 `FAM:` spec holds 152
 bytes (tracemalloc, CPython 3.11), where fresh pairs and names held 469.
-`MontesinosSpec.tangles` takes its (beta, alpha) pairs from there too: a
-record of four recurring tangles holds 129 bytes, where `Fraction`s held
-325.  The table holds at most `_PAIR_TABLE_SIZE` = 4,096 pairs, far more
-than the few hundred of a bound-4 sweep, and is cleared when full; a spec
-built after a clearing is equal to, but shares nothing with, one before.
+The table holds (name, value) pairs only, at most `_PAIR_TABLE_SIZE` =
+4,096 of them, and is cleared when full; a spec built after a clearing is
+equal to, but shares nothing with, one before.
 
 Each tangle is read from a per-tangle row, an LRU cache bounded at
 `_ROW_MEMO_SIZE` = 2,048 entries, so a sweep reduces, types and weighs each
 distinct tangle once: `_normalize` reads `_pair_row`, keyed on the raw
 (beta, alpha) pair, and `genus` sums `_odd_row` or `_even_row`, keyed on
-the normalized pair.  A bound-4 sweep of the families fills 702, 534 and
-88 rows, so the bound evicts nothing in a sweep, and a full row memo
-retains under 1 MB.  Below the rows, `genus` reads each tangle's normal
-form from a memo keyed on the pair after its unit shift: `_strict_weight`
-(odd type) and `_even_form` (even type), each an LRU cache of
-`_CF_MEMO_SIZE` = 4,096 entries, of which a bound-4 sweep converts 534 and
-86.  The cached values are ints, bools, None and tuples of them, a failed
-reduction or conversion is not cached, and each process starts with every
-memo empty.
+the normalized pair.  `MontesinosSpec.tangles` holds the `_pair_row` rows'
+own pairs, so equal raw tangles of any number of records are one tuple: a
+record of four recurring tangles holds 129 bytes, where `Fraction`s held
+325.  Each odd or even row converts its tangle's normal form once, with no
+memo below it; a bound-4 sweep of the families fills 702, 534 and 88 rows,
+so the bound evicts nothing in a sweep, and a full row memo retains under
+1 MB.  The cached values are ints, bools, None and tuples of them, a
+failed reduction or conversion is not cached, and each process starts
+with every memo empty.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ class MontesinosSpec(Record):
 
     def __init__(self, tangles, gamma=0):
         norm, g = _normalize(tangles, gamma)
-        object.__setattr__(self, "tangles", _shared_pairs(norm))
+        object.__setattr__(self, "tangles", tuple(norm))
         object.__setattr__(self, "gamma", g)
 
     def diagram(self):
@@ -204,17 +202,17 @@ _SHORT_FORMS = {"P": ("pretzel", None, 1), "DT": ("double_twist", 2, 2),
 
 # each family name as one string object, so a parsed spec holds no copy
 _FAMILIES = {name: name for name in (*_RULES, "pretzel")}
-# the pairs of `FamilySpec.params` and `MontesinosSpec.tangles`: each pair
-# maps to itself, so equal pairs of any number of specs are one tuple;
-# cleared when it has grown past its size
+# the (name, value) pairs of `FamilySpec.params`: each pair maps to itself,
+# so equal pairs of any number of family specs are one tuple; cleared when
+# it has grown past its size
 _PAIR_TABLE_SIZE = 1 << 12
 _PAIRS = {}
 
 
 def _shared_pairs(pairs):
     """A tuple of `_PAIRS`' own pairs equal to `pairs`, a list of (name,
-    value) or (beta, alpha) pairs; the table is cleared after they go in
-    if that took it past `_PAIR_TABLE_SIZE`."""
+    value) pairs; the table is cleared after they go in if that took it
+    past `_PAIR_TABLE_SIZE`."""
     share = _PAIRS.setdefault
     shared = tuple([share(p, p) for p in pairs])
     if len(_PAIRS) > _PAIR_TABLE_SIZE:
@@ -364,7 +362,9 @@ def _family_form(f: FamilySpec):
         pairs, g = [(1, q) for q in f.param_values()], 0
     elif f.family == "double_twist":
         x, y = f.param_values()
-        pairs, g = [(4 * x * y - 1, 2 * y)], 0  # 2x - 1/(2y)
+        # 1/(2y) - 2x: the knot `double_twist_diagram(2x, 2y)` draws, and
+        # not its mirror image, which 2x - 1/(2y) names
+        pairs, g = [(1 - 4 * x * y, 2 * y)], 0
     else:
         pairs, g = f.fraction_form()
     if f.mirror:
@@ -486,30 +486,14 @@ class GenusBreakdown(Record):
         object.__setattr__(self, "p", p)
 
 
-_CF_MEMO_SIZE = 1 << 12
-
-
-@functools.lru_cache(maxsize=_CF_MEMO_SIZE)
-def _strict_weight(p, q):
-    """b = sum |b_j| of the strict continued fraction of p/q, |p/q| < 1/2."""
-    return sum(abs(b) for b in to_strict_cf((p, q))[1::2])
-
-
-@functools.lru_cache(maxsize=_CF_MEMO_SIZE)
-def _even_form(p, q):
-    """The even continued fraction of p/q, one of p, q even."""
-    return to_even_cf((p, q))
-
-
 @functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
 def _odd_row(p, q):
     """The odd type's row of a normalized tangle p/q: (b, step), with step
     the unit (0 or +-1) that moves into gamma to bring p/q to |p/q| < 1/2
-    and b the `_strict_weight` of the pair it leaves."""
-    if 2 * abs(p) > q:
-        step = 1 if p > 0 else -1
-        return _strict_weight(p - step * q, q), step
-    return _strict_weight(p, q), 0
+    and b = sum |b_j| of the strict continued fraction of the pair it
+    leaves."""
+    step = (1 if p > 0 else -1) if 2 * abs(p) > q else 0
+    return sum(abs(b) for b in to_strict_cf((p - step * q, q))[1::2]), step
 
 
 @functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
@@ -517,10 +501,10 @@ def _even_row(p, q):
     """The even type's row of a tangle p/q: (step, m, lead, run), with
     step the unit (0 or +-1) that moves into gamma, and m, lead and run
     the length, leading entry and initial run of entries equal to the lead
-    of the `_even_form` of the pair it leaves.  Only an odd numerator over
-    an odd denominator absorbs a unit."""
+    of the even continued fraction of the pair it leaves.  Only an odd
+    numerator over an odd denominator absorbs a unit."""
     step = (1 if p > 0 else -1) if p % 2 and q % 2 else 0
-    cf = _even_form(p - step * q, q)
+    cf = to_even_cf((p - step * q, q))
     lead = cf[0]
     return step, len(cf), lead, next((j for j, e in enumerate(cf) if e != lead), len(cf))
 

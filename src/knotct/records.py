@@ -13,8 +13,8 @@ the slots of records `enumerate_family` has drawn through the slot
 descriptors, with no `__init__` call.  Any per-record state a later change
 adds to `Record` or `FamilySpec.__init__` (a cached hash, a normalized
 field) must be set there too, as the shared (name, value) pairs of
-`params` are: both ways take them from `montesinos._PAIRS`, as
-`MontesinosSpec.__init__` takes its (beta, alpha) pairs.
+`params` are: both ways take them from `montesinos._PAIRS`.
+`MontesinosSpec` shares its (beta, alpha) pairs through `_pair_row`'s rows.
 
 A field a record shares with others must not change under them, so a
 shared field is immutable: `InvariantReport.method` is a tuple of (field,

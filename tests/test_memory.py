@@ -1,7 +1,8 @@
 """What family specs, Montesinos records and obstruct verdicts hold, read
-from tracemalloc: specs share their (name, value) or (beta, alpha) pairs
-through one bounded table, and verdicts their route tuples through a cache
-of at most 81."""
+from tracemalloc: family specs share their (name, value) pairs through one
+bounded table, Montesinos records their (beta, alpha) pairs through the
+per-tangle rows, and verdicts their route tuples through a cache of at
+most 81."""
 
 import gc
 import itertools
@@ -78,7 +79,6 @@ def _four_tangle_grid():
 def test_four_tangle_records_hold_at_most_160_bytes_each():
     # 129 bytes measured on CPython 3.11, where one Fraction per tangle held 325
     grid = _four_tangle_grid()
-    montesinos._PAIRS.clear()  # so that no clearing falls in the measured pass
     [MontesinosSpec(*x) for x in grid]
     specs, held = _held(lambda: [MontesinosSpec(*x) for x in grid])
     assert len(specs) == 9_929 and held <= 160 * len(specs), held / len(specs)
@@ -87,11 +87,23 @@ def test_four_tangle_records_hold_at_most_160_bytes_each():
 
 def test_a_record_built_after_a_clearing_equals_its_twin():
     m = parse_spec("M(7/3,[3,2],-4/5|2)")
-    montesinos._PAIRS.clear()
+    montesinos._pair_row.cache_clear()
     twin = parse_spec("M(7/3,[3,2],-4/5|2)")
     assert twin.tangles[0] is not m.tangles[0]
     assert twin == m and hash(twin) == hash(m)
     assert repr(twin) == repr(m) and str(twin) == str(m) == "M(1/3,2/5,-4/5|4)"
+
+
+def test_records_share_their_pairs_through_the_rows_alone():
+    # a parsed M(...) spec puts none of its (beta, alpha) pairs into the
+    # family pair table, and a second parse holds the first one's pairs
+    montesinos._PAIRS.clear()
+    texts = ["M(7/3,[3,2],-4/5|2)", "M(1/3,1/4,1/5,1/5)", "M(2/6,4/10,-3/15|1)"]
+    first = [parse_spec(t) for t in texts]
+    again = [parse_spec(t) for t in texts]
+    assert not montesinos._PAIRS
+    for m, twin in zip(first, again):
+        assert twin == m and all(p is q for p, q in zip(m.tangles, twin.tangles))
 
 
 def test_formulas_spec_list_holds_at_most_6_mb():
@@ -135,14 +147,14 @@ def test_pair_table_stays_bounded():
 
 def test_a_spec_whose_pairs_are_in_a_near_full_table_clears_nothing():
     montesinos._PAIRS.clear()
-    m = MontesinosSpec([(1, 3), (2, 5), (-4, 5)], 2)
+    f = parse_spec("FAM:o1(a=1,b=2,c=3,d=4,e=5)")
     v = 2
     while len(montesinos._PAIRS) < montesinos._PAIR_TABLE_SIZE - 1:
         parse_spec(f"FAM:e3(a={v})")
         v += 1
-    twin = MontesinosSpec([(1, 3), (2, 5), (-4, 5)], 2)
+    twin = parse_spec("FAM:o1(a=1,b=2,c=3,d=4,e=5)")
     assert len(montesinos._PAIRS) == montesinos._PAIR_TABLE_SIZE - 1
-    assert twin.tangles[0] is m.tangles[0] and twin == m
+    assert all(p is q for p, q in zip(twin.params, f.params)) and twin == f
 
 
 def test_verdicts_take_their_routes_from_the_route_cache():

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import knotct
 from knotct import invariants, montesinos
-from knotct.cf_calculus import to_even_cf, to_strict_cf
 from knotct.diagram import additive_cf, construct, montesinos_diagram
 from knotct.errors import InvalidInput, KnotctError, NotAKnot, ParseError, ValidationError
+from knotct.gauss import gauss_a2, gauss_w3
 from knotct.montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -222,7 +222,7 @@ def test_genus_breakdowns_pinned_at_bound_four():
 
 # every memo of the spec layer, each a bounded LRU cache that starts empty
 SPEC_MEMOS = (montesinos._pair_row, montesinos._odd_row, montesinos._even_row,
-              montesinos._strict_weight, montesinos._even_form, invariants._quarter)
+              invariants._quarter)
 
 
 def clear_spec_memos():
@@ -230,9 +230,22 @@ def clear_spec_memos():
         memo.cache_clear()
 
 
+def test_spec_memos_name_every_memo_of_the_spec_layer():
+    # every functools cache of the two modules, at module level or on a
+    # class, is in SPEC_MEMOS, so that clear_spec_memos empties them all;
+    # the skein's word keys are the one memo that is not spec state
+    found = set()
+    for module in (montesinos, invariants):
+        spaces = [vars(module)] + [vars(c) for c in vars(module).values()
+                                   if isinstance(c, type) and c.__module__ == module.__name__]
+        found.update(v for space in spaces for v in space.values()
+                     if hasattr(v, "cache_info") and v.__module__ == module.__name__)
+    assert found == {*SPEC_MEMOS, invariants._word_key}
+
+
 def test_memos_convert_each_distinct_pair_once(monkeypatch):
     # a cold bound-4 pass of genus and the closed forms reduces each
-    # distinct raw pair once, converts each distinct shifted pair once and
+    # distinct raw pair once, converts each distinct row's pair once and
     # builds each distinct w3 once, and every memo keeps one entry per
     # pair or value: none is evicted and none is kept per spec
     converted = {"to_strict_cf": [], "to_even_cf": [], "_lowest_terms": []}
@@ -268,15 +281,11 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
     quarters = invariants._quarter.cache_info()
     assert quarters.currsize == quarters.misses == 1108
     assert quarters.maxsize == invariants._QUARTER_MEMO_SIZE
-    strict, even = montesinos._strict_weight, montesinos._even_form
+    # each row miss converts its shifted pair once, with no memo below the rows
     strict_pairs, even_pairs = converted["to_strict_cf"], converted["to_even_cf"]
-    assert len(set(strict_pairs)) == len(strict_pairs) == strict.cache_info().currsize == 534
-    assert len(set(even_pairs)) == len(even_pairs) == even.cache_info().currsize == 86
-    for x in strict_pairs:
-        assert strict(*x) == sum(abs(b) for b in to_strict_cf(x)[1::2])
-    for x in even_pairs:
-        assert even(*x) == to_even_cf(x)
-    assert strict.cache_info().maxsize == even.cache_info().maxsize == montesinos._CF_MEMO_SIZE
+    assert len(set(strict_pairs)) == len(strict_pairs) == odd_rows.misses == 534
+    # the rows of 1/3 and -2/3 convert the same pair, and so do -1/3 and 2/3
+    assert len(even_pairs) == even_rows.misses == 88 and len(set(even_pairs)) == 86
     assert rows.maxsize == odd_rows.maxsize == even_rows.maxsize == montesinos._ROW_MEMO_SIZE
 
     # the tables of the same tangles: one per tangle, built once
@@ -367,8 +376,6 @@ _MEMO_ERRORS = {montesinos._pair_row: ZeroDivisionError, invariants._quarter: Ty
 
 
 @pytest.mark.parametrize("memo, args", [
-    (montesinos._strict_weight, (2, 3)),  # not in the half range
-    (montesinos._even_form, (1, 3)),  # both odd
     (construct._template, (2, 1)),  # tangle 2/1: |1/2| < 1 has no additive CF
     (montesinos._pair_row, (1, 0)),  # zero denominator
     (montesinos._odd_row, (0, 3)),  # not a tangle
@@ -420,10 +427,23 @@ def _fraction_repr(spec):
     return f"MontesinosSpec(tangles={tangles!r}, gamma={spec.gamma!r})"
 
 
+def test_double_twist_pairs_name_the_double_twist_knot():
+    # the Gauss diagram formulas on the diagram built from a double twist
+    # spec's tangle pairs give its closed-form a2 and w3, and not its mirror's
+    vals = [v for v in range(-4, 5) if v]
+    for mirror in (False, True):
+        for x, y in itertools.product(vals, repeat=2):
+            f = FamilySpec("double_twist", dict(x=x, y=y), None, mirror)
+            d = montesinos_diagram(*_normal_pairs(f))
+            assert (gauss_a2(d), gauss_w3(d)) == invariants.closed_a2_w3(f), str(f)
+
+
 def test_family_conversions_are_pinned():
     # sha256 over the converted record, or the error's type and message, of
     # every spec above; recorded with the Fraction-arithmetic conversion that
-    # the integer one replaced
+    # the integer one replaced, and re-recorded when the double twist pairs
+    # stopped naming the mirror image: only the 32 double twist lines moved,
+    # each to the line its mirror had
     outcomes = []
     for f in _conversion_specs():
         try:
@@ -432,14 +452,15 @@ def test_family_conversions_are_pinned():
             outcomes.append(f"{type(exc).__name__}: {exc}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert len(outcomes) == 59_512
-    assert digest == "3fb502eba04f266222a7629bb34bb519694466685c7c5ef6e86b12777e881ee4"
+    assert digest == "f2a3a205371f1abf41297d1b931c95e51213438224a73228613bd01b418f19d4"
 
 
 def test_alternating_presentations_are_pinned():
     # sha256 over is_alternating_knot and the alternating presentation as its
     # M(...) string, or the conversion error's type and message, of every
     # spec above; recorded with the test and shift that compared the
-    # record's Fractions, which the integer ones replaced
+    # record's Fractions, which the integer ones replaced, and re-recorded
+    # as the conversions above were
     outcomes = []
     for f in _conversion_specs():
         try:
@@ -454,7 +475,7 @@ def test_alternating_presentations_are_pinned():
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert len(outcomes) == 59_512
     assert sum(o.startswith("True") for o in outcomes) == 7_348
-    assert digest == "7ef8a2c55500150382f6311225bd5d796e39e3381c95959ab853d43b567f471c"
+    assert digest == "a7b96f8fc9dd503c5d1add1fd418f24eded5d0b1aac58c0b38a048a5429665e9"
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
