@@ -54,6 +54,8 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant equals its int, so hashes as it
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):

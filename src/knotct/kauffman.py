@@ -3,17 +3,20 @@
 Twist regions are contracted one at a time into a frontier of open arcs
 (Bar-Natan's tangle-by-tangle contraction, restricted to the bracket, with
 Kauffman's twist recurrence for the two weighted pairings of each
-region).  A state is the tuple of partner indices pairing the frontier arcs;
-its value counts states by (closed loops, A-smoothings), packed into one
-int, and the bracket is assembled once at the end by Horner in the loop
-value.  This is the first of the two pipelines of `knotct.oracle`, which
-re-exports the public names.
+region).  The contraction is split in two.  `_plan` runs it on partner-index
+states alone, once per wiring of the regions (the chain-end adjacency that
+`_chain_ends` packs), and keeps which state each state goes to under each
+pairing and how many loops that closes.  The numeric pass walks the plan
+with the diagram's own region weights, each state's value one packed
+Laurent polynomial in x = A^2.  This is the first of the two pipelines of
+`knotct.oracle`, which re-exports the public names.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
 
 from .budget import crossing_budget
 from .diagram.core import PlanarDiagram
@@ -34,68 +37,88 @@ _KAUFFMAN = "oracle: Kauffman bracket"
 _E_JOIN = (1, 0, 3, 2)
 _ONE_JOIN = (3, 2, 1, 0)
 
+# The formulas suite (AC1) wires the regions of its 32,059 diagrams and of
+# their mirrors in 525 ways, whose plans retain about 150 KB; 1,024 plans of
+# Montesinos knots of up to 26 crossings retain about 0.6 MB.  The regions
+# weigh in 183 ways, (p, q, bits) below; 512 weights of chains of up to 11
+# crossings retain about 0.2 MB.
+_PLAN_MEMO_SIZE = 1 << 10
+_WEIGHT_MEMO_SIZE = 1 << 9
 
-def _chain_weights(chain, stride):
-    """The bracket X_1 ... X_k = a*1 + b*e of a twist chain, as the key of
-    a's single state and b's (key, state count) pairs; a key packs
-    loops * stride + the number of A-smoothings.
+
+@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
+def _region_weights(p, q, bits):
+    """(shift, e, one) of a twist chain whose first p crossings, in any
+    order, join the slots of an even left corner and q of an odd one:
+    `e[l]` and `one[l]` are the weights of the chain's two pairings times
+    delta^l, for the l = 0, 1, 2 loops a pairing closes, each a polynomial
+    in x = A^2 packed as `jones_via_kauffman` packs a value, `shift` bits
+    higher, so that a value times a weight is shifted right by `shift`.
 
     The smoothing of a crossing that joins the slots of its left corner is
-    its e: the A-smoothing when that corner is even, so X = A^-1 * 1 + A * e,
-    and the B-smoothing otherwise, X = A * 1 + A^-1 * e.  Along the chain
-    1 and e commute and e^m = delta^(m-1) * e, with delta kept as one more
-    closed loop, so every count is a number of states.  With p crossings of
-    the first kind and q of the second, choosing e at i and j of them gives
-    C(p, i) * C(q, j) states with i + j - 1 loops and i + q - j
-    A-smoothings.  For k like crossings, b_k = sum_i C(k, i) A^(2i - k)
-    delta^(i - 1) solves b_(k+1) = A^(1-k) + (A^-1 + A * delta) b_k, which
-    is A^(1-k) - A^3 b_k once delta = -A^2 - A^-2 is put in (Kauffman,
-    Topology 26, 1987).
+    its e: X = A^-1 * 1 + A * e for an even corner and X = A * 1 + A^-1 * e
+    for an odd one.  Along the chain 1 and e commute and e^m = delta^(m-1) e,
+    so A^(p+q) X_1 ... X_(p+q) = x^q * 1 + E * e, with
+    E = sum C(p, i) C(q, j) x^(i + q - j) delta^(i + j - 1) over
+    (i, j) != (0, 0): choosing e at i and j crossings of the two kinds.
+    As 1 + x delta = -x^2 and 1 + delta / x = -x^-2, delta E + x^q =
+    x^q (1 + x delta)^p (1 + delta / x)^q = x^q (-x^2)^(p-q), so E is
+    x^(q+1) ((-x^2)^m - 1) / (-x^2 - 1) with m = p - q: the sum of
+    (-1)^t x^(q+1+2t) over t from 0 to m - 1, or minus that sum over t
+    from m to -1 when m < 0 (Kauffman's twist recurrence, Topology 26, 1987).
     """
-    q = sum(left % 2 for _, left in chain)
-    p = len(chain) - q
-    return q, [((i + j - 1) * stride + i + q - j, comb(p, i) * comb(q, j))
-               for i in range(p + 1) for j in range(q + 1) if i or j]
+    m = p - q
+    lowest = q + min(0, 2 * m + 1)  # least exponent of x^q and of E
+    shift = max(0, 2 - lowest)  # delta^2 takes both two lower
+    e = 0
+    for t in range(min(m, 0), max(m, 0)):
+        e += (-1 if t % 2 else 1) << (q + 1 + 2 * t + shift) * bits
+    e = [-e if m < 0 else e]
+    one = [1 << (q + shift) * bits]
+    for w in (e, one):
+        for _ in range(2):  # times delta = -(x + 1/x), exact: digits 0 and 1 are 0
+            w.append(-(w[-1] << bits) - (w[-1] >> bits))
+    return shift * bits, tuple(e), tuple(one)
 
 
 def _chain_ends(rows, chains):
-    """(arcs, far) of the chains of a diagram with crossing rows `rows`:
-    `arcs[r][e]` is the arc at end e of chain r, and `far[r][e]` the
-    (chain, end) at that arc's other end."""
-    arcs = []
-    at = {}  # arc -> the (chain, end)s it meets
+    """The wiring key of the chains of a diagram with crossing rows `rows`:
+    entry 4r + e is the end 4r' + e' at the other end of the arc at end e of
+    chain r, packed as the bytes of an unsigned array."""
+    far = array("I", [0]) * (4 * len(chains))
+    at = {}  # arc -> the end met first on it
     for r, chain in enumerate(chains):
         (c1, left), (ck, last) = chain[0], chain[-1]
         row1, rowk = rows[c1], rows[ck]
         ends = (row1[left], row1[(left + 1) % 4], rowk[(last + 2) % 4], rowk[(last + 3) % 4])
-        arcs.append(ends)
-        for e, a in enumerate(ends):
-            at.setdefault(a, []).append((r, e))
-    far = []
-    for r, ends in enumerate(arcs):
-        far.append([])
-        for e, a in enumerate(ends):
-            x, y = at[a]
-            far[r].append(y if x == (r, e) else x)
-    return arcs, far
+        for e, a in enumerate(ends, 4 * r):
+            other = at.pop(a, None)
+            if other is None:
+                at[a] = e
+            else:
+                far[e], far[other] = other, e
+    return far.tobytes()
 
 
 def _chain_order(far):
     """Greedy processing order of the chains: chain 0 first, then always a
     chain with the most ends whose arc ends at a processed chain or at
-    itself.  `far[r][e]` is the (chain, end) at the other end of end e's
-    arc.  The candidates sit in a bucket queue, one stack per count of such
-    ends (0 to 4), so among equals the chain whose count rose last goes
-    first, then the least index; an entry left behind by a raised count is
-    stale and skipped."""
-    count = [sum(r2 == r for r2, _ in ends) for r, ends in enumerate(far)]
+    itself.  `far[4r + e]` is the end 4r' + e' at the other end of the arc
+    at end e of chain r.  The candidates sit in a bucket queue, one stack
+    per count of such ends (0 to 4), so among equals the chain whose count
+    rose last goes first, then the least index; an entry left behind by a
+    raised count is stale and skipped."""
+    m = len(far) // 4
+    count = [sum(x >> 2 == r for x in far[4 * r:4 * r + 4]) for r in range(m)]
     buckets = [[] for _ in range(5)]
-    for r in range(len(far) - 1, 0, -1):
+    for r in range(m - 1, 0, -1):
         buckets[count[r]].append(r)
-    done = [True] + [False] * (len(far) - 1)
+    done = [True] + [False] * (m - 1)
     order = [0]
-    while len(order) < len(far):
-        for r2, _ in far[order[-1]]:
+    while len(order) < m:
+        last = order[-1]
+        for x in far[4 * last:4 * last + 4]:
+            r2 = x >> 2
             if not done[r2]:
                 count[r2] += 1
                 buckets[count[r2]].append(r2)
@@ -143,6 +166,80 @@ def _trace(outside, join):
     return loops, pairs
 
 
+@lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _plan(key):
+    """The contraction of the chains wired as `key` (from `_chain_ends`)
+    on partner-index states, as (typecode, the bytes of one flat unsigned
+    array of that typecode), immutable as the memo shares it: per chain in
+    processing order, the chain's index and its count of states after it,
+    then per state before it, in the order they were first reached, the
+    state that its `e` pairing leads to, the loops that closes, and the
+    same for its `1` pairing.  The states after the last chain must be the
+    one empty state.
+
+    The frontier is the ordered list of open arcs (one end at a processed
+    chain); a state is the tuple of partner indices into that list, i.e.
+    the planar pairing of the open arcs by the smoothed strands behind
+    them.  Each chain closes the frontier arcs that end at it, meets its
+    own other ends and opens new arcs, with an old-to-new index remap.
+    """
+    far = array("I", key)
+    frontier = []  # the processed end behind each open arc
+    done = [False] * (len(far) // 4)
+    states = [()]
+    flat = []
+    for r in _chain_order(far):
+        remap = [None] * len(frontier)  # kept: new index; closed by end e: -1 - e
+        template = [0] * 4  # outside[e] for ends that meet the chain or open an arc
+        closing, opening = [], []  # (end, old index) and ends
+        for e in range(4):
+            other = far[4 * r + e]
+            if other >> 2 == r:
+                template[e] = -1 - (other & 3)
+            elif done[other >> 2]:
+                i = frontier.index(other)
+                closing.append((e, i))
+                remap[i] = -1 - e
+            else:
+                opening.append(e)
+        kept = [i for i, x in enumerate(remap) if x is None]
+        for k, i in enumerate(kept):
+            remap[i] = k
+        for k, e in enumerate(opening):
+            template[e] = len(kept) + k
+        frontier = [frontier[i] for i in kept] + [4 * r + e for e in opening]
+        fresh = [0] * len(opening)
+        done[r] = True
+
+        index = {}  # state after the chain -> its index
+        at = len(flat) + 1
+        flat += (r, 0)
+        for state in states:
+            outside = list(template)
+            for e, i in closing:
+                outside[e] = remap[state[i]]
+            nxt = [remap[state[i]] for i in kept] + fresh
+            # both pairings pair up the same frontier indices, so each
+            # overwrites every entry the other one wrote
+            for join in (_E_JOIN, _ONE_JOIN):
+                loops, pairs = _trace(outside, join)
+                if loops > 2:
+                    raise InconsistentDiagram(f"a pairing of four ends closed {loops} loops",
+                                              _KAUFFMAN)
+                for x, y in pairs:
+                    nxt[x] = y
+                    nxt[y] = x
+                flat += (index.setdefault(tuple(nxt), len(index)), loops)
+        flat[at] = len(index)
+        states = list(index)
+
+    if states != [()]:
+        raise InconsistentDiagram(
+            f"{len(states[0]) // 2} open frontier pairs after the last crossing", _KAUFFMAN)
+    code = "H" if max(flat) >> 16 == 0 else "I"
+    return code, array(code, flat).tobytes()
+
+
 def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial V(t) of a knot diagram via the Kauffman bracket.
 
@@ -150,18 +247,20 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
     (`PlanarDiagram.twist_regions`): a region is a chain of crossings, a
     4-ended tangle whose bracket is a weighted sum of its two end pairings,
     so each step takes in a whole region, and a lone crossing is a chain of
-    one.  The frontier is the ordered list of open arcs (one end at a
-    processed chain); a state is the tuple of partner indices into that
-    list, i.e. the planar pairing of the open arcs by the smoothed strands
-    behind them.  Each chain gets one plan: which ends close a frontier arc,
-    which meet another end of the chain and which open a new arc, with the
-    old-to-new index remap.
+    one.  `_plan` gives the steps for the way the regions are wired, and
+    this pass walks them with the regions' weights (`_region_weights`).
 
-    A state's value counts its smoothings by key loops * (n + 1) +
-    A-smoothings, packed into one int with `bits` = 2n + 2 bits per key
-    (Kronecker substitution): a count is at most 2^n and never negative, so
-    shifting and adding the ints adds the counts key by key without carries.
-    `_jones_from_counts` turns the last state's counts into V(t).
+    A state's value is x^a * delta^l summed over the smoothings behind it,
+    with a its A-smoothings and l its closed loops, so the bracket is
+    A^-n * value / delta once every region is in.  A value is kept as one
+    int: the coefficient of x^k is the signed digit at position k + n + 2
+    in base 2^(2n + 4).  A smoothing closes at most n + 1 loops, n while
+    arcs are open, so every exponent is at least -n - 1 and each value is a
+    multiple of the base: shifting right by a digit divides exactly.  A
+    coefficient is at most 2^n * 2^(n + 1) < 2^(2n + 3) in absolute value,
+    so the digits read back as signed residues.  The last loop is divided
+    out by -(1 + x^2) = x * delta, and a nonzero remainder is an
+    inconsistency.  V(t) = (-A^3)^-writhe * bracket at A = t^(-1/4).
     """
     if d.component_count() != 1:
         raise NotAKnot(f"{d.component_count()} components")
@@ -173,113 +272,44 @@ def jones_via_kauffman(d: PlanarDiagram) -> LaurentPoly:
         return LaurentPoly.one()
 
     chains = d.twist_regions()
-    arcs, far = _chain_ends(d.crossings, chains)
-    stride, bits = n + 1, 2 * n + 2
-    block = stride * bits  # a shift by `block` closes one more loop
-    frontier = []  # open arcs
-    done = [False] * len(chains)
-    states = {(): 1}
-    for r in _chain_order(far):
-        remap = [None] * len(frontier)  # kept: new index; closed by end e: -1 - e
-        template = [0] * 4  # outside[e] for ends that meet the chain or open an arc
-        closing, opening = [], []  # (end, old index) and ends
-        for e, (r2, e2) in enumerate(far[r]):
-            if r2 == r:
-                template[e] = -1 - e2
-            elif done[r2]:
-                i = frontier.index(arcs[r][e])
-                closing.append((e, i))
-                remap[i] = -1 - e
-            else:
-                opening.append(e)
-        kept = [i for i, x in enumerate(remap) if x is None]
-        for k, i in enumerate(kept):
-            remap[i] = k
-        for k, e in enumerate(opening):
-            template[e] = len(kept) + k
-        frontier = [frontier[i] for i in kept] + [arcs[r][e] for e in opening]
-        fresh = [0] * len(opening)
-        done[r] = True
-        one, e_counts = _chain_weights(chains[r], stride)
-        one *= bits
-        e_counts = [(k * bits, c) for k, c in e_counts]
+    bits = 2 * n + 4
+    vals = [1 << (n + 2) * bits]
+    code, plan = _plan(_chain_ends(d.crossings, chains))
+    steps = iter(memoryview(plan).cast(code))
+    # each step reads its chain and state count, then zip takes exactly
+    # four entries of `steps` per value
+    for r in steps:
+        new = [0] * next(steps)
+        chain = chains[r]
+        q = sum(left & 1 for _, left in chain)
+        shift, e, one = _region_weights(len(chain) - q, q, bits)
+        for val, x, lx, y, ly in zip(vals, steps, steps, steps, steps):
+            new[x] += val * e[lx]
+            new[y] += val * one[ly]
+        vals = [v >> shift for v in new]
 
-        new_states = {}
-        get = new_states.get
-        for state, val in states.items():
-            outside = list(template)
-            for e, i in closing:
-                outside[e] = remap[state[i]]
-            nxt = [remap[state[i]] for i in kept] + fresh
-            # both pairings pair up the same frontier indices, so each
-            # overwrites every entry the other one wrote
-            loops, pairs = _trace(outside, _E_JOIN)
-            for x, y in pairs:
-                nxt[x] = y
-                nxt[y] = x
-            nkey = tuple(nxt)
-            shift = loops * block
-            total = get(nkey, 0)
-            for k, c in e_counts:
-                total += (val << (shift + k)) * c
-            new_states[nkey] = total
-            loops, pairs = _trace(outside, _ONE_JOIN)
-            for x, y in pairs:
-                nxt[x] = y
-                nxt[y] = x
-            nkey = tuple(nxt)
-            new_states[nkey] = get(nkey, 0) + (val << (loops * block + one))
-        states = new_states
-
-    val = states.pop((), 0)
-    if states:
-        raise InconsistentDiagram(
-            f"{len(next(iter(states))) // 2} open frontier pairs after the last crossing",
-            _KAUFFMAN)
-    return _jones_from_counts(val, n, bits, d.writhe())
-
-
-def _jones_from_counts(val, n, bits, writhe):
-    """V(t) from the state counts of a knot diagram packed as in
-    `jones_via_kauffman`: bracket = sum over loops l of P_l * delta^(l - 1),
-    summed by Horner in the loop value delta = -A^2 - A^-2 on the same
-    packing, then V(t) = (-A^3)^-writhe * bracket at A = t^(-1/4).
-
-    The Horner sum has signed coefficients; each is at most
-    2^n * 2^(l - 1) <= 4^n < 2^(bits - 1) in absolute value, because a state
-    of a connected n-crossing diagram closes at most n + 1 loops, so its
-    digits are read back as signed residues.
-    """
-    block = (n + 1) * bits
-    mask = (1 << block) - 1
-    if val & mask:
-        raise InconsistentDiagram("a state closed no loop", _KAUFFMAN)
-    by_loops = []  # P_l for l = 1, 2, ..., in powers of x = A^2 times A^n
-    val >>= block
-    while val:
-        by_loops.append(val & mask)
-        val >>= block
-    top = len(by_loops)
-    if top > n + 1:
-        raise InconsistentDiagram(f"a state closed {top} loops, more than {n + 1}", _KAUFFMAN)
-    # x^(top-1) * A^n * bracket = sum_l P_l x^(top-l) (x delta)^(l-1), x delta = -(1 + x^2)
-    acc = by_loops[-1]
-    for loops in range(top - 1, 0, -1):
-        acc = (by_loops[loops - 1] << (bits * (top - loops))) - acc - (acc << 2 * bits)
+    acc, rest = divmod(-vals[0], 1 + (1 << 2 * bits))
+    if rest or not acc:
+        raise InconsistentDiagram("the state sum is not a nonzero multiple of the loop value",
+                                  _KAUFFMAN)
+    writhe = d.writhe()
     sign = -1 if writhe % 2 else 1
-    low = 1 << bits
-    half = low >> 1
+    mask = (1 << bits) - 1
+    half = 1 << bits - 1
+    skip = ((acc & -acc).bit_length() - 1) // bits  # the zero digits at the bottom
+    acc >>= skip * bits
+    e = 2 * skip - 3 * n - 2 - 3 * writhe  # A-exponent of the digit at the bottom
     coeffs = {}
-    e = -n - 2 * (top - 1) - 3 * writhe  # A-exponent of the digit at x^0
     while acc:
-        c = acc & (low - 1)
-        if c >= half:
-            c -= low
+        c = acc & mask
+        acc >>= bits
         if c:
+            if c >= half:  # a negative digit borrowed one from the next
+                c -= mask + 1
+                acc += 1
             if e % 4:
                 raise InconsistentDiagram(f"bracket exponent {e} not divisible by 4", _KAUFFMAN)
             coeffs[-e // 4] = sign * c
-        acc = (acc - c) >> bits
         e += 2
     return LaurentPoly(coeffs)
 

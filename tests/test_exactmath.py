@@ -28,6 +28,15 @@ def test_ring_operations():
     assert p * LaurentPoly.one() == p
 
 
+def test_a_constant_hashes_as_the_int_it_equals():
+    # equal objects must hash alike, or a set or dict holds both
+    assert len({LaurentPoly.one(), 1}) == 1
+    assert len({LaurentPoly.zero(), 0, LaurentPoly.term(5), 5, LaurentPoly.term(5, 1)}) == 3
+    for c in (0, 1, -1, -3, 10 ** 30):
+        p = LaurentPoly.term(c)
+        assert p == c and hash(p) == hash(c)
+
+
 def test_degree_span_and_shift():
     p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
     assert p.degree_span() == (-2, 1)

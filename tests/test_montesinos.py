@@ -313,8 +313,9 @@ def test_memos_convert_each_distinct_pair_once(monkeypatch):
 # are gone; the memos the filled one calls stay full in both readings.
 _RETAINED = """
 import gc, sys, tracemalloc
+from itertools import combinations_with_replacement
 from math import gcd
-from knotct import invariants, montesinos
+from knotct import invariants, kauffman, montesinos
 from knotct.diagram import construct
 
 memo = MEMO
@@ -381,7 +382,7 @@ _MEMO_ERRORS = {montesinos._pair_row: ZeroDivisionError, invariants._quarter: Ty
     (montesinos._odd_row, (0, 3)),  # not a tangle
     (montesinos._even_row, (1, 1)),  # an integer, shifted to 0
     (invariants._quarter, ("1",)),  # not an integer
-])
+], ids=["_template", "_pair_row", "_odd_row", "_even_row", "_quarter"])
 def test_memos_do_not_keep_errors(memo, args):
     before = memo.cache_info()
     for _ in range(2):

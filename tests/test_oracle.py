@@ -14,8 +14,10 @@ from braids import closed_braid
 from hypothesis import assume, given, settings
 from test_braids import braid_words
 from test_diagram import template_knots
+from test_montesinos import _retained_bytes
 
 import knotct
+from knotct import kauffman
 from knotct.diagram import (
     double_twist_diagram,
     montesinos_diagram,
@@ -434,16 +436,122 @@ def ac1_sample():
                                       ac1_sample])
 def test_state_sum_matches_reference(diagrams, monkeypatch):
     monkeypatch.setenv("KNOTCT_CROSSING_BUDGET", "44")
-    for d in diagrams():
-        for e in (d, d.mirror()):
+    refs = [(e, reference_jones(e)) for d in diagrams() for e in (d, d.mirror())]
+    # the second pass reads every wiring's plan from the memo
+    for _ in range(2):
+        for e, ref in refs:
             v = jones_via_kauffman(e)
-            assert v.coeffs == reference_jones(e).coeffs
+            assert v.coeffs == ref.coeffs
             assert v.evaluate(1) == 1
 
 
 def test_state_sum_rejects_links():
     with pytest.raises(NotAKnot):
         jones_via_kauffman(closed_braid([1, 1], 2))
+
+
+def _wiring(d):
+    return kauffman._chain_ends(d.crossings, d.twist_regions())
+
+
+def test_one_wiring_is_planned_once():
+    # three twist columns wired alike, with different twist counts
+    first, second = pretzel_diagram([3, 5, 7]), pretzel_diagram([5, 7, 9])
+    assert _wiring(first) == _wiring(second)
+    kauffman._plan.cache_clear()
+    assert jones_via_kauffman(first) == reference_jones(first)
+    assert kauffman._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert jones_via_kauffman(second) == reference_jones(second)
+    assert kauffman._plan.cache_info()[:2] == (1, 1)
+
+
+def test_a_contraction_that_raises_leaves_no_plan(monkeypatch):
+    d = pretzel_diagram([3, 5, 7])
+    kauffman._plan.cache_clear()
+    order = kauffman._chain_order
+    # leaving the last chain out leaves its arcs open on the frontier
+    monkeypatch.setattr(kauffman, "_chain_order", lambda far: order(far)[:-1])
+    with pytest.raises(InconsistentDiagram, match="open frontier pairs"):
+        jones_via_kauffman(d)
+    info = kauffman._plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 0)
+    monkeypatch.undo()
+    assert jones_via_kauffman(d) == reference_jones(d)
+
+
+# Every distinct wiring of the knots among the Montesinos chains of three
+# to five tangles p/q, q < 8, exactly one of them of even q, within the
+# default Jones budget: 1,024 of them fill the plan memo.
+_WIRINGS = """(lambda seen: ((key,) for key in (
+    kauffman._chain_ends(d.crossings, d.twist_regions())
+    for m in (3, 4, 5)
+    for pairs in combinations_with_replacement(
+        [(p, q) for q in range(2, 8) for p in range(1, q) if gcd(p, q) == 1], m)
+    if sum(q % 2 == 0 for _, q in pairs) == 1
+    for d in [construct.montesinos_diagram(pairs)] if d.n <= 26)
+    if key not in seen and not seen.add(key)))(set())"""
+
+
+def test_a_full_plan_memo_stays_under_one_megabyte():
+    # the formulas suite (AC1) wires its diagrams and their mirrors in 525 ways
+    assert kauffman._PLAN_MEMO_SIZE >= 525
+    retained = _retained_bytes("kauffman._plan", _WIRINGS)
+    assert retained <= 1_000_000, retained
+
+
+def _add_a_loop(outside, join):
+    loops, pairs = _TRACE(outside, join)
+    return loops + 1, pairs
+
+
+def _drop_a_loop(outside, join):
+    loops, pairs = _TRACE(outside, join)
+    return max(loops - 1, 0), pairs
+
+
+_TRACE = kauffman._trace
+# a pairing of four ends closes at most two loops; a state sum short of a
+# loop is no multiple of the loop value
+_MISCOUNTS = [(_add_a_loop, "a pairing of four ends closed 3 loops"),
+              (_drop_a_loop, "the state sum is not a nonzero multiple of the loop value")]
+
+
+@pytest.fixture
+def fresh_plans():
+    kauffman._plan.cache_clear()
+    yield
+    kauffman._plan.cache_clear()  # drop the plans of a miscounting trace
+
+
+@pytest.mark.parametrize("trace, message", _MISCOUNTS, ids=["added", "dropped"])
+def test_a_miscounted_loop_raises_a_typed_error(trace, message, monkeypatch, fresh_plans):
+    monkeypatch.setattr(kauffman, "_trace", trace)
+    with pytest.raises(InconsistentDiagram) as info:
+        jones_via_kauffman(pretzel_diagram([3, 5, 7]))
+    assert info.value.stage == "oracle: Kauffman bracket"
+    assert str(info.value) == f"oracle: Kauffman bracket: {message}"
+
+
+@pytest.mark.parametrize("trace", ["_add_a_loop", "_drop_a_loop"], ids=["added", "dropped"])
+def test_a_miscounted_loop_raises_under_optimized_mode(trace):
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from knotct import kauffman\n"
+        "from knotct.diagram import pretzel_diagram\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        f"from test_oracle import {trace} as trace\n"
+        "kauffman._trace = trace\n"
+        "try:\n"
+        "    kauffman.jones_via_kauffman(pretzel_diagram([3, 5, 7]))\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    message = dict(zip(("_add_a_loop", "_drop_a_loop"), (m for _, m in _MISCOUNTS)))[trace]
+    assert p.stdout.strip() == f"oracle: Kauffman bracket: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ diagram, charging `time.process_time()` to the route that ran:
 - Conway determinant: `conway_polynomial(...).coefficient(2)`;
 - `a2_w3_from_jones`, closed forms: the Jones derivatives and `closed_form`.
 
-It prints a Markdown table of seconds and shares, largest first.  The
-routes' agreement is checked by `knotct verify --suite formulas`, not here.
+It prints a Markdown table of seconds and shares, largest first, and under
+it the plan memo's `cache_info()`: the Kauffman route plans each wiring of
+twist regions once (`knotct.kauffman._plan`).  The routes' agreement is
+checked by `knotct verify --suite formulas`, not here.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import time
 from knotct.errors import KnotctError, NoFormula
 from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import closed_form
+from knotct.kauffman import _plan
 from knotct.oracle import (
     a2_w3_from_jones,
     conway_polynomial,
@@ -94,6 +97,8 @@ def main():
     for route in sorted(ROUTES, key=spent.get, reverse=True):
         share = spent[route] / total if total else 0.0
         print(f"| {route} | {spent[route]:.1f} s | {share:.0%} |")
+    print()
+    print(f"Kauffman plans: {_plan.cache_info()}")
 
 
 if __name__ == "__main__":
