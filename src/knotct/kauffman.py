@@ -48,8 +48,8 @@ _WEIGHT_MEMO_SIZE = 1 << 9
 
 @lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
 def _region_weights(p, q, bits):
-    """(shift, e, one) of a twist chain whose first p crossings, in any
-    order, join the slots of an even left corner and q of an odd one:
+    """(shift, e, one) of a twist chain of p crossings with an even left
+    corner and q with an odd one, in any order along the chain:
     `e[l]` and `one[l]` are the weights of the chain's two pairings times
     delta^l, for the l = 0, 1, 2 loops a pairing closes, each a polynomial
     in x = A^2 packed as `jones_via_kauffman` packs a value, `shift` bits
@@ -57,7 +57,7 @@ def _region_weights(p, q, bits):
 
     The smoothing of a crossing that joins the slots of its left corner is
     its e: X = A^-1 * 1 + A * e for an even corner and X = A * 1 + A^-1 * e
-    for an odd one.  Along the chain 1 and e commute and e^m = delta^(m-1) e,
+    for an odd one.  Along the chain 1 and e commute and e^k = delta^(k-1) e,
     so A^(p+q) X_1 ... X_(p+q) = x^q * 1 + E * e, with
     E = sum C(p, i) C(q, j) x^(i + q - j) delta^(i + j - 1) over
     (i, j) != (0, 0): choosing e at i and j crossings of the two kinds.

@@ -454,20 +454,25 @@ def _wiring(d):
     return kauffman._chain_ends(d.crossings, d.twist_regions())
 
 
-def test_one_wiring_is_planned_once():
+@pytest.fixture
+def fresh_plans():
+    kauffman._plan.cache_clear()
+    yield
+    kauffman._plan.cache_clear()  # drop any plan a patched contraction made
+
+
+def test_one_wiring_is_planned_once(fresh_plans):
     # three twist columns wired alike, with different twist counts
     first, second = pretzel_diagram([3, 5, 7]), pretzel_diagram([5, 7, 9])
     assert _wiring(first) == _wiring(second)
-    kauffman._plan.cache_clear()
     assert jones_via_kauffman(first) == reference_jones(first)
     assert kauffman._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
     assert jones_via_kauffman(second) == reference_jones(second)
     assert kauffman._plan.cache_info()[:2] == (1, 1)
 
 
-def test_a_contraction_that_raises_leaves_no_plan(monkeypatch):
+def test_a_contraction_that_raises_leaves_no_plan(monkeypatch, fresh_plans):
     d = pretzel_diagram([3, 5, 7])
-    kauffman._plan.cache_clear()
     order = kauffman._chain_order
     # leaving the last chain out leaves its arcs open on the frontier
     monkeypatch.setattr(kauffman, "_chain_order", lambda far: order(far)[:-1])
@@ -499,6 +504,9 @@ def test_a_full_plan_memo_stays_under_one_megabyte():
     assert retained <= 1_000_000, retained
 
 
+_TRACE = kauffman._trace
+
+
 def _add_a_loop(outside, join):
     loops, pairs = _TRACE(outside, join)
     return loops + 1, pairs
@@ -509,18 +517,10 @@ def _drop_a_loop(outside, join):
     return max(loops - 1, 0), pairs
 
 
-_TRACE = kauffman._trace
 # a pairing of four ends closes at most two loops; a state sum short of a
 # loop is no multiple of the loop value
 _MISCOUNTS = [(_add_a_loop, "a pairing of four ends closed 3 loops"),
               (_drop_a_loop, "the state sum is not a nonzero multiple of the loop value")]
-
-
-@pytest.fixture
-def fresh_plans():
-    kauffman._plan.cache_clear()
-    yield
-    kauffman._plan.cache_clear()  # drop the plans of a miscounting trace
 
 
 @pytest.mark.parametrize("trace, message", _MISCOUNTS, ids=["added", "dropped"])
@@ -532,14 +532,14 @@ def test_a_miscounted_loop_raises_a_typed_error(trace, message, monkeypatch, fre
     assert str(info.value) == f"oracle: Kauffman bracket: {message}"
 
 
-@pytest.mark.parametrize("trace", ["_add_a_loop", "_drop_a_loop"], ids=["added", "dropped"])
-def test_a_miscounted_loop_raises_under_optimized_mode(trace):
+@pytest.mark.parametrize("trace, message", _MISCOUNTS, ids=["added", "dropped"])
+def test_a_miscounted_loop_raises_under_optimized_mode(trace, message):
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "from knotct import kauffman\n"
         "from knotct.diagram import pretzel_diagram\n"
         "from knotct.errors import InconsistentDiagram\n"
-        f"from test_oracle import {trace} as trace\n"
+        f"from test_oracle import {trace.__name__} as trace\n"
         "kauffman._trace = trace\n"
         "try:\n"
         "    kauffman.jones_via_kauffman(pretzel_diagram([3, 5, 7]))\n"
@@ -550,7 +550,6 @@ def test_a_miscounted_loop_raises_under_optimized_mode(trace):
     p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
-    message = dict(zip(("_add_a_loop", "_drop_a_loop"), (m for _, m in _MISCOUNTS)))[trace]
     assert p.stdout.strip() == f"oracle: Kauffman bracket: {message}"
 
 
