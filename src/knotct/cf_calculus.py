@@ -6,10 +6,12 @@ A list [c1, c2, ..., cn] of integers stands for the nested fraction
 
 All values are exact rationals, computed on integer (numerator,
 denominator) pairs; `evaluate` builds a `Fraction` for its return value.
-Besides plain evaluation this module implements the five rewriting
-identities used when normalizing tangle fractions, and conversion of a
-reduced fraction into the two normal forms consumed by the genus formulas,
-each returned as its tuple of entries:
+Besides plain evaluation this module states the paper's five rewriting
+identities (rules 3.1-3.5) between expansions of one value; only the
+`cf_identities` verify suite (AC6) calls them, to check each keeps the
+value (normalization is `montesinos._pair_row` and the greedy forms).  It
+converts a reduced fraction into the two normal forms consumed by the
+genus formulas, each returned as its tuple of entries:
 
 * strict form  (2a1, b1, 2a2, b2, ...)  (odd-position entries even; whenever
   |a_j| = 1 the pair must satisfy a_j * b_j < 0), and

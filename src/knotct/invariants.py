@@ -3,10 +3,10 @@
 Two routes to a2 (the Conway z^2 coefficient) and w3 (the primitive
 order-three invariant, quarter-integer valued):
 
-* closed forms per named family — polynomial formulas in the family
-  parameters for every sign branch of the eleven genus-two Montesinos
-  families, the odd three-strand pretzels, the double twist knots, and the
-  two six-box genus-two families, each giving both a2 and w3;
+* closed forms per named family — for every sign branch of the eleven
+  genus-two Montesinos families, the odd three-strand pretzels, the double
+  twist knots, and the two six-box genus-two families, each giving both a2
+  and w3, mostly as a small base knot plus twist bands (`_band`);
 * a skein-recursion engine on arbitrary knot diagrams, resolving via the
   crossing-change relations
 
@@ -44,8 +44,6 @@ from .records import Record
 
 __all__ = [
     "InvariantReport",
-    "a2_dt",
-    "a2_pretzel",
     "closed_form",
     "closed_a2_w3",
     "diagram_genus",
@@ -105,125 +103,91 @@ class InvariantReport(Record):
 # closed forms
 
 
-def a2_dt(x, y):
-    """a2 of the double twist knot DT(2x,2y)."""
-    return x * y
+def _band(a2, w3x4, k, lk):
+    """(a2, 4*w3) after k more full twists of a band (`_closed_a2_w3x4`)."""
+    return a2 + k * lk, w3x4 + 2 * k * a2 + k * lk * (lk + k)
 
 
-def _w3x4_dt(x, y):
-    return x * y * (x + y)
+def _odd_pretzel(x, y, z):
+    """(a2, 4*w3) of P(2x+1,2y+1,2z+1): the trefoil plus bands z, y, x."""
+    a2, w = _band(1, 2, z, 1)
+    a2, w = _band(a2, w, y, 1 + z)
+    return _band(a2, w, x, 1 + y + z)
 
 
-def a2_pretzel(x, y, z):
-    """a2 of the odd pretzel knot P(2x+1,2y+1,2z+1)."""
-    return (x + 1) * (y + 1) * (z + 1) - x * y * z
-
-
-def _w3x4_pretzel(x, y, z):
-    return (
-        x * y * (x + y)
-        + y * z * (y + z)
-        + z * x * (z + x)
-        + 4 * x * y * z
-        + (x + y + z) ** 2
-        + 2 * (x * y + y * z + z * x)
-        + 3 * (x + y + z)
-        + 2
-    )
+def _o2_a2_w3x4(a, b, c, d, e):
+    """(a2, 4*w3) of o2, the unknot plus bands d and b; `sweeps` reads it too."""
+    a2, w = _band(0, 0, d, c + e + 1)
+    return _band(a2, w, b, a + d + e + 1)
 
 
 def _closed_a2_w3x4(f):
     """(a2, 4*w3) for the unmirrored spec, both ints, or raise NoFormula.
 
-    The o1', o3, o3', o4 and o4' branches below, and the w3 of o3 (plus
-    branch), e2 and e3, were derived from the Gauss diagram formulas by exact
-    interpolation: an order-n invariant is a polynomial of degree <= n in
-    twist counts (Trapp, "Twist sequences and Vassiliev invariants", JKTR
-    3, 1994).  `tools/closed_forms.py` reruns that derivation.
+    Every branch but e2 and e3 is a base knot plus twist bands: parameters
+    k counting full twists of two antiparallel strands.  `_band` adds k:
+    a2 += k*lk and 4*w3 += 2*k*a2 + k*lk*(lk + k) (the twist sequences of
+    Trapp, JKTR 3, 1994).  Switching a crossing of the (k+1)-th twist and
+    cancelling its clasp leaves k twists, and the oriented smoothing
+    K' u K'' there is the same for every k (the band's other crossings
+    become kinks).  A larger k adds negative crossings in every band below,
+    so by the crossing-change formulas above a2 grows by lk = -lk(K', K'')
+    per twist and 4*w3 by 2*a2 + lk*(lk + 1) - 2*(a2(K') + a2(K'')): the
+    rule holds when a2(K') + a2(K'') = 0.
+
+    Bands: x, y, z of the odd pretzel; x of the double twist; b of o1; c of
+    o5; d, b of o2; c, b of o3; d, c, b of o4; c, b of fig1_left; c, b, a
+    of fig1_right; a of e1, whose base DT(2b,2c) # DT(2d,2e) has bands b
+    and d in its summands (not in e1: the smoothing keeps the other
+    summand).  Each base is its branch's polynomial with the bands at 0, as
+    `tools/closed_forms.py` interpolates it from the Gauss diagram formulas;
+    that tool also derived o1', o3, o3', o4, o4' and w3 of e2 and e3.
     """
     fam, s = f.family, f.sign_variant
     v = [x for _, x in f.params]  # the values in the family's parameter order
-    # branches whose knots are those of another branch: o1'(s) is o1 with
-    # e = (s - 1)/2, whose tangle 1/(2e + 1) is then the half twist s, and
-    # o3'(s), o4'(s), which have no a, are o3, o4 with a = s and the
-    # opposite sign
+    # branches whose knots are another branch's: o1'(s) is o1 with e =
+    # (s - 1)/2, whose tangle 1/(2e + 1) is then the half twist s, and
+    # o3'(s), o4'(s), which have no a, are o3, o4 with a = s and sign -s
     if fam == "o1p":
         fam, v = "o1", v + [(s - 1) // 2]
     elif fam in ("o3p", "o4p"):
         fam, v, s = fam[:2], [s] + v, -s
     if fam == "double_twist":
         x, y = v
-        return a2_dt(x, y), _w3x4_dt(x, y)
+        return _band(0, 0, x, y)
     if fam == "o1":
         a, b, c, d, e = v
-        a2 = (c + 1) * (d + 1) * (e + 1) - c * d * e + b * (a + c + d + e + 2)
-        w3x4 = (
-            _w3x4_pretzel(c, d, e)
-            + 2 * b * ((c + 1) * (d + 1) * (e + 1) - c * d * e)
-            + b * (a + c + d + e + 2) * (a + b + c + d + e + 2)
-        )
-        return a2, w3x4
+        a2, w = _odd_pretzel(c, d, e)
+        return _band(a2, w, b, a + c + d + e + 2)
     if fam == "o2":
-        a, b, c, d, e = v
-        a2 = d * (c + e + 1) + b * (a + d + e + 1)
-        w3x4 = (
-            d * (c + e + 1) * (c + d + e + 1)
-            + 2 * b * d * (1 + c + e)
-            + b * (a + d + e + 1) * (a + b + d + e + 1)
-        )
-        return a2, w3x4
+        return _o2_a2_w3x4(*v)
     # the minus branch of o3 and o4 is the mirror image of the plus branch
     # at a -> -a and every other parameter x -> -x - 1, so its w3 is negated
     if fam == "o3":
         a, b, c = v
         if s == -1:
             a, b, c = -a, -b - 1, -c - 1
-        a2 = a * b + b * c + c * a + a - b - c
-        # derived: the published w3 line for this family fails the
-        # diagram-level cross-check (skein engine and Jones derivatives
-        # agree against it)
-        w3x4 = (
-            _w3x4_pretzel(a, b, c)
-            - 2 * (b + c) * (b + c + 2 * a + 1)
-            - 4 * b * c
-            - 4 * a
-            - 2
-        )
-        return a2, s * w3x4
+        a2, w = _band(a, a * a - a, c, a - 1)
+        a2, w = _band(a2, w, b, a + c - 1)
+        return a2, s * w
     if fam == "o4":
         a, b, c, d = v
         if s == -1:
             a, b, c, d = -a, -b - 1, -c - 1, -d - 1
-        a2 = a + a * c + a * d + c * d + b * c + b * d
-        w3x4 = (
-            c * d * (c + d)
-            + a * a * (1 + c + d)
-            + a * (c * c + 1 + 2 * d + d * d + 2 * c + 4 * c * d)
-            + 2 * b * (a + a * c + a * d + c * d)
-            + b * (c + d) * (b + c + d)
-        )
-        return a2, s * w3x4
+        a2, w = _band(a, a * a + a, d, a)
+        a2, w = _band(a2, w, c, a + d)
+        a2, w = _band(a2, w, b, c + d)
+        return a2, s * w
     if fam == "o5":
         a, b, c, d, e = v
-        a2 = (a + 1) * (d + 1) * (e + 1) - a * d * e + c * (b + d + e + 1)
-        w3x4 = (
-            a * a * (1 + d + e)
-            + (1 + d) * (1 + e) * (2 + d + e)
-            + a * (3 + 4 * d + d * d + 4 * e + e * e + 4 * d * e)
-            + 2 * c * ((a + 1) * (d + 1) * (e + 1) - a * d * e)
-            + c * (b + d + e + 1) * (b + c + d + e + 1)
-        )
-        return a2, w3x4
+        a2, w = _odd_pretzel(a, d, e)
+        return _band(a2, w, c, b + d + e + 1)
     if fam == "e1":
         a, b, c, d, e = v
-        a2 = b * c + d * e + a * c + a * e
-        w3x4 = (
-            b * c * (b + c)
-            + d * e * (d + e)
-            + 2 * a * (b * c + d * e)
-            + a * (c + e) * (a + c + e)
-        )
-        return a2, w3x4
+        # DT(2b,2c) # DT(2d,2e), whose a2 and w3 add, plus band a
+        a2, w = _band(0, 0, b, c)
+        a2_de, w_de = _band(0, 0, d, e)
+        return _band(a2 + a2_de, w + w_de, a, c + e)
     if fam == "e2":
         a, b, c = v
         # bracket form [2],[−2,2a],[2,2b],[−2,2c]; the published −2b is for
@@ -234,105 +198,23 @@ def _closed_a2_w3x4(f):
         return 2, 4 * (a - 1)  # w3 derived
     if fam == "fig1_left":
         a, b, c, d, e, fv = v
-        a2 = (
-            1
-            + a * (1 + b + c)
-            + d
-            + d * e
-            + b * (c - e - fv)
-            + d * fv
-            + e * fv
-            - c * (e + fv)
-        )
-        w3x4 = (
-            2 * c
-            + a * a * (1 + b + c)
-            - d
-            + 2 * c * d
-            - d * d
-            - 2 * e
-            - c * c * e
-            - 2 * d * e
-            + 2 * c * d * e
-            - d * d * e
-            + c * e * e
-            - d * e * e
-            + b * b * (c - e - fv)
-            - (2 + c * c + d * (2 + d) + 4 * d * e + e * e - 2 * c * (d + 2 * e)) * fv
-            + (c - d - e) * fv * fv
-            + a
-            * (
-                b * b
-                + 4 * b * c
-                + (1 + c) * (1 + c - 2 * e - 2 * fv)
-                - 2 * b * (-1 + e + fv)
-            )
-            + b
-            * (
-                2
-                + c * c
-                + e * e
-                + 4 * e * fv
-                + fv * fv
-                - 4 * c * (e + fv)
-                + 2 * d * (1 + e + fv)
-            )
-        )
-        return a2, w3x4
+        u = e + fv
+        a2 = 1 + a + d * (1 + u) + e * fv
+        w = (a * a + a * (1 - 2 * u) - (d + 1) * (d + 2 * u)
+             - (d + u) * (d * u + e * fv) - d * e * fv)
+        a2, w = _band(a2, w, c, a - u)
+        return _band(a2, w, b, a + c - u)
     if fam == "fig1_right":
         a, b, c, d, e, fv = v
-        a2 = (
-            c * (1 - e - fv)
-            + a * (1 + b + c - d - fv)
-            + b * (1 + c - d - e)
-            - 2 * (d + e + fv)
-        )
-        w3x4 = (
-            -2
-            + c
-            + c * c
-            - 6 * d
-            - 4 * c * d
-            + 2 * d * d
-            + a * a * (1 + b + c - d - fv)
-            - 6 * fv * (1 + c)
-            - c * c * fv
-            + 2 * d * fv
-            + fv * fv * (2 + c)
-            + b * b * (1 + c - d - e)
-            - c * e * (6 + c - 2 * fv)
-            + 2 * e * (-3 + d + fv)
-            + e * e * (2 + c)
-            + a
-            * (
-                1
-                + b * b
-                + 4 * b * c
-                + c * c
-                - 6 * d
-                - 6 * fv
-                + (d + fv) ** 2
-                - 4 * e
-                - 2 * b * (-2 + 2 * d + e + fv)
-                - 2 * c * (-2 + d + e + 2 * fv)
-            )
-            + b
-            * (
-                1
-                + c * c
-                - 6 * d
-                - 6 * e
-                - 4 * fv
-                + (d + e) ** 2
-                - 2 * c * (-2 + d + 2 * e + fv)
-            )
-        )
-        return a2, w3x4
+        t = d + e + fv
+        a2, w = -2 * t, 2 * (t * t - d * e - d * fv - e * fv) - 6 * t - 2
+        a2, w = _band(a2, w, c, 1 - e - fv)
+        a2, w = _band(a2, w, b, c - d - e + 1)
+        return _band(a2, w, a, b + c - d - fv + 1)
     # a pretzel, the one family left
     if len(v) != 3 or any(q % 2 == 0 for q in v):
         raise NoFormula("closed forms cover only three-strand odd pretzels")
-    x, y, z = ((q - 1) // 2 for q in v)
-    return a2_pretzel(x, y, z), _w3x4_pretzel(x, y, z)
+    return _odd_pretzel(*[(q - 1) // 2 for q in v])
 
 
 _CLOSED_METHOD = (("a2", "closed_form"), ("w3", "closed_form"))

@@ -25,7 +25,7 @@ from .cf_calculus import ContinuedFraction, evaluate, rewrite_identity, to_even_
 from .diagram import signature_alternating
 from .errors import InvalidInput, KnotctError, NoFormula, PatternMismatch, ValidationError
 from .gauss import gauss_a2, gauss_w3
-from .invariants import closed_form
+from .invariants import _o2_a2_w3x4, closed_form
 from .montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -276,15 +276,11 @@ SIGNATURE_CASES = (
 
 def o2_alternating_a2_w3(a, b, c, d, e):
     """(a2, w3) of the alternating three-tangle family member with twist
-    boxes (2a+1, -2b), (2c+1, -2d), (2e+1); a,c,e >= 0 and b,d >= 1."""
-    a2 = -d * (c + e + 1) - b * (a - d + e + 1)
-    w3 = Fraction(
-        -d * (c + e + 1) * (c - d + e + 1)
-        + 2 * b * d * (1 + c + e)
-        - b * (a - d + e + 1) * (a - b - d + e + 1),
-        4,
-    )
-    return a2, w3
+    boxes (2a+1, -2b), (2c+1, -2d), (2e+1); a,c,e >= 0 and b,d >= 1.  It is
+    the o2 closed form at (a, -b, c, -d, e), which a = 0 puts outside o2's
+    parameter rule."""
+    a2, w3x4 = _o2_a2_w3x4(a, -b, c, -d, e)
+    return a2, Fraction(w3x4, 4)
 
 
 def _check(checks, name, ok, counterexample=None):

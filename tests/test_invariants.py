@@ -1,6 +1,7 @@
 """Closed-form invariants and the recursive skein engine."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,13 +24,12 @@ from knotct.invariants import (
     InvariantReport,
     _key,
     _simplify,
-    a2_dt,
-    a2_pretzel,
+    closed_a2_w3,
     closed_form,
     skein_a2,
     skein_w3,
 )
-from knotct.montesinos import FamilySpec, enumerate_family, parse_spec
+from knotct.montesinos import FAMILY_NAMES, FamilySpec, enumerate_family, parse_spec
 from knotct.oracle import a2_w3_from_jones, jones_via_kauffman
 from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 
@@ -37,17 +37,15 @@ from knotct.sweeps import _FORMULAS_CROSSING_CAP, _formulas_specs
 def test_pretzel_closed_vs_skein():
     for x, y, z in [(0, 0, 0), (1, 1, -1), (2, -1, 1), (1, 2, 0)]:
         f = parse_spec(f"P({2 * x + 1},{2 * y + 1},{2 * z + 1})")
-        d = f.diagram()
-        assert a2_pretzel(x, y, z) == skein_a2(d)
-        assert closed_form(f).w3 == skein_w3(d)
+        rep, d = closed_form(f), f.diagram()
+        assert (rep.a2, rep.w3) == (skein_a2(d), skein_w3(d))
 
 
 def test_double_twist_closed_vs_skein():
     for x, y in [(1, 1), (1, -1), (2, 1), (-2, -1)]:
         f = parse_spec(f"DT({2 * x},{2 * y})")
-        d = f.diagram()
-        assert a2_dt(x, y) == skein_a2(d)
-        assert closed_form(f).w3 == skein_w3(d)
+        rep, d = closed_form(f), f.diagram()
+        assert (rep.a2, rep.w3) == (skein_a2(d), skein_w3(d))
 
 
 def test_trefoil_values():
@@ -303,6 +301,93 @@ def test_values_that_predate_the_derived_forms_are_unchanged():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(lines) == 55_956
     assert digest == "5c3835153418d000393ce73977e0b8e2826876475d3d219a716b791b1b21c88d"
+
+
+def test_closed_forms_are_pinned_on_a_wider_grid():
+    # sha256 over (a2, 4*w3), or the error's type and message, of every
+    # bound-4 family spec (mirrors and both signs included) and both six-box
+    # templates on [-3, 3]^6; recorded on the expanded polynomials that the
+    # twist-band steps replaced
+    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 4)]
+    assert len(specs) == 113_382
+    for family in ("fig1_left", "fig1_right"):
+        for vals in itertools.product(range(-3, 4), repeat=6):
+            specs.append(FamilySpec(family, dict(zip("abcdef", vals))))
+    outcomes = []
+    for f in specs:
+        try:
+            a2, w3 = closed_a2_w3(f)
+            outcomes.append(f"{a2} {4 * w3}")
+        except KnotctError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "bd083f51e9e4babc4f3b887c3d5f38ec57727dd78768ae2b35cab0417c5bb8d4"
+
+
+# the twist bands that `_closed_a2_w3x4` names, as (family, sign variant,
+# parameter); a pretzel's band x is its strand q = 2x + 1
+BANDS = (
+    [("pretzel", None, q) for q in ("q1", "q2", "q3")]
+    + [("double_twist", None, "x"), ("o1", None, "b"), ("o5", None, "c"),
+       ("o2", None, "d"), ("o2", None, "b")]
+    + [("e1", None, "a")]
+    + [("o3", s, p) for s in (1, -1) for p in "cb"]
+    + [("o4", s, p) for s in (1, -1) for p in "dcb"]
+    + [("fig1_left", None, p) for p in "cb"]
+    + [("fig1_right", None, p) for p in "cba"]
+)
+_NAMES = {"pretzel": ("q1", "q2", "q3"), "double_twist": "xy", "o1": "abcde",
+          "o2": "abcde", "o3": "abc", "o4": "abcd", "o5": "abcde", "e1": "abcde",
+          "fig1_left": "abcdef", "fig1_right": "abcdef"}
+
+
+def _band_steps(family, sign, band):
+    """[(spec at k, spec at k + 1)] of unmirrored specs, one pair per
+    admissible k of `band` and values of the other parameters: odd strands
+    in [-5, 5] for a pretzel, [-1, 1] for a six-box template, and [-2, 2]
+    with k in [-3, 2] for the rest."""
+    if family == "pretzel":
+        others, ks, step = range(-5, 6, 2), range(-5, 4, 2), 2
+    elif family.startswith("fig1"):
+        others, ks, step = range(-1, 2), range(-1, 1), 1
+    else:
+        others, ks, step = range(-2, 3), range(-3, 3), 1
+    rest = [p for p in _NAMES[family] if p != band]
+    pairs = []
+    for vals in itertools.product(others, repeat=len(rest)):
+        for k in ks:
+            try:
+                pairs.append(tuple(FamilySpec(family, {**dict(zip(rest, vals)), band: j}, sign)
+                                   for j in (k, k + step)))
+            except ValidationError:
+                pass
+    return pairs
+
+
+def _band_rule_breaks(pairs):
+    """The pairs whose Gauss (a2, 4*w3) break the band rule: with A, W at k
+    and L the step of a2, W at k + 1 is W + 2A + L(L + 1)."""
+    bad = []
+    for f, g in pairs:
+        d, e = f.diagram(), g.diagram()
+        a2, w, step = gauss_a2(d), 4 * gauss_w3(d), gauss_a2(e) - gauss_a2(d)
+        if 4 * gauss_w3(e) - w != 2 * a2 + step * (step + 1):
+            bad.append(str(g))
+    return bad
+
+
+@pytest.mark.parametrize("family,sign,band", BANDS)
+def test_closed_forms_follow_the_twist_band_rule(family, sign, band):
+    pairs = _band_steps(family, sign, band)
+    assert len(pairs) >= 16
+    bad = _band_rule_breaks(pairs)
+    assert not bad, bad[:5]
+
+
+def test_a_parameter_that_is_no_band_breaks_the_rule():
+    # fig1_left's d counts twists that the closed form does not take as a band
+    pairs = _band_steps("fig1_left", None, "d")
+    assert (len(pairs), len(_band_rule_breaks(pairs))) == (486, 388)
 
 
 def test_closed_form_builds_one_fraction_per_w3(monkeypatch):

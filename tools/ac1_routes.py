@@ -6,8 +6,10 @@ Builds the formulas suite's bound-2 spec list, keeps the knot diagrams of
 at most 22 crossings as the suite does, and runs every route on each
 diagram, charging `time.process_time()` to the route that ran:
 
-- diagram build: `f.diagram()` and the component and crossing-cap checks
-  (specs that build no knot diagram are charged here too);
+- diagram build: `f.diagram()`, the component and crossing-cap checks
+  (specs that build no knot diagram are charged here too) and the kept
+  diagram's face table, `d.face_table()`, which the diagram caches and the
+  Kauffman and Seifert routes both read;
 - Kauffman/Jones: `jones_via_kauffman`;
 - Gauss w3 + a2: `gauss_a2`, `gauss_w3`;
 - Seifert surface: `seifert_pipeline`;
@@ -58,6 +60,8 @@ def route_times(specs):
         except KnotctError:
             d = None
         keep = d is not None and d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP
+        if keep:
+            d.face_table()
         t1 = clock()
         spent["diagram build"] += t1 - t0
         if not keep:
