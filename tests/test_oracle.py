@@ -986,3 +986,24 @@ def test_seifert_surface_matches_reference_on_bound_three_builds():
         if count == 1500:
             break
     assert count == 1500
+
+
+def test_seifert_surface_matches_reference_on_six_box_builds():
+    """A seeded sample of 1,000 AC1 six-box knot builds.  The Montesinos
+    builds and braid closures above have Seifert graphs that are trees once
+    parallel bands are merged, so any root of the spanning tree gives them
+    the same cycles; these builds are not, and they pin the root as well."""
+    specs = [f for f in _formulas_specs(2) if f.family in ("fig1_left", "fig1_right")]
+    count = 0
+    for f in random.Random(20261020).sample(specs, len(specs)):
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() != 1 or d.n > _FORMULAS_CROSSING_CAP:
+            continue
+        assert seifert_pipeline(d) == reference_seifert(d), str(f)
+        count += 1
+        if count == 1000:
+            break
+    assert count == 1000
