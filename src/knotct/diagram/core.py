@@ -11,9 +11,11 @@ Sign convention: a crossing is positive when the over strand enters at slot 3
 
 The diagram owns this convention.  Validation records each arc's head and
 tail (the crossing and slot where it ends and where it starts), so strand
-walks are table lookups.  The Seifert circles and the face table (the
-faces as orbits of a flat corner-successor table, with the face of each
-corner) are traced once, on first use, and cached.
+walks are table lookups.  The face table (the faces as orbits of a flat
+corner-successor table, with the face of each corner) and the twist regions
+read off its bigons are traced once, on first use, and cached; the Seifert
+circles are not, since the one walk of the Seifert surface
+(`knotct.oracle`) numbers them.
 A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
 
@@ -105,7 +107,7 @@ def _cancelling(w):
 
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops",
-                 "_components", "_heads", "_tails", "_circle_of", "_faces",
+                 "_components", "_heads", "_tails", "_faces", "_twists",
                  "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0):
@@ -123,8 +125,8 @@ class PlanarDiagram:
         self.over_entry = over_entry
         self.free_loops = int(free_loops)
         self._components = None
-        self._circle_of = None
         self._faces = None
+        self._twists = None
         self._key = None
         self._validate()
 
@@ -246,27 +248,6 @@ class PlanarDiagram:
     def is_reduced(self):
         return not self.nugatory_crossings()
 
-    # -- state smoothings -----------------------------------------------------
-
-    def seifert_circles(self):
-        """Loop count of the orientation-preserving smoothing everywhere."""
-        if not self.crossings:
-            return max(self.free_loops, 0) or 1
-        return len(set(self.seifert_circle_of().values())) + self.free_loops
-
-    def seifert_circle_of(self):
-        """arc -> representative id of its Seifert circle, in arc order,
-        computed once."""
-        if self._circle_of is None:
-            arcs = self.arcs()
-            dsu = _DSU(arcs)
-            for ci, c in enumerate(self.crossings):
-                o = self.over_entry[ci]
-                dsu.union(c[0], c[4 - o])
-                dsu.union(c[o], c[2])
-            self._circle_of = {a: dsu.find(a) for a in arcs}
-        return self._circle_of
-
     # -- faces ----------------------------------------------------------------
 
     def face_table(self):
@@ -274,30 +255,34 @@ class PlanarDiagram:
         once.  Corner 4 * ci + s is the quadrant between slots s and s + 1 of
         crossing ci.  The next corner of its face is at the far end of the
         arc at slot s + 1: that arc's tail if it ends at slot s + 1, else its
-        head.  A face is an orbit of corners; the orbits are walked from the
-        tail corner, then the head corner, of each arc in order.
+        head, so each arc sets the successors of the corners just before its
+        two ends.  A face is an orbit of corners; the orbits are walked from
+        the tail corner, then the head corner, of each arc in order.
         `face_of_corner[ci][s]` is the index of the face at corner 4 * ci + s.
         """
         if self._faces is None:
             heads, tails = self._heads, self._tails
-            succ = []
-            for (a, b, c, d), o in zip(self.crossings, self.over_entry):
-                at1, at3 = (tails, heads) if o == 1 else (heads, tails)  # slots 0, o are heads
-                succ += (at1[b], heads[c], at3[d], tails[a])
-            succ = [4 * ci + s for ci, s in succ]
+            succ = [0] * (4 * len(self.crossings))
+            starts = []
+            for a in sorted(heads):
+                ci, s = heads[a]
+                h = 4 * ci + s
+                ci, t = tails[a]
+                t += 4 * ci
+                # the corners before the arc's two ends; no tail is at slot 0
+                succ[h - 1 if s else h + 3], succ[t - 1] = t, h
+                starts += (t, h)
             face_of = [-1] * len(succ)
             faces = []
-            for a in sorted(heads):
-                for ci, s in (tails[a], heads[a]):
-                    x = 4 * ci + s
-                    if face_of[x] >= 0:
-                        continue
-                    fi, orbit = len(faces), []
-                    while face_of[x] < 0:
-                        face_of[x] = fi
-                        orbit.append(x)
-                        x = succ[x]
-                    faces.append(tuple(orbit))
+            for x in starts:
+                if face_of[x] >= 0:
+                    continue
+                fi, orbit = len(faces), []
+                while face_of[x] < 0:
+                    face_of[x] = fi
+                    orbit.append(x)
+                    x = succ[x]
+                faces.append(tuple(orbit))
             self._faces = faces, [face_of[i:i + 4] for i in range(0, len(face_of), 4)]
         return self._faces
 
@@ -317,38 +302,41 @@ class PlanarDiagram:
         and the one after it in the bigon at the opposite corner.  It is a
         4-ended tangle whose ends are the slots of its first crossing's left
         corner and of its last crossing's right corner (left + 2); a lone
-        crossing's left corner is 0.  Chains are listed by least crossing.
+        crossing's left corner is 0.  Chains are listed by least crossing;
+        they are computed once.
         """
-        link = [None] * (4 * self.n)  # corner -> the corner across its bigon
-        for face in self.face_table()[0]:
-            if len(face) == 2:  # a two-kink crossing's bigon links it to itself: inert
-                x, y = face
-                link[x], link[y] = y, x
-        placed = [False] * self.n
+        if self._twists is None:
+            link = [None] * (4 * self.n)  # corner -> the corner across its bigon
+            for face in self.face_table()[0]:
+                if len(face) == 2:  # a two-kink crossing's bigon links it to itself: inert
+                    x, y = face
+                    link[x], link[y] = y, x
+            placed = [False] * self.n
 
-        def walk(ci, s):
-            """(crossing, corner) pairs along the bigons from corner s of ci,
-            each crossing entered at that corner and left by the opposite one."""
-            out = []
-            while (x := link[4 * ci + s]) is not None and not placed[x >> 2]:
-                ci, t = x >> 2, x & 3
-                placed[ci] = True
-                out.append((ci, t))
-                s = (t + 2) % 4
-            return out
+            def walk(ci, s):
+                """(crossing, corner) pairs along the bigons from corner s of ci,
+                each crossing entered at that corner and left by the opposite one."""
+                out = []
+                while (x := link[4 * ci + s]) is not None and not placed[x >> 2]:
+                    ci, t = x >> 2, x & 3
+                    placed[ci] = True
+                    out.append((ci, t))
+                    s = (t + 2) % 4
+                return out
 
-        chains = []
-        for c0 in range(self.n):
-            if placed[c0]:
-                continue
-            placed[c0] = True
-            ahead = [x is not None and not placed[x >> 2] for x in link[4 * c0:4 * c0 + 4]]
-            right = ahead.index(True) if True in ahead else 2
-            rightwards = walk(c0, right)
-            leftwards = walk(c0, (right + 2) % 4)
-            chains.append((*((ci, (t + 2) % 4) for ci, t in reversed(leftwards)),
-                           (c0, (right + 2) % 4), *rightwards))
-        return tuple(chains)
+            chains = []
+            for c0 in range(self.n):
+                if placed[c0]:
+                    continue
+                placed[c0] = True
+                ahead = [x is not None and not placed[x >> 2] for x in link[4 * c0:4 * c0 + 4]]
+                right = ahead.index(True) if True in ahead else 2
+                rightwards = walk(c0, right)
+                leftwards = walk(c0, (right + 2) % 4)
+                chains.append((*((ci, (t + 2) % 4) for ci, t in reversed(leftwards)),
+                               (c0, (right + 2) % 4), *rightwards))
+            self._twists = tuple(chains)
+        return self._twists
 
     # -- crossing surgery -----------------------------------------------------
 

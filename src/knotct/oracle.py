@@ -26,11 +26,15 @@ over the walks of the outer disc it is attached to.
 
 Each surface datum is read from a table the diagram has cached:
 
-* circles: the representatives of `seifert_circle_of`; the least one roots
-  the spanning tree;
-* feet, in order along each circle, and the two circles of each band: one
-  walk per circle from its least arc through the head and tail tables of
-  `ends`;
+* circles, numbered 0, 1, ... in order of their least arcs, their feet in
+  order along each, and the two circles of each band: one walk per circle
+  from its least arc through the head and tail tables of `ends`.  The
+  spanning tree is rooted at the circle of the least representative, a
+  circle's arc whose head is its last band end in (crossing, under-in
+  before over-in) order: the root a union-find over arcs gives it when it
+  joins, end by end in that order, the strand piece ending there to the
+  piece starting there, since the joined piece keeps the later piece's
+  root, so every piece's root is its last arc;
 * regions (the complement of the circles): the faces of `face_table`,
   glued through each smoothed crossing's gap by a union-find over face
   indices; a circle's two sides are the regions at the corners
@@ -93,7 +97,6 @@ class _Surface:
     """Combinatorial disc-and-band Seifert surface of a knot diagram."""
 
     def __init__(self, d: PlanarDiagram):
-        circle_of = d.seifert_circle_of()
         faces, face_of_corner = d.face_table()
         heads, tails = d.ends()
         rows, over = d.crossings, d.over_entry
@@ -114,47 +117,52 @@ class _Surface:
         sizes = [len(face) for face in faces]
         outer = region[sizes.index(max(sizes))]  # the largest face, the first on ties
 
-        # circles, each walked once from its least arc (circle_of is in arc
-        # order): the walk numbers the feet and checks that the regions at
-        # the head and tail corners of its arcs stay the same
-        first, size = {}, {}
-        for a, c in circle_of.items():
-            if c in size:
-                size[c] += 1
-            else:
-                first[c], size[c] = a, 1
-        # per band end 2 * crossing + e, e = 0 for the under-in arc and 1 for
-        # the over-in arc: the circle of that arc and the foot's index on it
-        self.circle_at = circle_at = [None] * (2 * len(rows))
-        self.foot_at = foot_at = [0] * (2 * len(rows))
-        sides = {}
-        for c, a0 in first.items():
+        # circles 0, 1, ..., each walked once from its least arc: the walk
+        # numbers the circle and its feet, checks that the regions at the
+        # head and tail corners of its arcs stay the same, and finds the
+        # circle's representative, its arc whose head is its last band end.
+        # Band end 2 * crossing + e, e = 0 for the under-in arc and 1 for the
+        # over-in arc, records the circle of that arc and the foot's index
+        ends = 2 * len(rows)
+        self.circle_at = circle_at = [-1] * ends
+        self.foot_at = foot_at = [0] * ends
+        sides, reps = [], []
+        for a0 in sorted(heads):
             ci, s = heads[a0]
+            if circle_at[2 * ci + (s > 0)] >= 0:
+                continue  # on a circle walked already
+            c = len(sides)
             head_side = region[face_of_corner[ci][s]]
             ci, s = tails[a0]
             tail_side = behind = region[face_of_corner[ci][s]]  # behind: at a's tail
-            a, k = a0, 0
+            a, k, last = a0, 0, -1
             while True:
                 ci, s = heads[a]
                 corners = face_of_corner[ci]
                 if region[corners[s]] != head_side or behind != tail_side:
                     raise InconsistentDiagram("circle side regions not constant", _SURFACE)
                 end = 2 * ci + (s > 0)
+                if circle_at[end] >= 0:
+                    raise InconsistentDiagram(f"circle {c} meets band end {end} again", _SURFACE)
                 circle_at[end], foot_at[end] = c, k
                 k += 1
+                if end > last:
+                    last, rep = end, a
                 t = 2 if s else 4 - over[ci]  # the smoothing turns under-in to over-out
                 behind = region[corners[t]]
                 a = rows[ci][t]
                 if a == a0:
                     break
-            if k != size[c]:
-                raise InconsistentDiagram(f"circle {c}: {k} feet for {size[c]} arcs", _SURFACE)
-            sides[c] = head_side, tail_side
-        self.circles = list(sides)
+            sides.append((head_side, tail_side))
+            reps.append(rep)
+            ends -= k
+        if ends:
+            raise InconsistentDiagram(f"{ends} band ends on no circle", _SURFACE)
+        self.root = reps.index(min(reps))
 
         # region tree -> depths, then per-circle inner region and orientation
         radj = {}
-        for r1, r2 in sides.values():
+        for r1, r2 in sides:
             radj.setdefault(r1, []).append(r2)
             radj.setdefault(r2, []).append(r1)
         depth = {outer: 0}
@@ -164,38 +172,38 @@ class _Surface:
                 if r2 not in depth:
                     depth[r2] = depth[r] + 1
                     order.append(r2)
-        self.eta, self.depth = {}, {}
-        for c, (head_side, tail_side) in sides.items():
+        self.eta, self.depth = [], []
+        for head_side, tail_side in sides:
             dh, dt = depth[head_side], depth[tail_side]
             if abs(dh - dt) != 1:
                 raise InconsistentDiagram("circle sides not nested by 1", _SURFACE)
             # the face at an arc's head corner is the one walked along the arc (+1)
-            self.eta[c] = LEFT_DART if dh > dt else -LEFT_DART
-            self.depth[c] = max(dh, dt)
+            self.eta.append(LEFT_DART if dh > dt else -LEFT_DART)
+            self.depth.append(max(dh, dt))
 
     # -- homology basis -----------------------------------------------------
 
     def fundamental_cycles(self):
         """Cycles as ordered band traversals [(crossing, from_circle, to_circle)]:
         each band off a breadth-first spanning tree of the Seifert graph,
-        rooted at the least circle representative, closed up by the tree
-        path through the apex of its two ends."""
-        circle_at = self.circle_at
-        n = len(circle_at) // 2
-        bands_at = {c: [] for c in self.circles}  # circle -> [(crossing, far circle)]
+        rooted at the circle of the least representative, closed up by the
+        tree path through the apex of its two ends."""
+        circle_at, root = self.circle_at, self.root
+        n, s = len(circle_at) // 2, len(self.eta)
+        bands_at = [[] for _ in range(s)]  # circle -> [(crossing, far circle)]
         for ci in range(n):
             c1, c2 = circle_at[2 * ci], circle_at[2 * ci + 1]
             if c1 == c2:
                 raise InconsistentDiagram(f"band {ci} has both ends on circle {c1}", _SURFACE)
             bands_at[c1].append((ci, c2))
             bands_at[c2].append((ci, c1))
-        root = min(bands_at)
-        up, level = {root: None}, {root: 0}  # circle -> (parent circle, crossing), depth
+        up, level = [None] * s, [-1] * s  # circle -> (parent circle, crossing), depth
+        level[root] = 0
         tree = [False] * n
         order = [root]
         for u in order:
             for ci, v in bands_at[u]:
-                if v not in up:
+                if level[v] < 0:
                     up[v], level[v], tree[ci] = (u, ci), level[u] + 1, True
                     order.append(v)
         cycles = []
@@ -250,7 +258,7 @@ class _Surface:
                 use += (k0, k1) if use[1] == 1 else (k1, k0)
 
         # walks: per circle, (cycle, entry key, exit key) in cycle order
-        on_circle = {c: [] for c in self.circles}
+        on_circle = [[] for _ in self.eta]
         for idx, (bands, row) in enumerate(zip(cycles, cycle_uses)):
             k = len(bands)
             for j in range(k):
@@ -272,7 +280,7 @@ class _Surface:
                     W[j][i] += eps * di * dj
 
         # (T2) dives of the deeper-ranked walk through the shallower one
-        for walks in on_circle.values():
+        for walks in on_circle:
             for x, (a, lo, hi) in enumerate(walks):
                 for b, lo_b, hi_b in walks[x + 1:]:  # b hugs deeper than a
                     dive = _inside(lo_b, lo, hi) - _inside(hi_b, lo, hi)
@@ -314,12 +322,13 @@ def seifert_pipeline(d: PlanarDiagram) -> SeifertData:
         raise NotAKnot(f"{d.component_count()} components")
     if d.n == 0:
         return SeifertData(0, (), 1)
-    circles = d.seifert_circles()
+    surface = _Surface(d)
+    circles = len(surface.eta)  # one orientation per circle
     m = d.n - circles + 1
     if m < 0 or m % 2:
         raise InconsistentDiagram(
             f"first Betti number {m} from {d.n} crossings, {circles} circles", _SURFACE)
-    matrix = _Surface(d).seifert_matrix() if m else ()
+    matrix = surface.seifert_matrix() if m else ()
     if len(matrix) != m:
         raise InconsistentDiagram(f"{len(matrix)} homology cycles, expected {m}", _MATRIX)
     return SeifertData(m // 2, matrix, circles)

@@ -217,6 +217,69 @@ def test_oracle_check_survives_optimized_mode():
     assert p.stdout.strip() == "raised oracle: Conway polynomial"
 
 
+def _swap_corner_faces(d, patch):
+    """Swap the faces at corners 1 and 3 of crossing 0 in d's face table."""
+    faces, face_of_corner = d.face_table()
+    swapped = [list(corners) for corners in face_of_corner]
+    swapped[0][1], swapped[0][3] = swapped[0][3], swapped[0][1]
+    patch.setattr(d, "_faces", (faces, swapped))
+
+
+def _skip_a_circle_arc(d, patch):
+    """Send the Seifert smoothing at the head of d's least arc past the
+    next arc of its circle, to the one after it."""
+    heads = d.ends()[0]
+
+    def step(a):
+        ci, s = heads[a]
+        t = 2 if s else 4 - d.over_entry[ci]
+        return ci, t, d.crossings[ci][t]
+
+    ci, t, after = step(min(heads))
+    rows = [list(row) for row in d.crossings]
+    rows[ci][t] = step(after)[2]
+    patch.setattr(d, "crossings", tuple(map(tuple, rows)))
+
+
+# the face table fails the side check; the skipped arc starts a second walk
+# that runs into the first circle's band ends
+_SURFACE_FAULTS = [(_swap_corner_faces, "circle side regions not constant"),
+                   (_skip_a_circle_arc, "circle 14 meets band end 1 again")]
+
+
+@pytest.mark.parametrize("fault, message", _SURFACE_FAULTS, ids=["faces", "walk"])
+def test_a_corrupt_surface_table_raises_a_typed_error(fault, message, monkeypatch):
+    d = pretzel_diagram([3, 5, 7])
+    fault(d, monkeypatch)
+    with pytest.raises(InconsistentDiagram) as info:
+        seifert_pipeline(d)
+    assert info.value.stage == "oracle: Seifert surface"
+    assert str(info.value) == f"oracle: Seifert surface: {message}"
+
+
+@pytest.mark.parametrize("fault, message", _SURFACE_FAULTS, ids=["faces", "walk"])
+def test_a_corrupt_surface_table_raises_under_optimized_mode(fault, message):
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from types import SimpleNamespace\n"
+        "from knotct.diagram import pretzel_diagram\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "from knotct.oracle import seifert_pipeline\n"
+        f"from test_oracle import {fault.__name__} as fault\n"
+        "d = pretzel_diagram([3, 5, 7])\n"
+        "fault(d, SimpleNamespace(setattr=setattr))\n"
+        "try:\n"
+        "    seifert_pipeline(d)\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage, exc, sep='|')\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == f"oracle: Seifert surface|oracle: Seifert surface: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Reference: a state sum that contracts one crossing at a time into
 # frozenset pairings of the frontier and keeps Laurent polynomials, with no
@@ -469,6 +532,13 @@ def test_one_wiring_is_planned_once(fresh_plans):
     assert kauffman._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
     assert jones_via_kauffman(second) == reference_jones(second)
     assert kauffman._plan.cache_info()[:2] == (1, 1)
+
+
+def test_twist_regions_are_computed_once():
+    d = pretzel_diagram([3, 5, 7])
+    first = d.twist_regions()
+    assert d.twist_regions() is first
+    assert jones_via_kauffman(d) == jones_via_kauffman(d) == reference_jones(d)
 
 
 def test_a_contraction_that_raises_leaves_no_plan(monkeypatch, fresh_plans):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from knotct.montesinos import parse_spec
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -19,6 +21,14 @@ def test_ac1_routes_times_every_route():
     assert list(spent) == list(ac1_routes.ROUTES)
     assert len(crossings) == 85
     assert all(t >= 0 for t in spent.values())
+
+
+def test_ac1_digest_pins_every_four_hundredth_report():
+    ac1_digest = _load("ac1_digest")
+    specs = ac1_digest._formulas_specs(2)
+    assert ac1_digest.digest(specs[::400]) == (
+        85, "f767af3b521ce2b64b3e4bcd6a7c0d6fbbe4a4c4e3ee67825b1f116c579f8792")
+    assert ac1_digest.report_line(parse_spec("P(2,2,-1)")) == "NotAKnot: 2 even-denominator tangles force extra components"
 
 
 def test_closed_forms_derivation_reproduces_the_published_polynomials():
