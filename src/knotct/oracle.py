@@ -26,15 +26,12 @@ over the walks of the outer disc it is attached to.
 
 Each surface datum is read from a table the diagram has cached:
 
-* circles, numbered 0, 1, ... in order of their least arcs, their feet in
-  order along each, and the two circles of each band: one walk per circle
-  from its least arc through the head and tail tables of `ends`.  The
-  spanning tree is rooted at the circle of the least representative, a
-  circle's arc whose head is its last band end in (crossing, under-in
-  before over-in) order: the root a union-find over arcs gives it when it
-  joins, end by end in that order, the strand piece ending there to the
-  piece starting there, since the joined piece keeps the later piece's
-  root, so every piece's root is its last arc;
+* circles 0, 1, ..., their feet in order and the circles of each band:
+  one walk per circle from its least arc through the tables of `ends`.
+  The tree's root is the circle of the least representative: a circle's
+  arc whose head is its last band end (by crossing, under-in first).  A
+  union-find over arcs, joined end by end in that order, roots each circle
+  there, since each join keeps the later strand piece's root, its last arc;
 * regions (the complement of the circles): the faces of `face_table`,
   glued through each smoothed crossing's gap by a union-find over face
   indices; a circle's two sides are the regions at the corners
@@ -118,11 +115,10 @@ class _Surface:
         outer = region[sizes.index(max(sizes))]  # the largest face, the first on ties
 
         # circles 0, 1, ..., each walked once from its least arc: the walk
-        # numbers the circle and its feet, checks that the regions at the
-        # head and tail corners of its arcs stay the same, and finds the
-        # circle's representative, its arc whose head is its last band end.
-        # Band end 2 * crossing + e, e = 0 for the under-in arc and 1 for the
-        # over-in arc, records the circle of that arc and the foot's index
+        # numbers the feet, checks that the regions at the head and tail
+        # corners of its arcs stay the same and finds the representative.
+        # Per band end 2 * crossing + e, e = 0 for the under-in arc and 1 for
+        # the over-in arc: the circle of that arc and the foot's index on it
         ends = 2 * len(rows)
         self.circle_at = circle_at = [-1] * ends
         self.foot_at = foot_at = [0] * ends

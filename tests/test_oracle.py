@@ -1039,33 +1039,11 @@ def test_seifert_surface_matches_reference_on_braids(braid):
     assert seifert_pipeline(d) == reference_seifert(d)
 
 
-def test_seifert_surface_matches_reference_on_bound_three_builds():
-    """A seeded sample of 1,500 bound-3 family knot builds of at most 22
-    crossings, the range of the genus sweep's oracle."""
-    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
-    count = 0
-    for f in random.Random(20261018).sample(specs, len(specs)):
-        try:
-            d = f.diagram()
-        except KnotctError:
-            continue
-        if d.component_count() != 1 or d.n > 22:
-            continue
-        assert seifert_pipeline(d) == reference_seifert(d), str(f)
-        count += 1
-        if count == 1500:
-            break
-    assert count == 1500
-
-
-def test_seifert_surface_matches_reference_on_six_box_builds():
-    """A seeded sample of 1,000 AC1 six-box knot builds.  The Montesinos
-    builds and braid closures above have Seifert graphs that are trees once
-    parallel bands are merged, so any root of the spanning tree gives them
-    the same cycles; these builds are not, and they pin the root as well."""
-    specs = [f for f in _formulas_specs(2) if f.family in ("fig1_left", "fig1_right")]
-    count = 0
-    for f in random.Random(20261020).sample(specs, len(specs)):
+def _matches_reference_on_sample(specs, seed, count):
+    """seifert_pipeline equals the reference on the first `count` knot
+    builds of at most 22 crossings in a seeded shuffle of `specs`."""
+    checked = 0
+    for f in random.Random(seed).sample(specs, len(specs)):
         try:
             d = f.diagram()
         except KnotctError:
@@ -1073,7 +1051,23 @@ def test_seifert_surface_matches_reference_on_six_box_builds():
         if d.component_count() != 1 or d.n > _FORMULAS_CROSSING_CAP:
             continue
         assert seifert_pipeline(d) == reference_seifert(d), str(f)
-        count += 1
-        if count == 1000:
+        checked += 1
+        if checked == count:
             break
-    assert count == 1000
+    assert checked == count
+
+
+def test_seifert_surface_matches_reference_on_bound_three_builds():
+    """A seeded sample of 1,500 bound-3 family knot builds of at most 22
+    crossings, the range of the genus sweep's oracle."""
+    specs = [f for family in FAMILY_NAMES for f in enumerate_family(family, 3)]
+    _matches_reference_on_sample(specs, 20261018, 1500)
+
+
+def test_seifert_surface_matches_reference_on_six_box_builds():
+    """A seeded sample of 1,000 AC1 six-box knot builds.  The Montesinos
+    builds and braid closures above have Seifert graphs that are trees once
+    parallel bands are merged, so any root of the spanning tree gives them
+    the same cycles; many six-box graphs are not, so these pin the root."""
+    specs = [f for f in _formulas_specs(2) if f.family in ("fig1_left", "fig1_right")]
+    _matches_reference_on_sample(specs, 20261020, 1000)
