@@ -28,7 +28,8 @@ def test_ac1_digest_pins_every_four_hundredth_report():
     specs = ac1_digest._formulas_specs(2)
     assert ac1_digest.digest(specs[::400]) == (
         85, "f767af3b521ce2b64b3e4bcd6a7c0d6fbbe4a4c4e3ee67825b1f116c579f8792")
-    assert ac1_digest.report_line(parse_spec("P(2,2,-1)")) == "NotAKnot: 2 even-denominator tangles force extra components"
+    assert (ac1_digest.report_line(parse_spec("P(2,2,-1)"))
+            == "NotAKnot: 2 even-denominator tangles force extra components")
 
 
 def test_closed_forms_derivation_reproduces_the_published_polynomials():
