@@ -265,7 +265,10 @@ def main(argv=None):
     q = sub.add_parser("verify", help="run a cross-validation suite")
     q.add_argument("--suite", required=True,
                    choices=["formulas", "cf_identities", "signatures", "genus", "claim42"])
-    q.add_argument("--bound", type=int, default=2)
+    q.add_argument("--bound", type=int, default=2,
+                   help="parameter bound of the formulas, genus and claim42 sweeps; "
+                        "the signatures and cf_identities suites run fixed cases "
+                        "and do not read it")
     q.set_defaults(fn=_cmd_verify)
 
     q = sub.add_parser("twists", help="twist-number gate of an alternating build")

@@ -139,19 +139,22 @@ class Builder:
 
     # -- emission -------------------------------------------------------------
 
-    def emit(self):
-        mate, leads = self.mate, self.leads
+    def _check_wiring(self):
         # With every junction in use soldered twice and every port once, each
         # net is a path between two ports or a loop of junctions alone.
-        for lj in leads:
+        for lj in self.leads:
             if lj and len(lj) != 2:
                 raise InconsistentDiagram(f"junction with {len(lj)} leads", _EMIT)
-        if None in mate:
-            p = mate.index(None)
+        if None in self.mate:
+            p = self.mate.index(None)
             raise InconsistentDiagram(f"crossing {p >> 2} port {p & 3} is not soldered", _EMIT)
         # a second wire at a port overwrites its mate but still counts here
-        if 2 * self.wires != len(mate) + sum(map(len, leads)):
+        if 2 * self.wires != len(self.mate) + sum(map(len, self.leads)):
             raise InconsistentDiagram("a port is soldered twice", _EMIT)
+
+    def emit(self):
+        self._check_wiring()
+        mate, leads = self.mate, self.leads
         on_path = [False] * len(leads)
         # orient: walk each component, entering at p and leaving at p ^ 2;
         # an arc runs from an exit port through its net to an entry port; a
@@ -260,17 +263,20 @@ def _template(beta, alpha):
     end = 4 * (n := b.new_crossing(False))  # port end + x closes lead x of the table
     for x, name in enumerate(("NW", "NE", "SW", "SE")):
         b.solder(t[name], end + x)
-    b.emit()  # the emission checks and walk, on the closed tangle
+    b._check_wiring()  # then `emit`'s walk, with its guards, on the closed tangle
     slot, entry, strand, exits = [0] * end, bytearray(end), bytearray(end), bytearray(4)
     walks, x, i = [], 0, 0
     for k in (0, 1):
         ports, prev, r = [], end + x, b.mate[end + x]
         while True:
             while r < 0:
-                lj = b.leads[~r]
+                if prev not in (lj := b.leads[~r]):
+                    raise InconsistentDiagram(f"junction {~r} does not lead back", _EMIT)
                 prev, r = r, lj[lj[0] == prev]
             if r >= end:
                 break
+            if entry[r] or entry[r ^ 2]:
+                raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", _EMIT)
             slot[r], slot[r ^ 2], entry[r], strand[r], strand[r ^ 2] = i, i + 1, 1, k, k
             ports.append(r)
             prev, r, i = r ^ 2, b.mate[r ^ 2], i + 1

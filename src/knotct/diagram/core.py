@@ -21,8 +21,10 @@ connected projection those are exactly its cut vertices, kinks included.
 
 A knot's signed Gauss word (`_gauss_word`) lists its passages along the
 strand.  One finder, `_cancelling`, reads off the word the crossings that a
-Reidemeister I or II move removes: `simplify` removes them from the
-diagram, and the skein engine of `knotct.invariants` from its words.
+Reidemeister I or II move removes, and one loop, `_reduce_word`, deletes
+them until none is left.  `simplify` and the skein engine of
+`knotct.invariants` both reduce words with it: `simplify` then rebuilds
+the diagram once, without the crossings the reduced word has lost.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ def _cancelling(w):
             seen.add(pair)
         prev = p
     return ()
+
+
+def _reduce_word(w):
+    """Delete kinks and cancelling clasps until none is left."""
+    while w:
+        gone = _cancelling(w)
+        if not gone:
+            break
+        w = [p for p in w if p >> 2 not in gone]
+    return w
 
 
 class PlanarDiagram:
@@ -385,17 +397,17 @@ class PlanarDiagram:
     # -- Reidemeister I / II cleanup ------------------------------------------
 
     def simplify(self):
-        """Remove kinks and cancelling clasps, the moves `_cancelling` finds
-        on the knot's Gauss word, one at a time until none is left.  Both
-        strands pass straight through each removed crossing."""
+        """Remove kinks and cancelling clasps: reduce the knot's Gauss word
+        (`_reduce_word`), then rebuild once without the crossings it lost.
+        Both strands pass straight through each removed crossing."""
         if self.component_count() > 1:
             raise NotAKnot(f"simplify needs a knot, got {self.component_count()} components")
-        d = self
-        while d.n and (gone := _cancelling(_gauss_word(d))):
-            rows = [d.crossings[ci] for ci in gone]
-            d = d._rebuild([i for i in range(d.n) if i not in gone],
-                           [j for c in rows for j in ((c[0], c[2]), (c[1], c[3]))])
-        return d
+        kept = {p >> 2 for p in _reduce_word(_gauss_word(self))}
+        if len(kept) == self.n:
+            return self
+        rows = [c for ci, c in enumerate(self.crossings) if ci not in kept]
+        return self._rebuild([ci for ci in range(self.n) if ci in kept],
+                             [j for c in rows for j in ((c[0], c[2]), (c[1], c[3]))])
 
     # -- misc -----------------------------------------------------------------
 

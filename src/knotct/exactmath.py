@@ -1,14 +1,15 @@
-"""Exact arithmetic substrate: integer Laurent polynomials.
+"""Exact Laurent polynomials: the value type of the two polynomial oracles.
 
-Everything here is exact — no floating point anywhere.  A Laurent polynomial
-is kept as a sparse map from integer exponent to integer coefficient, and is
-evaluated at rational points as `fractions.Fraction`.  Integer determinants,
-interpolation and signatures live with their one caller, `knotct.oracle`.
+`jones_via_kauffman` returns the Jones polynomial V(t) and
+`conway_polynomial` the Conway polynomial in z as a `LaurentPoly`, a sparse
+map from integer exponent to integer coefficient; both routes compute
+their coefficients as packed integers and only hand the result over in
+this form.  Callers compare polynomials, read coefficients and degree
+spans, invert the variable (mirror images) and take derivatives at 1 (a2
+and w3 from V), all exactly.  No arithmetic is defined on the type.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 __all__ = [
     "LaurentPoly",
@@ -20,7 +21,7 @@ class LaurentPoly:
     """Integer-coefficient Laurent polynomial in one variable.
 
     Stored as {exponent: coefficient} with no zero coefficients.  Immutable
-    in practice: all operations return new instances.
+    in practice: `invert_variable` returns a new instance.
     """
 
     __slots__ = ("coeffs",)
@@ -34,78 +35,18 @@ class LaurentPoly:
         self.coeffs = c
 
     @classmethod
-    def term(cls, coeff, exponent=0):
-        return cls({exponent: coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.term(other)
+            other = LaurentPoly({0: other})
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self.coeffs.keys() <= {0}:  # a constant equals its int, so hashes as it
             return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        c = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return LaurentPoly.term(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        c = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("only non-negative powers")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        return LaurentPoly({e + k: v for e, v in self.coeffs.items()})
 
     def invert_variable(self):
         """x -> 1/x."""
@@ -120,18 +61,9 @@ class LaurentPoly:
             return (0, 0)
         return (min(self.coeffs), max(self.coeffs))
 
-    def evaluate(self, x):
-        """Exact evaluation at a nonzero Rational (or integer) point."""
-        x = Fraction(x)
-        return sum((v * x ** e for e, v in self.coeffs.items()), Fraction(0))
-
     def __repr__(self):
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        parts = []
-        for e in sorted(self.coeffs):
-            parts.append(f"{self.coeffs[e]}*x^{e}")
-        return "LaurentPoly(" + " + ".join(parts) + ")"
+        terms = " + ".join(f"{self.coeffs[e]}*x^{e}" for e in sorted(self.coeffs))
+        return f"LaurentPoly({terms or 0})"
 
 
 def laurent_derivative_at_one(p: LaurentPoly, order: int) -> int:

@@ -24,8 +24,9 @@ No command runs the skein engine: `obstruct`, `invariants` and the verify
 suites read a diagram's a2 and w3 from `knotct.gauss`, which counts
 sub-diagrams of the same word with no recursion, memo or budget.  The
 engine is the test suite's independent reference for those counts.
-`knotct.diagram.core` walks the Gauss word and finds its Reidemeister I/II
-moves (`_cancelling`), for this engine and for `PlanarDiagram.simplify`.
+`knotct.diagram.core` owns the Gauss word and its reduction by
+Reidemeister I/II moves (`_reduce_word`), which this engine and
+`PlanarDiagram.simplify` both call.
 
 `diagram_genus` is the genus that `obstruct` and the CLI's report read off
 the diagram of a spec without tangle pairs.
@@ -38,7 +39,7 @@ from array import array
 from fractions import Fraction
 
 from .budget import crossing_budget
-from .diagram.core import PlanarDiagram, _cancelling, _gauss_word
+from .diagram.core import PlanarDiagram, _gauss_word, _reduce_word
 from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula, NotAKnot
 from .records import Record
 
@@ -331,16 +332,6 @@ def _split(w, c):
             [p for p in outer if p >> 2 not in shared])
 
 
-def _simplify(w):
-    """Delete kinks and cancelling clasps until none is left."""
-    while w:
-        gone = _cancelling(w)
-        if not gone:
-            break
-        w = [p for p in w if p >> 2 not in gone]
-    return w
-
-
 def _key(w):
     """The least crossing-relabelled rotation of the word, as bytes.
 
@@ -409,7 +400,7 @@ def _a2(w):
         return _remember(_A2_MEMO, key, 0)
     lk, _, _ = _split(w, p >> 2)
     return _remember(_A2_MEMO, key,
-                     _a2(_simplify(_switch(w, p >> 2))) + (lk if p & 1 else -lk))
+                     _a2(_reduce_word(_switch(w, p >> 2))) + (lk if p & 1 else -lk))
 
 
 def _w3(w):
@@ -420,11 +411,11 @@ def _w3(w):
     p = _first_nondescending(w)
     if p is None:
         return _remember(_W3_MEMO, key, Fraction(0))
-    sw = _simplify(_switch(w, p >> 2))
+    sw = _reduce_word(_switch(w, p >> 2))
     lk, inner, outer = _split(w, p >> 2)
     a2_here, a2_there = _a2(w), _a2(sw)
     a2_pos, a2_neg = (a2_here, a2_there) if p & 1 else (a2_there, a2_here)
-    delta = Fraction(_a2(_simplify(inner)) + _a2(_simplify(outer)), 2) - Fraction(
+    delta = Fraction(_a2(_reduce_word(inner)) + _a2(_reduce_word(outer)), 2) - Fraction(
         a2_pos + a2_neg + lk * lk, 4
     )
     return _remember(_W3_MEMO, key, _w3(sw) + (delta if p & 1 else -delta))
@@ -438,7 +429,7 @@ def _knot_word(d):
     budget = crossing_budget(DEFAULT_SKEIN_BUDGET)
     if d.n > budget:
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget {budget}")
-    return _simplify(_gauss_word(d))
+    return _reduce_word(_gauss_word(d))
 
 
 def skein_a2(d: PlanarDiagram) -> int:

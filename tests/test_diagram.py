@@ -27,7 +27,7 @@ from knotct.diagram import (
     signature_alternating,
 )
 from knotct.diagram import construct
-from knotct.diagram.core import _gauss_word
+from knotct.diagram.core import _cancelling, _gauss_word
 from knotct.errors import (
     InconsistentDiagram,
     InvalidInput,
@@ -40,6 +40,7 @@ from knotct.montesinos import (
     MontesinosSpec,
     _normal_pairs,
     enumerate_family,
+    parse_spec,
 )
 from knotct.sweeps import _formulas_specs
 
@@ -290,6 +291,49 @@ def test_simplify_refuses_a_link():
         hopf.simplify()
 
 
+def reference_simplify(d):
+    """`simplify` one move at a time: each kink or clasp that `_cancelling`
+    finds on the diagram's own Gauss word is removed by a rebuild."""
+    while d.n and (gone := _cancelling(_gauss_word(d))):
+        rows = [d.crossings[ci] for ci in gone]
+        d = d._rebuild([i for i in range(d.n) if i not in gone],
+                       [j for c in rows for j in ((c[0], c[2]), (c[1], c[3]))])
+    return d
+
+
+def test_simplify_rebuilds_once(monkeypatch):
+    rebuilds = []
+    rebuild = PlanarDiagram._rebuild
+
+    def counted(self, keep, joins):
+        rebuilds.append(self.n)
+        return rebuild(self, keep, joins)
+
+    monkeypatch.setattr(PlanarDiagram, "_rebuild", counted)
+    d = parse_spec("F1L(-2,-2,-2,-2,-1,0)").diagram()
+    ref = reference_simplify(d)
+    assert len(rebuilds) == 4  # four moves, one at a time
+    rebuilds.clear()
+    s = d.simplify()
+    assert (d.n, s.n, rebuilds) == (14, 9, [14])
+    assert s.canonical_key() == ref.canonical_key()
+    rebuilds.clear()
+    assert s.simplify() is s and rebuilds == []
+
+
+def test_simplify_matches_the_per_move_reference_on_ac1():
+    checked = 0
+    for f in _formulas_specs(2)[::7]:
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() == 1:
+            assert d.simplify().canonical_key() == reference_simplify(d).canonical_key(), f
+            checked += 1
+    assert checked > 4800
+
+
 # sha256 of the canonical keys of the simplified diagrams of every fifth
 # six-box spec of the AC1 list, the 168 pretzel knots P(+-1,...,+-1) of
 # length 3, 5 and 7, and the AC2 zero family F1L(a,a+1,0,0,a+1,0), a in
@@ -373,6 +417,62 @@ def test_construction_check_raises_typed_error():
     b.new_crossing(a_over=False)  # four ports, none soldered to another
     with pytest.raises(InconsistentDiagram) as info:
         b.emit()
+    assert info.value.stage == "construction: emit"
+
+
+def test_a_cold_template_builds_no_diagram(monkeypatch):
+    built = []
+    init = PlanarDiagram.__init__
+
+    def counted(self, *args):
+        built.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(PlanarDiagram, "__init__", counted)
+    construct._template.cache_clear()
+    for beta, alpha in ((2, 5), (-3, 7), (1, 1), (3, 0)):
+        construct._template(beta, alpha)
+    assert built == []
+    montesinos_diagram([(2, 5), (-3, 7), (1, 3)], 3)  # one build, from the tables
+    assert len(built) == 1
+
+
+def self_looped_solder():
+    """`Builder.solder` that then makes ports 0 and 2 of crossing 0 each
+    other's mates, so the strand through that crossing leaves it into
+    itself and a walk with no guard goes round forever."""
+    solder = Builder.solder
+
+    def looped(self, a, b):
+        solder(self, a, b)
+        if {0, 2} & {a, b}:
+            self.mate[0], self.mate[2] = 2, 0
+    return looped
+
+
+def test_a_miswired_template_raises_instead_of_looping(monkeypatch):
+    # optimized mode in a subprocess first, its timeout bounding a walk that
+    # never ends
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import self_looped_solder\n"
+        "from knotct.diagram import Builder, construct\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "Builder.solder = self_looped_solder()\n"
+        "try:\n"
+        "    construct._template(2, 5)\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True, timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "construction: emit"
+    construct._template.cache_clear()
+    monkeypatch.setattr(Builder, "solder", self_looped_solder())
+    with pytest.raises(InconsistentDiagram) as info:
+        construct._template(2, 5)
     assert info.value.stage == "construction: emit"
 
 

@@ -5,7 +5,6 @@ determinant kernel in `knotct.oracle`; its cases are kept here.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,53 +13,38 @@ from knotct.oracle import _signature
 
 
 def test_term_and_coefficient():
-    p = LaurentPoly.term(3, -2)
+    p = LaurentPoly({-2: 3})
     assert p.coefficient(-2) == 3
     assert p.coefficient(0) == 0
-
-
-def test_ring_operations():
-    p = LaurentPoly.term(1, -1) + LaurentPoly.term(2, 3)
-    q = LaurentPoly.term(1, 1)
-    assert (p * q).coefficient(0) == 1
-    assert (p * q).coefficient(4) == 2
-    assert p - p == LaurentPoly.zero()
-    assert p * LaurentPoly.one() == p
 
 
 def test_a_constant_hashes_as_the_int_it_equals():
     # equal objects must hash alike, or a set or dict holds both
     assert len({LaurentPoly.one(), 1}) == 1
-    assert len({LaurentPoly.zero(), 0, LaurentPoly.term(5), 5, LaurentPoly.term(5, 1)}) == 3
+    assert len({LaurentPoly(), 0, LaurentPoly({0: 5}), 5, LaurentPoly({1: 5})}) == 3
     for c in (0, 1, -1, -3, 10 ** 30):
-        p = LaurentPoly.term(c)
+        p = LaurentPoly({0: c})
         assert p == c and hash(p) == hash(c)
 
 
-def test_degree_span_and_shift():
-    p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
-    assert p.degree_span() == (-2, 1)
-    assert p.shift(3).degree_span() == (1, 4)
+def test_degree_span():
+    assert LaurentPoly({-2: 1, 1: 3}).degree_span() == (-2, 1)
+    assert LaurentPoly().degree_span() == (0, 0)
 
 
 def test_invert_variable():
-    p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
+    p = LaurentPoly({-2: 1, 1: 3})
     q = p.invert_variable()
     assert q.coefficient(2) == 1 and q.coefficient(-1) == 3
     assert q.invert_variable() == p
 
 
-def test_evaluate_exact():
-    p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
-    assert p.evaluate(Fraction(2)) == Fraction(1, 4) + 6
-
-
 def test_derivative_at_one():
-    # p = x^-2 + 3x: p'(1) = -2 + 3 = 1, p''(1) = 6
-    p = LaurentPoly.term(1, -2) + LaurentPoly.term(3, 1)
+    # p = x^-2 + 3x: p(1) = 4, p'(1) = -2 + 3 = 1, p''(1) = 6
+    p = LaurentPoly({-2: 1, 1: 3})
+    assert laurent_derivative_at_one(p, 0) == 4
     assert laurent_derivative_at_one(p, 1) == 1
     assert laurent_derivative_at_one(p, 2) == 6
-    assert laurent_derivative_at_one(p, 0) == p.evaluate(Fraction(1))
 
 
 @pytest.mark.parametrize(

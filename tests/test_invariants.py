@@ -18,12 +18,11 @@ from knotct.errors import (
     NotAKnot,
     ValidationError,
 )
-from knotct.diagram.core import _cancelling, _gauss_word
+from knotct.diagram.core import _cancelling, _gauss_word, _reduce_word
 from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import (
     InvariantReport,
     _key,
-    _simplify,
     closed_a2_w3,
     closed_form,
     skein_a2,
@@ -203,7 +202,7 @@ def test_reidemeister_one_removes_a_kink():
     assert _cancelling(kink) == (9,)
     assert _cancelling(w[:1] + kink + w[1:]) == (9,)
     assert _cancelling(kink[:1] + w + kink[1:]) == (9,)  # across the base point
-    assert _simplify(w[:3] + kink + w[3:]) == w
+    assert _reduce_word(w[:3] + kink + w[3:]) == w
 
 
 def test_reidemeister_two_needs_one_strand_over_and_opposite_signs():
@@ -218,7 +217,7 @@ def test_reidemeister_two_needs_one_strand_over_and_opposite_signs():
         for clasp in (w[:2] + [a, b] + w[2:4] + [a ^ 2, b ^ 2] + w[4:],  # parallel
                       w[:2] + [a, b] + w[2:4] + [b ^ 2, a ^ 2] + w[4:]):  # antiparallel
             assert (_cancelling(clasp) == (7, 8)) is cancels
-            assert (_simplify(clasp) == w) is cancels
+            assert (_reduce_word(clasp) == w) is cancels
 
 
 def test_memos_are_capped_without_changing_values(monkeypatch):

@@ -69,11 +69,12 @@ def test_even_cf_round_trip(p, q):
 )
 @settings(max_examples=100, deadline=None)
 def test_invert_variable_involution(coeffs):
-    p = LaurentPoly.zero()
-    for e, c in coeffs.items():
-        p = p + LaurentPoly.term(c, e)
+    p = LaurentPoly(coeffs)
     assert p.invert_variable().invert_variable() == p
-    assert p.invert_variable().evaluate(Fraction(2)) == p.evaluate(Fraction(1, 2))
+
+    def at(q, x):
+        return sum(c * x ** e for e, c in q.coeffs.items())
+    assert at(p.invert_variable(), Fraction(2)) == at(p, Fraction(1, 2))
 
 
 odd = st.integers(-3, 3).map(lambda v: 2 * v + 1)
@@ -101,4 +102,4 @@ def test_jones_mirror_inverts_variable(p, q, r):
 @settings(max_examples=15, deadline=None)
 def test_jones_at_one_is_one(p, q, r):
     d = parse_spec(f"P({p},{q},{r})").diagram().simplify()
-    assert jones_via_kauffman(d).evaluate(Fraction(1)) == 1
+    assert sum(jones_via_kauffman(d).coeffs.values()) == 1
