@@ -151,6 +151,27 @@ def test_seifert_basis_is_pinned():
     assert digest.hexdigest() == SEIFERT_BASIS_SHA256
 
 
+# the same hash over the traffic of the genus suite's Seifert oracle: the
+# bound-3 family builds that are reduced alternating knots of at most 22
+# crossings, in enumerate_family order
+SEIFERT_BASIS_BOUND_3_SHA256 = "81f177966f50ea19f6d3a40349dd29ec464925e138f16b7439467a84cd955842"
+
+
+def test_seifert_basis_is_pinned_on_bound_three_alternating_builds():
+    digest, count = hashlib.sha256(), 0
+    for family in FAMILY_NAMES:
+        for f in enumerate_family(family, 3):
+            d = f.diagram()
+            if (d.component_count() != 1 or d.n > _FORMULAS_CROSSING_CAP
+                    or not (d.is_alternating() and d.is_reduced())):
+                continue
+            count += 1
+            sd = seifert_pipeline(d)
+            digest.update(repr((sd.surface_genus, sd.seifert_matrix, sd.circles)).encode())
+    assert count == 4292
+    assert digest.hexdigest() == SEIFERT_BASIS_BOUND_3_SHA256
+
+
 # sha256 of (spec, kind, Seifert sigma, alternating sigma or None) over every
 # bound-2 genus-2 family build, its mirror and its alternating_build diagram,
 # recorded with the congruence-diagonalization signature and the union-find
