@@ -102,7 +102,8 @@ def invariant_report(spec, method="all") -> InvariantReport:
             g = genus(norm).genus
             meth["genus"] = "closed_form"
         else:
-            g, route = diagram_genus(d.simplify())
+            e = d.simplify()  # d itself when no move applies: reuse its surface
+            g, route = diagram_genus(e, sd if e is d else None)
             if g is not None:
                 meth["genus"] = route
         alternating = d.is_alternating() or (norm is not None and is_alternating_knot(norm))

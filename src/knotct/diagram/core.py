@@ -38,6 +38,8 @@ __all__ = [
     "signature_alternating",
 ]
 
+_FACES = "diagram: face table"  # the stage of the planarity check
+
 
 class _DSU:
     def __init__(self, items):
@@ -271,6 +273,9 @@ class PlanarDiagram:
         two ends.  A face is an orbit of corners; the orbits are walked from
         the tail corner, then the head corner, of each arc in order.
         `face_of_corner[ci][s]` is the index of the face at corner 4 * ci + s.
+        A knot diagram with other than n + 2 faces is not planar (Euler's
+        formula) and raises InconsistentDiagram at the `diagram: face table`
+        stage, so no route that reads faces accepts it.
         """
         if self._faces is None:
             heads, tails = self._heads, self._tails
@@ -295,6 +300,13 @@ class PlanarDiagram:
                     orbit.append(x)
                     x = succ[x]
                 faces.append(tuple(orbit))
+            # Euler: the connected projection of a knot on the sphere has
+            # n + 2 faces; a code with fewer is drawn on a surface of higher
+            # genus (a split link diagram may have more)
+            if len(faces) != self.n + 2 and len(self.components()) == 1:
+                raise InconsistentDiagram(
+                    f"{len(faces)} faces for {self.n} crossings, not {self.n + 2}: "
+                    "the knot diagram is not planar", _FACES)
             self._faces = faces, [face_of[i:i + 4] for i in range(0, len(face_of), 4)]
         return self._faces
 

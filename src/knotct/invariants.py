@@ -255,11 +255,12 @@ def _quarter(n):
 # genus of a diagram
 
 
-def diagram_genus(d):
+def diagram_genus(d, sd=None):
     """(genus, route) of a spec without tangle pairs (a six-box template or
     an all-integer pretzel), read off one of its diagrams: 0 by closed form
     with no crossings, the oracle's alternating genus on a reduced
-    alternating diagram, else (None, None)."""
+    alternating diagram, else (None, None).  `sd` is d's SeifertData when
+    the caller has built it already; otherwise the surface is built here."""
     if d.n == 0:
         return 0, "closed_form"
     if d.is_alternating() and d.is_reduced():
@@ -267,7 +268,7 @@ def diagram_genus(d):
         # not load the oracle
         from .oracle import alternating_genus, seifert_pipeline
 
-        return alternating_genus(d, seifert_pipeline(d)), "oracle"
+        return alternating_genus(d, seifert_pipeline(d) if sd is None else sd), "oracle"
     return None, None
 
 

@@ -10,10 +10,10 @@ Two independent pipelines:
   alternating diagrams) the genus.  The Conway polynomial comes from
   p(u) = det(uV - V^T), evaluated once at u = 2^B by an integer Bareiss
   determinant whose signed base-2^B digits are the coefficients (B from a
-  bound on their absolute sum: the Kronecker substitution); z = s - 1/s
-  powers come from a signed Pascal table.  The same kernel gives the
-  characteristic polynomial of V + V^T, whose sign changes count its
-  positive eigenvalues (Descartes; all its roots are real).
+  bound on their absolute sum: the Kronecker substitution); the powers of
+  z = s - 1/s are peeled off with binomial coefficients.  The same kernel
+  gives the characteristic polynomial of V + V^T, whose sign changes count
+  its positive eigenvalues (Descartes; all its roots are real).
 
 The Seifert matrix is computed combinatorially.  Discs are stacked by the
 nesting depth of their Seifert circles; homology cycles are fundamental
@@ -24,23 +24,37 @@ shapes: two cores through the same half-twisted band, a dive of a deeper
 walk through a shallower walk on the same disc, and a band core climbing
 over the walks of the outer disc it is attached to.
 
-Each surface datum is read from a table the diagram has cached:
+Each surface datum is read once from a table the diagram has cached into
+lists indexed by face, circle, band end (2 * crossing + e, e = 0 at the
+under-in arc and 1 at the over-in arc) and band:
 
-* circles 0, 1, ..., their feet in order and the circles of each band:
-  one walk per circle from its least arc through the tables of `ends`.
-  The tree's root is the circle of the least representative: a circle's
-  arc whose head is its last band end (by crossing, under-in first).  A
-  union-find over arcs, joined end by end in that order, roots each circle
-  there, since each join keeps the later strand piece's root, its last arc;
 * regions (the complement of the circles): the faces of `face_table`,
   glued through each smoothed crossing's gap by a union-find over face
-  indices; a circle's two sides are the regions at the corners
-  (`face_of_corner`) where its arcs end and start, and the outer region is
-  the largest face's;
+  indices, each named by its root face; the outer region is the largest
+  face's;
+* circles 0, 1, ..., the circle and foot at each band end: one walk per
+  circle from its least arc through the tables of `ends`, which checks
+  that the regions at the corners (`face_of_corner`) where its arcs end
+  are one region, and those where they start another: its two sides.  The
+  tree's root is the circle of the least representative, a circle's arc
+  whose head is its last band end, which the walk records;
+* depth and orientation of each circle: one breadth-first pass over the
+  regions from the outer one, the circles being the edges of their tree;
+* the basis: each circle's band ends in crossing order, a breadth-first
+  spanning tree from the root, and per band off it a cycle listed by the
+  band ends it leaves from;
+* band uses: one per cycle through a band, made once with its rank among
+  the band's uses and its keys (positions on the circles at both ends).
+  The twist term of the matrix is summed as the uses are made, the dives
+  run only on circles that carry two walks or more and the climbs only
+  over bands whose circles differ in depth;
 * band twists: the crossing signs of `over_entry`.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import ne
 
 from .diagram.core import PlanarDiagram
 from .errors import (
@@ -98,33 +112,38 @@ class _Surface:
         heads, tails = d.ends()
         rows, over = d.crossings, d.over_entry
         self.over = over
+        n = len(rows)
 
         # regions: faces glued through the gap of each smoothed crossing
-        glued = list(range(len(faces)))
-
-        def find(f):
-            while glued[f] != f:
-                glued[f] = f = glued[glued[f]]
-            return f
-
-        for ci, corners in enumerate(face_of_corner):
-            gap = 1 if over[ci] == 3 else 0
-            glued[find(corners[gap])] = find(corners[gap + 2])
-        region = [find(f) for f in range(len(faces))]
-        sizes = [len(face) for face in faces]
+        # (corners 1 and 3 where the over strand enters at 3, else 0 and 2),
+        # each named by its root face in a union-find over face indices
+        region = list(range(len(faces)))
+        for corners, o in zip(face_of_corner, over):
+            f, g = (corners[1], corners[3]) if o == 3 else (corners[0], corners[2])
+            while region[f] != f:
+                f = region[f]
+            while region[g] != g:
+                g = region[g]
+            region[f] = g
+        for f, r in enumerate(region):
+            while region[r] != r:
+                r = region[r]
+            region[f] = r
+        sizes = list(map(len, faces))
         outer = region[sizes.index(max(sizes))]  # the largest face, the first on ties
 
         # circles 0, 1, ..., each walked once from its least arc: the walk
         # numbers the feet, checks that the regions at the head and tail
         # corners of its arcs stay the same and finds the representative.
         # Per band end 2 * crossing + e, e = 0 for the under-in arc and 1 for
-        # the over-in arc: the circle of that arc and the foot's index on it
-        ends = 2 * len(rows)
-        self.circle_at = circle_at = [-1] * ends
-        self.foot_at = foot_at = [0] * ends
+        # the over-in arc: the circle of that arc and n times the foot's
+        # index on it, so that a rank below n added to it stays between feet
+        self.circle_at = circle_at = [-1] * (2 * n)
+        self.foot_at = foot_at = [0] * (2 * n)
+        near = [[] for _ in faces]  # region -> the regions across its circles
         sides, reps = [], []
-        for a0 in sorted(heads):
-            ci, s = heads[a0]
+        ends = 2 * n * n
+        for a0, (ci, s) in sorted(heads.items()):
             if circle_at[2 * ci + (s > 0)] >= 0:
                 continue  # on a circle walked already
             c = len(sides)
@@ -137,183 +156,194 @@ class _Surface:
                 corners = face_of_corner[ci]
                 if region[corners[s]] != head_side or behind != tail_side:
                     raise InconsistentDiagram("circle side regions not constant", _SURFACE)
-                end = 2 * ci + (s > 0)
+                # the smoothing turns over-in to under-out, under-in to over-out
+                end, t = (2 * ci + 1, 2) if s else (2 * ci, 4 - over[ci])
                 if circle_at[end] >= 0:
                     raise InconsistentDiagram(f"circle {c} meets band end {end} again", _SURFACE)
                 circle_at[end], foot_at[end] = c, k
-                k += 1
+                k += n
                 if end > last:
                     last, rep = end, a
-                t = 2 if s else 4 - over[ci]  # the smoothing turns under-in to over-out
                 behind = region[corners[t]]
                 a = rows[ci][t]
                 if a == a0:
                     break
             sides.append((head_side, tail_side))
+            near[head_side].append(tail_side)
+            near[tail_side].append(head_side)
             reps.append(rep)
             ends -= k
         if ends:
-            raise InconsistentDiagram(f"{ends} band ends on no circle", _SURFACE)
+            raise InconsistentDiagram(f"{ends // n} band ends on no circle", _SURFACE)
         self.root = reps.index(min(reps))
 
-        # region tree -> depths, then per-circle inner region and orientation
-        radj = {}
-        for r1, r2 in sides:
-            radj.setdefault(r1, []).append(r2)
-            radj.setdefault(r2, []).append(r1)
-        depth = {outer: 0}
+        # region tree, breadth first from the outer region; a region off
+        # the tree keeps level -2, so a circle beside it fails the check
+        level = [-2] * len(faces)
+        level[outer] = 0
         order = [outer]
         for r in order:
-            for r2 in radj.get(r, ()):
-                if r2 not in depth:
-                    depth[r2] = depth[r] + 1
+            for r2 in near[r]:
+                if level[r2] < 0:
+                    level[r2] = level[r] + 1
                     order.append(r2)
-        self.eta, self.depth = [], []
+        # per circle: the orientation and the depth of its inner region
+        self.eta, self.depth = eta, depth = [], []
         for head_side, tail_side in sides:
-            dh, dt = depth[head_side], depth[tail_side]
+            dh, dt = level[head_side], level[tail_side]
             if abs(dh - dt) != 1:
                 raise InconsistentDiagram("circle sides not nested by 1", _SURFACE)
             # the face at an arc's head corner is the one walked along the arc (+1)
-            self.eta.append(LEFT_DART if dh > dt else -LEFT_DART)
-            self.depth.append(max(dh, dt))
+            eta.append(LEFT_DART if dh > dt else -LEFT_DART)
+            depth.append(max(dh, dt))
 
     # -- homology basis -----------------------------------------------------
 
     def fundamental_cycles(self):
-        """Cycles as ordered band traversals [(crossing, from_circle, to_circle)]:
-        each band off a breadth-first spanning tree of the Seifert graph,
-        rooted at the circle of the least representative, closed up by the
-        tree path through the apex of its two ends."""
+        """Cycles as ordered band traversals, each named by the band end it
+        leaves from (end e of band e >> 1, towards end e ^ 1): each band off
+        a breadth-first spanning tree of the Seifert graph, rooted at the
+        circle of the least representative, closed up by the tree path
+        through the apex of its two ends."""
         circle_at, root = self.circle_at, self.root
-        n, s = len(circle_at) // 2, len(self.eta)
-        bands_at = [[] for _ in range(s)]  # circle -> [(crossing, far circle)]
-        for ci in range(n):
-            c1, c2 = circle_at[2 * ci], circle_at[2 * ci + 1]
+        s = len(self.eta)
+        ends_at = [[] for _ in range(s)]  # circle -> its band ends, by crossing
+        for ci, (c1, c2) in enumerate(zip(circle_at[::2], circle_at[1::2])):
             if c1 == c2:
                 raise InconsistentDiagram(f"band {ci} has both ends on circle {c1}", _SURFACE)
-            bands_at[c1].append((ci, c2))
-            bands_at[c2].append((ci, c1))
-        up, level = [None] * s, [-1] * s  # circle -> (parent circle, crossing), depth
+            ends_at[c1].append(2 * ci)
+            ends_at[c2].append(2 * ci + 1)
+        # circle -> its end of the band to its parent circle (-1 at the root), depth
+        up, level = [-1] * s, [-1] * s
         level[root] = 0
-        tree = [False] * n
+        off_tree = [True] * len(self.over)
         order = [root]
         for u in order:
-            for ci, v in bands_at[u]:
+            for e in ends_at[u]:
+                v = circle_at[e ^ 1]
                 if level[v] < 0:
-                    up[v], level[v], tree[ci] = (u, ci), level[u] + 1, True
+                    up[v], level[v], off_tree[e >> 1] = e ^ 1, level[u] + 1, False
                     order.append(v)
         cycles = []
-        for ci in range(n):
-            if tree[ci]:
-                continue
-            # traversal: band ci from c1 to c2, then the tree path c2 -> apex -> c1,
+        for ci in compress(range(len(off_tree)), off_tree):
+            # traversal: band ci from end 0 to end 1, then the tree path from
+            # the circle of end 1 to the apex and down to the circle of end 0,
             # found by climbing from the deeper end until the two ends meet
             u, v = circle_at[2 * ci], circle_at[2 * ci + 1]
-            bands, down = [(ci, u, v)], []
+            path, down = [2 * ci], []
             while u != v:
                 if level[u] > level[v]:
-                    par, e = up[u]
-                    down.append((e, par, u))
-                    u = par
-                elif up[v] is None:  # both ends climbed to the root's level apart
+                    e = up[u]
+                    down.append(e ^ 1)
+                    u = circle_at[e ^ 1]
+                elif up[v] < 0:  # both ends climbed to the root's level apart
                     raise InconsistentDiagram(
                         f"tree paths of band {ci} do not meet below the root", _SURFACE)
                 else:
-                    par, e = up[v]
-                    bands.append((e, v, par))
-                    v = par
-            bands.extend(reversed(down))
-            cycles.append(bands)
+                    e = up[v]
+                    path.append(e)
+                    v = circle_at[e ^ 1]
+            path.extend(reversed(down))
+            cycles.append(path)
         return cycles
 
     # -- Seifert matrix -----------------------------------------------------
 
     def seifert_matrix(self):
-        circle_at, foot_at, over = self.circle_at, self.foot_at, self.over
+        circle_at, foot_at, over, depth, eta = (
+            self.circle_at, self.foot_at, self.over, self.depth, self.eta)
         cycles = self.fundamental_cycles()
-        m = len(cycles)
-        # each band's uses [cycle, direction, from key, to key] in cycle order;
-        # a cycle crosses a band at most once
-        uses = [[] for _ in over]
-        cycle_uses = []
-        for idx, bands in enumerate(cycles):
-            row = []
-            for ci, cf, _ in bands:
-                use = [idx, 1 if cf == circle_at[2 * ci] else -1]
-                uses[ci].append(use)
-                row.append(use)
-            cycle_uses.append(row)
-        # a use's key at a band end: foot index * m + its rank among the
-        # band's uses, counted from the under-in end's side and reversed on
-        # the other; it orders positions on a circle as the pairs would
-        for ci, lst in enumerate(uses):
-            last = len(lst) - 1
-            for r, use in enumerate(lst):
-                k0 = foot_at[2 * ci] * m + r
-                k1 = foot_at[2 * ci + 1] * m + last - r
-                use += (k0, k1) if use[1] == 1 else (k1, k0)
-
-        # walks: per circle, (cycle, entry key, exit key) in cycle order
-        on_circle = [[] for _ in self.eta]
-        for idx, (bands, row) in enumerate(zip(cycles, cycle_uses)):
-            k = len(bands)
-            for j in range(k):
-                ct, nf = bands[j][2], bands[(j + 1) % k][1]
-                if ct != nf:
-                    raise InconsistentDiagram(
-                        f"cycle {idx} jumps from circle {ct} to {nf}", _MATRIX)
-                on_circle[ct].append((idx, row[j][3], row[(j + 1) % k][2]))
-
+        m, top = len(cycles), len(over) - 1
         W = [[0] * m for _ in range(m)]
-
-        # (T1) shared half-twisted bands
-        for ci, lst in enumerate(uses):
-            eps = SEIFERT_TWIST_SIGN * (1 if over[ci] == 3 else -1)
-            for x, (i, di, _, _) in enumerate(lst):
-                W[i][i] += eps
-                for j, dj, _, _ in lst[x + 1:]:
-                    W[i][j] += eps * di * dj
-                    W[j][i] += eps * di * dj
+        # each band's uses (cycle, direction, from key, to key) in cycle
+        # order, made once: a cycle crosses a band at most once, so a use's
+        # rank r among the band's uses is their count so far.  Its key is
+        # foot_at + r at the under-in end and foot_at + n - 1 - r at the
+        # other, which orders positions on a circle as the pairs would.
+        uses = [[] for _ in over]
+        # walks: per circle, (cycle, entry key, exit key) in cycle order
+        on_circle = [[] for _ in eta]
+        for idx, path in enumerate(cycles):
+            # the walk on each circle runs from the band the cycle enters it
+            # by to the band it leaves by: start with the last band's entry
+            e = path[-1]
+            r = len(uses[e >> 1])
+            ct, key, twist = circle_at[e ^ 1], foot_at[e ^ 1] + (r if e & 1 else top - r), 0
+            for e in path:
+                ci = e >> 1
+                lst = uses[ci]
+                r = len(lst)
+                if e & 1:
+                    di, kf, kt = -1, foot_at[e] + top - r, foot_at[e - 1] + r
+                else:
+                    di, kf, kt = 1, foot_at[e] + r, foot_at[e + 1] + top - r
+                # (T1) the core crosses its band's half twist and, there,
+                # the cores of the cycles through the band before it
+                twist += over[ci]
+                for j, dj, _, _ in lst:
+                    eps = SEIFERT_TWIST_SIGN * (over[ci] - 2) * di * dj
+                    W[idx][j] += eps
+                    W[j][idx] += eps
+                lst.append((idx, di, kf, kt))
+                if ct != circle_at[e]:
+                    raise InconsistentDiagram(
+                        f"cycle {idx} jumps from circle {ct} to {circle_at[e]}", _MATRIX)
+                on_circle[ct].append((idx, key, kf))
+                ct, key = circle_at[e ^ 1], kt
+            W[idx][idx] = SEIFERT_TWIST_SIGN * (twist - 2 * len(path))
 
         # (T2) dives of the deeper-ranked walk through the shallower one
         for walks in on_circle:
+            if len(walks) < 2:
+                continue
             for x, (a, lo, hi) in enumerate(walks):
                 for b, lo_b, hi_b in walks[x + 1:]:  # b hugs deeper than a
-                    dive = _inside(lo_b, lo, hi) - _inside(hi_b, lo, hi)
+                    if lo < hi:
+                        dive = (lo < lo_b < hi) - (lo < hi_b < hi)
+                    else:  # the interval wraps past the circle's first foot
+                        dive = (lo_b > lo or lo_b < hi) - (hi_b > lo or hi_b < hi)
                     W[a][b] += dive
                     W[b][a] -= dive
 
-        # (T3) band cores climbing over walks of the outer disc
-        depth, eta = self.depth, self.eta
-        for ci, lst in enumerate(uses):
+        # (T3) band cores climbing over walks of the outer disc; a band
+        # between sibling circles routes its core clear of every walk
+        at_depth = list(map(depth.__getitem__, circle_at))
+        for ci in compress(range(len(over)), map(ne, at_depth[::2], at_depth[1::2])):
             c1, c2 = circle_at[2 * ci], circle_at[2 * ci + 1]
-            if depth[c1] == depth[c2]:
-                continue  # sibling band: core routed clear of every walk
             outer = c1 if depth[c1] < depth[c2] else c2
-            for i, di, key_from, key_to in lst:
+            for i, di, key_from, key_to in uses[ci]:
                 leaving = (c1 if di == 1 else c2) == outer
                 s_ev = -eta[outer] if leaving else eta[outer]
                 p = key_from if leaving else key_to
                 for j, lo, hi in on_circle[outer]:
-                    if j != i and _inside(p, lo, hi):
+                    if j != i and ((lo < p < hi) if lo < hi else (p > lo or p < hi)):
                         W[i][j] += s_ev
                         W[j][i] += s_ev
 
-        for i, row in enumerate(W):
-            for j, w in enumerate(row):
-                if w % 2:
-                    raise InconsistentDiagram(f"odd crossing count at ({i},{j})", _MATRIX)
-        return tuple(tuple(w // 2 for w in row) for row in W)
-
-
-def _inside(p, lo, hi):
-    """p strictly inside the forward cyclic interval (lo, hi)."""
-    if lo < hi:
-        return lo < p < hi
-    return p > lo or p < hi
+        odd = [w & 1 for row in W for w in row]
+        if 1 in odd:
+            i, j = divmod(odd.index(1), m)
+            raise InconsistentDiagram(f"odd crossing count at ({i},{j})", _MATRIX)
+        return tuple([tuple([w >> 1 for w in row]) for row in W])
 
 
 def seifert_pipeline(d: PlanarDiagram) -> SeifertData:
+    """Genus, Seifert matrix and circle count of the disc-and-band surface
+    that Seifert's algorithm gives on the knot diagram d.
+
+    Checks, each raising the error named:
+    * the component count: NotAKnot unless d is a knot;
+    * the face table: InconsistentDiagram at `diagram: face table` unless
+      d has the n + 2 faces of a planar knot diagram;
+    * the surface (`oracle: Seifert surface`): each circle's sides are one
+      region each and one level apart in the region tree, every band end
+      is on one circle once, no band joins a circle to itself, the tree
+      paths of each band meet, and the first Betti number n - circles + 1
+      is even and not negative (the Betti parity);
+    * the matrix (`oracle: Seifert matrix`): each cycle runs on from the
+      circle it reached, every crossing count is even, and there are as
+      many cycles as the Betti number (the matrix size).
+    """
     if d.component_count() != 1:
         raise NotAKnot(f"{d.component_count()} components")
     if d.n == 0:
@@ -406,18 +436,16 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
     p(u) = det(uV - V^T) has degree at most m = dim V; its coefficients are
     the digits of one Bareiss determinant at u = 2^B (`_det_polynomial`), and
     det(sV - s^-1 V^T) = s^-m p(s^2).  The powers of z are peeled off from
-    the top, z^e = sum_j (-1)^j C(e, j) s^(e - 2j) read from a signed Pascal
-    table.
+    the top, z^e = sum_j (-1)^j C(e, j) s^(e - 2j), each binomial from the
+    one before it.  A power of z below 0 and a constant term other than 1
+    (det(V - V^T) = 1 for a knot) raise InconsistentDiagram at the Conway
+    stage.
     """
     v = sd.seifert_matrix
     n = len(v)
     if n == 0:
         return LaurentPoly.one()
     det = _det_polynomial(v, list(zip(*v)))  # det[k]: coefficient of s^(2k - n)
-    z_powers = [[1]]  # z^e, coefficients of s^e, s^(e-2), ..., s^-e
-    for _ in range(n):
-        z = z_powers[-1]
-        z_powers.append([a - b for a, b in zip(z + [0], [0] + z)])
     out = {}
     for k in range(n, -1, -1):
         c = det[k]
@@ -427,8 +455,9 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
         if e < 0:
             raise InconsistentDiagram(f"negative power z^{e} in det(sV - V^T/s)", _CONWAY)
         out[e] = c
-        for j, b in enumerate(z_powers[e]):
-            det[k - j] -= c * b
+        for j in range(e + 1):  # c * (-1)^j C(e, j): the coefficient of s^(e - 2j) in c z^e
+            det[k - j] -= c
+            c = -c * (e - j) // (j + 1)
     nabla = LaurentPoly(out)
     if nabla.coefficient(0) != 1:  # knots: det(V - V^T) = 1
         raise InconsistentDiagram(
@@ -437,6 +466,17 @@ def conway_polynomial(sd: SeifertData) -> LaurentPoly:
 
 
 def alternating_genus(d: PlanarDiagram, sd: SeifertData) -> int:
+    """Genus of the knot of a reduced alternating diagram d: the genus of
+    its Seifert surface sd (`seifert_pipeline(d)`), which is minimal there
+    (Crowell 1959; Murasugi 1958).
+
+    Checks, each raising the error named: NotAlternating unless d is
+    alternating, NotReduced if it has a nugatory crossing; the Conway
+    polynomial's own checks (`conway_polynomial`: no digit left over, no
+    negative power of z, and the constant term 1), each InconsistentDiagram
+    at `oracle: Conway polynomial`; and GenusMismatch unless the Conway
+    degree is 2g, for the surface genus g.
+    """
     if not d.is_alternating():
         raise NotAlternating("genus shortcut needs an alternating diagram")
     if not d.is_reduced():

@@ -161,6 +161,23 @@ def test_closed_method_builds_no_diagram(monkeypatch):
     assert dict(rep.method) == {"a2": "closed_form", "w3": "closed_form"}
 
 
+@pytest.mark.parametrize("spec, surfaces", [("F1L(1,1,1,1,1,1)", 1), ("F1R(2,2,2,2,2,2)", 1),
+                                            ("F1L(-2,-2,-2,-2,-1,0)", 2)])
+def test_invariants_builds_one_surface_unless_simplify_moves(monkeypatch, spec, surfaces):
+    # sigma and the genus read the same surface when simplify returns the
+    # diagram itself; a diagram that simplifies gets a second one
+    built = []
+
+    def counted(d):
+        built.append(d)
+        return pipeline_of(d)
+
+    pipeline_of = knotct.oracle.seifert_pipeline
+    monkeypatch.setattr(knotct.oracle, "seifert_pipeline", counted)
+    rep = invariant_report(parse_spec(spec))
+    assert len(built) == surfaces and dict(rep.method)["genus"] == "oracle"
+
+
 def test_link_spec_error_has_no_stage_note():
     # a link spec is an input error, not a fault of the genus stage that meets it
     p = _cli(["obstruct", "P(2,-2,1)"])

@@ -19,6 +19,7 @@ from test_montesinos import _retained_bytes
 import knotct
 from knotct import kauffman
 from knotct.diagram import (
+    PlanarDiagram,
     double_twist_diagram,
     montesinos_diagram,
     pretzel_diagram,
@@ -33,6 +34,7 @@ from knotct.errors import (
     NotReduced,
 )
 from knotct.exactmath import LaurentPoly
+from knotct.gauss import gauss_a2
 from knotct.montesinos import (
     FAMILY_NAMES,
     FamilySpec,
@@ -299,6 +301,73 @@ def test_a_corrupt_surface_table_raises_under_optimized_mode(fault, message):
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == f"oracle: Seifert surface|oracle: Seifert surface: {message}"
+
+
+def gauss_code_diagrams(count=20000, seed=5, most=7):
+    """Seeded one-strand PD codes read off random signed Gauss codes: n in
+    1..`most` crossings, each met once over and once under in a shuffled
+    order along the strand (passage p runs from arc p to arc p + 1), and a
+    coin flip per crossing for whether its over strand enters at slot 1 or
+    slot 3.  Every code passes validation, and most are not planar."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, most)
+        passages = [(c, over) for c in range(n) for over in (False, True)]
+        rng.shuffle(passages)
+        entry = [rng.choice((1, 3)) for _ in range(n)]
+        rows = [[0] * 4 for _ in range(n)]
+        for p, (c, over) in enumerate(passages):
+            ends = p, (p + 1) % (2 * n)
+            if not over:
+                rows[c][0], rows[c][2] = ends
+            elif entry[c] == 1:
+                rows[c][1], rows[c][3] = ends
+            else:
+                rows[c][3], rows[c][1] = ends
+        yield PlanarDiagram(rows, entry)
+
+
+def gauss_code_fuzz():
+    """(agreeing, refused) over `gauss_code_diagrams`: a code is refused
+    when the Seifert surface, the Kauffman wiring and the nugatory check
+    all raise InconsistentDiagram at the face table's planarity check; else
+    Conway, Gauss and Jones must give it the same a2."""
+    agreeing = refused = 0
+    for d in gauss_code_diagrams():
+        stages = set()
+        for route in (seifert_pipeline, jones_via_kauffman, PlanarDiagram.is_reduced):
+            try:
+                route(d)
+            except InconsistentDiagram as exc:
+                stages.add(exc.stage)
+        if stages:
+            assert stages == {"diagram: face table"}, (d.crossings, d.over_entry, stages)
+            refused += 1
+            continue
+        a2 = conway_polynomial(seifert_pipeline(d)).coefficient(2)
+        assert a2 == gauss_a2(d) == a2_w3_from_jones(jones_via_kauffman(d))[0], d.crossings
+        agreeing += 1
+    return agreeing, refused
+
+
+GAUSS_CODE_FUZZ = (6355, 13645)
+
+
+def test_gauss_code_fuzz_refuses_every_non_planar_code():
+    assert gauss_code_fuzz() == GAUSS_CODE_FUZZ
+
+
+def test_gauss_code_fuzz_survives_optimized_mode():
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_oracle import gauss_code_fuzz\n"
+        "print(*gauss_code_fuzz())\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == [str(k) for k in GAUSS_CODE_FUZZ]
 
 
 # ---------------------------------------------------------------------------
