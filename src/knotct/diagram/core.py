@@ -15,7 +15,8 @@ walks are table lookups.  The face table (the faces as orbits of a flat
 corner-successor table, with the face of each corner) and the twist regions
 read off its bigons are traced once, on first use, and cached; the Seifert
 circles are not, since the one walk of the Seifert surface
-(`knotct.oracle`) numbers them.
+(`knotct.oracle`) numbers them.  A knot diagram whose face table breaks
+Euler's formula (n + 2 faces) is not planar and is refused there.
 A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
 
@@ -30,6 +31,7 @@ the diagram once, without the crossings the reduced word has lost.
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 
 from ..errors import InconsistentDiagram, InvalidInput, NotAKnot, NotAlternating, NotReduced
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _FACES = "diagram: face table"  # the stage of the planarity check
+_SLOT_0, _SLOT_2 = itemgetter(0), itemgetter(2)
 
 
 class _DSU:
@@ -247,9 +250,12 @@ class PlanarDiagram:
 
     def is_alternating(self):
         """Passages alternate along every strand: each arc starts and ends
-        in passages of different kinds, under at slots 0 (head) and 2 (tail)."""
-        tails = self._tails
-        return all((s == 0) != (tails[a][1] == 2) for a, (_, s) in self._heads.items())
+        in passages of different kinds, under at slots 0 (head) and 2 (tail).
+        The n arcs that end under and the n that start under are then
+        disjoint, and so together all 2n arcs: none runs under to under or,
+        by count, over to over."""
+        rows = self.crossings
+        return set(map(_SLOT_0, rows)).isdisjoint(map(_SLOT_2, rows))
 
     def nugatory_crossings(self):
         """Crossings removable by untwisting: those with two corners in one

@@ -290,7 +290,7 @@ class _Surface:
                         f"cycle {idx} jumps from circle {ct} to {circle_at[e]}", _MATRIX)
                 on_circle[ct].append((idx, key, kf))
                 ct, key = circle_at[e ^ 1], kt
-            W[idx][idx] = SEIFERT_TWIST_SIGN * (twist - 2 * len(path))
+            W[idx][idx] += SEIFERT_TWIST_SIGN * (twist - 2 * len(path))
 
         # (T2) dives of the deeper-ranked walk through the shallower one
         for walks in on_circle:

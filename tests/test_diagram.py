@@ -334,6 +334,31 @@ def test_simplify_matches_the_per_move_reference_on_ac1():
     assert checked > 4800
 
 
+def test_is_alternating_matches_the_per_arc_test():
+    # every arc's head and tail passages of different kinds, read off the
+    # validation tables arc by arc, on AC1 diagrams, their mirrors and
+    # simplifications, and on random braid closures
+    def per_arc(d):
+        heads, tails = d.ends()
+        return all((s == 0) != (tails[a][1] == 2) for a, (_, s) in heads.items())
+
+    diagrams = []
+    for f in _formulas_specs(2)[::7]:
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        diagrams += [d, d.mirror(), d.simplify()]
+    rng = random.Random(41)
+    for _ in range(2000):
+        k = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(rng.randint(1, 14))]
+        diagrams.append(closed_braid(word, k))
+    alternating = [per_arc(d) for d in diagrams]
+    assert [d.is_alternating() for d in diagrams] == alternating
+    assert 1000 < sum(alternating) < len(diagrams) - 1000
+
+
 # sha256 of the canonical keys of the simplified diagrams of every fifth
 # six-box spec of the AC1 list, the 168 pretzel knots P(+-1,...,+-1) of
 # length 3, 5 and 7, and the AC2 zero family F1L(a,a+1,0,0,a+1,0), a in
