@@ -101,7 +101,8 @@ class ContinuedFraction(Record):
     def __init__(self, entries):
         entries = tuple(int(c) for c in entries)
         _tail(entries)  # validates at construction
-        object.__setattr__(self, "entries", entries)
+        (set_entries,) = type(self)._setters
+        set_entries(self, entries)
 
     def __iter__(self):
         return iter(self.entries)

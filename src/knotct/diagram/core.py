@@ -13,7 +13,8 @@ The diagram owns this convention.  Validation records each arc's head and
 tail (the crossing and slot where it ends and where it starts), so strand
 walks are table lookups.  The face table (the faces as orbits of a flat
 corner-successor table, with the face of each corner) and the twist regions
-read off its bigons are traced once, on first use, and cached; the Seifert
+read off its bigons are traced once, on first use, and cached, as is the
+list of nugatory crossings read off the face table; the Seifert
 circles are not, since the one walk of the Seifert surface
 (`knotct.oracle`) numbers them.  A knot diagram whose face table breaks
 Euler's formula (n + 2 faces) is not planar and is refused there.
@@ -124,8 +125,8 @@ def _reduce_word(w):
 
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops",
-                 "_components", "_heads", "_tails", "_faces", "_twists",
-                 "_key")
+                 "_components", "_heads", "_tails", "_faces", "_nugatory",
+                 "_twists", "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0):
         crossings = tuple(map(tuple, crossings))
@@ -143,6 +144,7 @@ class PlanarDiagram:
         self.free_loops = int(free_loops)
         self._components = None
         self._faces = None
+        self._nugatory = None
         self._twists = None
         self._key = None
         self._validate()
@@ -261,9 +263,13 @@ class PlanarDiagram:
         """Crossings removable by untwisting: those with two corners in one
         face.  On a connected projection (any knot diagram) these are the
         cut vertices of the arc graph, including kinks (an arc with both ends
-        on one crossing)."""
-        face_of_corner = self.face_table()[1]
-        return [ci for ci, faces in enumerate(face_of_corner) if len(set(faces)) < 4]
+        on one crossing).  Computed once: `is_reduced` and the routes that
+        then check reducedness again (`signature_alternating`,
+        `oracle.alternating_genus`) read one list."""
+        if self._nugatory is None:
+            face_of_corner = self.face_table()[1]
+            self._nugatory = [ci for ci, faces in enumerate(face_of_corner) if len(set(faces)) < 4]
+        return self._nugatory
 
     def is_reduced(self):
         return not self.nugatory_crossings()

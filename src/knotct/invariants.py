@@ -77,14 +77,15 @@ class InvariantReport(Record):
     def __init__(self, a2=None, w3=None, sigma=None, tau=None, genus=None, method=()):
         if w3 is not None and 4 % w3.denominator != 0:
             raise InvalidInput(f"w3 denominator {w3.denominator} does not divide 4")
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "w3", w3)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "genus", genus)
         if not isinstance(method, tuple):
             method = tuple(sorted(dict(method or ()).items()))
-        object.__setattr__(self, "method", method)
+        set_a2, set_w3, set_sigma, set_tau, set_genus, set_method = type(self)._setters
+        set_a2(self, a2)
+        set_w3(self, w3)
+        set_sigma(self, sigma)
+        set_tau(self, tau)
+        set_genus(self, genus)
+        set_method(self, method)
 
     def to_dict(self):
         def frac(x):

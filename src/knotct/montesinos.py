@@ -112,8 +112,9 @@ class MontesinosSpec(Record):
 
     def __init__(self, tangles, gamma=0):
         norm, g = _normalize(tangles, gamma)
-        object.__setattr__(self, "tangles", tuple(norm))
-        object.__setattr__(self, "gamma", g)
+        set_tangles, set_gamma = type(self)._setters
+        set_tangles(self, tuple(norm))
+        set_gamma(self, g)
 
     def diagram(self):
         return montesinos_diagram(self.tangles, self.gamma)
@@ -260,11 +261,12 @@ class FamilySpec(Record):
                 raise ValidationError(f"{family} needs sign_variant +-1")
         elif sign_variant is not None:
             raise ValidationError(f"{family} takes no sign_variant")
-        object.__setattr__(self, "family", _FAMILIES[family])
+        set_family, set_params, set_sign, set_mirror = type(self)._setters
+        set_family(self, _FAMILIES[family])
         # (name, value) pairs in the family's parameter order, from `_PAIRS`
-        object.__setattr__(self, "params", _shared_pairs(list(zip(names, values))))
-        object.__setattr__(self, "sign_variant", sign_variant)
-        object.__setattr__(self, "mirror", bool(mirror))
+        set_params(self, _shared_pairs(list(zip(names, values))))
+        set_sign(self, sign_variant)
+        set_mirror(self, bool(mirror))
 
     def param_values(self):
         return tuple(v for _, v in self.params)
@@ -340,9 +342,6 @@ _FRACTION_FORMS = {
     "e3": lambda s, a: ([(2 * a + 1, 6 * a + 2), (-1, 3), (1, 3), (-1, 3)], 0),
 }
 
-# the slots' own setters, in __slots__ order, for records whose values need
-# no check (`_drawn_specs`)
-_SLOT_SETTERS = tuple(FamilySpec.__dict__[k].__set__ for k in FamilySpec.__slots__)
 # (family, sign_variant, mirror) -> the `FAM:` string of a genus-2 family
 # spec with %d for each parameter value, as the general `__str__` prints it
 _FAM_FORMATS = {
@@ -454,10 +453,11 @@ def enumerate_family(family, bound):
 
 def _drawn_specs(family, combos, variants):
     """FamilySpec records set slot by slot, without `__init__`'s checks,
-    which `enumerate_family`'s draw already meets: the records equal,
-    hash and print like the checked constructions and share their pairs."""
+    which `enumerate_family`'s draw already meets, through the setters
+    `FamilySpec.__init__` uses: the records equal, hash and print like the
+    checked constructions and share their pairs."""
     new = object.__new__
-    set_family, set_params, set_sign, set_mirror = _SLOT_SETTERS
+    set_family, set_params, set_sign, set_mirror = FamilySpec._setters
     for params in combos:
         for s, m in variants:
             f = new(FamilySpec)
@@ -480,10 +480,12 @@ class GenusBreakdown(Record):
     __slots__ = ("genus", "type", "per_tangle", "p")
 
     def __init__(self, genus, type, per_tangle, p=None):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "per_tangle", per_tangle)
-        object.__setattr__(self, "p", p)
+        # the field `type` hides the builtin here
+        set_genus, set_type, set_per_tangle, set_p = self.__class__._setters
+        set_genus(self, genus)
+        set_type(self, type)
+        set_per_tangle(self, per_tangle)
+        set_p(self, p)
 
 
 @functools.lru_cache(maxsize=_ROW_MEMO_SIZE)

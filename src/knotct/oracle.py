@@ -99,9 +99,10 @@ class SeifertData(Record):
     __slots__ = ("surface_genus", "seifert_matrix", "circles")
 
     def __init__(self, surface_genus, seifert_matrix, circles):
-        object.__setattr__(self, "surface_genus", surface_genus)
-        object.__setattr__(self, "seifert_matrix", seifert_matrix)  # of row tuples
-        object.__setattr__(self, "circles", circles)
+        set_genus, set_matrix, set_circles = type(self)._setters
+        set_genus(self, surface_genus)
+        set_matrix(self, seifert_matrix)  # of row tuples
+        set_circles(self, circles)
 
 
 class _Surface:

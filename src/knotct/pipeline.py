@@ -77,9 +77,10 @@ class ObstructionVerdict(Record):
             raise InvalidInput(f"unknown rule {fired_rule!r}")
         if (verdict == "no_pcs") != (fired_rule != "none"):
             raise InvalidInput("verdict must be no_pcs exactly when a rule fired")
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "fired_rule", fired_rule)
-        object.__setattr__(self, "evidence", evidence)
+        set_verdict, set_rule, set_evidence = type(self)._setters
+        set_verdict(self, verdict)
+        set_rule(self, fired_rule)
+        set_evidence(self, evidence)
 
     def to_dict(self):
         return {
@@ -93,8 +94,9 @@ class TwistGate(Record):
     __slots__ = ("twists", "fires")
 
     def __init__(self, twists, fires):
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "fires", fires)
+        set_twists, set_fires = type(self)._setters
+        set_twists(self, twists)
+        set_fires(self, fires)
 
 
 # =============================================================================
@@ -142,52 +144,49 @@ def _routes(genus, a2, w3, sigma):
     return tuple([pair for pair in pairs if pair[1] is not None])
 
 
+def _verdict(rule, g, g_route, a2, a2_route, w3, w3_route, sigma, sigma_route):
+    """The verdict of `rule` with its one `InvariantReport`: the gates'
+    values, tau = -sigma/2 when sigma is known, and their routes as one
+    `_routes` tuple."""
+    tau = None if sigma is None else Fraction(-sigma, 2)
+    method = _routes(g_route, a2_route, w3_route, sigma_route)
+    report = InvariantReport(a2, w3, sigma, tau, g, method)
+    return ObstructionVerdict("inconclusive" if rule == "none" else "no_pcs", rule, report)
+
+
 def obstruct(spec) -> ObstructionVerdict:
     """Run the obstruction rules in order; first firing rule wins.
 
-    One pass: `stage` names the running gate, and a `KnotctError` from any
-    gate leaves noted with it.  `diagram()` builds `_gate_diagram` at most
-    once per call, only when a gate reads it, so the Gauss a2/w3 and sigma
-    gates read one diagram; `verdict(rule)` builds the call's one
-    `InvariantReport`, with tau = -sigma/2 when sigma is known and the
-    gates' routes as one `_routes` tuple.  The genus and signature gates
-    share the spec's normalized pairs.  A spec without pairs takes
-    `diagram_genus` of its gate diagram.  The signature gate builds
-    nothing for a non-alternating knot with pairs; else sigma is the
-    closed form when the gate diagram is reduced alternating, and the
-    Seifert surface's otherwise.
+    One pass with no inner function: `stage` names the running gate, and a
+    `KnotctError` from any gate leaves noted with it.  The gate diagram `d`
+    (`_gate_diagram`) is built at most once per call, by the first gate
+    that reads it, so the Gauss a2/w3 and sigma gates read one diagram.
+    Each exit builds its verdict and the call's one `InvariantReport`
+    through `_verdict`.  The genus and signature gates share the spec's
+    normalized pairs.  A spec without pairs takes `diagram_genus` of its
+    gate diagram.  The signature gate builds nothing for a non-alternating
+    knot with pairs; else sigma is the closed form when the gate diagram is
+    reduced alternating, and the Seifert surface's otherwise.
     """
-    a2 = w3 = sigma = g = norm = built = None
-    g_route = a2_route = w3_route = sigma_route = None
-    is_family = isinstance(spec, FamilySpec)
-
-    def diagram():
-        nonlocal built
-        if built is None:
-            built = _gate_diagram(spec, norm)
-        return built
-
-    def verdict(rule):
-        tau = None if sigma is None else Fraction(-sigma, 2)
-        method = _routes(g_route, a2_route, w3_route, sigma_route)
-        report = InvariantReport(a2=a2, w3=w3, sigma=sigma, tau=tau, genus=g, method=method)
-        return ObstructionVerdict("inconclusive" if rule == "none" else "no_pcs", rule, report)
-
+    a2 = w3 = sigma = d = None
+    a2_route = w3_route = sigma_route = None
     stage = "genus"
     try:
         norm = _normal_pairs(spec)  # None for a six-box template too
         if norm is not None:
             g, g_route = genus(norm).genus, "closed_form"
         else:
-            g, g_route = diagram_genus(diagram())
+            d = _gate_diagram(spec, norm)
+            g, g_route = diagram_genus(d)
         if g is not None and g != 2:
-            return verdict("genus_ne_2")
+            return _verdict("genus_ne_2", g, g_route, a2, a2_route, w3, w3_route,
+                            sigma, sigma_route)
 
         # -- a2 / w3: the family's closed form where it has one, else (an
         # M(...) spec or a pretzel other than the odd three-strand ones) the
         # Gauss diagram formulas, which need no crossing budget
         stage = "a2"
-        if is_family:
+        if isinstance(spec, FamilySpec):
             try:
                 a2, w3 = closed_a2_w3(spec)
             except NoFormula:
@@ -197,16 +196,21 @@ def obstruct(spec) -> ObstructionVerdict:
         if a2 is None:
             from .gauss import gauss_a2
 
-            a2, a2_route = gauss_a2(diagram()), "gauss_diagram"
+            if d is None:
+                d = _gate_diagram(spec, norm)
+            a2, a2_route = gauss_a2(d), "gauss_diagram"
         if a2 != 0:
-            return verdict("a2_nonzero")
+            return _verdict("a2_nonzero", g, g_route, a2, a2_route, w3, w3_route,
+                            sigma, sigma_route)
         stage = "w3"
         if w3 is None:
             from .gauss import gauss_w3
 
-            w3, w3_route = gauss_w3(diagram()), "gauss_diagram"
+            # no closed form gave w3, so none gave a2: the a2 gate built d
+            w3, w3_route = gauss_w3(d), "gauss_diagram"
         if w3 != 0:
-            return verdict("w3_nonzero")
+            return _verdict("w3_nonzero", g, g_route, a2, a2_route, w3, w3_route,
+                            sigma, sigma_route)
 
         # -- signature gate, alternating knots only (tau = -sigma/2 there);
         # the Seifert fallback covers an alternating build that is not
@@ -214,14 +218,16 @@ def obstruct(spec) -> ObstructionVerdict:
         # has none
         stage = "sigma"
         if norm is None or is_alternating_knot(norm):
-            d = diagram()
+            if d is None:
+                d = _gate_diagram(spec, norm)
             if d.is_alternating() and d.is_reduced():
                 sigma, sigma_route = signature_alternating(d), "closed_form"
             elif norm is not None:
                 from .oracle import oracle_signature, seifert_pipeline
 
                 sigma, sigma_route = oracle_signature(seifert_pipeline(d)), "oracle"
-        return verdict("tau_nonzero_via_sigma" if sigma else "none")
+        rule = "tau_nonzero_via_sigma" if sigma else "none"
+        return _verdict(rule, g, g_route, a2, a2_route, w3, w3_route, sigma, sigma_route)
     except KnotctError as exc:
         raise _stage_note(exc, stage)
 

@@ -60,12 +60,14 @@ class ClassificationRun(Record):
     __slots__ = ("scope", "bound", "survivors", "eliminated", "matches", "failures")
 
     def __init__(self, scope, bound, survivors, eliminated, matches=None, failures=()):
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "survivors", survivors)
-        object.__setattr__(self, "eliminated", eliminated)
-        object.__setattr__(self, "matches", {} if matches is None else matches)
-        object.__setattr__(self, "failures", failures)
+        set_scope, set_bound, set_survivors, set_eliminated, set_matches, set_failures = (
+            type(self)._setters)
+        set_scope(self, scope)
+        set_bound(self, bound)
+        set_survivors(self, survivors)
+        set_eliminated(self, eliminated)
+        set_matches(self, {} if matches is None else matches)
+        set_failures(self, failures)
 
 
 # =============================================================================

@@ -126,7 +126,7 @@ def _unshared_twin(f):
     """f with fresh (name, value) pairs, set slot by slot."""
     twin = object.__new__(FamilySpec)
     fields = (f.family, tuple([(k, v) for k, v in f.params]), f.sign_variant, f.mirror)
-    for set_slot, value in zip(montesinos._SLOT_SETTERS, fields):
+    for set_slot, value in zip(FamilySpec._setters, fields):
         set_slot(twin, value)
     return twin
 

@@ -645,6 +645,25 @@ def test_twist_regions_are_computed_once():
     assert jones_via_kauffman(d) == jones_via_kauffman(d) == reference_jones(d)
 
 
+def test_nugatory_crossings_are_computed_once(monkeypatch):
+    d, kinked = pretzel_diagram([3, 5, 7]), closed_braid([1, 1, 1, -2], 3)
+    sd, first, bad = seifert_pipeline(d), d.nugatory_crossings(), kinked.nugatory_crossings()
+    assert first == [] and bad == [3]
+
+    def traced_again(self):
+        raise AssertionError("face table read again")
+
+    # the reducedness checks of both shortcuts read the one list
+    monkeypatch.setattr(PlanarDiagram, "face_table", traced_again)
+    assert d.nugatory_crossings() is first and d.is_reduced()
+    assert alternating_genus(d, sd) == 1
+    assert kinked.nugatory_crossings() is bad and not kinked.is_reduced()
+    with pytest.raises(NotReduced, match=r"nugatory crossings at \[3\]"):
+        signature_alternating(kinked)
+    monkeypatch.undo()
+    assert signature_alternating(d) == 2
+
+
 def test_a_contraction_that_raises_leaves_no_plan(monkeypatch, fresh_plans):
     d = pretzel_diagram([3, 5, 7])
     order = kauffman._chain_order

@@ -3,11 +3,15 @@ the validations their constructors make."""
 
 import copy
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import knotct
 from knotct.cf_calculus import ContinuedFraction
 from knotct.errors import InvalidInput
 from knotct.invariants import InvariantReport
@@ -88,17 +92,51 @@ def test_record_defaults():
         "pretzel", dict(q1=3, q2=5, q3=7), None, False)
 
 
-@pytest.mark.parametrize("build, message", [
+INVALID = [
     (lambda: InvariantReport(w3=Fraction(1, 8)), "w3 denominator 8 does not divide 4"),
     (lambda: ObstructionVerdict("no_pcs", "none", _evidence()),
      "verdict must be no_pcs exactly when a rule fired"),
     (lambda: ObstructionVerdict("inconclusive", "a2_nonzero", _evidence()),
      "verdict must be no_pcs exactly when a rule fired"),
     (lambda: ObstructionVerdict("no_pcs", "twist_gate", _evidence()), "unknown rule 'twist_gate'"),
-])
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID)
 def test_record_validation(build, message):
     with pytest.raises(InvalidInput, match=message):
         build()
+
+
+def test_record_checks_hold_under_optimized_mode():
+    # every constructor check raises, and every field refuses assignment,
+    # with asserts stripped
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from knotct.errors import InvalidInput\n"
+        "from test_records import INVALID, RECORDS\n"
+        "print(sys.flags.optimize)\n"
+        "for build, _ in INVALID:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InvalidInput as exc:\n"
+        "        print(exc)\n"
+        "for cls, fields, build, changed, _ in RECORDS:\n"
+        "    a = build()\n"
+        "    for name in fields:\n"
+        "        try:\n"
+        "            setattr(a, name, getattr(changed, name))\n"
+        "        except AttributeError as exc:\n"
+        "            print(cls.__name__, exc)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    expected = ["1", *(message for _, message in INVALID)]
+    expected += [f"{cls.__name__} cannot assign to field {name!r}"
+                 for cls, fields, *_ in RECORDS for name in fields]
+    assert p.stdout.splitlines() == expected
 
 
 def test_method_maps_are_shared_and_survive_copy_and_pickle():
