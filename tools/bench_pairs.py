@@ -72,11 +72,6 @@ def command(workload, seed, seconds, trace):
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
 
 
-def run_entry(side, workload, seed, trace, argv, result):
-    return {"side": side, "workload": workload, "seed": seed, "trace": trace,
-            "command": shlex.join(argv), "result": result}
-
-
 def _num(x):
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:.0f}"
 
@@ -149,7 +144,8 @@ def bench(schedule, seconds, run):
     each run's result dict, and yield each run's entry as it ends."""
     for side, workload, seed, trace in schedule:
         argv = command(workload, seed, seconds, trace)
-        yield run_entry(side, workload, seed, trace, argv, run(side, argv))
+        yield {"side": side, "workload": workload, "seed": seed, "trace": trace,
+               "command": shlex.join(argv), "result": run(side, argv)}
 
 
 def _git(*args, **kwargs):
