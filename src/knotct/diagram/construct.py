@@ -6,19 +6,31 @@ and strand B along NE-SW (ports 1,3).  `a_over` picks which diagonal is the
 over strand.  Tangles carry four named leads (NW, NE, SW, SE): ports, the
 ints 4*crossing + port, or junctions of the trivial tangles, negative ints.
 `solder` records each wire at its two ends (a port's mate, a junction's
-leads), and `emit` walks each net once; nets of junctions alone are closed
-loops that never touch a crossing, free loops.
+leads).
 
 Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
 folklore.
 
-Each rational tangle, and the gamma box, is wired once by a fresh `Builder`
+Each rational tangle, and each twist box, is wired once by a fresh `Builder`
 and kept as a table (`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`,
-1,024, entries: a bound-4 sweep meets 607 distinct tangles, and a full memo
-stays under 1 MB; a failed expansion is not cached).  `montesinos_diagram`
-walks the chain over the tables a strand at a time and fills their rows in,
-which gives the PD code of the chain wired in one builder, bit for bit.
+1,024, entries: an AC1 sweep and a bound-4 sweep together meet 620
+distinct tables, and a full memo stays under 1 MB; a failed expansion is
+not cached).  A box of m half twists is the table of m/0 when horizontal
+(the gamma box) and of 1/|m| or -1/|m| when vertical.  One walk, `_diagram`,
+builds all five templates: it follows the strands over the tables, from
+lead to lead through a table of links, and fills their rows in, which gives
+the PD code of the template wired twist by twist in one builder, bit for
+bit.  The links are
+  - the Montesinos chain: NE and SE of each tangle to NW and SW of the next
+    (a pretzel is a chain of vertical boxes);
+  - the double twist: the chain of its vertical box and a gamma box of its
+    horizontal twists;
+  - fig1_left: vertical boxes b, c, a, then horizontal boxes d, e, f, in that
+    order, each joined to the tangle of the boxes before it, on its right (c,
+    d, f) or below it (a, e), and the whole closed at the numerator;
+  - fig1_right: horizontal boxes a to f at the vertices of an octahedron,
+    wired by its rotation system (`_OCTA_ROT`).
 """
 
 from __future__ import annotations
@@ -47,11 +59,11 @@ V_POS_A_OVER = False
 # handedness flip of the double-twist template's vertical box
 DT_V_SIGN = -1
 
-_EMIT = "construction: emit"  # InconsistentDiagram.stage of the emission checks
+_EMIT = "construction: emit"  # InconsistentDiagram.stage of the wiring and walk checks
 
 
 class Builder:
-    """Accumulates crossings and soldered wires, then emits a PD."""
+    """Accumulates crossings and soldered wires: one tangle, for its table."""
 
     def __init__(self):
         self.a_over = []
@@ -108,36 +120,7 @@ class Builder:
         t["SW"] = p + 3
         t["SE"] = p
 
-    def hbox(self, m):
-        """Horizontal twist box with m signed half twists (0 = trivial)."""
-        t = self.zero_tangle()
-        for _ in range(abs(m)):
-            self.htwist(t, m)
-        return t
-
-    def vbox(self, m):
-        t = self.inf_tangle()
-        for _ in range(abs(m)):
-            self.vtwist(t, m)
-        return t
-
-    # -- tangle composition ---------------------------------------------------
-
-    def stack(self, top, bot):
-        self.solder(top["SW"], bot["NW"])
-        self.solder(top["SE"], bot["NE"])
-        return {"NW": top["NW"], "NE": top["NE"], "SW": bot["SW"], "SE": bot["SE"]}
-
-    def hjoin(self, left, right):
-        self.solder(left["NE"], right["NW"])
-        self.solder(left["SE"], right["SW"])
-        return {"NW": left["NW"], "SW": left["SW"], "NE": right["NE"], "SE": right["SE"]}
-
-    def numerator_close(self, t):
-        self.solder(t["NW"], t["NE"])
-        self.solder(t["SW"], t["SE"])
-
-    # -- emission -------------------------------------------------------------
+    # -- checks ---------------------------------------------------------------
 
     def _check_wiring(self):
         # With every junction in use soldered twice and every port once, each
@@ -151,69 +134,6 @@ class Builder:
         # a second wire at a port overwrites its mate but still counts here
         if 2 * self.wires != len(self.mate) + sum(map(len, self.leads)):
             raise InconsistentDiagram("a port is soldered twice", _EMIT)
-
-    def emit(self):
-        self._check_wiring()
-        mate, leads = self.mate, self.leads
-        on_path = [False] * len(leads)
-        # orient: walk each component, entering at p and leaving at p ^ 2;
-        # an arc runs from an exit port through its net to an entry port; a
-        # miswired walk that would never end meets a junction that does not
-        # lead back, or a port numbered before, and raises there
-        arc = [-1] * len(mate)
-        entry = [False] * len(mate)
-        starts = []
-        next_arc = 0
-        for start in range(len(mate)):
-            if 2 * next_arc == len(mate):
-                break  # each arc numbers two ports: every port is numbered
-            if arc[start] >= 0:
-                continue
-            starts.append(next_arc)
-            p = start
-            while True:
-                entry[p] = True
-                q = p ^ 2
-                prev, r = q, mate[q]
-                while r < 0:
-                    lj = leads[~r]
-                    if prev not in lj:
-                        raise InconsistentDiagram(f"junction {~r} does not lead back", _EMIT)
-                    on_path[~r] = True
-                    prev, r = r, lj[lj[0] == prev]
-                if arc[r] >= 0:
-                    raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", _EMIT)
-                arc[q] = arc[r] = next_arc
-                next_arc += 1
-                p = r
-                if p == start:
-                    break
-        # nets of junctions alone are closed loops that touch no crossing
-        free = 0
-        for j, lj in enumerate(leads):
-            if on_path[j] or not lj:
-                continue
-            free += 1
-            on_path[j] = True
-            stack = [j]
-            while stack:
-                for x in leads[stack.pop()]:
-                    if not on_path[~x]:
-                        on_path[~x] = True
-                        stack.append(~x)
-        # each crossing starts at the port where its under strand enters
-        crossings, over_entry = [], []
-        for ci, a_is_over in enumerate(self.a_over):
-            b = 4 * ci
-            u, o = (b + 1, b) if a_is_over else (b, b + 1)
-            s = u if entry[u] else u + 2
-            crossings.append((arc[s], arc[b | (s + 1) & 3], arc[s ^ 2], arc[b | (s + 3) & 3]))
-            over_entry.append(((o if entry[o] else o + 2) - s) % 4)
-        d = PlanarDiagram(crossings, over_entry, free)
-        # the walk above numbered each strand's arcs consecutively, in order
-        starts.append(next_arc)
-        d._components = tuple(tuple(range(a, z)) for a, z in zip(starts, starts[1:]))
-        return d
 
 
 # -- additive continued fractions for tangle layout ---------------------------
@@ -247,12 +167,14 @@ _Table = collections.namedtuple("_Table", "n exits len0 len1 lead step slots ove
 def _template(beta, alpha):
     """Tangle beta/alpha as a `_Table`, from the additive CF of its reciprocal
     as alternating vertical/horizontal twist boxes, innermost entry first;
-    alpha = 0 keys the gamma box.  Strand 0 runs from lead NW, strand 1 from
+    alpha = 0 keys the horizontal box of beta half twists, the gamma box
+    (beta = 0 the zero tangle).  Strand 0 runs from lead NW, strand 1 from
     the lower lead left; entering k ports, a strand passes k + 1 arcs, its
     slots, strand 0's first.  A table holds n; the lead each lead runs to;
     the ports each strand enters; the lead and step that enter port 0;
-    `emit`'s rows in slots, 4n per way the strands run (block rev0 + 2 *
-    rev1); and the n over_entry flags for strands running alike, then not."""
+    the PD rows in slots, each from the port where its under strand
+    enters, 4n per way the strands run (block rev0 + 2 * rev1); and the n
+    over_entry flags for strands running alike, then not."""
     b = Builder()
     cf = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if alpha and beta else ()
     entries = cf if alpha else (0, beta)  # gamma: beta horizontal half twists
@@ -263,7 +185,7 @@ def _template(beta, alpha):
     end = 4 * (n := b.new_crossing(False))  # port end + x closes lead x of the table
     for x, name in enumerate(("NW", "NE", "SW", "SE")):
         b.solder(t[name], end + x)
-    b._check_wiring()  # then `emit`'s walk, with its guards, on the closed tangle
+    b._check_wiring()  # then a guarded walk of the two strands of the closed tangle
     slot, entry, strand, exits = [0] * end, bytearray(end), bytearray(end), bytearray(4)
     walks, x, i = [], 0, 0
     for k in (0, 1):
@@ -304,17 +226,12 @@ def _template(beta, alpha):
 # -- knot templates -----------------------------------------------------------
 
 
-def _finish(b: Builder):
-    d = b.emit()
-    if d.component_count() != 1:
-        raise NotAKnot(f"{d.component_count()} components")
-    return d
-
-
-def _walk(tables, walked, t, x, pos):
-    """Walk the strand entering tangle t by lead x round the chain, giving each
-    tangle strand passed its arcs from pos on, over its slots, and direction."""
-    t0, x0 = t, x
+def _walk(tables, links, walked, t, x, pos):
+    """Walk the strand entering tangle t by lead x through the tangles, giving
+    each tangle strand passed its arcs from pos on, over its slots, and
+    direction; lead y of tangle t is wired to lead links[4 * t + y] & 3 of
+    tangle links[4 * t + y] >> 2."""
+    start = 4 * t + x
     while True:
         tb = tables[t]
         y = tb.exits[x]
@@ -324,28 +241,28 @@ def _walk(tables, walked, t, x, pos):
         n = tb.len1 if k else tb.len0
         walked[t][k] = range(pos + n - 1, pos - 2, -1) if x > y else range(pos - 1, pos + n), x > y
         pos += n
-        t, x = (t + 1 if y & 1 else t - 1) % len(tables), y ^ 1  # NE, SE: on to NW, SW
-        if t == t0 and x == x0:
+        to = links[4 * t + y]
+        if to == start:
             return
+        t, x = to >> 2, to & 3
 
 
-def montesinos_diagram(fractions, gamma=0):
-    """Cyclic chain of rational tangles, plus gamma extra half twists; each
-    tangle fraction is a (beta, alpha) pair of coprime integers, alpha > 0.
-    The PD code is the one `Builder.emit` gives for the chain in one builder."""
-    tables = [_template(beta, alpha) for beta, alpha in fractions]
-    if gamma:
-        tables.append(_template(gamma, 0))
+def _diagram(tables, links):
+    """The knot of the tangle tables wired lead to lead by links, with the PD
+    code that wiring the tangles twist by twist in one builder, in the order
+    of the tables, gives: crossings numbered tangle by tangle, and arcs along
+    the strand from where port 0 of the first tangle with crossings is
+    entered."""
     walked = [[None, None] for _ in tables]
     m = 2 * sum(tb.n for tb in tables)
     t0 = next((t for t, tb in enumerate(tables) if tb.n), 0)
-    _walk(tables, walked, t0, tables[t0].lead, -tables[t0].step)  # arc 0 leaves port 0
+    _walk(tables, links, walked, t0, tables[t0].lead, -tables[t0].step)  # arc 0 leaves port 0
     if any(None in w for w in walked):
         components = 1  # plus one per walk over the strands left: knots or free loops
         for t, tb in enumerate(tables):
             for x in range(4):
                 if walked[t][1 if x and tb.exits[x] else 0] is None:
-                    _walk(tables, walked, t, x, 0)
+                    _walk(tables, links, walked, t, x, 0)
                     components += 1
         raise NotAKnot(f"{components} components")
     rows, over = [], []
@@ -359,6 +276,25 @@ def montesinos_diagram(fractions, gamma=0):
     return d
 
 
+def _chain(k):
+    """Links of a cyclic chain of k tangles: NE and SE of each to NW and SW
+    of the next."""
+    links = []
+    for t in range(k):
+        before, after = 4 * ((t - 1) % k), 4 * ((t + 1) % k)
+        links += before + 1, after, before + 3, after + 2
+    return links
+
+
+def montesinos_diagram(fractions, gamma=0):
+    """Cyclic chain of rational tangles, plus gamma extra half twists; each
+    tangle fraction is a (beta, alpha) pair of coprime integers, alpha > 0."""
+    tables = [_template(beta, alpha) for beta, alpha in fractions]
+    if gamma:
+        tables.append(_template(gamma, 0))
+    return _diagram(tables, _chain(len(tables)))
+
+
 def pretzel_diagram(qs):
     return montesinos_diagram([(1, q) if q > 0 else (-1, -q) for q in qs])
 
@@ -368,16 +304,43 @@ def double_twist_diagram(m_h, m_v):
     twists added outside; DT(2x,2y) has m_h = 2x, m_v = 2y.  The vertical box
     is built with flipped handedness so that the tangle fraction becomes
     m_h - 1/m_v, matching the anchor a2(DT(2,2)) = 1 (trefoil, not figure-8).
+    The box of m half twists along an axis is a tangle table: m/0 horizontal
+    (the gamma box), 1/|m| or -1/|m| vertical, so the knot is the chain of
+    that vertical box and the gamma box of the horizontal twists.
     """
     if m_h % 2 or m_v % 2:
         raise InvalidInput("double twist boxes need even twist counts")
-    m_h, m_v = -m_h, -m_v  # chirality pinned by the w3(DT(2,2)) = 1/2 anchor
-    b = Builder()
-    t = b.vbox(DT_V_SIGN * m_v)
-    for _ in range(abs(m_h)):
-        b.htwist(t, m_h)
-    b.numerator_close(t)
-    return _finish(b)
+    if not m_v:
+        raise InvalidInput("a double twist needs a nonzero vertical box")
+    m_v = DT_V_SIGN * -m_v  # chirality pinned by the w3(DT(2,2)) = 1/2 anchor
+    return montesinos_diagram([(1 if m_v > 0 else -1, abs(m_v))], -m_h)
+
+
+def _six_box_links(sides):
+    """Links of six boxes joined in table order to the tangle of the first,
+    each on its right ("r": its NE and SE to the box's NW and SW) or below it
+    ("b": its SW and SE to the box's NW and NE), then closed at the
+    numerator (NW to NE, SW to SE)."""
+    links = [0] * 24
+
+    def wire(p, q):
+        links[p], links[q] = q, p
+
+    nw, ne, sw, se = 0, 1, 2, 3
+    for t, side in enumerate(sides, 1):
+        if side == "r":
+            wire(ne, 4 * t), wire(se, 4 * t + 2)
+            ne, se = 4 * t + 1, 4 * t + 3
+        else:
+            wire(sw, 4 * t), wire(se, 4 * t + 1)
+            sw, se = 4 * t + 2, 4 * t + 3
+    wire(nw, ne), wire(sw, se)
+    return tuple(links)
+
+
+# fig1_left's boxes in table order b, c, a, d, e, f: c, d and f each on the
+# right of the tangle so far, a and e below it
+_FIG1_LEFT_LINKS = _six_box_links("rbrbr")
 
 
 def fig1_left_diagram(a, b, c, d, e, f):
@@ -386,23 +349,12 @@ def fig1_left_diagram(a, b, c, d, e, f):
     Non-negative parameters keep the diagram alternating with sigma = 0;
     all parameters zero gives the 6-crossing template itself.  Box slots are
     attached in a fixed arborescent order (right/bottom) with axes calibrated
-    so the family's quadratic a2 and cubic w3 polynomials hold.
+    so the family's quadratic a2 and cubic w3 polynomials hold: b, c and a
+    are vertical boxes, d, e and f horizontal ones, of 2n + 1 half twists.
     """
-    bl = Builder()
-    t = bl.zero_tangle()
-    for attach, axis, n in (
-        ("r", "v", b),
-        ("r", "v", c),
-        ("b", "v", a),
-        ("r", "h", d),
-        ("b", "h", e),
-        ("r", "h", f),
-    ):
-        m = 2 * int(n) + 1
-        box = bl.hbox(m) if axis == "h" else bl.vbox(m)
-        t = bl.hjoin(t, box) if attach == "r" else bl.stack(t, box)
-    bl.numerator_close(t)
-    return _finish(bl)
+    tables = [_template(1 if m > 0 else -1, abs(m)) for m in (2 * int(n) + 1 for n in (b, c, a))]
+    tables += [_template(2 * int(n) + 1, 0) for n in (d, e, f)]
+    return _diagram(tables, _FIG1_LEFT_LINKS)
 
 
 # octahedral wiring of the nine-crossing template: vertices 0-2 are the inner
@@ -414,7 +366,22 @@ for _k in range(3):
     _OCTA_ROT[3 + _k] = tuple(
         reversed((_k, (_k + 1) % 3, 3 + (_k + 1) % 3, 3 + (_k - 1) % 3))
     )
-_OCTA_LEADS = ("NE", "NW", "SW", "SE")  # counterclockwise around a box
+_OCTA_LEADS = (1, 0, 2, 3)  # NE, NW, SW, SE: counterclockwise around a box
+_OCTA_OFFSETS = (0, 0, 0, 1, 1, 1)
+
+
+def _octahedral_links():
+    """Links of boxes 0-5 at the octahedron's vertices: the lead of box i
+    towards each neighbour to that neighbour's lead towards i."""
+    links = [0] * 24
+    for i, rot in _OCTA_ROT.items():
+        for idx, nb in enumerate(rot):
+            links[4 * i + _OCTA_LEADS[(_OCTA_OFFSETS[i] + idx) % 4]] = \
+                4 * nb + _OCTA_LEADS[(_OCTA_OFFSETS[nb] + _OCTA_ROT[nb].index(i)) % 4]
+    return tuple(links)
+
+
+_FIG1_RIGHT_LINKS = _octahedral_links()
 
 
 def fig1_right_diagram(a, b, c, d, e, f):
@@ -423,20 +390,8 @@ def fig1_right_diagram(a, b, c, d, e, f):
     The underlying 4-valent graph is the octahedron (not a tangle tree), so
     the boxes are wired by an explicit rotation system.  All parameters zero
     gives the 9-crossing alternating template with a2 = 0 and w3 = -1/2.
+    Every box is horizontal: a, b and c of -(2 + 2n) half twists, d, e and
+    f of 2n + 1.
     """
-    counts = [-(2 + 2 * int(v)) for v in (a, b, c)] + [
-        1 + 2 * int(v) for v in (d, e, f)
-    ]
-    offsets = (0, 0, 0, 1, 1, 1)
-    bl = Builder()
-    tangles = [bl.hbox(m) for m in counts]
-    done = set()
-    for i in range(6):
-        for idx, nb in enumerate(_OCTA_ROT[i]):
-            if (nb, i) in done:
-                continue
-            la = tangles[i][_OCTA_LEADS[(offsets[i] + idx) % 4]]
-            lb = tangles[nb][_OCTA_LEADS[(offsets[nb] + _OCTA_ROT[nb].index(i)) % 4]]
-            bl.solder(la, lb)
-            done.add((i, nb))
-    return _finish(bl)
+    counts = [-(2 + 2 * int(v)) for v in (a, b, c)] + [1 + 2 * int(v) for v in (d, e, f)]
+    return _diagram([_template(m, 0) for m in counts], _FIG1_RIGHT_LINKS)

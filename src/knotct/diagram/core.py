@@ -22,7 +22,8 @@ A crossing is nugatory when two of its corners lie in one face: on a
 connected projection those are exactly its cut vertices, kinks included.
 
 A knot's signed Gauss word (`_gauss_word`) lists its passages along the
-strand.  One finder, `_cancelling`, reads off the word the crossings that a
+strand; it is walked once, off the head table, and cached like the face
+table.  One finder, `_cancelling`, reads off the word the crossings that a
 Reidemeister I or II move removes, and one loop, `_reduce_word`, deletes
 them until none is left.  `simplify` and the skein engine of
 `knotct.invariants` both reduce words with it: `simplify` then rebuilds
@@ -66,14 +67,19 @@ class _DSU:
 
 
 def _gauss_word(d):
-    """Signed Gauss word of a knot diagram, walked from its least arc: each
-    arc leads into the passage at its head, coded as
-    crossing*4 + over*2 + positive."""
-    word = []
-    for a in d.components()[0] if d.n else ():
-        ci, s = d.head_of(a)
-        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
-    return word
+    """Signed Gauss word of a knot diagram, as a tuple, walked once along its
+    first component and kept in the diagram's `_word` slot: each arc leads
+    into the passage at its head, coded as crossing*4 + over*2 + positive."""
+    if d._word is None:
+        heads, over_entry, word = d._heads, d.over_entry, []
+        for a in d.components()[0] if d.n else ():
+            ci, s = heads[a]
+            o = over_entry[ci]
+            if s and s != o:
+                raise InconsistentDiagram(f"arc {a} has no head")
+            word.append(ci << 2 | (s != 0) << 1 | (o == 3))
+        d._word = tuple(word)
+    return d._word
 
 
 def _cancelling(w):
@@ -126,7 +132,7 @@ def _reduce_word(w):
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops",
                  "_components", "_heads", "_tails", "_faces", "_nugatory",
-                 "_twists", "_key")
+                 "_twists", "_word", "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0):
         crossings = tuple(map(tuple, crossings))
@@ -146,6 +152,7 @@ class PlanarDiagram:
         self._faces = None
         self._nugatory = None
         self._twists = None
+        self._word = None
         self._key = None
         self._validate()
 

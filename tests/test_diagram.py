@@ -28,6 +28,7 @@ from knotct.diagram import (
 )
 from knotct.diagram import construct
 from knotct.diagram.core import _cancelling, _gauss_word
+from knotct.gauss import gauss_a2, gauss_w3
 from knotct.errors import (
     InconsistentDiagram,
     InvalidInput,
@@ -251,13 +252,13 @@ def closed_builds():
     count, free loops and component count."""
     out = []
     for close, t, counts in (
-        (Builder.numerator_close, lambda b: b.zero_tangle(), (0, 2, 2)),  # two circles
+        (ReferenceBuilder.numerator_close, lambda b: b.zero_tangle(), (0, 2, 2)),  # two circles
         (denominator_close, lambda b: b.zero_tangle(), (0, 1, 1)),
         # a Hopf link with a circle apart
-        (Builder.numerator_close, lambda b: b.stack(b.hbox(2), b.zero_tangle()), (2, 1, 3)),
+        (ReferenceBuilder.numerator_close, lambda b: b.stack(b.hbox(2), b.zero_tangle()), (2, 1, 3)),
         (denominator_close, lambda b: b.hjoin(b.hbox(2), b.zero_tangle()), (2, 0, 1)),
     ):
-        b = Builder()
+        b = ReferenceBuilder()
         close(b, t(b))
         out.append((b.emit(), counts))
     return out
@@ -266,7 +267,7 @@ def closed_builds():
 def test_emit_counts_free_loops_and_hands_over_its_components():
     for d, counts in closed_builds():
         assert (d.n, d.free_loops, d.component_count()) == counts
-    b = Builder()  # M(1/2, 1/2), a two-component link the templates refuse
+    b = ReferenceBuilder()  # M(1/2, 1/2), a two-component link the templates refuse
     t, u = reference_rational_tangle(b, 1, 2), reference_rational_tangle(b, 1, 2)
     for x, y in ((t, u), (u, t)):
         b.solder(x["NE"], y["NW"])
@@ -412,6 +413,8 @@ def test_inconsistent_diagrams_raise_typed_errors():
     d, arc = headless_arc_diagram()
     with pytest.raises(InconsistentDiagram):
         d.head_of(arc)
+    with pytest.raises(InconsistentDiagram, match=f"arc {arc} has no head"):
+        _gauss_word(d)
     with pytest.raises(InconsistentDiagram) as info:
         invariants._split(*odd_split_word())
     assert info.value.stage == "skein: oriented smoothing"
@@ -423,9 +426,11 @@ def test_inconsistent_diagram_errors_survive_optimized_mode():
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "from test_diagram import headless_arc_diagram, odd_split_word\n"
         "from knotct import invariants\n"
+        "from knotct.diagram.core import _gauss_word\n"
         "from knotct.errors import InconsistentDiagram\n"
         "d, arc = headless_arc_diagram()\n"
-        "for call in (lambda: d.head_of(arc), lambda: invariants._split(*odd_split_word())):\n"
+        "for call in (lambda: d.head_of(arc), lambda: _gauss_word(d),\n"
+        "             lambda: invariants._split(*odd_split_word())):\n"
         "    try:\n"
         "        call()\n"
         "    except InconsistentDiagram:\n"
@@ -434,14 +439,14 @@ def test_inconsistent_diagram_errors_survive_optimized_mode():
     p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.split() == ["raised", "raised"]
+    assert p.stdout.split() == ["raised"] * 3
 
 
 def test_construction_check_raises_typed_error():
     b = Builder()
     b.new_crossing(a_over=False)  # four ports, none soldered to another
     with pytest.raises(InconsistentDiagram) as info:
-        b.emit()
+        b._check_wiring()
     assert info.value.stage == "construction: emit"
 
 
@@ -537,7 +542,7 @@ def three_lead_junction():
 def test_malformed_wiring_raises_typed_errors():
     for b in [miswired_crossing(w) for w in MISWIRED_CROSSINGS] + [three_lead_junction()]:
         with pytest.raises(InconsistentDiagram) as info:
-            b.emit()
+            b._check_wiring()
         assert info.value.stage == "construction: emit"
 
 
@@ -547,7 +552,7 @@ def test_malformed_wiring_error_survives_optimized_mode():
         "from test_diagram import three_lead_junction\n"
         "from knotct.errors import InconsistentDiagram\n"
         "try:\n"
-        "    three_lead_junction().emit()\n"
+        "    three_lead_junction()._check_wiring()\n"
         "except InconsistentDiagram as exc:\n"
         "    print(exc.stage)\n"
     )
@@ -559,47 +564,53 @@ def test_malformed_wiring_error_survives_optimized_mode():
 
 
 def miswired_splice():
-    """M(2/5,1/3,1/3|1) wired twist by twist in one builder, except that the
-    ports of the first tangle's second junction carry the first junction's
-    id, as a splice that wrote j for j - 1 would leave them.  An unchecked
-    strand walk reaching one of them goes round forever."""
-    b = Builder()
-    tangles = [reference_rational_tangle(b, 2, 5)]
-    for x in b.leads[1]:
-        b.mate[x] = ~0
-    tangles += [reference_rational_tangle(b, 1, 3), reference_rational_tangle(b, 1, 3), b.hbox(1)]
-    for t, u in zip(tangles, tangles[1:] + tangles[:1]):
-        b.solder(t["NE"], u["NW"])
-        b.solder(t["SE"], u["SW"])
-    return b
+    """`Builder.solder` that then gives each port it solders to junction 1
+    the id of junction 0, as a splice that wrote j for j - 1 would leave
+    them: junction 0 does not lead back to those ports, and a strand walk
+    with no guard that reaches one of them goes round forever."""
+    solder = Builder.solder
+
+    def spliced(self, a, b):
+        solder(self, a, b)
+        for port, junction in ((a, b), (b, a)):
+            if junction == ~1 and port >= 0:
+                self.mate[port] = ~0
+    return spliced
 
 
-def test_a_miswired_splice_raises_instead_of_looping():
+def test_a_miswired_splice_raises_instead_of_looping(monkeypatch):
     # optimized mode in a subprocess first: its timeout bounds a walk that
-    # never ends, which in-process would hang the suite
+    # never ends, which in-process would hang the suite.  The tangle 2/5 is a
+    # zero tangle, junctions 0 and 1, with its twists added
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "from test_diagram import miswired_splice\n"
+        "from knotct.diagram import Builder, construct\n"
         "from knotct.errors import InconsistentDiagram\n"
+        "Builder.solder = miswired_splice()\n"
         "try:\n"
-        "    miswired_splice().emit()\n"
+        "    construct._template(2, 5)\n"
         "except InconsistentDiagram as exc:\n"
-        "    print(exc.stage)\n"
+        "    print(exc.stage, exc)\n"
     )
     src = os.path.dirname(list(knotct.__path__)[0])
     p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
                        capture_output=True, text=True, timeout=30)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "construction: emit"
-    with pytest.raises(InconsistentDiagram) as info:
-        miswired_splice().emit()
+    assert p.stdout.strip() == "construction: emit construction: emit: junction 0 does not lead back"
+    construct._template.cache_clear()
+    monkeypatch.setattr(Builder, "solder", miswired_splice())
+    with pytest.raises(InconsistentDiagram, match="junction 0 does not lead back") as info:
+        construct._template(2, 5)
     assert info.value.stage == "construction: emit"
 
 
 def ne_bound_tables():
     """`construct._template` with the table of 1/3 corrupted: each of its
-    strands leaves by lead NE, so a walk of M(2/5,1/3,1/3|1) enters strands
-    it has already numbered.  A walk with no guard goes round forever."""
+    strands leaves by lead NE, so a walk of M(2/5,1/3,1/3|1), or of
+    F1L(1,1,1,0,0,0) with its vertical boxes of three half twists, enters
+    strands it has already numbered.  A walk with no guard goes round
+    forever."""
     template = construct._template
 
     def corrupt(beta, alpha):
@@ -619,19 +630,24 @@ def test_a_corrupt_table_raises_instead_of_looping(monkeypatch):
         "from knotct.diagram import construct\n"
         "from knotct.errors import InconsistentDiagram\n"
         "construct._template = ne_bound_tables()\n"
-        "try:\n"
-        "    construct.montesinos_diagram([(2, 5), (1, 3), (1, 3)], 1)\n"
-        "except InconsistentDiagram as exc:\n"
-        "    print(exc.stage)\n"
+        "for build in (lambda: construct.montesinos_diagram([(2, 5), (1, 3), (1, 3)], 1),\n"
+        "              lambda: construct.fig1_left_diagram(1, 1, 1, 0, 0, 0)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InconsistentDiagram as exc:\n"
+        "        print(exc.stage)\n"
     )
     src = os.path.dirname(list(knotct.__path__)[0])
     p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
                        capture_output=True, text=True, timeout=30)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "construction: emit"
+    assert p.stdout.splitlines() == ["construction: emit"] * 2
     monkeypatch.setattr(construct, "_template", ne_bound_tables())
     with pytest.raises(InconsistentDiagram) as info:
         construct.montesinos_diagram([(2, 5), (1, 3), (1, 3)], 1)
+    assert info.value.stage == "construction: emit"
+    with pytest.raises(InconsistentDiagram, match="met twice") as info:
+        construct.fig1_left_diagram(1, 1, 1, 0, 0, 0)
     assert info.value.stage == "construction: emit"
 
 
@@ -674,6 +690,45 @@ def test_pd_codes_are_pinned():
             digest.update(type(exc).__name__.encode())
     assert count == 4537
     assert digest.hexdigest() == PD_CODES_SHA256
+
+
+def reference_gauss_word(d):
+    """The signed Gauss word walked arc by arc through `head_of` and `sign`."""
+    word = []
+    for a in d.components()[0] if d.n else ():
+        ci, s = d.head_of(a)
+        word.append(ci << 2 | (s != 0) << 1 | (d.sign(ci) > 0))
+    return word
+
+
+def test_gauss_words_match_the_per_arc_walk():
+    walked = 0
+    for build in pinned_pd_builds():
+        try:
+            d = build()
+        except KnotctError:
+            continue
+        assert list(_gauss_word(d)) == reference_gauss_word(d)
+        walked += 1
+    assert walked > 3000
+
+
+class UnreadHeads(dict):
+    def __getitem__(self, arc):
+        raise AssertionError("head table read again")
+
+
+def test_gauss_words_are_computed_once():
+    # the Gauss formulas, both skein counts and simplify read one word; the
+    # kinked braid closure's simplify rebuilds it without its kink
+    for d, reduced in ((pretzel_diagram([3, 5, 7]), 15), (closed_braid([1, 1, 1, -2], 3), 3)):
+        word = _gauss_word(d)
+        a2, w3 = gauss_a2(d), gauss_w3(d)
+        d._heads = UnreadHeads(d._heads)
+        assert _gauss_word(d) is word
+        assert (gauss_a2(d), gauss_w3(d)) == (a2, w3)
+        assert (invariants.skein_a2(d), invariants.skein_w3(d)) == (a2, w3)
+        assert d.simplify().n == reduced
 
 
 def test_word_split_linking_number():
@@ -835,8 +890,163 @@ def test_twist_regions_are_bigon_chains():
 
 
 # ---------------------------------------------------------------------------
-# Reference: a rational tangle built twist by twist in the builder at hand,
-# and the chain wired and emitted in that one builder.
+# Reference: every template wired twist by twist in one builder and emitted
+# from it.  `emit` walks each net of ports and junctions once: it numbers and
+# orients the arcs along each strand from the least port not yet numbered,
+# counts the nets of junctions alone as free loops, and hands the diagram
+# the strand components it walked.
+
+
+EMIT = "construction: emit"  # InconsistentDiagram.stage of the wiring checks
+
+
+class ReferenceBuilder(Builder):
+    """`Builder` with the twist boxes, the tangle joins and the emission of
+    the one-builder construction."""
+
+    def hbox(self, m):
+        """Horizontal twist box with m signed half twists (0 = trivial)."""
+        t = self.zero_tangle()
+        for _ in range(abs(m)):
+            self.htwist(t, m)
+        return t
+
+    def vbox(self, m):
+        t = self.inf_tangle()
+        for _ in range(abs(m)):
+            self.vtwist(t, m)
+        return t
+
+    def stack(self, top, bot):
+        self.solder(top["SW"], bot["NW"])
+        self.solder(top["SE"], bot["NE"])
+        return {"NW": top["NW"], "NE": top["NE"], "SW": bot["SW"], "SE": bot["SE"]}
+
+    def hjoin(self, left, right):
+        self.solder(left["NE"], right["NW"])
+        self.solder(left["SE"], right["SW"])
+        return {"NW": left["NW"], "SW": left["SW"], "NE": right["NE"], "SE": right["SE"]}
+
+    def numerator_close(self, t):
+        self.solder(t["NW"], t["NE"])
+        self.solder(t["SW"], t["SE"])
+
+    def emit(self):
+        self._check_wiring()
+        mate, leads = self.mate, self.leads
+        on_path = [False] * len(leads)
+        # orient: walk each component, entering at p and leaving at p ^ 2;
+        # an arc runs from an exit port through its net to an entry port; a
+        # miswired walk that would never end meets a junction that does not
+        # lead back, or a port numbered before, and raises there
+        arc = [-1] * len(mate)
+        entry = [False] * len(mate)
+        starts = []
+        next_arc = 0
+        for start in range(len(mate)):
+            if 2 * next_arc == len(mate):
+                break  # each arc numbers two ports: every port is numbered
+            if arc[start] >= 0:
+                continue
+            starts.append(next_arc)
+            p = start
+            while True:
+                entry[p] = True
+                q = p ^ 2
+                prev, r = q, mate[q]
+                while r < 0:
+                    lj = leads[~r]
+                    if prev not in lj:
+                        raise InconsistentDiagram(f"junction {~r} does not lead back", EMIT)
+                    on_path[~r] = True
+                    prev, r = r, lj[lj[0] == prev]
+                if arc[r] >= 0:
+                    raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", EMIT)
+                arc[q] = arc[r] = next_arc
+                next_arc += 1
+                p = r
+                if p == start:
+                    break
+        # nets of junctions alone are closed loops that touch no crossing
+        free = 0
+        for j, lj in enumerate(leads):
+            if on_path[j] or not lj:
+                continue
+            free += 1
+            on_path[j] = True
+            stack = [j]
+            while stack:
+                for x in leads[stack.pop()]:
+                    if not on_path[~x]:
+                        on_path[~x] = True
+                        stack.append(~x)
+        # each crossing starts at the port where its under strand enters
+        crossings, over_entry = [], []
+        for ci, a_is_over in enumerate(self.a_over):
+            b = 4 * ci
+            u, o = (b + 1, b) if a_is_over else (b, b + 1)
+            s = u if entry[u] else u + 2
+            crossings.append((arc[s], arc[b | (s + 1) & 3], arc[s ^ 2], arc[b | (s + 3) & 3]))
+            over_entry.append(((o if entry[o] else o + 2) - s) % 4)
+        d = PlanarDiagram(crossings, over_entry, free)
+        # the walk above numbered each strand's arcs consecutively, in order
+        starts.append(next_arc)
+        d._components = tuple(tuple(range(a, z)) for a, z in zip(starts, starts[1:]))
+        return d
+
+
+def reference_finish(b):
+    d = b.emit()
+    if d.component_count() != 1:
+        raise NotAKnot(f"{d.component_count()} components")
+    return d
+
+
+def reference_double_twist(m_h, m_v):
+    m_h, m_v = -m_h, -m_v
+    b = ReferenceBuilder()
+    t = b.vbox(construct.DT_V_SIGN * m_v)
+    for _ in range(abs(m_h)):
+        b.htwist(t, m_h)
+    b.numerator_close(t)
+    return reference_finish(b)
+
+
+def reference_fig1_left(a, b, c, d, e, f):
+    bl = ReferenceBuilder()
+    t = bl.zero_tangle()
+    for attach, axis, n in (
+        ("r", "v", b),
+        ("r", "v", c),
+        ("b", "v", a),
+        ("r", "h", d),
+        ("b", "h", e),
+        ("r", "h", f),
+    ):
+        m = 2 * int(n) + 1
+        box = bl.hbox(m) if axis == "h" else bl.vbox(m)
+        t = bl.hjoin(t, box) if attach == "r" else bl.stack(t, box)
+    bl.numerator_close(t)
+    return reference_finish(bl)
+
+
+def reference_fig1_right(a, b, c, d, e, f):
+    counts = [-(2 + 2 * int(v)) for v in (a, b, c)] + [1 + 2 * int(v) for v in (d, e, f)]
+    offsets = (0, 0, 0, 1, 1, 1)
+    leads = ("NE", "NW", "SW", "SE")  # counterclockwise around a box
+    rot = construct._OCTA_ROT
+    bl = ReferenceBuilder()
+    tangles = [bl.hbox(m) for m in counts]
+    done = set()
+    for i in range(6):
+        for idx, nb in enumerate(rot[i]):
+            if (nb, i) in done:
+                continue
+            la = tangles[i][leads[(offsets[i] + idx) % 4]]
+            lb = tangles[nb][leads[(offsets[nb] + rot[nb].index(i)) % 4]]
+            bl.solder(la, lb)
+            done.add((i, nb))
+    return reference_finish(bl)
 
 
 def reference_rational_tangle(b, beta, alpha):
@@ -853,7 +1063,7 @@ def reference_rational_tangle(b, beta, alpha):
 
 def reference_montesinos_build(fractions, gamma=0):
     """(crossings, over_entry, free_loops, components) of the emitted chain."""
-    b = Builder()
+    b = ReferenceBuilder()
     tangles = [reference_rational_tangle(b, beta, alpha) for beta, alpha in fractions]
     if gamma:
         tangles.append(b.hbox(gamma))
@@ -897,6 +1107,30 @@ def test_tangle_tables_build_what_the_builder_builds():
         assert (d.crossings, d.over_entry, d.free_loops, d.components()) \
             == reference_montesinos_build(pairs, gamma), (pairs, gamma)
     assert built > 40_000
+
+
+def built_or_error(build, *args):
+    """(crossings, over_entry, free_loops, components) of a build, or the
+    type and message of the error it raises."""
+    try:
+        d = build(*args)
+    except KnotctError as exc:
+        return type(exc).__name__, str(exc)
+    return d.crossings, d.over_entry, d.free_loops, d.components()
+
+
+def test_six_box_and_double_twist_tables_build_what_the_builder_builds():
+    six_box = [f for f in _formulas_specs(2) if f.family in ("fig1_left", "fig1_right")]
+    assert len(six_box) == 31_250
+    for f in six_box:
+        build, reference = ((fig1_left_diagram, reference_fig1_left) if f.family == "fig1_left"
+                            else (fig1_right_diagram, reference_fig1_right))
+        assert built_or_error(build, *f.param_values()) \
+            == built_or_error(reference, *f.param_values()), f
+    steps = [x for x in range(-6, 7) if x]
+    for x, y in itertools.product(steps, repeat=2):
+        assert built_or_error(double_twist_diagram, 2 * x, 2 * y) \
+            == built_or_error(reference_double_twist, 2 * x, 2 * y), (x, y)
 
 
 def test_montesinos_template_alternating():

@@ -248,8 +248,8 @@ def test_obstruct_emits_at_most_one_diagram(monkeypatch):
     # the a2/w3 and sigma gates read one build: for M(-2/3,-1/3,2/5|2),
     # whose own diagram is not alternating, its alternating build alone.
     # Every spec here is a Montesinos knot, built by `montesinos_diagram`
-    # under whichever name a module imported it (`Builder.emit` runs once
-    # per memoized tangle table, not once per build)
+    # under whichever name a module imported it (`_template` wires each
+    # memoized tangle table once, not once per build)
     emits = []
     for module in (knotct.diagram.construct, knotct.montesinos, knotct.pipeline):
         build = module.montesinos_diagram
