@@ -160,6 +160,7 @@ def additive_cf(p, q):
 
 
 _TEMPLATE_MEMO_SIZE = 1 << 10
+_CHAIN_MEMO_SIZE = 1 << 6  # one entry per chain length; the family sweeps use 1 to 4
 _Table = collections.namedtuple("_Table", "n exits len0 len1 lead step slots over")
 
 
@@ -228,18 +229,19 @@ def _template(beta, alpha):
 
 def _walk(tables, links, walked, t, x, pos):
     """Walk the strand entering tangle t by lead x through the tangles, giving
-    each tangle strand passed its arcs from pos on, over its slots, and
-    direction; lead y of tangle t is wired to lead links[4 * t + y] & 3 of
-    tangle links[4 * t + y] >> 2."""
+    each tangle strand passed, walked[2 * t + k] for strand k of tangle t,
+    its arcs from pos on, over its slots, as a range that steps back where
+    the strand runs from its last slot to its first; lead y of tangle t is
+    wired to lead links[4 * t + y] & 3 of tangle links[4 * t + y] >> 2."""
     start = 4 * t + x
     while True:
         tb = tables[t]
         y = tb.exits[x]
-        k = 1 if x and y else 0
-        if walked[t][k] is not None:  # a strand met twice: raise, never loop
-            raise InconsistentDiagram(f"tangle {t} strand {k} met twice", _EMIT)
-        n = tb.len1 if k else tb.len0
-        walked[t][k] = range(pos + n - 1, pos - 2, -1) if x > y else range(pos - 1, pos + n), x > y
+        i = 2 * t + 1 if x and y else 2 * t
+        if walked[i] is not None:  # a strand met twice: raise, never loop
+            raise InconsistentDiagram(f"tangle {t} strand {i & 1} met twice", _EMIT)
+        n = tb.len1 if i & 1 else tb.len0
+        walked[i] = range(pos + n - 1, pos - 2, -1) if x > y else range(pos - 1, pos + n)
         pos += n
         to = links[4 * t + y]
         if to == start:
@@ -253,22 +255,24 @@ def _diagram(tables, links):
     of the tables, gives: crossings numbered tangle by tangle, and arcs along
     the strand from where port 0 of the first tangle with crossings is
     entered."""
-    walked = [[None, None] for _ in tables]
+    walked = [None] * (2 * len(tables))
     m = 2 * sum(tb.n for tb in tables)
     t0 = next((t for t, tb in enumerate(tables) if tb.n), 0)
     _walk(tables, links, walked, t0, tables[t0].lead, -tables[t0].step)  # arc 0 leaves port 0
-    if any(None in w for w in walked):
+    if None in walked:
         components = 1  # plus one per walk over the strands left: knots or free loops
         for t, tb in enumerate(tables):
             for x in range(4):
-                if walked[t][1 if x and tb.exits[x] else 0] is None:
+                if walked[2 * t + 1 if x and tb.exits[x] else 2 * t] is None:
                     _walk(tables, links, walked, t, x, 0)
                     components += 1
         raise NotAKnot(f"{components} components")
     rows, over = [], []
-    for t, (tb, ((r0, rev0), (r1, rev1))) in enumerate(zip(tables, walked)):
+    for t, tb in enumerate(tables):
+        r0, r1 = walked[2 * t], walked[2 * t + 1]
         la = [*r0, *r1] if t != t0 else [a % m for a in (*r0, *r1)]  # arcs before port 0 last
-        n, state, mixed = tb.n, rev0 + 2 * rev1, rev0 ^ rev1
+        n, rev0, rev1 = tb.n, r0.step < 0, r1.step < 0
+        state, mixed = rev0 + 2 * rev1, rev0 ^ rev1
         rows += zip(*[map(la.__getitem__, tb.slots[4 * n * state:4 * n * (state + 1)])] * 4)
         over += tb.over[n * mixed:n * (mixed + 1)]
     d = PlanarDiagram(rows, over)
@@ -276,6 +280,7 @@ def _diagram(tables, links):
     return d
 
 
+@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
 def _chain(k):
     """Links of a cyclic chain of k tangles: NE and SE of each to NW and SW
     of the next."""
@@ -283,7 +288,7 @@ def _chain(k):
     for t in range(k):
         before, after = 4 * ((t - 1) % k), 4 * ((t + 1) % k)
         links += before + 1, after, before + 3, after + 2
-    return links
+    return tuple(links)
 
 
 def montesinos_diagram(fractions, gamma=0):
