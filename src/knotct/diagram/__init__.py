@@ -3,7 +3,6 @@ template-based construction of the knot families the package handles."""
 
 from .core import PlanarDiagram, signature_alternating
 from .construct import (
-    Builder,
     additive_cf,
     double_twist_diagram,
     fig1_left_diagram,
@@ -15,7 +14,6 @@ from .construct import (
 __all__ = [
     "PlanarDiagram",
     "signature_alternating",
-    "Builder",
     "montesinos_diagram",
     "pretzel_diagram",
     "double_twist_diagram",

@@ -1,27 +1,34 @@
 """Diagram construction from tangle templates.
 
-Crossings are created with four geometric ports listed counterclockwise
-SE=0, NE=1, NW=2, SW=3; strand A runs along the SE-NW diagonal (ports 0,2)
-and strand B along NE-SW (ports 1,3).  `a_over` picks which diagonal is the
-over strand.  Tangles carry four named leads (NW, NE, SW, SE): ports, the
-ints 4*crossing + port, or junctions of the trivial tangles, negative ints.
-`solder` records each wire at its two ends (a port's mate, a junction's
-leads).
+Crossings have four geometric ports listed counterclockwise SE=0, NE=1,
+NW=2, SW=3; strand A runs along the SE-NW diagonal (ports 0,2) and strand B
+along NE-SW (ports 1,3).  `a_over` picks which diagonal is the over strand.
+A port is the int 4*crossing + port; a tangle has four leads, NW, NE, SW
+and SE, numbered 0 to 3.
 
 Handedness of twist boxes is fixed by two module constants, pinned by the
 calibration tests (double-twist and pretzel anchors), not by convention
 folklore.
 
-Each rational tangle, and each twist box, is wired once by a fresh `Builder`
-and kept as a table (`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`,
-1,024, entries: an AC1 sweep and a bound-4 sweep together meet 620
-distinct tables, and a full memo stays under 1 MB; a failed expansion is
-not cached).  A box of m half twists is the table of m/0 when horizontal
-(the gamma box) and of 1/|m| or -1/|m| when vertical.  One walk, `_diagram`,
-builds all five templates: it follows the strands over the tables, from
-lead to lead through a table of links, and fills their rows in, which gives
-the PD code of the template wired twist by twist in one builder, bit for
-bit.  The links are
+Each rational tangle, and each twist box, is written once as a table
+(`_template`, an LRU cache of `_TEMPLATE_MEMO_SIZE`, 1,024, entries: an AC1
+sweep and a bound-4 sweep together meet 620 distinct tables, and a full memo
+stays under 1 MB; a failed expansion is not cached), straight from the twist
+boxes of its continued fraction.  The trivial tangle inside joins the leads
+in pairs (`_TRIVIAL`) by four arms, one from each lead; a half twist takes
+the arms at its two leads through its crossing, in by one port and out by
+the opposite one to the other's lead (`_TWISTS`).  So a box adds one port
+to each of its two arms per crossing, and each strand of the tangle runs in
+along one arm and out along the arm joined to it: each port's slot along
+its strand is its place on its arm, counted from the strand's lead, with no
+wiring and no search; a half twist that takes one lead twice or both arms
+along one diagonal, or a junction that does not lead back, raises
+`InconsistentDiagram`.  A box of m half twists is the table of m/0 when
+horizontal (the gamma box) and of 1/|m| or -1/|m| when vertical.  One walk,
+`_diagram`, builds all five templates: it follows the strands over the
+tables, from lead to lead through a table of links, and fills their rows
+in, which gives the PD code of the template wired twist by twist in one
+builder, bit for bit.  The links are
   - the Montesinos chain: NE and SE of each tangle to NW and SW of the next
     (a pretzel is a chain of vertical boxes);
   - the double twist: the chain of its vertical box and a gamma box of its
@@ -44,7 +51,6 @@ from ..errors import InconsistentDiagram, InvalidInput, NotAKnot
 from .core import PlanarDiagram
 
 __all__ = [
-    "Builder",
     "montesinos_diagram",
     "pretzel_diagram",
     "double_twist_diagram",
@@ -59,81 +65,13 @@ V_POS_A_OVER = False
 # handedness flip of the double-twist template's vertical box
 DT_V_SIGN = -1
 
-_EMIT = "construction: emit"  # InconsistentDiagram.stage of the wiring and walk checks
-
-
-class Builder:
-    """Accumulates crossings and soldered wires: one tangle, for its table."""
-
-    def __init__(self):
-        self.a_over = []
-        self.mate = []  # port -> what it is soldered to (None: not yet)
-        self.leads = []  # junction ~j -> everything soldered to j
-        self.wires = 0
-
-    # -- wiring ---------------------------------------------------------------
-
-    def solder(self, a, b):
-        self.wires += 1
-        if a >= 0:
-            self.mate[a] = b
-        else:
-            self.leads[~a].append(b)
-        if b >= 0:
-            self.mate[b] = a
-        else:
-            self.leads[~b].append(a)
-
-    def junction(self):
-        self.leads.append([])
-        return ~(len(self.leads) - 1)
-
-    def new_crossing(self, a_over):
-        ci = len(self.a_over)
-        self.a_over.append(bool(a_over))
-        self.mate += (None, None, None, None)
-        return ci
-
-    # -- tangle primitives ----------------------------------------------------
-
-    def zero_tangle(self):
-        top, bot = self.junction(), self.junction()
-        return {"NW": top, "NE": top, "SW": bot, "SE": bot}
-
-    def inf_tangle(self):
-        left, right = self.junction(), self.junction()
-        return {"NW": left, "SW": left, "NE": right, "SE": right}
-
-    def htwist(self, t, sign):
-        """One half twist added on the right side of the tangle."""
-        p = 4 * self.new_crossing(H_POS_A_OVER if sign > 0 else not H_POS_A_OVER)
-        self.solder(t["NE"], p + 2)
-        self.solder(t["SE"], p + 3)
-        t["NE"] = p + 1
-        t["SE"] = p
-
-    def vtwist(self, t, sign):
-        """One half twist added at the bottom of the tangle."""
-        p = 4 * self.new_crossing(V_POS_A_OVER if sign > 0 else not V_POS_A_OVER)
-        self.solder(t["SW"], p + 2)
-        self.solder(t["SE"], p + 1)
-        t["SW"] = p + 3
-        t["SE"] = p
-
-    # -- checks ---------------------------------------------------------------
-
-    def _check_wiring(self):
-        # With every junction in use soldered twice and every port once, each
-        # net is a path between two ports or a loop of junctions alone.
-        for lj in self.leads:
-            if lj and len(lj) != 2:
-                raise InconsistentDiagram(f"junction with {len(lj)} leads", _EMIT)
-        if None in self.mate:
-            p = self.mate.index(None)
-            raise InconsistentDiagram(f"crossing {p >> 2} port {p & 3} is not soldered", _EMIT)
-        # a second wire at a port overwrites its mate but still counts here
-        if 2 * self.wires != len(self.mate) + sum(map(len, self.leads)):
-            raise InconsistentDiagram("a port is soldered twice", _EMIT)
+_EMIT = "construction: emit"  # InconsistentDiagram.stage of the table writer's checks
+# a half twist by box axis, vertical then horizontal: the leads whose arms it
+# takes through its crossing (SW and SE; NE and SE) and the ports they enter
+# it by; each leaves by the opposite port, to the other's lead
+_TWISTS = ((2, 3, 2, 1), (1, 3, 2, 3))
+# the lead each lead is joined to inside the zero and the infinity tangle
+_TRIVIAL = ((1, 0, 3, 2), (2, 3, 0, 1))
 
 
 # -- additive continued fractions for tangle layout ---------------------------
@@ -176,52 +114,77 @@ def _template(beta, alpha):
     the PD rows in slots, each from the port where its under strand
     enters, 4n per way the strands run (block rev0 + 2 * rev1); and the n
     over_entry flags for strands running alike, then not."""
-    b = Builder()
     cf = additive_cf(alpha if beta > 0 else -alpha, abs(beta)) if alpha and beta else ()
     entries = cf if alpha else (0, beta)  # gamma: beta horizontal half twists
-    t = b.inf_tangle() if len(entries) % 2 else b.zero_tangle()
-    for j in range(len(entries), 0, -1):
-        for _ in range(abs(entries[j - 1])):
-            (b.vtwist if j % 2 else b.htwist)(t, entries[j - 1])
-    end = 4 * (n := b.new_crossing(False))  # port end + x closes lead x of the table
-    for x, name in enumerate(("NW", "NE", "SW", "SE")):
-        b.solder(t[name], end + x)
-    b._check_wiring()  # then a guarded walk of the two strands of the closed tangle
-    slot, entry, strand, exits = [0] * end, bytearray(end), bytearray(end), bytearray(4)
-    walks, x, i = [], 0, 0
+    pair = _TRIVIAL[len(entries) % 2]
+    # arm a starts at lead a: at[x] is the arm now at lead x, size[a] its ports
+    at, size, boxes, n = [0, 1, 2, 3], [0, 0, 0, 0], [], 0
+    for j in range(len(entries) - 1, -1, -1):
+        if not (m := entries[j]):
+            continue
+        l1, l2, e1, e2 = _TWISTS[j % 2]
+        if l1 == l2:
+            raise InconsistentDiagram(f"lead {l1} is soldered twice", _EMIT)
+        if e1 == e2:
+            raise InconsistentDiagram(f"crossing {n} port {e1} met twice", _EMIT)
+        if not (e1 ^ e2) & 1:  # the other diagonal would close on itself
+            raise InconsistentDiagram("a closed loop inside a tangle", _EMIT)
+        x, y = at[l1], at[l2]  # box crossing i: arm x enters by e1, e2 alternately
+        boxes.append((abs(m), (H_POS_A_OVER if j % 2 else V_POS_A_OVER) ^ (m < 0),
+                      x, y, size[x], size[y], e1, e2))
+        size[x] += abs(m)
+        size[y] += abs(m)
+        if m % 2:
+            at[l1], at[l2] = y, x
+        n += abs(m)
+    # strand k runs in from lead x along arm a, then out along the arm b
+    # joined to it: arm[a] = (slot of its port 0, slot step, entry port flip, k)
+    exits, arm, lens, slot = bytearray(4), [None] * 4, [], 0
     for k in (0, 1):
-        ports, prev, r = [], end + x, b.mate[end + x]
-        while True:
-            while r < 0:
-                if prev not in (lj := b.leads[~r]):
-                    raise InconsistentDiagram(f"junction {~r} does not lead back", _EMIT)
-                prev, r = r, lj[lj[0] == prev]
-            if r >= end:
-                break
-            if entry[r] or entry[r ^ 2]:
-                raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", _EMIT)
-            slot[r], slot[r ^ 2], entry[r], strand[r], strand[r ^ 2] = i, i + 1, 1, k, k
-            ports.append(r)
-            prev, r, i = r ^ 2, b.mate[r ^ 2], i + 1
-        exits[x], exits[r - end] = r - end, x
-        walks += (x, ports), (r - end, [p ^ 2 for p in reversed(ports)])
-        x, i = 2 if exits[0] == 1 else 1, i + 1
-    if 2 * sum(entry) != end:
-        raise InconsistentDiagram("a closed loop inside a tangle", _EMIT)
-    rows = []
-    for ci, a_is_over in enumerate(b.a_over[:n]):
-        c = 4 * ci
-        u, o = (c + 1, c) if a_is_over else (c, c + 1)
-        s = u if entry[u] else u + 2
-        oe = ((o if entry[o] else o + 2) - s) % 4
-        rows.append((tuple(slot[c | (s + j) & 3] for j in range(4)), strand[s], oe, strand[o]))
-    over = bytes(oe if ku == ko or not mixed else 4 - oe
-                 for mixed in (False, True) for _, ku, oe, ko in rows)
-    slots = [s for rev in ((False, False), (True, False), (False, True), (True, True))
-             for row, k, _, _ in rows for s in (row[2:] + row[:2] if rev[k] else row)]
-    lead, step = next(((x, ports.index(0)) for x, ports in walks if 0 in ports), (0, 0))
-    return _Table(n, bytes(exits), len(walks[0][1]), len(walks[2][1]), lead, step,
-                  bytes(slots) if 2 * n < 255 else array("i", slots), over)
+        x = 2 if k and exits[0] == 1 else k
+        a = at[x]
+        b = pair[a]
+        if b == a or pair[b] != a:
+            raise InconsistentDiagram(f"junction of lead {a} does not lead back", _EMIT)
+        y = at.index(b)
+        exits[x], exits[y] = y, x
+        arm[a], arm[b] = (slot + size[a] - 1, -1, 2, k), (slot + size[a], 1, 0, k)
+        lens.append(size[a] + size[b])
+        slot += lens[k] + 1
+    # the slot blocks by (rev0, rev1), t where the strand runs backwards:
+    # a row turns by two ports where its under strand does
+    ff, tf, ft, tt, over, mixed = [], [], [], [], bytearray(), bytearray()
+    for m, a_over, x, y, qx, qy, e1, e2 in boxes:
+        sx, dx, fx, kx = arm[x]
+        sy, dy, fy, ky = arm[y]
+        sx, sy = sx + dx * qx, sy + dy * qy
+        for i in range(m):
+            px, py = (e1 ^ fx, e2 ^ fy) if i % 2 == 0 else (e2 ^ fx, e1 ^ fy)
+            if px & 1 == a_over:  # x passes the under diagonal
+                u, pu, ku, o, po, ko = sx, px, kx, sy, py, ky
+            else:
+                u, pu, ku, o, po, ko = sy, py, ky, sx, px, kx
+            if (oe := (po - pu) & 3) == 1:
+                row, turned = (u, o, u + 1, o + 1), (u + 1, o + 1, u, o)
+            else:
+                row, turned = (u, o + 1, u + 1, o), (u + 1, o, u, o + 1)
+            ff += row
+            tt += turned
+            tf += row if ku else turned
+            ft += turned if ku else row
+            over.append(oe)
+            mixed.append(oe if ku == ko else 4 - oe)
+            sx += dx
+            sy += dy
+    # no half twist takes lead NW, and crossing 0 is the first on the arm joined
+    # to NW's, entered by port 2: strand 0 run backwards enters port 0 last
+    lead, step = (exits[0], lens[0] - 1) if n else (0, 0)
+    ff += tf
+    ff += ft
+    ff += tt
+    over += mixed
+    return _Table(n, bytes(exits), *lens, lead, step,
+                  bytes(ff) if 2 * n < 255 else array("i", ff), bytes(over))
 
 
 # -- knot templates -----------------------------------------------------------

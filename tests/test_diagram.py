@@ -16,7 +16,6 @@ from braids import closed_braid
 import knotct
 from knotct import invariants
 from knotct.diagram import (
-    Builder,
     PlanarDiagram,
     double_twist_diagram,
     fig1_left_diagram,
@@ -442,14 +441,6 @@ def test_inconsistent_diagram_errors_survive_optimized_mode():
     assert p.stdout.split() == ["raised"] * 3
 
 
-def test_construction_check_raises_typed_error():
-    b = Builder()
-    b.new_crossing(a_over=False)  # four ports, none soldered to another
-    with pytest.raises(InconsistentDiagram) as info:
-        b._check_wiring()
-    assert info.value.stage == "construction: emit"
-
-
 def test_a_cold_template_builds_no_diagram(monkeypatch):
     built = []
     init = PlanarDiagram.__init__
@@ -467,142 +458,65 @@ def test_a_cold_template_builds_no_diagram(monkeypatch):
     assert len(built) == 1
 
 
-def self_looped_solder():
-    """`Builder.solder` that then makes ports 0 and 2 of crossing 0 each
-    other's mates, so the strand through that crossing leaves it into
-    itself and a walk with no guard goes round forever."""
-    solder = Builder.solder
+def miswired(kind):
+    """The constant of the table writer that `kind` corrupts, its corrupted
+    value, and the message of the check that `_template(2, 5)` then trips:
+    2/5 is the zero tangle with a horizontal box of two half twists, then a
+    vertical one, laid down in that order."""
+    twists, trivial = construct._TWISTS, construct._TRIVIAL
+    return {
+        # both arms of a horizontal half twist enter its crossing by port 2
+        "met twice": ("_TWISTS", (twists[0], (1, 3, 2, 2)), "crossing 0 port 2 met twice"),
+        # the zero tangle joins NW to NE and NE on to SW
+        "does not lead back": ("_TRIVIAL", ((1, 2, 3, 0), trivial[1]),
+                               "junction of lead 0 does not lead back"),
+        # a vertical half twist takes both arms along diagonal A, which leaves
+        # diagonal B to close on itself
+        "closed loop": ("_TWISTS", ((2, 3, 2, 0), twists[1]), "a closed loop inside a tangle"),
+        # a horizontal half twist takes the arm at lead NE twice
+        "soldered twice": ("_TWISTS", (twists[0], (1, 1, 2, 3)), "lead 1 is soldered twice"),
+    }[kind]
 
-    def looped(self, a, b):
-        solder(self, a, b)
-        if {0, 2} & {a, b}:
-            self.mate[0], self.mate[2] = 2, 0
-    return looped
 
-
-def test_a_miswired_template_raises_instead_of_looping(monkeypatch):
-    # optimized mode in a subprocess first, its timeout bounding a walk that
-    # never ends
+def assert_miswired_template_raises(monkeypatch, kind):
+    # optimized mode in a subprocess first, its timeout bounding a writer
+    # that never ends
+    name, value, message = miswired(kind)
     code = (
-        "import sys; sys.path[:0] = sys.argv[1:]\n"
-        "from test_diagram import self_looped_solder\n"
-        "from knotct.diagram import Builder, construct\n"
+        "import sys; sys.path[:0] = sys.argv[1:3]\n"
+        "from test_diagram import miswired\n"
+        "from knotct.diagram import construct\n"
         "from knotct.errors import InconsistentDiagram\n"
-        "Builder.solder = self_looped_solder()\n"
-        "try:\n"
-        "    construct._template(2, 5)\n"
-        "except InconsistentDiagram as exc:\n"
-        "    print(exc.stage)\n"
-    )
-    src = os.path.dirname(list(knotct.__path__)[0])
-    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
-                       capture_output=True, text=True, timeout=30)
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "construction: emit"
-    construct._template.cache_clear()
-    monkeypatch.setattr(Builder, "solder", self_looped_solder())
-    with pytest.raises(InconsistentDiagram) as info:
-        construct._template(2, 5)
-    assert info.value.stage == "construction: emit"
-
-
-# Port g of crossing ci is the int 4 * ci + g.
-
-
-def miswired_crossing(wires):
-    """One crossing with the given wires between its ports."""
-    b = Builder()
-    p = 4 * b.new_crossing(a_over=False)
-    for x, y in wires:
-        b.solder(p + x, p + y)
-    return b
-
-
-MISWIRED_CROSSINGS = (
-    [(0, 2), (0, 1), (2, 3)],  # ports 0 and 2 soldered twice: the first wire is overwritten
-    [(0, 1), (2, 3), (0, 2)],  # ports 0 and 2 soldered twice: their first mates point back
-    [(0, 1), (0, 2)],  # port 0 soldered twice and port 3 never
-)
-
-
-def three_lead_junction():
-    """Two crossings with every port soldered once: three ports of the first
-    to one junction, its fourth to a junction of its own."""
-    b = Builder()
-    p, q = 4 * b.new_crossing(a_over=False), 4 * b.new_crossing(a_over=True)
-    j, k = b.junction(), b.junction()
-    for g in range(3):
-        b.solder(j, p + g)
-    b.solder(k, p + 3)
-    b.solder(q, q + 1)
-    b.solder(q + 2, q + 3)
-    return b
-
-
-def test_malformed_wiring_raises_typed_errors():
-    for b in [miswired_crossing(w) for w in MISWIRED_CROSSINGS] + [three_lead_junction()]:
-        with pytest.raises(InconsistentDiagram) as info:
-            b._check_wiring()
-        assert info.value.stage == "construction: emit"
-
-
-def test_malformed_wiring_error_survives_optimized_mode():
-    code = (
-        "import sys; sys.path[:0] = sys.argv[1:]\n"
-        "from test_diagram import three_lead_junction\n"
-        "from knotct.errors import InconsistentDiagram\n"
-        "try:\n"
-        "    three_lead_junction()._check_wiring()\n"
-        "except InconsistentDiagram as exc:\n"
-        "    print(exc.stage)\n"
-    )
-    src = os.path.dirname(list(knotct.__path__)[0])
-    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
-                       capture_output=True, text=True)
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "construction: emit"
-
-
-def miswired_splice():
-    """`Builder.solder` that then gives each port it solders to junction 1
-    the id of junction 0, as a splice that wrote j for j - 1 would leave
-    them: junction 0 does not lead back to those ports, and a strand walk
-    with no guard that reaches one of them goes round forever."""
-    solder = Builder.solder
-
-    def spliced(self, a, b):
-        solder(self, a, b)
-        for port, junction in ((a, b), (b, a)):
-            if junction == ~1 and port >= 0:
-                self.mate[port] = ~0
-    return spliced
-
-
-def test_a_miswired_splice_raises_instead_of_looping(monkeypatch):
-    # optimized mode in a subprocess first: its timeout bounds a walk that
-    # never ends, which in-process would hang the suite.  The tangle 2/5 is a
-    # zero tangle, junctions 0 and 1, with its twists added
-    code = (
-        "import sys; sys.path[:0] = sys.argv[1:]\n"
-        "from test_diagram import miswired_splice\n"
-        "from knotct.diagram import Builder, construct\n"
-        "from knotct.errors import InconsistentDiagram\n"
-        "Builder.solder = miswired_splice()\n"
+        "name, value, _ = miswired(sys.argv[3])\n"
+        "setattr(construct, name, value)\n"
         "try:\n"
         "    construct._template(2, 5)\n"
         "except InconsistentDiagram as exc:\n"
         "    print(exc.stage, exc)\n"
     )
     src = os.path.dirname(list(knotct.__path__)[0])
-    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__), kind],
                        capture_output=True, text=True, timeout=30)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "construction: emit construction: emit: junction 0 does not lead back"
+    assert p.stdout.strip() == f"construction: emit construction: emit: {message}"
     construct._template.cache_clear()
-    monkeypatch.setattr(Builder, "solder", miswired_splice())
-    with pytest.raises(InconsistentDiagram, match="junction 0 does not lead back") as info:
+    monkeypatch.setattr(construct, name, value)
+    with pytest.raises(InconsistentDiagram, match=message) as info:
         construct._template(2, 5)
     assert info.value.stage == "construction: emit"
+
+
+def test_a_miswired_template_raises_instead_of_looping(monkeypatch):
+    assert_miswired_template_raises(monkeypatch, "met twice")
+
+
+def test_a_miswired_splice_raises_instead_of_looping(monkeypatch):
+    assert_miswired_template_raises(monkeypatch, "does not lead back")
+
+
+@pytest.mark.parametrize("kind", ["closed loop", "soldered twice"])
+def test_a_miswired_twist_raises_typed_errors(monkeypatch, kind):
+    assert_miswired_template_raises(monkeypatch, kind)
 
 
 def ne_bound_tables():
@@ -894,10 +808,151 @@ def test_twist_regions_are_bigon_chains():
 # from it.  `emit` walks each net of ports and junctions once: it numbers and
 # orients the arcs along each strand from the least port not yet numbered,
 # counts the nets of junctions alone as free loops, and hands the diagram
-# the strand components it walked.
+# the strand components it walked.  Each tangle table is the walk of the
+# tangle's two strands through the ports and junctions of its builder.
 
 
 EMIT = "construction: emit"  # InconsistentDiagram.stage of the wiring checks
+
+
+class Builder:
+    """Accumulates crossings and soldered wires: ports, the ints
+    4 * crossing + port, and junctions of the trivial tangles, negative ints."""
+
+    def __init__(self):
+        self.a_over = []
+        self.mate = []  # port -> what it is soldered to (None: not yet)
+        self.leads = []  # junction ~j -> everything soldered to j
+        self.wires = 0
+
+    # -- wiring ---------------------------------------------------------------
+
+    def solder(self, a, b):
+        self.wires += 1
+        if a >= 0:
+            self.mate[a] = b
+        else:
+            self.leads[~a].append(b)
+        if b >= 0:
+            self.mate[b] = a
+        else:
+            self.leads[~b].append(a)
+
+    def junction(self):
+        self.leads.append([])
+        return ~(len(self.leads) - 1)
+
+    def new_crossing(self, a_over):
+        ci = len(self.a_over)
+        self.a_over.append(bool(a_over))
+        self.mate += (None, None, None, None)
+        return ci
+
+    # -- tangle primitives ----------------------------------------------------
+
+    def zero_tangle(self):
+        top, bot = self.junction(), self.junction()
+        return {"NW": top, "NE": top, "SW": bot, "SE": bot}
+
+    def inf_tangle(self):
+        left, right = self.junction(), self.junction()
+        return {"NW": left, "SW": left, "NE": right, "SE": right}
+
+    def htwist(self, t, sign):
+        """One half twist added on the right side of the tangle."""
+        p = 4 * self.new_crossing(construct.H_POS_A_OVER if sign > 0 else not construct.H_POS_A_OVER)
+        self.solder(t["NE"], p + 2)
+        self.solder(t["SE"], p + 3)
+        t["NE"] = p + 1
+        t["SE"] = p
+
+    def vtwist(self, t, sign):
+        """One half twist added at the bottom of the tangle."""
+        p = 4 * self.new_crossing(construct.V_POS_A_OVER if sign > 0 else not construct.V_POS_A_OVER)
+        self.solder(t["SW"], p + 2)
+        self.solder(t["SE"], p + 1)
+        t["SW"] = p + 3
+        t["SE"] = p
+
+    # -- checks ---------------------------------------------------------------
+
+    def _check_wiring(self):
+        # With every junction in use soldered twice and every port once, each
+        # net is a path between two ports or a loop of junctions alone.
+        for lj in self.leads:
+            if lj and len(lj) != 2:
+                raise InconsistentDiagram(f"junction with {len(lj)} leads", EMIT)
+        if None in self.mate:
+            p = self.mate.index(None)
+            raise InconsistentDiagram(f"crossing {p >> 2} port {p & 3} is not soldered", EMIT)
+        # a second wire at a port overwrites its mate but still counts here
+        if 2 * self.wires != len(self.mate) + sum(map(len, self.leads)):
+            raise InconsistentDiagram("a port is soldered twice", EMIT)
+
+
+def test_construction_check_raises_typed_error():
+    b = Builder()
+    b.new_crossing(a_over=False)  # four ports, none soldered to another
+    with pytest.raises(InconsistentDiagram) as info:
+        b._check_wiring()
+    assert info.value.stage == "construction: emit"
+
+
+# Port g of crossing ci is the int 4 * ci + g.
+
+
+def miswired_crossing(wires):
+    """One crossing with the given wires between its ports."""
+    b = Builder()
+    p = 4 * b.new_crossing(a_over=False)
+    for x, y in wires:
+        b.solder(p + x, p + y)
+    return b
+
+
+MISWIRED_CROSSINGS = (
+    [(0, 2), (0, 1), (2, 3)],  # ports 0 and 2 soldered twice: the first wire is overwritten
+    [(0, 1), (2, 3), (0, 2)],  # ports 0 and 2 soldered twice: their first mates point back
+    [(0, 1), (0, 2)],  # port 0 soldered twice and port 3 never
+)
+
+
+def three_lead_junction():
+    """Two crossings with every port soldered once: three ports of the first
+    to one junction, its fourth to a junction of its own."""
+    b = Builder()
+    p, q = 4 * b.new_crossing(a_over=False), 4 * b.new_crossing(a_over=True)
+    j, k = b.junction(), b.junction()
+    for g in range(3):
+        b.solder(j, p + g)
+    b.solder(k, p + 3)
+    b.solder(q, q + 1)
+    b.solder(q + 2, q + 3)
+    return b
+
+
+def test_malformed_wiring_raises_typed_errors():
+    for b in [miswired_crossing(w) for w in MISWIRED_CROSSINGS] + [three_lead_junction()]:
+        with pytest.raises(InconsistentDiagram) as info:
+            b._check_wiring()
+        assert info.value.stage == "construction: emit"
+
+
+def test_malformed_wiring_error_survives_optimized_mode():
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_diagram import three_lead_junction\n"
+        "from knotct.errors import InconsistentDiagram\n"
+        "try:\n"
+        "    three_lead_junction()._check_wiring()\n"
+        "except InconsistentDiagram as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-O", "-c", code, src, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "construction: emit"
 
 
 class ReferenceBuilder(Builder):
@@ -1059,6 +1114,65 @@ def reference_rational_tangle(b, beta, alpha):
         for _ in range(abs(m)):
             (b.vtwist if j % 2 == 1 else b.htwist)(t, m)
     return t
+
+
+def reference_table(beta, alpha):
+    """The `_Table` of tangle beta/alpha (alpha = 0: the gamma box) wired
+    twist by twist in a builder and closed by a crossing n, port 4n + x at
+    lead x, with the tangle's two strands walked through its junctions."""
+    b = ReferenceBuilder()
+    t = reference_rational_tangle(b, beta, alpha) if alpha else b.hbox(beta)
+    end = 4 * (n := b.new_crossing(False))
+    for x, name in enumerate(("NW", "NE", "SW", "SE")):
+        b.solder(t[name], end + x)
+    b._check_wiring()
+    slot, entry, strand, exits = [0] * end, bytearray(end), bytearray(end), bytearray(4)
+    walks, x, i = [], 0, 0
+    for k in (0, 1):
+        ports, prev, r = [], end + x, b.mate[end + x]
+        while True:
+            while r < 0:
+                if prev not in (lj := b.leads[~r]):
+                    raise InconsistentDiagram(f"junction {~r} does not lead back", EMIT)
+                prev, r = r, lj[lj[0] == prev]
+            if r >= end:
+                break
+            if entry[r] or entry[r ^ 2]:
+                raise InconsistentDiagram(f"crossing {r >> 2} port {r & 3} met twice", EMIT)
+            slot[r], slot[r ^ 2], entry[r], strand[r], strand[r ^ 2] = i, i + 1, 1, k, k
+            ports.append(r)
+            prev, r, i = r ^ 2, b.mate[r ^ 2], i + 1
+        exits[x], exits[r - end] = r - end, x
+        walks += (x, ports), (r - end, [p ^ 2 for p in reversed(ports)])
+        x, i = 2 if exits[0] == 1 else 1, i + 1
+    if 2 * sum(entry) != end:
+        raise InconsistentDiagram("a closed loop inside a tangle", EMIT)
+    rows = []
+    for ci, a_is_over in enumerate(b.a_over[:n]):
+        c = 4 * ci
+        u, o = (c + 1, c) if a_is_over else (c, c + 1)
+        s = u if entry[u] else u + 2
+        oe = ((o if entry[o] else o + 2) - s) % 4
+        rows.append((tuple(slot[c | (s + j) & 3] for j in range(4)), strand[s], oe, strand[o]))
+    over = bytes(oe if ku == ko or not mixed else 4 - oe
+                 for mixed in (False, True) for _, ku, oe, ko in rows)
+    slots = [s for rev in ((False, False), (True, False), (False, True), (True, True))
+             for row, k, _, _ in rows for s in (row[2:] + row[:2] if rev[k] else row)]
+    lead, step = next(((x, ports.index(0)) for x, ports in walks if 0 in ports), (0, 0))
+    return construct._Table(n, bytes(exits), len(walks[0][1]), len(walks[2][1]), lead, step,
+                            bytes(slots) if 2 * n < 255 else array("i", slots), over)
+
+
+def test_tangle_tables_are_the_tables_the_builder_walks():
+    fractions = [(b, a) for a in range(1, 65) for b in range(1 - a, a)
+                 if b and math.gcd(a, b) == 1]
+    boxes = [(m, 0) for m in range(-16, 17)] + [(s, m) for s in (1, -1) for m in range(1, 17)]
+    wide = [(s, m) for s in (1, -1) for m in (131, 200)]  # 2n >= 255: int slots
+    assert (len(fractions), len(boxes)) == (2_518, 65)
+    for key in fractions + boxes + wide:
+        tb, ref = construct._template(*key), reference_table(*key)
+        assert tb == ref and type(tb.slots) is type(ref.slots), key
+        assert isinstance(tb.slots, array) == (key in wide), key
 
 
 def reference_montesinos_build(fractions, gamma=0):

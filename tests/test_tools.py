@@ -28,6 +28,17 @@ def test_ac1_routes_times_every_route():
     assert all(t >= 0 for t in spent.values())
 
 
+def test_ac1_routes_prints_both_memo_lines(monkeypatch, capsys):
+    ac1_routes = _load("ac1_routes")
+    specs = ac1_routes._formulas_specs
+    monkeypatch.setattr(ac1_routes, "_formulas_specs", lambda bound: specs(bound)[::400])
+    ac1_routes.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("85 diagrams of 85 specs")
+    assert lines[-2].startswith("Kauffman plans: CacheInfo(hits=")
+    assert lines[-1].startswith("Tangle tables: CacheInfo(hits=")
+
+
 def test_ac1_digest_pins_every_four_hundredth_report():
     ac1_digest = _load("ac1_digest")
     specs = ac1_digest._formulas_specs(2)

@@ -17,15 +17,18 @@ diagram, charging `time.process_time()` to the route that ran:
 - `a2_w3_from_jones`, closed forms: the Jones derivatives and `closed_form`.
 
 It prints a Markdown table of seconds and shares, largest first, and under
-it the plan memo's `cache_info()`: the Kauffman route plans each wiring of
-twist regions once (`knotct.kauffman._plan`).  The routes' agreement is
-checked by `knotct verify --suite formulas`, not here.
+it two memos' `cache_info()`: the plan memo, as the Kauffman route plans
+each wiring of twist regions once (`knotct.kauffman._plan`), then the
+tangle-table memo, as each tangle table is written once
+(`knotct.diagram.construct._template`).  The routes' agreement is checked
+by `knotct verify --suite formulas`, not here.
 """
 
 from __future__ import annotations
 
 import time
 
+from knotct.diagram.construct import _template
 from knotct.errors import KnotctError, NoFormula
 from knotct.gauss import gauss_a2, gauss_w3
 from knotct.invariants import closed_form
@@ -103,6 +106,7 @@ def main():
         print(f"| {route} | {spent[route]:.1f} s | {share:.0%} |")
     print()
     print(f"Kauffman plans: {_plan.cache_info()}")
+    print(f"Tangle tables: {_template.cache_info()}")
 
 
 if __name__ == "__main__":
