@@ -479,8 +479,7 @@ def miswired(kind):
 
 
 def assert_miswired_template_raises(monkeypatch, kind):
-    # optimized mode in a subprocess first, its timeout bounding a writer
-    # that never ends
+    # optimized mode in a subprocess under a timeout first, then in process
     name, value, message = miswired(kind)
     code = (
         "import sys; sys.path[:0] = sys.argv[1:3]\n"
