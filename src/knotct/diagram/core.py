@@ -25,9 +25,9 @@ A knot's signed Gauss word (`_gauss_word`) lists its passages along the
 strand; it is walked once, off the head table, and cached like the face
 table.  One finder, `_cancelling`, reads off the word the crossings that a
 Reidemeister I or II move removes, and one loop, `_reduce_word`, deletes
-them until none is left.  `simplify` and the skein engine of
-`knotct.invariants` both reduce words with it: `simplify` then rebuilds
-the diagram once, without the crossings the reduced word has lost.
+them until none is left; a diagram's own word is reduced once and cached
+(`_reduced_word`) for `simplify` and the skein engine of `knotct.invariants`
+to share: `simplify` rebuilds the diagram without the crossings it lost.
 """
 
 from __future__ import annotations
@@ -129,10 +129,17 @@ def _reduce_word(w):
     return w
 
 
+def _reduced_word(d):
+    """`_reduce_word` of `_gauss_word(d)`, as a tuple kept in the `_reduced` slot."""
+    if d._reduced is None:
+        d._reduced = tuple(_reduce_word(_gauss_word(d)))
+    return d._reduced
+
+
 class PlanarDiagram:
     __slots__ = ("crossings", "over_entry", "free_loops",
                  "_components", "_heads", "_tails", "_faces", "_nugatory",
-                 "_twists", "_word", "_key")
+                 "_twists", "_word", "_reduced", "_key")
 
     def __init__(self, crossings, over_entry, free_loops=0):
         crossings = tuple(map(tuple, crossings))
@@ -153,6 +160,7 @@ class PlanarDiagram:
         self._nugatory = None
         self._twists = None
         self._word = None
+        self._reduced = None
         self._key = None
         self._validate()
 
@@ -433,7 +441,7 @@ class PlanarDiagram:
         Both strands pass straight through each removed crossing."""
         if self.component_count() > 1:
             raise NotAKnot(f"simplify needs a knot, got {self.component_count()} components")
-        kept = {p >> 2 for p in _reduce_word(_gauss_word(self))}
+        kept = {p >> 2 for p in _reduced_word(self)}
         if len(kept) == self.n:
             return self
         rows = [c for ci, c in enumerate(self.crossings) if ci not in kept]

@@ -25,8 +25,8 @@ suites read a diagram's a2 and w3 from `knotct.gauss`, which counts
 sub-diagrams of the same word with no recursion, memo or budget.  The
 engine is the test suite's independent reference for those counts.
 `knotct.diagram.core` owns the Gauss word and its reduction by
-Reidemeister I/II moves (`_reduce_word`), which this engine and
-`PlanarDiagram.simplify` both call.
+Reidemeister I/II moves (`_reduce_word`), and both counts and
+`PlanarDiagram.simplify` read a diagram's word reduced once (`_reduced_word`).
 
 `diagram_genus` is the genus that `obstruct` and the CLI's report read off
 the diagram of a spec without tangle pairs.
@@ -39,7 +39,7 @@ from array import array
 from fractions import Fraction
 
 from .budget import crossing_budget
-from .diagram.core import PlanarDiagram, _gauss_word, _reduce_word
+from .diagram.core import PlanarDiagram, _reduce_word, _reduced_word
 from .errors import BudgetExceeded, InconsistentDiagram, InvalidInput, NoFormula, NotAKnot
 from .records import Record
 
@@ -425,13 +425,13 @@ def _w3(w):
 
 def _knot_word(d):
     """The simplified signed Gauss word of a knot diagram within the skein
-    budget."""
+    budget: the diagram's one reduced word (`_reduced_word`)."""
     if d.component_count() != 1:
         raise NotAKnot(f"skein engine needs a knot, got {d.component_count()} components")
     budget = crossing_budget(DEFAULT_SKEIN_BUDGET)
     if d.n > budget:
         raise BudgetExceeded(f"{d.n} crossings exceeds the skein budget {budget}")
-    return _reduce_word(_gauss_word(d))
+    return _reduced_word(d)
 
 
 def skein_a2(d: PlanarDiagram) -> int:

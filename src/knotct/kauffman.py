@@ -101,35 +101,22 @@ def _chain_ends(rows, chains):
 
 
 def _chain_order(far):
-    """Greedy processing order of the chains: chain 0 first, then always a
-    chain with the most ends whose arc ends at a processed chain or at
-    itself.  `far[4r + e]` is the end 4r' + e' at the other end of the arc
-    at end e of chain r.  The candidates sit in a bucket queue, one stack
-    per count of such ends (0 to 4), so among equals the chain whose count
-    rose last goes first, then the least index; an entry left behind by a
-    raised count is stale and skipped."""
+    """Greedy processing order of the chains: chain 0 first, then always the
+    chain left with the greatest key (count of its ends whose arc ends at a
+    processed chain or at itself, stamp of the last raise of that count).
+    `far[4r + e]` is the end 4r' + e' at the other end of the arc at end e
+    of chain r.  A raise takes the next stamp up and chain r starts at -r,
+    so among equal counts the latest raise goes first, then the least index."""
     m = len(far) // 4
-    count = [sum(x >> 2 == r for x in far[4 * r:4 * r + 4]) for r in range(m)]
-    buckets = [[] for _ in range(5)]
-    for r in range(m - 1, 0, -1):
-        buckets[count[r]].append(r)
-    done = [True] + [False] * (m - 1)
-    order = [0]
-    while len(order) < m:
+    key = [(sum(x >> 2 == r for x in far[4 * r:4 * r + 4]), -r) for r in range(m)]
+    left, order, stamp = list(range(1, m)), [0], 0
+    while left:
         last = order[-1]
         for x in far[4 * last:4 * last + 4]:
-            r2 = x >> 2
-            if not done[r2]:
-                count[r2] += 1
-                buckets[count[r2]].append(r2)
-        k = 4
-        while True:
-            while not buckets[k]:
-                k -= 1
-            r = buckets[k].pop()
-            if not done[r] and count[r] == k:
-                break
-        done[r] = True
+            stamp += 1
+            key[x >> 2] = (key[x >> 2][0] + 1, stamp)
+        r = max(left, key=key.__getitem__)
+        left.remove(r)
         order.append(r)
     return order
 
@@ -185,7 +172,6 @@ def _plan(key):
     """
     far = array("I", key)
     frontier = []  # the processed end behind each open arc
-    done = [False] * (len(far) // 4)
     states = [()]
     flat = []
     for r in _chain_order(far):
@@ -196,7 +182,7 @@ def _plan(key):
             other = far[4 * r + e]
             if other >> 2 == r:
                 template[e] = -1 - (other & 3)
-            elif done[other >> 2]:
+            elif other in frontier:
                 i = frontier.index(other)
                 closing.append((e, i))
                 remap[i] = -1 - e
@@ -209,7 +195,6 @@ def _plan(key):
             template[e] = len(kept) + k
         frontier = [frontier[i] for i in kept] + [4 * r + e for e in opening]
         fresh = [0] * len(opening)
-        done[r] = True
 
         index = {}  # state after the chain -> its index
         at = len(flat) + 1

@@ -50,7 +50,7 @@ memo below it; a bound-4 sweep of the families fills 702, 534 and 88 rows,
 so the bound evicts nothing in a sweep, and a full row memo retains under
 1 MB.  The cached values are ints, bools, None and tuples of them, a
 failed reduction or conversion is not cached, and each process starts
-with every memo empty.
+with every memo empty.  A query with no tangle pairs loads no `cf_calculus`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import functools
 import re
 from itertools import product
 
-from .cf_calculus import _lowest_terms, evaluate, to_even_cf, to_strict_cf
 from .diagram import (
     double_twist_diagram,
     fig1_left_diagram,
@@ -136,7 +135,11 @@ def _normalize(tangles, gamma):
     g = int(gamma)
     norm, evens, total = [], 0, 0
     for f in tangles:
-        pair, n, even = _pair_row(*f) if type(f) is tuple else _pair_row(*_lowest_terms(f))
+        if type(f) is not tuple:
+            from .cf_calculus import _lowest_terms
+
+            f = _lowest_terms(f)
+        pair, n, even = _pair_row(*f)
         g += n
         if pair is not None:
             norm.append(pair)
@@ -162,6 +165,8 @@ def _pair_row(p, q):
     (None when p/q is an integer), n the integer part truncated toward
     zero, and even whether alpha is even.  Typed, so that a pair of floats
     raises as `Fraction()` does even after the equal int pair is cached."""
+    from .cf_calculus import _lowest_terms
+
     p, q = _lowest_terms((p, q))
     n = p // q if p >= 0 else -(-p // q)  # truncation keeps the remainder's sign
     p -= n * q
@@ -494,6 +499,8 @@ def _odd_row(p, q):
     the unit (0 or +-1) that moves into gamma to bring p/q to |p/q| < 1/2
     and b = sum |b_j| of the strict continued fraction of the pair it
     leaves."""
+    from .cf_calculus import to_strict_cf
+
     step = (1 if p > 0 else -1) if 2 * abs(p) > q else 0
     return sum(abs(b) for b in to_strict_cf((p - step * q, q))[1::2]), step
 
@@ -505,6 +512,8 @@ def _even_row(p, q):
     the length, leading entry and initial run of entries equal to the lead
     of the even continued fraction of the pair it leaves.  Only an odd
     numerator over an odd denominator absorbs a unit."""
+    from .cf_calculus import to_even_cf
+
     step = (1 if p > 0 else -1) if p % 2 and q % 2 else 0
     cf = to_even_cf((p - step * q, q))
     lead = cf[0]
@@ -627,6 +636,8 @@ def _fraction(text, i):
     if text.startswith("[", i):
         entries, i = _list(text, _expect(text, i, "["), _int)
         i = _expect(text, i, "]")
+        from .cf_calculus import evaluate
+
         try:
             return evaluate(entries), i
         except (InvalidInput, DivisionByZero) as exc:

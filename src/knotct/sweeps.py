@@ -297,13 +297,8 @@ def _formulas_specs(bound):
     specs = []
     for fam in ("o1", "o2", "o3", "o4", "o5", "e1", "e2", "e3"):
         specs.extend(enumerate_family(fam, bound))
-    for qs in itertools.product(
-        [q for q in range(-bound, bound + 1) if q], repeat=3
-    ):
-        try:
-            specs.append(FamilySpec("pretzel", {f"q{i+1}": q for i, q in enumerate(qs)}))
-        except KnotctError:
-            pass
+    for qs in itertools.product([q for q in range(-bound, bound + 1) if q], repeat=3):
+        specs.append(FamilySpec("pretzel", {f"q{i+1}": q for i, q in enumerate(qs)}))
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             if x and y:

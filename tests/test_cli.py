@@ -481,20 +481,31 @@ print(json.dumps({k: sorted(v) for k, v in added.items()}))
 """
 
 
-def test_single_spec_queries_load_only_what_they_run():
-    # measured against the modules a bare interpreter already holds, so
-    # whatever a site .pth file imports does not count
-    spec = "FAM:o1(a=1,b=1,c=1,d=1,e=1)"
+def _cold_start_modules(spec):
+    """The modules that importing `knotct.cli`, then its `invariants` and
+    `obstruct` queries on `spec`, add to a bare interpreter's: measured
+    against what it already holds, so whatever a site .pth file imports
+    does not count."""
     src = os.path.dirname(list(knotct.__path__)[0])
     p = subprocess.run([sys.executable, "-c", _COLD_START.replace("SPEC", repr(spec))],
                        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert p.returncode == 0, p.stderr
-    added = {k: set(v) for k, v in json.loads(p.stdout.splitlines()[-1]).items()}
+    return {k: set(v) for k, v in json.loads(p.stdout.splitlines()[-1]).items()}
+
+
+def test_single_spec_queries_load_only_what_they_run():
+    added = _cold_start_modules("FAM:o1(a=1,b=1,c=1,d=1,e=1)")
     assert "knotct.cli" in added["import"]
     assert not added["import"] & {"dataclasses", "inspect", "csv", "knotct.sweeps"}
+    assert "knotct.cf_calculus" not in added["import"]
     assert not added["invariants"] & {"knotct.pipeline", "knotct.sweeps"}
+    assert "knotct.cf_calculus" in added["invariants"]  # the family's tangle pairs
     assert "knotct.pipeline" in added["obstruct"]
     assert "knotct.sweeps" not in added["obstruct"]
+    # a six-box spec has no tangle pairs, so no step compiles the CF calculus
+    six_box = _cold_start_modules("F1L(1,-1,2,0,1,-2)")
+    assert "knotct.pipeline" in six_box["obstruct"]
+    assert not set().union(*six_box.values()) & {"knotct.cf_calculus", "knotct.sweeps"}
 
 
 def test_obstruct_on_a_closed_form_spec_loads_no_oracle():

@@ -25,7 +25,7 @@ from knotct.diagram import (
     additive_cf,
     signature_alternating,
 )
-from knotct.diagram import construct
+from knotct.diagram import construct, core
 from knotct.diagram.core import _cancelling, _gauss_word
 from knotct.gauss import gauss_a2, gauss_w3
 from knotct.errors import (
@@ -644,6 +644,27 @@ def test_gauss_words_are_computed_once():
         assert d.simplify().n == reduced
 
 
+def test_gauss_words_are_reduced_once(monkeypatch):
+    # simplify and both skein counts share one reduction of the diagram's
+    # word; the skein's recursion reduces only the words it makes itself
+    reduce_word = core._reduce_word
+    for d, reduced in ((pretzel_diagram([3, 5, 7]), 15), (closed_braid([1, 1, 1, -2], 3), 3)):
+        word, calls = _gauss_word(d), []
+
+        def counted(w):
+            calls.append(w is word)
+            return reduce_word(w)
+
+        monkeypatch.setattr(core, "_reduce_word", counted)
+        monkeypatch.setattr(invariants, "_reduce_word", counted)
+        assert (invariants.skein_a2(d), invariants.skein_w3(d)) == (gauss_a2(d), gauss_w3(d))
+        assert d.simplify().n == reduced
+        assert invariants._knot_word(d) is core._reduced_word(d)
+        assert len(core._reduced_word(d)) == 2 * reduced
+        assert calls.count(True) == 1
+        monkeypatch.undo()
+
+
 def test_word_split_linking_number():
     for d in (trefoil(), trefoil().mirror()):
         w = _gauss_word(d)
@@ -651,6 +672,8 @@ def test_word_split_linking_number():
         # smoothing a trefoil crossing leaves a Hopf link of two unknotted parts
         lk, inner, outer = invariants._split(w, w[0] >> 2)
         assert lk == d.sign(w[0] >> 2) and inner == outer == []
+
+
 def test_signature_alternating_trefoil():
     d = trefoil()
     assert abs(signature_alternating(d)) == 2

@@ -1,11 +1,14 @@
 """Diagram-level oracles: Jones via Kauffman bracket, Seifert pipeline."""
 
+import functools
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import deque
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ import knotct
 from knotct import kauffman
 from knotct.diagram import (
     PlanarDiagram,
+    construct,
     double_twist_diagram,
     montesinos_diagram,
     pretzel_diagram,
@@ -695,6 +699,106 @@ def test_a_full_plan_memo_stays_under_one_megabyte():
     assert kauffman._PLAN_MEMO_SIZE >= 525
     retained = _retained_bytes("kauffman._plan", _WIRINGS)
     assert retained <= 1_000_000, retained
+
+
+def reference_chain_order(far):
+    """The chain order as a bucket queue: one stack per count (0 to 4) of
+    ends whose arc ends at a processed chain or at the chain itself, a
+    chain pushed again each time its count rises, and an entry that a
+    raised count left behind skipped when popped."""
+    m = len(far) // 4
+    count = [sum(x >> 2 == r for x in far[4 * r:4 * r + 4]) for r in range(m)]
+    buckets = [[] for _ in range(5)]
+    for r in range(m - 1, 0, -1):
+        buckets[count[r]].append(r)
+    done = [True] + [False] * (m - 1)
+    order = [0]
+    while len(order) < m:
+        last = order[-1]
+        for x in far[4 * last:4 * last + 4]:
+            r2 = x >> 2
+            if not done[r2]:
+                count[r2] += 1
+                buckets[count[r2]].append(r2)
+        k = 4
+        while True:
+            while not buckets[k]:
+                k -= 1
+            r = buckets[k].pop()
+            if not done[r] and count[r] == k:
+                break
+        done[r] = True
+        order.append(r)
+    return order
+
+
+@functools.cache
+def montesinos_wirings():
+    """The `_WIRINGS` set: 2,025 Montesinos wirings of up to 26 crossings."""
+    names = {"kauffman": kauffman, "construct": construct, "gcd": math.gcd,
+             "combinations_with_replacement": itertools.combinations_with_replacement}
+    return tuple(sorted(key for (key,) in eval(_WIRINGS, names)))
+
+
+@functools.cache
+def ac1_wirings():
+    """The wirings of every twentieth formulas-suite (AC1) knot diagram and
+    of its mirror."""
+    keys = set()
+    for f in _formulas_specs(2)[::20]:
+        try:
+            d = f.diagram()
+        except KnotctError:
+            continue
+        if d.component_count() == 1 and d.n <= _FORMULAS_CROSSING_CAP:
+            keys.update(map(_wiring, (d, d.mirror())))
+    return tuple(sorted(keys))
+
+
+@functools.cache
+def braid_wirings():
+    """The wirings of 1,000 closed-braid knots of 3 to 6 strands and up to
+    18 letters, drawn with a fixed seed."""
+    rng, keys, knots = random.Random(11), set(), 0
+    while knots < 1000:
+        k = rng.randint(3, 6)
+        word = [rng.choice([g for g in range(1 - k, k) if g]) for _ in range(rng.randint(1, 18))]
+        d = closed_braid(word, k)
+        if d.component_count() == 1:
+            knots += 1
+            keys.add(_wiring(d))
+    return tuple(sorted(keys))
+
+
+# (wiring set, its size, sha256 of its plans)
+_PLAN_PINS = [
+    (montesinos_wirings, 2025, "fac72d280ddd2f71aa3630bccd7240a69cc612ef896a31926d6bd6f63dbe673b"),
+    (ac1_wirings, 296, "e9e227d4dc47fb2873f2bcb6efa0d578c4246df3eb2a016ed940a81ea6beab63"),
+    (braid_wirings, 716, "c6ddfa1ff147dd256ce43c5d193bd1e397d9523447110b833677242871c2eb18"),
+]
+_PLAN_PIN_IDS = ["montesinos", "ac1", "braids"]
+
+
+@pytest.mark.parametrize("wirings, count", [pin[:2] for pin in _PLAN_PINS], ids=_PLAN_PIN_IDS)
+def test_the_chain_scan_orders_as_the_bucket_queue(wirings, count):
+    keys = wirings()
+    assert len(keys) == count
+    for key in keys:
+        far = array("I", key)
+        assert kauffman._chain_order(far) == reference_chain_order(far)
+
+
+@pytest.mark.parametrize("wirings, count, digest", _PLAN_PINS, ids=_PLAN_PIN_IDS)
+def test_plans_are_pinned(wirings, count, digest):
+    # each plan as built, not as the memo holds it
+    h, keys = hashlib.sha256(), wirings()
+    assert len(keys) == count
+    for key in keys:
+        code, plan = kauffman._plan.__wrapped__(key)
+        h.update(key)
+        h.update(code.encode())
+        h.update(plan)
+    assert h.hexdigest() == digest
 
 
 _TRACE = kauffman._trace

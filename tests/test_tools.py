@@ -124,4 +124,29 @@ def test_bench_pairs_alternates_the_sides_and_assembles_the_record():
         "parent IQR 31-32.51); item_p50_ms 0.0315 -> 0.0252 (-20.0%, change better in 2/2, "
         "parent IQR 0.03075-0.03225); correct true and 0 failed items over both sides. "
         "Traced classify 21 (raw seconds): pipeline.obstruct.self_s 0.100 -> 0.080; "
-        "calls equal on both sides.")
+        "calls equal on both sides. " + bench_pairs.DIRECTORIES)
+
+
+# a perfbench/run.py that prints which tree it is and where it runs from
+_WHERE = """import json, os
+print(json.dumps({"tree": open("TREE").read(), "at": os.path.basename(os.getcwd())}))
+"""
+
+
+def test_bench_pairs_runs_each_side_from_both_directories(tmp_path):
+    bench_pairs = _load("bench_pairs")
+    tree = {side: str(tmp_path / f"dir-{k}") for k, side in enumerate(bench_pairs.SIDES)}
+    for side, path in tree.items():
+        (Path(path) / "perfbench").mkdir(parents=True)
+        (Path(path) / "perfbench" / "run.py").write_text(_WHERE)
+        (Path(path) / "TREE").write_text(side)
+    schedule = bench_pairs.plan([bench_pairs.seed_range("genus=1-4")],
+                                [bench_pairs.seed_range("genus=9")])
+    runs = list(bench_pairs.bench(schedule, 15, bench_pairs.run_in(tree)))
+    # every run is its own side's tree; the trees trade directories between pairs
+    assert [r["result"]["tree"] for r in runs] == [side for side, *_ in schedule]
+    assert [(r["side"], r["result"]["at"]) for r in runs] == [
+        ("parent", "dir-0"), ("change", "dir-1"), ("change", "dir-0"), ("parent", "dir-1"),
+        ("parent", "dir-0"), ("change", "dir-1"), ("change", "dir-0"), ("parent", "dir-1"),
+        ("parent", "dir-0"), ("change", "dir-1")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir-0", "dir-1"]

@@ -13,9 +13,12 @@ tree.  For each seed of each `--pairs` range (untraced) and each
 
 (`--seconds` is `BENCHMARK.json`'s `run_seconds`) on both sides, one run
 at a time, alternating which side runs first: the parent on the even pair
-index of each workload and kind, the change on the odd one.  Every run is
-written to `BENCH_<n>.json` at the repository's root as it ends, so a
-record cut short holds the runs made so far.
+index of each workload and kind, the change on the odd one.  The two
+trees trade their directories between pairs, so each side runs from each
+directory in every other pair: a difference that follows where a tree
+sits, not its code (peak RSS has moved by 0.2 MB with the directory),
+falls on both sides alike.  Every run is written to `BENCH_<n>.json` at the repository's root
+as it ends, so a record cut short holds the runs made so far.
 
 The record keeps the schema of the earlier `BENCH_*.json` files: `point`,
 `change`, `parent_commit`, `change_commit`, `host`, `note` and `runs`, one
@@ -25,7 +28,7 @@ goes on with a summary: for each untraced workload and end-to-end metric
 of `BENCHMARK.json`, the parent and change medians, the pairs in which the
 change is better and the parent's interquartile range; for each traced
 pair, the largest per-layer self times on both sides, and whether the call
-counts agree.
+counts agree; and how the two directories were shared.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 TRACED_LAYERS = 6  # per-layer self times the note names for each traced pair
+DIRECTORIES = ("Both trees were extracted with `git archive` into two directories, which "
+               "they traded between pairs, so each side ran from each directory in every "
+               "other pair.")
 
 
 def seed_range(text):
@@ -129,14 +135,15 @@ def host(seconds):
             f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1; one run per line, "
             f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace T`, "
             "parent and change alternating which ran first (parent first on even pair "
-            "index); both sides extracted with `git archive`")
+            "index); both sides extracted with `git archive` into two directories that "
+            "they trade between pairs")
 
 
 def record(point, change, parent_commit, change_commit, note, runs, bounds, host_text):
     text = summary(runs, bounds)
     return {"point": point, "change": change, "parent_commit": parent_commit,
             "change_commit": change_commit, "host": host_text,
-            "note": " ".join(t for t in (note, text) if t), "runs": runs}
+            "note": " ".join(t for t in (note, text, DIRECTORIES) if t), "runs": runs}
 
 
 def bench(schedule, seconds, run):
@@ -162,12 +169,26 @@ def extract(rev, into):
 
 def run_in(tree):
     """A `run(side, argv)` that runs argv in the side's extracted tree and
-    returns the JSON of its last stdout line."""
+    returns the JSON of its last stdout line.  `tree` maps each side to the
+    directory its tree is extracted into; the two trees trade directories
+    (by renaming) after every second run, that is, between the pairs of a
+    `plan` schedule, so each side runs from each directory in every other
+    pair."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
+    where = dict(tree)
+    made = 0
 
     def run(side, argv):
-        p = subprocess.run([sys.executable, *argv[1:]], cwd=tree[side], env=env,
+        nonlocal made
+        if made and made % 2 == 0:
+            first, second = where.values()
+            os.rename(first, first + ".trading")
+            os.rename(second, first)
+            os.rename(first + ".trading", second)
+            where.update(zip(where, (second, first)))
+        made += 1
+        p = subprocess.run([sys.executable, *argv[1:]], cwd=where[side], env=env,
                            capture_output=True, text=True)
         if p.returncode != 0:
             raise SystemExit(f"{side}: {shlex.join(argv)} exited {p.returncode}: "
