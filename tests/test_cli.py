@@ -467,6 +467,74 @@ def test_closed_output_pipe_exits_2_without_a_traceback():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "F1L(1,-1,2,0,1,-2)", "--json"],
+    ["invariants", "P(3,5,7)", "--json"],
+    ["enumerate", "--family", "e3", "--bound", "1"],
+])
+def test_closed_buffered_pipe_exits_2_without_a_traceback(argv):
+    """An output that fits the buffer fails only when stdout is flushed,
+    which `main` does inside its guard, not the interpreter at exit."""
+    src = os.path.dirname(list(knotct.__path__)[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first write
+    try:
+        p = subprocess.run([sys.executable, "-m", "knotct.cli", *argv], stdout=write,
+                           stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert p.returncode == 2, p.stderr
+    assert "Exception ignored" not in p.stderr and "Traceback" not in p.stderr
+
+
+def _python(script):
+    src = os.path.dirname(list(knotct.__path__)[0])
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert p.returncode == 0, p.stderr
+    return p.stdout.splitlines()
+
+
+def test_main_and_its_import_leave_the_collector_as_they_find_it():
+    lines = _python("import gc, json\n"
+                    "state = lambda: [gc.isenabled(), gc.get_freeze_count()]\n"
+                    "states = [state()]\n"
+                    "import knotct.cli\n"
+                    "states.append(state())\n"
+                    "knotct.cli.main(['obstruct', 'F1L(1,-1,2,0,1,-2)', '--json'])\n"
+                    "states.append(state())\n"
+                    "print(json.dumps(states))")
+    assert json.loads(lines[0])["verdict"] == "inconclusive"
+    assert json.loads(lines[1]) == [[True, 0]] * 3
+
+
+def test_the_module_run_freezes_after_the_command():
+    lines = _python("import gc, runpy, sys\n"
+                    "sys.argv = ['knotct', 'invariants', 'F1L(-2,-2,-2,-2,-1,0)', '--json']\n"
+                    "try:\n"
+                    "    runpy.run_module('knotct.cli', run_name='__main__')\n"
+                    "except SystemExit as exc:\n"
+                    "    print(exc.code, gc.get_freeze_count())")
+    assert len(lines) == 2
+    assert json.loads(lines[0])["genus"] == 1
+    code, frozen = map(int, lines[1].split())
+    assert code == 0 and frozen > 0
+
+
+def test_the_console_script_calls_the_process_entry():
+    import tomllib
+
+    from knotct import cli
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["knotct"].partition(":")
+    assert module == "knotct.cli" and getattr(cli, name) is cli.run
+
+
 _COLD_START = """
 import sys
 bare = set(sys.modules)

@@ -1,6 +1,7 @@
 """The repository's command-line tools outside the package."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -150,3 +151,48 @@ def test_bench_pairs_runs_each_side_from_both_directories(tmp_path):
         ("parent", "dir-0"), ("change", "dir-1"), ("change", "dir-0"), ("parent", "dir-1"),
         ("parent", "dir-0"), ("change", "dir-1")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir-0", "dir-1"]
+
+
+# a knotct.cli that prints which tree it is, where it runs from and its arguments
+_STUB_CLI = """import os, sys
+print(open("TREE").read(), os.path.basename(os.getcwd()), *sys.argv[1:])
+"""
+
+
+def test_bench_pairs_e2e_runs_the_fixed_commands_in_alternated_pairs(tmp_path):
+    bench_pairs = _load("bench_pairs")
+    tree = {side: str(tmp_path / f"dir-{k}") for k, side in enumerate(bench_pairs.SIDES)}
+    for side, path in tree.items():
+        (Path(path) / "src" / "knotct").mkdir(parents=True)
+        (Path(path) / "src" / "knotct" / "__init__.py").write_text("")
+        (Path(path) / "src" / "knotct" / "cli.py").write_text(_STUB_CLI)
+        (Path(path) / "TREE").write_text(side)
+    schedule = bench_pairs.e2e_plan(2)
+    assert schedule[:4] == [
+        ("parent", bench_pairs.E2E_COMMANDS[0], 0), ("change", bench_pairs.E2E_COMMANDS[0], 0),
+        ("change", bench_pairs.E2E_COMMANDS[0], 1), ("parent", bench_pairs.E2E_COMMANDS[0], 1)]
+    assert [args for _, args, _ in schedule[::4]] == list(bench_pairs.E2E_COMMANDS)
+    runs = list(bench_pairs.bench_e2e(schedule, bench_pairs.run_in(tree)))
+    assert runs[0]["command"] == "python3 -m knotct.cli obstruct 'F1L(1,-1,2,0,1,-2)' --json"
+    for k, ((side, args, pair), r) in enumerate(zip(schedule, runs)):
+        # the side's own tree, from each directory in every other pair
+        at = f"dir-{(k // 2 + (side == 'change')) % 2}"
+        out = " ".join([side, at, *args]) + "\n"
+        assert (r["side"], r["pair"]) == (side, pair)
+        assert list(r["result"]) == [*bench_pairs.E2E_MEASURES, "stdout_sha256"]
+        assert r["result"]["stdout_sha256"] == hashlib.sha256(out.encode()).hexdigest()
+        assert r["result"]["wall_s"] > 0 and r["result"]["maxrss_mb"] > 1
+        assert r["result"]["user_s"] + r["result"]["sys_s"] > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir-0", "dir-1"]
+
+    rec = bench_pairs.record(46, "what changed", "abc", "def", "Opening.", [], {}, "a host", runs)
+    earlier = json.loads((ROOT / "BENCH_41.json").read_text())
+    assert list(rec) == [*earlier, "e2e"]
+    assert rec["e2e"] == runs
+    assert rec["note"].startswith(
+        "Opening. e2e `python3 -m knotct.cli obstruct 'F1L(1,-1,2,0,1,-2)' --json` (2 pairs): "
+        "wall_s ")
+    assert rec["note"].count("; stdout differs between the sides in 2/2 pairs.") == 6
+    for r in runs:
+        r["result"]["stdout_sha256"] = "same"
+    assert bench_pairs.e2e_summary(runs).count("; stdout equal on both sides in every pair.") == 6

@@ -20,20 +20,32 @@ sits, not its code (peak RSS has moved by 0.2 MB with the directory),
 falls on both sides alike.  Every run is written to `BENCH_<n>.json` at the repository's root
 as it ends, so a record cut short holds the runs made so far.
 
+With `--e2e N` it then runs N alternated pairs of each command of
+`E2E_COMMANDS`, the acceptance commands themselves, each as one child
+
+    python3 -m knotct.cli ARGS      (PYTHONPATH=src, in the tree)
+
+and records its wall time and, from `os.wait4`, its user and system CPU
+time and peak RSS.  The list is fixed, so every record times the same
+commands.
+
 The record keeps the schema of the earlier `BENCH_*.json` files: `point`,
 `change`, `parent_commit`, `change_commit`, `host`, `note` and `runs`, one
 run per entry with its side, workload, seed, trace flag, command and the
-result line `perfbench/run.py` printed.  The note opens with `--note` and
-goes on with a summary: for each untraced workload and end-to-end metric
-of `BENCHMARK.json`, the parent and change medians, the pairs in which the
-change is better and the parent's interquartile range; for each traced
-pair, the largest per-layer self times on both sides, and whether the call
-counts agree; and how the two directories were shared.
+result line `perfbench/run.py` printed.  The `--e2e` runs go under a
+further key, `e2e`, one entry per run with its side, pair index, command
+and result.  The note opens with `--note` and goes on with a summary: for
+each untraced workload and end-to-end metric of `BENCHMARK.json`, and for
+each e2e command and measure, the parent and change medians, the pairs in
+which the change is better and the parent's interquartile range; for each
+traced pair, the largest per-layer self times on both sides, and whether
+the call counts agree; and how the two directories were shared.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -42,10 +54,22 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 TRACED_LAYERS = 6  # per-layer self times the note names for each traced pair
+# the acceptance commands the `--e2e` pairs run: CLI latency on one
+# obstruct and one invariants query, AC1, AC5 at the CI bound, and AC7
+E2E_COMMANDS = (
+    ("obstruct", "F1L(1,-1,2,0,1,-2)", "--json"),
+    ("invariants", "F1L(-2,-2,-2,-2,-1,0)", "--json"),
+    ("verify", "--suite", "formulas"),
+    ("verify", "--suite", "genus", "--bound", "4"),
+    ("classify-genus2", "--scope", "montesinos", "--bound", "4"),
+    ("classify-genus2", "--scope", "alternating_montesinos", "--bound", "3"),
+)
+E2E_MEASURES = ("wall_s", "user_s", "sys_s", "maxrss_mb")  # each better lower
 DIRECTORIES = ("Both trees were extracted with `git archive` into two directories, which "
                "they traded between pairs, so each side ran from each directory in every "
                "other pair.")
@@ -73,13 +97,38 @@ def plan(pairs, traced):
     return runs
 
 
+def e2e_plan(pairs):
+    """(side, args, pair index) for `pairs` pairs of each `E2E_COMMANDS`
+    entry, in run order, alternated as in `plan`."""
+    return [(side, args, i) for args in E2E_COMMANDS for i in range(pairs)
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1])]
+
+
 def command(workload, seed, seconds, trace):
     return ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
 
 
+def e2e_command(args):
+    return ["python3", "-m", "knotct.cli", *args]
+
+
 def _num(x):
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:.0f}"
+
+
+def _compare(name, pv, cv, higher):
+    """`name`'s parent and change medians, the pairs the change wins and the
+    parent's interquartile range, over the paired values `pv` and `cv`."""
+    pm, cm = statistics.median(pv), statistics.median(cv)
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(pv, cv))
+    if len(pv) >= 2:
+        q1, _, q3 = statistics.quantiles(pv, n=4)
+        iqr = f", parent IQR {_num(q1)}-{_num(q3)}"
+    else:
+        iqr = ""
+    rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+    return f"{name} {_num(pm)} -> {_num(cm)} ({rel}, change better in {wins}/{len(pv)}{iqr})"
 
 
 def summary(runs, bounds):
@@ -98,19 +147,8 @@ def summary(runs, bounds):
         for name in bounds:
             pv = [p["metrics"][name]["value"] for p, c in paired if name in p["metrics"]]
             cv = [c["metrics"][name]["value"] for p, c in paired if name in p["metrics"]]
-            if not pv:
-                continue
-            pm, cm = statistics.median(pv), statistics.median(cv)
-            higher = bounds[name] == "higher"
-            wins = sum((c > p) if higher else (c < p) for p, c in zip(pv, cv))
-            if len(pv) >= 2:
-                q1, _, q3 = statistics.quantiles(pv, n=4)
-                iqr = f", parent IQR {_num(q1)}-{_num(q3)}"
-            else:
-                iqr = ""
-            rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-            lines.append(f"{name} {_num(pm)} -> {_num(cm)} ({rel}, change better in "
-                         f"{wins}/{len(pv)}{iqr})")
+            if pv:
+                lines.append(_compare(name, pv, cv, bounds[name] == "higher"))
         fails = sum(r["failed"] for pair in paired for r in pair)
         correct = all(r["correct"] for pair in paired for r in pair)
         parts.append(f"{workload} ({seeds[0]}-{seeds[-1]}, {len(paired)} pairs): "
@@ -130,6 +168,26 @@ def summary(runs, bounds):
     return " ".join(parts)
 
 
+def e2e_summary(e2e):
+    """The note's summary of the e2e runs: each command's measures, and
+    whether both sides printed the same in every pair."""
+    by_key = {(r["side"], r["command"], r["pair"]): r["result"] for r in e2e}
+    parts = []
+    for cmd in dict.fromkeys(r["command"] for r in e2e):
+        paired = [(by_key[("parent", cmd, i)], by_key[("change", cmd, i)])
+                  for i in sorted({i for (_, c, i) in by_key if c == cmd})
+                  if all((side, cmd, i) in by_key for side in SIDES)]
+        if not paired:
+            continue
+        differ = sum(p["stdout_sha256"] != c["stdout_sha256"] for p, c in paired)
+        parts.append(f"e2e `{cmd}` ({len(paired)} pairs): " + "; ".join(
+            _compare(m, [p[m] for p, _ in paired], [c[m] for _, c in paired], False)
+            for m in E2E_MEASURES)
+            + ("; stdout equal on both sides in every pair." if not differ else
+               f"; stdout differs between the sides in {differ}/{len(paired)} pairs."))
+    return " ".join(parts)
+
+
 def host(seconds):
     return (f"{os.cpu_count()}-core {platform.machine()} host, Python "
             f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1; one run per line, "
@@ -139,11 +197,17 @@ def host(seconds):
             "they trade between pairs")
 
 
-def record(point, change, parent_commit, change_commit, note, runs, bounds, host_text):
-    text = summary(runs, bounds)
-    return {"point": point, "change": change, "parent_commit": parent_commit,
-            "change_commit": change_commit, "host": host_text,
-            "note": " ".join(t for t in (note, text, DIRECTORIES) if t), "runs": runs}
+def record(point, change, parent_commit, change_commit, note, runs, bounds, host_text,
+           e2e=()):
+    """The `BENCH_<n>.json` record; the `e2e` key is there only when there
+    are e2e runs."""
+    texts = (note, summary(runs, bounds), e2e_summary(e2e) if e2e else "", DIRECTORIES)
+    rec = {"point": point, "change": change, "parent_commit": parent_commit,
+           "change_commit": change_commit, "host": host_text,
+           "note": " ".join(t for t in texts if t), "runs": runs}
+    if e2e:
+        rec["e2e"] = list(e2e)
+    return rec
 
 
 def bench(schedule, seconds, run):
@@ -153,6 +217,15 @@ def bench(schedule, seconds, run):
         argv = command(workload, seed, seconds, trace)
         yield {"side": side, "workload": workload, "seed": seed, "trace": trace,
                "command": shlex.join(argv), "result": run(side, argv)}
+
+
+def bench_e2e(schedule, run):
+    """Run `schedule` (from `e2e_plan`) in order, calling `run(side, argv,
+    e2e_result)`, and yield each run's entry as it ends."""
+    for side, args, pair in schedule:
+        argv = e2e_command(args)
+        yield {"side": side, "pair": pair, "command": shlex.join(argv),
+               "result": run(side, argv, e2e_result)}
 
 
 def _git(*args, **kwargs):
@@ -167,19 +240,53 @@ def extract(rev, into):
     return commit
 
 
+def _failed(argv, code, err):
+    return SystemExit(f"{shlex.join(argv)} exited {code}: {err[-2000:]}")
+
+
+def perfbench_result(argv, cwd, env):
+    """The JSON of the last stdout line of argv, run in `cwd`."""
+    p = subprocess.run([sys.executable, *argv[1:]], cwd=cwd, env=env,
+                       capture_output=True, text=True)
+    if p.returncode != 0:
+        raise _failed(argv, p.returncode, p.stderr)
+    return json.loads(p.stdout.strip().splitlines()[-1])
+
+
+def e2e_result(argv, cwd, env):
+    """The wall time of argv, run in `cwd` with the tree's `src` on the path,
+    its user and system CPU time and peak RSS from `os.wait4` (one child,
+    so no other process's peak counts), and the sha256 of its stdout."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        p = subprocess.Popen([sys.executable, *argv[1:]], cwd=cwd,
+                             env=dict(env, PYTHONPATH="src"), stdin=subprocess.DEVNULL,
+                             stdout=out, stderr=err)
+        _, status, usage = os.wait4(p.pid, 0)
+        wall = time.perf_counter() - start
+        p.returncode = os.waitstatus_to_exitcode(status)
+        if p.returncode != 0:
+            err.seek(0)
+            raise _failed(argv, p.returncode, err.read().decode(errors="replace"))
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()
+    return {"wall_s": wall, "user_s": usage.ru_utime, "sys_s": usage.ru_stime,
+            "maxrss_mb": usage.ru_maxrss / 1024, "stdout_sha256": digest}
+
+
 def run_in(tree):
-    """A `run(side, argv)` that runs argv in the side's extracted tree and
-    returns the JSON of its last stdout line.  `tree` maps each side to the
-    directory its tree is extracted into; the two trees trade directories
-    (by renaming) after every second run, that is, between the pairs of a
-    `plan` schedule, so each side runs from each directory in every other
-    pair."""
+    """A `run(side, argv, launch=perfbench_result)` that runs argv in the
+    side's extracted tree and returns `launch(argv, directory, env)`.
+    `tree` maps each side to the directory its tree is extracted into; the
+    two trees trade directories (by renaming) after every second run, that
+    is, between the pairs of a `plan` or `e2e_plan` schedule, so each side
+    runs from each directory in every other pair."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     where = dict(tree)
     made = 0
 
-    def run(side, argv):
+    def run(side, argv, launch=perfbench_result):
         nonlocal made
         if made and made % 2 == 0:
             first, second = where.values()
@@ -188,12 +295,10 @@ def run_in(tree):
             os.rename(first + ".trading", second)
             where.update(zip(where, (second, first)))
         made += 1
-        p = subprocess.run([sys.executable, *argv[1:]], cwd=where[side], env=env,
-                           capture_output=True, text=True)
-        if p.returncode != 0:
-            raise SystemExit(f"{side}: {shlex.join(argv)} exited {p.returncode}: "
-                             f"{p.stderr[-2000:]}")
-        return json.loads(p.stdout.strip().splitlines()[-1])
+        try:
+            return launch(argv, where[side], env)
+        except SystemExit as exc:
+            raise SystemExit(f"{side}: {exc}") from None
 
     return run
 
@@ -207,6 +312,8 @@ def main(argv=None):
                     metavar="W=FIRST-LAST", help="untraced pairs of workload W, one per seed")
     ap.add_argument("--traced", type=seed_range, action="append", default=[],
                     metavar="W=FIRST-LAST", help="traced pairs of workload W, one per seed")
+    ap.add_argument("--e2e", type=int, default=0, metavar="N",
+                    help="then N alternated pairs of each command of E2E_COMMANDS")
     ap.add_argument("--change-text", default="", help="the record's `change`")
     ap.add_argument("--note", default="", help="text the note opens with")
     args = ap.parse_args(argv)
@@ -219,18 +326,28 @@ def main(argv=None):
         tree = {side: os.path.join(work, side) for side in SIDES}
         commits = {side: extract(rev, tree[side])
                    for side, rev in zip(SIDES, (args.parent, args.change))}
-        runs = []
-        for entry in bench(plan(args.pairs, args.traced), seconds, run_in(tree)):
+        run = run_in(tree)
+        runs, e2e = [], []
+        for entry in bench(plan(args.pairs, args.traced), seconds, run):
             runs.append(entry)
             metrics = entry["result"]["metrics"]
-            print(entry["side"], entry["command"], json.dumps(
-                {k: round(v["value"], 6) for k, v in metrics.items() if k in bounds}), flush=True)
-            rec = record(args.point, args.change_text, commits["parent"], commits["change"],
-                         args.note, runs, bounds, host(seconds))
-            with open(out, "w") as fh:
-                json.dump(rec, fh, indent=1)
-                fh.write("\n")
+            _write(out, args, commits, runs, e2e, bounds, seconds, entry, json.dumps(
+                {k: round(v["value"], 6) for k, v in metrics.items() if k in bounds}))
+        for entry in bench_e2e(e2e_plan(args.e2e), run):
+            e2e.append(entry)
+            _write(out, args, commits, runs, e2e, bounds, seconds, entry, json.dumps(
+                {k: round(entry["result"][k], 4) for k in E2E_MEASURES}))
     return 0
+
+
+def _write(out, args, commits, runs, e2e, bounds, seconds, entry, shown):
+    """Print the run that ended and write the record as it stands."""
+    print(entry["side"], entry["command"], shown, flush=True)
+    rec = record(args.point, args.change_text, commits["parent"], commits["change"],
+                 args.note, runs, bounds, host(seconds), e2e)
+    with open(out, "w") as fh:
+        json.dump(rec, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":
