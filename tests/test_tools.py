@@ -153,8 +153,10 @@ def test_bench_pairs_runs_each_side_from_both_directories(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir-0", "dir-1"]
 
 
-# a knotct.cli that prints which tree it is, where it runs from and its arguments
+# a knotct.cli that prints which tree it is, where it runs from and its
+# arguments, and holds 48 MB more under `verify --suite formulas`
 _STUB_CLI = """import os, sys
+blob = b"x" * ((48 << 20) if "formulas" in sys.argv else 0)
 print(open("TREE").read(), os.path.basename(os.getcwd()), *sys.argv[1:])
 """
 
@@ -183,6 +185,10 @@ def test_bench_pairs_e2e_runs_the_fixed_commands_in_alternated_pairs(tmp_path):
         assert r["result"]["stdout_sha256"] == hashlib.sha256(out.encode()).hexdigest()
         assert r["result"]["wall_s"] > 0 and r["result"]["maxrss_mb"] > 1
         assert r["result"]["user_s"] + r["result"]["sys_s"] > 0
+    # each peak is the command's own, not one carried over from the process that ran it
+    peaks = {args[2]: r["result"]["maxrss_mb"] for (_, args, _), r in zip(schedule, runs)
+             if args[0] == "verify"}
+    assert peaks["formulas"] > peaks["genus"] + 40
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir-0", "dir-1"]
 
     rec = bench_pairs.record(46, "what changed", "abc", "def", "Opening.", [], {}, "a host", runs)

@@ -54,7 +54,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -201,7 +200,7 @@ def record(point, change, parent_commit, change_commit, note, runs, bounds, host
            e2e=()):
     """The `BENCH_<n>.json` record; the `e2e` key is there only when there
     are e2e runs."""
-    texts = (note, summary(runs, bounds), e2e_summary(e2e) if e2e else "", DIRECTORIES)
+    texts = (note, summary(runs, bounds), e2e_summary(e2e), DIRECTORIES)
     rec = {"point": point, "change": change, "parent_commit": parent_commit,
            "change_commit": change_commit, "host": host_text,
            "note": " ".join(t for t in texts if t), "runs": runs}
@@ -253,25 +252,36 @@ def perfbench_result(argv, cwd, env):
     return json.loads(p.stdout.strip().splitlines()[-1])
 
 
+# Linux carries a process's resident high-water mark across fork and exec
+# into the child's ru_maxrss, so the e2e commands are started by this
+# launcher, whose mark (no site import) stays below theirs, not by this
+# process.  It spawns its arguments, reaps them with os.wait4 and writes
+# [exit code, wall s, user s, sys s, peak RSS MB] as the last line of stderr.
+_LAUNCHER = """import json, os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+print(json.dumps([os.waitstatus_to_exitcode(status), wall, usage.ru_utime,
+                  usage.ru_stime, usage.ru_maxrss / 1024]), file=sys.stderr)
+"""
+
+
 def e2e_result(argv, cwd, env):
     """The wall time of argv, run in `cwd` with the tree's `src` on the path,
-    its user and system CPU time and peak RSS from `os.wait4` (one child,
-    so no other process's peak counts), and the sha256 of its stdout."""
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        p = subprocess.Popen([sys.executable, *argv[1:]], cwd=cwd,
-                             env=dict(env, PYTHONPATH="src"), stdin=subprocess.DEVNULL,
-                             stdout=out, stderr=err)
-        _, status, usage = os.wait4(p.pid, 0)
-        wall = time.perf_counter() - start
-        p.returncode = os.waitstatus_to_exitcode(status)
-        if p.returncode != 0:
-            err.seek(0)
-            raise _failed(argv, p.returncode, err.read().decode(errors="replace"))
+    its user and system CPU time and peak RSS from `os.wait4`, and the
+    sha256 of its stdout."""
+    with tempfile.TemporaryFile() as out:
+        p = subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, sys.executable, *argv[1:]],
+                           cwd=cwd, env=dict(env, PYTHONPATH="src"), stdin=subprocess.DEVNULL,
+                           stdout=out, stderr=subprocess.PIPE, text=True, check=True)
+        *err, last = p.stderr.splitlines()
+        code, *measures = json.loads(last)
+        if code != 0:
+            raise _failed(argv, code, "\n".join(err))
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
-    return {"wall_s": wall, "user_s": usage.ru_utime, "sys_s": usage.ru_stime,
-            "maxrss_mb": usage.ru_maxrss / 1024, "stdout_sha256": digest}
+    return {**dict(zip(E2E_MEASURES, measures)), "stdout_sha256": digest}
 
 
 def run_in(tree):
