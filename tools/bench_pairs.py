@@ -108,10 +108,6 @@ def command(workload, seed, seconds, trace):
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
 
 
-def e2e_command(args):
-    return ["python3", "-m", "knotct.cli", *args]
-
-
 def _num(x):
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:.0f}"
 
@@ -222,7 +218,7 @@ def bench_e2e(schedule, run):
     """Run `schedule` (from `e2e_plan`) in order, calling `run(side, argv,
     e2e_result)`, and yield each run's entry as it ends."""
     for side, args, pair in schedule:
-        argv = e2e_command(args)
+        argv = ["python3", "-m", "knotct.cli", *args]
         yield {"side": side, "pair": pair, "command": shlex.join(argv),
                "result": run(side, argv, e2e_result)}
 
@@ -336,28 +332,26 @@ def main(argv=None):
         tree = {side: os.path.join(work, side) for side in SIDES}
         commits = {side: extract(rev, tree[side])
                    for side, rev in zip(SIDES, (args.parent, args.change))}
-        run = run_in(tree)
         runs, e2e = [], []
+
+        def write(entry, shown):
+            """Print the run that ended and write the record as it stands."""
+            print(entry["side"], entry["command"], shown, flush=True)
+            rec = record(args.point, args.change_text, commits["parent"], commits["change"],
+                         args.note, runs, bounds, host(seconds), e2e)
+            with open(out, "w") as fh:
+                json.dump(rec, fh, indent=1)
+                fh.write("\n")
+
+        run = run_in(tree)
         for entry in bench(plan(args.pairs, args.traced), seconds, run):
             runs.append(entry)
-            metrics = entry["result"]["metrics"]
-            _write(out, args, commits, runs, e2e, bounds, seconds, entry, json.dumps(
-                {k: round(v["value"], 6) for k, v in metrics.items() if k in bounds}))
+            write(entry, json.dumps({k: round(v["value"], 6)
+                                     for k, v in entry["result"]["metrics"].items() if k in bounds}))
         for entry in bench_e2e(e2e_plan(args.e2e), run):
             e2e.append(entry)
-            _write(out, args, commits, runs, e2e, bounds, seconds, entry, json.dumps(
-                {k: round(entry["result"][k], 4) for k in E2E_MEASURES}))
+            write(entry, json.dumps({k: round(entry["result"][k], 4) for k in E2E_MEASURES}))
     return 0
-
-
-def _write(out, args, commits, runs, e2e, bounds, seconds, entry, shown):
-    """Print the run that ended and write the record as it stands."""
-    print(entry["side"], entry["command"], shown, flush=True)
-    rec = record(args.point, args.change_text, commits["parent"], commits["change"],
-                 args.note, runs, bounds, host(seconds), e2e)
-    with open(out, "w") as fh:
-        json.dump(rec, fh, indent=1)
-        fh.write("\n")
 
 
 if __name__ == "__main__":
